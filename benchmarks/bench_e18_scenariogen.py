@@ -2,10 +2,11 @@
 
 Three arms pin the scenariogen PR's claims:
 
-1. **Spec sweep** — every preset :class:`ScenarioSpec` compiles to a
-   scenario whose workload config equals the hand-built original, and a
-   tree-synthesised spec passes the generator's validity report (all
-   roles reachable, all classes readable, a permit path per tenant).
+1. **Spec sweep** — every preset :class:`ScenarioSpec` compiles, and the
+   table records its shape and policy-document fingerprint (the value
+   ``tests/test_scenariogen.py`` pins); a tree-synthesised spec passes
+   the generator's validity report (all roles reachable, all classes
+   readable, a permit path per tenant).
 2. **Determinism** — building and driving the same generated federation
    twice from the same spec + seed replays bit-identical decisions,
    alerts and chain head.
@@ -37,7 +38,6 @@ from repro.scenariogen import (
     generate_scenario,
     validity_report,
 )
-from repro.workload.scenarios import SCENARIO_FACTORIES
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 STREAM_SUBJECTS = 1_000_000
@@ -106,13 +106,9 @@ def test_e18_scenariogen(report, scenario_seed):
 
     # -- arm 1: preset sweep + validity ----------------------------------------
     sweep_rows = []
-    for factory, spec_factory in zip(SCENARIO_FACTORIES, PRESET_SPECS):
-        hand = factory()
-        spec = spec_factory()
+    for spec in PRESET_SPECS.values():
         compiled = generate_scenario(spec)
-        assert compiled.name == hand.name
-        assert compiled.workload == hand.workload, (
-            f"{hand.name}: compiled workload diverged")
+        documents = [compiled.policy_document, *compiled.policy_variants]
         sweep_rows.append({
             "preset": spec.name,
             "classes": len(spec.classes) if spec.classes else "tree",
@@ -120,10 +116,9 @@ def test_e18_scenariogen(report, scenario_seed):
             "resources": compiled.workload.resources,
             "rate_rps": compiled.workload.arrival_rate,
             "variants": len(compiled.policy_variants),
-            "workload_eq": compiled.workload == hand.workload,
+            "fingerprint": hash_value(documents)[:16],
         })
-    lines.append(format_table(
-        sweep_rows, title="E18 spec sweep: presets vs hand-built scenarios"))
+    lines.append(format_table(sweep_rows, title="E18 spec sweep: the ten presets"))
 
     validity = validity_report(DETERMINISM_SPEC, seed=scenario_seed)
     assert validity["ok"], validity
@@ -185,7 +180,7 @@ def test_e18_scenariogen(report, scenario_seed):
 
     write_json_report("e18", {
         "presets": len(sweep_rows),
-        "preset_workloads_equal": all(r["workload_eq"] for r in sweep_rows),
+        "preset_fingerprints": {r["preset"]: r["fingerprint"] for r in sweep_rows},
         "validity_ok": validity["ok"],
         "determinism_identical": first == second,
         "determinism_decisions": len(first["decisions"]),

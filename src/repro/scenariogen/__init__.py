@@ -1,15 +1,15 @@
 """Parameterised, seeded scenario generation.
 
-The hand-built corpus in :mod:`repro.workload.scenarios` tops out at ten
-federations; this package turns scenarios into *data*.  A
-:class:`~repro.scenariogen.spec.ScenarioSpec` describes a federation
-declaratively — shape, roles, service-class catalogue (or a random-tree
-recipe), arrival process, churn and attack mix — and
-:func:`~repro.scenariogen.generate.generate_scenario` compiles it into
-the same :class:`~repro.workload.scenarios.Scenario` the harness and
-benchmarks already consume, with validity guarantees (every role
-reachable, every class readable, a permit path per tenant) and full
-seed-reproducibility.  See ``docs/scenariogen.md``.
+Scenarios are *data*.  A :class:`~repro.scenariogen.spec.ScenarioSpec`
+describes a federation declaratively — shape, roles, service-class
+catalogue (or a random-tree recipe), arrival process, churn and attack
+mix — and :func:`~repro.scenariogen.generate.generate_scenario` compiles
+it into the :class:`~repro.workload.scenarios.Scenario` the harness and
+benchmarks consume, with validity guarantees (every role reachable,
+every class readable, a permit path per tenant) and full
+seed-reproducibility.  The ten shipped federations are the specs in
+:data:`~repro.scenariogen.presets.PRESET_SPECS`.  See
+``docs/scenariogen.md``.
 """
 
 from repro.scenariogen.spec import (

@@ -11,7 +11,7 @@ Synthesised trees carry validity guarantees (enforced by a post-pass,
 checked by :func:`validity_report`): every service class has at least
 one reader, every role reads at least one class, and — because read
 rules are never tenant-gated — every tenant has a permit path.
-Transcribed presets deliberately keep their corpus quirks instead
+The explicit-class presets state their access rules as written instead
 (healthcare clerks really do get nothing clinical).
 """
 
@@ -31,33 +31,57 @@ from repro.scenariogen.spec import (
     ServiceClassSpec,
 )
 from repro.workload.generator import WorkloadConfig
-from repro.workload.scenarios import (
-    Scenario,
-    _action_is,
-    _clearance_covers_sensitivity,
-    _designator,
-    _disjunction_target,
-    _home_tenant,
-)
+from repro.workload.scenarios import Scenario
 from repro.xacml.attributes import DataType
 from repro.xacml.context import Obligation
-from repro.xacml.expressions import Apply, Literal
+from repro.xacml.expressions import Apply, AttributeDesignator, Literal
 from repro.xacml.parser import policy_to_dict
-from repro.xacml.policy import Effect, Policy, PolicySet, Rule, Target
+from repro.xacml.policy import (
+    AllOf,
+    AnyOf,
+    Effect,
+    Match,
+    Policy,
+    PolicySet,
+    Rule,
+    Target,
+)
+
+# -- targets and conditions ----------------------------------------------------
+
+
+def _disjunction_target(category: str, attribute_id: str, values: tuple[str, ...]) -> Target:
+    """Target matching when the attribute equals *any* of ``values``."""
+    designator = AttributeDesignator(category, attribute_id)
+    all_ofs = tuple(AllOf(matches=(Match("string-equal", value, designator),)) for value in values)
+    return Target(any_ofs=(AnyOf(all_ofs=all_ofs),))
+
+
+def _action_is(action: str) -> Apply:
+    designator = AttributeDesignator("action", "action-id")
+    return Apply("any-of", (Literal("string-equal"), Literal(action), designator))
+
+
+def _one(category: str, attribute_id: str, data_type: str) -> Apply:
+    return Apply("one-and-only", (AttributeDesignator(category, attribute_id, data_type),))
+
+
+def _home_tenant() -> Apply:
+    """The request originates from the tenant owning the resource."""
+    origin = AttributeDesignator("environment", "origin-tenant")
+    owner = AttributeDesignator("resource", "owner-tenant")
+    return Apply("any-of-any", (Literal("string-equal"), origin, owner))
+
+
+def _clearance_covers_sensitivity() -> Apply:
+    clearance = _one("subject", "clearance", DataType.INTEGER)
+    sensitivity = _one("resource", "sensitivity", DataType.INTEGER)
+    return Apply("integer-greater-than-or-equal", (clearance, sensitivity))
 
 
 def _office_hours() -> Apply:
-    return Apply(
-        "time-in-range",
-        (
-            Apply(
-                "one-and-only",
-                (_designator("environment", "time-of-day", DataType.DOUBLE),),
-            ),
-            Literal(9.0 * 3600),
-            Literal(17.0 * 3600),
-        ),
-    )
+    time_of_day = _one("environment", "time-of-day", DataType.DOUBLE)
+    return Apply("time-in-range", (time_of_day, Literal(9.0 * 3600), Literal(17.0 * 3600)))
 
 
 _CONDITION_BUILDERS = {
@@ -78,7 +102,7 @@ def _compile_rule(rule: RuleSpec, class_name: str, position: int) -> Rule:
         else:
             # Conjunction: one AnyOf per role, all of which must match —
             # satisfiable only by multi-valued role bags (the healthcare
-            # corpus's ``clinicians-read`` shape).
+            # preset's ``clinicians-read`` shape).
             singles = tuple(
                 Target.single("string-equal", role, "subject", "role")
                 for role in rule.roles
@@ -263,10 +287,11 @@ def _build_domain(spec: ScenarioSpec, classes: tuple) -> AttributeDomain:
     domain.declare("subject", "role", list(spec.roles))
     domain.declare("action", "action-id", ["read", "write"])
     domain.declare("resource", "type", [cls.name for cls in classes])
-    tenants = list(spec.federation.tenants)
-    domain.declare("resource", "owner-tenant", tenants)
-    domain.declare("environment", "origin-tenant", tenants)
     conditions = {rule.condition for cls in classes for rule in cls.rules}
+    if "home-tenant" in conditions:
+        tenants = list(spec.federation.tenants)
+        domain.declare("resource", "owner-tenant", tenants)
+        domain.declare("environment", "origin-tenant", tenants)
     if "clearance" in conditions:
         domain.declare("subject", "clearance", [1, 3, 5])
         domain.declare("resource", "sensitivity", [1, 3, 5])
@@ -361,8 +386,8 @@ def validity_report(spec: ScenarioSpec, seed: int = 7) -> dict:
     For every role, service class and tenant the report evaluates a
     concrete witness request against the compiled document and records
     whether a permit path exists.  ``ok`` is the conjunction — guaranteed
-    ``True`` for tree-synthesised specs; transcribed presets may
-    legitimately fail it (a corpus quirk, not a generator bug).
+    ``True`` for tree-synthesised specs; explicit-class presets may
+    legitimately fail it (their rules say so, not a generator bug).
     """
     from repro.analysis.semantics import evaluate_document
 

@@ -1,19 +1,16 @@
-"""The ten hand-built scenarios, transcribed as :class:`ScenarioSpec`s.
+"""The ten shipped federations, each stated once as a :class:`ScenarioSpec`.
 
-Each preset compiles (via :func:`repro.scenariogen.generate.
-generate_scenario`) to a scenario *behaviourally equivalent* to its
-hand-built counterpart in :mod:`repro.workload.scenarios`: the identical
-:class:`WorkloadConfig` (hence the bit-identical request stream) and a
-policy document that agrees with the hand-built one on every decision
-and obligation — the conformance suite in ``tests/test_scenariogen.py``
-pins both.  The catalogue-shaped presets import the very same
-service-class tables the hand-built factories use, so the two stay in
-lockstep by construction.
+:data:`PRESET_SPECS` is the scenario corpus: every ``*_scenario()``
+factory in :mod:`repro.workload.scenarios` is
+``generate_scenario(preset_spec(name))``, and the compiled policy
+documents are pinned byte-for-byte by the golden fingerprints in
+``tests/test_scenariogen.py``.  Adding a federation is adding one
+:class:`ScenarioSpec` to ``_PRESETS``.
 
-Corpus quirks are transcribed, not repaired: the healthcare
-``clinicians-read`` rule keeps its ``role_match="all"`` conjunction
-(matches nobody with single-valued roles), and clerks still get nothing
-clinical.
+The specs state the access rules as deployed, oddities included: the
+healthcare ``clinicians-read`` rule is a ``role_match="all"``
+conjunction (matches nobody with single-valued roles), and clerks get
+nothing clinical.
 """
 
 from __future__ import annotations
@@ -27,19 +24,91 @@ from repro.scenariogen.spec import (
     ScenarioSpec,
     ServiceClassSpec,
 )
-from repro.workload.scenarios import (
-    _DIURNAL_SERVICE_CLASSES,
-    _ELASTIC_AUDITED_CLASSES,
-    _ELASTIC_SERVICE_CLASSES,
-    _FEDERATION_AUDITED_CLASSES,
-    _FEDERATION_SERVICE_CLASSES,
-    _IOT_AUDITED_CLASSES,
-    _IOT_DEVICE_CLASSES,
-    _STORM_AUDITED_CLASSES,
-    _STORM_SERVICE_CLASSES,
-)
 
-_DENY = RuleSpec(effect="Deny")
+# Service-class tables of the five catalogue-shaped federations:
+# class -> (reader roles, writer roles).
+
+#: IoT device data.  Telemetry is written by devices and read by the back
+#: office; control surfaces are operated; admin artefacts belong to technicians.
+_IOT_DEVICE_CLASSES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "temperature": (("operator", "analyst"), ("sensor",)),
+    "humidity": (("operator", "analyst"), ("sensor",)),
+    "air-quality": (("operator", "analyst"), ("sensor",)),
+    "power-meter": (("operator", "analyst"), ("sensor",)),
+    "water-meter": (("operator", "analyst"), ("sensor",)),
+    "camera-feed": (("operator",), ("sensor",)),
+    "door-lock": (("operator", "technician"), ("operator",)),
+    "hvac-control": (("operator", "technician"), ("operator",)),
+    "valve-control": (("operator", "technician"), ("operator",)),
+    "firmware-image": (("technician", "analyst"), ("technician",)),
+    "device-config": (("technician", "analyst"), ("technician",)),
+    "diagnostics": (("technician", "analyst"), ("sensor", "technician")),
+}
+_IOT_AUDITED_CLASSES = ("door-lock", "firmware-image")
+
+#: Whole-of-government services.  Caseworkers operate the citizen-facing
+#: registers, analysts and auditors consume them, service bots feed the bulk
+#: ingestion pipelines.
+_FEDERATION_SERVICE_CLASSES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "citizen-registry": (("caseworker", "analyst", "auditor"), ("caseworker",)),
+    "tax-filing": (("caseworker", "auditor"), ("caseworker",)),
+    "vehicle-licensing": (("caseworker", "analyst"), ("caseworker",)),
+    "land-registry": (("caseworker", "auditor"), ("caseworker",)),
+    "health-insurance": (("caseworker", "analyst", "auditor"), ("caseworker",)),
+    "pension-claims": (("caseworker", "auditor"), ("caseworker",)),
+    "customs-declarations": (("analyst", "auditor"), ("service-bot",)),
+    "border-crossings": (("analyst", "auditor"), ("service-bot",)),
+    "energy-subsidies": (("caseworker", "analyst"), ("service-bot",)),
+    "education-records": (("caseworker", "analyst"), ("caseworker",)),
+    "employment-records": (("caseworker", "analyst", "auditor"), ("caseworker",)),
+    "social-housing": (("caseworker",), ("caseworker",)),
+    "court-filings": (("auditor",), ("caseworker",)),
+    "census-extracts": (("analyst", "auditor"), ("service-bot",)),
+    "procurement-bids": (("analyst", "auditor"), ("service-bot",)),
+    "grant-applications": (("caseworker", "analyst"), ("caseworker",)),
+}
+_FEDERATION_AUDITED_CLASSES = ("court-filings", "procurement-bids")
+
+#: Civil protection.  The alert feed is the flash-crowd magnet; responders run
+#: the field registers, coordinators direct them, ingest bots feed the
+#: sensor-derived ledgers.
+_ELASTIC_SERVICE_CLASSES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "alert-feed": (("responder", "coordinator", "analyst"), ("coordinator",)),
+    "shelter-registry": (("responder", "coordinator"), ("responder",)),
+    "evacuation-orders": (("responder", "coordinator", "analyst"), ("coordinator",)),
+    "relief-claims": (("coordinator", "analyst"), ("responder",)),
+    "medical-triage": (("responder", "coordinator"), ("responder",)),
+    "volunteer-roster": (("coordinator",), ("coordinator",)),
+    "traffic-status": (("responder", "analyst"), ("ingest-bot",)),
+    "supply-depots": (("responder", "coordinator"), ("ingest-bot",)),
+}
+_ELASTIC_AUDITED_CLASSES = ("evacuation-orders", "relief-claims")
+
+#: Municipal e-services.  Citizen-facing portals carry the daily curve;
+#: back-office registers tick along underneath it.
+_DIURNAL_SERVICE_CLASSES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "service-portal": (("citizen", "clerk"), ("clerk",)),
+    "permit-applications": (("citizen", "clerk"), ("citizen",)),
+    "parking-permits": (("citizen", "clerk"), ("clerk",)),
+    "waste-collection": (("citizen", "clerk"), ("service-bot",)),
+    "library-catalogue": (("citizen", "clerk"), ("service-bot",)),
+    "inspection-reports": (("inspector", "clerk"), ("inspector",)),
+}
+
+#: Emergency management.  The incident log is the audited, monitored heart of
+#: the exercise; the rest is continuity-of-operations traffic that must keep
+#: flowing through the storm.
+_STORM_SERVICE_CLASSES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "incident-log": (("operator", "commander", "liaison"), ("operator",)),
+    "resource-roster": (("operator", "commander"), ("commander",)),
+    "situation-map": (("operator", "commander", "liaison"), ("feed-bot",)),
+    "comms-directory": (("operator", "commander", "liaison"), ("commander",)),
+    "mutual-aid-requests": (("commander", "liaison"), ("liaison",)),
+    "status-heartbeats": (("operator", "commander"), ("feed-bot",)),
+}
+#: Their Permit carries an audit obligation — those decisions must survive,
+#: attributably, whatever the fault plan does.
+_STORM_AUDITED_CLASSES = ("incident-log", "mutual-aid-requests")
 
 
 def _catalogue_classes(
@@ -80,8 +149,11 @@ def _catalogue_classes(
     return tuple(classes)
 
 
-def healthcare_spec() -> ScenarioSpec:
-    return ScenarioSpec(
+_PRESETS = (
+    # Cross-border healthcare (a SUNFISH public-sector use case): doctors read
+    # federation-wide and write only at home, first-applicable so the home-write
+    # permit precedes the blanket clinical-write denial; clerks get nothing.
+    ScenarioSpec(
         name="healthcare",
         roles=("doctor", "nurse", "clerk"),
         classes=(
@@ -111,8 +183,8 @@ def healthcare_spec() -> ScenarioSpec:
             ServiceClassSpec(
                 name="lab-result",
                 rules=(
-                    # The corpus's conjunction quirk, preserved verbatim:
-                    # doctor AND nurse, satisfiable only by multi-role bags.
+                    # A conjunction, not a disjunction: doctor AND nurse,
+                    # satisfiable only by multi-role bags.
                     RuleSpec(
                         roles=("doctor", "nurse"),
                         role_match="all",
@@ -131,11 +203,10 @@ def healthcare_spec() -> ScenarioSpec:
         ),
         arrival=ArrivalSpec(rate=2.0),
         description="Hospitals in two clouds share records and lab results.",
-    )
-
-
-def ministry_spec() -> ScenarioSpec:
-    return ScenarioSpec(
+    ),
+    # Ministry document sharing: clearance-gated reads, office-hour audits,
+    # home-tenant writes — the condition-heavy policy.
+    ScenarioSpec(
         name="ministry",
         roles=("officer", "auditor", "intern"),
         classes=(
@@ -180,11 +251,11 @@ def ministry_spec() -> ScenarioSpec:
         ),
         arrival=ArrivalSpec(rate=2.0),
         description="Finance and interior ministries share tax documents.",
-    )
-
-
-def iot_edge_spec() -> ScenarioSpec:
-    return ScenarioSpec(
+    ),
+    # High-fan-out IoT/edge: one small policy per device-data class, so the tree
+    # is wide and flat and a request matches exactly one branch (the target
+    # index's best case, the slow path's worst).
+    ScenarioSpec(
         name="iot-edge",
         roles=("sensor", "technician", "operator", "analyst"),
         classes=_catalogue_classes(
@@ -203,11 +274,11 @@ def iot_edge_spec() -> ScenarioSpec:
         arrival=ArrivalSpec(rate=2.0),
         description="Edge clouds exchange telemetry, control and firmware "
         "for a dozen device-data classes.",
-    )
-
-
-def delegation_spec() -> ScenarioSpec:
-    return ScenarioSpec(
+    ),
+    # Cross-cloud delegation with deep nesting (federation -> cloud -> domain ->
+    # policy): delegates read only what their clearance covers, and the index
+    # must prove NoMatch through several target layers.
+    ScenarioSpec(
         name="delegation",
         roles=("hr-officer", "finance-officer", "operator", "auditor", "delegate"),
         classes=(
@@ -238,7 +309,7 @@ def delegation_spec() -> ScenarioSpec:
                         attributes=(("registry", "delegation-ledger"),),
                     ),
                 ),
-                group=("cloud-a",),
+                group=("cloud-a", "hr-domain"),
                 policy_id="hr-records",
             ),
             ServiceClassSpec(
@@ -264,7 +335,7 @@ def delegation_spec() -> ScenarioSpec:
                     ),
                     RuleSpec(effect="Deny", rule_id="finance-record-default-deny"),
                 ),
-                group=("cloud-a",),
+                group=("cloud-a", "finance-domain"),
                 policy_id="finance-records",
             ),
             ServiceClassSpec(
@@ -315,11 +386,12 @@ def delegation_spec() -> ScenarioSpec:
         arrival=ArrivalSpec(rate=2.0),
         description="Cross-cloud delegation over nested administrative "
         "and operational domains.",
-    )
-
-
-def audit_burst_spec() -> ScenarioSpec:
-    return ScenarioSpec(
+    ),
+    # Compliance-logging burst, shaped to stress the monitoring plane rather than
+    # the PDP: the flooding tenant's service accounts dominate the population and
+    # write at a high rate, so with tight ``max_block_txs``/``max_block_bytes``
+    # block templates hit the caps and a mempool backlog stands.
+    ScenarioSpec(
         name="audit-burst",
         roles=("service", "auditor", "operator"),
         classes=(
@@ -371,11 +443,12 @@ def audit_burst_spec() -> ScenarioSpec:
         arrival=ArrivalSpec(rate=25.0),
         description="A tenant's services flood the chain with audit "
         "appends while operators keep working.",
-    )
-
-
-def federation_scale_spec() -> ScenarioSpec:
-    return ScenarioSpec(
+    ),
+    # Whole-of-government federation sized to saturate one PDP (E11): 2 500
+    # arrivals/s against a 2 000/s cache-hit service rate, so the backlog grows
+    # until the decision plane is sharded; home-gated writes give routing both
+    # locality branches.
+    ScenarioSpec(
         name="federation-scale",
         roles=("caseworker", "analyst", "auditor", "service-bot"),
         classes=_catalogue_classes(
@@ -393,11 +466,13 @@ def federation_scale_spec() -> ScenarioSpec:
         arrival=ArrivalSpec(rate=2500.0),
         description="A whole-of-government federation whose arrival rate "
         "exceeds one PDP evaluator's service rate.",
-    )
-
-
-def policy_churn_spec() -> ScenarioSpec:
-    return ScenarioSpec(
+    ),
+    # Case handling under live policy churn (E12): every generation re-stamps
+    # the retention obligation (distinct fingerprints) and contractor reads
+    # toggle with parity (distinct decisions), so a replica one version behind
+    # is wrong under the head but right under its own version — the honest
+    # churn the version-stamped pipeline must not mistake for tampering.
+    ScenarioSpec(
         name="policy-churn",
         roles=("caseworker", "contractor", "auditor"),
         classes=(
@@ -438,14 +513,12 @@ def policy_churn_spec() -> ScenarioSpec:
         arrival=ArrivalSpec(rate=25.0),
         description="Case handling while the policy is republished "
         "mid-traffic; contractor access flips per generation.",
-    )
-
-
-def elastic_scale_spec() -> ScenarioSpec:
-    catalogue = ("alert-feed", "alert-feed", "alert-feed") + tuple(
-        c for c in _ELASTIC_SERVICE_CLASSES if c != "alert-feed"
-    )
-    return ScenarioSpec(
+    ),
+    # Civil-protection flash crowd (E13): the catalogue is front-loaded onto the
+    # alert feed and strongly Zipf-skewed, so a few decision-cache keys run their
+    # shards hot while ring neighbours idle, and 3 000 arrivals/s out-run any
+    # fixed pool — the add/drain and queue-aware-routing substrate.
+    ScenarioSpec(
         name="elastic-scale",
         roles=("responder", "coordinator", "analyst", "ingest-bot"),
         classes=_catalogue_classes(
@@ -460,16 +533,17 @@ def elastic_scale_spec() -> ScenarioSpec:
             role_weights=(0.45, 0.2, 0.15, 0.2),
             read_fraction=0.75,
             zipf_skew=1.5,
-            catalogue=catalogue,
+            catalogue=("alert-feed",) * 3
+            + tuple(c for c in _ELASTIC_SERVICE_CLASSES if c != "alert-feed"),
         ),
         arrival=ArrivalSpec(rate=3000.0),
         description="A civil-protection flash crowd whose hot keys and "
         "spiking arrival rate demand an elastic decision plane.",
-    )
-
-
-def diurnal_spec() -> ScenarioSpec:
-    return ScenarioSpec(
+    ),
+    # Municipal e-services over a compressed day (E14): a raised-cosine arrival
+    # curve from a 350/s peak to a tenth of it and back, where the right answer
+    # is to drain shards into the trough and re-add them, warm, for the crest.
+    ScenarioSpec(
         name="diurnal",
         roles=("citizen", "clerk", "inspector", "service-bot"),
         classes=_catalogue_classes(_DIURNAL_SERVICE_CLASSES, policy_prefix="mun-"),
@@ -484,11 +558,12 @@ def diurnal_spec() -> ScenarioSpec:
         description="Citizens work the municipal portals through a daily "
         "peak-trough-peak arrival curve; the efficient plane "
         "sheds shards into the trough.",
-    )
-
-
-def partition_storm_spec() -> ScenarioSpec:
-    return ScenarioSpec(
+    ),
+    # Emergency management under a fault plan (E15, E16): modest, read-heavy
+    # arrivals so lost and re-routed decisions are not drowned in queueing noise,
+    # home-gated writes so failover exercises the same branches as the calm run,
+    # and audit obligations so each such decision is a monitored transaction.
+    ScenarioSpec(
         name="partition-storm",
         roles=("operator", "commander", "liaison", "feed-bot"),
         classes=_catalogue_classes(
@@ -507,28 +582,17 @@ def partition_storm_spec() -> ScenarioSpec:
         description="An emergency-management federation that must keep "
         "resolving access decisions while a scripted fault plan "
         "partitions, crashes and degrades the substrate.",
-    )
-
-
-#: Preset factories, ordered like ``SCENARIO_FACTORIES``.
-PRESET_SPECS = (
-    healthcare_spec,
-    ministry_spec,
-    iot_edge_spec,
-    delegation_spec,
-    audit_burst_spec,
-    federation_scale_spec,
-    policy_churn_spec,
-    elastic_scale_spec,
-    diurnal_spec,
-    partition_storm_spec,
+    ),
 )
 
 
-def preset_spec(name: str):
+#: The corpus: preset name -> spec, in the stable sweep order that
+#: ``SCENARIO_FACTORIES`` and ``all_scenarios()`` follow.
+PRESET_SPECS: dict[str, ScenarioSpec] = {spec.name: spec for spec in _PRESETS}
+
+
+def preset_spec(name: str) -> ScenarioSpec:
     """Look a preset up by scenario name."""
-    for factory in PRESET_SPECS:
-        spec = factory()
-        if spec.name == name:
-            return spec
-    raise KeyError(f"no preset spec named {name!r}")
+    if name not in PRESET_SPECS:
+        raise KeyError(f"no preset spec named {name!r}; known: {', '.join(PRESET_SPECS)}")
+    return PRESET_SPECS[name]

@@ -9,7 +9,7 @@ Two ways to describe the policy tree:
 
 - **explicit**: a tuple of :class:`ServiceClassSpec`, one per resource
   type, each with its :class:`RuleSpec` list — how the ten presets in
-  :mod:`repro.scenariogen.presets` transcribe the hand-built corpus;
+  :mod:`repro.scenariogen.presets` state the shipped federations;
 - **synthesised**: a :class:`TreeSpec` recipe (class count, nesting
   depth/width, condition mix) expanded into explicit classes by the
   generator — how the property suite samples random federations.
@@ -34,9 +34,8 @@ class RuleSpec:
 
     ``roles`` gates the rule's target; ``role_match="any"`` is the usual
     disjunction (subject holds any listed role), ``"all"`` the rarely
-    wanted conjunction (the healthcare corpus's ``clinicians-read`` rule
-    is one, and matches nobody with single-valued roles — the DSL keeps
-    it expressible so the preset reproduces the hand-built behaviour).
+    wanted conjunction (the healthcare preset's ``clinicians-read`` rule
+    is one, and matches nobody with single-valued roles).
     ``actions`` restricts the rule to the listed actions (empty = any);
     ``condition`` names one extra predicate from :data:`RULE_CONDITIONS`.
     """
@@ -187,7 +186,7 @@ class ArrivalSpec:
 
 @dataclass(frozen=True)
 class ChurnSpec:
-    """Mid-traffic policy rotation (generalises the policy-churn corpus).
+    """Mid-traffic policy rotation (the ``policy-churn`` preset's mechanism).
 
     Every generation re-stamps ``stamp_class``'s obligation with
     ``<stamp_prefix>-<generation>`` (distinct fingerprints) and includes

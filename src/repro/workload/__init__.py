@@ -7,7 +7,8 @@ sharing).  This package provides:
 - :mod:`repro.workload.generator` — seeded access-request generators with
   Zipf-skewed subject/resource popularity and Poisson arrivals (optionally
   diurnal: a sinusoidal arrival curve for the autoscaling experiments),
-- :mod:`repro.workload.scenarios` — ten concrete federation scenarios
+- :mod:`repro.workload.scenarios` — the ten shipped federation scenarios,
+  compiled from :data:`repro.scenariogen.presets.PRESET_SPECS`
   (cross-border healthcare; ministry data sharing; high-fan-out IoT/edge;
   cross-cloud delegation; audit-burst compliance logging; federation-scale
   service sharing; mid-traffic policy churn; elastic-scale flash crowd;

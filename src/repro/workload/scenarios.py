@@ -1,105 +1,25 @@
-"""Concrete federation scenarios with their policies.
+"""The shipped federation scenarios, compiled from their preset specs.
 
-Two scenarios modelled on the SUNFISH project's public-sector use cases:
+A :class:`Scenario` packages what one federation experiment needs: the
+policy (document form), a workload configuration matched to its
+population, the attribute domain the formal property checks range over,
+and — for churn-style scenarios — follow-up policy generations to
+publish mid-traffic.
 
-- :func:`healthcare_scenario` — cross-border healthcare: hospitals in
-  different clouds share medical records; doctors read/write records of
-  their own tenant and read (not write) federated ones; nurses read
-  lab results; clerks get nothing clinical.
-- :func:`ministry_scenario` — ministry data sharing: finance and interior
-  ministries share tax documents; officers read documents up to their
-  clearance; auditors read everything during office hours; writes require
-  the owning tenant.
-
-Two further scenarios stress the PDP fast path from opposite ends:
-
-- :func:`iot_edge_scenario` — a high-fan-out IoT/edge federation: one
-  small policy per device-data class, so the policy tree is wide and flat
-  and any one request matches a single branch (the target index's best
-  case, the slow path's worst);
-- :func:`delegation_scenario` — cross-cloud delegation with deep PolicySet
-  nesting: cloud → domain → policy, clearance-attenuated delegate access,
-  so skipping must prove NoMatch through several target layers.
-
-A fifth scenario stresses the *monitoring plane* instead of the PDP:
-
-- :func:`audit_burst_scenario` — a tenant's service accounts flood the
-  chain with audit-entry appends at a high arrival rate while normal
-  operational traffic continues, driving block templates into the
-  mempool/block-assembly limits (``max_block_txs``/``max_block_bytes``).
-
-A sixth scenario stresses the *decision plane* (E11):
-
-- :func:`federation_scale_scenario` — a whole-of-government service
-  federation whose request arrival rate exceeds a single evaluator's
-  service rate, so one PDP saturates and throughput only scales by
-  sharding the decision plane (``ShardedPdpPlane``).
-
-A seventh scenario stresses the *policy distribution plane* (E12):
-
-- :func:`policy_churn_scenario` — a case-handling federation whose policy
-  is re-published mid-traffic: contractor access toggles and the retention
-  obligation is re-stamped every generation, so successive versions have
-  different fingerprints *and* different decisions.  The scenario packages
-  the follow-up generations as ``policy_variants``; the harness publishes
-  them while requests are in flight, which makes PRP replica skew (and the
-  policy-churn vs policy-violation alert taxonomy) observable.
-
-An eighth scenario stresses the *elastic* decision plane (E13):
-
-- :func:`elastic_scale_scenario` — a civil-protection federation hit by a
-  flash crowd: a strongly Zipf-skewed population hammers a handful of hot
-  service classes (the public alert feed above all) at an arrival rate no
-  fixed shard pool absorbs evenly.  Hot cache keys concentrate on
-  whichever shards the hash ring assigns them, so the scenario is the
-  natural substrate for queue-aware routing and for mid-run
-  ``add_shard``/``drain_shard`` membership changes.
-
-A ninth scenario exercises the *self-driving* decision plane (E14):
-
-- :func:`diurnal_scenario` — municipal e-services under a sinusoidal
-  daily arrival curve (peak → trough → peak).  Where ``elastic-scale``
-  rewards growing the pool, this one rewards *shrinking* it: a
-  controller that drains shards into the trough serves the same
-  decisions with fewer shard-seconds.
-
-A tenth scenario is the substrate of the *fault-injection plane* (E15):
-
-- :func:`partition_storm_scenario` — an emergency-management federation
-  whose traffic must keep resolving while the network is actively
-  hostile: steady, read-heavy arrivals (the continuity-of-operations
-  baseline), two tenants with home-write gating (so failover across the
-  federation boundary is observable), and audit obligations on the
-  incident log (so every decision leaves a monitored trace that fault
-  windows must not corrupt).  Designed to be run under a
-  ``repro.faults.FaultPlan`` — partitions, crash/restart, link loss —
-  with DRAMS attached and zero unattributed alerts as the bar.
-
-Each scenario packages the policy (object + document form), a workload
-configuration matched to its population, and the attribute domains used by
-the formal property checks.  :func:`all_scenarios` returns one instance of
-every scenario for sweep-style tests and benchmarks.
+The ten federations themselves are data:
+:data:`repro.scenariogen.presets.PRESET_SPECS` states each one once, and
+every ``*_scenario()`` factory below is
+``generate_scenario(preset_spec(name))``.  ``docs/scenarios.md``
+catalogues what each one stresses.  :func:`all_scenarios` returns one
+instance of each, in preset order, for sweep-style tests and benchmarks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.analysis.properties import AttributeDomain
-from repro.xacml.attributes import DataType
-from repro.xacml.context import Obligation
-from repro.xacml.expressions import Apply, AttributeDesignator, Literal
-from repro.xacml.parser import policy_to_dict
-from repro.xacml.policy import (
-    AllOf,
-    AnyOf,
-    Effect,
-    Match,
-    Policy,
-    PolicySet,
-    Rule,
-    Target,
-)
 from repro.workload.generator import WorkloadConfig
 
 
@@ -117,1005 +37,32 @@ class Scenario:
     policy_variants: tuple = ()
 
 
-def _designator(category: str, attribute_id: str,
-                data_type: str = DataType.STRING) -> AttributeDesignator:
-    return AttributeDesignator(category, attribute_id, data_type)
-
-
-def _disjunction_target(category: str, attribute_id: str,
-                        values: tuple[str, ...]) -> Target:
-    """Target matching when the attribute equals *any* of ``values``."""
-    designator = _designator(category, attribute_id)
-    return Target(any_ofs=(AnyOf(all_ofs=tuple(
-        AllOf(matches=(Match("string-equal", value, designator),))
-        for value in values)),))
-
-
-def _action_is(action: str) -> Apply:
-    return Apply("any-of", (
-        Literal("string-equal"), Literal(action),
-        _designator("action", "action-id")))
-
-
-def _home_tenant() -> Apply:
-    """The request originates from the tenant owning the resource."""
-    return Apply("any-of-any", (
-        Literal("string-equal"),
-        _designator("environment", "origin-tenant"),
-        _designator("resource", "owner-tenant")))
-
-
-def _clearance_covers_sensitivity() -> Apply:
-    return Apply("integer-greater-than-or-equal", (
-        Apply("one-and-only", (
-            _designator("subject", "clearance", DataType.INTEGER),)),
-        Apply("one-and-only", (
-            _designator("resource", "sensitivity", DataType.INTEGER),)),
-    ))
-
-
-def healthcare_scenario() -> Scenario:
-    """Cross-border healthcare data sharing."""
-    doctor = Target.single("string-equal", "doctor", "subject", "role")
-    nurse = Target.single("string-equal", "nurse", "subject", "role")
-
-    records_policy = Policy(
-        policy_id="medical-records",
-        # First-applicable: the home-write permit must take precedence
-        # over the blanket clinical-write denial below it.
-        rule_combining="first-applicable",
-        target=Target.single("string-equal", "medical-record", "resource", "type"),
-        rules=[
-            Rule("doctor-read", Effect.PERMIT,
-                 target=doctor,
-                 condition=Apply("any-of", (
-                     Literal("string-equal"), Literal("read"),
-                     _designator("action", "action-id")))),
-            Rule("doctor-write-own-tenant", Effect.PERMIT,
-                 target=doctor,
-                 condition=Apply("and", (
-                     Apply("any-of", (Literal("string-equal"), Literal("write"),
-                                      _designator("action", "action-id"))),
-                     Apply("any-of-any", (Literal("string-equal"),
-                                          _designator("environment", "origin-tenant"),
-                                          _designator("resource", "owner-tenant"))),
-                 ))),
-            Rule("deny-clinical-writes", Effect.DENY,
-                 condition=Apply("any-of", (
-                     Literal("string-equal"), Literal("write"),
-                     _designator("action", "action-id")))),
-        ],
-        obligations=[Obligation("log-clinical-access", "Permit",
-                                {"reason": "GDPR art. 9 processing record"})],
-        description="Doctors read federation-wide, write only at home.",
-    )
-
-    labs_policy = Policy(
-        policy_id="lab-results",
-        rule_combining="permit-overrides",
-        target=Target.single("string-equal", "lab-result", "resource", "type"),
-        rules=[
-            Rule("clinicians-read", Effect.PERMIT,
-                 target=Target(any_ofs=(
-                     doctor.any_ofs + nurse.any_ofs)),
-                 condition=Apply("any-of", (
-                     Literal("string-equal"), Literal("read"),
-                     _designator("action", "action-id")))),
-        ],
-        description="Doctors and nurses read lab results.",
-    )
-
-    root = PolicySet(
-        policy_set_id="healthcare-federation",
-        policy_combining="deny-unless-permit",
-        children=[records_policy, labs_policy],
-        description="Top-level: everything not explicitly permitted is denied.",
-    )
-
-    domain = AttributeDomain()
-    domain.declare("subject", "role", ["doctor", "nurse", "clerk"])
-    domain.declare("action", "action-id", ["read", "write"])
-    domain.declare("resource", "type", ["medical-record", "lab-result"])
-    domain.declare("resource", "owner-tenant", ["tenant-1", "tenant-2"])
-    domain.declare("environment", "origin-tenant", ["tenant-1", "tenant-2"])
-
-    workload = WorkloadConfig(
-        subjects=60,
-        resources=300,
-        roles=("doctor", "nurse", "clerk"),
-        role_weights=(0.35, 0.35, 0.30),
-        resource_types=("medical-record", "lab-result"),
-        actions=("read", "write"),
-        action_weights=(0.85, 0.15),
-    )
-    return Scenario(
-        name="healthcare",
-        policy_document=policy_to_dict(root),
-        workload=workload,
-        domain=domain,
-        description="Hospitals in two clouds share records and lab results.",
-    )
-
-
-def ministry_scenario() -> Scenario:
-    """Ministry-to-ministry document sharing."""
-    officer = Target.single("string-equal", "officer", "subject", "role")
-    auditor = Target.single("string-equal", "auditor", "subject", "role")
-
-    documents_policy = Policy(
-        policy_id="tax-documents",
-        rule_combining="first-applicable",
-        target=Target.single("string-equal", "tax-document", "resource", "type"),
-        rules=[
-            Rule("officer-clearance-read", Effect.PERMIT,
-                 target=officer,
-                 condition=Apply("and", (
-                     Apply("any-of", (Literal("string-equal"), Literal("read"),
-                                      _designator("action", "action-id"))),
-                     Apply("integer-greater-than-or-equal", (
-                         Apply("one-and-only", (
-                             _designator("subject", "clearance", DataType.INTEGER),)),
-                         Apply("one-and-only", (
-                             _designator("resource", "sensitivity", DataType.INTEGER),)),
-                     )),
-                 ))),
-            Rule("auditor-office-hours", Effect.PERMIT,
-                 target=auditor,
-                 condition=Apply("and", (
-                     Apply("any-of", (Literal("string-equal"), Literal("read"),
-                                      _designator("action", "action-id"))),
-                     Apply("time-in-range", (
-                         Apply("one-and-only", (
-                             _designator("environment", "time-of-day", DataType.DOUBLE),)),
-                         Literal(9.0 * 3600), Literal(17.0 * 3600))),
-                 ))),
-            Rule("owner-tenant-write", Effect.PERMIT,
-                 target=officer,
-                 condition=Apply("and", (
-                     Apply("any-of", (Literal("string-equal"), Literal("write"),
-                                      _designator("action", "action-id"))),
-                     Apply("any-of-any", (Literal("string-equal"),
-                                          _designator("environment", "origin-tenant"),
-                                          _designator("resource", "owner-tenant"))),
-                 ))),
-            Rule("default-deny", Effect.DENY),
-        ],
-        obligations=[Obligation("notify-owner", "Permit",
-                                {"channel": "audit-queue"})],
-        description="Clearance-gated reads, office-hour audits, home writes.",
-    )
-
-    root = PolicySet(
-        policy_set_id="ministry-federation",
-        policy_combining="deny-unless-permit",
-        children=[documents_policy],
-        description="Single-document-class ministry sharing.",
-    )
-
-    domain = AttributeDomain()
-    domain.declare("subject", "role", ["officer", "auditor", "intern"])
-    domain.declare("subject", "clearance", [1, 3, 5])
-    domain.declare("action", "action-id", ["read", "write"])
-    domain.declare("resource", "type", ["tax-document"])
-    domain.declare("resource", "sensitivity", [1, 3, 5])
-    domain.declare("resource", "owner-tenant", ["tenant-1", "tenant-2"])
-    domain.declare("environment", "origin-tenant", ["tenant-1", "tenant-2"])
-    domain.declare("environment", "time-of-day", [8.0 * 3600, 12.0 * 3600, 20.0 * 3600])
-
-    workload = WorkloadConfig(
-        subjects=40,
-        resources=150,
-        roles=("officer", "auditor", "intern"),
-        role_weights=(0.5, 0.2, 0.3),
-        resource_types=("tax-document",),
-        actions=("read", "write"),
-        action_weights=(0.7, 0.3),
-    )
-    return Scenario(
-        name="ministry",
-        policy_document=policy_to_dict(root),
-        workload=workload,
-        domain=domain,
-        description="Finance and interior ministries share tax documents.",
-    )
-
-
-#: Device-data classes of the IoT federation: type → (reader roles, writer
-#: roles).  Telemetry is written by devices and read by the back office;
-#: control surfaces are operated; admin artefacts belong to technicians.
-_IOT_DEVICE_CLASSES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "temperature": (("operator", "analyst"), ("sensor",)),
-    "humidity": (("operator", "analyst"), ("sensor",)),
-    "air-quality": (("operator", "analyst"), ("sensor",)),
-    "power-meter": (("operator", "analyst"), ("sensor",)),
-    "water-meter": (("operator", "analyst"), ("sensor",)),
-    "camera-feed": (("operator",), ("sensor",)),
-    "door-lock": (("operator", "technician"), ("operator",)),
-    "hvac-control": (("operator", "technician"), ("operator",)),
-    "valve-control": (("operator", "technician"), ("operator",)),
-    "firmware-image": (("technician", "analyst"), ("technician",)),
-    "device-config": (("technician", "analyst"), ("technician",)),
-    "diagnostics": (("technician", "analyst"), ("sensor", "technician")),
-}
-
-_IOT_AUDITED_CLASSES = ("door-lock", "firmware-image")
-
-
-def iot_edge_scenario() -> Scenario:
-    """High-fan-out IoT/edge federation: many small per-class policies.
-
-    The policy tree is wide and flat — one policy per device-data class —
-    so a request is relevant to exactly one branch.  The slow path still
-    walks all of them; the target index skips every class but the one the
-    request's resource type selects.
-    """
-    policies = []
-    for device_type, (readers, writers) in _IOT_DEVICE_CLASSES.items():
-        obligations = []
-        if device_type in _IOT_AUDITED_CLASSES:
-            obligations.append(Obligation(
-                f"audit-{device_type}", "Permit",
-                {"reason": "safety-critical device class"}))
-        policies.append(Policy(
-            policy_id=f"iot-{device_type}",
-            rule_combining="permit-overrides",
-            target=Target.single("string-equal", device_type, "resource", "type"),
-            rules=[
-                Rule(f"{device_type}-read", Effect.PERMIT,
-                     target=_disjunction_target("subject", "role", readers),
-                     condition=_action_is("read")),
-                Rule(f"{device_type}-write", Effect.PERMIT,
-                     target=_disjunction_target("subject", "role", writers),
-                     condition=_action_is("write")),
-            ],
-            obligations=obligations,
-            description=f"{device_type}: read {readers}, write {writers}.",
-        ))
-
-    root = PolicySet(
-        policy_set_id="iot-edge-federation",
-        policy_combining="deny-unless-permit",
-        children=policies,
-        description="Per-device-class access; everything else denied.",
-    )
-
-    roles = ("sensor", "technician", "operator", "analyst")
-    domain = AttributeDomain()
-    domain.declare("subject", "role", list(roles))
-    domain.declare("action", "action-id", ["read", "write"])
-    domain.declare("resource", "type", list(_IOT_DEVICE_CLASSES))
-
-    workload = WorkloadConfig(
-        subjects=200,
-        resources=600,
-        roles=roles,
-        role_weights=(0.45, 0.15, 0.25, 0.15),
-        resource_types=tuple(_IOT_DEVICE_CLASSES),
-        actions=("read", "write"),
-        action_weights=(0.6, 0.4),
-    )
-    return Scenario(
-        name="iot-edge",
-        policy_document=policy_to_dict(root),
-        workload=workload,
-        domain=domain,
-        description="Edge clouds exchange telemetry, control and firmware "
-                    "for a dozen device-data classes.",
-    )
-
-
-def delegation_scenario() -> Scenario:
-    """Cross-cloud delegation with deep PolicySet nesting.
-
-    Cloud A nests domain policy sets (root → cloud → domain → policy →
-    rule); delegates act across tenants with clearance-attenuated
-    authority (read only what their clearance covers).  Cloud B holds the
-    operational records.  Deep targets make the index prove NoMatch
-    through several layers instead of one.
-    """
-    delegate = Target.single("string-equal", "delegate", "subject", "role")
-
-    def domain_policy(policy_id: str, record_type: str, owner_role: str,
-                      obligations: list[Obligation]) -> Policy:
-        owner = Target.single("string-equal", owner_role, "subject", "role")
-        return Policy(
-            policy_id=policy_id,
-            rule_combining="first-applicable",
-            rules=[
-                Rule(f"{owner_role}-read", Effect.PERMIT,
-                     target=owner, condition=_action_is("read")),
-                Rule(f"{owner_role}-home-write", Effect.PERMIT,
-                     target=owner,
-                     condition=Apply("and", (_action_is("write"),
-                                             _home_tenant()))),
-                Rule("delegate-attenuated-read", Effect.PERMIT,
-                     target=delegate,
-                     condition=Apply("and", (_action_is("read"),
-                                             _clearance_covers_sensitivity()))),
-                Rule(f"{record_type}-default-deny", Effect.DENY),
-            ],
-            obligations=obligations,
-            description=f"{owner_role} owns {record_type}; delegates read "
-                        "within clearance.",
-        )
-
-    hr_domain = PolicySet(
-        policy_set_id="hr-domain",
-        policy_combining="first-applicable",
-        target=Target.single("string-equal", "hr-record", "resource", "type"),
-        children=[domain_policy(
-            "hr-records", "hr-record", "hr-officer",
-            [Obligation("record-delegated-access", "Permit",
-                        {"registry": "delegation-ledger"})])],
-    )
-    finance_domain = PolicySet(
-        policy_set_id="finance-domain",
-        policy_combining="first-applicable",
-        target=Target.single("string-equal", "finance-record", "resource", "type"),
-        children=[domain_policy("finance-records", "finance-record",
-                                "finance-officer", [])],
-    )
-    cloud_a = PolicySet(
-        policy_set_id="cloud-a",
-        policy_combining="permit-overrides",
-        target=_disjunction_target("resource", "type",
-                                   ("hr-record", "finance-record")),
-        children=[hr_domain, finance_domain],
-        description="Administrative records, delegated across tenants.",
-    )
-
-    ops_policy = Policy(
-        policy_id="ops-logs",
-        rule_combining="first-applicable",
-        target=Target.single("string-equal", "ops-log", "resource", "type"),
-        rules=[
-            Rule("operator-read-write", Effect.PERMIT,
-                 target=Target.single("string-equal", "operator",
-                                      "subject", "role")),
-            Rule("auditor-read", Effect.PERMIT,
-                 target=Target.single("string-equal", "auditor",
-                                      "subject", "role"),
-                 condition=_action_is("read")),
-            Rule("ops-default-deny", Effect.DENY),
-        ],
-    )
-    audit_policy = Policy(
-        policy_id="audit-trails",
-        rule_combining="first-applicable",
-        target=Target.single("string-equal", "audit-trail", "resource", "type"),
-        rules=[
-            Rule("auditor-read-trail", Effect.PERMIT,
-                 target=Target.single("string-equal", "auditor",
-                                      "subject", "role"),
-                 condition=_action_is("read")),
-            Rule("operator-home-append", Effect.PERMIT,
-                 target=Target.single("string-equal", "operator",
-                                      "subject", "role"),
-                 condition=Apply("and", (_action_is("write"), _home_tenant()))),
-            Rule("trail-default-deny", Effect.DENY),
-        ],
-        obligations=[Obligation("notify-audit-board", "Deny",
-                                {"channel": "compliance-queue"})],
-    )
-    cloud_b = PolicySet(
-        policy_set_id="cloud-b",
-        policy_combining="permit-overrides",
-        target=_disjunction_target("resource", "type",
-                                   ("ops-log", "audit-trail")),
-        children=[ops_policy, audit_policy],
-        description="Operational records of the hosting cloud.",
-    )
-
-    root = PolicySet(
-        policy_set_id="delegation-federation",
-        policy_combining="deny-unless-permit",
-        children=[cloud_a, cloud_b],
-        description="Two clouds, nested domains, clearance-attenuated "
-                    "delegation; everything else denied.",
-    )
-
-    roles = ("hr-officer", "finance-officer", "operator", "auditor", "delegate")
-    record_types = ("hr-record", "finance-record", "ops-log", "audit-trail")
-    domain = AttributeDomain()
-    domain.declare("subject", "role", list(roles))
-    domain.declare("subject", "clearance", [1, 3, 5])
-    domain.declare("action", "action-id", ["read", "write"])
-    domain.declare("resource", "type", list(record_types))
-    domain.declare("resource", "sensitivity", [1, 3, 5])
-    domain.declare("resource", "owner-tenant", ["tenant-1", "tenant-2"])
-    domain.declare("environment", "origin-tenant", ["tenant-1", "tenant-2"])
-
-    workload = WorkloadConfig(
-        subjects=80,
-        resources=240,
-        roles=roles,
-        role_weights=(0.25, 0.2, 0.2, 0.15, 0.2),
-        resource_types=record_types,
-        actions=("read", "write"),
-        action_weights=(0.75, 0.25),
-    )
-    return Scenario(
-        name="delegation",
-        policy_document=policy_to_dict(root),
-        workload=workload,
-        domain=domain,
-        description="Cross-cloud delegation over nested administrative "
-                    "and operational domains.",
-    )
-
-
-def audit_burst_scenario() -> Scenario:
-    """Compliance-logging burst: one tenant floods the chain with audit
-    appends while normal operational traffic continues.
-
-    Unlike the other scenarios this one is shaped to stress the
-    *monitoring plane* rather than the PDP: service accounts dominate the
-    population and write at a high arrival rate, so every access attempt
-    turns into four log transactions racing into the mempool.  Run it
-    with tight ``max_block_txs``/``max_block_bytes`` chain settings (as
-    E10 and the block-assembly tests do) and block templates hit the
-    count and byte caps the calmer workloads never reach, leaving a
-    standing mempool backlog that drains over several blocks.
-    """
-    service = Target.single("string-equal", "service", "subject", "role")
-    auditor = Target.single("string-equal", "auditor", "subject", "role")
-    operator = Target.single("string-equal", "operator", "subject", "role")
-
-    audit_log_policy = Policy(
-        policy_id="audit-log",
-        rule_combining="first-applicable",
-        target=Target.single("string-equal", "audit-entry", "resource", "type"),
-        rules=[
-            Rule("service-append", Effect.PERMIT,
-                 target=service, condition=_action_is("write")),
-            Rule("auditor-read", Effect.PERMIT,
-                 target=auditor, condition=_action_is("read")),
-            Rule("audit-default-deny", Effect.DENY),
-        ],
-        obligations=[Obligation("retain-seven-years", "Permit",
-                                {"basis": "compliance mandate"})],
-        description="Service accounts append audit entries; auditors read.",
-    )
-    service_records_policy = Policy(
-        policy_id="service-records",
-        rule_combining="first-applicable",
-        target=Target.single("string-equal", "service-record", "resource", "type"),
-        rules=[
-            Rule("operator-read", Effect.PERMIT,
-                 target=operator, condition=_action_is("read")),
-            Rule("operator-home-write", Effect.PERMIT,
-                 target=operator,
-                 condition=Apply("and", (_action_is("write"), _home_tenant()))),
-            Rule("records-default-deny", Effect.DENY),
-        ],
-        description="Operators run the services; writes stay at home.",
-    )
-
-    root = PolicySet(
-        policy_set_id="audit-burst-federation",
-        policy_combining="deny-unless-permit",
-        children=[audit_log_policy, service_records_policy],
-        description="Audit appends plus operational traffic; default deny.",
-    )
-
-    roles = ("service", "auditor", "operator")
-    domain = AttributeDomain()
-    domain.declare("subject", "role", list(roles))
-    domain.declare("action", "action-id", ["read", "write"])
-    domain.declare("resource", "type", ["audit-entry", "service-record"])
-    domain.declare("resource", "owner-tenant", ["tenant-1", "tenant-2"])
-    domain.declare("environment", "origin-tenant", ["tenant-1", "tenant-2"])
-
-    workload = WorkloadConfig(
-        subjects=120,
-        resources=480,
-        roles=roles,
-        # The flooding tenant's service accounts dominate the population.
-        role_weights=(0.7, 0.1, 0.2),
-        resource_types=("audit-entry", "service-record"),
-        actions=("read", "write"),
-        action_weights=(0.25, 0.75),
-        zipf_skew=1.3,
-        arrival_rate=25.0,
-    )
-    return Scenario(
-        name="audit-burst",
-        policy_document=policy_to_dict(root),
-        workload=workload,
-        domain=domain,
-        description="A tenant's services flood the chain with audit "
-                    "appends while operators keep working.",
-    )
-
-
-#: Service classes of the whole-of-government federation:
-#: class → (reader roles, writer roles).  Caseworkers operate the citizen-
-#: facing registers, analysts and auditors consume them, service bots feed
-#: the bulk ingestion pipelines.
-_FEDERATION_SERVICE_CLASSES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "citizen-registry": (("caseworker", "analyst", "auditor"), ("caseworker",)),
-    "tax-filing": (("caseworker", "auditor"), ("caseworker",)),
-    "vehicle-licensing": (("caseworker", "analyst"), ("caseworker",)),
-    "land-registry": (("caseworker", "auditor"), ("caseworker",)),
-    "health-insurance": (("caseworker", "analyst", "auditor"), ("caseworker",)),
-    "pension-claims": (("caseworker", "auditor"), ("caseworker",)),
-    "customs-declarations": (("analyst", "auditor"), ("service-bot",)),
-    "border-crossings": (("analyst", "auditor"), ("service-bot",)),
-    "energy-subsidies": (("caseworker", "analyst"), ("service-bot",)),
-    "education-records": (("caseworker", "analyst"), ("caseworker",)),
-    "employment-records": (("caseworker", "analyst", "auditor"), ("caseworker",)),
-    "social-housing": (("caseworker",), ("caseworker",)),
-    "court-filings": (("auditor",), ("caseworker",)),
-    "census-extracts": (("analyst", "auditor"), ("service-bot",)),
-    "procurement-bids": (("analyst", "auditor"), ("service-bot",)),
-    "grant-applications": (("caseworker", "analyst"), ("caseworker",)),
-}
-
-_FEDERATION_AUDITED_CLASSES = ("court-filings", "procurement-bids")
-
-
-def federation_scale_scenario() -> Scenario:
-    """Whole-of-government service federation sized to saturate one PDP.
-
-    Sixteen service classes, a large mixed population and a request
-    arrival rate (2 500/s) above a single evaluator's cache-hit service
-    rate (1 / ``base_processing_delay`` = 2 000/s with the deployed
-    defaults), so the decision backlog grows without bound until the
-    decision plane is sharded.  E11 uses it for the per-shard-count
-    throughput arms; writes stay home-tenant-gated so the sharded plane's
-    routing sees both locality branches.
-    """
-    policies = []
-    for service_class, (readers, writers) in _FEDERATION_SERVICE_CLASSES.items():
-        obligations = []
-        if service_class in _FEDERATION_AUDITED_CLASSES:
-            obligations.append(Obligation(
-                f"audit-{service_class}", "Permit",
-                {"reason": "public-integrity register"}))
-        policies.append(Policy(
-            policy_id=f"svc-{service_class}",
-            rule_combining="permit-overrides",
-            target=Target.single("string-equal", service_class, "resource", "type"),
-            rules=[
-                Rule(f"{service_class}-read", Effect.PERMIT,
-                     target=_disjunction_target("subject", "role", readers),
-                     condition=_action_is("read")),
-                Rule(f"{service_class}-home-write", Effect.PERMIT,
-                     target=_disjunction_target("subject", "role", writers),
-                     condition=Apply("and", (_action_is("write"),
-                                             _home_tenant()))),
-            ],
-            obligations=obligations,
-            description=f"{service_class}: read {readers}, home-write {writers}.",
-        ))
-
-    root = PolicySet(
-        policy_set_id="federation-scale",
-        policy_combining="deny-unless-permit",
-        children=policies,
-        description="Whole-of-government service classes; default deny.",
-    )
-
-    roles = ("caseworker", "analyst", "auditor", "service-bot")
-    domain = AttributeDomain()
-    domain.declare("subject", "role", list(roles))
-    domain.declare("action", "action-id", ["read", "write"])
-    domain.declare("resource", "type", list(_FEDERATION_SERVICE_CLASSES))
-    domain.declare("resource", "owner-tenant", ["tenant-1", "tenant-2"])
-    domain.declare("environment", "origin-tenant", ["tenant-1", "tenant-2"])
-
-    workload = WorkloadConfig(
-        subjects=500,
-        resources=2000,
-        roles=roles,
-        role_weights=(0.4, 0.25, 0.15, 0.2),
-        resource_types=tuple(_FEDERATION_SERVICE_CLASSES),
-        actions=("read", "write"),
-        action_weights=(0.65, 0.35),
-        zipf_skew=1.1,
-        arrival_rate=2500.0,
-    )
-    return Scenario(
-        name="federation-scale",
-        policy_document=policy_to_dict(root),
-        workload=workload,
-        domain=domain,
-        description="A whole-of-government federation whose arrival rate "
-                    "exceeds one PDP evaluator's service rate.",
-    )
-
-
-#: Roles of the case-handling federation whose policy rotates mid-run.
-_CHURN_ROLES = ("caseworker", "contractor", "auditor")
-
-
-def churn_policy_document(generation: int) -> dict:
-    """Generation ``generation`` of the rotating case-handling policy.
-
-    The stable spine (caseworkers read everywhere, write at home; auditors
-    read; default deny) never changes, but every generation re-stamps the
-    retention obligation — so each version has a distinct fingerprint —
-    and contractor read access toggles with generation parity, so
-    successive versions disagree on real requests.  A replica one version
-    behind therefore produces decisions that are *wrong under the head but
-    right under its own version*: exactly the honest-churn case the
-    version-stamped monitoring pipeline must not mistake for tampering.
-    """
-    caseworker = Target.single("string-equal", "caseworker", "subject", "role")
-    contractor = Target.single("string-equal", "contractor", "subject", "role")
-    auditor = Target.single("string-equal", "auditor", "subject", "role")
-
-    rules = [
-        Rule("caseworker-read", Effect.PERMIT,
-             target=caseworker, condition=_action_is("read")),
-        Rule("caseworker-home-write", Effect.PERMIT,
-             target=caseworker,
-             condition=Apply("and", (_action_is("write"), _home_tenant()))),
-        Rule("auditor-read", Effect.PERMIT,
-             target=auditor, condition=_action_is("read")),
-    ]
-    if generation % 2 == 0:
-        rules.append(Rule("contractor-read", Effect.PERMIT,
-                          target=contractor, condition=_action_is("read")))
-    rules.append(Rule("case-default-deny", Effect.DENY))
-
-    case_policy = Policy(
-        policy_id="case-files",
-        rule_combining="first-applicable",
-        target=Target.single("string-equal", "case-file", "resource", "type"),
-        rules=rules,
-        obligations=[Obligation(f"retention-rev-{generation}", "Permit",
-                                {"policy-generation": str(generation)})],
-        description=f"Case files, policy generation {generation}: contractor "
-                    f"reads {'on' if generation % 2 == 0 else 'off'}.",
-    )
-    root = PolicySet(
-        policy_set_id="policy-churn-federation",
-        policy_combining="deny-unless-permit",
-        children=[case_policy],
-        description="Case handling under live policy churn; default deny.",
-    )
-    return policy_to_dict(root)
-
-
-def policy_churn_scenario(generations: int = 4) -> Scenario:
-    """Case-handling federation whose policy is re-published mid-traffic.
-
-    ``generations`` counts the total policy versions (the base document
-    plus ``generations - 1`` follow-up variants).  The request rate keeps
-    traffic in flight across every publish, so with a replicated PRP plane
-    some decisions are made one version behind the head — which is the
-    E12 experiment's subject, not a fault.
-    """
-    if generations < 2:
-        raise ValueError("a churn scenario needs at least two generations")
-    domain = AttributeDomain()
-    domain.declare("subject", "role", list(_CHURN_ROLES))
-    domain.declare("action", "action-id", ["read", "write"])
-    domain.declare("resource", "type", ["case-file"])
-    domain.declare("resource", "owner-tenant", ["tenant-1", "tenant-2"])
-    domain.declare("environment", "origin-tenant", ["tenant-1", "tenant-2"])
-
-    workload = WorkloadConfig(
-        subjects=150,
-        resources=600,
-        roles=_CHURN_ROLES,
-        role_weights=(0.45, 0.35, 0.2),
-        resource_types=("case-file",),
-        actions=("read", "write"),
-        action_weights=(0.8, 0.2),
-        zipf_skew=1.1,
-        arrival_rate=25.0,
-    )
-    return Scenario(
-        name="policy-churn",
-        policy_document=churn_policy_document(0),
-        workload=workload,
-        domain=domain,
-        description="Case handling while the policy is republished "
-                    "mid-traffic; contractor access flips per generation.",
-        policy_variants=tuple(churn_policy_document(generation)
-                              for generation in range(1, generations)),
-    )
-
-
-#: Service classes of the civil-protection federation: class →
-#: (reader roles, writer roles).  The alert feed is the flash-crowd
-#: magnet; responders run the field registers, coordinators direct them,
-#: ingest bots feed the sensor-derived ledgers.
-_ELASTIC_SERVICE_CLASSES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "alert-feed": (("responder", "coordinator", "analyst"), ("coordinator",)),
-    "shelter-registry": (("responder", "coordinator"), ("responder",)),
-    "evacuation-orders": (("responder", "coordinator", "analyst"), ("coordinator",)),
-    "relief-claims": (("coordinator", "analyst"), ("responder",)),
-    "medical-triage": (("responder", "coordinator"), ("responder",)),
-    "volunteer-roster": (("coordinator",), ("coordinator",)),
-    "traffic-status": (("responder", "analyst"), ("ingest-bot",)),
-    "supply-depots": (("responder", "coordinator"), ("ingest-bot",)),
-}
-
-_ELASTIC_AUDITED_CLASSES = ("evacuation-orders", "relief-claims")
-
-
-def elastic_scale_scenario() -> Scenario:
-    """Civil-protection flash crowd: the elastic decision plane's substrate.
-
-    Two properties matter, and both are about *where* load lands rather
-    than how much there is in total:
-
-    - the resource catalogue is strongly Zipf-skewed (``zipf_skew=1.5``)
-      and front-loaded onto the alert feed, so a small set of decision
-      cache keys dominates the stream — consistent hashing pins each hot
-      key to one shard, and whichever shards draw them run hot while
-      their ring neighbours idle (queue-aware routing's best case, pure
-      ring order's worst);
-    - the arrival rate (3 000/s) out-runs any *fixed* pool provisioned
-      for the pre-crowd baseline, so absorbing the spike without
-      re-deploying is exactly the ``add_shard``/``drain_shard`` story E13
-      measures; writes stay home-tenant-gated so locality routing sees
-      both branches.
-    """
-    policies = []
-    for service_class, (readers, writers) in _ELASTIC_SERVICE_CLASSES.items():
-        obligations = []
-        if service_class in _ELASTIC_AUDITED_CLASSES:
-            obligations.append(Obligation(
-                f"audit-{service_class}", "Permit",
-                {"reason": "emergency-powers accountability record"}))
-        policies.append(Policy(
-            policy_id=f"civ-{service_class}",
-            rule_combining="permit-overrides",
-            target=Target.single("string-equal", service_class, "resource", "type"),
-            rules=[
-                Rule(f"{service_class}-read", Effect.PERMIT,
-                     target=_disjunction_target("subject", "role", readers),
-                     condition=_action_is("read")),
-                Rule(f"{service_class}-home-write", Effect.PERMIT,
-                     target=_disjunction_target("subject", "role", writers),
-                     condition=Apply("and", (_action_is("write"),
-                                             _home_tenant()))),
-            ],
-            obligations=obligations,
-            description=f"{service_class}: read {readers}, home-write {writers}.",
-        ))
-
-    root = PolicySet(
-        policy_set_id="elastic-scale",
-        policy_combining="deny-unless-permit",
-        children=policies,
-        description="Civil-protection service classes; default deny.",
-    )
-
-    roles = ("responder", "coordinator", "analyst", "ingest-bot")
-    domain = AttributeDomain()
-    domain.declare("subject", "role", list(roles))
-    domain.declare("action", "action-id", ["read", "write"])
-    domain.declare("resource", "type", list(_ELASTIC_SERVICE_CLASSES))
-    domain.declare("resource", "owner-tenant", ["tenant-1", "tenant-2"])
-    domain.declare("environment", "origin-tenant", ["tenant-1", "tenant-2"])
-
-    # Front-load the catalogue onto the flash-crowd magnet: resource
-    # types are assigned round-robin over this tuple and popularity is
-    # Zipf over the catalogue index, so repeating ``alert-feed`` in the
-    # leading positions concentrates the hottest resources — and hence
-    # the hottest decision-cache keys — on a single service class.
-    catalogue = ("alert-feed", "alert-feed", "alert-feed") + tuple(
-        c for c in _ELASTIC_SERVICE_CLASSES if c != "alert-feed")
-    workload = WorkloadConfig(
-        subjects=300,
-        resources=900,
-        roles=roles,
-        role_weights=(0.45, 0.2, 0.15, 0.2),
-        resource_types=catalogue,
-        actions=("read", "write"),
-        action_weights=(0.75, 0.25),
-        zipf_skew=1.5,
-        arrival_rate=3000.0,
-    )
-    return Scenario(
-        name="elastic-scale",
-        policy_document=policy_to_dict(root),
-        workload=workload,
-        domain=domain,
-        description="A civil-protection flash crowd whose hot keys and "
-                    "spiking arrival rate demand an elastic decision plane.",
-    )
-
-
-#: Service classes of the municipal e-services federation: class →
-#: (reader roles, writer roles).  Citizen-facing portals carry the
-#: daily curve; back-office registers tick along underneath it.
-_DIURNAL_SERVICE_CLASSES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "service-portal": (("citizen", "clerk"), ("clerk",)),
-    "permit-applications": (("citizen", "clerk"), ("citizen",)),
-    "parking-permits": (("citizen", "clerk"), ("clerk",)),
-    "waste-collection": (("citizen", "clerk"), ("service-bot",)),
-    "library-catalogue": (("citizen", "clerk"), ("service-bot",)),
-    "inspection-reports": (("inspector", "clerk"), ("inspector",)),
-}
-
-
-def diurnal_scenario() -> Scenario:
-    """Municipal e-services under a daily load curve: the scale-*down* test.
-
-    Every other load-shaped scenario asks "can the plane grow fast
-    enough?".  This one asks the opposite question: the arrival rate is a
-    raised cosine (``arrival_period``) that starts at a peak a four-shard
-    pool handles comfortably, sinks to ``arrival_trough`` (a tenth) of it
-    half a cycle later, and crests again — so a controller that only ever
-    adds capacity fails the point of the exercise.  The right answer is
-    to drain shards into the trough (fewer shard-seconds for the same
-    decisions — E14's efficiency metric) and re-add them, warm, for the
-    next crest.  Arrivals dominated by citizens reading a few portal
-    classes keep the decision caches hot across the membership churn.
-    """
-    policies = []
-    for service_class, (readers, writers) in _DIURNAL_SERVICE_CLASSES.items():
-        policies.append(Policy(
-            policy_id=f"mun-{service_class}",
-            rule_combining="permit-overrides",
-            target=Target.single("string-equal", service_class, "resource", "type"),
-            rules=[
-                Rule(f"{service_class}-read", Effect.PERMIT,
-                     target=_disjunction_target("subject", "role", readers),
-                     condition=_action_is("read")),
-                Rule(f"{service_class}-home-write", Effect.PERMIT,
-                     target=_disjunction_target("subject", "role", writers),
-                     condition=Apply("and", (_action_is("write"),
-                                             _home_tenant()))),
-            ],
-            description=f"{service_class}: read {readers}, home-write {writers}.",
-        ))
-
-    root = PolicySet(
-        policy_set_id="diurnal-federation",
-        policy_combining="deny-unless-permit",
-        children=policies,
-        description="Municipal e-service classes; default deny.",
-    )
-
-    roles = ("citizen", "clerk", "inspector", "service-bot")
-    domain = AttributeDomain()
-    domain.declare("subject", "role", list(roles))
-    domain.declare("action", "action-id", ["read", "write"])
-    domain.declare("resource", "type", list(_DIURNAL_SERVICE_CLASSES))
-    domain.declare("resource", "owner-tenant", ["tenant-1", "tenant-2"])
-    domain.declare("environment", "origin-tenant", ["tenant-1", "tenant-2"])
-
-    workload = WorkloadConfig(
-        subjects=300,
-        resources=800,
-        roles=roles,
-        role_weights=(0.65, 0.2, 0.05, 0.1),
-        resource_types=tuple(_DIURNAL_SERVICE_CLASSES),
-        actions=("read", "write"),
-        action_weights=(0.85, 0.15),
-        zipf_skew=1.2,
-        arrival_rate=350.0,   # the peak of the curve
-        arrival_period=6.0,   # one full day, compressed
-        arrival_trough=0.1,   # overnight traffic: a tenth of the peak
-    )
-    return Scenario(
-        name="diurnal",
-        policy_document=policy_to_dict(root),
-        workload=workload,
-        domain=domain,
-        description="Citizens work the municipal portals through a daily "
-                    "peak-trough-peak arrival curve; the efficient plane "
-                    "sheds shards into the trough.",
-    )
-
-
-#: Service classes of the emergency-management federation: class →
-#: (reader roles, writer roles).  The incident log is the audited,
-#: monitored heart of the exercise; the rest is continuity-of-operations
-#: traffic that must keep flowing through the storm.
-_STORM_SERVICE_CLASSES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "incident-log": (("operator", "commander", "liaison"), ("operator",)),
-    "resource-roster": (("operator", "commander"), ("commander",)),
-    "situation-map": (("operator", "commander", "liaison"), ("feed-bot",)),
-    "comms-directory": (("operator", "commander", "liaison"), ("commander",)),
-    "mutual-aid-requests": (("commander", "liaison"), ("liaison",)),
-    "status-heartbeats": (("operator", "commander"), ("feed-bot",)),
-}
-
-#: Classes whose Permit carries an audit obligation — their decisions
-#: must survive, attributably, whatever the fault plan does.
-_STORM_AUDITED_CLASSES = ("incident-log", "mutual-aid-requests")
-
-
-def partition_storm_scenario() -> Scenario:
-    """Emergency management under network fire: the fault plane's substrate.
-
-    Everything here is tuned for *differential* observability under a
-    :class:`~repro.faults.plan.FaultPlan`, not for raw load:
-
-    - the arrival rate (150/s) is modest on purpose — the interesting
-      number is how many decisions a partition or crash *loses or
-      re-routes*, which a saturated plane would drown in queueing noise;
-    - reads dominate (85%) and every role can read the situation map and
-      comms directory, so a PEP that fails over to a remote shard still
-      has work that must Permit — re-routing is visible as re-routing,
-      not as a wall of Denies;
-    - writes are home-tenant-gated, so when a partition severs a tenant
-      from its nearest shard the failover decisions exercise the *same*
-      policy branches and must stay bit-identical to the calm run;
-    - the audited classes put Permit-obligations on the incident log and
-      mutual-aid paperwork, which makes each such decision a monitored
-      transaction — the DRAMS contract either survives the fault window
-      cleanly or produces exactly attributable alerts, never noise.
-
-    E16's chaos arm reuses the same scenario + storm plan with light
-    auditors attached: every enforced decision's receipt must survive
-    the partitions and crashes (parked/refetched, never rejected), so
-    the storm doubles as the light-client recovery fixture.
-    """
-    policies = []
-    for service_class, (readers, writers) in _STORM_SERVICE_CLASSES.items():
-        obligations = []
-        if service_class in _STORM_AUDITED_CLASSES:
-            obligations.append(Obligation(
-                f"audit-{service_class}", "Permit",
-                {"reason": "emergency-operations accountability record"}))
-        policies.append(Policy(
-            policy_id=f"em-{service_class}",
-            rule_combining="permit-overrides",
-            target=Target.single("string-equal", service_class, "resource", "type"),
-            rules=[
-                Rule(f"{service_class}-read", Effect.PERMIT,
-                     target=_disjunction_target("subject", "role", readers),
-                     condition=_action_is("read")),
-                Rule(f"{service_class}-home-write", Effect.PERMIT,
-                     target=_disjunction_target("subject", "role", writers),
-                     condition=Apply("and", (_action_is("write"),
-                                             _home_tenant()))),
-            ],
-            obligations=obligations,
-            description=f"{service_class}: read {readers}, home-write {writers}.",
-        ))
-
-    root = PolicySet(
-        policy_set_id="partition-storm",
-        policy_combining="deny-unless-permit",
-        children=policies,
-        description="Emergency-management service classes; default deny.",
-    )
-
-    roles = ("operator", "commander", "liaison", "feed-bot")
-    domain = AttributeDomain()
-    domain.declare("subject", "role", list(roles))
-    domain.declare("action", "action-id", ["read", "write"])
-    domain.declare("resource", "type", list(_STORM_SERVICE_CLASSES))
-    domain.declare("resource", "owner-tenant", ["tenant-1", "tenant-2"])
-    domain.declare("environment", "origin-tenant", ["tenant-1", "tenant-2"])
-
-    workload = WorkloadConfig(
-        subjects=200,
-        resources=600,
-        roles=roles,
-        role_weights=(0.5, 0.2, 0.15, 0.15),
-        resource_types=tuple(_STORM_SERVICE_CLASSES),
-        actions=("read", "write"),
-        action_weights=(0.85, 0.15),
-        zipf_skew=1.1,
-        arrival_rate=150.0,
-    )
-    return Scenario(
-        name="partition-storm",
-        policy_document=policy_to_dict(root),
-        workload=workload,
-        domain=domain,
-        description="An emergency-management federation that must keep "
-                    "resolving access decisions while a scripted fault plan "
-                    "partitions, crashes and degrades the substrate.",
-    )
-
-
-def all_scenarios() -> list[Scenario]:
-    """One instance of every shipped scenario, in a stable order."""
-    return [factory() for factory in SCENARIO_FACTORIES]
-
-
+def _preset_factory(name: str) -> Callable[[], Scenario]:
+    def factory() -> Scenario:
+        # Imported here: repro.scenariogen compiles specs *into* this
+        # module's Scenario, so it imports us at load time.
+        from repro.scenariogen import generate_scenario, preset_spec
+
+        return generate_scenario(preset_spec(name))
+
+    # Parametrised suites take their test ids from the factory's name.
+    factory.__name__ = factory.__qualname__ = f"{name.replace('-', '_')}_scenario"
+    factory.__doc__ = f"The ``{name}`` federation, compiled from its preset spec."
+    return factory
+
+
+healthcare_scenario = _preset_factory("healthcare")
+ministry_scenario = _preset_factory("ministry")
+iot_edge_scenario = _preset_factory("iot-edge")
+delegation_scenario = _preset_factory("delegation")
+audit_burst_scenario = _preset_factory("audit-burst")
+federation_scale_scenario = _preset_factory("federation-scale")
+policy_churn_scenario = _preset_factory("policy-churn")
+elastic_scale_scenario = _preset_factory("elastic-scale")
+diurnal_scenario = _preset_factory("diurnal")
+partition_storm_scenario = _preset_factory("partition-storm")
+
+#: In ``PRESET_SPECS`` order (pinned by ``tests/test_scenariogen.py``).
 SCENARIO_FACTORIES = (
     healthcare_scenario,
     ministry_scenario,
@@ -1128,3 +75,8 @@ SCENARIO_FACTORIES = (
     diurnal_scenario,
     partition_storm_scenario,
 )
+
+
+def all_scenarios() -> list[Scenario]:
+    """One instance of every shipped scenario, in a stable order."""
+    return [factory() for factory in SCENARIO_FACTORIES]

@@ -107,6 +107,11 @@ class TestNewScenarioShapes:
 
     def test_delegation_nesting_skips_through_layers(self):
         scenario = delegation_scenario()
+        # federation → cloud → domain → policy: three sets above a leaf.
+        node, levels = scenario.policy_document, 0
+        while "policy_set_id" in node:
+            node, levels = node["children"][0], levels + 1
+        assert levels == 3 and "policy_id" in node
         pdp = PolicyDecisionPoint(policy_from_dict(scenario.policy_document),
                                   indexed=True)
         evaluate_all(pdp, workload_contents(scenario))

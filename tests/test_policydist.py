@@ -20,11 +20,7 @@ from repro.policydist import (
     as_policy_plane,
 )
 from repro.threats import Adversary, StalePolicyReplayAttack, TamperedPrpReplicaAttack
-from repro.workload.scenarios import (
-    churn_policy_document,
-    healthcare_scenario,
-    policy_churn_scenario,
-)
+from repro.workload.scenarios import healthcare_scenario, policy_churn_scenario
 from repro.xacml.parser import policy_to_dict
 from repro.xacml.policy import Effect, Policy, Rule
 from tests.conftest import fast_drams_config
@@ -240,12 +236,13 @@ class TestReplicatedPrpPlane:
 class TestPapThroughReplicatedPlane:
     def test_impact_uses_the_publishers_current_version_not_a_stale_replica(self):
         scenario = policy_churn_scenario()
+        generations = (scenario.policy_document, *scenario.policy_variants)
         federation = Federation(FederationConfig(name="pap-impact", seed=7))
         plane = ReplicatedPrpPlane(propagation_delay=5.0).deploy(federation)
         pap = PolicyAdministrationPoint(plane.authority, administrator="pap@infra")
-        pap.publish(churn_policy_document(0), published_at=0.0)
+        pap.publish(generations[0], published_at=0.0)
         replica = plane.retrieval_point_for("pdp-0")  # bootstraps generation 0
-        pap.publish(churn_policy_document(1), published_at=0.0)
+        pap.publish(generations[1], published_at=0.0)
         assert replica.version_count() == 1  # stale: publish still in flight
 
         # Generations 0 and 2 decide identically (contractor reads on in
@@ -254,14 +251,12 @@ class TestPapThroughReplicatedPlane:
         # were computed against the stale replica (still gen 0), it would
         # report none.
         report = pap.publish(
-            churn_policy_document(2), published_at=0.0,
+            generations[2], published_at=0.0,
             impact_domain=scenario.domain,
         ) and pap.last_impact_report
         assert report is not None
         assert not report.holds and report.counterexamples
-        stale_baseline = change_impact(
-            churn_policy_document(0), churn_policy_document(2), scenario.domain
-        )
+        stale_baseline = change_impact(generations[0], generations[2], scenario.domain)
         assert stale_baseline.holds  # the stale comparison would be silent
 
 
