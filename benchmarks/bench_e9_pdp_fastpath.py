@@ -126,8 +126,8 @@ def test_e9_pdp_fastpath(report):
     report("e9_pdp_fastpath", table)
 
     # Acceptance: >=2x decisions/sec on at least one scenario, full fast
-    # path; smoke runs (noisy CI machines, shrunken workloads) get the
-    # same relaxed floor E10 uses.
+    # path; smoke runs (noisy CI machines, shrunken workloads) get a
+    # relaxed floor.
     floor = 1.3 if SMOKE else 2.0
     best = max(fastpath_speedups.values())
     assert best >= floor, f"fast path speedups too small: {fastpath_speedups}"

@@ -4,12 +4,14 @@ Lives in the infrastructure tenant.  For each ``ac_request`` message it
 fetches the active policy version from the PRP, evaluates the request and
 replies with an ``ac_response``.
 
-Fast path: compiled PDPs are kept in a small per-fingerprint LRU (policy
-flip-flops no longer recompile), rule counts are memoised per version, and
-a :class:`~repro.accesscontrol.decision_cache.DecisionCache` serves
-repeated requests without re-walking the policy tree.  Cached and indexed
-decisions are bit-identical to slow-path evaluation (differential tests
-enforce this), so probes and DRAMS observe the same behaviour either way.
+Each policy version is compiled once through the target index
+(:mod:`repro.xacml.index`) and kept in a small per-fingerprint LRU (policy
+flip-flops do not recompile), rule counts are memoised per version, and a
+:class:`~repro.accesscontrol.decision_cache.DecisionCache` serves repeated
+requests without re-walking the policy tree.  Cached and indexed decisions
+are bit-identical to plain object-model evaluation
+(``PolicyDecisionPoint(indexed=False)``; differential tests enforce this),
+so probes and DRAMS observe the same behaviour either way.
 
 Every decision (and hence its ``pdp-out`` log entry) is stamped with the
 policy ``(version, fingerprint)`` it was evaluated under, so when PRP
@@ -67,7 +69,6 @@ class PdpService(Host):
                  base_processing_delay: float = 0.0005,
                  per_rule_delay: float = 0.00001,
                  pdp_cache_size: int = 8,
-                 use_target_index: bool = True,
                  decision_cache: Optional[DecisionCache] = None,
                  use_decision_cache: bool = True,
                  serialize_evaluations: bool = False) -> None:
@@ -110,7 +111,6 @@ class PdpService(Host):
         #: Attack injection point: a rogue policy replacing the PRP view
         #: (models the attacker altering the policy the PDP enforces).
         self.policy_override: Optional[PolicyDecisionPoint] = None
-        self.use_target_index = use_target_index
         self.pdp_cache_size = max(1, pdp_cache_size)
         self.pdp_compilations = 0
         self._pdp_cache: "OrderedDict[str, _CompiledPolicy]" = OrderedDict()
@@ -130,7 +130,7 @@ class PdpService(Host):
         if compiled is None:
             root = policy_from_dict(version.document)
             compiled = _CompiledPolicy(
-                pdp=PolicyDecisionPoint(root, indexed=self.use_target_index),
+                pdp=PolicyDecisionPoint(root, indexed=True),
                 rule_count=_count_rules(version.document),
                 footprint=attribute_footprint(root),
             )

@@ -6,10 +6,10 @@ shares no code with the object-model evaluator the PDP runs — different
 data structures, different traversal — which is the point: the Analyser
 needs an oracle whose failure modes are independent of the monitored
 component's.  Differential property tests (``tests/test_differential.py``)
-pin the two implementations to each other.  :class:`DecisionOracle` layers
-a *compiled* fast path on top (one target-index compilation per policy
+pin the two implementations to each other.  :class:`DecisionOracle` answers
+through a *compiled* form instead (one target-index compilation per policy
 version); the interpreter below remains the definitional reference that
-path is pinned against.
+form is pinned against.
 
 The semantics is the XACML 3.0 one:
 
@@ -23,10 +23,9 @@ The semantics is the XACML 3.0 one:
 from __future__ import annotations
 
 import re
-from typing import Any, Optional
+from typing import Any
 
 from repro.common.errors import PolicyError
-from repro.common.fastpath import FLAGS
 from repro.xacml.context import RequestContext
 from repro.xacml.index import compile_target_index
 from repro.xacml.parser import policy_from_dict
@@ -408,45 +407,32 @@ def _eval_element(document: dict, request: dict) -> str:
 class DecisionOracle:
     """The Analyser's oracle for a fixed policy document.
 
-    Two evaluation modes share this interface:
+    The document is compiled *once per policy version* into the object
+    model and the target index (:mod:`repro.xacml.index`), so each checked
+    decision costs an indexed evaluation instead of a full document-tree
+    interpretation by :func:`evaluate_document`.
 
-    - **interpreted** (``compiled=False``): :func:`evaluate_document`, the
-      denotational reference semantics above — an interpreter over the
-      serialized document, sharing no code with the PDP;
-    - **compiled** (the fast path, default per
-      :data:`repro.common.fastpath.FLAGS.compiled_oracle`): the document is
-      compiled *once per policy version* into the object model and the
-      target index (:mod:`repro.xacml.index`), so each checked decision
-      costs an indexed evaluation instead of a full document-tree
-      interpretation.
-
-    The compiled mode trades the interpreter's independence for
-    throughput, which is sound because the two are pinned to each other:
+    This trades the interpreter's independence for throughput — the oracle
+    shares the object model and the index with the PDP it audits — which is
+    sound because the implementations are pinned to each other:
     ``tests/test_differential.py`` holds interpreter ≡ object model on
     random policy trees, ``tests/test_target_index.py`` holds object model
-    ≡ index, and the oracle's own differential tests close the loop per
-    scenario.  Analyser deployments that want the independent failure
-    modes back simply run with the flag off.
+    ≡ index, and ``tests/test_monitoring_fastpath.py`` holds this oracle ≡
+    :func:`evaluate_document` on every scenario.
     """
 
-    def __init__(self, document: dict, compiled: Optional[bool] = None) -> None:
+    def __init__(self, document: dict) -> None:
         if document.get("kind") not in ("policy", "policy_set"):
             raise PolicyError("oracle needs a serialized policy document")
         self.document = document
         self.checks = 0
-        self.compiled = FLAGS.compiled_oracle if compiled is None else compiled
-        self._index = None
-        if self.compiled:
-            self._index = compile_target_index(policy_from_dict(document))
+        self._index = compile_target_index(policy_from_dict(document))
 
     def expected_decision(self, request: dict) -> str:
         """The decision the policies entail for ``request``."""
         self.checks += 1
-        if self._index is not None:
-            decision, _obligations = self._index.evaluate_full(
-                RequestContext.from_dict(request))
-            return decision.collapse().value
-        return evaluate_document(self.document, request)
+        decision, _obligations = self._index.evaluate_full(RequestContext.from_dict(request))
+        return decision.collapse().value
 
     def verify(self, request: dict, observed_decision: str) -> bool:
         """Does the observed decision match the policy semantics?"""

@@ -6,10 +6,9 @@ is the SHA-256 of the canonical header encoding.  Miners additionally sign
 blocks (a permissioned-chain touch: every block is attributable to a
 federation node).
 
-Fast path: with :data:`repro.common.fastpath.FLAGS.encoding_cache` on, the
-header hash is memoised against the exact field values it was computed
-from (so in-place header edits — mining sets the Merkle root and nonce
-after construction, the fork-choice tests forge fields deliberately —
+The header hash is memoised against the exact field values it was
+computed from (so in-place header edits — mining sets the Merkle root and
+nonce after construction, the fork-choice tests forge fields deliberately —
 always invalidate it), and the Merkle root / body size reuse the
 transactions' frozen content hashes and sizes.
 """
@@ -20,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.common.errors import ValidationError
-from repro.common.fastpath import FLAGS
 from repro.common.serialization import canonical_bytes, canonical_json
 from repro.crypto.hashing import sha256_hex
 from repro.crypto.merkle import MerkleTree
@@ -99,8 +97,6 @@ class BlockHeader:
         )
 
     def block_hash(self) -> str:
-        if not FLAGS.encoding_cache:
-            return sha256_hex(self.bytes_for_nonce(self.nonce))
         key = self._hash_key()
         memo = getattr(self, "_hash_memo", None)
         if memo is not None and memo[0] == key:

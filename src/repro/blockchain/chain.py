@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.common.errors import ValidationError
-from repro.common.fastpath import FLAGS
 from repro.crypto.hashing import hash_value
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.crypto.signatures import SigningKey, VerifyingKey
@@ -32,7 +31,7 @@ from repro.blockchain.contracts import (
     ExecutionReceipt,
 )
 from repro.blockchain.mempool import Mempool
-from repro.blockchain.pow import grind_nonce, grind_nonce_parts, meets_target, retarget
+from repro.blockchain.pow import grind_nonce_parts, meets_target, retarget
 from repro.blockchain.transaction import Transaction
 
 EventSubscriber = Callable[[ContractEvent, str], None]
@@ -80,16 +79,21 @@ class Blockchain:
     #: memory on very long runs (cf. the LRU bound on the decision cache).
     VERIFY_CACHE_LIMIT = 200_000
 
-    def __init__(self, config: BlockchainConfig, registry: ContractRegistry,
-                 key_lookup: Optional[KeyLookup] = None,
-                 require_signatures: bool = True) -> None:
+    def __init__(
+        self,
+        config: BlockchainConfig,
+        registry: ContractRegistry,
+        key_lookup: Optional[KeyLookup] = None,
+        require_signatures: bool = True,
+    ) -> None:
         self.config = config
         self.registry = registry
         self.key_lookup = key_lookup
         self.require_signatures = require_signatures and key_lookup is not None
         self.engine = ContractEngine(registry)
-        self.genesis = make_genesis(config.chain_id, hash_value(config.to_dict()),
-                                    config.difficulty_bits)
+        self.genesis = make_genesis(
+            config.chain_id, hash_value(config.to_dict()), config.difficulty_bits
+        )
         self._blocks: dict[str, Block] = {self.genesis.hash: self.genesis}
         self._total_work: dict[str, float] = {self.genesis.hash: 0.0}
         self._head_hash: str = self.genesis.hash
@@ -107,10 +111,10 @@ class Blockchain:
         self._snapshots: dict[str, _Snapshot] = {}
         self._orphaned_txs: dict[str, Transaction] = {}
         self._proof_trees: dict[str, MerkleTree] = {}
-        # Once-per-node verification caches (fast path): a signature or a
-        # block body is cryptographically checked at most once per chain
-        # replica, however many admission checks, block validations or
-        # block templates revisit it.  Keys commit to the full verified
+        # Once-per-node verification caches: a signature or a block body
+        # is cryptographically checked at most once per chain replica,
+        # however many admission checks, block validations or block
+        # templates revisit it.  Keys commit to the full verified
         # content (content hash + signature values + verifying key for
         # transactions; block hash + body leaf hashes for Merkle roots),
         # so a cache hit proves the exact bytes were already checked —
@@ -206,11 +210,14 @@ class Blockchain:
         start = 1
         for block_hash in locator:
             height = self._applied_heights.get(block_hash)
-            if (height is not None and height < len(self._applied_branch)
-                    and self._applied_branch[height] == block_hash):
+            if (
+                height is not None
+                and height < len(self._applied_branch)
+                and self._applied_branch[height] == block_hash
+            ):
                 start = height + 1
                 break
-        chunk = self._applied_branch[start:start + max(0, limit)]
+        chunk = self._applied_branch[start : start + max(0, limit)]
         return [self._blocks[block_hash].header for block_hash in chunk]
 
     def subscribe_events(self, subscriber: EventSubscriber) -> None:
@@ -229,8 +236,7 @@ class Blockchain:
         if parent is None:
             raise ChainValidationError(f"unknown parent: {parent_hash}")
         window = self.config.retarget_window
-        parent_difficulty = self._difficulty_cache.get(parent_hash,
-                                                       parent.header.difficulty_bits)
+        parent_difficulty = self._difficulty_cache.get(parent_hash, parent.header.difficulty_bits)
         next_height = parent.height + 1
         if window == 0 or next_height % window != 0 or next_height < window:
             return parent_difficulty
@@ -240,8 +246,7 @@ class Blockchain:
             cursor = self._blocks[cursor.header.prev_hash]
         elapsed = parent.header.timestamp - cursor.header.timestamp
         actual_interval = elapsed / max(1, window - 1)
-        return retarget(parent_difficulty, actual_interval,
-                        self.config.target_block_interval)
+        return retarget(parent_difficulty, actual_interval, self.config.target_block_interval)
 
     # -- validation ----------------------------------------------------------
 
@@ -252,16 +257,15 @@ class Blockchain:
             raise ChainValidationError(f"unknown parent {header.prev_hash[:12]}")
         if header.height != parent.height + 1:
             raise ChainValidationError(
-                f"height {header.height} does not extend parent height {parent.height}")
+                f"height {header.height} does not extend parent height {parent.height}"
+            )
         if header.timestamp < parent.header.timestamp:
             raise ChainValidationError("timestamp decreases along the chain")
-        if not (FLAGS.verify_cache and self._merkle_key(block) in self._merkle_verified):
+        merkle_key = self._merkle_key(block)
+        if merkle_key not in self._merkle_verified:
             if block.compute_merkle_root() != header.merkle_root:
                 raise ChainValidationError("merkle root does not match block body")
-            if FLAGS.verify_cache:
-                if len(self._merkle_verified) >= self.VERIFY_CACHE_LIMIT:
-                    self._merkle_verified.clear()
-                self._merkle_verified.add(self._merkle_key(block))
+            self._remember_verified(self._merkle_verified, merkle_key)
         if len(block.transactions) > self.config.max_block_txs:
             raise ChainValidationError("too many transactions in block")
         if block.body_size_bytes() > self.config.max_block_bytes:
@@ -269,9 +273,9 @@ class Blockchain:
         expected_bits = self.expected_difficulty(header.prev_hash)
         if abs(header.difficulty_bits - expected_bits) > 1e-9:
             raise ChainValidationError(
-                f"difficulty {header.difficulty_bits} != expected {expected_bits}")
-        if self.config.pow_mode == "real" and not meets_target(block.hash,
-                                                               header.difficulty_bits):
+                f"difficulty {header.difficulty_bits} != expected {expected_bits}"
+            )
+        if self.config.pow_mode == "real" and not meets_target(block.hash, header.difficulty_bits):
             raise ChainValidationError("block hash does not meet the PoW target")
         seen_tx_ids: set[str] = set()
         for tx in block.transactions:
@@ -289,6 +293,12 @@ class Blockchain:
         """Verified-set key: header hash plus the body's (cached) leaves."""
         return (block.hash, tuple(tx.content_hash() for tx in block.transactions))
 
+    def _remember_verified(self, verified: set[tuple], key: tuple) -> None:
+        """Record a verified-set entry, resetting the set when it is full."""
+        if len(verified) >= self.VERIFY_CACHE_LIMIT:
+            verified.clear()
+        verified.add(key)
+
     def _validate_tx_signature(self, tx: Transaction) -> None:
         if not self.require_signatures:
             return
@@ -296,16 +306,14 @@ class Blockchain:
         if key is None:
             raise ChainValidationError(f"unknown transaction sender {tx.sender!r}")
         cache_key = None
-        if FLAGS.verify_cache and tx.signature is not None:
+        if tx.signature is not None:
             cache_key = (tx.content_hash(), tx.signature.e, tx.signature.s, key.y)
             if cache_key in self._verified_tx_keys:
                 return
         if not tx.verify(key):
             raise ChainValidationError(f"invalid signature on tx {tx.tx_id}")
         if cache_key is not None:
-            if len(self._verified_tx_keys) >= self.VERIFY_CACHE_LIMIT:
-                self._verified_tx_keys.clear()
-            self._verified_tx_keys.add(cache_key)
+            self._remember_verified(self._verified_tx_keys, cache_key)
 
     def validate_transaction(self, tx: Transaction) -> bool:
         """Admission check used by mempools (signature + not already final)."""
@@ -331,7 +339,7 @@ class Blockchain:
         self._blocks[block.hash] = block
         self._difficulty_cache[block.hash] = block.header.difficulty_bits
         parent_work = self._total_work[block.header.prev_hash]
-        self._total_work[block.hash] = parent_work + 2.0 ** block.header.difficulty_bits
+        self._total_work[block.hash] = parent_work + 2.0**block.header.difficulty_bits
         return self._maybe_update_head(block)
 
     def _maybe_update_head(self, candidate: Block) -> bool:
@@ -365,15 +373,18 @@ class Blockchain:
         if len(self._snapshots) > 12:
             removable = sorted(
                 (h for h in self._snapshots if h != self.genesis.hash),
-                key=lambda h: self._snapshots[h].height)
+                key=lambda h: self._snapshots[h].height,
+            )
             del self._snapshots[removable[0]]
 
     def _switch_head(self, new_head: str) -> None:
         new_branch = self._branch_of(new_head)
-        if (len(new_branch) > len(self._applied_branch)
-                and new_branch[:len(self._applied_branch)] == self._applied_branch):
+        if (
+            len(new_branch) > len(self._applied_branch)
+            and new_branch[: len(self._applied_branch)] == self._applied_branch
+        ):
             # Fast path: the new head simply extends the current head.
-            for block_hash in new_branch[len(self._applied_branch):]:
+            for block_hash in new_branch[len(self._applied_branch) :]:
                 self._apply_block(self._blocks[block_hash])
             self._applied_branch = new_branch
         else:
@@ -397,7 +408,7 @@ class Blockchain:
                 for height, block_hash in enumerate(new_branch[: restore_index + 1])
             }
             self._applied_tip_height = restore_index
-            for block_hash in new_branch[restore_index + 1:]:
+            for block_hash in new_branch[restore_index + 1 :]:
                 self._apply_block(self._blocks[block_hash])
             self._applied_branch = new_branch
             # Transactions confirmed on the losing branch but absent from
@@ -415,8 +426,7 @@ class Blockchain:
 
     def take_orphaned_txs(self) -> list[Transaction]:
         """Drain transactions displaced by reorgs (for mempool re-injection)."""
-        orphans = [tx for tx_id, tx in self._orphaned_txs.items()
-                   if tx_id not in self._tx_locations]
+        orphans = [tx for tx_id, tx in self._orphaned_txs.items() if tx_id not in self._tx_locations]
         self._orphaned_txs.clear()
         return orphans
 
@@ -440,16 +450,22 @@ class Blockchain:
             )
             receipt = self.engine.execute(tx.contract, tx.method, tx.args, ctx)
             self._tx_locations[tx.tx_id] = TxLocation(
-                block_hash=block.hash, height=block.height, receipt=receipt)
+                block_hash=block.hash, height=block.height, receipt=receipt
+            )
             for event in receipt.events:
                 for subscriber in self._subscribers:
                     subscriber(event, block.hash)
 
     # -- block production -----------------------------------------------------
 
-    def create_block(self, miner: str, transactions: list[Transaction],
-                     timestamp: float, signing_key: Optional[SigningKey] = None,
-                     max_grind_attempts: Optional[int] = None) -> Block:
+    def create_block(
+        self,
+        miner: str,
+        transactions: list[Transaction],
+        timestamp: float,
+        signing_key: Optional[SigningKey] = None,
+        max_grind_attempts: Optional[int] = None,
+    ) -> Block:
         """Assemble (and in real mode, mine) a block extending the head."""
         parent = self.head
         difficulty = self.expected_difficulty(parent.hash)
@@ -464,30 +480,23 @@ class Blockchain:
         block = Block(header=header, transactions=list(transactions))
         header.merkle_root = block.compute_merkle_root()
         if self.config.pow_mode == "real":
-            if FLAGS.verify_cache:
-                prefix, suffix = header.nonce_parts()
-                found = grind_nonce_parts(prefix, suffix, difficulty,
-                                          max_attempts=max_grind_attempts)
-            else:
-                found = grind_nonce(header.bytes_for_nonce, difficulty,
-                                    max_attempts=max_grind_attempts)
+            prefix, suffix = header.nonce_parts()
+            found = grind_nonce_parts(prefix, suffix, difficulty, max_attempts=max_grind_attempts)
             if found is None:
                 raise ChainValidationError("mining attempt budget exhausted")
             header.nonce = found[0]
         if signing_key is not None:
             block.sign(signing_key)
-        if FLAGS.verify_cache:
-            # The miner just derived the root from this very body; its own
-            # validation pass need not recompute it.
-            if len(self._merkle_verified) >= self.VERIFY_CACHE_LIMIT:
-                self._merkle_verified.clear()
-            self._merkle_verified.add(self._merkle_key(block))
+        # The miner just derived the root from this very body; its own
+        # validation pass need not recompute it.
+        self._remember_verified(self._merkle_verified, self._merkle_key(block))
         return block
 
     def collect_block_txs(self, mempool: Mempool) -> list[Transaction]:
         """Pick mempool transactions eligible for the next block."""
-        candidates = mempool.peek(self.config.max_block_txs, self.config.max_block_bytes,
-                                  exclude=set(self._tx_locations))
+        candidates = mempool.peek(
+            self.config.max_block_txs, self.config.max_block_bytes, exclude=set(self._tx_locations)
+        )
         return [tx for tx in candidates if self.validate_transaction(tx)]
 
     def state_of(self, contract_name: str) -> dict[str, Any]:

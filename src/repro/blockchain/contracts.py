@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.common.errors import ValidationError
-from repro.common.fastpath import FLAGS
 from repro.common.serialization import canonical_bytes
 
 
@@ -70,10 +69,10 @@ class Contract(ABC):
     name: str = ""
 
     #: Declares that ``invoke`` validates its inputs and raises
-    #: :class:`ContractError` *before* mutating any state, so the engine's
-    #: fast path may execute it directly on the live state (no per-call
-    #: deep copy) without losing revert-on-error semantics.  Leave False
-    #: for contracts that can fail mid-mutation.
+    #: :class:`ContractError` *before* mutating any state, so the engine
+    #: executes it directly on the live state (no per-call deep copy)
+    #: without losing revert-on-error semantics.  Leave False for
+    #: contracts that can fail mid-mutation.
     checked_invoke: bool = False
 
     @abstractmethod
@@ -81,8 +80,14 @@ class Contract(ABC):
         """Fresh state at deployment (genesis)."""
 
     @abstractmethod
-    def invoke(self, state: dict[str, Any], method: str, args: dict[str, Any],
-               ctx: ContractContext, emit: Callable[[str, dict[str, Any]], None]) -> Any:
+    def invoke(
+        self,
+        state: dict[str, Any],
+        method: str,
+        args: dict[str, Any],
+        ctx: ContractContext,
+        emit: Callable[[str, dict[str, Any]], None],
+    ) -> Any:
         """Execute ``method``; mutate ``state`` in place; emit events via ``emit``.
 
         Raise :class:`ContractError` to revert (state changes of the failed
@@ -170,8 +175,9 @@ class ContractEngine:
 
     def reset(self) -> None:
         """Back to genesis state (used on chain reorganisations)."""
-        self._state = {name: self.registry.get(name).initial_state()
-                       for name in self.registry.names()}
+        self._state = {
+            name: self.registry.get(name).initial_state() for name in self.registry.names()
+        }
         self.gas_used_total = 0
 
     def dump_state(self) -> dict[str, dict[str, Any]]:
@@ -189,28 +195,34 @@ class ContractEngine:
         except KeyError:
             raise ValidationError(f"no state for contract {contract_name!r}") from None
 
-    def execute(self, contract_name: str, method: str, args: dict[str, Any],
-                ctx: ContractContext) -> ExecutionReceipt:
+    def execute(
+        self, contract_name: str, method: str, args: dict[str, Any], ctx: ContractContext
+    ) -> ExecutionReceipt:
         """Run one invocation transactionally (state reverts on error).
 
-        Slow path: the invocation runs on a deep copy of the contract's
-        state, which replaces the live state only on success.  Fast path
-        (``FLAGS.contract_inplace``, contracts declaring
-        ``checked_invoke``): the invocation runs directly on live state —
+        By default the invocation runs on a deep copy of the contract's
+        state, which replaces the live state only on success.  A contract
+        declaring ``checked_invoke`` runs directly on live state instead —
         safe because such contracts raise before mutating, so a failed
         invocation has by construction changed nothing.  Receipts and
         events are identical either way.
         """
         contract = self.registry.get(contract_name)
         state = self._state[contract_name]
-        in_place = FLAGS.contract_inplace and contract.checked_invoke
+        in_place = contract.checked_invoke
         scratch = state if in_place else copy.deepcopy(state)
         events: list[ContractEvent] = []
 
         def emit(name: str, payload: dict[str, Any]) -> None:
-            events.append(ContractEvent(
-                contract=contract_name, name=name, payload=payload,
-                block_height=ctx.block_height, tx_id=ctx.tx_id))
+            events.append(
+                ContractEvent(
+                    contract=contract_name,
+                    name=name,
+                    payload=payload,
+                    block_height=ctx.block_height,
+                    tx_id=ctx.tx_id,
+                )
+            )
 
         gas = self.GAS_BASE + self.GAS_PER_BYTE * len(canonical_bytes(args))
         try:
@@ -221,5 +233,4 @@ class ContractEngine:
         if not in_place:
             self._state[contract_name] = scratch
         self.gas_used_total += gas
-        return ExecutionReceipt(tx_id=ctx.tx_id, ok=True, result=result,
-                                gas_used=gas, events=events)
+        return ExecutionReceipt(tx_id=ctx.tx_id, ok=True, result=result, gas_used=gas, events=events)

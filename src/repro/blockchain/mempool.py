@@ -4,10 +4,10 @@ FIFO with replay protection: a transaction already included in the chain
 (or already pending) is rejected by ``tx_id``, and per-sender sequence
 numbers must strictly increase across included transactions.
 
-Fast path: the serialized size of a transaction is fixed at admission
-(sizes are a pure function of the signed content), so :meth:`Mempool.peek`
-reuses the admission-time size instead of re-serialising the whole pool on
-every block template.
+The serialized size of a transaction is fixed at admission (sizes are a
+pure function of the signed content), so :meth:`Mempool.peek` reuses the
+admission-time size instead of re-serialising the whole pool on every
+block template.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable, Optional
 
-from repro.common.fastpath import FLAGS
 from repro.blockchain.transaction import Transaction
 
 
@@ -57,11 +56,10 @@ class Mempool:
         selected: list[Transaction] = []
         total = 0
         skip = exclude or set()
-        cached_sizes = self._sizes if FLAGS.encoding_cache else None
         for tx in self._pool.values():
             if tx.tx_id in skip:
                 continue
-            size = cached_sizes[tx.tx_id] if cached_sizes is not None else tx.size_bytes()
+            size = self._sizes[tx.tx_id]
             if len(selected) >= max_txs or total + size > max_bytes:
                 break
             selected.append(tx)

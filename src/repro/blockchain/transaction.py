@@ -5,12 +5,12 @@ component (usually a Logging Interface writing a log entry).  Transactions
 are Schnorr-signed by the sender; nodes reject invalid signatures, which is
 what makes the on-chain audit trail non-repudiable.
 
-Fast path: the canonical encoding of the signed content is a pure function
-of ``(sender, contract, method, args, seq, tx_id)``, and every consumer —
+The canonical encoding of the signed content is a pure function of
+``(sender, contract, method, args, seq, tx_id)``, and every consumer —
 signing, signature checks, the content hash used as the Merkle leaf, the
 size accounting in mempools and block assembly — needs exactly those bytes.
-With :data:`repro.common.fastpath.FLAGS.encoding_cache` on, the encoding is
-frozen on first use; the covered fields must then be treated as immutable.
+The encoding is frozen on first use; the covered fields must then be
+treated as immutable.
 Use :meth:`Transaction.replace` to derive a modified transaction (including
 tampered ones in the threat experiments) — it returns a fresh instance with
 fresh caches.
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.common.errors import ValidationError
-from repro.common.fastpath import FLAGS
 from repro.common.ids import new_id
 from repro.common.serialization import canonical_bytes
 from repro.crypto.hashing import sha256_hex
@@ -63,8 +62,6 @@ class Transaction:
 
     def signing_payload(self) -> bytes:
         """The bytes covered by the signature (everything but the signature)."""
-        if not FLAGS.encoding_cache:
-            return canonical_bytes(self._signed_content())
         payload = getattr(self, "_payload_cache", None)
         if payload is None:
             payload = canonical_bytes(self._signed_content())
@@ -88,8 +85,6 @@ class Transaction:
         same canonical bytes as the signing payload, so the cached encoding
         serves both.
         """
-        if not FLAGS.encoding_cache:
-            return sha256_hex(canonical_bytes(self._signed_content()))
         digest = getattr(self, "_content_hash_cache", None)
         if digest is None:
             digest = sha256_hex(self.signing_payload())

@@ -21,7 +21,6 @@ import hmac
 from dataclasses import dataclass
 
 from repro.common.errors import CryptoError
-from repro.common.fastpath import FLAGS
 
 # Deterministically generated Schnorr group (see tools/gen_group.py):
 # q is the first 160-bit probable prime from the SHA-256 stream
@@ -50,7 +49,7 @@ def _hash_to_int(*parts: bytes) -> int:
     return int.from_bytes(digest, "big")
 
 
-# -- fixed-base exponentiation cache (fast path) -------------------------------
+# -- fixed-base exponentiation cache -------------------------------------------
 #
 # Every exponentiation in the scheme uses a *fixed* base — the generator g
 # or a long-lived public key y — with ~160-bit exponents.  Precomputing the
@@ -98,8 +97,6 @@ _G_TABLE: list[list[int]] | None = None
 def _g_pow(exp: int) -> int:
     """``g ** exp mod p`` through the shared generator table."""
     global _G_TABLE
-    if not FLAGS.verify_cache:
-        return pow(_G, exp, _P)
     if _G_TABLE is None:
         _G_TABLE = _fixed_base_table(_G)
     return _fixed_base_pow(_G, _G_TABLE, exp)
@@ -135,8 +132,6 @@ class VerifyingKey:
 
     def _y_pow(self, exp: int) -> int:
         """``y ** exp mod p`` through this key's cached table."""
-        if not FLAGS.verify_cache:
-            return pow(self.y, exp, _P)
         table = getattr(self, "_fb_table", None)
         if table is None:
             table = _fixed_base_table(self.y)
@@ -187,8 +182,7 @@ class SigningKey:
     def _nonce(self, message: bytes) -> int:
         """Deterministic nonce (RFC-6979 flavoured): HMAC(x, message)."""
         key = self._x.to_bytes((_Q.bit_length() + 7) // 8, "big")
-        k = int.from_bytes(hmac.new(key, b"nonce|" + message,
-                                    hashlib.sha256).digest(), "big") % _Q
+        k = int.from_bytes(hmac.new(key, b"nonce|" + message, hashlib.sha256).digest(), "big") % _Q
         return k if k != 0 else 1
 
     def sign(self, message: bytes) -> Signature:

@@ -51,10 +51,10 @@ failed claim becomes an on-chain ``policy-violation`` — so a tamperer can
 only earn the churn label by acting as an honest replica under a real
 policy version, which is churn by definition.
 
-Oracles are created once per policy version and cached; with the
-``compiled_oracle`` fast-path layer on, that single creation compiles the
-document through the target index, so the per-decision cost is an indexed
-evaluation rather than a document-tree interpretation.
+Oracles are created once per policy version and cached; that single
+creation compiles the document through the target index, so the
+per-decision cost is an indexed evaluation rather than a document-tree
+interpretation.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.common.errors import ValidationError
-from repro.common.fastpath import FLAGS
 from repro.common.serialization import canonical_bytes
 from repro.crypto.hashing import sha256_hex
 
@@ -53,15 +52,13 @@ class LogEntry:
             raise ValidationError(f"unknown log entry type: {self.entry_type!r}")
 
     def canonical_payload(self) -> bytes:
-        """Canonical payload encoding, frozen on first use (fast path).
+        """Canonical payload encoding, frozen on first use.
 
         The Logging Interface needs these bytes twice per entry — once for
         encryption under the federation key, once for the hash commitment —
         so the encoding is cached; the payload must not be mutated after
         the first call.
         """
-        if not FLAGS.encoding_cache:
-            return canonical_bytes(self.payload)
         cached = getattr(self, "_payload_bytes_cache", None)
         if cached is None:
             cached = canonical_bytes(self.payload)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.common.errors import NetworkError
-from repro.common.fastpath import FLAGS
 from repro.common.ids import new_id
 from repro.common.rng import SeededRng
 from repro.common.serialization import canonical_bytes
@@ -52,13 +51,11 @@ class Message:
     def size_bytes(self) -> int:
         """Wire size estimate — canonical encoding length plus header.
 
-        Fast path: the network sizes each message twice (wire stats and
-        latency sampling), and gossip fans the same payload out to every
-        peer, so the encoding is memoised per message; payloads are
-        treated as frozen once handed to :meth:`Network.send`.
+        The network sizes each message twice (wire stats and latency
+        sampling), and gossip fans the same payload out to every peer, so
+        the encoding is memoised per message; payloads are treated as
+        frozen once handed to :meth:`Network.send`.
         """
-        if not FLAGS.encoding_cache:
-            return len(canonical_bytes(self.payload)) + 64
         size = getattr(self, "_size_cache", None)
         if size is None:
             size = len(canonical_bytes(self.payload)) + 64

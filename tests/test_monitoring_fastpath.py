@@ -1,12 +1,13 @@
-"""Differential tests for the monitoring-plane fast path.
+"""Differential tests for the monitoring plane's memoised and precomputed paths.
 
-Every fast-path layer (cached canonical encodings, once-per-node
-verification caches, in-place contract execution, fixed-base
-exponentiation, compiled oracle) must be *decision-preserving*: with any
-combination of :mod:`repro.common.fastpath` flags, hashes, signatures,
-sizes, receipts and decisions are bit-identical to recompute-from-scratch.
-Hypothesis drives random content through both paths, including
-mutation-after-cache (copy-on-write) and reorg replay.
+Cached canonical encodings, once-per-node verification sets, in-place
+contract execution, fixed-base exponentiation and the compiled oracle must
+all be *decision-preserving*: hashes, signatures, sizes, receipts and
+decisions are bit-identical to the definitional expression each one
+shortcuts — ``canonical_bytes(...)``, ``pow(b, e, p)``, ``MerkleTree(...).root``,
+``grind_nonce``, ``evaluate_document``, a cold chain replica, a contract
+without ``checked_invoke``.  Hypothesis drives random content through both
+sides, including mutation-after-cache (copy-on-write) and reorg replay.
 """
 
 import pytest
@@ -23,10 +24,10 @@ from repro.blockchain.contracts import (
 )
 from repro.blockchain.mempool import Mempool
 from repro.blockchain.pow import grind_nonce, grind_nonce_parts
-from repro.blockchain.transaction import Transaction
-from repro.common.fastpath import FLAGS, configured
+from repro.blockchain.transaction import SIGNATURE_OVERHEAD_BYTES, Transaction
 from repro.common.serialization import canonical_bytes
-from repro.crypto.hashing import hash_value
+from repro.crypto import signatures as schnorr
+from repro.crypto.hashing import hash_value, sha256_hex
 from repro.crypto.merkle import MerkleTree
 from repro.crypto.signatures import Signature, SigningKey
 from repro.drams.logs import EntryType, LogEntry
@@ -38,26 +39,39 @@ from tests.strategies import (
     transactions,
 )
 
-ALL_OFF = dict(encoding_cache=False, verify_cache=False,
-               contract_inplace=False, compiled_oracle=False)
+
+def signed_content(tx, **changes):
+    """The dict a transaction's signature, content hash and size are defined over."""
+    content = {
+        "sender": tx.sender,
+        "contract": tx.contract,
+        "method": tx.method,
+        "args": tx.args,
+        "seq": tx.seq,
+        "tx_id": tx.tx_id,
+    }
+    content.update(changes)
+    return content
+
+
+def definitional_size(tx):
+    overhead = SIGNATURE_OVERHEAD_BYTES if tx.signature is not None else 0
+    return len(canonical_bytes(signed_content(tx))) + overhead
 
 
 class TestTransactionEncodingCache:
     @given(transactions())
     @settings(max_examples=120, deadline=None)
     def test_cached_equals_recompute(self, tx):
-        cached = (tx.signing_payload(), tx.content_hash(), tx.size_bytes())
-        with configured(**ALL_OFF):
-            fresh = (tx.signing_payload(), tx.content_hash(), tx.size_bytes())
-        assert cached == fresh
+        encoded = canonical_bytes(signed_content(tx))
+        expected = (encoded, sha256_hex(encoded), definitional_size(tx))
+        for _ in range(2):  # cold, then served from the memo
+            assert (tx.signing_payload(), tx.content_hash(), tx.size_bytes()) == expected
 
     @given(transactions())
     @settings(max_examples=60, deadline=None)
     def test_content_hash_matches_definitional_form(self, tx):
-        assert tx.content_hash() == hash_value({
-            "sender": tx.sender, "contract": tx.contract, "method": tx.method,
-            "args": tx.args, "seq": tx.seq, "tx_id": tx.tx_id,
-        })
+        assert tx.content_hash() == hash_value(signed_content(tx))
 
     @given(transactions(signed=st.just(True)), args_dicts)
     @settings(max_examples=60, deadline=None)
@@ -69,12 +83,8 @@ class TestTransactionEncodingCache:
         assert tx.signing_payload() == before_payload
         assert tx.content_hash() == before_hash
         assert tx.verify(KEY.public)
-        # The copy re-encodes from scratch; differential vs caches-off.
-        with configured(**ALL_OFF):
-            expected_payload = Transaction(
-                sender=tx.sender, contract=tx.contract, method=tx.method,
-                args=new_args, seq=tx.seq, tx_id=tx.tx_id).signing_payload()
-        assert mutated.signing_payload() == expected_payload
+        # The copy re-encodes from scratch.
+        assert mutated.signing_payload() == canonical_bytes(signed_content(tx, args=new_args))
         if new_args != tx.args:
             assert mutated.content_hash() != before_hash
             assert not mutated.verify(KEY.public)
@@ -83,6 +93,10 @@ class TestTransactionEncodingCache:
         tx = Transaction(sender="a", contract="c", method="m", args={}, seq=1)
         with pytest.raises(Exception):
             tx.replace(nonsense=1)
+
+
+def definitional_hash(header):
+    return sha256_hex(header.bytes_for_nonce(header.nonce))
 
 
 class TestHeaderEncodingCache:
@@ -95,9 +109,10 @@ class TestHeaderEncodingCache:
     @given(headers())
     @settings(max_examples=120, deadline=None)
     def test_cached_hash_equals_recompute(self, header):
-        cached = header.block_hash()
-        with configured(**ALL_OFF):
-            assert cached == header.block_hash()
+        expected = definitional_hash(header)
+        assert header.block_hash() == expected
+        assert header.block_hash() == expected  # memo hit
+        assert BlockHeader.from_dict(header.to_dict()).block_hash() == expected
 
     @given(headers(), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
@@ -105,25 +120,23 @@ class TestHeaderEncodingCache:
         header.block_hash()  # prime the memo
         header.nonce = nonce
         after_nonce = header.block_hash()
+        assert after_nonce == definitional_hash(header)
         header.merkle_root = header.merkle_root + "ff"
         after_root = header.block_hash()
-        with configured(**ALL_OFF):
-            # The memoised hashes track every in-place edit exactly.
-            assert after_root == header.block_hash()
-            header.merkle_root = header.merkle_root[:-2]
-            assert after_nonce == header.block_hash()
+        # The memoised hashes track every in-place edit exactly.
+        assert after_root == definitional_hash(header)
         assert after_nonce != after_root
+        header.merkle_root = header.merkle_root[:-2]
+        assert header.block_hash() == after_nonce
 
 
 class TestPowGrinding:
     @given(headers())
     @settings(max_examples=30, deadline=None)
     def test_parts_grinding_matches_generic_grinding(self, header):
-        generic = grind_nonce(header.bytes_for_nonce, difficulty_bits=6.0,
-                              max_attempts=5_000)
+        generic = grind_nonce(header.bytes_for_nonce, difficulty_bits=6.0, max_attempts=5_000)
         prefix, suffix = header.nonce_parts()
-        parts = grind_nonce_parts(prefix, suffix, difficulty_bits=6.0,
-                                  max_attempts=5_000)
+        parts = grind_nonce_parts(prefix, suffix, difficulty_bits=6.0, max_attempts=5_000)
         assert generic == parts
 
 
@@ -136,13 +149,34 @@ class TestMerkleAndLogs:
     @given(args_dicts)
     @settings(max_examples=60, deadline=None)
     def test_log_entry_cached_payload_and_hash(self, payload):
-        entry = LogEntry(correlation_id="c", entry_type=EntryType.PEP_IN,
-                         tenant="t", component="x", payload=payload,
-                         observed_at=0.0)
-        assert entry.canonical_payload() == canonical_bytes(payload)
-        assert entry.payload_hash() == hash_value(payload)
-        with configured(**ALL_OFF):
+        entry = LogEntry(
+            correlation_id="c",
+            entry_type=EntryType.PEP_IN,
+            tenant="t",
+            component="x",
+            payload=payload,
+            observed_at=0.0,
+        )
+        for _ in range(2):  # cold, then served from the memo
+            assert entry.canonical_payload() == canonical_bytes(payload)
             assert entry.payload_hash() == hash_value(payload)
+
+
+def pow_verify(key, message, signature):
+    """Schnorr verification as the scheme defines it, through the builtin ``pow``."""
+    p, q, g = schnorr._P, schnorr._Q, schnorr._G
+    if not (0 < signature.s < q) or signature.e <= 0:
+        return False
+    r = pow(g, signature.s, p) * pow(key.y, signature.e, p) % p
+    return schnorr._hash_to_int(hex(r).encode(), message) % q == signature.e
+
+
+def pow_sign(key, message):
+    """Schnorr signing as the scheme defines it, through the builtin ``pow``."""
+    p, q, g = schnorr._P, schnorr._Q, schnorr._G
+    k = key._nonce(message)
+    e = schnorr._hash_to_int(hex(pow(g, k, p)).encode(), message) % q or 1
+    return Signature(e=e, s=(k - key._x * e) % q)
 
 
 class TestSignatureFastPath:
@@ -150,65 +184,80 @@ class TestSignatureFastPath:
     @settings(max_examples=60, deadline=None)
     def test_fixed_base_sign_verify_matches_pow(self, message, seed):
         key = SigningKey.generate(seed)
-        fast_sig = key.sign(message)
-        assert key.public.verify(message, fast_sig)
-        with configured(**ALL_OFF):
-            slow_sig = key.sign(message)
-            assert slow_sig == fast_sig
-            assert key.public.verify(message, slow_sig)
+        signature = key.sign(message)
+        assert signature == pow_sign(key, message)
+        assert key.public.verify(message, signature)
+        assert pow_verify(key.public, message, signature)
+        assert schnorr._g_pow(signature.s) == pow(schnorr._G, signature.s, schnorr._P)
+        assert key.public._y_pow(signature.e) == pow(key.public.y, signature.e, schnorr._P)
 
     @given(st.integers(2**200, 2**400), st.integers(1, 2**40))
     @settings(max_examples=30, deadline=None)
     def test_oversized_forged_exponents_fall_back(self, e, s):
         # Forged signatures may carry exponents far beyond the table range;
-        # both paths must agree (normally: reject).
+        # the tables must agree with ``pow`` there too (normally: reject).
         sig = Signature(e=e, s=s)
-        fast = KEY.public.verify(b"msg", sig)
-        with configured(**ALL_OFF):
-            assert KEY.public.verify(b"msg", sig) == fast
+        assert KEY.public._y_pow(e) == pow(KEY.public.y, e, schnorr._P)
+        assert schnorr._g_pow(e) == pow(schnorr._G, e, schnorr._P)
+        assert KEY.public.verify(b"msg", sig) == pow_verify(KEY.public, b"msg", sig)
 
 
 class TestMempoolSizes:
-    @given(st.lists(transactions(signed=st.just(True)), max_size=10),
-           st.integers(1, 10), st.integers(50, 5_000))
+    @given(
+        st.lists(transactions(signed=st.just(True)), max_size=10),
+        st.integers(1, 10),
+        st.integers(50, 5_000),
+    )
     @settings(max_examples=60, deadline=None)
     def test_peek_with_cached_sizes_matches_recompute(self, txs, max_txs, max_bytes):
-        pool_fast, pool_slow = Mempool(), Mempool()
+        pool = Mempool()
         for tx in txs:
-            pool_fast.add(tx)
-            pool_slow.add(tx)
-        fast = [tx.tx_id for tx in pool_fast.peek(max_txs, max_bytes)]
-        with configured(**ALL_OFF):
-            slow = [tx.tx_id for tx in pool_slow.peek(max_txs, max_bytes)]
-        assert fast == slow
+            pool.add(tx)
+        # FIFO selection re-deriving every size from the canonical encoding.
+        expected, total = [], 0
+        for tx in pool.pending():
+            size = definitional_size(tx)
+            if len(expected) >= max_txs or total + size > max_bytes:
+                break
+            expected.append(tx.tx_id)
+            total += size
+        assert [tx.tx_id for tx in pool.peek(max_txs, max_bytes)] == expected
+
+
+class UncheckedKeyValueContract(KeyValueContract):
+    """Same code without the ``checked_invoke`` promise: runs on a deep copy."""
+
+    checked_invoke = False
 
 
 class TestEngineInPlace:
-    ops = st.lists(st.tuples(
-        st.sampled_from(["put", "get", "delete", "explode"]),
-        st.text(min_size=1, max_size=4), json_values), max_size=12)
+    ops = st.lists(
+        st.tuples(
+            st.sampled_from(["put", "get", "delete", "explode"]),
+            st.text(min_size=1, max_size=4),
+            json_values,
+        ),
+        max_size=12,
+    )
 
     @given(ops)
     @settings(max_examples=60, deadline=None)
     def test_in_place_execution_matches_deepcopy(self, operations):
-        def run():
+        def run(contract):
             registry = ContractRegistry()
-            registry.deploy(KeyValueContract())
+            registry.deploy(contract)
             engine = ContractEngine(registry)
             receipts = []
             for index, (method, key, value) in enumerate(operations):
-                ctx = ContractContext(block_height=1, block_timestamp=1.0,
-                                      sender="s", tx_id=f"tx-{index}")
-                receipt = engine.execute("kvstore", method,
-                                         {"key": key, "value": value}, ctx)
-                receipts.append((receipt.ok, receipt.error, receipt.result,
-                                 [e.to_dict() for e in receipt.events]))
+                ctx = ContractContext(
+                    block_height=1, block_timestamp=1.0, sender="s", tx_id=f"tx-{index}"
+                )
+                receipt = engine.execute("kvstore", method, {"key": key, "value": value}, ctx)
+                events = [e.to_dict() for e in receipt.events]
+                receipts.append((receipt.ok, receipt.error, receipt.result, events))
             return receipts, engine.state_of("kvstore")
 
-        fast = run()
-        with configured(**ALL_OFF):
-            slow = run()
-        assert fast == slow
+        assert run(KeyValueContract()) == run(UncheckedKeyValueContract())
 
 
 class TestChainVerificationCaches:
@@ -218,29 +267,38 @@ class TestChainVerificationCaches:
     CLIENT_KEY = SigningKey.generate(b"fastpath-client")
 
     def lookup(self, name):
-        return {self.MINER: self.MINER_KEY.public,
-                self.CLIENT: self.CLIENT_KEY.public}.get(name)
+        return {self.MINER: self.MINER_KEY.public, self.CLIENT: self.CLIENT_KEY.public}.get(name)
 
     def make_chain(self):
         registry = ContractRegistry()
         registry.deploy(KeyValueContract())
-        config = BlockchainConfig(chain_id="fp", difficulty_bits=8.0,
-                                  target_block_interval=1.0, retarget_window=0,
-                                  pow_mode="simulated", confirmations=2)
+        config = BlockchainConfig(
+            chain_id="fp",
+            difficulty_bits=8.0,
+            target_block_interval=1.0,
+            retarget_window=0,
+            pow_mode="simulated",
+            confirmations=2,
+        )
         return Blockchain(config, registry, key_lookup=self.lookup)
 
     def put_tx(self, seq, key="k", value=1):
-        return Transaction(sender=self.CLIENT, contract="kvstore", method="put",
-                           args={"key": key, "value": value}, seq=seq,
-                           tx_id=f"fp-tx-{seq}-{key}").sign(self.CLIENT_KEY)
+        tx = Transaction(
+            sender=self.CLIENT,
+            contract="kvstore",
+            method="put",
+            args={"key": key, "value": value},
+            seq=seq,
+            tx_id=f"fp-tx-{seq}-{key}",
+        )
+        return tx.sign(self.CLIENT_KEY)
 
     def fork(self, chain, parent, txs=(), timestamp=None):
         header = BlockHeader(
             height=parent.height + 1,
             prev_hash=parent.hash,
             merkle_root="",
-            timestamp=timestamp if timestamp is not None
-            else parent.header.timestamp + 1.0,
+            timestamp=timestamp if timestamp is not None else parent.header.timestamp + 1.0,
             difficulty_bits=chain.expected_difficulty(parent.hash),
             miner=self.MINER,
         )
@@ -249,32 +307,44 @@ class TestChainVerificationCaches:
         block.sign(self.MINER_KEY)
         return block
 
-    def run_reorg(self):
-        """Grow a branch, reorg to a competing one, replay state."""
-        chain = self.make_chain()
-        genesis = chain.head
-        a1 = self.fork(chain, genesis, txs=[self.put_tx(1, "a", 1)])
-        chain.add_block(a1)
-        b1 = self.fork(chain, genesis, txs=[self.put_tx(1, "b", 2)],
-                       timestamp=1.5)
-        chain.add_block(b1)
-        b2 = self.fork(chain, b1, txs=[self.put_tx(2, "c", 3)])
-        chain.add_block(b2)
-        return (chain.head.hash, chain.reorgs, chain.state_of("kvstore"),
-                sorted(chain._tx_locations),
-                [chain.confirmations(t) for t in sorted(chain._tx_locations)])
+    @staticmethod
+    def fingerprint(chain):
+        tx_ids = sorted(chain._tx_locations)
+        return (
+            chain.head.hash,
+            chain.reorgs,
+            chain.state_of("kvstore"),
+            tx_ids,
+            [chain.confirmations(tx_id) for tx_id in tx_ids],
+        )
 
     def test_reorg_replay_identical_with_and_without_caches(self):
-        fast = self.run_reorg()
-        with configured(**ALL_OFF):
-            slow = self.run_reorg()
-        assert fast == slow
-        assert fast[1] >= 1  # the reorg actually happened
+        # Warm replica: every transaction passes admission before its block
+        # arrives and the first block is this node's own template, so block
+        # validation is served from the verified-sets.
+        warm = self.make_chain()
+        genesis = warm.head
+        tx_a = self.put_tx(1, "a", 1)
+        tx_b = self.put_tx(1, "b", 2)
+        tx_c = self.put_tx(2, "c", 3)
+        assert all(warm.validate_transaction(tx) for tx in (tx_a, tx_b, tx_c))
+        a1 = warm.create_block(self.MINER, [tx_a], 1.0, signing_key=self.MINER_KEY)
+        warm.add_block(a1)
+        b1 = self.fork(warm, genesis, txs=[tx_b], timestamp=1.5)
+        warm.add_block(b1)
+        b2 = self.fork(warm, b1, txs=[tx_c])
+        warm.add_block(b2)
+        assert warm._verified_tx_keys and warm._merkle_verified
+        # Cold replica: the same blocks off the wire, nothing verified yet.
+        cold = self.make_chain()
+        for block in (a1, b1, b2):
+            cold.add_block(Block.from_dict(block.to_dict()))
+        assert self.fingerprint(warm) == self.fingerprint(cold)
+        assert warm.reorgs >= 1  # the reorg actually happened
 
     def test_tampered_body_rejected_despite_merkle_cache(self):
         chain = self.make_chain()
-        block = chain.create_block(self.MINER, [self.put_tx(1)], 1.0,
-                                   signing_key=self.MINER_KEY)
+        block = chain.create_block(self.MINER, [self.put_tx(1)], 1.0, signing_key=self.MINER_KEY)
         block.transactions = []  # body substitution after mining
         with pytest.raises(Exception):
             chain.add_block(block)
@@ -284,8 +354,7 @@ class TestChainVerificationCaches:
         tx = self.put_tx(1)
         assert chain.validate_transaction(tx)  # primes the verified-set
         tampered = tx.replace(args={"key": "k", "value": 999})
-        block = chain.create_block(self.MINER, [tampered], 1.0,
-                                   signing_key=self.MINER_KEY)
+        block = chain.create_block(self.MINER, [tampered], 1.0, signing_key=self.MINER_KEY)
         with pytest.raises(Exception):
             chain.add_block(block)
 
@@ -302,15 +371,24 @@ class TestAuditBurstBlockLimits:
         max_block_bytes = 24_000
         config = DramsConfig(
             chain=BlockchainConfig(
-                chain_id="burst-chain", difficulty_bits=10.0,
-                target_block_interval=0.5, retarget_window=0,
-                max_block_txs=max_block_txs, max_block_bytes=max_block_bytes,
-                pow_mode="simulated", confirmations=2),
-            timeout_blocks=10, tick_interval=1.0,
-            analyser_sweep_interval=1.0, node_hashrate=1024.0, use_tpm=False)
-        stack = MonitoredFederation.build(audit_burst_scenario(), clouds=2,
-                                          seed=42, with_drams=True,
-                                          drams_config=config)
+                chain_id="burst-chain",
+                difficulty_bits=10.0,
+                target_block_interval=0.5,
+                retarget_window=0,
+                max_block_txs=max_block_txs,
+                max_block_bytes=max_block_bytes,
+                pow_mode="simulated",
+                confirmations=2,
+            ),
+            timeout_blocks=10,
+            tick_interval=1.0,
+            analyser_sweep_interval=1.0,
+            node_hashrate=1024.0,
+            use_tpm=False,
+        )
+        stack = MonitoredFederation.build(
+            audit_burst_scenario(), clouds=2, seed=42, with_drams=True, drams_config=config
+        )
         stack.start()
         stack.issue_requests(80)
         stack.run(until=40.0)
@@ -333,16 +411,14 @@ class TestAuditBurstBlockLimits:
 
 class TestCompiledOracle:
     def test_compiled_matches_interpreter_on_all_scenarios(self):
-        from repro.analysis.semantics import DecisionOracle
+        from repro.analysis.semantics import DecisionOracle, evaluate_document
         from repro.common.rng import SeededRng
         from repro.workload.generator import RequestGenerator
         from repro.workload.scenarios import all_scenarios
 
         for scenario in all_scenarios():
-            compiled = DecisionOracle(scenario.policy_document, compiled=True)
-            interpreted = DecisionOracle(scenario.policy_document, compiled=False)
-            generator = RequestGenerator(scenario.workload,
-                                         SeededRng(11, "oracle-diff"))
+            oracle = DecisionOracle(scenario.policy_document)
+            generator = RequestGenerator(scenario.workload, SeededRng(11, "oracle-diff"))
             for generated in generator.requests(80):
                 request = {
                     "subject": {k: [v] for k, v in generated.subject.items()},
@@ -350,15 +426,5 @@ class TestCompiledOracle:
                     "action": {k: [v] for k, v in generated.action.items()},
                     "environment": {"origin-tenant": ["tenant-1"]},
                 }
-                assert (compiled.expected_decision(request)
-                        == interpreted.expected_decision(request)), (
-                    f"oracle divergence on {scenario.name}: {request}")
-
-    def test_flag_controls_default_mode(self):
-        from repro.analysis.semantics import DecisionOracle
-        from repro.workload.scenarios import healthcare_scenario
-
-        document = healthcare_scenario().policy_document
-        assert DecisionOracle(document).compiled is FLAGS.compiled_oracle
-        with configured(compiled_oracle=False):
-            assert DecisionOracle(document).compiled is False
+                expected = evaluate_document(scenario.policy_document, request)
+                assert oracle.expected_decision(request) == expected, (scenario.name, request)
