@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.common.errors import ValidationError
+from repro.common.errors import CryptoError, ValidationError
 from repro.common.serialization import canonical_bytes, canonical_json
 from repro.crypto.hashing import sha256_hex
 from repro.crypto.merkle import MerkleTree
@@ -119,6 +119,9 @@ class BlockHeader:
     @classmethod
     def from_dict(cls, data: dict) -> "BlockHeader":
         try:
+            names = [data[name] for name in ("prev_hash", "merkle_root", "miner")]
+            if not all(isinstance(name, str) for name in names):
+                raise TypeError("prev_hash, merkle_root and miner must be strings")
             return cls(
                 height=int(data["height"]),
                 prev_hash=data["prev_hash"],
@@ -128,7 +131,7 @@ class BlockHeader:
                 miner=data["miner"],
                 nonce=int(data["nonce"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed block header: {exc}") from exc
 
 
@@ -172,7 +175,10 @@ class Block:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Block":
+        """Decode the wire form; any malformed input is a :class:`ValidationError`."""
         try:
+            if not isinstance(data, dict):
+                raise TypeError("block must be an object")
             signature = (
                 Signature.from_dict(data["miner_signature"])
                 if data.get("miner_signature")
@@ -183,7 +189,7 @@ class Block:
                 transactions=[Transaction.from_dict(tx) for tx in data["transactions"]],
                 miner_signature=signature,
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, CryptoError) as exc:
             raise ValidationError(f"malformed block: {exc}") from exc
 
 

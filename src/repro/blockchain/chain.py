@@ -5,11 +5,11 @@ branch), ties broken by lowest tip hash, so all honest nodes converge on the
 same head given the same block set.
 
 Contract state is maintained incrementally while blocks extend the current
-head; a reorganisation resets the engine and replays the winning branch from
-genesis (chains in DRAMS experiments are short enough that simplicity wins
-over snapshot bookkeeping).  Contract events emitted by newly applied blocks
-are pushed to subscribers — this is how security alerts produced by the
-monitor contract reach the Logging Interfaces.
+head; a reorganisation restores the deepest state snapshot still on the
+winning branch (one is taken every ``SNAPSHOT_INTERVAL`` blocks, genesis
+always has one) and replays from there.  Contract events emitted by newly
+applied blocks are pushed to subscribers — this is how security alerts
+produced by the monitor contract reach the Logging Interfaces.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from repro.blockchain.transaction import Transaction
 
 EventSubscriber = Callable[[ContractEvent, str], None]
 KeyLookup = Callable[[str], Optional[VerifyingKey]]
+#: Content keys of cryptographic checks that passed; see ``Blockchain.__init__``.
+VerifiedSet = set[tuple]
 
 
 class ChainValidationError(ValidationError):
@@ -74,7 +76,7 @@ class Blockchain:
     #: Per-block Merkle trees memoised for proof service; receipts cluster
     #: on recent blocks, so a handful of trees covers nearly every request.
     PROOF_TREE_CACHE = 32
-    #: Verified-set entries kept before a cache resets.  A reset is always
+    #: Verified-set entries kept before the set resets.  A reset is always
     #: safe — the next validation simply re-verifies — so this just bounds
     #: memory on very long runs (cf. the LRU bound on the decision cache).
     VERIFY_CACHE_LIMIT = 200_000
@@ -85,6 +87,7 @@ class Blockchain:
         registry: ContractRegistry,
         key_lookup: Optional[KeyLookup] = None,
         require_signatures: bool = True,
+        verified: Optional[VerifiedSet] = None,
     ) -> None:
         self.config = config
         self.registry = registry
@@ -111,16 +114,19 @@ class Blockchain:
         self._snapshots: dict[str, _Snapshot] = {}
         self._orphaned_txs: dict[str, Transaction] = {}
         self._proof_trees: dict[str, MerkleTree] = {}
-        # Once-per-node verification caches: a signature or a block body
-        # is cryptographically checked at most once per chain replica,
-        # however many admission checks, block validations or block
-        # templates revisit it.  Keys commit to the full verified
-        # content (content hash + signature values + verifying key for
-        # transactions; block hash + body leaf hashes for Merkle roots),
-        # so a cache hit proves the exact bytes were already checked —
-        # tampering with a cached object always misses the cache.
-        self._verified_tx_keys: set[tuple] = set()
-        self._merkle_verified: set[tuple] = set()
+        # Verify once per deployment: ``DramsSystem._deploy`` hands every
+        # replica the same set, the way it shares the registry (a replica
+        # given none starts cold), so a signature or block body is checked
+        # once however many replicas, admissions or templates revisit it.
+        # A hit is sound wherever it was written: each check is a pure
+        # function, its key holds every input (content hash, signature
+        # values, verifying key for a transaction; block hash, signature
+        # values, miner key for a miner signature; block hash, body leaf
+        # hashes for a Merkle root), and only this class writes a key, in
+        # the call where the check passed (``create_block`` records the
+        # root it just derived).  Failures are never cached; a tampered
+        # copy, forged signature or substituted key always misses.
+        self._verified: VerifiedSet = verified if verified is not None else set()
         self.reorgs = 0
         self.rejected_blocks = 0
         self._take_snapshot(self.genesis.hash, 0)
@@ -261,11 +267,10 @@ class Blockchain:
             )
         if header.timestamp < parent.header.timestamp:
             raise ChainValidationError("timestamp decreases along the chain")
-        merkle_key = self._merkle_key(block)
-        if merkle_key not in self._merkle_verified:
-            if block.compute_merkle_root() != header.merkle_root:
-                raise ChainValidationError("merkle root does not match block body")
-            self._remember_verified(self._merkle_verified, merkle_key)
+        if not self._passes_once(
+            self._merkle_key(block), lambda: block.compute_merkle_root() == header.merkle_root
+        ):
+            raise ChainValidationError("merkle root does not match block body")
         if len(block.transactions) > self.config.max_block_txs:
             raise ChainValidationError("too many transactions in block")
         if block.body_size_bytes() > self.config.max_block_bytes:
@@ -283,21 +288,39 @@ class Blockchain:
                 raise ChainValidationError(f"duplicate tx in block: {tx.tx_id}")
             seen_tx_ids.add(tx.tx_id)
             self._validate_tx_signature(tx)
-        if self.require_signatures:
-            miner_key = self.key_lookup(header.miner) if self.key_lookup else None
-            if miner_key is None or not block.verify_miner_signature(miner_key):
-                raise ChainValidationError(f"bad miner signature from {header.miner}")
+        if self.require_signatures and not self._miner_signature_passes(block):
+            raise ChainValidationError(f"bad miner signature from {header.miner}")
+
+    def _miner_signature_passes(self, block: Block) -> bool:
+        key = self.key_lookup(block.header.miner) if self.key_lookup else None
+        signature = block.miner_signature
+        if key is None or signature is None:
+            return False
+        cache_key = ("miner", block.hash, signature.e, signature.s, key.y)
+        return self._passes_once(cache_key, lambda: block.verify_miner_signature(key))
 
     @staticmethod
     def _merkle_key(block: Block) -> tuple:
         """Verified-set key: header hash plus the body's (cached) leaves."""
-        return (block.hash, tuple(tx.content_hash() for tx in block.transactions))
+        return ("merkle", block.hash, tuple(tx.content_hash() for tx in block.transactions))
 
-    def _remember_verified(self, verified: set[tuple], key: tuple) -> None:
+    def _passes_once(self, key: tuple, check: Callable[[], bool]) -> bool:
+        """``check()``, not re-run once it has passed for ``key``.
+
+        ``key`` must hold every input of ``check``, which must be pure.
+        """
+        if key in self._verified:
+            return True
+        if not check():
+            return False
+        self._remember_verified(key)
+        return True
+
+    def _remember_verified(self, key: tuple) -> None:
         """Record a verified-set entry, resetting the set when it is full."""
-        if len(verified) >= self.VERIFY_CACHE_LIMIT:
-            verified.clear()
-        verified.add(key)
+        if len(self._verified) >= self.VERIFY_CACHE_LIMIT:
+            self._verified.clear()
+        self._verified.add(key)
 
     def _validate_tx_signature(self, tx: Transaction) -> None:
         if not self.require_signatures:
@@ -305,15 +328,12 @@ class Blockchain:
         key = self.key_lookup(tx.sender) if self.key_lookup else None
         if key is None:
             raise ChainValidationError(f"unknown transaction sender {tx.sender!r}")
-        cache_key = None
-        if tx.signature is not None:
-            cache_key = (tx.content_hash(), tx.signature.e, tx.signature.s, key.y)
-            if cache_key in self._verified_tx_keys:
+        signature = tx.signature
+        if signature is not None:
+            cache_key = ("tx", tx.content_hash(), signature.e, signature.s, key.y)
+            if self._passes_once(cache_key, lambda: tx.verify(key)):
                 return
-        if not tx.verify(key):
-            raise ChainValidationError(f"invalid signature on tx {tx.tx_id}")
-        if cache_key is not None:
-            self._remember_verified(self._verified_tx_keys, cache_key)
+        raise ChainValidationError(f"invalid signature on tx {tx.tx_id}")
 
     def validate_transaction(self, tx: Transaction) -> bool:
         """Admission check used by mempools (signature + not already final)."""
@@ -489,7 +509,7 @@ class Blockchain:
             block.sign(signing_key)
         # The miner just derived the root from this very body; its own
         # validation pass need not recompute it.
-        self._remember_verified(self._merkle_verified, self._merkle_key(block))
+        self._remember_verified(self._merkle_key(block))
         return block
 
     def collect_block_txs(self, mempool: Mempool) -> list[Transaction]:

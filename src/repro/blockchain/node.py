@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.common.errors import ValidationError
 from repro.common.rng import SeededRng
 from repro.crypto.signatures import SigningKey
 from repro.simnet.network import Host, Message, Network
 from repro.simnet.simulator import Event
 from repro.blockchain.block import Block
-from repro.blockchain.chain import Blockchain, ChainValidationError, KeyLookup
+from repro.blockchain.chain import Blockchain, ChainValidationError, KeyLookup, VerifiedSet
 from repro.blockchain.config import BlockchainConfig
 from repro.blockchain.contracts import ContractRegistry
 from repro.blockchain.mempool import Mempool
@@ -39,10 +40,12 @@ class BlockchainNode(Host):
                  registry: ContractRegistry, rng: SeededRng,
                  key_lookup: Optional[KeyLookup] = None,
                  signing_key: Optional[SigningKey] = None,
-                 hashrate: float = 1e6, mine: bool = True) -> None:
+                 hashrate: float = 1e6, mine: bool = True,
+                 verified: Optional[VerifiedSet] = None) -> None:
         super().__init__(network, address)
         self.chain = Blockchain(config, registry, key_lookup=key_lookup,
-                                require_signatures=key_lookup is not None)
+                                require_signatures=key_lookup is not None,
+                                verified=verified)
         self.mempool = Mempool()
         self.rng = rng.fork(f"node/{address}")
         self.signing_key = signing_key
@@ -51,6 +54,8 @@ class BlockchainNode(Host):
         self.peers: list[str] = []
         self.blocks_mined = 0
         self.invalid_blocks_seen = 0
+        #: ``bc_tx``/``bc_block`` messages dropped at the decode boundary.
+        self.malformed_messages_seen = 0
         self._seen_txs: set[str] = set()
         self._seen_blocks: set[str] = {self.chain.genesis.hash}
         self._requested_parents: set[str] = set()
@@ -166,11 +171,11 @@ class BlockchainNode(Host):
 
     # -- gossip ----------------------------------------------------------------
 
-    def _gossip(self, kind: str, payload: dict, exclude: Optional[str] = None) -> None:
-        for peer in self.peers:
-            if peer == exclude:
-                continue
-            self.send(peer, kind, payload)
+    def _gossip(self, kind: str, payload: dict, relayed: Optional[Message] = None) -> None:
+        """Flood ``payload`` to every peer but the one it was ``relayed`` from."""
+        source = relayed.src if relayed is not None else None
+        self.network.multicast(self.address, [p for p in self.peers if p != source],
+                               kind, payload, relayed=relayed)
 
     def receive(self, message: Message) -> None:
         if message.kind == "bc_tx":
@@ -189,17 +194,25 @@ class BlockchainNode(Host):
             self._handle_proof_request(message)
 
     def _handle_tx(self, message: Message) -> None:
-        tx = Transaction.from_dict(message.payload)
+        try:
+            tx = Transaction.from_dict(message.payload)
+        except ValidationError:
+            self.malformed_messages_seen += 1
+            return
         if tx.tx_id in self._seen_txs:
             return
         self._seen_txs.add(tx.tx_id)
         if not self.chain.validate_transaction(tx):
             return
         if self.mempool.add(tx):
-            self._gossip("bc_tx", message.payload, exclude=message.src)
+            self._gossip("bc_tx", message.payload, relayed=message)
 
     def _handle_block(self, message: Message) -> None:
-        block = Block.from_dict(message.payload)
+        try:
+            block = Block.from_dict(message.payload)
+        except ValidationError:
+            self.malformed_messages_seen += 1
+            return
         if block.hash in self._seen_blocks:
             return
         self._seen_blocks.add(block.hash)
@@ -215,8 +228,7 @@ class BlockchainNode(Host):
             return
         # Relay the wire payload we already hold instead of re-serialising
         # the block (the gossip dict is content-identical either way).
-        self._accept_block(block, relay_exclude=message.src,
-                           payload=message.payload)
+        self._accept_block(block, relayed=message)
 
     def _handle_block_request(self, message: Message) -> None:
         block = self.chain.get_block(message.payload.get("hash", ""))
@@ -307,8 +319,7 @@ class BlockchainNode(Host):
         if self.mining_enabled:
             self._reschedule_mining()
 
-    def _accept_block(self, block: Block, relay_exclude: Optional[str] = None,
-                      payload: Optional[dict] = None) -> None:
+    def _accept_block(self, block: Block, relayed: Optional[Message] = None) -> None:
         old_head = self.chain.head.hash
         self._requested_parents.discard(block.hash)
         try:
@@ -326,8 +337,8 @@ class BlockchainNode(Host):
                                   "included",
                                   attrs={"height": block.header.height},
                                   strict=False)
-        self._gossip("bc_block", payload if payload is not None else block.to_dict(),
-                     exclude=relay_exclude)
+        self._gossip("bc_block", relayed.payload if relayed is not None else block.to_dict(),
+                     relayed=relayed)
         # Reconnect any orphan waiting on this block.
         child = self._orphans.pop(block.hash, None)
         if child is not None and child.hash not in self._seen_blocks:

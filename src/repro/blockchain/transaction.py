@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.common.errors import ValidationError
+from repro.common.errors import CryptoError, ValidationError
 from repro.common.ids import new_id
 from repro.common.serialization import canonical_bytes
 from repro.crypto.hashing import sha256_hex
@@ -134,7 +134,13 @@ class Transaction:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Transaction":
+        """Decode the wire form; any malformed input is a :class:`ValidationError`."""
         try:
+            if not isinstance(data, dict) or not isinstance(data["args"], dict):
+                raise TypeError("transaction and its args must be objects")
+            names = [data[name] for name in ("sender", "contract", "method", "tx_id")]
+            if not all(isinstance(name, str) for name in names):
+                raise TypeError("sender, contract, method and tx_id must be strings")
             signature = Signature.from_dict(data["signature"]) if data.get("signature") else None
             return cls(
                 sender=data["sender"],
@@ -146,5 +152,5 @@ class Transaction:
                 submitted_at=float(data.get("submitted_at", 0.0)),
                 signature=signature,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, CryptoError) as exc:
             raise ValidationError(f"malformed transaction: {exc}") from exc

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.blockchain.chain import VerifiedSet
 from repro.blockchain.config import BlockchainConfig
 from repro.blockchain.contracts import ContractRegistry
 from repro.blockchain.node import BlockchainNode
@@ -187,6 +188,10 @@ class DramsSystem:
             expected_entries=tuple(self.config.expected_entries),
             enable_leg_matching=self.config.enable_leg_matching,
         ))
+        # One verified-set for the whole deployment: a signature or Merkle
+        # root checked by one replica is not re-checked by the others (the
+        # soundness argument is in ``Blockchain.__init__``).
+        verified: VerifiedSet = set()
         tenant_names = [t.name for t in self.federation.member_tenants]
         tenant_names.append(self.federation.infrastructure_tenant.name)
 
@@ -200,7 +205,8 @@ class DramsSystem:
             node = BlockchainNode(
                 self.federation.network, node_address, self.config.chain,
                 registry, self.federation.rng, key_lookup=self._key_lookup,
-                signing_key=node_key, hashrate=self.config.node_hashrate)
+                signing_key=node_key, hashrate=self.config.node_hashrate,
+                verified=verified)
             tenant.register_host(node_address)
             tpm = None
             if self.config.use_tpm:
@@ -228,7 +234,8 @@ class DramsSystem:
         analyser_node = BlockchainNode(
             self.federation.network, analyser_node_address, self.config.chain,
             registry, self.federation.rng, key_lookup=self._key_lookup,
-            signing_key=analyser_node_key, hashrate=self.config.node_hashrate)
+            signing_key=analyser_node_key, hashrate=self.config.node_hashrate,
+            verified=verified)
         infra.register_host(analyser_node_address)
         analyser_kwargs = dict(
             signing_key=analyser_key, federation_key=self.federation_key,

@@ -51,10 +51,11 @@ class Message:
     def size_bytes(self) -> int:
         """Wire size estimate — canonical encoding length plus header.
 
-        The network sizes each message twice (wire stats and latency
-        sampling), and gossip fans the same payload out to every peer, so
-        the encoding is memoised per message; payloads are treated as
-        frozen once handed to :meth:`Network.send`.
+        A payload is frozen once handed to :meth:`Network.send`, so it is
+        sized once, where it enters the network: the first message carrying
+        it encodes it, and the fabric hands that integer to every later
+        message carrying the same object (the rest of a
+        :meth:`Network.multicast` fan-out, each relay hop).
         """
         size = getattr(self, "_size_cache", None)
         if size is None:
@@ -141,8 +142,9 @@ class Host:
         """This host's possibly-skewed view of the current time."""
         return self.sim.now + self.clock_offset
 
-    def send(self, dst: str, kind: str, payload: Any,
-             msg_id: Optional[str] = None) -> Optional[Message]:
+    def send(
+        self, dst: str, kind: str, payload: Any, msg_id: Optional[str] = None
+    ) -> Optional[Message]:
         """Send a message; returns it, or None if it was dropped/partitioned.
 
         ``msg_id`` overrides the minted message id.  Sideband components
@@ -166,8 +168,9 @@ class Network:
     symmetric and dynamic: experiments heal or create them mid-run.
     """
 
-    def __init__(self, sim: Simulator, rng: SeededRng,
-                 default_latency: LatencyModel | None = None) -> None:
+    def __init__(
+        self, sim: Simulator, rng: SeededRng, default_latency: LatencyModel | None = None
+    ) -> None:
         self.sim = sim
         self.rng = rng.fork("network")
         self.default_latency = default_latency or ConstantLatency(0.001)
@@ -211,8 +214,7 @@ class Network:
     def is_attached(self, address: str) -> bool:
         return address in self._hosts
 
-    def set_latency(self, src: str, dst: str, model: LatencyModel,
-                    symmetric: bool = True) -> None:
+    def set_latency(self, src: str, dst: str, model: LatencyModel, symmetric: bool = True) -> None:
         """Override latency for the (src, dst) pair (and reverse if symmetric)."""
         self._latency_overrides[(src, dst)] = model
         if symmetric:
@@ -223,8 +225,7 @@ class Network:
             raise ValueError(f"drop rate must be in [0,1], got {rate}")
         self._drop_rate = rate
 
-    def partition(self, group_a: list[str], group_b: list[str],
-                  symmetric: bool = True) -> None:
+    def partition(self, group_a: list[str], group_b: list[str], symmetric: bool = True) -> None:
         """Block traffic between the two host groups.
 
         Symmetric partitions (the default) sever both directions;
@@ -258,24 +259,37 @@ class Network:
 
     # -- per-link fault profiles ------------------------------------------------
 
-    def set_link_fault(self, src: str, dst: str, *, loss: float = 0.0,
-                       duplicate: float = 0.0, reorder_jitter: float = 0.0,
-                       extra_latency: float = 0.0,
-                       symmetric: bool = False) -> LinkFault:
+    def set_link_fault(
+        self,
+        src: str,
+        dst: str,
+        *,
+        loss: float = 0.0,
+        duplicate: float = 0.0,
+        reorder_jitter: float = 0.0,
+        extra_latency: float = 0.0,
+        symmetric: bool = False,
+    ) -> LinkFault:
         """Install an adversarial delivery profile on the src->dst link.
 
         Returns the (forward-direction) :class:`LinkFault` so callers can
         read its drop/duplicate counters afterwards.
         """
-        fault = LinkFault(loss=loss, duplicate=duplicate,
-                          reorder_jitter=reorder_jitter,
-                          extra_latency=extra_latency)
+        fault = LinkFault(
+            loss=loss,
+            duplicate=duplicate,
+            reorder_jitter=reorder_jitter,
+            extra_latency=extra_latency,
+        )
         fault.validate()
         self._link_faults[(src, dst)] = fault
         if symmetric:
-            reverse = LinkFault(loss=loss, duplicate=duplicate,
-                                reorder_jitter=reorder_jitter,
-                                extra_latency=extra_latency)
+            reverse = LinkFault(
+                loss=loss,
+                duplicate=duplicate,
+                reorder_jitter=reorder_jitter,
+                extra_latency=extra_latency,
+            )
             self._link_faults[(dst, src)] = reverse
         return fault
 
@@ -296,19 +310,32 @@ class Network:
     def _latency_for(self, src: str, dst: str) -> LatencyModel:
         return self._latency_overrides.get((src, dst), self.default_latency)
 
-    def send(self, src: str, dst: str, kind: str, payload: Any,
-             msg_id: Optional[str] = None) -> Optional[Message]:
+    def send(
+        self,
+        src: str,
+        dst: str,
+        kind: str,
+        payload: Any,
+        msg_id: Optional[str] = None,
+        *,
+        sized: Optional[Message] = None,
+    ) -> Optional[Message]:
+        """Send one message; the size of ``sized`` is copied if it carries this very payload."""
         if src not in self._hosts:
             raise NetworkError(f"unknown source host: {src}")
         if msg_id is None:
-            message = Message(src=src, dst=dst, kind=kind, payload=payload,
-                              sent_at=self.sim.now)
+            message = Message(src=src, dst=dst, kind=kind, payload=payload, sent_at=self.sim.now)
         else:
-            message = Message(src=src, dst=dst, kind=kind, payload=payload,
-                              msg_id=msg_id, sent_at=self.sim.now)
+            message = Message(
+                src=src, dst=dst, kind=kind, payload=payload, msg_id=msg_id, sent_at=self.sim.now
+            )
+        if sized is not None and sized.payload is payload:
+            size = message._size_cache = sized.size_bytes()
+        else:
+            size = message.size_bytes()
         self.stats.sent += 1
         self.stats.by_kind[kind] = self.stats.by_kind.get(kind, 0) + 1
-        self.stats.bytes_sent += message.size_bytes()
+        self.stats.bytes_sent += size
         if self.telemetry is not None:
             message.trace = self.telemetry.current
         for tap in self._taps:
@@ -327,7 +354,7 @@ class Network:
             fault.dropped += 1
             self.stats.dropped += 1
             return None
-        delay = self._transit_delay(src, dst, message, fault)
+        delay = self._transit_delay(src, dst, size, fault)
         # Bind the delivery to the destination's current incarnation: a
         # crash (detach) or crash+restart (re-attach) between now and the
         # delivery time invalidates every message already in flight.
@@ -341,8 +368,8 @@ class Network:
                 if self.telemetry is not None and message.trace is not None:
                     # The trace sees the loss even though no host does.
                     self.telemetry.instant(
-                        "net.dropped_dead", dst, context=message.trace,
-                        attrs={"kind": message.kind})
+                        "net.dropped_dead", dst, context=message.trace, attrs={"kind": message.kind}
+                    )
                 return
             if self.is_partitioned(src, dst):
                 self.stats.dropped += 1
@@ -355,35 +382,41 @@ class Network:
                 host.receive(message)
 
         self.sim.schedule(delay, deliver, label=f"deliver:{kind}:{src}->{dst}")
-        if fault is not None and fault.duplicate > 0 and \
-                self.rng.random() < fault.duplicate:
+        if fault is not None and fault.duplicate > 0 and self.rng.random() < fault.duplicate:
             # At-least-once delivery: a second, independently-delayed copy
             # of the same message (same msg_id — receivers must be
             # idempotent, which the adversarial-delivery tests pin).
             fault.duplicated += 1
             self.stats.duplicated += 1
-            dup_delay = self._transit_delay(src, dst, message, fault)
-            self.sim.schedule(dup_delay, deliver,
-                              label=f"deliver-dup:{kind}:{src}->{dst}")
+            dup_delay = self._transit_delay(src, dst, size, fault)
+            self.sim.schedule(dup_delay, deliver, label=f"deliver-dup:{kind}:{src}->{dst}")
         return message
 
-    def _transit_delay(self, src: str, dst: str, message: Message,
-                       fault: Optional[LinkFault]) -> float:
-        delay = self._latency_for(src, dst).sample(self.rng, message.size_bytes())
+    def _transit_delay(self, src: str, dst: str, size: int, fault: Optional[LinkFault]) -> float:
+        delay = self._latency_for(src, dst).sample(self.rng, size)
         if fault is not None:
             delay += fault.extra_latency
             if fault.reorder_jitter > 0:
                 delay += self.rng.uniform(0.0, fault.reorder_jitter)
         return delay
 
-    def broadcast(self, src: str, kind: str, payload: Any,
-                  exclude: set[str] | None = None) -> int:
+    def multicast(
+        self, src: str, dsts: list[str], kind: str, payload: Any, relayed: Optional[Message] = None
+    ) -> None:
+        """Send one frozen payload to each of ``dsts``, sizing it once.
+
+        ``relayed`` is the message it arrived in, if the sender is passing it
+        on; otherwise an envelope that is never sent (and mints no id) sizes it.
+        """
+        sized = relayed
+        if sized is None or sized.payload is not payload:
+            sized = Message(src=src, dst="*", kind=kind, payload=payload, msg_id="")
+        for dst in dsts:
+            self.send(src, dst, kind, payload, sized=sized)
+
+    def broadcast(self, src: str, kind: str, payload: Any, exclude: set[str] | None = None) -> int:
         """Send to every attached host except ``src`` and ``exclude``; returns count."""
         skip = {src} | (exclude or set())
-        count = 0
-        for address in sorted(self._hosts):
-            if address in skip:
-                continue
-            self.send(src, address, kind, payload)
-            count += 1
-        return count
+        dsts = [address for address in sorted(self._hosts) if address not in skip]
+        self.multicast(src, dsts, kind, payload)
+        return len(dsts)

@@ -1,0 +1,142 @@
+"""The gossip decode boundary: malformed wire input is rejected, typed, and harmless.
+
+``Transaction.from_dict`` and ``Block.from_dict`` are where bytes from
+other tenants become objects.  Whatever JSON-shaped value arrives, they
+raise :class:`ValidationError` and nothing else, and a node handed such a
+``bc_tx``/``bc_block`` message drops it, counts it and keeps its state.
+"""
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.blockchain.block import Block
+from repro.blockchain.transaction import Transaction
+from repro.common.errors import ValidationError
+from repro.simnet.network import Message
+from tests.strategies import json_values, transactions
+from tests.test_verify_once import alice_tx, build_cluster
+
+DECODERS = {"bc_tx": Transaction.from_dict, "bc_block": Block.from_dict}
+
+# JSON admits integers no float can hold; the decoders call float() and int().
+wire_values = st.one_of(json_values, st.just(10**400), st.just(-(10**400)))
+
+
+def genuine_block_dict():
+    _sim, _net, (node, *_), keys = build_cluster(n=1)
+    txs = [alice_tx(seq) for seq in (1, 2)]
+    return node.chain.create_block("n0", txs, 1.0, signing_key=keys["n0"]).to_dict()
+
+
+BLOCK_DICT = genuine_block_dict()
+
+
+@st.composite
+def mutated(draw, document):
+    """``document`` with one value, somewhere inside it, replaced or removed."""
+    document = draw(document) if isinstance(document, st.SearchStrategy) else document
+
+    def mutate(value):
+        if isinstance(value, dict) and value and draw(st.booleans()):
+            key = draw(st.sampled_from(sorted(value)))
+            if draw(st.integers(0, 4)) == 0:
+                return {k: v for k, v in value.items() if k != key}
+            return {**value, key: mutate(value[key])}
+        if isinstance(value, list) and value and draw(st.booleans()):
+            index = draw(st.integers(0, len(value) - 1))
+            return value[:index] + [mutate(value[index])] + value[index + 1 :]
+        return draw(wire_values)
+
+    return mutate(document)
+
+
+def decodes(kind, payload):
+    """True if ``payload`` decodes; the only permitted failure is ValidationError."""
+    try:
+        DECODERS[kind](payload)
+    except ValidationError:
+        return False
+    return True
+
+
+def node_state(node, net):
+    return (
+        set(node._seen_txs),
+        set(node._seen_blocks),
+        [tx.tx_id for tx in node.mempool.pending()],
+        dict(node._orphans),
+        node.chain.head.hash,
+        node.chain.block_count(),
+        net.stats.sent,
+    )
+
+
+def deliver(kind, payload):
+    """Hand one gossip message to a fresh node; returns what must hold afterwards."""
+    _sim, net, (node, _peer), _keys = build_cluster(n=2, verified=set())
+    before = node_state(node, net)
+    well_formed = decodes(kind, payload)
+    node.receive(Message(src="n1", dst="n0", kind=kind, payload=payload, msg_id="fuzz"))
+    if not well_formed:
+        assert node_state(node, net) == before
+        assert node.chain._verified == set()
+    assert node.malformed_messages_seen == (0 if well_formed else 1)
+    return well_formed
+
+
+class TestIssueCases:
+    def test_bad_signature_encoding_is_a_validation_error(self):
+        data = alice_tx().to_dict()
+        data["signature"] = {"e": "zz"}
+        with pytest.raises(ValidationError):
+            Transaction.from_dict(data)
+        block = dict(BLOCK_DICT, miner_signature={"e": "zz", "s": "0x1"})
+        with pytest.raises(ValidationError):
+            Block.from_dict(block)
+
+    @pytest.mark.parametrize("payload", [[], ["tx"], "tx", 7, None, {"args": []}])
+    def test_non_object_payloads_are_validation_errors(self, payload):
+        for decode in DECODERS.values():
+            with pytest.raises(ValidationError):
+                decode(payload)
+
+    @pytest.mark.parametrize("kind", sorted(DECODERS))
+    def test_node_drops_and_counts_a_malformed_message(self, kind):
+        assert not deliver(kind, ["not", "an", "object"])
+        assert not deliver(kind, {"signature": {"e": "zz"}, "miner_signature": {"e": "zz"}})
+
+    def test_genuine_messages_still_get_through(self):
+        assert deliver("bc_tx", alice_tx().to_dict())
+        assert deliver("bc_block", BLOCK_DICT)
+
+
+class TestDecodeFuzz:
+    @given(wire_values)
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_json_raises_only_validation_error(self, data):
+        for kind in DECODERS:
+            decodes(kind, data)
+
+    @given(mutated(transactions().map(Transaction.to_dict)))
+    @example({**alice_tx().to_dict(), "submitted_at": 10**400})
+    @example({**alice_tx().to_dict(), "tx_id": ["unhashable"]})
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_transaction_raises_only_validation_error(self, data):
+        decodes("bc_tx", data)
+
+    @given(mutated(BLOCK_DICT))
+    @example({**BLOCK_DICT, "header": {**BLOCK_DICT["header"], "nonce": float("inf")}})
+    @example({**BLOCK_DICT, "header": {**BLOCK_DICT["header"], "prev_hash": ["unhashable"]}})
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_block_raises_only_validation_error(self, data):
+        decodes("bc_block", data)
+
+    @given(st.sampled_from(sorted(DECODERS)), st.one_of(wire_values, mutated(BLOCK_DICT)))
+    @settings(max_examples=60, deadline=None)
+    def test_node_receive_never_raises_and_keeps_its_state(self, kind, payload):
+        deliver(kind, payload)
+
+    @given(mutated(alice_tx().to_dict()))
+    @settings(max_examples=60, deadline=None)
+    def test_node_receive_survives_mutated_transactions(self, payload):
+        deliver("bc_tx", payload)

@@ -334,9 +334,12 @@ class TestChainVerificationCaches:
         warm.add_block(b1)
         b2 = self.fork(warm, b1, txs=[tx_c])
         warm.add_block(b2)
-        assert warm._verified_tx_keys and warm._merkle_verified
-        # Cold replica: the same blocks off the wire, nothing verified yet.
+        kinds = {key[0] for key in warm._verified}
+        assert kinds == {"tx", "merkle", "miner"}
+        # Cold replica: the same blocks off the wire, nothing verified yet
+        # (a chain built without a verified-set gets its own, empty one).
         cold = self.make_chain()
+        assert cold._verified is not warm._verified and not cold._verified
         for block in (a1, b1, b2):
             cold.add_block(Block.from_dict(block.to_dict()))
         assert self.fingerprint(warm) == self.fingerprint(cold)

@@ -1,0 +1,266 @@
+"""Verify once, size once.
+
+Every replica of a deployment shares one verified-set and every gossip
+payload carries its wire size with it.  These tests pin the two halves of
+that bargain: sharing is *sound* (a tampered copy, forged signature or
+substituted key misses the set on every node, and nothing is shared across
+deployments) and the work really is done *once* (exact call counts on a
+whole monitored run, with every simulated byte still accounted exactly).
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro.blockchain.block import BlockHeader
+from repro.blockchain.chain import ChainValidationError
+from repro.blockchain.config import BlockchainConfig
+from repro.blockchain.contracts import ContractRegistry, KeyValueContract
+from repro.blockchain.node import BlockchainNode
+from repro.blockchain.transaction import Transaction
+from repro.common import serialization
+from repro.common.ids import reset_id_counter
+from repro.common.rng import SeededRng
+from repro.crypto.signatures import Signature, SigningKey, VerifyingKey
+from repro.harness import MonitoredFederation
+from repro.simnet import network as network_module
+from repro.simnet.latency import ConstantLatency
+from repro.simnet.network import Host, Message, Network
+from repro.simnet.simulator import Simulator
+from repro.workload.scenarios import healthcare_scenario
+from tests.conftest import fast_drams_config
+
+ALICE_KEY = SigningKey.generate(b"verify-once-alice")
+MALLORY_KEY = SigningKey.generate(b"verify-once-mallory")
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """Results of every real ``VerifyingKey.verify`` call, counted from outside."""
+    results = []
+    real_verify = VerifyingKey.verify
+
+    def counted(self, message, signature):
+        results.append(real_verify(self, message, signature))
+        return results[-1]
+
+    monkeypatch.setattr(VerifyingKey, "verify", counted)
+    return results
+
+
+def build_cluster(n=3, verified=None, key_overrides=None):
+    """``n`` non-mining nodes in a full mesh, all handed ``verified``."""
+    rng = SeededRng(9, "verify-once")
+    sim = Simulator()
+    net = Network(sim, rng, ConstantLatency(0.005))
+    registry = ContractRegistry()
+    registry.deploy(KeyValueContract())
+    config = BlockchainConfig(
+        chain_id="verify-once",
+        difficulty_bits=8.0,
+        target_block_interval=0.5,
+        retarget_window=0,
+        pow_mode="simulated",
+        confirmations=1,
+    )
+    node_keys = {f"n{i}": SigningKey.generate(f"verify-once-n{i}".encode()) for i in range(n)}
+    public = {name: key.public for name, key in node_keys.items()}
+    public.update(alice=ALICE_KEY.public, mallory=MALLORY_KEY.public)
+    nodes = []
+    for name, key in node_keys.items():
+        lookup = dict(public, **(key_overrides or {}).get(name, {})).get
+        node = BlockchainNode(
+            net, name, config, registry, rng, lookup, signing_key=key, mine=False, verified=verified
+        )
+        nodes.append(node)
+    for node in nodes:
+        node.connect([peer.address for peer in nodes])
+    return sim, net, nodes, node_keys
+
+
+def alice_tx(seq=1, value=1):
+    tx = Transaction(
+        sender="alice",
+        contract="kvstore",
+        method="put",
+        args={"key": "k", "value": value},
+        seq=seq,
+        tx_id=f"verify-once-{seq}",
+    )
+    return tx.sign(ALICE_KEY)
+
+
+def off_the_wire(item):
+    """What a peer decodes: a fresh object with fresh caches."""
+    return type(item).from_dict(item.to_dict())
+
+
+class TestSharingIsSound:
+    def test_genuine_copy_hits_and_tampered_copies_miss_on_another_node(self, verify_calls):
+        verified = set()
+        _sim, _net, (a, b, _c), _keys = build_cluster(verified=verified)
+        tx = alice_tx()
+        assert a.chain.validate_transaction(tx)
+        assert verify_calls == [True]
+        # The sharing is real: B admits the very same bytes without a check…
+        assert b.chain.validate_transaction(off_the_wire(tx))
+        assert verify_calls == [True]
+        # …so every rejection below is the key missing, not a cold cache.
+        entries = set(verified)
+        bumped = Signature(e=tx.signature.e, s=tx.signature.s + 1)
+        tampered = [
+            tx.replace(args={"key": "k", "value": 999}),
+            tx.replace(signature=bumped),
+            tx.replace(signature=None).sign(MALLORY_KEY),
+            tx.replace(sender="mallory"),
+        ]
+        for forged in tampered:
+            assert not b.chain.validate_transaction(off_the_wire(forged))
+            assert verified == entries
+        assert verify_calls == [True] + [False] * len(tampered)
+
+    def test_substituted_verifying_key_misses(self, verify_calls):
+        verified = set()
+        wrong_key = {"n1": {"alice": MALLORY_KEY.public}}
+        _sim, _net, (a, b, _c), _keys = build_cluster(verified=verified, key_overrides=wrong_key)
+        tx = alice_tx()
+        assert a.chain.validate_transaction(tx)
+        entries = set(verified)
+        assert not b.chain.validate_transaction(off_the_wire(tx))
+        assert verified == entries
+        assert verify_calls == [True, False]
+
+    def test_block_altered_after_acceptance_elsewhere_is_rejected(self, verify_calls):
+        verified = set()
+        _sim, _net, (a, b, c), keys = build_cluster(verified=verified)
+        txs = [alice_tx(seq, value=seq) for seq in (1, 2)]
+        assert all(a.chain.validate_transaction(tx) for tx in txs)
+        block = a.chain.create_block("n0", txs, 1.0, signing_key=keys["n0"])
+        assert a.chain.add_block(block)
+        entries = set(verified)
+        assert verify_calls == [True, True, True]  # two transactions, one miner signature
+        calls = len(verify_calls)
+
+        swapped_body = off_the_wire(block)
+        swapped_body.transactions[1] = txs[1].replace(args={"key": "k", "value": 999})
+        bumped_signature = off_the_wire(block)
+        bumped_signature.miner_signature = Signature(
+            e=block.miner_signature.e, s=block.miner_signature.s + 1
+        )
+        other_miner = off_the_wire(block).sign(keys["n1"])
+        for forged in (swapped_body, bumped_signature, other_miner):
+            with pytest.raises(ChainValidationError):
+                b.chain.add_block(forged)
+            assert verified == entries
+            assert b.chain.height == 0
+        assert verify_calls[calls:] == [False, False]  # the body swap fails at the Merkle root
+
+        # The genuine copy is accepted by B and C with no cryptographic work.
+        assert b.chain.add_block(off_the_wire(block))
+        assert c.chain.add_block(off_the_wire(block))
+        assert len(verify_calls) == calls + 2
+        assert a.chain.head.hash == b.chain.head.hash == c.chain.head.hash
+
+    def test_replicas_without_a_shared_set_are_cold(self, verify_calls):
+        _sim, _net, (a, b, _c), _keys = build_cluster(verified=None)
+        assert a.chain._verified is not b.chain._verified
+        tx = alice_tx()
+        assert a.chain.validate_transaction(tx)
+        assert b.chain.validate_transaction(off_the_wire(tx))
+        assert verify_calls == [True, True]
+
+
+@pytest.fixture
+def sized_payloads(monkeypatch):
+    """Every payload ``Message.size_bytes`` canonically encodes, in order."""
+    encoded = []  # holds the objects, so their ids stay unique
+
+    def counted(value):
+        encoded.append(value)
+        return serialization.canonical_bytes(value)
+
+    monkeypatch.setattr(network_module, "canonical_bytes", counted)
+    return encoded
+
+
+def monitored_run(tap):
+    """One small monitored deployment (4 chain nodes), every message tapped."""
+    reset_id_counter()
+    stack = MonitoredFederation.build(
+        healthcare_scenario(), clouds=2, seed=11, drams_config=fast_drams_config()
+    )
+    stack.federation.network.add_tap(tap)
+    stack.start()
+    stack.issue_requests(8)
+    stack.run(until=30.0)
+    assert stack.drams.analyser.checked == 8
+    return stack
+
+
+class TestWorkIsDoneOnce:
+    def test_one_verification_per_transaction_and_block_and_one_encoding_per_payload(
+        self, verify_calls, sized_payloads
+    ):
+        messages = []
+        stack = monitored_run(messages.append)
+        assert len(stack.drams.nodes) == 4
+        gossip = [m for m in messages if m.kind in ("bc_tx", "bc_block")]
+        tx_ids = {m.payload["tx_id"] for m in gossip if m.kind == "bc_tx"}
+        block_hashes = {
+            BlockHeader.from_dict(m.payload["header"]).block_hash()
+            for m in gossip
+            if m.kind == "bc_block"
+        }
+        assert len(tx_ids) >= 4 * 8 and len(block_hashes) >= 10
+        # Exactly one real check per signature in the whole federation: no
+        # replica repeats one, and none is skipped.
+        assert all(verify_calls)
+        assert len(verify_calls) == len(tx_ids) + len(block_hashes)
+        # Each gossip payload object crosses ~3 links per node it reaches
+        # and is encoded for its wire size exactly once.
+        payloads = {id(m.payload): m.payload for m in gossip}
+        assert len(gossip) > 2 * len(payloads)
+        encodings = Counter(id(value) for value in sized_payloads)
+        assert all(encodings[ident] == 1 for ident in payloads)
+
+        # A second deployment in the same process shares nothing with the
+        # first: it starts cold and pays for exactly the same checks.
+        first_set = next(iter(stack.drams.nodes.values())).chain._verified
+        assert all(node.chain._verified is first_set for node in stack.drams.nodes.values())
+        first_calls = len(verify_calls)
+        again = monitored_run(lambda message: None)
+        second_set = next(iter(again.drams.nodes.values())).chain._verified
+        assert second_set is not first_set and second_set == first_set
+        assert len(verify_calls) == 2 * first_calls
+        assert again.drams.reference_chain().head.hash == stack.drams.reference_chain().head.hash
+
+    def test_every_message_is_sized_exactly(self):
+        sizes = []
+        kinds = set()
+
+        def tap(message):
+            kinds.add(message.kind)
+            expected = len(serialization.canonical_bytes(message.payload)) + 64
+            assert message.size_bytes() == expected, message.kind
+            sizes.append(expected)
+
+        stack = monitored_run(tap)
+        assert {"bc_tx", "bc_block", "ac_request", "drams_log"} <= kinds
+        assert stack.federation.network.stats.bytes_sent == sum(sizes)
+        assert stack.federation.network.stats.sent == len(sizes)
+
+    def test_relayed_size_is_only_copied_for_the_same_payload_object(self, sim, network):
+        class Sink(Host):
+            def receive(self, message):
+                pass
+
+        for address in ("a", "b", "c"):
+            Sink(network, address)
+        large = {"n": 1, "pad": "x" * 500}
+        carrier = Message(src="a", dst="b", kind="k", payload={"n": 1})
+        # A carrier for some other payload object is ignored, not trusted.
+        sent = network.send("a", "b", "k", large, sized=carrier)
+        assert sent.size_bytes() == len(serialization.canonical_bytes(large)) + 64
+        assert sent.size_bytes() > carrier.size_bytes()
+        network.multicast("a", ["b", "c"], "k", large, relayed=carrier)
+        assert network.stats.bytes_sent == 3 * sent.size_bytes()
