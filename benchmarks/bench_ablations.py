@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices DESIGN.md calls out.
+"""Ablation studies for the design choices docs/architecture.md calls out.
 
 A1 — **probe placement**: the four-point deployment (pep-in, pdp-in,
 pdp-out, pep-out) vs a two-point one that only observes the decision leg.

@@ -14,29 +14,26 @@ Shape assertions:
 - throughput scales with shard count: ≥2× decisions/sec at 4 shards vs
   the single-evaluator plane (simulated time, so the bar is
   machine-independent and applies to smoke runs too);
-- a differential arm runs full monitored federations (DRAMS on, deployed
-  service model) under ``SinglePdpPlane`` and ``ShardedPdpPlane`` and
-  pins every (request → decision, obligations, status) tuple and the
-  DRAMS alert stream bit-identical — sharding is topology, never
-  semantics;
 - no request times out in any arm.
+
+That sharding is topology, never semantics — every decision and the DRAMS
+alert stream equal under ``SinglePdpPlane`` and ``ShardedPdpPlane`` — is
+pinned in tier-1: ``tests/test_neutrality.py::test_topology_neutrality``.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the workload for CI smoke runs.
 """
 
 import os
 
-from benchmarks.common import bench_drams_config, write_json_report
+from benchmarks.common import write_json_report
 from repro.accesscontrol.plane import ShardedPdpPlane, SinglePdpPlane
 from repro.common.ids import reset_id_counter
-from repro.crypto.hashing import hash_value
 from repro.harness import MonitoredFederation
 from repro.metrics.tables import format_table
 from repro.workload.scenarios import federation_scale_scenario
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 REQUESTS = 150 if SMOKE else 400
-DIFF_REQUESTS = 24 if SMOKE else 48
 SCALING_FLOOR = 2.0  # at 4 shards vs 1 — simulated time, machine-independent
 
 #: Uniform service model for the throughput arms: every decision occupies
@@ -56,12 +53,10 @@ THROUGHPUT_ARMS = (
 )
 
 
-def make_plane(shards, cache_policy="shared", service_kwargs=None):
+def make_plane(shards, service_kwargs=None):
     if shards == 1:
         return SinglePdpPlane(service_kwargs=service_kwargs)
-    return ShardedPdpPlane(
-        shards=shards, cache_policy=cache_policy, service_kwargs=service_kwargs
-    )
+    return ShardedPdpPlane(shards=shards, service_kwargs=service_kwargs)
 
 
 def run_throughput_arm(shards):
@@ -88,39 +83,6 @@ def run_throughput_arm(shards):
         "served": served,
         "failovers": sum(pep.failovers for pep in stack.peps.values()),
     }
-
-
-def run_differential_arm(plane_factory):
-    """Full monitored run; returns semantic fingerprint of its behaviour."""
-    reset_id_counter()
-    stack = MonitoredFederation.build(
-        federation_scale_scenario(),
-        clouds=2,
-        seed=78,
-        with_drams=True,
-        drams_config=bench_drams_config(),
-        plane=plane_factory(),
-    )
-    stack.start()
-    stack.issue_requests(DIFF_REQUESTS)
-    stack.run(until=30.0)
-    assert len(stack.outcomes) == DIFF_REQUESTS
-    assert sum(pep.timeouts for pep in stack.peps.values()) == 0
-    # Request ids are minted in topology-dependent order, so key each
-    # outcome on its (arrival time, request content) instead — both are
-    # generator-driven and identical across planes.
-    decisions = sorted(
-        (
-            round(o.requested_at, 9),
-            hash_value(o.request.content),
-            o.decision.decision,
-            hash_value(o.decision.obligations),
-            o.decision.status_code,
-        )
-        for o in stack.outcomes
-    )
-    alerts = sorted(alert.alert_type.value for alert in stack.drams.alerts.all())
-    return {"decisions": decisions, "alerts": alerts}
 
 
 def test_e11_decision_plane(report):
@@ -153,19 +115,6 @@ def test_e11_decision_plane(report):
             }
         )
 
-    # Differential arms: topology changes, semantics must not.
-    single = run_differential_arm(lambda: SinglePdpPlane())
-    for cache_policy in ("shared", "partitioned"):
-        sharded = run_differential_arm(
-            lambda: ShardedPdpPlane(shards=4, cache_policy=cache_policy)
-        )
-        assert sharded["decisions"] == single["decisions"], (
-            f"sharded plane ({cache_policy}) diverged from the single evaluator"
-        )
-        assert sharded["alerts"] == single["alerts"], (
-            f"sharded plane ({cache_policy}) changed the DRAMS alert stream"
-        )
-
     mode = ", smoke" if SMOKE else ""
     table = format_table(
         rows,
@@ -182,8 +131,6 @@ def test_e11_decision_plane(report):
             "rows": json_rows,
             "scaling_at_4_shards": scaling,
             "scaling_floor": SCALING_FLOOR,
-            "differential_requests": DIFF_REQUESTS,
-            "differential_alerts": single["alerts"],
         },
     )
 

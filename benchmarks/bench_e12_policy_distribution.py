@@ -14,14 +14,15 @@ beyond the bound).  This experiment measures what that costs and catches:
   off the request hot path), honest skew must raise *zero*
   policy-violation and incorrect-decision alerts, and the Analyser's
   churn counter shows the skew the plane actually produced.
-- **differential arm** — ``SingleStorePlane`` (the default everywhere)
-  against the pre-plane wiring (a raw ``PolicyRetrievalPoint`` shared by
-  hand): decisions, alerts and chain heads must be bit-identical,
-  including across a mid-run policy publish.
 - **detection arm** — a ``TamperedPrpReplicaAttack`` and a
   ``StalePolicyReplayAttack`` against a replicated plane must both be
   detected with zero unattributed alerts (the fidelity bar the E6
   detection benchmark sets for the original catalogue).
+
+The default wiring (``SingleStorePlane``) is pinned by digest in tier-1
+(``tests/test_golden_monitored_run.py``); the arm that re-assembled the
+pre-plane wiring by hand to compare against it went with the bare-store
+calling convention it was the last user of.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the workload for CI smoke runs.
 """
@@ -29,27 +30,18 @@ beyond the bound).  This experiment measures what that costs and catches:
 import os
 
 from benchmarks.common import bench_drams_config, write_json_report
-from repro.accesscontrol.pap import PolicyAdministrationPoint
-from repro.accesscontrol.pep import PolicyEnforcementPoint
-from repro.accesscontrol.plane import SinglePdpPlane
-from repro.accesscontrol.prp import PolicyRetrievalPoint
 from repro.common.ids import reset_id_counter
-from repro.crypto.hashing import hash_value
 from repro.drams.alerts import AlertType
-from repro.drams.system import DramsSystem
-from repro.federation.federation import Federation, FederationConfig
 from repro.harness import MonitoredFederation
 from repro.metrics.tables import format_table
 from repro.policydist import ReplicatedPrpPlane
 from repro.threats import Adversary, StalePolicyReplayAttack, TamperedPrpReplicaAttack
-from repro.workload.generator import RequestGenerator
 from repro.workload.scenarios import policy_churn_scenario
 from repro.xacml.parser import policy_to_dict
 from repro.xacml.policy import Effect, Policy, Rule
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 REQUESTS = 80 if SMOKE else 160
-DIFF_REQUESTS = 24 if SMOKE else 48
 DETECT_REQUESTS = 40 if SMOKE else 60
 
 #: Propagation delays swept by the churn arms (seconds of simulated time).
@@ -133,87 +125,6 @@ def run_churn_arm(delay):
         "versions_seen": versions_seen,
         "converged": stack.policy_plane.converged(),
     }
-
-
-# -- differential arm -------------------------------------------------------------
-
-
-def _semantic_fingerprint(stack):
-    # Request ids are minted in topology-dependent order, so key each
-    # outcome on its (arrival time, request content) instead — both are
-    # generator-driven and identical across wirings.
-    decisions = sorted(
-        (
-            round(o.requested_at, 9),
-            hash_value(o.request.content),
-            o.decision.decision,
-            hash_value(o.decision.obligations),
-            o.decision.status_code,
-            o.decision.policy_version,
-            o.decision.policy_fingerprint,
-        )
-        for o in stack.outcomes
-    )
-    alerts = sorted(
-        (alert.alert_type.value, alert.correlation_id)
-        for alert in stack.drams.alerts.all()
-    )
-    return {
-        "decisions": decisions,
-        "alerts": alerts,
-        "chain_head": stack.drams.reference_chain().head.hash,
-        "monitor_stats": dict(stack.drams.monitor_state()["stats"]),
-    }
-
-
-def _run_differential(stack, scenario):
-    stack.start()
-    stack.issue_requests(DIFF_REQUESTS)
-    stack.publish_policy(scenario.policy_variants[0], at=2.0)
-    stack.run(until=30.0)
-    assert len(stack.outcomes) == DIFF_REQUESTS
-    assert sum(pep.timeouts for pep in stack.peps.values()) == 0
-    return _semantic_fingerprint(stack)
-
-
-def run_differential_default():
-    """This PR's default topology: SingleStorePlane through the harness."""
-    reset_id_counter()
-    scenario = policy_churn_scenario()
-    stack = MonitoredFederation.build(scenario, clouds=2, seed=92, drams_config=bench_drams_config())
-    return _run_differential(stack, scenario)
-
-
-def run_differential_legacy():
-    """The pre-PR wiring: one raw PolicyRetrievalPoint shared by hand."""
-    reset_id_counter()
-    scenario = policy_churn_scenario()
-    fed_config = FederationConfig(name=f"faas-{scenario.name}", cloud_count=2, seed=92)
-    federation = Federation(fed_config)
-    prp = PolicyRetrievalPoint()
-    infra_name = federation.infrastructure_tenant.name
-    pap = PolicyAdministrationPoint(prp, administrator=f"pap@{infra_name}")
-    pap.publish(scenario.policy_document)
-    plane = SinglePdpPlane()
-    plane.deploy(federation, prp)
-    peps = {}
-    for tenant in federation.member_tenants:
-        pep = PolicyEnforcementPoint(federation.network, tenant.address("pep"), tenant.name, plane)
-        tenant.register_host(pep.address)
-        peps[tenant.name] = pep
-    generator = RequestGenerator(scenario.workload, federation.rng.fork("scenario-workload"))
-    drams = DramsSystem(federation, prp, plane, peps, bench_drams_config())
-    stack = MonitoredFederation(
-        scenario=scenario,
-        federation=federation,
-        prp=prp,
-        pap=pap,
-        plane=plane,
-        peps=peps,
-        generator=generator,
-        drams=drams,
-    )
-    return _run_differential(stack, scenario)
 
 
 # -- detection arm ----------------------------------------------------------------
@@ -302,19 +213,6 @@ def test_e12_policy_distribution(report):
         f"{slowest:.1f} decisions/s"
     )
 
-    # Differential: the single-store plane is the pre-PR topology, bit for
-    # bit — decisions, alerts, monitor stats and the chain head itself.
-    default_arm = run_differential_default()
-    legacy_arm = run_differential_legacy()
-    assert default_arm["decisions"] == legacy_arm["decisions"], (
-        "SingleStorePlane diverged from the pre-PR shared-store wiring"
-    )
-    assert default_arm["alerts"] == legacy_arm["alerts"]
-    assert default_arm["monitor_stats"] == legacy_arm["monitor_stats"]
-    assert default_arm["chain_head"] == legacy_arm["chain_head"], (
-        "SingleStorePlane changed the chain head vs the pre-PR wiring"
-    )
-
     # Detection: the policy-plane attacks meet the E6 fidelity bar.
     detections = [
         run_detection_arm(
@@ -346,8 +244,6 @@ def test_e12_policy_distribution(report):
             "publish_times": list(PUBLISH_TIMES),
             "staleness_bound": SWEEP_STALENESS_BOUND,
             "churn_observed_total": churn_total,
-            "differential_requests": DIFF_REQUESTS,
-            "differential_chain_head": default_arm["chain_head"],
             "detections": detections,
         },
     )

@@ -8,28 +8,27 @@ attack still detected) and *precise* (zero alerts attributed to the
 chaos itself) while shards crash, links lose traffic and chain nodes
 drop off the network mid-run?
 
-Four arms:
+Three arms:
 
-1. **Differential** — the fault plane armed with an *empty* plan against
-   no fault plane at all, same seed, full DRAMS: every (request →
-   decision, obligations, status) tuple and the alert stream must be bit
-   identical.  The machinery is free until a plan actually says
-   otherwise.
-2. **Loss sweep** — increasing per-link loss between PEPs and shards,
+1. **Loss sweep** — increasing per-link loss between PEPs and shards,
    with :class:`~repro.accesscontrol.pep.RetryBackoff` failover.
    Graceful degradation: every request resolves (no hangs), latency
    stays inside the whole-request bound, re-routing grows with the loss
    rate instead of falling over.
-3. **Detection under chaos** — the full ten-attack catalogue, each run
+2. **Detection under chaos** — the full ten-attack catalogue, each run
    twice: once calm, once under a mid-run partition + PDP-shard crash +
    chain-node crash plan.  Bars: 10/10 detected in both runs, zero
    unattributed alerts in both, every crashed component recovers inside
    the plan's heal window, and the rejoined chain node converges on the
    reference head without forking.  The per-attack latency delta is the
    *detection latency inflation* the chaos costs.
-4. **Crash/restart cache recovery** — a partitioned-cache shard is
+3. **Crash/restart cache recovery** — a partitioned-cache shard is
    crashed (losing its decision cache) and restarted; the donor re-warm
    path must repopulate it from the survivors.
+
+That the machinery is free until a plan says otherwise (an armed *empty*
+plan leaves the run bit-identical to no fault plane at all) is pinned in
+tier-1: ``tests/test_neutrality.py::test_observer_neutrality[empty_fault_plan]``.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the workload for CI smoke runs.
 """
@@ -40,7 +39,6 @@ from benchmarks.common import bench_drams_config, write_json_report
 from repro.accesscontrol.pep import RetryBackoff
 from repro.accesscontrol.plane import ShardedPdpPlane
 from repro.common.ids import reset_id_counter
-from repro.crypto.hashing import hash_value
 from repro.faults import FaultPlan, crash, link_degrade, partition
 from repro.harness import MonitoredFederation
 from repro.metrics.tables import format_table
@@ -63,7 +61,6 @@ from repro.xacml.parser import policy_to_dict
 from repro.xacml.policy import Effect, Policy, Rule
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-DIFF_REQUESTS = 24 if SMOKE else 48
 SWEEP_REQUESTS = 40 if SMOKE else 80
 LOSS_RATES = (0.0, 0.1, 0.3) if SMOKE else (0.0, 0.1, 0.3, 0.5)
 #: Monitored-arm traffic arrives in waves pinned to the fault timeline,
@@ -77,7 +74,7 @@ ATTACK_AT = 1.2  # mid-partition: detection must work through the storm
 #: complete within this much simulated time after its restart.
 TTR_BOUND = 5.0
 
-#: The scripted storm of arm 3.  Windows are disjoint per victim so every
+#: The scripted storm of arm 2.  Windows are disjoint per victim so every
 #: PEP keeps at least one reachable shard at all times — a PEP with *no*
 #: escape route times out, and a timed-out decision has no complete
 #: monitor record to attribute.
@@ -143,43 +140,7 @@ def variant_document(generation: int) -> dict:
     return document
 
 
-# -- arm 1: differential -----------------------------------------------------------
-
-
-def run_differential_arm(with_fault_plane: bool):
-    reset_id_counter()
-    stack = MonitoredFederation.build(
-        partition_storm_scenario(),
-        clouds=2,
-        seed=93,
-        with_drams=True,
-        drams_config=bench_drams_config(),
-    )
-    stack.start()
-    if with_fault_plane:
-        controller = stack.inject_faults(FaultPlan(name="empty"))
-    stack.issue_requests(DIFF_REQUESTS)
-    stack.run(until=30.0)
-    assert len(stack.outcomes) == DIFF_REQUESTS
-    if with_fault_plane:
-        assert controller.applied == []
-        assert controller.recorder.slos()["faults"] == []
-    decisions = sorted(
-        (
-            round(o.requested_at, 9),
-            hash_value(o.request.content),
-            o.decision.decision,
-            hash_value(o.decision.obligations),
-            o.decision.status_code,
-        )
-        for o in stack.outcomes
-    )
-    alerts = sorted(alert.alert_type.value for alert in stack.drams.alerts.all())
-    return {"decisions": decisions, "alerts": alerts,
-            "chain_head": stack.drams.reference_chain().head.hash}
-
-
-# -- arm 2: loss sweep -------------------------------------------------------------
+# -- arm 1: loss sweep -------------------------------------------------------------
 
 
 def run_loss_arm(loss: float):
@@ -223,7 +184,7 @@ def run_loss_arm(loss: float):
     }
 
 
-# -- arm 3: detection under chaos --------------------------------------------------
+# -- arm 2: detection under chaos --------------------------------------------------
 
 
 def run_attack_arm(make_attack, *, chaotic: bool, publish_variants: bool, seed: int):
@@ -293,7 +254,7 @@ def run_attack_arm(make_attack, *, chaotic: bool, publish_variants: bool, seed: 
     return result
 
 
-# -- arm 4: crash/restart cache recovery -------------------------------------------
+# -- arm 3: crash/restart cache recovery -------------------------------------------
 
 
 def run_cache_recovery_arm():
@@ -334,17 +295,6 @@ def run_cache_recovery_arm():
 
 
 def test_e15_faults(report):
-    # -- differential: the armed-but-empty fault plane is invisible --------
-    plain = run_differential_arm(with_fault_plane=False)
-    armed = run_differential_arm(with_fault_plane=True)
-    assert plain["decisions"] == armed["decisions"], (
-        "an empty fault plan changed decision behaviour"
-    )
-    assert plain["alerts"] == armed["alerts"]
-    assert plain["chain_head"] == armed["chain_head"], (
-        "an empty fault plan changed the monitored chain"
-    )
-
     # -- loss sweep: degradation is graceful -------------------------------
     sweep_rows = [run_loss_arm(loss) for loss in LOSS_RATES]
     assert sweep_rows[0]["timeouts"] == 0 and sweep_rows[0]["failovers"] == 0
@@ -406,7 +356,6 @@ def test_e15_faults(report):
         ),
     ]))
     write_json_report("e15", {
-        "differential_identical": plain == armed,
         "loss_sweep": sweep_rows,
         "attacks": attack_rows,
         "cache_recovery": recovery,

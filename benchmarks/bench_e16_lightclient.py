@@ -7,11 +7,9 @@ chains and per-decision receipts verified in O(log blocksize) hashes, and
 with a sampling Analyser whose audit coverage carries a closed-form
 detection bound.  Four arms pin the claims:
 
-1. **Differential** — the full DRAMS stack with light auditors attached
-   must be bit-identical (decisions, alerts, chain head) to the stack
-   without them; the light verifier must accept 100% of honestly served
-   receipts and reject every tampered one (mutated leaf, proof, header,
-   policy stamp).
+1. **Receipts** — with light auditors attached to the full DRAMS stack,
+   the light verifier must accept 100% of honestly served receipts and
+   reject every tampered one (mutated leaf, proof, header, policy stamp).
 2. **Scaling** — hashes verified per audited decision: a light receipt
    check stays at ``3 + log2(blocksize)`` while the full-audit cost (the
    chain a full node replays) grows linearly with the workload.
@@ -23,6 +21,10 @@ detection bound.  Four arms pin the claims:
    node crash — the light clients' own proof server — and a PDP-shard
    crash): after the storm heals, every enforced decision still ends in
    an accepted receipt; none are lost or rejected.
+
+That attaching the auditors leaves the monitored system bit-identical
+(decisions, alerts, chain head) is pinned in tier-1:
+``tests/test_neutrality.py::test_observer_neutrality[light_clients]``.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the workload for CI smoke runs.
 """
@@ -36,7 +38,6 @@ from repro.accesscontrol.pep import RetryBackoff
 from repro.accesscontrol.plane import ShardedPdpPlane
 from repro.blockchain.block import BlockHeader
 from repro.common.ids import reset_id_counter
-from repro.crypto.hashing import hash_value
 from repro.crypto.merkle import MerkleProof
 from repro.faults import FaultPlan, crash, partition
 from repro.harness import MonitoredFederation
@@ -47,7 +48,7 @@ from repro.threats.attacks import EvaluationTamperAttack
 from repro.workload.scenarios import healthcare_scenario, partition_storm_scenario
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-DIFF_REQUESTS = 24 if SMOKE else 48
+RECEIPT_REQUESTS = 24 if SMOKE else 48
 SCALE_STEPS = (12, 36) if SMOKE else (12, 48, 120)
 SAMPLING_REQUESTS = 30 if SMOKE else 60
 SAMPLE_RATE = 0.1
@@ -66,31 +67,15 @@ def build_monitored(scenario, seed, *, light, drams_config=None, **kwargs):
     return stack
 
 
-def decision_fingerprint(stack):
-    decisions = sorted(
-        (
-            round(o.requested_at, 9),
-            hash_value(o.request.content),
-            o.decision.decision,
-            hash_value(o.decision.obligations),
-            o.decision.status_code,
-        )
-        for o in stack.outcomes
-    )
-    alerts = sorted(a.alert_type.value for a in stack.drams.alerts.all())
-    return {"decisions": decisions, "alerts": alerts,
-            "chain_head": stack.drams.reference_chain().head.hash}
+# -- arm 1: receipt acceptance + tamper matrix --------------------------------------
 
 
-# -- arm 1: differential + tamper matrix -------------------------------------------
-
-
-def run_differential_arm(light: bool):
-    stack = build_monitored(healthcare_scenario(), 29, light=light)
-    stack.issue_requests(DIFF_REQUESTS)
+def run_receipt_arm():
+    stack = build_monitored(healthcare_scenario(), 29, light=True)
+    stack.issue_requests(RECEIPT_REQUESTS)
     stack.run(until=40.0)
-    assert len(stack.outcomes) == DIFF_REQUESTS
-    return decision_fingerprint(stack), stack
+    assert len(stack.outcomes) == RECEIPT_REQUESTS
+    return stack
 
 
 def assert_full_acceptance(stack) -> dict:
@@ -262,14 +247,8 @@ def run_chaos_arm():
 
 
 def test_e16_lightclient(report):
-    # -- differential ------------------------------------------------------
-    plain, _ = run_differential_arm(light=False)
-    lit, lit_stack = run_differential_arm(light=True)
-    assert plain["decisions"] == lit["decisions"], (
-        "attaching light clients changed decision behaviour")
-    assert plain["alerts"] == lit["alerts"]
-    assert plain["chain_head"] == lit["chain_head"], (
-        "attaching light clients changed the monitored chain")
+    # -- receipts ----------------------------------------------------------
+    lit_stack = run_receipt_arm()
     acceptance = assert_full_acceptance(lit_stack)
     tamper_rows = run_tamper_matrix(lit_stack)
 
@@ -329,7 +308,6 @@ def test_e16_lightclient(report):
         ),
     ]))
     write_json_report("e16", {
-        "differential_identical": plain == lit,
         "acceptance": acceptance,
         "tamper_matrix": tamper_rows,
         "scaling": scale_rows,

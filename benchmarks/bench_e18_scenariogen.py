@@ -74,22 +74,6 @@ def rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def decision_fingerprint(stack) -> dict:
-    decisions = sorted(
-        (
-            round(o.requested_at, 9),
-            hash_value(o.request.content),
-            o.decision.decision,
-            hash_value(o.decision.obligations),
-            o.decision.status_code,
-        )
-        for o in stack.outcomes
-    )
-    alerts = sorted(a.alert_type.value for a in stack.drams.alerts.all())
-    return {"decisions": decisions, "alerts": alerts,
-            "chain_head": stack.drams.reference_chain().head.hash}
-
-
 def run_monitored(spec: ScenarioSpec, seed: int, requests: int = 12) -> dict:
     reset_id_counter()
     stack = build_stack_from_spec(
@@ -98,7 +82,7 @@ def run_monitored(spec: ScenarioSpec, seed: int, requests: int = 12) -> dict:
     stack.issue_requests(requests)
     stack.run(until=40.0)
     assert len(stack.outcomes) == requests, "determinism arm lost requests"
-    return decision_fingerprint(stack)
+    return stack.fingerprint()
 
 
 def test_e18_scenariogen(report, scenario_seed):

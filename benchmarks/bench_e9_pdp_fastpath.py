@@ -9,11 +9,11 @@ throughput over each scenario's real workload under four configurations:
 - **cache** — decision cache on (footprint-projected LRU),
 - **cache+index** — the deployed fast path.
 
-Shape assertions: every arm is *bit-identical* to the baseline decisions
-(zero divergence — the fast path is an optimisation, never a semantic
-change), and the full fast path clears ≥2× baseline throughput on at
-least one scenario.  Workloads repeat over ``PASSES`` passes, as real
-access traffic repeats (subject, resource, action) triples.
+Shape assertion: the full fast path clears ≥2× baseline throughput on at
+least one scenario.  That every arm decides exactly as the baseline does
+is pinned in tier-1 (``tests/test_fastpath_differential.py``), not here.
+Workloads repeat over ``PASSES`` passes, as real access traffic repeats
+(subject, resource, action) triples.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the workload for CI smoke runs.
 """
@@ -69,22 +69,19 @@ def run_arm(scenario, contents, use_index, use_cache):
     pdp = PolicyDecisionPoint(root, indexed=use_index)
     footprint = attribute_footprint(root) if use_cache else None
     cache = DecisionCache() if use_cache else None
-    responses = []
     start = time.perf_counter()
     for _ in range(PASSES):
         for content in contents:
             if cache is not None:
                 key = cache.request_key("fp", content, footprint)
-                response = cache.get(key)
-                if response is None:
+                if cache.get(key) is None:
                     response = pdp.evaluate(RequestContext.from_dict(content)).to_dict()
                     cache.put(key, "fp", response)
             else:
-                response = pdp.evaluate(RequestContext.from_dict(content)).to_dict()
-            responses.append(response)
+                pdp.evaluate(RequestContext.from_dict(content)).to_dict()
     elapsed = time.perf_counter() - start
-    rate = len(responses) / elapsed if elapsed > 0 else float("inf")
-    return responses, rate, cache, pdp
+    rate = PASSES * len(contents) / elapsed if elapsed > 0 else float("inf")
+    return rate, cache, pdp
 
 
 def test_e9_pdp_fastpath(report):
@@ -92,14 +89,10 @@ def test_e9_pdp_fastpath(report):
     fastpath_speedups = {}
     for scenario in all_scenarios():
         contents = workload_contents(scenario)
-        baseline, base_rate, base_cache, base_pdp = run_arm(scenario, contents, False, False)
+        base_rate = None
         for arm, use_index, use_cache in ARMS:
-            if arm == "baseline":
-                responses, rate, cache, pdp = baseline, base_rate, base_cache, base_pdp
-            else:
-                responses, rate, cache, pdp = run_arm(scenario, contents, use_index, use_cache)
-            # Zero divergence: the fast path must be bit-identical.
-            assert responses == baseline, f"{arm} diverges from slow path on {scenario.name}"
+            rate, cache, pdp = run_arm(scenario, contents, use_index, use_cache)
+            base_rate = base_rate or rate  # ARMS lists the baseline first
             speedup = rate / base_rate
             if arm == "cache+index":
                 fastpath_speedups[scenario.name] = speedup

@@ -5,7 +5,7 @@ Every benchmark prints its regenerated table/series through
 shape* the paper claims (who wins, what grows) rather than absolute
 numbers — our substrate is a simulator, not the authors' testbed.
 
-Experiment ids (E1..E10) map to DESIGN.md's experiment index.  Benchmarks
+Experiment ids (E1..E18) map to the table in docs/benchmarks.md.  Benchmarks
 with quantitative acceptance bars additionally persist a machine-readable
 record via :func:`write_json_report` so CI can archive the perf trajectory.
 """

@@ -2,7 +2,7 @@
 
 Each experiment *tees* its regenerated table to stdout and to
 ``benchmarks/results/<experiment>.txt`` so results survive pytest's output
-capture and EXPERIMENTS.md can reference them directly.
+capture and docs/benchmarks.md can reference them directly.
 """
 
 from __future__ import annotations

@@ -19,12 +19,7 @@ from repro.accesscontrol.prp import PolicyRetrievalPoint
 from repro.accesscontrol.pap import PolicyAdministrationPoint
 from repro.accesscontrol.pdp_service import PdpService
 from repro.accesscontrol.pep import PolicyEnforcementPoint
-from repro.accesscontrol.plane import (
-    DecisionPlane,
-    ShardedPdpPlane,
-    SinglePdpPlane,
-    as_plane,
-)
+from repro.accesscontrol.plane import DecisionPlane, ShardedPdpPlane, SinglePdpPlane
 from repro.accesscontrol.autoscale import AutoscaleController, CrossPepLoadView
 
 __all__ = [
@@ -41,7 +36,6 @@ __all__ = [
     "DecisionPlane",
     "SinglePdpPlane",
     "ShardedPdpPlane",
-    "as_plane",
     "AutoscaleController",
     "CrossPepLoadView",
 ]

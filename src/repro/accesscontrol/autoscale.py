@@ -30,7 +30,7 @@ hysteresis, the shape every production autoscaler converges on:
   never overlaps an in-progress drain.
 - **Bounds.**  ``min_shards`` / ``max_shards`` clamp actuation outright;
   with ``min_shards == max_shards`` the controller observes but never
-  acts (the differential arm of E14 pins decisions bit-identical to an
+  acts (``tests/test_neutrality.py`` pins the run bit-identical to an
   uncontrolled plane in exactly this configuration).
 
 Two supporting pieces live here too:

@@ -53,17 +53,14 @@ Attack injection points used by :mod:`repro.threats`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from repro.common.errors import ValidationError
 from repro.simnet.network import Host, Message, Network
 from repro.simnet.simulator import Event
 from repro.accesscontrol.context_handler import ContextHandler
 from repro.accesscontrol.messages import AccessDecision, AccessRequest
-from repro.accesscontrol.plane import as_plane
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.accesscontrol.plane import DecisionPlane
+from repro.accesscontrol.plane import DecisionPlane
 
 RequestHook = Callable[[AccessRequest], None]
 EnforceHook = Callable[[AccessRequest, AccessDecision], None]
@@ -158,7 +155,7 @@ class PolicyEnforcementPoint(Host):
         network: Network,
         address: str,
         tenant_name: str,
-        plane: "DecisionPlane",
+        plane: DecisionPlane,
         request_timeout: float = 30.0,
         backoff: Optional[RetryBackoff] = None,
     ) -> None:
@@ -170,10 +167,9 @@ class PolicyEnforcementPoint(Host):
                 "PDP address; wrap the address with SinglePdpPlane.at(address) "
                 "(see README: 'Choosing a decision plane')."
             )
-        # Same calling convention as DramsSystem / the baselines: a bare
-        # PdpService is adopted into a single-evaluator plane, anything
-        # else non-plane fails fast here rather than at the first submit.
-        plane = as_plane(plane)
+        if not isinstance(plane, DecisionPlane):
+            # Fail fast here rather than at the first submit.
+            raise ValidationError(f"expected a DecisionPlane, got {type(plane).__name__}")
         super().__init__(network, address)
         self.tenant_name = tenant_name
         self.plane = plane

@@ -37,8 +37,8 @@ to a new shard before it serves its first request and detach from a
 drained shard only after its last reply — coverage never gaps.
 
 Two routing upgrades layer on top of ring order, both opt-in and both
-pure topology (decisions and alerts stay bit-identical — E13's
-differential arm pins this):
+pure topology (decisions and alerts stay bit-identical —
+``tests/test_neutrality.py`` pins this):
 
 - ``queue_aware=True`` — each shard exposes its *busy cursor*
   (:meth:`~repro.accesscontrol.pdp_service.PdpService.busy_seconds`);
@@ -128,28 +128,14 @@ class DecisionPlane:
     def services(self) -> list[PdpService]:
         return list(self._services)
 
-    def deploy(self, federation: "Federation", prp) -> "DecisionPlane":
+    def deploy(self, federation: "Federation", policy_plane) -> "DecisionPlane":
         """Create the plane's evaluators in the infrastructure tenant.
 
-        ``prp`` is either a bare :class:`PolicyRetrievalPoint` (every
-        evaluator shares it, the pre-policydist convention) or a
-        :class:`~repro.policydist.plane.PolicyDistributionPlane`, in which
-        case each evaluator reads from the replica the policy plane
-        assigns it (``pdp``, ``pdp-0``, … as consumer names).
+        Each evaluator reads from the replica that ``policy_plane`` (a
+        :class:`~repro.policydist.plane.PolicyDistributionPlane`) assigns
+        it (``pdp``, ``pdp-0``, … as consumer names).
         """
         raise NotImplementedError
-
-    @staticmethod
-    def _policy_plane(prp):
-        """Normalise ``prp`` into a policy distribution plane.
-
-        Imported lazily: :mod:`repro.policydist` imports this package's
-        ``prp`` module, so a module-level import here would deadlock
-        whichever package is imported first.
-        """
-        from repro.policydist.plane import as_policy_plane
-
-        return as_policy_plane(prp)
 
     def endpoints(self, request: AccessRequest) -> tuple[str, ...]:
         """Shard addresses for ``request``, primary first, failover order.
@@ -216,9 +202,16 @@ class DecisionPlane:
             "caches": [cache.stats() for cache in self.caches()],
         }
 
-    def _ensure_undeployed(self) -> None:
+    def _ensure_deployable(self, policy_plane) -> None:
+        # Imported here: repro.policydist imports this package's prp module.
+        from repro.policydist.plane import PolicyDistributionPlane
+
         if self._services:
             raise ValidationError(f"{type(self).__name__} is already deployed")
+        if not isinstance(policy_plane, PolicyDistributionPlane):
+            raise ValidationError(
+                f"expected a PolicyDistributionPlane, got {type(policy_plane).__name__}"
+            )
 
 
 class SinglePdpPlane(DecisionPlane):
@@ -254,11 +247,11 @@ class SinglePdpPlane(DecisionPlane):
         plane._endpoints = (service.address,)
         return plane
 
-    def deploy(self, federation: "Federation", prp) -> "SinglePdpPlane":
-        self._ensure_undeployed()
+    def deploy(self, federation: "Federation", policy_plane) -> "SinglePdpPlane":
+        self._ensure_deployable(policy_plane)
         if self._endpoints:
             raise ValidationError("route-only plane (SinglePdpPlane.at) cannot be deployed")
-        policy_plane = self._policy_plane(prp).deploy(federation)
+        policy_plane.deploy(federation)
         infra = federation.infrastructure_tenant
         service = PdpService(
             federation.network,
@@ -399,8 +392,8 @@ class ShardedPdpPlane(DecisionPlane):
 
     # -- deployment --------------------------------------------------------------
 
-    def deploy(self, federation: "Federation", prp) -> "ShardedPdpPlane":
-        self._ensure_undeployed()
+    def deploy(self, federation: "Federation", policy_plane) -> "ShardedPdpPlane":
+        self._ensure_deployable(policy_plane)
         if self.cache_policy == "partitioned" and "decision_cache" in self.service_kwargs:
             # Forwarding one cache object to every replica would silently
             # deploy a shared topology under a "partitioned" label.
@@ -408,7 +401,7 @@ class ShardedPdpPlane(DecisionPlane):
                 "cache_policy='partitioned' builds one cache per shard; "
                 "pass cache_policy='shared' to supply a decision_cache"
             )
-        policy_plane = self._policy_plane(prp).deploy(federation)
+        policy_plane.deploy(federation)
         self._federation = federation
         self._policy_plane_handle = policy_plane
         if self.cache_policy == "shared" and self.service_kwargs.get("use_decision_cache", True):
@@ -980,19 +973,3 @@ class ShardedPdpPlane(DecisionPlane):
         stats["rebalances"] = self.rebalances
         stats["warmed_entries"] = self.warmed_entries
         return stats
-
-
-def as_plane(plane_or_service) -> DecisionPlane:
-    """Normalise a plane handle.
-
-    Monitoring orchestrators accept either a :class:`DecisionPlane` or a
-    bare :class:`PdpService` (the pre-plane calling convention); a bare
-    service is adopted into a :class:`SinglePdpPlane`.
-    """
-    if isinstance(plane_or_service, DecisionPlane):
-        return plane_or_service
-    if isinstance(plane_or_service, PdpService):
-        return SinglePdpPlane.wrap(plane_or_service)
-    raise ValidationError(
-        f"expected a DecisionPlane or PdpService, got {type(plane_or_service).__name__}"
-    )

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.semantics import DecisionOracle
+from repro.common.errors import ValidationError
 from repro.common.rng import SeededRng
 from repro.drams.alerts import Alert, AlertBus, AlertType
 from repro.drams.logs import EntryType, LogEntry
@@ -32,9 +33,8 @@ from repro.drams.probe import (
     follow_plane_membership,
 )
 from repro.federation.federation import Federation
-from repro.accesscontrol.pdp_service import PdpService
 from repro.accesscontrol.pep import PolicyEnforcementPoint
-from repro.accesscontrol.plane import DecisionPlane, as_plane
+from repro.accesscontrol.plane import DecisionPlane
 from repro.accesscontrol.prp import PolicyRetrievalPoint
 from repro.simnet.network import Host, Message, Network
 from repro.storage.database import DatabaseConfig, DatabaseStore
@@ -197,7 +197,7 @@ class CentralizedMonitor(Host):
 
 
 def attach_centralized_monitoring(federation: Federation,
-                                  plane: "DecisionPlane | PdpService",
+                                  plane: DecisionPlane,
                                   peps: dict[str, PolicyEnforcementPoint],
                                   prp: PolicyRetrievalPoint,
                                   timeout_seconds: float = 10.0) -> tuple[
@@ -206,10 +206,11 @@ def attach_centralized_monitoring(federation: Federation,
 
     Reuses the same probe implementation as DRAMS — only the destination
     differs — so any detection difference is attributable to the
-    monitoring architecture, not the instrumentation.  Accepts the
-    federation's decision plane (probes attach to every PDP replica) or,
-    for backwards compatibility, a bare :class:`PdpService`.
+    monitoring architecture, not the instrumentation.  Probes attach to
+    every PDP replica of the federation's decision plane.
     """
+    if not isinstance(plane, DecisionPlane):
+        raise ValidationError(f"expected a DecisionPlane, got {type(plane).__name__}")
     infra = federation.infrastructure_tenant
     monitor = CentralizedMonitor(
         federation.network, infra.address("central-monitor"), prp,
@@ -218,7 +219,6 @@ def attach_centralized_monitoring(federation: Federation,
     probes: dict[str, ProbeAgent] = {}
     for tenant_name, pep in peps.items():
         probes[f"pep:{tenant_name}"] = attach_pep_probes(pep, monitor.address)
-    plane = as_plane(plane)
     probes.update(attach_plane_probes(plane, infra.name, monitor.address))
     # Coverage follows elastic membership through the same protocol DRAMS
     # uses: probe new shards before their first request, release drained

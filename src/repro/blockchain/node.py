@@ -54,7 +54,7 @@ class BlockchainNode(Host):
         self.peers: list[str] = []
         self.blocks_mined = 0
         self.invalid_blocks_seen = 0
-        #: ``bc_tx``/``bc_block`` messages dropped at the decode boundary.
+        #: Messages of any ``bc_*`` kind dropped at the decode boundary.
         self.malformed_messages_seen = 0
         self._seen_txs: set[str] = set()
         self._seen_blocks: set[str] = {self.chain.genesis.hash}
@@ -230,7 +230,24 @@ class BlockchainNode(Host):
         # the block (the gossip dict is content-identical either way).
         self._accept_block(block, relayed=message)
 
+    def _reject_malformed(self, message: Message, **fields: type) -> bool:
+        """True, and counted, unless the payload is a dict whose ``fields`` have these types.
+
+        Every field is optional on the wire (handlers default the absent
+        ones); one that is present with another type would raise where it
+        is converted or used as a key, so the message is dropped instead.
+        """
+        payload = message.payload
+        if isinstance(payload, dict) and all(
+            isinstance(payload[name], kind) for name, kind in fields.items() if name in payload
+        ):
+            return False
+        self.malformed_messages_seen += 1
+        return True
+
     def _handle_block_request(self, message: Message) -> None:
+        if self._reject_malformed(message, hash=str):
+            return
         block = self.chain.get_block(message.payload.get("hash", ""))
         if block is None:
             return
@@ -248,9 +265,9 @@ class BlockchainNode(Host):
         ordinary parent-request path: the peer returns the head block,
         whose missing ancestry the orphan machinery walks hop by hop.
         """
-        if not self._syncing:
+        if self._reject_malformed(message, hash=str) or not self._syncing:
             return
-        head_hash = str(message.payload.get("hash", ""))
+        head_hash = message.payload.get("hash", "")
         if not head_hash:
             return
         if self.chain.has_block(head_hash):
@@ -270,8 +287,10 @@ class BlockchainNode(Host):
         on our main chain plus our tip coordinates, so the client knows
         whether another round is needed (``limit`` bounds each reply).
         """
+        if self._reject_malformed(message, locator=list, limit=int):
+            return
         locator = [str(h) for h in message.payload.get("locator", [])]
-        limit = int(message.payload.get("limit", 64))
+        limit = message.payload.get("limit", 64)
         headers = self.chain.headers_after(locator, max(1, min(limit, 512)))
         self.header_syncs_served += 1
         # The reply id is derived from the request id: light-client service
@@ -291,6 +310,10 @@ class BlockchainNode(Host):
         node cannot resolve gets ``found: False`` with the request echo so
         the client can stop waiting.
         """
+        if self._reject_malformed(
+            message, request_id=str, tx_id=str, correlation_id=str, entry_type=str
+        ):
+            return
         payload = message.payload
         reply: dict = {"request_id": payload.get("request_id"), "found": False}
         tx_id = payload.get("tx_id")

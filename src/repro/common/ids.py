@@ -35,8 +35,8 @@ def reset_id_counter(start: int = 1) -> None:
 
     Minted ids (transaction ids in particular) are hashed into the chain,
     so two runs can only produce bit-identical chains if they mint from
-    the same counter position.  The differential benchmarks reset between
-    arms; production code must never call this.
+    the same counter position.  Tests and benchmarks that compare runs
+    reset before each; production code must never call this.
     """
     global _COUNTER
     with _COUNTER_LOCK:

@@ -47,9 +47,8 @@ from repro.drams.probe import (
 from repro.federation.federation import Federation
 from repro.accesscontrol.pdp_service import PdpService
 from repro.accesscontrol.pep import PolicyEnforcementPoint
-from repro.accesscontrol.plane import DecisionPlane, as_plane
-from repro.accesscontrol.prp import PolicyRetrievalPoint
-from repro.policydist.plane import PolicyDistributionPlane, as_policy_plane
+from repro.accesscontrol.plane import DecisionPlane
+from repro.policydist.plane import PolicyDistributionPlane
 
 
 @dataclass
@@ -81,7 +80,7 @@ class DramsConfig:
     # reported as a tampered policy.  Must cover the distribution plane's
     # propagation delay plus one anti-entropy round.
     unknown_policy_grace: float = 5.0
-    # Ablation knobs (see DESIGN.md section 5); keep defaults in production.
+    # Ablation knobs (benchmarks/bench_ablations.py); keep defaults in production.
     expected_entries: tuple = EntryType.ALL
     enable_leg_matching: bool = True
     # Analyser mode: "full" audits every correlation (the paper's
@@ -119,25 +118,25 @@ class DramsSystem:
     """The deployed monitoring system for one federation."""
 
     def __init__(self, federation: Federation,
-                 prp: "PolicyDistributionPlane | PolicyRetrievalPoint",
-                 plane: "DecisionPlane | PdpService",
+                 policy_plane: PolicyDistributionPlane,
+                 plane: DecisionPlane,
                  peps: dict[str, PolicyEnforcementPoint],
                  config: Optional[DramsConfig] = None) -> None:
+        for handle, kind in ((policy_plane, PolicyDistributionPlane), (plane, DecisionPlane)):
+            if not isinstance(handle, kind):
+                raise ValidationError(
+                    f"expected a {kind.__name__}, got {type(handle).__name__}")
         self.federation = federation
         # The policy distribution plane decides how policy reaches each
-        # consumer; a bare PolicyRetrievalPoint (the pre-policydist calling
-        # convention) is adopted into a single shared store.  ``self.prp``
-        # stays the authority store for backwards compatibility; the
-        # Analyser reads from its *own* replica so a tampered PDP-side
-        # replica can never alter the auditor's view.
-        self.policy_plane = as_policy_plane(prp).deploy(federation)
+        # consumer.  ``self.prp`` is its authority store; the Analyser
+        # reads from its *own* replica so a tampered PDP-side replica can
+        # never alter the auditor's view.
+        self.policy_plane = policy_plane.deploy(federation)
         self.prp = self.policy_plane.authority
         # The decision plane decides how many PDP evaluators exist at any
         # moment (elastic planes change membership mid-run; coverage
-        # follows via _on_plane_membership); a bare PdpService (the
-        # pre-plane calling convention) is adopted into a single-evaluator
-        # plane.
-        self.plane = as_plane(plane)
+        # follows via _on_plane_membership).
+        self.plane = plane
         self.pdp_services = self.plane.services
         if not self.pdp_services:
             raise ValidationError("decision plane has no deployed PDP services to monitor")

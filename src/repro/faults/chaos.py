@@ -22,8 +22,8 @@ semantics:
 Every restart arms the matching :class:`RecoveryRecorder` watch, so a run
 finishes with time-to-recover numbers per component without the caller
 instrumenting anything.  An **empty plan is a strict no-op**: nothing is
-scheduled, no RNG is drawn — the differential arm of ``bench_e15_faults``
-pins that arming an empty controller is bit-identical to no controller.
+scheduled, no RNG is drawn — ``tests/test_neutrality.py`` pins that arming an
+empty controller is bit-identical to no controller.
 """
 
 from __future__ import annotations

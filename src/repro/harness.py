@@ -42,16 +42,13 @@ from repro.accesscontrol.plane import DecisionPlane, SinglePdpPlane
 from repro.accesscontrol.prp import PolicyRetrievalPoint
 from repro.common.errors import ValidationError
 from repro.common.ids import short_hash
+from repro.crypto.hashing import hash_value
 from repro.drams.system import DramsConfig, DramsSystem
 from repro.federation.federation import Federation, FederationConfig
 from repro.metrics.recorder import percentile
 from repro.metrics.windowed import WindowedMetrics
 from repro.telemetry.stack import StackTelemetry
-from repro.policydist.plane import (
-    PolicyDistributionPlane,
-    SingleStorePlane,
-    as_policy_plane,
-)
+from repro.policydist.plane import PolicyDistributionPlane, SingleStorePlane
 from repro.workload.generator import GeneratedRequest, RequestGenerator
 from repro.workload.scenarios import Scenario
 
@@ -97,7 +94,7 @@ class MonitoredFederation:
         with_drams: bool = True,
         federation_config: Optional[FederationConfig] = None,
         plane: Optional[DecisionPlane] = None,
-        policy_plane: "Optional[PolicyDistributionPlane | PolicyRetrievalPoint]" = None,
+        policy_plane: Optional[PolicyDistributionPlane] = None,
         autoscaler: Optional[AutoscaleController] = None,
         pep_kwargs: Optional[dict] = None,
         light_clients: "bool | list[str]" = False,
@@ -118,24 +115,21 @@ class MonitoredFederation:
         use it to shorten ``request_timeout`` and install a
         ``RetryBackoff`` without changing the default topology.
         ``telemetry=True`` attaches a :class:`StackTelemetry` (causal
-        tracer + unified metrics registry) to the finished stack; the
-        attachment is pure observation, and the E17 differential arm
-        pins a telemetry-attached run bit-identical to a bare one.
+        tracer + unified metrics registry) to the finished stack.
         ``light_clients=True`` attaches a sideband light auditor (header
         client + receipt consumer, see :mod:`repro.lightclient`) to every
-        member tenant's PEP — or to a named subset when given a list.
-        Requires ``with_drams``; attaching the auditors leaves the
-        monitored system bit-identical (the E16 differential arm pins
-        this).
+        member tenant's PEP — or to a named subset when given a list;
+        it requires ``with_drams``.  Both are pure observation:
+        ``tests/test_neutrality.py`` pins a run with either attached to
+        the same :meth:`fingerprint` as the run without.
         """
         fed_config = federation_config or FederationConfig(
             name=f"faas-{scenario.name}", cloud_count=clouds, seed=seed
         )
         federation = Federation(fed_config)
 
-        policy_plane = as_policy_plane(
-            policy_plane if policy_plane is not None else SingleStorePlane()
-        ).deploy(federation)
+        policy_plane = policy_plane if policy_plane is not None else SingleStorePlane()
+        policy_plane.deploy(federation)
         prp = policy_plane.authority
         infra_name = federation.infrastructure_tenant.name
         pap = PolicyAdministrationPoint(prp, administrator=f"pap@{infra_name}")
@@ -265,9 +259,7 @@ class MonitoredFederation:
         :class:`~repro.faults.ChaosController`, whose
         :class:`~repro.faults.RecoveryRecorder` accumulates the recovery
         SLOs as the timeline executes.  An empty plan arms nothing and
-        perturbs nothing — the differential arm of the fault benchmark
-        pins that attaching the controller is bit-identical to not having
-        it.
+        perturbs nothing (``tests/test_neutrality.py`` pins it).
         """
         from repro.faults import ChaosController
 
@@ -416,6 +408,37 @@ class MonitoredFederation:
         if not self.outcomes:
             return 0.0
         return sum(1 for o in self.outcomes if o.granted) / len(self.outcomes)
+
+    def fingerprint(self) -> dict:
+        """What two runs must agree on to be the same run.
+
+        ``decisions`` keys every enforced outcome on arrival time and
+        request content, not request id: ids are minted in
+        topology-dependent order, while both of those are generator-driven.
+        An observer (telemetry, light clients, an idle fault plane or
+        autoscaler) must leave the whole dict equal; a change of decision
+        plane topology must leave ``decisions`` and ``alerts`` equal.
+        ``chain_head`` and ``checked`` are ``None`` without DRAMS.
+        """
+        drams = self.drams
+        decisions = sorted(
+            (
+                round(o.requested_at, 9),
+                hash_value(o.request.content),
+                o.decision.decision,
+                hash_value(o.decision.obligations),
+                o.decision.status_code,
+                o.decision.policy_version,
+                o.decision.policy_fingerprint,
+            )
+            for o in self.outcomes
+        )
+        return {
+            "decisions": decisions,
+            "alerts": sorted(a.alert_type.value for a in drams.alerts.all()) if drams else [],
+            "chain_head": drams.reference_chain().head.hash if drams else None,
+            "checked": drams.analyser.checked if drams else None,
+        }
 
     def run_summary(self) -> dict:
         """One dict summarising a finished run: outcomes, faults, traffic.

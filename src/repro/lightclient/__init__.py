@@ -22,8 +22,8 @@ the sublinear alternative the "millions of users" north star needs:
 
 All light-client traffic is *sideband* (:mod:`repro.lightclient.sideband`):
 constant-latency links and namespaced message ids, so attaching observers
-leaves the monitored system bit-identical — the differential arm of
-``bench_e16_lightclient.py`` pins exactly that.
+leaves the monitored system bit-identical — ``tests/test_neutrality.py``
+pins exactly that.
 """
 
 from repro.lightclient.consumer import LightProbeConsumer

@@ -9,18 +9,12 @@ each own a propagation-fed replica (:class:`ReplicatedPrpPlane`) whose
 version skew the monitoring pipeline observes and classifies.
 """
 
-from repro.policydist.plane import (
-    PolicyDistributionPlane,
-    ReplicatedPrpPlane,
-    SingleStorePlane,
-    as_policy_plane,
-)
+from repro.policydist.plane import PolicyDistributionPlane, ReplicatedPrpPlane, SingleStorePlane
 from repro.policydist.replica import PrpReplica
 
 __all__ = [
     "PolicyDistributionPlane",
     "ReplicatedPrpPlane",
     "SingleStorePlane",
-    "as_policy_plane",
     "PrpReplica",
 ]

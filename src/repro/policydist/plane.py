@@ -405,21 +405,3 @@ class ReplicatedPrpPlane(PolicyDistributionPlane):
         for stopper in self._stoppers:
             stopper()
         self._stoppers.clear()
-
-
-def as_policy_plane(plane_or_store) -> PolicyDistributionPlane:
-    """Normalise a policy-plane handle.
-
-    Components accept either a :class:`PolicyDistributionPlane` or a bare
-    :class:`PolicyRetrievalPoint` (the pre-plane calling convention); a
-    bare store is adopted into a :class:`SingleStorePlane`, which keeps
-    manual wiring bit-identical to the hard-wired topology.
-    """
-    if isinstance(plane_or_store, PolicyDistributionPlane):
-        return plane_or_store
-    if isinstance(plane_or_store, PolicyRetrievalPoint):
-        return SingleStorePlane(store=plane_or_store)
-    raise ValidationError(
-        "expected a PolicyDistributionPlane or PolicyRetrievalPoint, got "
-        f"{type(plane_or_store).__name__}"
-    )

@@ -7,8 +7,8 @@ the shared :class:`~repro.telemetry.tracing.Tracer` — plus a set of
 pull-based registry collectors wrapping the ``stats()`` surfaces every
 subsystem already keeps.  Nothing about the stack's behaviour changes:
 instrumented components check for a tracer and record spans in-process,
-so a bare stack and a telemetry-attached one stay bit-identical (the E17
-differential arm pins decisions, alerts and the chain head).
+so a bare stack and a telemetry-attached one stay bit-identical
+(``tests/test_neutrality.py`` pins decisions, alerts and the chain head).
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ outgoing message, and delivery re-activates the stamped context around
 crosses a scheduled timer instead of a message captures the context
 explicitly in its closure.
 
-The determinism contract (pinned by the E17 differential arm) is that
+The determinism contract (pinned by ``tests/test_neutrality.py``) is that
 tracing is **pure observation**:
 
 - no RNG draws — span ids come from a tracer-local integer sequence,

@@ -7,16 +7,12 @@ from repro.accesscontrol.messages import AccessDecision, AccessRequest
 from repro.accesscontrol.pap import PolicyAdministrationPoint
 from repro.accesscontrol.pdp_service import PdpService
 from repro.accesscontrol.pep import PolicyEnforcementPoint
-from repro.accesscontrol.plane import (
-    DecisionPlane,
-    ShardedPdpPlane,
-    SinglePdpPlane,
-    as_plane,
-)
+from repro.accesscontrol.plane import DecisionPlane, ShardedPdpPlane, SinglePdpPlane
 from repro.accesscontrol.prp import PolicyRetrievalPoint
 from repro.common.errors import ValidationError
 from repro.common.rng import SeededRng
 from repro.harness import MonitoredFederation
+from repro.policydist import SingleStorePlane
 from repro.simnet.latency import ConstantLatency
 from repro.simnet.network import Host, Network
 from repro.simnet.simulator import Simulator
@@ -110,15 +106,7 @@ class TestSinglePlane:
     def test_route_only_plane_cannot_deploy(self):
         plane = SinglePdpPlane.at("pdp@infra")
         with pytest.raises(ValidationError):
-            plane.deploy(object(), PolicyRetrievalPoint())
-
-    def test_as_plane_normalises(self, network):
-        pdp = PdpService(network, "pdp@infra", PolicyRetrievalPoint())
-        plane = as_plane(pdp)
-        assert isinstance(plane, SinglePdpPlane)
-        assert as_plane(plane) is plane
-        with pytest.raises(ValidationError):
-            as_plane("pdp@infra")
+            plane.deploy(object(), SingleStorePlane())
 
     def test_pep_rejects_raw_address(self, network):
         with pytest.raises(TypeError, match="SinglePdpPlane.at"):
@@ -127,12 +115,13 @@ class TestSinglePlane:
         PolicyEnforcementPoint(network, "pep@t1", "tenant-1",
                                SinglePdpPlane.at("pdp@infra"))
 
-    def test_pep_adopts_bare_service(self, sim, network):
+    def test_pep_rejects_bare_service(self, sim, network):
         prp = PolicyRetrievalPoint()
         PolicyAdministrationPoint(prp, "admin").publish(doctors_policy())
         pdp = PdpService(network, "pdp@infra", prp)
-        pep = PolicyEnforcementPoint(network, "pep@t1", "tenant-1", pdp)
-        assert isinstance(pep.plane, SinglePdpPlane)
+        with pytest.raises(ValidationError, match="expected a DecisionPlane"):
+            PolicyEnforcementPoint(network, "pep@t1", "tenant-1", pdp)
+        pep = PolicyEnforcementPoint(network, "pep@t1", "tenant-1", SinglePdpPlane.wrap(pdp))
         outcomes = []
         pep.request_access(subject={"role": "doctor"}, resource={},
                            action={"action-id": "read"},
@@ -251,10 +240,7 @@ class TestHarnessIntegration:
                                               plane=plane)
             stack.issue_requests(20)
             stack.run(until=60.0)
-            return sorted(
-                (o.requested_at, o.decision.decision, o.decision.status_code,
-                 tuple(ob["obligation_id"] for ob in o.decision.obligations))
-                for o in stack.outcomes)
+            return stack.fingerprint()["decisions"]
 
         single = run(None)
         sharded = run(ShardedPdpPlane(shards=4))
@@ -332,7 +318,7 @@ class TestShardedCacheCoherence:
         stack = MonitoredFederation.build(healthcare_scenario(), clouds=2,
                                           seed=29, with_drams=False)
         with pytest.raises(ValidationError, match="partitioned"):
-            plane.deploy(stack.federation, stack.prp)
+            plane.deploy(stack.federation, stack.policy_plane)
 
     @pytest.mark.parametrize("cache_policy", ["shared", "partitioned"])
     def test_publish_flushes_every_shard_cache(self, cache_policy):
@@ -489,11 +475,11 @@ class TestDecisionPlaneSurface:
         stack = MonitoredFederation.build(healthcare_scenario(), clouds=2,
                                           seed=27, with_drams=False)
         with pytest.raises(ValidationError):
-            stack.plane.deploy(stack.federation, stack.prp)
+            stack.plane.deploy(stack.federation, stack.policy_plane)
 
     def test_base_plane_is_abstract(self):
         plane = DecisionPlane()
         with pytest.raises(NotImplementedError):
             plane.endpoints(request_with())
         with pytest.raises(NotImplementedError):
-            plane.deploy(object(), PolicyRetrievalPoint())
+            plane.deploy(object(), SingleStorePlane())

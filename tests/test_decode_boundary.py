@@ -4,6 +4,9 @@
 other tenants become objects.  Whatever JSON-shaped value arrives, they
 raise :class:`ValidationError` and nothing else, and a node handed such a
 ``bc_tx``/``bc_block`` message drops it, counts it and keeps its state.
+The service requests (``bc_block_request``, ``bc_head``, ``bc_header_sync``,
+``bc_proof_request``) decode to no object, but their fields are converted
+and used as keys, so the same holds for a payload of the wrong shape.
 """
 
 import pytest
@@ -17,6 +20,30 @@ from tests.strategies import json_values, transactions
 from tests.test_verify_once import alice_tx, build_cluster
 
 DECODERS = {"bc_tx": Transaction.from_dict, "bc_block": Block.from_dict}
+
+#: Service requests: every field is optional, one that is present has this type.
+REQUEST_FIELDS = {
+    "bc_block_request": {"hash": str},
+    "bc_head": {"hash": str},
+    "bc_header_sync": {"locator": list, "limit": int},
+    "bc_proof_request": {"request_id": str, "tx_id": str, "correlation_id": str, "entry_type": str},
+}
+GENUINE_REQUESTS = {
+    "bc_block_request": {"hash": "ab" * 32},
+    "bc_head": {"hash": "ab" * 32, "height": 3},
+    "bc_header_sync": {"locator": ["ab" * 32, "cd" * 32], "limit": 64},
+    "bc_proof_request": {"request_id": "c-1", "correlation_id": "c-1", "entry_type": "pep-in"},
+}
+KINDS = sorted({**DECODERS, **REQUEST_FIELDS})
+
+MALFORMED = {
+    "bc_tx": [{"signature": {"e": "zz"}}],
+    "bc_block": [{"miner_signature": {"e": "zz"}}],
+    "bc_block_request": [{"hash": ["unhashable"]}],
+    "bc_head": [{"hash": 5}],
+    "bc_header_sync": [{"limit": "x"}, {"locator": 5}, {"limit": None}],
+    "bc_proof_request": [{"tx_id": ["unhashable"]}, {"correlation_id": {}, "entry_type": "pep-in"}],
+}
 
 # JSON admits integers no float can hold; the decoders call float() and int().
 wire_values = st.one_of(json_values, st.just(10**400), st.just(-(10**400)))
@@ -52,6 +79,12 @@ def mutated(draw, document):
 
 def decodes(kind, payload):
     """True if ``payload`` decodes; the only permitted failure is ValidationError."""
+    if kind in REQUEST_FIELDS:
+        return isinstance(payload, dict) and all(
+            isinstance(payload[name], expected)
+            for name, expected in REQUEST_FIELDS[kind].items()
+            if name in payload
+        )
     try:
         DECODERS[kind](payload)
     except ValidationError:
@@ -100,14 +133,16 @@ class TestIssueCases:
             with pytest.raises(ValidationError):
                 decode(payload)
 
-    @pytest.mark.parametrize("kind", sorted(DECODERS))
+    @pytest.mark.parametrize("kind", KINDS)
     def test_node_drops_and_counts_a_malformed_message(self, kind):
-        assert not deliver(kind, ["not", "an", "object"])
-        assert not deliver(kind, {"signature": {"e": "zz"}, "miner_signature": {"e": "zz"}})
+        for payload in [["not", "an", "object"], "x", None, *MALFORMED[kind]]:
+            assert not deliver(kind, payload)
 
     def test_genuine_messages_still_get_through(self):
         assert deliver("bc_tx", alice_tx().to_dict())
         assert deliver("bc_block", BLOCK_DICT)
+        for kind, payload in GENUINE_REQUESTS.items():
+            assert deliver(kind, payload)
 
 
 class TestDecodeFuzz:
@@ -131,8 +166,15 @@ class TestDecodeFuzz:
     def test_mutated_block_raises_only_validation_error(self, data):
         decodes("bc_block", data)
 
-    @given(st.sampled_from(sorted(DECODERS)), st.one_of(wire_values, mutated(BLOCK_DICT)))
-    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(KINDS),
+        st.one_of(
+            wire_values,
+            mutated(BLOCK_DICT),
+            mutated(st.sampled_from(sorted(GENUINE_REQUESTS.values(), key=repr))),
+        ),
+    )
+    @settings(max_examples=120, deadline=None)
     def test_node_receive_never_raises_and_keeps_its_state(self, kind, payload):
         deliver(kind, payload)
 

@@ -458,10 +458,7 @@ class TestLocalityRouting:
             stack = build_stack(plane, seed=36)
             stack.issue_requests(20)
             stack.run(until=60.0)
-            return sorted(
-                (o.requested_at, o.decision.decision, o.decision.status_code)
-                for o in stack.outcomes
-            )
+            return stack.fingerprint()["decisions"]
 
         plain = run(ShardedPdpPlane(shards=4))
         routed = run(ShardedPdpPlane(shards=4, locality_aware=True, queue_aware=True))

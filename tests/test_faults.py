@@ -12,7 +12,6 @@ from repro.blockchain.node import BlockchainNode
 from repro.blockchain.transaction import Transaction
 from repro.common.errors import ValidationError
 from repro.common.rng import SeededRng
-from repro.crypto.hashing import hash_value
 from repro.crypto.signatures import SigningKey
 from repro.faults import (
     ChaosController,
@@ -661,11 +660,7 @@ class TestDistributionIdempotency:
             stack.issue_requests(40, start_at=0.1)
             stack.run(until=30.0)
             assert len(stack.outcomes) == 40
-            return sorted(
-                (hash_value(o.request.content), o.decision.decision,
-                 hash_value(o.decision.obligations))
-                for o in stack.outcomes
-            )
+            return stack.fingerprint()["decisions"]
 
         assert run(faulty=False) == run(faulty=True)
 
@@ -692,29 +687,6 @@ class TestChaosController:
             stack.start()
         controller = stack.inject_faults(plan) if plan is not None else None
         return stack, plane, controller
-
-    def fingerprint(self, stack):
-        return sorted(
-            (round(o.requested_at, 9), hash_value(o.request.content),
-             o.decision.decision, o.decision.status_code)
-            for o in stack.outcomes
-        )
-
-    def test_empty_plan_is_a_strict_noop(self):
-        from repro.common.ids import reset_id_counter
-
-        def run(with_controller):
-            reset_id_counter()
-            stack, _, controller = self.storm_stack(
-                plan=FaultPlan() if with_controller else None
-            )
-            stack.issue_requests(30, start_at=0.1)
-            stack.run(until=20.0)
-            if with_controller:
-                assert controller.applied == []
-            return self.fingerprint(stack)
-
-        assert run(with_controller=False) == run(with_controller=True)
 
     def test_arm_is_idempotent(self):
         plan = FaultPlan(events=(clock_skew("pep@tenant-1", 1.0, at=0.1),))

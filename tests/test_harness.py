@@ -1,5 +1,6 @@
 """The MonitoredFederation harness used by examples and benchmarks."""
 
+from repro.common.ids import reset_id_counter
 from repro.harness import MonitoredFederation
 from repro.workload.scenarios import healthcare_scenario
 from tests.conftest import fast_drams_config
@@ -64,12 +65,13 @@ class TestWorkload:
 
     def test_reproducibility_across_builds(self):
         def run(seed):
+            reset_id_counter()
             stack = MonitoredFederation.build(
                 healthcare_scenario(), clouds=2, seed=seed,
                 drams_config=fast_drams_config())
             stack.start()
             stack.issue_requests(10)
             stack.run(until=40.0)
-            return [(o.granted, o.decision.decision) for o in stack.outcomes]
+            return stack.fingerprint()
 
         assert run(90) == run(90)

@@ -1,0 +1,129 @@
+"""The one pin on "the same run": observers observe, topology is not semantics.
+
+:meth:`MonitoredFederation.fingerprint` is the only definition of run
+equality in the tree.  Two parametrised tests hold everything bolted onto
+the monitored federation to it:
+
+- **observer neutrality** — telemetry, light clients, an armed but empty
+  fault plan and an autoscaler that may never actuate each leave the
+  *whole* fingerprint (decisions, alerts, chain head, audit count) equal
+  to the same build without them;
+- **topology neutrality** — every decision-plane shape (one shard, four,
+  partitioned caches, queue- and locality-aware routing) leaves
+  ``decisions`` and ``alerts`` equal to the default single evaluator.
+
+A third test shows the pin can fail: a different seed and an observer
+that mints one global id per enforcement both move the fingerprint.
+"""
+
+import pytest
+
+from repro.accesscontrol.autoscale import AutoscaleController
+from repro.accesscontrol.plane import ShardedPdpPlane
+from repro.common.ids import new_id, reset_id_counter
+from repro.faults import FaultPlan
+from repro.harness import MonitoredFederation
+from repro.workload.scenarios import federation_scale_scenario
+from tests.conftest import fast_drams_config
+
+REQUESTS = 16
+SEED = 78
+
+
+def build(seed=SEED, **kwargs) -> MonitoredFederation:
+    """A small monitored ``federation-scale`` stack, minted from the same id origin."""
+    reset_id_counter()
+    stack = MonitoredFederation.build(
+        federation_scale_scenario(), seed=seed, drams_config=fast_drams_config(), **kwargs
+    )
+    stack.start()
+    return stack
+
+
+def drive(stack) -> MonitoredFederation:
+    stack.issue_requests(REQUESTS)
+    stack.run(until=30.0)
+    # Two runs that both lost requests, or both went unaudited, would
+    # compare equal for the wrong reason.
+    assert len(stack.outcomes) == REQUESTS
+    assert sum(pep.timeouts for pep in stack.peps.values()) == 0
+    assert stack.drams.analyser.checked == REQUESTS
+    return stack
+
+
+# Each observer runs the stack with itself attached (``on``) or absent and,
+# when attached, shows it was live rather than merely accepted by ``build``.
+
+
+def telemetry(on):
+    stack = drive(build(telemetry=on))
+    if on:
+        assert len(stack.telemetry.critical_paths().decision_traces()) == REQUESTS
+    return stack
+
+
+def light_clients(on):
+    stack = drive(build(light_clients=on))
+    if on:
+        assert sum(c.receipts_accepted for c in stack.light_clients.values()) == REQUESTS
+    return stack
+
+
+def empty_fault_plan(on):
+    stack = build()
+    controller = stack.inject_faults(FaultPlan(name="empty")) if on else None
+    drive(stack)
+    if on:
+        assert controller.applied == [] and controller.recorder.slos()["faults"] == []
+    return stack
+
+
+def pinned_autoscaler(on):
+    controller = AutoscaleController(min_shards=4, max_shards=4) if on else None
+    stack = drive(build(plane=ShardedPdpPlane(shards=4), autoscaler=controller))
+    if on:
+        assert controller.decisions > 0, "the pinned controller never sampled"
+        assert controller.scale_ups == controller.scale_downs == 0
+    return stack
+
+
+PLANES = {
+    "sharded-1": lambda: ShardedPdpPlane(shards=1),
+    "sharded-4": lambda: ShardedPdpPlane(shards=4),
+    "sharded-4-partitioned": lambda: ShardedPdpPlane(shards=4, cache_policy="partitioned"),
+    "sharded-4-queue-locality": lambda: ShardedPdpPlane(
+        shards=4, queue_aware=True, locality_aware=True
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "observer",
+    [telemetry, light_clients, empty_fault_plan, pinned_autoscaler],
+    ids=lambda observer: observer.__name__,
+)
+def test_observer_neutrality(observer):
+    assert observer(True).fingerprint() == observer(False).fingerprint()
+
+
+@pytest.mark.parametrize("plane", PLANES)
+def test_topology_neutrality(plane):
+    default = drive(build()).fingerprint()
+    reshaped = drive(build(plane=PLANES[plane]())).fingerprint()
+    assert reshaped["decisions"] == default["decisions"]
+    assert reshaped["alerts"] == default["alerts"]
+
+
+def test_fingerprint_is_sensitive():
+    base = drive(build()).fingerprint()
+    assert drive(build(seed=SEED + 1)).fingerprint() != base
+
+    # An observer that mints one global id per enforcement.  Drawing from
+    # ``federation.rng`` would not do as the impurity: forks are
+    # name-derived, so a root draw perturbs no consumer's stream.
+    stack = build()
+    for pep in stack.peps.values():
+        pep.on_enforce.append(lambda request, decision: new_id("impure"))
+    impure = drive(stack).fingerprint()
+    assert impure != base
+    assert impure["decisions"] == base["decisions"]  # the ids moved the chain, not the PDP

@@ -6,19 +6,14 @@ import pytest
 from hypothesis import given, settings
 
 from repro.accesscontrol.pap import PolicyAdministrationPoint
-from repro.accesscontrol.plane import ShardedPdpPlane
+from repro.accesscontrol.plane import ShardedPdpPlane, SinglePdpPlane
 from repro.accesscontrol.prp import PolicyRetrievalPoint
 from repro.analysis.properties import change_impact
 from repro.common.errors import ValidationError
 from repro.drams.alerts import AlertType
 from repro.federation.federation import Federation, FederationConfig
 from repro.harness import MonitoredFederation
-from repro.policydist import (
-    PrpReplica,
-    ReplicatedPrpPlane,
-    SingleStorePlane,
-    as_policy_plane,
-)
+from repro.policydist import PrpReplica, ReplicatedPrpPlane, SingleStorePlane
 from repro.threats import Adversary, StalePolicyReplayAttack, TamperedPrpReplicaAttack
 from repro.workload.scenarios import healthcare_scenario, policy_churn_scenario
 from repro.xacml.parser import policy_to_dict
@@ -57,16 +52,17 @@ class TestSingleStorePlane:
         assert set(plane.replicas()) == {"pdp-0", "analyser"}
         assert plane.converged()
 
-    def test_as_policy_plane_wraps_raw_store(self):
+    def test_decision_plane_rejects_bare_store(self):
+        federation = Federation(FederationConfig(name="bare-store", seed=6))
         store = PolicyRetrievalPoint()
-        plane = as_policy_plane(store)
-        assert isinstance(plane, SingleStorePlane)
-        assert plane.authority is store
-        assert as_policy_plane(plane) is plane
-
-    def test_as_policy_plane_rejects_junk(self):
-        with pytest.raises(ValidationError):
-            as_policy_plane(object())
+        for plane in (SinglePdpPlane(), ShardedPdpPlane(shards=2)):
+            with pytest.raises(ValidationError, match="expected a PolicyDistributionPlane"):
+                plane.deploy(federation, store)
+            assert plane.services == []
+        # The way in for a store already in hand: wrap it.
+        plane = SinglePdpPlane()
+        plane.deploy(federation, SingleStorePlane(store=store))
+        assert plane.services[0].prp is store
 
 
 # -- reentrancy guard --------------------------------------------------------------

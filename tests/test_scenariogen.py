@@ -85,22 +85,6 @@ def _build_and_run(spec, *, seed, requests=10, horizon=30.0, **build_kwargs):
     return stack
 
 
-def _fingerprint(stack) -> dict:
-    decisions = sorted(
-        (
-            round(o.requested_at, 9),
-            hash_value(o.request.content),
-            o.decision.decision,
-            hash_value(o.decision.obligations),
-            o.decision.status_code,
-        )
-        for o in stack.outcomes
-    )
-    alerts = sorted(a.alert_type.value for a in stack.drams.alerts.all())
-    return {"decisions": decisions, "alerts": alerts,
-            "chain_head": stack.drams.reference_chain().head.hash}
-
-
 # -- the preset corpus ---------------------------------------------------------
 
 
@@ -167,15 +151,15 @@ class TestDeterminism:
         assert first.policy_variants == second.policy_variants
 
     def test_stack_rerun_is_bit_identical(self):
-        first = _fingerprint(_build_and_run(SMALL_SPEC, seed=11))
-        second = _fingerprint(_build_and_run(SMALL_SPEC, seed=11))
+        first = _build_and_run(SMALL_SPEC, seed=11).fingerprint()
+        second = _build_and_run(SMALL_SPEC, seed=11).fingerprint()
         assert first == second
         assert first["decisions"], "the run must actually enforce decisions"
 
     def test_different_seed_diverges(self):
         """The fingerprint is sensitive — different seed, different run."""
-        first = _fingerprint(_build_and_run(SMALL_SPEC, seed=11))
-        second = _fingerprint(_build_and_run(SMALL_SPEC, seed=12))
+        first = _build_and_run(SMALL_SPEC, seed=11).fingerprint()
+        second = _build_and_run(SMALL_SPEC, seed=12).fingerprint()
         assert first["chain_head"] != second["chain_head"]
 
 
@@ -198,17 +182,10 @@ class TestStreamingHarness:
         handle = streamed.issue_stream(40, record_outcomes=True)
         streamed.run(until=60.0)
 
-        def outcome_key(outcome):
-            return (round(outcome.requested_at, 9),
-                    hash_value(outcome.request.content),
-                    outcome.decision.decision,
-                    outcome.decision.status_code)
-
         assert handle.issued == 40
         assert handle.enforced == len(batch.outcomes)
         assert handle.granted == sum(1 for o in batch.outcomes if o.granted)
-        assert sorted(map(outcome_key, streamed.outcomes)) == sorted(
-            map(outcome_key, batch.outcomes))
+        assert streamed.fingerprint() == batch.fingerprint()
 
     def test_stream_default_keeps_outcomes_empty(self):
         stack = self._build()
