@@ -468,7 +468,7 @@ class Blockchain:
                 sender=tx.sender,
                 tx_id=tx.tx_id,
             )
-            receipt = self.engine.execute(tx.contract, tx.method, tx.args, ctx)
+            receipt = self.engine.execute(tx.contract, tx.method, tx.args, ctx, tx.args_size())
             self._tx_locations[tx.tx_id] = TxLocation(
                 block_hash=block.hash, height=block.height, receipt=receipt
             )
@@ -515,7 +515,7 @@ class Blockchain:
     def collect_block_txs(self, mempool: Mempool) -> list[Transaction]:
         """Pick mempool transactions eligible for the next block."""
         candidates = mempool.peek(
-            self.config.max_block_txs, self.config.max_block_bytes, exclude=set(self._tx_locations)
+            self.config.max_block_txs, self.config.max_block_bytes, exclude=self._tx_locations
         )
         return [tx for tx in candidates if self.validate_transaction(tx)]
 

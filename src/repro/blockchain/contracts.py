@@ -22,7 +22,7 @@ from __future__ import annotations
 import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 from repro.common.errors import ValidationError
 from repro.common.serialization import canonical_bytes
@@ -196,7 +196,12 @@ class ContractEngine:
             raise ValidationError(f"no state for contract {contract_name!r}") from None
 
     def execute(
-        self, contract_name: str, method: str, args: dict[str, Any], ctx: ContractContext
+        self,
+        contract_name: str,
+        method: str,
+        args: dict[str, Any],
+        ctx: ContractContext,
+        args_size: Optional[int] = None,
     ) -> ExecutionReceipt:
         """Run one invocation transactionally (state reverts on error).
 
@@ -205,7 +210,8 @@ class ContractEngine:
         declaring ``checked_invoke`` runs directly on live state instead —
         safe because such contracts raise before mutating, so a failed
         invocation has by construction changed nothing.  Receipts and
-        events are identical either way.
+        events are identical either way.  Gas is charged on ``args_size``,
+        the canonical length of ``args``, encoded here if the caller has not.
         """
         contract = self.registry.get(contract_name)
         state = self._state[contract_name]
@@ -224,7 +230,9 @@ class ContractEngine:
                 )
             )
 
-        gas = self.GAS_BASE + self.GAS_PER_BYTE * len(canonical_bytes(args))
+        if args_size is None:
+            args_size = len(canonical_bytes(args))
+        gas = self.GAS_BASE + self.GAS_PER_BYTE * args_size
         try:
             result = contract.invoke(scratch, method, args, ctx, emit)
         except ContractError as exc:

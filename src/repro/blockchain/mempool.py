@@ -13,7 +13,7 @@ block template.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable, Optional
+from typing import Container, Iterable, Optional
 
 from repro.blockchain.transaction import Transaction
 
@@ -50,12 +50,12 @@ class Mempool:
         self,
         max_txs: int,
         max_bytes: int,
-        exclude: Optional[set[str]] = None,
+        exclude: Optional[Container[str]] = None,
     ) -> list[Transaction]:
         """FIFO selection honouring block-size limits (pool is unchanged)."""
         selected: list[Transaction] = []
         total = 0
-        skip = exclude or set()
+        skip = () if exclude is None else exclude
         for tx in self._pool.values():
             if tx.tx_id in skip:
                 continue

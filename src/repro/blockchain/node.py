@@ -135,7 +135,7 @@ class BlockchainNode(Host):
         self.crashed = False
         self.network.attach(self)
         for tx in self.mempool.pending():
-            self._gossip("bc_tx", tx.to_dict())
+            self._gossip("bc_tx", tx)
         if self.peers:
             self._syncing = True
             self.resyncs += 1
@@ -148,7 +148,7 @@ class BlockchainNode(Host):
     # -- client API ----------------------------------------------------------
 
     def submit_transaction(self, tx: Transaction) -> bool:
-        """Local submission endpoint used by the Logging Interface."""
+        """Local submission endpoint used by the Logging Interface (once per transaction)."""
         if tx.tx_id in self._seen_txs:
             return False
         self._seen_txs.add(tx.tx_id)
@@ -164,18 +164,38 @@ class BlockchainNode(Host):
                              "chain.mempool", self.address, category="chain",
                              attrs={"method": tx.method})
         if accepted and not self.crashed:
-            self._gossip("bc_tx", tx.to_dict())
+            self._gossip("bc_tx", tx)
         # While crashed the mempool acts as the LI's write-ahead journal:
         # the transaction is queued durably and flooded at restart.
         return accepted
 
     # -- gossip ----------------------------------------------------------------
 
-    def _gossip(self, kind: str, payload: dict, relayed: Optional[Message] = None) -> None:
-        """Flood ``payload`` to every peer but the one it was ``relayed`` from."""
+    def _gossip(self, kind: str, item: Transaction | Block,
+                relayed: Optional[Message] = None) -> None:
+        """Flood ``item`` to every peer but the one it was ``relayed`` from.
+
+        A relay passes on the wire payload it holds, sideband and all.
+        Otherwise the payload is built here and ``item`` travels with it
+        (:attr:`Message.decoded`), to be shared by every replica — so nothing
+        writes to it from here on: ``submit_transaction`` stamps
+        ``submitted_at`` before it gossips, and ``create_block`` has set the
+        Merkle root, nonce and miner signature before it returns.
+        """
         source = relayed.src if relayed is not None else None
+        payload = relayed.payload if relayed is not None else item.to_dict()
         self.network.multicast(self.address, [p for p in self.peers if p != source],
-                               kind, payload, relayed=relayed)
+                               kind, payload, relayed=relayed, decoded=item)
+
+    def _decoded(self, message: Message, kind: type):
+        """The sideband if it is exactly a ``kind``, else the payload decoded; None if malformed."""
+        if type(message.decoded) is kind:
+            return message.decoded
+        try:
+            return kind.from_dict(message.payload)
+        except ValidationError:
+            self.malformed_messages_seen += 1
+            return None
 
     def receive(self, message: Message) -> None:
         if message.kind == "bc_tx":
@@ -194,26 +214,18 @@ class BlockchainNode(Host):
             self._handle_proof_request(message)
 
     def _handle_tx(self, message: Message) -> None:
-        try:
-            tx = Transaction.from_dict(message.payload)
-        except ValidationError:
-            self.malformed_messages_seen += 1
-            return
-        if tx.tx_id in self._seen_txs:
+        tx = self._decoded(message, Transaction)
+        if tx is None or tx.tx_id in self._seen_txs:
             return
         self._seen_txs.add(tx.tx_id)
         if not self.chain.validate_transaction(tx):
             return
         if self.mempool.add(tx):
-            self._gossip("bc_tx", message.payload, relayed=message)
+            self._gossip("bc_tx", tx, relayed=message)
 
     def _handle_block(self, message: Message) -> None:
-        try:
-            block = Block.from_dict(message.payload)
-        except ValidationError:
-            self.malformed_messages_seen += 1
-            return
-        if block.hash in self._seen_blocks:
+        block = self._decoded(message, Block)
+        if block is None or block.hash in self._seen_blocks:
             return
         self._seen_blocks.add(block.hash)
         if not self.chain.has_block(block.header.prev_hash):
@@ -226,8 +238,6 @@ class BlockchainNode(Host):
                 self.send(message.src, "bc_block_request",
                           {"hash": block.header.prev_hash})
             return
-        # Relay the wire payload we already hold instead of re-serialising
-        # the block (the gossip dict is content-identical either way).
         self._accept_block(block, relayed=message)
 
     def _reject_malformed(self, message: Message, **fields: type) -> bool:
@@ -360,8 +370,7 @@ class BlockchainNode(Host):
                                   "included",
                                   attrs={"height": block.header.height},
                                   strict=False)
-        self._gossip("bc_block", relayed.payload if relayed is not None else block.to_dict(),
-                     relayed=relayed)
+        self._gossip("bc_block", block, relayed=relayed)
         # Reconnect any orphan waiting on this block.
         child = self._orphans.pop(block.hash, None)
         if child is not None and child.hash not in self._seen_blocks:

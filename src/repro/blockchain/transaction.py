@@ -68,6 +68,13 @@ class Transaction:
             self._payload_cache = payload
         return payload
 
+    def args_size(self) -> int:
+        """Canonical length of ``args``, which gas is charged on; frozen like the signing payload."""
+        size = getattr(self, "_args_size_cache", None)
+        if size is None:
+            size = self._args_size_cache = len(canonical_bytes(self.args))
+        return size
+
     def sign(self, key: SigningKey) -> "Transaction":
         """Sign in place and return self (builder style)."""
         self.signature = key.sign(self.signing_payload())

@@ -84,11 +84,10 @@ class MerkleProof:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MerkleProof":
-        return cls(
-            leaf_index=int(data["leaf_index"]),
-            leaf=data["leaf"],
-            path=tuple((sibling, bool(is_right)) for sibling, is_right in data["path"]),
-        )
+        path = tuple((sibling, bool(is_right)) for sibling, is_right in data["path"])
+        if not all(isinstance(digest, str) for digest in (data["leaf"], *(s for s, _ in path))):
+            raise TypeError("leaf and siblings must be strings")  # verify() hashes them
+        return cls(leaf_index=int(data["leaf_index"]), leaf=data["leaf"], path=path)
 
 
 class MerkleTree:

@@ -59,6 +59,9 @@ class LightProbeConsumer(SidebandHost):
         self.receipts_requested = 0
         self.receipts_accepted = 0
         self.receipts_rejected = 0
+        #: ``bc_proof`` replies dropped at the decode boundary: not an
+        #: object, or naming their request with anything but a string.
+        self.malformed_messages_seen = 0
         #: ``(correlation_id, reason)`` for every rejection (bench audit).
         self.rejections: list[tuple[str, str]] = []
         #: Hash evaluations spent verifying receipts (excludes the header
@@ -126,7 +129,10 @@ class LightProbeConsumer(SidebandHost):
         if message.kind != "bc_proof":
             return
         payload = message.payload
-        correlation_id = payload.get("request_id")
+        correlation_id = payload.get("request_id", "") if isinstance(payload, dict) else None
+        if not isinstance(correlation_id, str):
+            self.malformed_messages_seen += 1
+            return
         if not correlation_id or correlation_id not in self._awaiting:
             return
         if not payload.get("found"):
@@ -140,7 +146,7 @@ class LightProbeConsumer(SidebandHost):
                 header=BlockHeader.from_dict(payload["header"]),
                 tree_size=int(payload["tree_size"]),
             )
-        except (KeyError, TypeError, ValueError, ValidationError):
+        except (KeyError, TypeError, ValueError, OverflowError, ValidationError):
             self._reject(correlation_id, "malformed-proof-reply")
             return
         self._awaiting.pop(correlation_id, None)
@@ -191,6 +197,7 @@ class LightProbeConsumer(SidebandHost):
             "accepted": self.receipts_accepted,
             "rejected": self.receipts_rejected,
             "outstanding": self.outstanding,
+            "malformed_messages_seen": self.malformed_messages_seen,
             "hashes_verified": self.hashes_verified,
             "headers_validated": self.header_client.headers_validated,
             "header_height": self.header_client.height,

@@ -30,6 +30,7 @@ from typing import Callable, Optional
 from repro.blockchain.block import BlockHeader, make_genesis
 from repro.blockchain.config import BlockchainConfig
 from repro.blockchain.pow import meets_target, retarget
+from repro.common.errors import ValidationError
 from repro.crypto.hashing import hash_value
 from repro.lightclient.sideband import SidebandHost
 from repro.simnet.network import Message, Network
@@ -59,6 +60,8 @@ class HeaderClient(SidebandHost):
         self._work: dict[str, float] = {genesis.hash: 0.0}
         self.headers_validated = 0
         self.headers_rejected = 0
+        #: ``bc_headers`` replies dropped at the decode boundary.
+        self.malformed_messages_seen = 0
         #: Cryptographic hash evaluations spent on validation — the cost
         #: metric the E16 bench compares against full-node replay.
         self.hashes_verified = 0
@@ -134,12 +137,20 @@ class HeaderClient(SidebandHost):
     def receive(self, message: Message) -> None:
         if message.kind != "bc_headers":
             return
+        payload = message.payload
+        try:
+            # Decode everything before touching any state: a malformed
+            # reply must not even release the in-flight guard.
+            if not isinstance(payload, dict):
+                raise TypeError("header reply must be an object")
+            batch = [BlockHeader.from_dict(data) for data in payload.get("headers", [])]
+            tip_height = int(payload.get("tip_height", 0))
+        except (TypeError, ValueError, OverflowError, ValidationError):
+            self.malformed_messages_seen += 1
+            return
         self._inflight = False
         self._inflight_stalls = 0
-        batch = [BlockHeader.from_dict(data)
-                 for data in message.payload.get("headers", [])]
         accepted = self._ingest(batch)
-        tip_height = int(message.payload.get("tip_height", 0))
         if accepted and tip_height > self.height:
             # Page until we reach the tip the server advertised.
             self.sync()

@@ -47,6 +47,14 @@ class Message:
     #: Never part of the payload: excluded from equality and from
     #: :meth:`size_bytes`, so tracing changes no wire stat or sampled latency.
     trace: Any = field(default=None, repr=False, compare=False)
+    #: In-process sideband: the object ``payload`` was built from, so a receiver
+    #: need not decode what never left the process.  Like ``trace`` it is outside
+    #: the payload, equality and :meth:`size_bytes`.  Sound because only the
+    #: caller that builds ``payload`` from the object attaches it, in that same
+    #: call (:meth:`Network.multicast`); the fabric copies it only onto a message
+    #: carrying that very payload object; and the object, which every receiver
+    #: then shares, is frozen before it is first sent.
+    decoded: Any = field(default=None, init=False, repr=False, compare=False)
 
     def size_bytes(self) -> int:
         """Wire size estimate — canonical encoding length plus header.
@@ -320,7 +328,7 @@ class Network:
         *,
         sized: Optional[Message] = None,
     ) -> Optional[Message]:
-        """Send one message; the size of ``sized`` is copied if it carries this very payload."""
+        """Send one message; ``sized`` lends its size and sideband if it carries this very object."""
         if src not in self._hosts:
             raise NetworkError(f"unknown source host: {src}")
         if msg_id is None:
@@ -331,6 +339,7 @@ class Network:
             )
         if sized is not None and sized.payload is payload:
             size = message._size_cache = sized.size_bytes()
+            message.decoded = sized.decoded
         else:
             size = message.size_bytes()
         self.stats.sent += 1
@@ -401,16 +410,24 @@ class Network:
         return delay
 
     def multicast(
-        self, src: str, dsts: list[str], kind: str, payload: Any, relayed: Optional[Message] = None
+        self,
+        src: str,
+        dsts: list[str],
+        kind: str,
+        payload: Any,
+        relayed: Optional[Message] = None,
+        decoded: Any = None,
     ) -> None:
         """Send one frozen payload to each of ``dsts``, sizing it once.
 
         ``relayed`` is the message it arrived in, if the sender is passing it
-        on; otherwise an envelope that is never sent (and mints no id) sizes it.
+        on; otherwise an envelope that is never sent (and mints no id) sizes it
+        and carries ``decoded``, the object the sender just built it from.
         """
         sized = relayed
         if sized is None or sized.payload is not payload:
             sized = Message(src=src, dst="*", kind=kind, payload=payload, msg_id="")
+            sized.decoded = decoded
         for dst in dsts:
             self.send(src, dst, kind, payload, sized=sized)
 

@@ -7,17 +7,22 @@ raise :class:`ValidationError` and nothing else, and a node handed such a
 The service requests (``bc_block_request``, ``bc_head``, ``bc_header_sync``,
 ``bc_proof_request``) decode to no object, but their fields are converted
 and used as keys, so the same holds for a payload of the wrong shape.
+The replies a light client gets back (``bc_headers``, ``bc_proof``) come
+from a full node it does not trust: a malformed one is dropped and counted
+before any of the client's state is touched.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.blockchain.block import Block
+from repro.blockchain.block import Block, BlockHeader
 from repro.blockchain.transaction import Transaction
 from repro.common.errors import ValidationError
+from repro.lightclient.consumer import LightProbeConsumer
+from repro.lightclient.headers import HeaderClient
 from repro.simnet.network import Message
 from tests.strategies import json_values, transactions
-from tests.test_verify_once import alice_tx, build_cluster
+from tests.test_verify_once import alice_tx, build_cluster, gossip_message
 
 DECODERS = {"bc_tx": Transaction.from_dict, "bc_block": Block.from_dict}
 
@@ -56,6 +61,38 @@ def genuine_block_dict():
 
 
 BLOCK_DICT = genuine_block_dict()
+
+
+def genuine_replies():
+    """What an honest full node answers a light client once one block is mined."""
+    _sim, _net, (node, *_), keys = build_cluster(n=1)
+    tx = alice_tx()
+    block = node.chain.create_block("n0", [tx], 1.0, signing_key=keys["n0"])
+    node.chain.add_block(block)
+    header = block.header.to_dict()
+    return {
+        "bc_headers": {"headers": [header], "tip_hash": block.hash, "tip_height": 1},
+        "bc_proof": {
+            "request_id": "c-1",
+            "found": True,
+            "tx": tx.to_dict(),
+            "proof": node.chain.inclusion_proof(tx.tx_id).to_dict(),
+            "tree_size": 1,
+            "header": header,
+        },
+    }
+
+
+GENUINE_REPLIES = genuine_replies()
+MALFORMED_REPLIES = {
+    "bc_headers": [
+        {"headers": 5},
+        {"headers": [{"height": "x"}]},
+        {"headers": [], "tip_height": "x"},
+        {"headers": [BLOCK_DICT["header"]], "tip_height": None},
+    ],
+    "bc_proof": [{"request_id": ["a"]}, {"request_id": 5, "found": True}],
+}
 
 
 @st.composite
@@ -117,6 +154,65 @@ def deliver(kind, payload):
     return well_formed
 
 
+def reply_decodes(kind, payload):
+    """True if a light client must take ``payload`` as well formed (and then judge it)."""
+    if not isinstance(payload, dict):
+        return False
+    if kind == "bc_proof":
+        return isinstance(payload.get("request_id", ""), str)
+    try:
+        [BlockHeader.from_dict(data) for data in payload.get("headers", [])]
+        int(payload.get("tip_height", 0))
+    except (TypeError, ValueError, OverflowError, ValidationError):
+        return False
+    return True
+
+
+def client_state(headers, consumer, net):
+    return (
+        headers.height,
+        list(headers._branch),
+        headers._inflight,
+        headers.headers_rejected,
+        dict(consumer._awaiting),
+        dict(consumer._parked),
+        dict(consumer.receipts),
+        list(consumer.rejections),
+        net.stats.sent,
+    )
+
+
+def light_clients(*watched):
+    """A header client with a sync round in flight and an auditor awaiting ``watched``."""
+    _sim, net, (node, _peer), _keys = build_cluster(n=2, verified=set())
+    headers = HeaderClient(net, "lc-headers", node.chain.config, server="n0")
+    consumer = LightProbeConsumer(net, "lc-audit", headers, proof_server="n0")
+    for correlation_id in watched:
+        consumer.watch(correlation_id)
+    headers.sync()
+    return headers, consumer, net
+
+
+def reply(kind, payload):
+    return gossip_message(kind, payload, dst="lc", src="n0")
+
+
+def deliver_reply(kind, payload):
+    """Hand one reply to a light client mid-sync, one receipt awaited and one parked."""
+    headers, consumer, net = light_clients("c-0", "c-1")
+    consumer.receive(reply("bc_proof", {**GENUINE_REPLIES["bc_proof"], "request_id": "c-0"}))
+    client = headers if kind == "bc_headers" else consumer
+    before = client_state(headers, consumer, net)
+    assert before[2] and list(before[4]) == ["c-1"] and list(before[5]) == ["c-0"]
+    well_formed = reply_decodes(kind, payload)
+    client.receive(reply(kind, payload))
+    if not well_formed:
+        assert client_state(headers, consumer, net) == before
+    assert client.malformed_messages_seen == (0 if well_formed else 1)
+    assert consumer.stats()["malformed_messages_seen"] == consumer.malformed_messages_seen
+    return well_formed
+
+
 class TestIssueCases:
     def test_bad_signature_encoding_is_a_validation_error(self):
         data = alice_tx().to_dict()
@@ -143,6 +239,28 @@ class TestIssueCases:
         assert deliver("bc_block", BLOCK_DICT)
         for kind, payload in GENUINE_REQUESTS.items():
             assert deliver(kind, payload)
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_REPLIES))
+    def test_light_client_drops_and_counts_a_malformed_reply(self, kind):
+        for payload in [["not", "an", "object"], "x", None, *MALFORMED_REPLIES[kind]]:
+            assert not deliver_reply(kind, payload)
+
+    def test_genuine_replies_still_get_through(self):
+        headers, consumer, _net = light_clients("c-1")
+        headers.receive(reply("bc_headers", GENUINE_REPLIES["bc_headers"]))
+        assert headers.height == 1 and not headers._inflight
+        consumer.receive(reply("bc_proof", GENUINE_REPLIES["bc_proof"]))
+        # Fetched and checked against the synced header: the kvstore
+        # transaction is on chain, but it is no monitor log entry.
+        assert consumer.rejections == [("c-1", "not-a-monitor-log-tx")]
+        assert headers.malformed_messages_seen == consumer.malformed_messages_seen == 0
+
+    def test_evidence_that_would_not_hash_is_a_malformed_proof_reply(self):
+        _headers, consumer, _net = light_clients("c-1")
+        proof = {"leaf_index": 0, "leaf": "ab" * 32, "path": [[5, True]]}
+        consumer.receive(reply("bc_proof", {**GENUINE_REPLIES["bc_proof"], "proof": proof}))
+        assert consumer.rejections == [("c-1", "malformed-proof-reply")]
+        assert consumer.malformed_messages_seen == 0 and consumer.outstanding == 0
 
 
 class TestDecodeFuzz:
@@ -182,3 +300,13 @@ class TestDecodeFuzz:
     @settings(max_examples=60, deadline=None)
     def test_node_receive_survives_mutated_transactions(self, payload):
         deliver("bc_tx", payload)
+
+    @given(st.one_of(wire_values, mutated(GENUINE_REPLIES["bc_headers"])))
+    @settings(max_examples=120, deadline=None)
+    def test_header_client_never_raises_and_keeps_its_state(self, payload):
+        deliver_reply("bc_headers", payload)
+
+    @given(st.one_of(wire_values, mutated(GENUINE_REPLIES["bc_proof"])))
+    @settings(max_examples=120, deadline=None)
+    def test_probe_consumer_never_raises_and_keeps_its_state(self, payload):
+        deliver_reply("bc_proof", payload)

@@ -1,18 +1,24 @@
-"""Verify once, size once.
+"""Verify once, size once, decode once.
 
-Every replica of a deployment shares one verified-set and every gossip
-payload carries its wire size with it.  These tests pin the two halves of
-that bargain: sharing is *sound* (a tampered copy, forged signature or
-substituted key misses the set on every node, and nothing is shared across
-deployments) and the work really is done *once* (exact call counts on a
-whole monitored run, with every simulated byte still accounted exactly).
+Every replica of a deployment shares one verified-set, and every gossip
+payload carries its wire size and the object it was built from.  These
+tests pin the two halves of that bargain: sharing is *sound* (a tampered
+copy, forged signature or substituted key misses the set on every node, a
+payload the carrier did not size is sized and decoded afresh, and nothing is
+shared across deployments) and the work really is done *once* (exact call
+counts on a whole monitored run, with every simulated byte still accounted
+exactly).
 """
 
+import dataclasses
+import operator
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.blockchain.block import BlockHeader
+from repro.blockchain import contracts as contracts_module, transaction as transaction_module
+from repro.blockchain.block import Block, BlockHeader
 from repro.blockchain.chain import ChainValidationError
 from repro.blockchain.config import BlockchainConfig
 from repro.blockchain.contracts import ContractRegistry, KeyValueContract
@@ -29,6 +35,7 @@ from repro.simnet.network import Host, Message, Network
 from repro.simnet.simulator import Simulator
 from repro.workload.scenarios import healthcare_scenario
 from tests.conftest import fast_drams_config
+from tests.strategies import headers, transactions
 
 ALICE_KEY = SigningKey.generate(b"verify-once-alice")
 MALLORY_KEY = SigningKey.generate(b"verify-once-mallory")
@@ -93,6 +100,26 @@ def alice_tx(seq=1, value=1):
 def off_the_wire(item):
     """What a peer decodes: a fresh object with fresh caches."""
     return type(item).from_dict(item.to_dict())
+
+
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """``Transaction.from_dict`` / ``Block.from_dict`` calls, counted from outside."""
+    calls = Counter()
+    for cls in (Transaction, Block):
+        real = cls.from_dict.__func__
+
+        def counted(klass, data, real=real):
+            calls[klass.__name__] += 1
+            return real(klass, data)
+
+        monkeypatch.setattr(cls, "from_dict", classmethod(counted))
+    return calls
+
+
+def gossip_message(kind, payload, dst="n0", src="n1"):
+    """A hand-built gossip message: what arrives from outside the process."""
+    return Message(src=src, dst=dst, kind=kind, payload=payload, msg_id="hand-built")
 
 
 class TestSharingIsSound:
@@ -161,6 +188,90 @@ class TestSharingIsSound:
         assert len(verify_calls) == calls + 2
         assert a.chain.head.hash == b.chain.head.hash == c.chain.head.hash
 
+    def test_sideband_is_only_copied_for_the_same_payload_object(self, sim, network):
+        """Beside ``test_relayed_size_is_only_copied_for_the_same_payload_object``."""
+        delivered = []
+
+        class Sink(Host):
+            def receive(self, message):
+                delivered.append(message)
+
+        for address in ("a", "b", "c"):
+            Sink(network, address)
+        large = {"n": 1, "pad": "x" * 500}
+        carrier = Message(src="a", dst="b", kind="k", payload={"n": 1})
+        carrier.decoded = built_from = object()
+        # A carrier for another payload object hands over neither size nor
+        # sideband — even for an equal payload: identity is the guard.
+        network.send("a", "b", "k", large, sized=carrier)
+        network.multicast("a", ["b", "c"], "k", large, relayed=carrier)
+        network.multicast("a", ["b", "c"], "k", dict(carrier.payload), relayed=carrier)
+        sim.run()
+        assert len(delivered) == 5 and all(message.decoded is None for message in delivered)
+        assert all(
+            message.size_bytes() == len(serialization.canonical_bytes(message.payload)) + 64
+            for message in delivered
+        )
+        # The very object the carrier holds takes both along, hop after hop.
+        del delivered[:]
+        network.multicast("a", ["b"], "k", carrier.payload, relayed=carrier)
+        sim.run()
+        network.multicast("b", ["c"], "k", delivered[0].payload, relayed=delivered[0])
+        network.multicast("a", ["c"], "k", large, decoded=built_from)
+        sim.run()
+        assert [message.decoded for message in delivered] == [built_from] * 3
+        # The sideband is no part of the message's identity or of its size.
+        last = delivered[2]
+        bare = Message("a", "c", "k", large, msg_id=last.msg_id, sent_at=last.sent_at)
+        assert bare == last and bare.decoded is None and bare.size_bytes() == last.size_bytes()
+
+    def test_sideband_of_the_wrong_type_is_ignored_and_the_payload_decoded(self, decode_calls):
+        class Lookalike(Transaction):
+            pass
+
+        tx = alice_tx()
+        lookalike = Lookalike(sender="mallory", contract="kvstore", method="put", args={}, seq=2)
+        decoys = [tx.to_dict(), Block(header=None), lookalike, "tx"]
+        for decoy in decoys:
+            _sim, _net, (node, _b, _c), _keys = build_cluster(verified=set())
+            message = gossip_message("bc_tx", tx.to_dict())
+            message.decoded = decoy
+            before = decode_calls["Transaction"]
+            node.receive(message)
+            assert decode_calls["Transaction"] == before + 1
+            (admitted,) = node.mempool.pending()
+            assert admitted is not decoy and admitted == tx
+
+        _sim, _net, (a, b, _c), keys = build_cluster(verified=set())
+        block = a.chain.create_block("n0", [tx], 1.0, signing_key=keys["n0"])
+        message = gossip_message("bc_block", block.to_dict(), dst="n1", src="n0")
+        message.decoded = tx  # a Transaction is not a Block
+        b.receive(message)
+        assert decode_calls["Block"] == 1
+        assert b.chain.head.hash == block.hash and b.chain.head is not block
+
+    @given(st.lists(transactions(), max_size=4), headers(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_decoding_a_payload_gives_back_the_object_it_was_built_from(self, txs, header, signed):
+        """The equality the sideband relies on: ``from_dict(x.to_dict())`` is ``x``."""
+        block = Block(header=header, transactions=txs)
+        if signed:
+            block.sign(ALICE_KEY)
+        for original in (*txs, block, header):
+            decoded = off_the_wire(original)
+            assert decoded is not original
+            for field in dataclasses.fields(original):
+                ours, theirs = getattr(decoded, field.name), getattr(original, field.name)
+                assert ours == theirs and type(ours) is type(theirs), field.name
+        received = off_the_wire(block)
+        for original, decoded in zip(txs, received.transactions):
+            assert decoded.content_hash() == original.content_hash()
+            assert decoded.size_bytes() == original.size_bytes()
+            assert decoded.args_size() == original.args_size()
+        assert received.hash == block.hash
+        assert received.body_size_bytes() == block.body_size_bytes()
+        assert received.compute_merkle_root() == block.compute_merkle_root()
+
     def test_replicas_without_a_shared_set_are_cold(self, verify_calls):
         _sim, _net, (a, b, _c), _keys = build_cluster(verified=None)
         assert a.chain._verified is not b.chain._verified
@@ -170,17 +281,29 @@ class TestSharingIsSound:
         assert verify_calls == [True, True]
 
 
-@pytest.fixture
-def sized_payloads(monkeypatch):
-    """Every payload ``Message.size_bytes`` canonically encodes, in order."""
+def recorded_encodings(monkeypatch, *modules):
+    """Every value ``modules`` canonically encode from here on, in order."""
     encoded = []  # holds the objects, so their ids stay unique
 
     def counted(value):
         encoded.append(value)
         return serialization.canonical_bytes(value)
 
-    monkeypatch.setattr(network_module, "canonical_bytes", counted)
+    for module in modules:
+        monkeypatch.setattr(module, "canonical_bytes", counted)
     return encoded
+
+
+@pytest.fixture
+def content_encodings(monkeypatch):
+    """Every value ``Transaction`` or ``ContractEngine`` canonically encodes, in order."""
+    return recorded_encodings(monkeypatch, transaction_module, contracts_module)
+
+
+@pytest.fixture
+def sized_payloads(monkeypatch):
+    """Every payload ``Message.size_bytes`` canonically encodes, in order."""
+    return recorded_encodings(monkeypatch, network_module)
 
 
 def monitored_run(tap):
@@ -233,6 +356,55 @@ class TestWorkIsDoneOnce:
         assert second_set is not first_set and second_set == first_set
         assert len(verify_calls) == 2 * first_calls
         assert again.drams.reference_chain().head.hash == stack.drams.reference_chain().head.hash
+
+    def test_honest_gossip_is_never_decoded_and_each_transaction_is_encoded_once(
+        self, decode_calls, content_encodings
+    ):
+        messages = []
+        stack = monitored_run(messages.append)
+        gossip = [m for m in messages if m.kind in ("bc_tx", "bc_block")]
+        # Every gossip message carries the object its payload was built from…
+        assert all(type(m.decoded) is (Transaction if m.kind == "bc_tx" else Block) for m in gossip)
+        assert all(m.decoded.to_dict() == m.payload for m in gossip)
+        # …so no replica decodes anything (block requests, which do, need a fork).
+        assert not decode_calls
+        # All four replicas hold the same objects, not equal copies (each
+        # derives its own genesis).
+        mined, *others = [node.chain.main_chain()[1:] for node in stack.drams.nodes.values()]
+        applied = [tx for block in mined for tx in block.transactions]
+        assert len(applied) >= 4 * 8
+        for chain in others:
+            assert len(chain) == len(mined) and all(map(operator.is_, chain, mined))
+        # One encoding of each transaction's signed content and one of its
+        # args (the gas size) in the whole deployment, whoever asks first.
+        signed = Counter(value["tx_id"] for value in content_encodings if "tx_id" in value)
+        gas = Counter(id(value) for value in content_encodings if "tx_id" not in value)
+        gossiped = {m.decoded.tx_id for m in gossip if m.kind == "bc_tx"}
+        assert gossiped <= set(signed) and set(signed.values()) == {1}
+        assert {id(tx.args) for tx in applied} == set(gas) and set(gas.values()) == {1}
+
+    def test_a_payload_from_outside_is_still_decoded_and_still_checked_by_content(
+        self, decode_calls, verify_calls
+    ):
+        _sim, _net, (a, b, c), keys = build_cluster(verified=set())
+        tx = alice_tx()
+        a.receive(gossip_message("bc_tx", tx.to_dict()))
+        assert decode_calls == {"Transaction": 1} and verify_calls == [True]  # decoded, and pays
+        c.receive(gossip_message("bc_tx", tx.to_dict(), dst="n2"))
+        assert decode_calls == {"Transaction": 2} and verify_calls == [True]  # decoded, and hits
+        assert a.mempool.pending() == c.mempool.pending() == [tx]
+        assert a.mempool.pending()[0] is not c.mempool.pending()[0]
+
+        block = a.chain.create_block("n0", a.mempool.pending(), 1.0, signing_key=keys["n0"])
+        assert a.chain.add_block(block)
+        assert verify_calls == [True, True]  # the miner signature
+        b.receive(gossip_message("bc_block", block.to_dict(), dst="n1", src="n0"))
+        assert decode_calls == {"Transaction": 3, "Block": 1} and verify_calls == [True, True]
+        assert b.chain.head.hash == block.hash and b.chain.head is not block
+        forged = block.to_dict()
+        forged["transactions"][0]["args"] = {"key": "k", "value": 999}
+        c.receive(gossip_message("bc_block", forged, dst="n2", src="n0"))
+        assert decode_calls["Block"] == 2 and c.invalid_blocks_seen == 1 and c.chain.height == 0
 
     def test_every_message_is_sized_exactly(self):
         sizes = []
