@@ -38,7 +38,7 @@ Two supporting pieces live here too:
 - **Weighted shards** (``weight_shards=True``): each tick the controller
   derives every shard's *observed* service rate (``requests_served`` per
   ``busy_accumulated`` second) and, when a shard drifts more than
-  ``weight_deadband`` from the pool mean, re-weights the hash ring so
+  ``WEIGHT_DEADBAND`` from the pool mean, re-weights the hash ring so
   vnode counts are proportional to measured capacity — heterogeneous
   pools stop queueing on their slowest member.
 - **:class:`CrossPepLoadView`**: the in-process route projection assumes
@@ -168,26 +168,22 @@ class CrossPepLoadView:
     :meth:`projection_for` instead of its in-process route deque.
 
     ``horizon`` bounds how long a node's *own* dispatch stays charged
-    (size it like the plane's ``routing_horizon``: the dispatch latency).
-    ``gossip_interval`` paces the snapshot exchange; ``stale_after``
-    bounds how long a peer snapshot is trusted once received (default
-    ``horizon + 2 × gossip_interval`` — by then the work it described has
-    reached the busy cursors, and double-charging it would repel traffic
-    from healthy shards).
+    (size it like the plane's ``ROUTING_HORIZON``: the dispatch latency).
+    ``gossip_interval`` paces the snapshot exchange.  A peer snapshot is
+    trusted for ``horizon + 2 × gossip_interval`` once received
+    (``stale_after``) — by then the work it described has reached the busy
+    cursors, and double-charging it would repel traffic from healthy
+    shards.
     """
 
-    def __init__(self, gossip_interval: float = 0.02, horizon: float = 0.05,
-                 stale_after: Optional[float] = None) -> None:
+    def __init__(self, gossip_interval: float = 0.02, horizon: float = 0.05) -> None:
         if gossip_interval <= 0:
             raise ValidationError(f"gossip_interval must be positive, got {gossip_interval}")
         if horizon < 0:
             raise ValidationError(f"horizon must be >= 0, got {horizon}")
-        if stale_after is not None and stale_after < 0:
-            raise ValidationError(f"stale_after must be >= 0, got {stale_after}")
         self.gossip_interval = gossip_interval
         self.horizon = horizon
-        self.stale_after = (stale_after if stale_after is not None
-                            else horizon + 2 * gossip_interval)
+        self.stale_after = horizon + 2 * gossip_interval
         self.deployed = False
         self.records = 0
         self._nodes: dict[str, _LoadGossipNode] = {}
@@ -265,7 +261,6 @@ class CrossPepLoadView:
             "kind": type(self).__name__,
             "gossip_interval": self.gossip_interval,
             "horizon": self.horizon,
-            "stale_after": self.stale_after,
             "nodes": sorted(self._nodes),
             "records": self.records,
         }
@@ -284,6 +279,12 @@ class AutoscaleController:
     tuning guide and failure modes.
     """
 
+    #: Relative drift of a shard's observed service rate from its current
+    #: weight that triggers a re-weight; absorbs measurement noise.
+    WEIGHT_DEADBAND = 0.25
+    #: Busy seconds a shard must have accumulated before its rate counts.
+    MIN_RATE_OBSERVATION = 0.05
+
     def __init__(
         self,
         min_shards: int = 1,
@@ -295,8 +296,6 @@ class AutoscaleController:
         down_cooldown: float = 1.0,
         down_samples: int = 5,
         weight_shards: bool = False,
-        weight_deadband: float = 0.25,
-        min_rate_observation: float = 0.05,
     ) -> None:
         if min_shards < 1:
             raise ValidationError(f"min_shards must be >= 1, got {min_shards}")
@@ -318,12 +317,6 @@ class AutoscaleController:
             raise ValidationError("cooldown windows must be >= 0")
         if down_samples < 1:
             raise ValidationError(f"down_samples must be >= 1, got {down_samples}")
-        if weight_deadband <= 0:
-            raise ValidationError(f"weight_deadband must be positive, got {weight_deadband}")
-        if min_rate_observation <= 0:
-            raise ValidationError(
-                f"min_rate_observation must be positive, got {min_rate_observation}"
-            )
         self.min_shards = min_shards
         self.max_shards = max_shards
         self.high_water = high_water
@@ -333,8 +326,6 @@ class AutoscaleController:
         self.down_cooldown = down_cooldown
         self.down_samples = down_samples
         self.weight_shards = weight_shards
-        self.weight_deadband = weight_deadband
-        self.min_rate_observation = min_rate_observation
         self.plane: Optional[ShardedPdpPlane] = None
         self.sim: Optional["Simulator"] = None
         self.decisions = 0
@@ -351,7 +342,7 @@ class AutoscaleController:
     # -- lifecycle ---------------------------------------------------------------
 
     def bind(self, plane, sim: "Simulator") -> "AutoscaleController":
-        """Attach to a deployed elastic plane (once)."""
+        """Attach to a deployed plane (once)."""
         if self.plane is not None:
             raise ValidationError("controller is already bound to a plane")
         if not isinstance(plane, ShardedPdpPlane):
@@ -448,7 +439,7 @@ class AutoscaleController:
 
         Rates come from cumulative counters (``requests_served`` per
         ``busy_accumulated`` second), so they converge as evidence
-        accumulates; shards without ``min_rate_observation`` busy seconds
+        accumulates; shards without ``MIN_RATE_OBSERVATION`` busy seconds
         keep their current weight.  The deadband absorbs measurement
         noise — a homogeneous pool never rebalances.
         """
@@ -456,7 +447,7 @@ class AutoscaleController:
         for service in self.plane.services:
             busy = getattr(service, "busy_accumulated", 0.0)
             served = getattr(service, "requests_served", 0)
-            if busy >= self.min_rate_observation and served > 0:
+            if busy >= self.MIN_RATE_OBSERVATION and served > 0:
                 rates[service.address] = served / busy
         if len(rates) < 2:
             return  # nothing to weight against
@@ -465,7 +456,7 @@ class AutoscaleController:
         proposed = {
             address: rate / mean_rate
             for address, rate in rates.items()
-            if abs(rate / mean_rate - current.get(address, 1.0)) > self.weight_deadband
+            if abs(rate / mean_rate - current.get(address, 1.0)) > self.WEIGHT_DEADBAND
         }
         if proposed and self.plane.set_shard_weights(proposed):
             self.reweights += 1

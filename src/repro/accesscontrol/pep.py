@@ -159,16 +159,10 @@ class PolicyEnforcementPoint(Host):
         request_timeout: float = 30.0,
         backoff: Optional[RetryBackoff] = None,
     ) -> None:
-        if isinstance(plane, str):
-            # Guard before Host.__init__ attaches us: a half-constructed
-            # PEP must not occupy the address in the network registry.
-            raise TypeError(
-                "PolicyEnforcementPoint now takes a DecisionPlane handle, not a raw "
-                "PDP address; wrap the address with SinglePdpPlane.at(address) "
-                "(see README: 'Choosing a decision plane')."
-            )
         if not isinstance(plane, DecisionPlane):
-            # Fail fast here rather than at the first submit.
+            # Fail fast here rather than at the first submit — and before
+            # Host.__init__ attaches us: a half-constructed PEP must not
+            # occupy the address in the network registry.
             raise ValidationError(f"expected a DecisionPlane, got {type(plane).__name__}")
         super().__init__(network, address)
         self.tenant_name = tenant_name

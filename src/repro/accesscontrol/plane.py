@@ -9,13 +9,9 @@ PDP address, and the plane decides how many :class:`PdpService` replicas
 exist *at any moment*, where each request is routed, and in what order
 the PEP fails over when a shard does not answer.
 
-Two backends ship:
+There is one implementation, under two names:
 
-- :class:`SinglePdpPlane` — one replica at the conventional
-  ``pdp@infrastructure`` address.  Deploying the default stack through it
-  is bit-identical to the previous hard-wired topology (same addresses,
-  same construction order, same event sequence).
-- :class:`ShardedPdpPlane` — N replicas in the infrastructure tenant
+- :class:`ShardedPdpPlane` — N ≥ 1 replicas in the infrastructure tenant
   behind consistent hashing on the *decision-cache key* (policy
   fingerprint + footprint-projected request attributes, see
   :mod:`repro.accesscontrol.decision_cache`).  Keying the ring on the
@@ -25,6 +21,12 @@ Two backends ship:
   :class:`DecisionCache` to every replica instead.  Either way the caches
   flush coherently on every PRP publish (``DecisionCache.bind`` is
   idempotent per PRP).
+- :class:`SinglePdpPlane` — the one-shard pool whose first replica keeps
+  the paper's conventional ``pdp@infrastructure`` address.  Deploying the
+  default stack through it is bit-identical to the previous hard-wired
+  topology (same addresses, same construction order, same event
+  sequence); N = 1 is otherwise not a special case — it grows, drains,
+  crashes and restarts like any pool.
 
 Shard membership is **elastic**: :meth:`ShardedPdpPlane.add_shard` grows
 the pool at runtime and :meth:`ShardedPdpPlane.drain_shard` retires a
@@ -42,9 +44,9 @@ pure topology (decisions and alerts stay bit-identical —
 
 - ``queue_aware=True`` — each shard exposes its *busy cursor*
   (:meth:`~repro.accesscontrol.pdp_service.PdpService.busy_seconds`);
-  when the ring-preferred shard's backlog exceeds the best alternative by
-  more than ``queue_threshold`` seconds, the order is re-sorted around
-  the hot shard instead of waiting out the PEP's per-attempt timeout.
+  when the ring-preferred shard's backlog exceeds the best alternative,
+  the order is re-sorted around the hot shard instead of waiting out the
+  PEP's per-attempt timeout.
 - ``locality_aware=True`` — shards deploy round-robin across the member
   clouds' infrastructure sections and the plane prefers the shard
   co-located with the requesting PEP's cloud (metro latency instead of
@@ -107,8 +109,7 @@ class DecisionPlane:
     A plane owns its :class:`PdpService` replicas (created by
     :meth:`deploy`) and answers one routing question per request:
     :meth:`endpoints` — which shard addresses to try, in failover order.
-    Planes with elastic membership announce changes through
-    :meth:`on_membership`; fixed-membership planes simply never fire.
+    Membership changes are announced through :meth:`on_membership`.
     """
 
     #: Deployed evaluator services, primary first.  Monitoring systems
@@ -202,73 +203,6 @@ class DecisionPlane:
             "caches": [cache.stats() for cache in self.caches()],
         }
 
-    def _ensure_deployable(self, policy_plane) -> None:
-        # Imported here: repro.policydist imports this package's prp module.
-        from repro.policydist.plane import PolicyDistributionPlane
-
-        if self._services:
-            raise ValidationError(f"{type(self).__name__} is already deployed")
-        if not isinstance(policy_plane, PolicyDistributionPlane):
-            raise ValidationError(
-                f"expected a PolicyDistributionPlane, got {type(policy_plane).__name__}"
-            )
-
-
-class SinglePdpPlane(DecisionPlane):
-    """Today's topology: one evaluator at ``pdp@infrastructure``.
-
-    ``service_kwargs`` are forwarded to the :class:`PdpService`
-    constructor (cache toggles, processing delays, serialization).
-    """
-
-    def __init__(self, service_kwargs: Optional[dict] = None) -> None:
-        super().__init__()
-        self.service_kwargs = dict(service_kwargs or {})
-        self._endpoints: tuple[str, ...] = ()
-
-    @classmethod
-    def at(cls, address: str) -> "SinglePdpPlane":
-        """Route-only plane for manually wired deployments (tests).
-
-        The evaluator at ``address`` is constructed by the caller; the
-        plane merely routes to it.  ``services`` is empty, so monitoring
-        orchestrators reject such planes — wrap the service with
-        :meth:`wrap` when probes must attach.
-        """
-        plane = cls()
-        plane._endpoints = (address,)
-        return plane
-
-    @classmethod
-    def wrap(cls, service: PdpService) -> "SinglePdpPlane":
-        """Adopt an existing, already-registered evaluator service."""
-        plane = cls()
-        plane._services = [service]
-        plane._endpoints = (service.address,)
-        return plane
-
-    def deploy(self, federation: "Federation", policy_plane) -> "SinglePdpPlane":
-        self._ensure_deployable(policy_plane)
-        if self._endpoints:
-            raise ValidationError("route-only plane (SinglePdpPlane.at) cannot be deployed")
-        policy_plane.deploy(federation)
-        infra = federation.infrastructure_tenant
-        service = PdpService(
-            federation.network,
-            infra.address("pdp"),
-            policy_plane.retrieval_point_for("pdp"),
-            **self.service_kwargs,
-        )
-        infra.register_host(service.address)
-        self._services = [service]
-        self._endpoints = (service.address,)
-        return self
-
-    def endpoints(self, request: AccessRequest) -> tuple[str, ...]:
-        if not self._endpoints:
-            raise ValidationError("decision plane is not deployed")
-        return self._endpoints
-
 
 class ShardedPdpPlane(DecisionPlane):
     """Evaluator replicas behind consistent hashing, elastic at runtime.
@@ -279,14 +213,13 @@ class ShardedPdpPlane(DecisionPlane):
     :class:`DecisionCache` handed to every replica) or ``"partitioned"``
     (one per replica; routing affinity keeps each shard's cache hot, and
     a drained shard's entries migrate to their ring successors).
-    ``virtual_nodes`` controls ring balance; the default spreads load
-    within a few percent for small shard counts.
+    ``service_kwargs`` are forwarded to every :class:`PdpService`
+    constructor (cache toggles, processing delays, serialization).
 
     Routing upgrades (both default off, preserving classic ring order):
 
     - ``queue_aware`` re-sorts the failover order around shards whose
-      busy cursor exceeds the best alternative by more than
-      ``queue_threshold`` seconds;
+      busy cursor exceeds the best alternative;
     - ``locality_aware`` places shards round-robin across the member
       clouds' infrastructure sections at deploy time and prefers the
       shard co-located with the requesting PEP's cloud.
@@ -294,10 +227,10 @@ class ShardedPdpPlane(DecisionPlane):
     ``drain_grace`` is the minimum simulated time a draining shard lingers
     before removal (covering requests already on the wire toward it);
     quiescence additionally requires zero pending evaluations, checked
-    every ``drain_poll_interval`` seconds.
+    every ``DRAIN_POLL_INTERVAL`` seconds.
 
-    Elasticity support: ``warm_caches`` (default on) pre-seeds a runtime-added
-    shard's partitioned cache with the entries re-homing to it;
+    Elasticity support: a runtime-added shard's partitioned cache is
+    pre-seeded with the entries re-homing to it;
     :meth:`set_shard_weights` scales each shard's vnode count for
     heterogeneous capacity; ``load_view`` (requires ``queue_aware``)
     swaps the in-process route projection for a gossiped cross-PEP view
@@ -311,19 +244,26 @@ class ShardedPdpPlane(DecisionPlane):
     #: over a federation's lifetime, distinct *concurrent* versions are not.
     FOOTPRINT_MEMO_SIZE = 16
 
+    #: Ring points per unit of shard weight; spreads load within a few
+    #: percent for small shard counts.
+    VIRTUAL_NODES = 32
+    #: Backlog lead (seconds) the ring-preferred shard may have over the
+    #: best alternative before a queue-aware plane re-sorts around it.
+    QUEUE_THRESHOLD = 0.0
+    #: How long a dispatch stays projected onto its target shard — sized
+    #: to the dispatch latency, after which the busy cursor shows it.
+    ROUTING_HORIZON = 0.05
+    #: Seconds between quiescence checks of a draining shard.
+    DRAIN_POLL_INTERVAL = 0.25
+
     def __init__(
         self,
         shards: int = 2,
         cache_policy: str = "shared",
-        virtual_nodes: int = 32,
         service_kwargs: Optional[dict] = None,
         queue_aware: bool = False,
         locality_aware: bool = False,
-        queue_threshold: float = 0.0,
-        routing_horizon: float = 0.05,
         drain_grace: float = 1.0,
-        drain_poll_interval: float = 0.25,
-        warm_caches: bool = True,
         load_view: "Optional[CrossPepLoadView]" = None,
     ) -> None:
         super().__init__()
@@ -333,31 +273,18 @@ class ShardedPdpPlane(DecisionPlane):
             raise ValidationError(
                 f"cache_policy must be one of {self.CACHE_POLICIES}, got {cache_policy!r}"
             )
-        if virtual_nodes < 1:
-            raise ValidationError(f"virtual_nodes must be >= 1, got {virtual_nodes}")
-        if queue_threshold < 0:
-            raise ValidationError(f"queue_threshold must be >= 0, got {queue_threshold}")
-        if routing_horizon < 0:
-            raise ValidationError(f"routing_horizon must be >= 0, got {routing_horizon}")
         if drain_grace < 0:
             raise ValidationError(f"drain_grace must be >= 0, got {drain_grace}")
-        if drain_poll_interval <= 0:
-            raise ValidationError(f"drain_poll_interval must be positive, got {drain_poll_interval}")
         if load_view is not None and not queue_aware:
             # The view only feeds the queue-aware reorder; accepting it on
             # a queue-blind plane would silently gossip into a void.
             raise ValidationError("load_view requires queue_aware=True")
         self.shards = shards
         self.cache_policy = cache_policy
-        self.virtual_nodes = virtual_nodes
         self.service_kwargs = dict(service_kwargs or {})
         self.queue_aware = queue_aware
         self.locality_aware = locality_aware
-        self.queue_threshold = queue_threshold
-        self.routing_horizon = routing_horizon
         self.drain_grace = drain_grace
-        self.drain_poll_interval = drain_poll_interval
-        self.warm_caches = warm_caches
         self.load_view = load_view
         self.rebalances = 0
         #: Decision-cache entries copied into shards added at runtime
@@ -369,7 +296,7 @@ class ShardedPdpPlane(DecisionPlane):
         self._shard_weights: dict[str, float] = {}
         #: Queue-aware dispatches not yet visible in a shard's busy
         #: cursor: ``(routed_at, address)`` pairs younger than
-        #: ``routing_horizon``.  A shard's cursor only moves once the
+        #: ``ROUTING_HORIZON``.  A shard's cursor only moves once the
         #: dispatched message *arrives*, so without this projection every
         #: request in a burst sees the same stale cursors and herds onto
         #: whichever shard currently looks idle.
@@ -393,7 +320,15 @@ class ShardedPdpPlane(DecisionPlane):
     # -- deployment --------------------------------------------------------------
 
     def deploy(self, federation: "Federation", policy_plane) -> "ShardedPdpPlane":
-        self._ensure_deployable(policy_plane)
+        # Imported here: repro.policydist imports this package's prp module.
+        from repro.policydist.plane import PolicyDistributionPlane
+
+        if self._services:
+            raise ValidationError(f"{type(self).__name__} is already deployed")
+        if not isinstance(policy_plane, PolicyDistributionPlane):
+            raise ValidationError(
+                f"expected a PolicyDistributionPlane, got {type(policy_plane).__name__}"
+            )
         if self.cache_policy == "partitioned" and "decision_cache" in self.service_kwargs:
             # Forwarding one cache object to every replica would silently
             # deploy a shared topology under a "partitioned" label.
@@ -426,8 +361,13 @@ class ShardedPdpPlane(DecisionPlane):
             self.load_view.deploy(federation)
         return self
 
+    def _shard_name(self, index: int) -> str:
+        """Host and policy-consumer name of shard ``index``."""
+        return f"pdp-{index}"
+
     def _build_service(self, index: int) -> PdpService:
         """Construct, register and (when locality-aware) place shard ``index``."""
+        name = self._shard_name(index)
         federation = self._federation
         infra = federation.infrastructure_tenant
         kwargs = dict(self.service_kwargs)
@@ -438,8 +378,8 @@ class ShardedPdpPlane(DecisionPlane):
         # wiring), under a ReplicatedPrpPlane they skew independently.
         service = PdpService(
             federation.network,
-            infra.address(f"pdp-{index}"),
-            self._policy_plane_handle.retrieval_point_for(f"pdp-{index}"),
+            infra.address(name),
+            self._policy_plane_handle.retrieval_point_for(name),
             **kwargs,
         )
         section = None
@@ -451,15 +391,11 @@ class ShardedPdpPlane(DecisionPlane):
             self._shard_cloud[service.address] = section.cloud_name
         return service
 
-    @classmethod
+    @staticmethod
     def over(
-        cls,
         services: Sequence[PdpService],
         prp: Optional[PolicyRetrievalPoint] = None,
-        virtual_nodes: int = 32,
         queue_aware: bool = False,
-        queue_threshold: float = 0.0,
-        routing_horizon: float = 0.05,
     ) -> "ShardedPdpPlane":
         """Wrap already-deployed evaluators (manual wiring and tests).
 
@@ -478,13 +414,7 @@ class ShardedPdpPlane(DecisionPlane):
         """
         if not services:
             raise ValidationError("a sharded plane needs at least one service")
-        plane = cls(
-            shards=len(services),
-            virtual_nodes=virtual_nodes,
-            queue_aware=queue_aware,
-            queue_threshold=queue_threshold,
-            routing_horizon=routing_horizon,
-        )
+        plane = ShardedPdpPlane(shards=len(services), queue_aware=queue_aware)
         plane.cache_policy = "external"  # whatever the adopted services carry
         plane._adopt(list(services), prp)
         return plane
@@ -492,7 +422,6 @@ class ShardedPdpPlane(DecisionPlane):
     def _adopt(self, services: list[PdpService], prp: Optional[PolicyRetrievalPoint]) -> None:
         self._services = services
         self._prp = prp
-        self._next_index = max(self._next_index, len(services))
         self._rebuild_ring()
 
     def _rebuild_ring(self) -> None:
@@ -516,7 +445,7 @@ class ShardedPdpPlane(DecisionPlane):
         self.shards = len(self._services)
 
     def _vnode_count(self, address: str) -> int:
-        return max(1, round(self.virtual_nodes * self._shard_weights.get(address, 1.0)))
+        return max(1, round(self.VIRTUAL_NODES * self._shard_weights.get(address, 1.0)))
 
     @property
     def shard_weights(self) -> dict[str, float]:
@@ -527,7 +456,7 @@ class ShardedPdpPlane(DecisionPlane):
         """Merge per-shard vnode multipliers; returns True if the ring moved.
 
         ``weights`` maps routable shard addresses to positive multipliers
-        (1.0 = the plane's ``virtual_nodes`` baseline).  Addresses not
+        (1.0 = the ``VIRTUAL_NODES`` baseline).  Addresses not
         mentioned keep their previous weight.  The ring is only rebuilt —
         and ``rebalances`` only bumped — when some shard's effective
         vnode count actually changes, so a controller may call this every
@@ -573,8 +502,7 @@ class ShardedPdpPlane(DecisionPlane):
         self._services.append(service)
         self._rebuild_ring()
         self.rebalances += 1
-        if self.warm_caches:
-            self.warmed_entries += self._warm_new_shard(service)
+        self.warmed_entries += self._warm_new_shard(service)
         # New hosts, new links: the shard itself plus any host the policy
         # plane provisioned for its replica get their LAN (and, when
         # placed, same-cloud metro) latencies wired before any request
@@ -674,13 +602,13 @@ class ShardedPdpPlane(DecisionPlane):
                 self._notify_membership("removed", service)
                 return
             sim.schedule(
-                self.drain_poll_interval,
+                self.DRAIN_POLL_INTERVAL,
                 check_quiescent,
                 label=f"plane-drain:{service.address}",
             )
 
         sim.schedule(
-            self.drain_poll_interval,
+            self.DRAIN_POLL_INTERVAL,
             check_quiescent,
             label=f"plane-drain:{service.address}",
         )
@@ -744,8 +672,7 @@ class ShardedPdpPlane(DecisionPlane):
         if service is None:
             raise ValidationError(f"no crashed shard at {address!r}")
         service.restart()
-        if self.warm_caches:
-            self.warmed_entries += self._warm_new_shard(service)
+        self.warmed_entries += self._warm_new_shard(service)
         self._notify_membership("restarted", service)
         return service
 
@@ -803,8 +730,8 @@ class ShardedPdpPlane(DecisionPlane):
         # Prefer the primary shard's compiled footprint: it is the very
         # projection the shards key their caches with, and reusing it
         # avoids compiling each policy version a second time on the
-        # routing path.  Falls back to a local compile for route-only
-        # planes over stub services (tests) or a PRP the services do not
+        # routing path.  Falls back to a local compile for planes
+        # adopted over stub services (tests) or a PRP the services do not
         # share.
         primary = self._services[0] if self._services else None
         if isinstance(primary, PdpService) and primary.prp.version_count() > 0:
@@ -825,7 +752,7 @@ class ShardedPdpPlane(DecisionPlane):
         stably prefers shards co-located with the requesting PEP's cloud;
         a queue-aware plane finally re-sorts by busy cursor when the
         preferred shard's backlog exceeds the best alternative by more
-        than ``queue_threshold``.  Every transform is a stable reorder of
+        than ``QUEUE_THRESHOLD``.  Every transform is a stable reorder of
         the same address set, so failover still eventually tries every
         routable shard.
         """
@@ -854,7 +781,7 @@ class ShardedPdpPlane(DecisionPlane):
                     order = local + [a for a in order if self._shard_cloud.get(a) != cloud]
         if self.queue_aware and len(order) > 1:
             backlogs = self.projected_backlogs(origin=request.origin_tenant)
-            if backlogs[order[0]] - min(backlogs[a] for a in order) > self.queue_threshold:
+            if backlogs[order[0]] - min(backlogs[a] for a in order) > self.QUEUE_THRESHOLD:
                 # Stable sort: equal backlogs keep ring/locality order, so
                 # an idle plane routes exactly like a queue-blind one.
                 order.sort(key=backlogs.__getitem__)
@@ -891,7 +818,7 @@ class ShardedPdpPlane(DecisionPlane):
         A cursor only advances when a routed request *arrives* at its
         shard, so during a burst every caller would see the same stale
         cursors and herd onto whichever shard currently looks idle.
-        Routings younger than ``routing_horizon`` (sized to the dispatch
+        Routings younger than ``ROUTING_HORIZON`` (sized to the dispatch
         latency) are therefore projected onto their target at the shard's
         advertised per-request cost before the cursors are compared.
 
@@ -914,11 +841,7 @@ class ShardedPdpPlane(DecisionPlane):
                 if address in backlogs:
                     backlogs[address] += charge
             return backlogs
-        # Inclusive expiry so ``routing_horizon=0`` disables the
-        # projection outright (same-instant routes would otherwise
-        # survive a strict comparison forever at age 0).
-        while self._recent_routes and now - self._recent_routes[0][0] >= self.routing_horizon:
-            self._recent_routes.popleft()
+        self._expire_routes(now)
         by_address = {service.address: service for service in self._services}
         for _, address in self._recent_routes:
             service = by_address.get(address)
@@ -932,9 +855,12 @@ class ShardedPdpPlane(DecisionPlane):
             return
         # Prune on write as well as on read, so the deque stays bounded
         # by rate × horizon even when nothing queries the projection.
-        while self._recent_routes and now - self._recent_routes[0][0] >= self.routing_horizon:
-            self._recent_routes.popleft()
+        self._expire_routes(now)
         self._recent_routes.append((now, address))
+
+    def _expire_routes(self, now: float) -> None:
+        while self._recent_routes and now - self._recent_routes[0][0] >= self.ROUTING_HORIZON:
+            self._recent_routes.popleft()
 
     def _sim_now(self) -> Optional[float]:
         for service in self._services:
@@ -952,7 +878,6 @@ class ShardedPdpPlane(DecisionPlane):
     def describe(self) -> dict:
         summary = super().describe()
         summary["cache_policy"] = self.cache_policy
-        summary["virtual_nodes"] = self.virtual_nodes
         summary["queue_aware"] = self.queue_aware
         summary["locality_aware"] = self.locality_aware
         summary["draining"] = sorted(self._draining)
@@ -973,3 +898,17 @@ class ShardedPdpPlane(DecisionPlane):
         stats["rebalances"] = self.rebalances
         stats["warmed_entries"] = self.warmed_entries
         return stats
+
+
+class SinglePdpPlane(ShardedPdpPlane):
+    """The paper's topology: one evaluator at ``pdp@infrastructure``.
+
+    A one-shard :class:`ShardedPdpPlane` in everything but the historical
+    name of its first shard; shards added later are ``pdp-1``, ``pdp-2``, ….
+    """
+
+    def __init__(self, service_kwargs: Optional[dict] = None) -> None:
+        super().__init__(shards=1, service_kwargs=service_kwargs)
+
+    def _shard_name(self, index: int) -> str:
+        return "pdp" if index == 0 else super()._shard_name(index)

@@ -31,7 +31,13 @@ from repro.blockchain.contracts import (
     ExecutionReceipt,
 )
 from repro.blockchain.mempool import Mempool
-from repro.blockchain.pow import grind_nonce_parts, meets_target, retarget
+from repro.blockchain.pow import (
+    block_work,
+    expected_difficulty,
+    grind_nonce_parts,
+    meets_target,
+    wins_fork_choice,
+)
 from repro.blockchain.transaction import Transaction
 
 EventSubscriber = Callable[[ContractEvent, str], None]
@@ -110,7 +116,6 @@ class Blockchain:
         self._tx_locations: dict[str, TxLocation] = {}
         self._sender_seqs: dict[str, set[int]] = {}
         self._subscribers: list[EventSubscriber] = []
-        self._difficulty_cache: dict[str, float] = {self.genesis.hash: config.difficulty_bits}
         self._snapshots: dict[str, _Snapshot] = {}
         self._orphaned_txs: dict[str, Transaction] = {}
         self._proof_trees: dict[str, MerkleTree] = {}
@@ -241,18 +246,9 @@ class Blockchain:
         parent = self._blocks.get(parent_hash)
         if parent is None:
             raise ChainValidationError(f"unknown parent: {parent_hash}")
-        window = self.config.retarget_window
-        parent_difficulty = self._difficulty_cache.get(parent_hash, parent.header.difficulty_bits)
-        next_height = parent.height + 1
-        if window == 0 or next_height % window != 0 or next_height < window:
-            return parent_difficulty
-        # Walk back `window` blocks on this branch to measure elapsed time.
-        cursor = parent
-        for _ in range(window - 1):
-            cursor = self._blocks[cursor.header.prev_hash]
-        elapsed = parent.header.timestamp - cursor.header.timestamp
-        actual_interval = elapsed / max(1, window - 1)
-        return retarget(parent_difficulty, actual_interval, self.config.target_block_interval)
+        return expected_difficulty(
+            parent.header, lambda block_hash: self._blocks[block_hash].header, self.config
+        )
 
     # -- validation ----------------------------------------------------------
 
@@ -357,17 +353,13 @@ class Blockchain:
             self.rejected_blocks += 1
             raise
         self._blocks[block.hash] = block
-        self._difficulty_cache[block.hash] = block.header.difficulty_bits
         parent_work = self._total_work[block.header.prev_hash]
-        self._total_work[block.hash] = parent_work + 2.0**block.header.difficulty_bits
+        self._total_work[block.hash] = parent_work + block_work(block.header.difficulty_bits)
         return self._maybe_update_head(block)
 
     def _maybe_update_head(self, candidate: Block) -> bool:
-        current_work = self._total_work[self._head_hash]
-        new_work = self._total_work[candidate.hash]
-        if new_work < current_work:
-            return False
-        if new_work == current_work and candidate.hash >= self._head_hash:
+        work, head = self._total_work, self._head_hash
+        if not wins_fork_choice(work[candidate.hash], candidate.hash, work[head], head):
             return False
         self._switch_head(candidate.hash)
         return True

@@ -4,10 +4,9 @@ FIFO with replay protection: a transaction already included in the chain
 (or already pending) is rejected by ``tx_id``, and per-sender sequence
 numbers must strictly increase across included transactions.
 
-The serialized size of a transaction is fixed at admission (sizes are a
-pure function of the signed content), so :meth:`Mempool.peek` reuses the
-admission-time size instead of re-serialising the whole pool on every
-block template.
+The serialized size of a transaction is memoised on the transaction
+itself (a pure function of the frozen signed content), so
+:meth:`Mempool.peek` costs no serialisation per block template.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ class Mempool:
     def __init__(self, max_size: int = 100_000) -> None:
         self.max_size = max_size
         self._pool: "OrderedDict[str, Transaction]" = OrderedDict()
-        self._sizes: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self._pool)
@@ -37,14 +35,12 @@ class Mempool:
         if tx.tx_id in self._pool or len(self._pool) >= self.max_size:
             return False
         self._pool[tx.tx_id] = tx
-        self._sizes[tx.tx_id] = tx.size_bytes()
         return True
 
     def remove_all(self, tx_ids: Iterable[str]) -> None:
         """Drop transactions that made it into a block."""
         for tx_id in tx_ids:
             self._pool.pop(tx_id, None)
-            self._sizes.pop(tx_id, None)
 
     def peek(
         self,
@@ -59,7 +55,7 @@ class Mempool:
         for tx in self._pool.values():
             if tx.tx_id in skip:
                 continue
-            size = self._sizes[tx.tx_id]
+            size = tx.size_bytes()
             if len(selected) >= max_txs or total + size > max_bytes:
                 break
             selected.append(tx)

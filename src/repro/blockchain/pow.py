@@ -19,7 +19,8 @@ Two production modes share these primitives:
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import math
+from typing import Any, Callable, Optional
 
 from repro.crypto.hashing import sha256_hex
 
@@ -118,11 +119,44 @@ def retarget(
     retarget (as Bitcoin clamps to 4x) to avoid oscillation; difficulty in
     bits moves by ``log2`` of the clamped ratio.
     """
-    import math
-
     if actual_interval <= 0:
         actual_interval = target_interval / max_step
     ratio = target_interval / actual_interval
     ratio = min(max(ratio, 1.0 / max_step), max_step)
     new_bits = difficulty_bits + math.log2(ratio)
     return min(max(new_bits, floor_bits), ceil_bits)
+
+
+# -- consensus rules a header-only light client replays -------------------------
+# One definition, over headers, for ``Blockchain`` and ``HeaderClient`` alike:
+# two copies that drift would fork light clients from full nodes silently.
+
+
+def expected_difficulty(parent, lookup: Callable[[str], Any], config) -> float:
+    """Difficulty required of the block extending the header ``parent``.
+
+    Retargets every ``config.retarget_window`` blocks using the mean block
+    interval across the previous window on that branch; ``lookup`` maps a
+    block hash to its header.
+    """
+    window = config.retarget_window
+    next_height = parent.height + 1
+    if window == 0 or next_height % window != 0 or next_height < window:
+        return parent.difficulty_bits
+    # Walk back `window` blocks on this branch to measure elapsed time.
+    cursor = parent
+    for _ in range(window - 1):
+        cursor = lookup(cursor.prev_hash)
+    elapsed = parent.timestamp - cursor.timestamp
+    actual_interval = elapsed / max(1, window - 1)
+    return retarget(parent.difficulty_bits, actual_interval, config.target_block_interval)
+
+
+def block_work(difficulty_bits: float) -> float:
+    """Work one block adds to its branch's cumulative total."""
+    return 2.0**difficulty_bits
+
+
+def wins_fork_choice(work: float, tip_hash: str, head_work: float, head_hash: str) -> bool:
+    """Most total work wins; equal work goes to the lower tip hash."""
+    return work > head_work or (work == head_work and tip_hash < head_hash)

@@ -127,15 +127,14 @@ def attach_plane_probes(plane: DecisionPlane, tenant: str,
     Monitoring coverage must follow the plane: a sharded pool with an
     unprobed replica would open a decision path DRAMS never observes.
     The primary replica keeps the historical ``"pdp"`` probe key (threat
-    experiments target it); further shards get ``"pdp:<index>"``.  For
-    planes with *elastic* membership, pair this with
-    :func:`follow_plane_membership` so coverage tracks runtime changes.
+    experiments target it); further shards get ``"pdp:<index>"``.  Pair
+    this with :func:`follow_plane_membership` so coverage tracks runtime
+    membership changes.
     """
     services = plane.services
     if not services:
         raise ValidationError(
-            "decision plane has no deployed evaluator services to probe "
-            "(route-only planes cannot be monitored)")
+            "decision plane has no deployed evaluator services to probe")
     agents: dict[str, ProbeAgent] = {}
     for index, service in enumerate(services):
         key = "pdp" if index == 0 else f"pdp:{index}"

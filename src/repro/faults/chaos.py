@@ -7,7 +7,8 @@ reversal event per ``until``).  Target strings resolve at *fire* time, so
 plan was written; crash/restart targets are mapped to component-specific
 semantics:
 
-- a decision-plane shard address goes through
+- a decision-plane shard address (any shard, the default stack's
+  ``pdp@infrastructure`` included) goes through
   :meth:`~repro.accesscontrol.plane.ShardedPdpPlane.crash_shard` /
   ``restart_shard`` (in-flight loss, partitioned-cache loss, donor
   re-warm, ``"crashed"``/``"restarted"`` membership events that drive the
@@ -16,8 +17,9 @@ semantics:
   ``restart_replica`` (staging loss, eager anti-entropy re-bootstrap);
 - a blockchain node address calls ``node.crash()`` / ``node.restart()``
   (mining stops, mempool journals, head-sync rejoin);
-- anything else is treated as a plain host: detached, and re-attached on
-  restart under a fresh network incarnation.
+- anything else is treated as a plain host: detached (whatever its
+  timers still send is dropped and counted ``dropped_dead``), and
+  re-attached on restart under a fresh network incarnation.
 
 Every restart arms the matching :class:`RecoveryRecorder` watch, so a run
 finishes with time-to-recover numbers per component without the caller
@@ -184,9 +186,7 @@ class ChaosController:
     def _crash_target(self, address: str, until: Optional[float]) -> None:
         self.recorder.note_fault("crash", address, self.sim.now, until)
         plane = self.plane
-        if plane is not None and hasattr(plane, "crash_shard") and any(
-            service.address == address for service in plane.services
-        ):
+        if plane is not None and any(service.address == address for service in plane.services):
             plane.crash_shard(address)
             return
         policy = self.policy_plane
@@ -208,9 +208,7 @@ class ChaosController:
     def _restart_target(self, address: str) -> None:
         now = self.sim.now
         plane = self.plane
-        if plane is not None and hasattr(plane, "restart_shard") and any(
-            service.address == address for service in plane.crashed()
-        ):
+        if plane is not None and any(service.address == address for service in plane.crashed()):
             service = plane.restart_shard(address)
             self.recorder.watch_pdp_recovery(service, now)
             return
@@ -239,8 +237,7 @@ class ChaosController:
         candidates = set(self.network.hosts())
         if self.plane is not None:
             candidates.update(s.address for s in self.plane.services)
-            if hasattr(self.plane, "crashed"):
-                candidates.update(s.address for s in self.plane.crashed())
+            candidates.update(s.address for s in self.plane.crashed())
         if self.policy_plane is not None and hasattr(self.policy_plane,
                                                      "replica_addresses"):
             candidates.update(self.policy_plane.replica_addresses())

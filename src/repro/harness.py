@@ -234,9 +234,8 @@ class MonitoredFederation:
     def add_pdp_shard(self, at: Optional[float] = None):
         """Grow the decision plane by one shard, now or at simulated ``at``.
 
-        Requires an elastic plane (``ShardedPdpPlane``); monitoring
-        probes attach through the plane's membership events, so a shard
-        added mid-run is covered before its first request.
+        Monitoring probes attach through the plane's membership events,
+        so a shard added mid-run is covered before its first request.
         """
         if at is None:
             return self.plane.add_shard()

@@ -13,7 +13,7 @@ minus the body checks it cannot perform:
 
 - parent link and height continuity against the already-verified branch,
 - non-decreasing timestamps,
-- the difficulty retarget schedule, replicated over headers alone,
+- the difficulty retarget schedule (the full nodes' own rule, ``blockchain.pow``),
 - in ``real`` PoW mode, that the header hash meets its work target.
 
 Batches extending a stale branch are adopted only if their cumulative
@@ -25,11 +25,11 @@ availability.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.blockchain.block import BlockHeader, make_genesis
 from repro.blockchain.config import BlockchainConfig
-from repro.blockchain.pow import meets_target, retarget
+from repro.blockchain.pow import block_work, expected_difficulty, meets_target, wins_fork_choice
 from repro.common.errors import ValidationError
 from repro.crypto.hashing import hash_value
 from repro.lightclient.sideband import SidebandHost
@@ -157,21 +157,6 @@ class HeaderClient(SidebandHost):
 
     # -- validation ------------------------------------------------------------
 
-    def _expected_difficulty(self, parent: BlockHeader,
-                             lookup: Callable[[str], BlockHeader]) -> float:
-        """Replicates ``Blockchain.expected_difficulty`` over headers only."""
-        window = self.config.retarget_window
-        next_height = parent.height + 1
-        if window == 0 or next_height % window != 0 or next_height < window:
-            return parent.difficulty_bits
-        cursor = parent
-        for _ in range(window - 1):
-            cursor = lookup(cursor.prev_hash)
-        elapsed = parent.timestamp - cursor.timestamp
-        actual_interval = elapsed / max(1, window - 1)
-        return retarget(parent.difficulty_bits, actual_interval,
-                        self.config.target_block_interval)
-
     def _ingest(self, batch: list[BlockHeader]) -> bool:
         """Validate a served batch and adopt it if it wins fork choice."""
         if not batch:
@@ -202,7 +187,7 @@ class HeaderClient(SidebandHost):
                     or header.timestamp < parent.timestamp):
                 self.headers_rejected += len(batch)
                 return False
-            expected_bits = self._expected_difficulty(parent, lookup)
+            expected_bits = expected_difficulty(parent, lookup, self.config)
             if abs(header.difficulty_bits - expected_bits) > 1e-9:
                 self.headers_rejected += len(batch)
                 return False
@@ -212,22 +197,20 @@ class HeaderClient(SidebandHost):
                     block_hash, header.difficulty_bits):
                 self.headers_rejected += len(batch)
                 return False
-            work += 2.0 ** header.difficulty_bits
+            work += block_work(header.difficulty_bits)
             new_headers[block_hash] = header
             candidate.append(block_hash)
             parent_hash, parent = block_hash, header
 
         tip_hash = self._branch[-1]
-        current_work = self._work[tip_hash]
-        if work < current_work or (work == current_work
-                                   and candidate[-1] >= tip_hash):
+        if not wins_fork_choice(work, candidate[-1], self._work[tip_hash], tip_hash):
             return False
         if anchor_height < self.height:
             self.reorgs += 1
         self.headers.update(new_headers)
         cumulative = self._work[batch[0].prev_hash]
         for block_hash in candidate:
-            cumulative += 2.0 ** self.headers[block_hash].difficulty_bits
+            cumulative += block_work(self.headers[block_hash].difficulty_bits)
             self._work[block_hash] = cumulative
         self._branch = self._branch[:anchor_height + 1] + candidate
         self.headers_validated += len(candidate)

@@ -17,7 +17,7 @@ incarnation that was current at send time.  A message in flight toward a
 host that crashes — or crashes and restarts — before the delivery event
 fires is dropped (counted in ``NetworkStats.dropped_dead``) instead of
 being handed to a dead host or to a restarted incarnation with stale
-state.
+state; so is anything a detached host's surviving timers try to send.
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ class NetworkStats:
     delivered: int = 0
     dropped: int = 0
     #: Subset of ``dropped``: deliveries abandoned because the destination
-    #: crashed (or crashed and restarted) after the message was sent.
+    #: crashed (or crashed and restarted) after the message was sent, and
+    #: sends attempted by a host that is itself detached.
     dropped_dead: int = 0
     #: Extra deliveries injected by per-link duplication faults.
     duplicated: int = 0
@@ -330,7 +331,12 @@ class Network:
     ) -> Optional[Message]:
         """Send one message; ``sized`` lends its size and sideband if it carries this very object."""
         if src not in self._hosts:
-            raise NetworkError(f"unknown source host: {src}")
+            if src not in self._incarnations:
+                raise NetworkError(f"unknown source host: {src}")
+            # A crashed process whose timers keep firing: a dead host talking.
+            self.stats.dropped += 1
+            self.stats.dropped_dead += 1
+            return None
         if msg_id is None:
             message = Message(src=src, dst=dst, kind=kind, payload=payload, sent_at=self.sim.now)
         else:

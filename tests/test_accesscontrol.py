@@ -7,7 +7,7 @@ from repro.accesscontrol.messages import AccessDecision, AccessRequest
 from repro.accesscontrol.pap import PolicyAdministrationPoint
 from repro.accesscontrol.pdp_service import PdpService
 from repro.accesscontrol.pep import PolicyEnforcementPoint
-from repro.accesscontrol.plane import SinglePdpPlane
+from repro.accesscontrol.plane import ShardedPdpPlane
 from repro.accesscontrol.prp import PolicyRetrievalPoint
 from repro.analysis.properties import AttributeDomain
 from repro.common.errors import ValidationError
@@ -39,7 +39,7 @@ def deployment():
     pap.publish(doctors_policy())
     pdp = PdpService(network, "pdp@infra", prp)
     pep = PolicyEnforcementPoint(network, "pep@t1", "tenant-1",
-                                 SinglePdpPlane.wrap(pdp), request_timeout=5.0)
+                                 ShardedPdpPlane.over([pdp]), request_timeout=5.0)
     return sim, network, prp, pap, pdp, pep
 
 

@@ -5,7 +5,7 @@ load view, and the harness wiring that binds them together."""
 import pytest
 
 from repro.accesscontrol.autoscale import AutoscaleController, CrossPepLoadView
-from repro.accesscontrol.plane import ShardedPdpPlane, SinglePdpPlane
+from repro.accesscontrol.plane import DecisionPlane, ShardedPdpPlane, SinglePdpPlane
 from repro.common.errors import ValidationError
 from repro.harness import MonitoredFederation
 from repro.simnet.simulator import Simulator
@@ -173,7 +173,7 @@ class TestControllerValidation:
 
     def test_rejects_inelastic_plane(self):
         with pytest.raises(ValidationError, match="ShardedPdpPlane"):
-            AutoscaleController().bind(SinglePdpPlane(), Simulator())
+            AutoscaleController().bind(DecisionPlane(), Simulator())
 
     def test_rejects_double_bind_and_premature_start(self):
         controller = AutoscaleController()
@@ -185,8 +185,8 @@ class TestControllerValidation:
 
 
 class TestShardWarmup:
-    def _warmed_stack(self, **plane_kwargs):
-        plane = ShardedPdpPlane(shards=3, cache_policy="partitioned", **plane_kwargs)
+    def _warmed_stack(self):
+        plane = ShardedPdpPlane(shards=3, cache_policy="partitioned")
         stack = build_stack(plane)
         stack.issue_requests(40)
         stack.run(until=30.0)
@@ -240,12 +240,6 @@ class TestShardWarmup:
         stack.run(until=20.0)
         added = plane.add_shard()
         assert added.decision_cache is plane.services[0].decision_cache
-        assert plane.warmed_entries == 0
-
-    def test_warm_caches_off_adds_cold_shard(self):
-        plane, stack = self._warmed_stack(warm_caches=False)
-        added = plane.add_shard()
-        assert len(added.decision_cache) == 0
         assert plane.warmed_entries == 0
 
 
@@ -450,13 +444,22 @@ class TestHarnessWiring:
         assert controller.scale_downs > 0  # shed shards into the trough
         assert sum(pep.timeouts for pep in stack.peps.values()) == 0
 
-    def test_autoscaler_rejects_single_evaluator_plane(self):
-        with pytest.raises(ValidationError, match="ShardedPdpPlane"):
-            MonitoredFederation.build(
-                healthcare_scenario(),
-                with_drams=False,
-                autoscaler=AutoscaleController(),
-            )
+    def test_autoscaler_scales_the_single_evaluator_plane(self):
+        # N = 1 is not a special case: the default topology grows out of
+        # its one historical shard and drains back down like any pool.
+        controller = AutoscaleController(min_shards=1, max_shards=4, decide_interval=0.05)
+        stack = MonitoredFederation.build(
+            diurnal_scenario(),
+            with_drams=False,
+            plane=SinglePdpPlane(service_kwargs=dict(SERVICE_KWARGS)),
+            autoscaler=controller,
+        )
+        assert [s.address for s in stack.plane.services] == ["pdp@infrastructure"]
+        stack.issue_requests(250, start_at=0.1)
+        stack.run(until=8.0)
+        assert len(stack.outcomes) == 250
+        assert controller.actions[0]["address"] == "pdp-1@infrastructure"
+        assert controller.scale_downs > 0
 
     def test_monitored_controller_churn_stays_attributed(self):
         # Controller-initiated add/drain under DRAMS: probes follow the

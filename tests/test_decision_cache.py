@@ -7,7 +7,7 @@ from repro.accesscontrol.messages import AccessDecision
 from repro.accesscontrol.pap import PolicyAdministrationPoint
 from repro.accesscontrol.pdp_service import PdpService
 from repro.accesscontrol.pep import PolicyEnforcementPoint
-from repro.accesscontrol.plane import SinglePdpPlane
+from repro.accesscontrol.plane import ShardedPdpPlane
 from repro.accesscontrol.prp import PolicyRetrievalPoint
 from repro.common.rng import SeededRng
 from repro.simnet.latency import ConstantLatency
@@ -43,7 +43,7 @@ def deployment():
     pap.publish(doctors_policy())
     pdp = PdpService(network, "pdp@infra", prp)
     pep = PolicyEnforcementPoint(network, "pep@t1", "tenant-1",
-                                 SinglePdpPlane.wrap(pdp), request_timeout=5.0)
+                                 ShardedPdpPlane.over([pdp]), request_timeout=5.0)
     return sim, prp, pap, pdp, pep
 
 
@@ -271,7 +271,7 @@ class TestPdpServiceIntegration:
         PolicyAdministrationPoint(prp, "admin").publish(doctors_policy())
         pdp = PdpService(network, "pdp@infra", prp, use_decision_cache=False)
         pep = PolicyEnforcementPoint(network, "pep@t1", "tenant-1",
-                                     SinglePdpPlane.wrap(pdp), request_timeout=5.0)
+                                     ShardedPdpPlane.over([pdp]), request_timeout=5.0)
         outcomes = []
         for _ in range(2):
             ask(sim, pep, outcomes)

@@ -87,33 +87,35 @@ def request_with(role="doctor", time_of_day=1.0, origin="tenant-1"):
 
 
 class TestSinglePlane:
-    def test_at_routes_to_fixed_address(self):
-        plane = SinglePdpPlane.at("pdp@infra")
-        assert plane.endpoints(request_with()) == ("pdp@infra",)
-        assert plane.services == []
-
     def test_wrap_adopts_service(self, network):
         prp = PolicyRetrievalPoint()
         pdp = PdpService(network, "pdp@infra", prp)
-        plane = SinglePdpPlane.wrap(pdp)
+        plane = ShardedPdpPlane.over([pdp])
         assert plane.services == [pdp]
         assert plane.endpoints(request_with()) == ("pdp@infra",)
+
+    def test_is_the_one_shard_pool_under_its_historical_name(self):
+        stack = MonitoredFederation.build(healthcare_scenario(), clouds=2, seed=24,
+                                          with_drams=True,
+                                          drams_config=fast_drams_config())
+        plane = stack.plane
+        assert isinstance(plane, SinglePdpPlane) and isinstance(plane, ShardedPdpPlane)
+        assert [s.address for s in plane.services] == ["pdp@infrastructure"]
+        assert stack.drams.probes["pdp"].component_host is plane.services[0]
+        # Only the constructor and the name are its own.
+        assert {name for name, value in vars(SinglePdpPlane).items() if callable(value)} == {
+            "__init__", "_shard_name"}
 
     def test_undeployed_plane_rejects_routing(self):
         with pytest.raises(ValidationError):
             SinglePdpPlane().endpoints(request_with())
 
-    def test_route_only_plane_cannot_deploy(self):
-        plane = SinglePdpPlane.at("pdp@infra")
-        with pytest.raises(ValidationError):
-            plane.deploy(object(), SingleStorePlane())
-
     def test_pep_rejects_raw_address(self, network):
-        with pytest.raises(TypeError, match="SinglePdpPlane.at"):
+        with pytest.raises(ValidationError, match="expected a DecisionPlane"):
             PolicyEnforcementPoint(network, "pep@t1", "tenant-1", "pdp@infra")
         # The failed construction must not have leaked the address.
         PolicyEnforcementPoint(network, "pep@t1", "tenant-1",
-                               SinglePdpPlane.at("pdp@infra"))
+                               ShardedPdpPlane.over([_StubService("pdp@infra")]))
 
     def test_pep_rejects_bare_service(self, sim, network):
         prp = PolicyRetrievalPoint()
@@ -121,7 +123,7 @@ class TestSinglePlane:
         pdp = PdpService(network, "pdp@infra", prp)
         with pytest.raises(ValidationError, match="expected a DecisionPlane"):
             PolicyEnforcementPoint(network, "pep@t1", "tenant-1", pdp)
-        pep = PolicyEnforcementPoint(network, "pep@t1", "tenant-1", SinglePdpPlane.wrap(pdp))
+        pep = PolicyEnforcementPoint(network, "pep@t1", "tenant-1", ShardedPdpPlane.over([pdp]))
         outcomes = []
         pep.request_access(subject={"role": "doctor"}, resource={},
                            action={"action-id": "read"},
@@ -140,8 +142,6 @@ class TestShardedRouting:
             ShardedPdpPlane(shards=0)
         with pytest.raises(ValidationError):
             ShardedPdpPlane(cache_policy="ad-hoc")
-        with pytest.raises(ValidationError):
-            ShardedPdpPlane(virtual_nodes=0)
         with pytest.raises(ValidationError):
             ShardedPdpPlane.over([])
 
@@ -272,10 +272,10 @@ class TestDramsCoverage:
         assert stack.drams.analyser.pending_correlations == 0
         assert stack.drams.analyser.sweep() == 0
 
-    def test_monitoring_rejects_route_only_plane(self, network):
+    def test_monitoring_rejects_undeployed_plane(self):
         from repro.drams.probe import attach_plane_probes
-        with pytest.raises(ValidationError):
-            attach_plane_probes(SinglePdpPlane.at("pdp@infra"), "infra", "li@infra")
+        with pytest.raises(ValidationError, match="no deployed evaluator"):
+            attach_plane_probes(SinglePdpPlane(), "infra", "li@infra")
 
 
 class TestShardedCacheCoherence:
@@ -342,8 +342,7 @@ class TestPepTimeoutAndFailover:
         network = Network(sim, SeededRng(31, "plane-tests"), ConstantLatency(0.001))
         fakes = [FakePdp(network, f"pdp-{i}@infra", **fake_kwargs)
                  for i in range(shards)]
-        plane = (SinglePdpPlane.wrap(fakes[0]) if shards == 1
-                 else ShardedPdpPlane.over(fakes))
+        plane = ShardedPdpPlane.over(fakes)
         pep = PolicyEnforcementPoint(network, "pep@t1", "tenant-1", plane,
                                      request_timeout=request_timeout)
         return sim, network, fakes, plane, pep
@@ -457,8 +456,7 @@ class TestPepTimeoutAndFailover:
 
 class TestDecisionPlaneSurface:
     def test_describe_and_stats(self):
-        plane = ShardedPdpPlane(shards=2, cache_policy="partitioned",
-                                virtual_nodes=8)
+        plane = ShardedPdpPlane(shards=2, cache_policy="partitioned")
         stack = MonitoredFederation.build(healthcare_scenario(), clouds=2,
                                           seed=26, with_drams=False, plane=plane)
         summary = plane.describe()

@@ -185,7 +185,7 @@ class TestDrainShard:
         # re-planned route, not be retried against the removed one.  The
         # re-route counts as membership churn, not a failover: the shard
         # was drained out from under the attempt, it did not fault.
-        plane = ShardedPdpPlane(shards=2, drain_grace=0.0, drain_poll_interval=0.05)
+        plane = ShardedPdpPlane(shards=2, drain_grace=0.0)
         stack = build_stack(plane)
         pep = next(iter(stack.peps.values()))
         request = request_with()
@@ -242,6 +242,27 @@ class TestProbeLifecycle:
         assert stack.drams.alerts.count() == 0
         assert stack.drams.analyser.checked == 20
         assert stack.drams.analyser.pending_correlations == 0
+
+    def test_default_stack_grows_and_drains(self):
+        # No ``plane=`` at all: the paper's single evaluator is a pool of
+        # one, so it grows past its historical name and drains back to it.
+        stack = build_stack(None, with_drams=True, seed=36)
+        assert [s.address for s in stack.plane.services] == ["pdp@infrastructure"]
+        added = stack.add_pdp_shard()
+        assert added.address == "pdp-1@infrastructure"
+        probe = stack.drams.probes[f"pdp:{added.address}"]
+        assert probe.component_host is added  # probed before its first request
+        stack.issue_requests(20)
+        stack.run(until=40.0)
+        assert added.requests_served > 0
+        assert probe.observations == 2 * added.requests_served
+        assert stack.drain_pdp_shard() is added
+        stack.run(until=stack.sim.now + 10.0)
+        assert [s.address for s in stack.plane.services] == ["pdp@infrastructure"]
+        assert probe.detached
+        assert len(stack.outcomes) == 20
+        assert stack.drams.alerts.count() == 0
+        assert stack.drams.analyser.checked == 20
 
     def test_added_shard_is_never_double_probed(self):
         plane = ShardedPdpPlane(shards=2)
@@ -327,13 +348,12 @@ class TestQueueAwareRouting:
         assert plane.endpoints(request) == (idle.address, busy.address)
 
     def test_idle_pool_keeps_ring_order(self, network):
-        # Requests spaced beyond the routing horizon see a genuinely idle
-        # pool and must route exactly like a queue-blind plane; disabling
-        # the in-flight projection models that spacing without having to
-        # drive the simulator between calls.
+        # With no dispatch inside the routing horizon and every cursor at
+        # zero the pool is genuinely idle, and a queue-aware plane must
+        # route exactly like a queue-blind one.
         prp, services = self.make_pool(network, count=4)
         queue_blind = ShardedPdpPlane.over(services, prp=prp)
-        queue_aware = ShardedPdpPlane.over(services, prp=prp, queue_aware=True, routing_horizon=0.0)
+        queue_aware = ShardedPdpPlane.over(services, prp=prp, queue_aware=True)
         for role in ("doctor", "nurse", "clerk", "auditor"):
             request = request_with(role=role)
             assert queue_aware.endpoints(request) == queue_blind.endpoints(request)
@@ -367,7 +387,8 @@ class TestQueueAwareRouting:
 
     def test_threshold_hysteresis_preserves_affinity(self, network):
         prp, services = self.make_pool(network)
-        plane = ShardedPdpPlane.over(services, prp=prp, queue_aware=True, queue_threshold=1.0)
+        plane = ShardedPdpPlane.over(services, prp=prp, queue_aware=True)
+        plane.QUEUE_THRESHOLD = 1.0  # the shipped constant is 0: any lead re-sorts
         request = request_with()
         ring_order = plane.endpoints(request)
         primary = next(s for s in services if s.address == ring_order[0])

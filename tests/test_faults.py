@@ -5,7 +5,7 @@ duplication/reordering idempotency properties."""
 import pytest
 
 from repro.accesscontrol.pep import PolicyEnforcementPoint, RetryBackoff
-from repro.accesscontrol.plane import ShardedPdpPlane
+from repro.accesscontrol.plane import ShardedPdpPlane, SinglePdpPlane
 from repro.blockchain.config import BlockchainConfig
 from repro.blockchain.contracts import ContractRegistry, KeyValueContract
 from repro.blockchain.node import BlockchainNode
@@ -29,9 +29,10 @@ from repro.harness import MonitoredFederation
 from repro.policydist import PrpReplica, ReplicatedPrpPlane
 from repro.accesscontrol.prp import PolicyRetrievalPoint
 from repro.simnet.latency import ConstantLatency
-from repro.simnet.network import Host, Message, Network
+from repro.simnet.network import Host, Message, Network, NetworkError
 from repro.simnet.simulator import Simulator
 from repro.workload.scenarios import (
+    federation_scale_scenario,
     healthcare_scenario,
     partition_storm_scenario,
 )
@@ -91,6 +92,19 @@ class TestInFlightDeliveryToCrashedHost:
         sim.run(until=5.0)
         assert [m.payload["x"] for m in b.received] == [2]
         assert net.stats.dropped_dead == 1
+
+    def test_send_from_detached_host_is_dropped_and_counted(self):
+        # A crashed process whose timers keep firing is a dead host
+        # talking: dropped and counted, never an aborted simulation.
+        sim, net, a, b = net_pair()
+        net.detach("a")
+        assert a.send("b", "ping", {"x": 1}) is None
+        sim.run(until=2.0)
+        assert b.received == []
+        assert (net.stats.sent, net.stats.dropped, net.stats.dropped_dead) == (0, 1, 1)
+        # An address that was never attached is a wiring bug, not a fault.
+        with pytest.raises(NetworkError, match="unknown source host"):
+            net.send("ghost", "b", "ping", {})
 
     def test_is_attached_tracks_lifecycle(self):
         _, net, _, b = net_pair()
@@ -761,6 +775,60 @@ class TestChaosController:
         assert not net.is_attached("li@tenant-1")
         stack.sim.run(until=1.2)
         assert net.is_attached("li@tenant-1")
+
+    @pytest.mark.parametrize(
+        "make_plane",
+        [SinglePdpPlane, lambda **kwargs: ShardedPdpPlane(shards=1, **kwargs)],
+        ids=["single", "sharded-1"],
+    )
+    def test_only_shard_crash_with_evaluations_in_flight(self, make_plane):
+        # N = 1 crashes like any pool: in-flight evaluations are fenced
+        # and counted, the probe follows the membership events, and the
+        # PEPs' timeouts resolve what the dead process never answered.
+        plane = make_plane(service_kwargs={"base_processing_delay": 0.2})
+        stack = MonitoredFederation.build(
+            partition_storm_scenario(),
+            clouds=2,
+            seed=47,
+            with_drams=True,
+            drams_config=fast_drams_config(),
+            plane=plane,
+            pep_kwargs={"request_timeout": 2.0},
+        )
+        stack.start()
+        shard = plane.services[0]
+        events = []
+        plane.on_membership(lambda event, service: events.append((event, service.address)))
+        stack.inject_faults(FaultPlan(events=(crash(shard.address, at=0.8, restart_at=1.5),)))
+        stack.issue_requests(200, start_at=0.1)
+        stack.run(until=30.0)
+        assert shard.crashes == 1 and not shard.crashed
+        assert shard.evaluations_lost > 0
+        assert events == [("crashed", shard.address), ("restarted", shard.address)]
+        assert stack.drams.pdp_services == [shard]  # probe re-attached
+        assert len(stack.outcomes) == 200
+        assert sum(pep.timeouts for pep in stack.peps.values()) >= shard.evaluations_lost
+
+    def test_crashed_pep_keeps_the_run_alive(self):
+        # The workload keeps dispatching through the dead PEP and its
+        # timeout timers keep firing; those sends are dropped, the timers
+        # fail the requests over, and every issued request resolves.
+        plan = FaultPlan(events=(crash("pep@tenant-1", at=0.55, restart_at=1.5),))
+        stack = MonitoredFederation.build(
+            federation_scale_scenario(),
+            clouds=2,
+            seed=47,
+            with_drams=True,
+            drams_config=fast_drams_config(),
+            plane=ShardedPdpPlane(shards=2),
+        )
+        stack.start()
+        stack.inject_faults(plan)
+        stack.issue_requests(200)
+        stack.run(until=60.0)
+        assert len(stack.outcomes) == 200
+        assert stack.federation.network.stats.dropped_dead > 0
+        assert stack.federation.network.is_attached("pep@tenant-1")
 
     def test_unknown_target_pattern_raises(self):
         stack, _, controller = self.storm_stack(FaultPlan())

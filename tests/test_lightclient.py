@@ -206,14 +206,14 @@ NODE = "bcnode@t"
 NODE_KEY = SigningKey.generate(NODE.encode())
 
 
-def make_chain_env():
+def make_chain_env(retarget_window=0):
     sim = Simulator()
     rng = SeededRng(11)
     network = Network(sim, rng)
     registry = ContractRegistry()
     registry.deploy(KeyValueContract())
     config = BlockchainConfig(chain_id="lc-t", difficulty_bits=8.0,
-                              target_block_interval=1.0, retarget_window=0,
+                              target_block_interval=1.0, retarget_window=retarget_window,
                               pow_mode="simulated", confirmations=2)
     node = BlockchainNode(network, NODE, config, registry, rng,
                           key_lookup=lambda n: NODE_KEY.public if n == NODE else None,
@@ -223,10 +223,10 @@ def make_chain_env():
     return sim, node, client
 
 
-def grow(chain, count):
+def grow(chain, count, spacing=1.0):
     for _ in range(count):
         block = chain.create_block(NODE, [],
-                                   timestamp=chain.head.header.timestamp + 1.0,
+                                   timestamp=chain.head.header.timestamp + spacing,
                                    signing_key=NODE_KEY)
         chain.add_block(block)
 
@@ -288,6 +288,27 @@ class TestHeaderClient:
         assert client.header_for(a1.hash) is None
         assert client.confirmations_of(a1.hash) == 0
         assert client.confirmations_of(b1.hash) == 2
+
+    def test_replays_the_full_nodes_retarget_schedule(self):
+        # Blocks at half the target interval: every fourth one retargets.
+        _, node, client = make_chain_env(retarget_window=4)
+        chain = node.chain
+        grow(chain, 9, spacing=0.5)
+        served = [block.header for block in chain.main_chain()[1:]]
+        assert len({header.difficulty_bits for header in served}) > 1
+        assert client._ingest(served)
+        assert client.height == 9 and client.headers_rejected == 0
+        tip = client.head
+
+        def successor(bits):
+            return BlockHeader(height=tip.height + 1, prev_hash=tip.block_hash(),
+                               merkle_root="", timestamp=tip.timestamp + 0.5,
+                               difficulty_bits=bits, miner=NODE)
+
+        expected = chain.expected_difficulty(chain.head.hash)
+        assert not client._ingest([successor(expected + 0.5)])
+        assert client.headers_rejected == 1
+        assert client._ingest([successor(expected)])
 
     def test_rejects_tampered_headers(self):
         sim, node, client = make_chain_env()

@@ -10,9 +10,11 @@ the monitored federation to it:
   to the same build without them;
 - **topology neutrality** — every decision-plane shape (one shard, four,
   partitioned caches, queue- and locality-aware routing) leaves
-  ``decisions`` and ``alerts`` equal to the default single evaluator.
+  ``decisions`` and ``alerts`` equal to the default single evaluator;
+- **policy-plane neutrality** — replicated PRPs that propagate with zero
+  delay leave the *whole* fingerprint equal to the default single store.
 
-A third test shows the pin can fail: a different seed and an observer
+A last test shows the pin can fail: a different seed and an observer
 that mints one global id per enforcement both move the fingerprint.
 """
 
@@ -23,6 +25,7 @@ from repro.accesscontrol.plane import ShardedPdpPlane
 from repro.common.ids import new_id, reset_id_counter
 from repro.faults import FaultPlan
 from repro.harness import MonitoredFederation
+from repro.policydist import ReplicatedPrpPlane
 from repro.workload.scenarios import federation_scale_scenario
 from tests.conftest import fast_drams_config
 
@@ -96,6 +99,12 @@ PLANES = {
     ),
 }
 
+POLICY_PLANES = {
+    "replicated-zero-delay": lambda: ReplicatedPrpPlane(
+        propagation_delay=0, propagation_jitter=0, anti_entropy_interval=0
+    ),
+}
+
 
 @pytest.mark.parametrize(
     "observer",
@@ -112,6 +121,12 @@ def test_topology_neutrality(plane):
     reshaped = drive(build(plane=PLANES[plane]())).fingerprint()
     assert reshaped["decisions"] == default["decisions"]
     assert reshaped["alerts"] == default["alerts"]
+
+
+@pytest.mark.parametrize("policy_plane", POLICY_PLANES)
+def test_policy_plane_neutrality(policy_plane):
+    default = drive(build()).fingerprint()
+    assert drive(build(policy_plane=POLICY_PLANES[policy_plane]())).fingerprint() == default
 
 
 def test_fingerprint_is_sensitive():
