@@ -5,11 +5,12 @@ branch), ties broken by lowest tip hash, so all honest nodes converge on the
 same head given the same block set.
 
 Contract state is maintained incrementally while blocks extend the current
-head; a reorganisation restores the deepest state snapshot still on the
+head; a reorganisation restores the deepest state checkpoint still on the
 winning branch (one is taken every ``SNAPSHOT_INTERVAL`` blocks, genesis
-always has one) and replays from there.  Contract events emitted by newly
-applied blocks are pushed to subscribers — this is how security alerts
-produced by the monitor contract reach the Logging Interfaces.
+always has one) and replays from there.  Replicas over one registry share
+their checkpoints, so each is copied once per deployment.  Contract events
+emitted by newly applied blocks are pushed to subscribers — this is how
+security alerts produced by the monitor contract reach the Logging Interfaces.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class TxLocation:
 
 @dataclass
 class _Snapshot:
-    """Chain state checkpoint taken at a specific applied block."""
+    """Chain state right after a block applied; shared, never mutated."""
 
     height: int
     engine_state: dict
@@ -375,12 +376,21 @@ class Blockchain:
         return branch
 
     def _take_snapshot(self, block_hash: str, height: int) -> None:
-        self._snapshots[block_hash] = _Snapshot(
-            height=height,
-            engine_state=self.engine.dump_state(),
-            sender_seqs={k: set(v) for k, v in self._sender_seqs.items()},
-            tx_locations=dict(self._tx_locations),
-        )
+        # Checkpoint once per deployment: replicas over one registry share
+        # the checkpoint of a block hash.  A hit is sound wherever it was
+        # taken: the checkpoint at H is a pure function of the registry's
+        # code (a deploy empties the table) and of H, which commits to every
+        # ancestor and, through genesis, to the chain config.  No one mutates
+        # a checkpoint (a restore copies it), so sharing changes no state.
+        snapshot = self.registry.checkpoints.get(block_hash)
+        if snapshot is None:
+            snapshot = self.registry.checkpoints[block_hash] = _Snapshot(
+                height=height,
+                engine_state=self.engine.dump_state(),
+                sender_seqs={k: set(v) for k, v in self._sender_seqs.items()},
+                tx_locations=dict(self._tx_locations),
+            )
+        self._snapshots[block_hash] = snapshot
         # Bound memory: keep the deepest few snapshots plus genesis.
         if len(self._snapshots) > 12:
             removable = sorted(
@@ -390,6 +400,13 @@ class Blockchain:
             del self._snapshots[removable[0]]
 
     def _switch_head(self, new_head: str) -> None:
+        block = self._blocks[new_head]
+        if block.header.prev_hash == self._applied_branch[-1]:
+            # The new head is a child of the applied tip: no branch walk.
+            self._apply_block(block)
+            self._applied_branch.append(new_head)
+            self._head_hash = new_head
+            return
         new_branch = self._branch_of(new_head)
         if (
             len(new_branch) > len(self._applied_branch)

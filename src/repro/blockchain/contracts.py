@@ -20,6 +20,7 @@ giving experiments a handle on contract-execution cost without a full VM.
 from __future__ import annotations
 
 import copy
+import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -130,6 +131,9 @@ class ContractRegistry:
 
     def __init__(self) -> None:
         self._contracts: dict[str, Contract] = {}
+        # Block hash → chain-state checkpoint, shared by the replicas built
+        # over this registry and held weakly (see ``Blockchain._take_snapshot``).
+        self.checkpoints: weakref.WeakValueDictionary[str, Any] = weakref.WeakValueDictionary()
 
     def deploy(self, contract: Contract) -> None:
         if not contract.name:
@@ -137,6 +141,7 @@ class ContractRegistry:
         if contract.name in self._contracts:
             raise ValidationError(f"contract already deployed: {contract.name}")
         self._contracts[contract.name] = contract
+        self.checkpoints.clear()
 
     def get(self, name: str) -> Contract:
         try:
@@ -146,6 +151,23 @@ class ContractRegistry:
 
     def names(self) -> list[str]:
         return sorted(self._contracts)
+
+
+_SHARED_LEAVES = (str, int, float, bool, type(None))
+
+
+def _tree_copy(value: Any) -> Any:
+    """``copy.deepcopy`` of plain-data contract state, without its memo:
+    dicts and lists are copied, immutable leaves shared, anything else
+    deep-copied."""
+    kind = type(value)
+    if kind is dict:
+        return {key: _tree_copy(item) for key, item in value.items()}
+    if kind is list:
+        return [_tree_copy(item) for item in value]
+    if kind in _SHARED_LEAVES:
+        return value
+    return copy.deepcopy(value)
 
 
 @dataclass
@@ -173,20 +195,13 @@ class ContractEngine:
         }
         self.gas_used_total = 0
 
-    def reset(self) -> None:
-        """Back to genesis state (used on chain reorganisations)."""
-        self._state = {
-            name: self.registry.get(name).initial_state() for name in self.registry.names()
-        }
-        self.gas_used_total = 0
-
     def dump_state(self) -> dict[str, dict[str, Any]]:
-        """Deep copy of all contract state (chain snapshotting)."""
-        return copy.deepcopy(self._state)
+        """Deep copy of all contract state (chain checkpoints)."""
+        return _tree_copy(self._state)
 
     def load_state(self, snapshot: dict[str, dict[str, Any]]) -> None:
-        """Restore a snapshot produced by :meth:`dump_state`."""
-        self._state = copy.deepcopy(snapshot)
+        """Restore a copy of a snapshot produced by :meth:`dump_state`."""
+        self._state = _tree_copy(snapshot)
 
     def state_of(self, contract_name: str) -> dict[str, Any]:
         """Read-only view of a contract's current state."""
@@ -216,7 +231,7 @@ class ContractEngine:
         contract = self.registry.get(contract_name)
         state = self._state[contract_name]
         in_place = contract.checked_invoke
-        scratch = state if in_place else copy.deepcopy(state)
+        scratch = state if in_place else _tree_copy(state)
         events: list[ContractEvent] = []
 
         def emit(name: str, payload: dict[str, Any]) -> None:

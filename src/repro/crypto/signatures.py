@@ -52,42 +52,43 @@ def _hash_to_int(*parts: bytes) -> int:
 # -- fixed-base exponentiation cache -------------------------------------------
 #
 # Every exponentiation in the scheme uses a *fixed* base — the generator g
-# or a long-lived public key y — with ~160-bit exponents.  Precomputing the
-# windowed powers of such a base once turns each subsequent exponentiation
-# into ~40 modular multiplications (no squarings), about 4x faster than the
-# generic square-and-multiply inside ``pow``.  Results are bit-identical;
-# exponents beyond the table's range (forged signatures carry arbitrary e)
-# fall back to ``pow``.
+# or a long-lived public key y — with exponents below q < 2**160.  Windowed
+# powers of such a base, precomputed once, turn each exponentiation into one
+# modular multiplication per window (no squarings): 20 for g, whose table the
+# process shares, 40 for a key, whose table pays for itself over the ~50
+# verifications a key sees in a run.  Results are bit-identical to ``pow``;
+# exponents of 160 bits or more (forged signatures carry any e) fall back to it.
 
-_WINDOW = 4
-_RADIX = 1 << _WINDOW
-_DIGITS = (_Q.bit_length() * 2 + _WINDOW - 1) // _WINDOW  # headroom above q
+_EXP_BITS = _Q.bit_length()
+_G_WINDOW = 8
+_KEY_WINDOW = 4
 
 
-def _fixed_base_table(base: int) -> list[list[int]]:
-    """``table[i][d] == base ** (d * 16**i) mod p`` for windowed digits."""
+def _fixed_base_table(base: int, window: int) -> list[list[int]]:
+    """``table[i][d] == base ** (d << (window * i)) mod p``, covering 160 bits."""
+    radix = 1 << window
     table = []
     b = base % _P
-    for _ in range(_DIGITS):
-        row = [1] * _RADIX
-        for d in range(1, _RADIX):
+    for _ in range(-(-_EXP_BITS // window)):
+        row = [1] * radix
+        for d in range(1, radix):
             row[d] = row[d - 1] * b % _P
         table.append(row)
-        b = row[_RADIX - 1] * b % _P
+        b = row[radix - 1] * b % _P
     return table
 
 
 def _fixed_base_pow(base: int, table: list[list[int]], exp: int) -> int:
-    if exp < 0 or exp >> (_WINDOW * _DIGITS):
+    if exp < 0 or exp >> _EXP_BITS:
         return pow(base, exp, _P)
+    mask = len(table[0]) - 1
+    window = mask.bit_length()
     acc = 1
-    i = 0
-    while exp:
-        d = exp & (_RADIX - 1)
+    for row in table:
+        d = exp & mask
         if d:
-            acc = acc * table[i][d] % _P
-        exp >>= _WINDOW
-        i += 1
+            acc = acc * row[d] % _P
+        exp >>= window
     return acc
 
 
@@ -95,10 +96,10 @@ _G_TABLE: list[list[int]] | None = None
 
 
 def _g_pow(exp: int) -> int:
-    """``g ** exp mod p`` through the shared generator table."""
+    """``g ** exp mod p`` through the shared generator table, built at first use."""
     global _G_TABLE
     if _G_TABLE is None:
-        _G_TABLE = _fixed_base_table(_G)
+        _G_TABLE = _fixed_base_table(_G, _G_WINDOW)
     return _fixed_base_pow(_G, _G_TABLE, exp)
 
 
@@ -134,7 +135,7 @@ class VerifyingKey:
         """``y ** exp mod p`` through this key's cached table."""
         table = getattr(self, "_fb_table", None)
         if table is None:
-            table = _fixed_base_table(self.y)
+            table = _fixed_base_table(self.y, _KEY_WINDOW)
             # Frozen dataclass: the table is a derived cache, not a field.
             object.__setattr__(self, "_fb_table", table)
         return _fixed_base_pow(self.y, table, exp)

@@ -1,7 +1,7 @@
 """Event-queue kernel.
 
-A minimal but complete discrete-event simulator: events are ``(time, seq,
-callback)`` triples in a heap; ``seq`` breaks ties FIFO so runs are fully
+A minimal but complete discrete-event simulator: the heap holds ``(time,
+seq, event)`` tuples; the unique ``seq`` breaks ties FIFO so runs are fully
 deterministic.  Components never sleep or poll — they schedule follow-up
 events — which makes thousand-node experiments cheap and reproducible.
 """
@@ -10,19 +10,19 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 
-@dataclass(order=True)
+@dataclass(eq=False, slots=True)
 class Event:
-    """A scheduled callback; ordering is (time, seq) so ties are FIFO."""
+    """A scheduled callback; the kernel orders events by (time, seq)."""
 
     time: float
     seq: int
-    callback: Callable[[], None] = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
+    callback: Callable[[], None]
+    label: str = ""
+    cancelled: bool = False
 
     def cancel(self) -> None:
         """Mark the event so the kernel skips it when popped."""
@@ -38,7 +38,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._executed = 0
@@ -55,15 +55,15 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of queued (possibly cancelled) events."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        """Number of queued events not cancelled."""
+        return sum(1 for _, _, event in self._queue if not event.cancelled)
 
     def schedule(self, delay: float, callback: Callable[[], None], label: str = "") -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         event = Event(time=self._now + delay, seq=next(self._seq), callback=callback, label=label)
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (event.time, event.seq, event))
         return event
 
     def schedule_at(self, time: float, callback: Callable[[], None], label: str = "") -> Event:
@@ -73,7 +73,7 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next non-cancelled event.  Returns False when idle."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[2]
             if event.cancelled:
                 continue
             self._now = event.time
@@ -93,7 +93,7 @@ class Simulator:
         while self._queue:
             if max_events is not None and executed >= max_events:
                 break
-            head = self._queue[0]
+            head = self._queue[0][2]
             if head.cancelled:
                 heapq.heappop(self._queue)
                 continue
@@ -118,8 +118,13 @@ class Simulator:
                 return True
         return False
 
-    def every(self, interval: float, callback: Callable[[], None], label: str = "",
-              jitter: Callable[[], float] | None = None) -> Callable[[], None]:
+    def every(
+        self,
+        interval: float,
+        callback: Callable[[], None],
+        label: str = "",
+        jitter: Callable[[], float] | None = None,
+    ) -> Callable[[], None]:
         """Install a periodic callback; returns a function that stops it."""
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")

@@ -1,5 +1,7 @@
 """Transactions, blocks, mempool and the contract engine."""
 
+import copy
+
 import pytest
 
 from repro.blockchain.block import Block, BlockHeader, make_genesis
@@ -9,6 +11,7 @@ from repro.blockchain.contracts import (
     ContractError,
     ContractRegistry,
     KeyValueContract,
+    _tree_copy,
 )
 from repro.blockchain.mempool import Mempool
 from repro.blockchain.transaction import Transaction
@@ -249,11 +252,33 @@ class TestContractEngine:
         engine.load_state(snapshot)
         assert engine.state_of("kvstore")["data"] == {"a": 1}
 
-    def test_reset_restores_genesis_state(self):
-        engine = self.engine()
-        engine.execute("kvstore", "put", {"key": "a", "value": 1}, self.ctx())
-        engine.reset()
-        assert engine.state_of("kvstore")["data"] == {}
+    def test_tree_copy_equals_deepcopy_and_shares_no_container(self):
+        tree = {"records": {"c1": {"entries": {"pep-in": {"height": 3, "ok": True}},
+                                   "alerted": {}, "score": 0.5, "note": None}},
+                "pending": ["c1", ["nested", 2]], "stats": {"logs": 1}}
+        copied = _tree_copy(tree)
+        assert copied == copy.deepcopy(tree)
+        assert list(copied) == list(tree)
+
+        def containers(node):
+            if isinstance(node, dict):
+                yield node
+                for item in node.values():
+                    yield from containers(item)
+            elif isinstance(node, list):
+                yield node
+                for item in node:
+                    yield from containers(item)
+
+        originals = {id(node) for node in containers(tree)}
+        assert originals.isdisjoint(id(node) for node in containers(copied))
+
+    def test_tree_copy_round_trips_non_json_values(self):
+        tree = {"pair": ([1, 2], [3]), "tags": {"a", "b"}}
+        copied = _tree_copy(tree)
+        assert copied == tree
+        assert copied["pair"][0] is not tree["pair"][0]
+        assert copied["tags"] is not tree["tags"]
 
     def test_duplicate_deploy_rejected(self):
         registry = ContractRegistry()

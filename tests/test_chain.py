@@ -1,10 +1,12 @@
 """Chain validation, fork choice, state replay, difficulty schedule."""
 
+import copy
+
 import pytest
 
 from repro.blockchain.chain import Blockchain, ChainValidationError
 from repro.blockchain.config import BlockchainConfig
-from repro.blockchain.contracts import ContractRegistry, KeyValueContract
+from repro.blockchain.contracts import ContractEngine, ContractRegistry, KeyValueContract
 from repro.blockchain.transaction import Transaction
 from repro.crypto.signatures import SigningKey
 
@@ -20,9 +22,15 @@ def lookup(name):
     return KEYS.get(name)
 
 
-def make_chain(**config_overrides) -> Blockchain:
+def kv_registry() -> ContractRegistry:
     registry = ContractRegistry()
     registry.deploy(KeyValueContract())
+    return registry
+
+
+def make_chain(registry=None, **config_overrides) -> Blockchain:
+    if registry is None:
+        registry = kv_registry()
     defaults = dict(chain_id="t", difficulty_bits=8.0, target_block_interval=1.0,
                     retarget_window=0, pow_mode="simulated", confirmations=2)
     defaults.update(config_overrides)
@@ -429,6 +437,8 @@ class TestDifficultySchedule:
 
 
 class TestSnapshots:
+    fork = TestForkChoice.fork
+
     def test_deep_reorg_uses_snapshots(self):
         chain = make_chain()
         # Build a long main chain crossing the snapshot interval.
@@ -438,3 +448,79 @@ class TestSnapshots:
         assert chain.state_of("kvstore")["writes"] == 29
         # Values survived the snapshot/pruning machinery.
         assert chain.state_of("kvstore")["data"]["k7"] == 7
+
+    def test_replicas_take_each_checkpoint_once(self, monkeypatch):
+        dumps = []
+        dump_state = ContractEngine.dump_state
+        monkeypatch.setattr(
+            ContractEngine, "dump_state", lambda engine: dumps.append(engine) or dump_state(engine)
+        )
+        registry = kv_registry()
+        replicas = [make_chain(registry) for _ in range(4)]
+        for i in range(1, 61):
+            block = extend(replicas[0], [put_tx(i, f"k{i % 5}", i)])
+            for replica in replicas[1:]:
+                replica.add_block(block)
+        checkpointed = set(replicas[0]._snapshots)
+        assert len(checkpointed) == 3  # genesis and the states at heights 24 and 49
+        assert len(dumps) == len(checkpointed)
+        for replica in replicas[1:]:
+            assert replica.head.hash == replicas[0].head.hash
+            assert set(replica._snapshots) == checkpointed
+            assert all(replica._snapshots[h] is replicas[0]._snapshots[h] for h in checkpointed)
+
+    def test_restore_from_a_shared_checkpoint_matches_an_unshared_replica(self):
+        registry = kv_registry()
+        taker, reuser = make_chain(registry), make_chain(registry)
+        unshared = make_chain()
+        seen = {id(reuser): [], id(unshared): []}
+        for replica in (reuser, unshared):
+            log = seen[id(replica)]
+            replica.subscribe_events(lambda event, block_hash, log=log: log.append((event, block_hash)))
+        main = []
+        for i in range(1, 31):
+            main.append(extend(taker, [put_tx(i, f"k{i % 7}", i)]))
+            reuser.add_block(main[-1])
+            unshared.add_block(main[-1])
+        checkpoint_hash = main[23].hash
+        frozen = copy.deepcopy(taker._snapshots[checkpoint_hash])
+        # A longer branch forking above the height-24 checkpoint: every
+        # replica restores that checkpoint, taken by ``taker``, and replays.
+        parent = main[26]
+        for j in range(4):
+            parent = self.fork(taker, parent, txs=[put_tx(100 + j, "fork", j)])
+            for replica in (taker, reuser, unshared):
+                replica.add_block(parent)
+        assert taker.head.hash == reuser.head.hash == unshared.head.hash == parent.hash
+        assert taker.reorgs == reuser.reorgs == unshared.reorgs == 1
+        assert reuser._snapshots[checkpoint_hash] is taker._snapshots[checkpoint_hash]
+        assert taker._snapshots[checkpoint_hash] == frozen
+        assert reuser.state_of("kvstore") == unshared.state_of("kvstore")
+        assert list(reuser._tx_locations.items()) == list(unshared._tx_locations.items())
+        assert seen[id(reuser)] == seen[id(unshared)]
+        assert len(seen[id(reuser)]) == 30 + 3 + 4  # first pass, replay, fork branch
+
+    def test_checkpoint_outlives_later_blocks_unchanged(self):
+        registry = kv_registry()
+        first, second = make_chain(registry), make_chain(registry)
+        for i in range(1, 26):
+            block = extend(first, [put_tx(i, "k", i)])
+            second.add_block(block)
+        checkpoint = first._snapshots[first.main_chain()[24].hash]
+        frozen = copy.deepcopy(checkpoint)
+        for i in range(26, 56):
+            block = extend(first, [put_tx(i, "k", i)])
+            second.add_block(block)
+        assert second.height == 55
+        assert checkpoint == frozen
+
+    def test_extension_never_walks_the_branch(self, monkeypatch):
+        def walk(chain, tip_hash):
+            raise AssertionError("a head extension walked the branch")
+
+        monkeypatch.setattr(Blockchain, "_branch_of", walk)
+        chain = make_chain()
+        for i in range(1, 40):
+            extend(chain, [put_tx(i, f"k{i}", i)])
+        assert [block.height for block in chain.main_chain()] == list(range(40))
+        assert chain.state_of("kvstore")["writes"] == 39

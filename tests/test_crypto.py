@@ -1,5 +1,7 @@
 """Cryptographic primitives: hashing, AEAD, signatures, keystore, TPM."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from repro.crypto.hashing import (
     hmac_hex,
     sha256_hex,
 )
+from repro.crypto import signatures
 from repro.crypto.keystore import KeyStore
 from repro.crypto.signatures import Signature, SigningKey, VerifyingKey
 from repro.crypto.symmetric import EncryptedBlob, SymmetricKey
@@ -150,6 +153,42 @@ class TestSignatures:
         key = SigningKey.generate(b"prop")
         assert key.public.verify(message, key.sign(message))
         assert not key.public.verify(message + b"!", key.sign(message))
+
+
+_FORGED_E = random.Random(300).getrandbits(300) | (1 << 299)
+
+
+class TestFixedBaseTables:
+    """The windowed tables are an optimisation of ``pow``, bit for bit."""
+
+    KEY = SigningKey.generate(b"fixed-base")
+
+    @pytest.mark.parametrize(
+        "exp", [0, 1, signatures._Q - 1, 2**160 - 1, 2**160, _FORGED_E],
+        ids=["zero", "one", "q-1", "2^160-1", "2^160", "forged-300-bit"],
+    )
+    def test_matches_pow(self, exp):
+        y = self.KEY.public.y
+        assert signatures._g_pow(exp) == pow(signatures._G, exp, signatures._P)
+        assert self.KEY.public._y_pow(exp) == pow(y, exp, signatures._P)
+
+    def test_tables_cover_the_group_order(self):
+        signatures._g_pow(1)
+        self.KEY.public._y_pow(1)
+        assert [len(signatures._G_TABLE), len(signatures._G_TABLE[0])] == [20, 256]
+        assert [len(self.KEY.public._fb_table), len(self.KEY.public._fb_table[0])] == [40, 16]
+
+    def test_signatures_match_a_pow_only_reference(self):
+        rng = random.Random(200)
+        x = self.KEY._x
+        for _ in range(200):
+            message = rng.randbytes(rng.randrange(1, 64))
+            k = self.KEY._nonce(message)
+            r = pow(signatures._G, k, signatures._P)
+            e = signatures._hash_to_int(hex(r).encode(), message) % signatures._Q or 1
+            expected = Signature(e=e, s=(k - x * e) % signatures._Q)
+            assert self.KEY.sign(message) == expected
+            assert self.KEY.public.verify(message, expected)
 
 
 class TestKeyStore:

@@ -3,7 +3,6 @@
 import pytest
 
 
-
 class TestScheduling:
     def test_events_run_in_time_order(self, sim):
         order = []
@@ -54,6 +53,14 @@ class TestCancellation:
         event.cancel()
         sim.run()
         assert fired == []
+
+    def test_pending_events_skips_cancelled(self, sim):
+        events = [sim.schedule(float(delay), lambda: None) for delay in (3, 1, 2)]
+        events[1].cancel()
+        assert sim.pending_events == 2
+        assert sim.step()
+        assert sim.now == 2.0
+        assert sim.pending_events == 1
 
     def test_cancel_is_idempotent(self, sim):
         event = sim.schedule(1.0, lambda: None)
