@@ -379,9 +379,9 @@ class Blockchain:
         # Checkpoint once per deployment: replicas over one registry share
         # the checkpoint of a block hash.  A hit is sound wherever it was
         # taken: the checkpoint at H is a pure function of the registry's
-        # code (a deploy empties the table) and of H, which commits to every
-        # ancestor and, through genesis, to the chain config.  No one mutates
-        # a checkpoint (a restore copies it), so sharing changes no state.
+        # code (``deploy`` refuses once a replica is alive) and of H, which
+        # commits to every ancestor and, through genesis, to the chain
+        # config.  No one mutates a checkpoint (a restore copies it).
         snapshot = self.registry.checkpoints.get(block_hash)
         if snapshot is None:
             snapshot = self.registry.checkpoints[block_hash] = _Snapshot(
@@ -402,23 +402,15 @@ class Blockchain:
     def _switch_head(self, new_head: str) -> None:
         block = self._blocks[new_head]
         if block.header.prev_hash == self._applied_branch[-1]:
-            # The new head is a child of the applied tip: no branch walk.
+            # Extension, with no branch walk.  The only kind: a block that
+            # outworks the head becomes the head on arrival, so the head
+            # never has a descendant in the store.
             self._apply_block(block)
             self._applied_branch.append(new_head)
-            self._head_hash = new_head
-            return
-        new_branch = self._branch_of(new_head)
-        if (
-            len(new_branch) > len(self._applied_branch)
-            and new_branch[: len(self._applied_branch)] == self._applied_branch
-        ):
-            # Fast path: the new head simply extends the current head.
-            for block_hash in new_branch[len(self._applied_branch) :]:
-                self._apply_block(self._blocks[block_hash])
-            self._applied_branch = new_branch
         else:
             # Reorg: restore the deepest snapshot still on the winning branch
             # and replay from there (genesis always has a snapshot).
+            new_branch = self._branch_of(new_head)
             self.reorgs += 1
             old_branch = list(self._applied_branch)
             restore_index = 0

@@ -140,8 +140,9 @@ class ContractRegistry:
             raise ValidationError("contract must define a non-empty name")
         if contract.name in self._contracts:
             raise ValidationError(f"contract already deployed: {contract.name}")
+        if self.checkpoints:
+            raise ValidationError("deploy every contract before building a chain over it")
         self._contracts[contract.name] = contract
-        self.checkpoints.clear()
 
     def get(self, name: str) -> Contract:
         try:
@@ -157,9 +158,8 @@ _SHARED_LEAVES = (str, int, float, bool, type(None))
 
 
 def _tree_copy(value: Any) -> Any:
-    """``copy.deepcopy`` of plain-data contract state, without its memo:
-    dicts and lists are copied, immutable leaves shared, anything else
-    deep-copied."""
+    """``copy.deepcopy`` of plain-data state, without its memo: dicts and
+    lists copied, immutable leaves shared, anything else deep-copied."""
     kind = type(value)
     if kind is dict:
         return {key: _tree_copy(item) for key, item in value.items()}

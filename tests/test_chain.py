@@ -1,6 +1,7 @@
 """Chain validation, fork choice, state replay, difficulty schedule."""
 
 import copy
+import gc
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.blockchain.chain import Blockchain, ChainValidationError
 from repro.blockchain.config import BlockchainConfig
 from repro.blockchain.contracts import ContractEngine, ContractRegistry, KeyValueContract
 from repro.blockchain.transaction import Transaction
+from repro.common.errors import ValidationError
 from repro.crypto.signatures import SigningKey
 
 MINER = "miner-1"
@@ -26,6 +28,10 @@ def kv_registry() -> ContractRegistry:
     registry = ContractRegistry()
     registry.deploy(KeyValueContract())
     return registry
+
+
+class _Renamed(KeyValueContract):
+    name = "kvstore-2"
 
 
 def make_chain(registry=None, **config_overrides) -> Blockchain:
@@ -476,7 +482,9 @@ class TestSnapshots:
         seen = {id(reuser): [], id(unshared): []}
         for replica in (reuser, unshared):
             log = seen[id(replica)]
-            replica.subscribe_events(lambda event, block_hash, log=log: log.append((event, block_hash)))
+            replica.subscribe_events(
+                lambda event, block_hash, log=log: log.append((event, block_hash))
+            )
         main = []
         for i in range(1, 31):
             main.append(extend(taker, [put_tx(i, f"k{i % 7}", i)]))
@@ -524,3 +532,13 @@ class TestSnapshots:
             extend(chain, [put_tx(i, f"k{i}", i)])
         assert [block.height for block in chain.main_chain()] == list(range(40))
         assert chain.state_of("kvstore")["writes"] == 39
+
+    def test_deploy_refused_while_a_replica_holds_checkpoints(self):
+        registry = kv_registry()
+        chain = make_chain(registry)
+        with pytest.raises(ValidationError):
+            registry.deploy(_Renamed())
+        del chain
+        gc.collect()
+        registry.deploy(_Renamed())
+        assert registry.names() == ["kvstore", "kvstore-2"]
