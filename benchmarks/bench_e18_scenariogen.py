@@ -27,6 +27,7 @@ from benchmarks.common import bench_drams_config, write_json_report
 from repro.common.ids import reset_id_counter
 from repro.crypto.hashing import hash_value
 from repro.metrics.tables import format_table
+from repro.metrics.windowed import WindowedMetrics
 from repro.scenariogen import (
     ArrivalSpec,
     FederationShape,
@@ -142,20 +143,20 @@ def test_e18_scenariogen(report, scenario_seed):
     drive_wall = time.perf_counter() - driven_at
     rss_peak = rss_mb()
 
+    summary = stack.run_summary()
     assert handle.issued == STREAM_REQUESTS
-    assert handle.enforced == STREAM_REQUESTS, (
-        f"streamed {handle.issued}, enforced only {handle.enforced}")
+    assert summary["enforced"] == STREAM_REQUESTS, (
+        f"streamed {handle.issued}, enforced only {summary['enforced']}")
     assert stack.outcomes == [], "streaming arm materialised outcomes"
     snapshot = handle.metrics.snapshot()
-    assert snapshot["count"] == STREAM_REQUESTS
-    assert len(snapshot["windows"]) <= handle.metrics.max_windows
+    assert len(snapshot["windows"]) <= WindowedMetrics.MAX_WINDOWS
     assert rss_peak < RSS_BOUND_MB, (
         f"peak RSS {rss_peak:.0f} MB breaches the {RSS_BOUND_MB:.0f} MB bound")
     lines.append(format_table([{
         "arm": "streaming",
         "subjects": STREAM_SUBJECTS,
         "requests": STREAM_REQUESTS,
-        "grant_rate": round(handle.metrics.grant_rate(), 4),
+        "grant_rate": summary["grant_rate"],
         "throughput_rps": round(STREAM_REQUESTS / drive_wall),
         "rss_built_mb": round(rss_built, 1),
         "rss_peak_mb": round(rss_peak, 1),
@@ -171,8 +172,8 @@ def test_e18_scenariogen(report, scenario_seed):
         "determinism_chain_head": first["chain_head"],
         "stream_subjects": STREAM_SUBJECTS,
         "stream_requests": STREAM_REQUESTS,
-        "stream_enforced": handle.enforced,
-        "stream_grant_rate": round(handle.metrics.grant_rate(), 4),
+        "stream_enforced": summary["enforced"],
+        "stream_grant_rate": summary["grant_rate"],
         "stream_build_wall_s": round(build_wall, 3),
         "stream_drive_wall_s": round(drive_wall, 3),
         "stream_throughput_rps": round(STREAM_REQUESTS / drive_wall, 1),

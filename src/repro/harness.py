@@ -32,7 +32,7 @@ mid-run publishes with the current simulated time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.accesscontrol.autoscale import AutoscaleController
 from repro.accesscontrol.pap import PolicyAdministrationPoint
@@ -55,11 +55,9 @@ from repro.workload.scenarios import Scenario
 
 @dataclass
 class StreamHandle:
-    """Progress counters of one :meth:`MonitoredFederation.issue_stream` run."""
+    """Progress of one issuance; ``metrics`` is the stack's outcome fold."""
 
     issued: int = 0
-    enforced: int = 0
-    granted: int = 0
     last_at: float = 0.0
     metrics: Optional[WindowedMetrics] = None
 
@@ -78,6 +76,9 @@ class MonitoredFederation:
     policy_plane: PolicyDistributionPlane = field(default_factory=SingleStorePlane)
     autoscaler: Optional[AutoscaleController] = None
     drams: Optional[DramsSystem] = None
+    #: Every enforced outcome of every issuance, folded in constant memory.
+    metrics: WindowedMetrics = field(default_factory=WindowedMetrics)
+    #: The enforced outcomes themselves, kept only by recording issuances.
     outcomes: list[EnforcedAccess] = field(default_factory=list)
     issued: int = 0
     telemetry: Optional[StackTelemetry] = None
@@ -115,7 +116,7 @@ class MonitoredFederation:
         use it to shorten ``request_timeout`` and install a
         ``RetryBackoff`` without changing the default topology.
         ``telemetry=True`` attaches a :class:`StackTelemetry` (causal
-        tracer + unified metrics registry) to the finished stack.
+        tracer, critical paths, trace exporters) to the finished stack.
         ``light_clients=True`` attaches a sideband light auditor (header
         client + receipt consumer, see :mod:`repro.lightclient`) to every
         member tenant's PEP — or to a named subset when given a list;
@@ -266,137 +267,86 @@ class MonitoredFederation:
 
     # -- workload ------------------------------------------------------------------
 
-    def _tenant_for(self, request: GeneratedRequest, tenants: list[str]) -> str:
-        """Round-robin entry tenant; ``tenants`` is the batch's hoisted,
-        sorted PEP tenant list (validated non-empty by the caller)."""
-        return tenants[request.index % len(tenants)]
+    def issue_requests(self, count: int, start_at: float = 0.5) -> list[GeneratedRequest]:
+        """Schedule ``count`` generated requests onto the PEPs, recorded.
 
-    def issue_requests(
-        self,
-        count: int,
-        start_at: float = 0.5,
-        on_outcome: Optional[Callable[[EnforcedAccess], None]] = None,
-    ) -> list[GeneratedRequest]:
-        """Schedule ``count`` generated requests onto the PEPs.
-
-        Each request enters through a member tenant's PEP at its generated
-        arrival time; resources are stamped with an owner tenant so the
-        scenarios' locality rules are exercised.
+        A batch is a stream whose request list is materialised (and
+        returned) and whose outcomes are kept in ``self.outcomes``; it is
+        scheduled exactly as :meth:`issue_stream` schedules.
         """
-        issued = []
-        # Hoisted once per batch: both the round-robin entry tenant and the
-        # owner-tenant assignment index into the same stable, sorted list.
-        tenants = sorted(self.peps)
-        if not tenants:
-            raise ValidationError("no PEPs deployed")
-        for request in self.generator.requests(count, start_at=start_at):
-            tenant = self._tenant_for(request, tenants)
-            resource = dict(request.resource)
-            # Stable assignment (string hash() is salted per process).
-            owner_index = int(short_hash(resource["resource-id"]), 16) % len(tenants)
-            resource.setdefault("owner-tenant", tenants[owner_index])
-
-            def dispatch(
-                tenant=tenant,
-                subject=request.subject,
-                resource=resource,
-                action=request.action,
-            ) -> None:
-                self.peps[tenant].request_access(
-                    subject=subject,
-                    resource=resource,
-                    action=action,
-                    callback=self._record_outcome(on_outcome),
-                )
-
-            self.sim.schedule_at(request.at, dispatch, label=f"workload:{request.index}")
-            issued.append(request)
-            self.issued += 1
+        issued = list(self.generator.requests(count, start_at=start_at))
+        self._issue(iter(issued), record_outcomes=True)
         return issued
 
     def issue_stream(
-        self,
-        count: int,
-        start_at: float = 0.5,
-        on_outcome: Optional[Callable[[EnforcedAccess], None]] = None,
-        record_outcomes: bool = False,
-        window_seconds: float = 1.0,
-    ) -> "StreamHandle":
+        self, count: int, start_at: float = 0.5, record_outcomes: bool = False
+    ) -> StreamHandle:
         """Stream ``count`` generated requests through the PEPs.
 
-        The constant-memory sibling of :meth:`issue_requests`: instead of
-        materialising every request and scheduling the whole batch up
-        front, one pending workload event exists at a time — each
-        dispatch pulls the next request off the (already lazy) generator
-        and schedules it before enforcing its own.  Outcomes fold into
-        the returned handle's :class:`~repro.metrics.windowed.
-        WindowedMetrics` rather than accumulating in ``self.outcomes``
-        (opt back in with ``record_outcomes=True``), so a 10⁶-user /
-        10⁶-request run's footprint is flat in the run length.  The
-        request sequence itself (subjects, resources, arrival times,
-        owner stamps) is drawn from the same rng stream and is identical
-        to what :meth:`issue_requests` would produce.
+        One pending workload event exists at a time: each dispatch pulls
+        the next request off the (lazy) generator and schedules it before
+        enforcing its own.  Every outcome folds into ``self.metrics``;
+        ``self.outcomes`` keeps them only with ``record_outcomes=True``,
+        so a 10⁶-user / 10⁶-request run's footprint is flat in the run
+        length.  The request sequence (subjects, resources, arrival
+        times, owner stamps) is the one :meth:`issue_requests` draws.
         """
+        return self._issue(self.generator.requests(count, start_at=start_at), record_outcomes)
+
+    def _issue(self, stream: Iterator[GeneratedRequest], record_outcomes: bool) -> StreamHandle:
+        """Route ``stream`` onto the PEPs, pull-one/schedule-one."""
         tenants = sorted(self.peps)
         if not tenants:
             raise ValidationError("no PEPs deployed")
-        stream = self.generator.requests(count, start_at=start_at)
-        handle = StreamHandle(
-            metrics=WindowedMetrics(window_seconds=window_seconds))
+        handle = StreamHandle(metrics=self.metrics)
 
         def record(outcome: EnforcedAccess) -> None:
-            handle.enforced += 1
-            if outcome.granted:
-                handle.granted += 1
-            handle.metrics.observe(self.sim.now, outcome.latency, outcome.granted)
+            self.metrics.observe(self.sim.now, outcome.latency, outcome.granted)
             if record_outcomes:
                 self.outcomes.append(outcome)
-            if on_outcome is not None:
-                on_outcome(outcome)
 
-        def schedule_next() -> None:
-            request = next(stream, None)
-            if request is None:
-                return
-            tenant = self._tenant_for(request, tenants)
-            resource = dict(request.resource)
-            owner_index = int(short_hash(resource["resource-id"]), 16) % len(tenants)
-            resource.setdefault("owner-tenant", tenants[owner_index])
+        self._schedule_next(stream, tenants, record, handle)
+        return handle
 
-            def dispatch(
-                tenant=tenant,
+    def _schedule_next(
+        self,
+        stream: Iterator[GeneratedRequest],
+        tenants: list[str],
+        record: Callable[[EnforcedAccess], None],
+        handle: StreamHandle,
+    ) -> None:
+        """Schedule the next request of ``stream``, if any.
+
+        It enters through a round-robin member tenant's PEP at its
+        arrival time; its resource is stamped with an owner tenant so the
+        scenarios' locality rules are exercised.  A method rather than a
+        self-calling closure: that closure would be a reference cycle
+        holding the whole stack until the cyclic collector runs.
+        """
+        request = next(stream, None)
+        if request is None:
+            return
+        tenant = tenants[request.index % len(tenants)]
+        resource = dict(request.resource)
+        # Stable assignment (string hash() is salted per process).
+        owner_index = int(short_hash(resource["resource-id"]), 16) % len(tenants)
+        resource.setdefault("owner-tenant", tenants[owner_index])
+
+        def dispatch() -> None:
+            # Arm the next arrival before enforcing this one, so the
+            # workload never holds more than one pending event.
+            self._schedule_next(stream, tenants, record, handle)
+            self.peps[tenant].request_access(
                 subject=request.subject,
                 resource=resource,
                 action=request.action,
-            ) -> None:
-                # Pull-one/schedule-one: arm the next arrival before
-                # enforcing this one, so the chain never starves and
-                # never holds more than one pending workload event.
-                schedule_next()
-                self.peps[tenant].request_access(
-                    subject=subject,
-                    resource=resource,
-                    action=action,
-                    callback=record,
-                )
+                callback=record,
+            )
 
-            self.sim.schedule_at(request.at, dispatch, label=f"workload:{request.index}")
-            handle.issued += 1
-            handle.last_at = request.at
-            self.issued += 1
-
-        schedule_next()
-        return handle
-
-    def _record_outcome(
-        self, extra: Optional[Callable[[EnforcedAccess], None]]
-    ) -> Callable[[EnforcedAccess], None]:
-        def callback(outcome: EnforcedAccess) -> None:
-            self.outcomes.append(outcome)
-            if extra is not None:
-                extra(outcome)
-
-        return callback
+        self.sim.schedule_at(request.at, dispatch, label=f"workload:{request.index}")
+        handle.issued += 1
+        handle.last_at = request.at
+        self.issued += 1
 
     # -- measurements -----------------------------------------------------------------
 
@@ -404,9 +354,7 @@ class MonitoredFederation:
         return [outcome.latency for outcome in self.outcomes]
 
     def grant_rate(self) -> float:
-        if not self.outcomes:
-            return 0.0
-        return sum(1 for o in self.outcomes if o.granted) / len(self.outcomes)
+        return self.metrics.grant_rate()
 
     def fingerprint(self) -> dict:
         """What two runs must agree on to be the same run.
@@ -417,8 +365,14 @@ class MonitoredFederation:
         An observer (telemetry, light clients, an idle fault plane or
         autoscaler) must leave the whole dict equal; a change of decision
         plane topology must leave ``decisions`` and ``alerts`` equal.
-        ``chain_head`` and ``checked`` are ``None`` without DRAMS.
+        ``chain_head`` and ``checked`` are ``None`` without DRAMS.  Raises
+        :class:`ValidationError` unless every enforced outcome was
+        recorded: two runs that kept none would otherwise compare equal.
         """
+        if len(self.outcomes) != self.metrics.count:
+            raise ValidationError(
+                f"fingerprint needs every outcome recorded: {len(self.outcomes)} of "
+                f"{self.metrics.count} kept (issue with record_outcomes=True)")
         drams = self.drams
         decisions = sorted(
             (
@@ -440,34 +394,54 @@ class MonitoredFederation:
         }
 
     def run_summary(self) -> dict:
-        """One dict summarising a finished run: outcomes, faults, traffic.
+        """The one view of a finished run: outcomes, planes, PEPs, traffic.
 
-        The ``network`` block surfaces :class:`~repro.simnet.network.
-        NetworkStats` — message and wire-byte totals, drops including
-        ``dropped_dead``, and the per-kind traffic breakdown — which
-        chaos runs previously had to read off ``network.stats`` by hand.
-        With DRAMS deployed its ``stats()`` tree rides along; with
-        telemetry attached, so do the tracer's span counters.
+        ``enforced``, ``grant_rate`` and the ``latency`` count / mean /
+        max fold every enforced outcome (``self.metrics``), streamed or
+        not; ``p50`` / ``p95`` join them when every outcome was recorded.
+        The ``network`` block is :class:`~repro.simnet.network.
+        NetworkStats` (message and wire-byte totals, drops including
+        ``dropped_dead``, per-kind traffic); ``plane`` and
+        ``policy_plane`` are each plane's ``describe()`` and ``stats()``;
+        ``peps`` is per enforcement point.  DRAMS' ``stats()`` tree, the
+        autoscaler and, with telemetry attached, the tracer's span
+        counters ride along.
         """
+        peps = self.peps
+        metrics = self.metrics
         summary: dict = {
             "scenario": self.scenario.name,
             "sim_now": self.sim.now,
             "issued": self.issued,
-            "enforced": len(self.outcomes),
-            "grant_rate": round(self.grant_rate(), 4),
-            "timeouts": sum(p.timeouts for p in self.peps.values()),
-            "failovers": sum(p.failovers for p in self.peps.values()),
-            "churn_reroutes": sum(p.churn_reroutes for p in self.peps.values()),
+            "enforced": metrics.count,
+            "grant_rate": round(metrics.grant_rate(), 4),
+            "timeouts": sum(p.timeouts for p in peps.values()),
+            "failovers": sum(p.failovers for p in peps.values()),
+            "churn_reroutes": sum(p.churn_reroutes for p in peps.values()),
             "network": self.federation.network.stats.snapshot(),
+            "plane": {**self.plane.describe(), **self.plane.stats()},
+            "policy_plane": {**self.policy_plane.describe(), **self.policy_plane.stats()},
+            "peps": {
+                name: {
+                    "enforced": len(pep.enforced),
+                    "timeouts": pep.timeouts,
+                    "failovers": pep.failovers,
+                    "churn_reroutes": pep.churn_reroutes,
+                }
+                for name, pep in sorted(peps.items())
+            },
         }
-        latencies = sorted(self.access_latencies())
-        if latencies:
-            summary["latency"] = {
-                "mean": sum(latencies) / len(latencies),
-                "p50": percentile(latencies, 0.50),
-                "p95": percentile(latencies, 0.95),
-                "max": latencies[-1],
+        if metrics.count:
+            latency = {
+                "count": metrics.count,
+                "mean": metrics.mean_latency(),
+                "max": metrics.latency_max,
             }
+            if len(self.outcomes) == metrics.count:
+                latencies = sorted(self.access_latencies())
+                latency["p50"] = percentile(latencies, 0.50)
+                latency["p95"] = percentile(latencies, 0.95)
+            summary["latency"] = latency
         if self.drams is not None:
             summary["drams"] = self.drams.stats()
         if self.autoscaler is not None:

@@ -1,20 +1,18 @@
 """Measurement utilities shared by tests and benchmarks.
 
-- :class:`LatencyRecorder` — named latency series with percentile
-  summaries,
+- :func:`percentile` — linear-interpolation order statistics,
 - :class:`DetectionScorer` — detection rate / latency / false-positive
   aggregation over attack records,
 - :func:`format_table` — aligned plain-text tables, the output format of
   every benchmark harness (mirrors how the paper would present results).
 """
 
-from repro.metrics.recorder import LatencyRecorder, SeriesSummary
+from repro.metrics.recorder import percentile
 from repro.metrics.detection import DetectionScorer, DetectionSummary
 from repro.metrics.tables import format_table
 
 __all__ = [
-    "LatencyRecorder",
-    "SeriesSummary",
+    "percentile",
     "DetectionScorer",
     "DetectionSummary",
     "format_table",

@@ -1,36 +1,10 @@
-"""Latency series and summaries."""
+"""Order statistics over latency samples."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
 
 from repro.common.errors import ValidationError
-
-
-@dataclass(frozen=True)
-class SeriesSummary:
-    """Order statistics of one latency series (seconds)."""
-
-    name: str
-    count: int
-    mean: float
-    p50: float
-    p95: float
-    p99: float
-    maximum: float
-
-    def as_row(self, scale: float = 1000.0, unit: str = "ms") -> dict:
-        return {
-            "series": self.name,
-            "n": self.count,
-            f"mean_{unit}": round(self.mean * scale, 3),
-            f"p50_{unit}": round(self.p50 * scale, 3),
-            f"p95_{unit}": round(self.p95 * scale, 3),
-            f"p99_{unit}": round(self.p99 * scale, 3),
-            f"max_{unit}": round(self.maximum * scale, 3),
-        }
 
 
 def percentile(sorted_values: list[float], fraction: float) -> float:
@@ -48,46 +22,3 @@ def percentile(sorted_values: list[float], fraction: float) -> float:
         return sorted_values[low]
     weight = position - low
     return sorted_values[low] * (1 - weight) + sorted_values[high] * weight
-
-
-class LatencyRecorder:
-    """Collects named latency samples."""
-
-    def __init__(self) -> None:
-        self._series: dict[str, list[float]] = {}
-
-    def record(self, name: str, value: float) -> None:
-        if value < 0:
-            raise ValidationError(f"negative latency recorded for {name!r}: {value}")
-        self._series.setdefault(name, []).append(value)
-
-    def extend(self, name: str, values: Iterable[float]) -> None:
-        for value in values:
-            self.record(name, value)
-
-    def count(self, name: str) -> int:
-        return len(self._series.get(name, []))
-
-    def values(self, name: str) -> list[float]:
-        return list(self._series.get(name, []))
-
-    def names(self) -> list[str]:
-        return sorted(self._series)
-
-    def summary(self, name: str) -> SeriesSummary:
-        values = self._series.get(name)
-        if not values:
-            raise ValidationError(f"no samples recorded for {name!r}")
-        ordered = sorted(values)
-        return SeriesSummary(
-            name=name,
-            count=len(ordered),
-            mean=sum(ordered) / len(ordered),
-            p50=percentile(ordered, 0.50),
-            p95=percentile(ordered, 0.95),
-            p99=percentile(ordered, 0.99),
-            maximum=ordered[-1],
-        )
-
-    def summaries(self) -> list[SeriesSummary]:
-        return [self.summary(name) for name in self.names()]

@@ -1,17 +1,18 @@
-"""Constant-memory windowed run metrics for streaming issuance.
+"""Constant-memory windowed run metrics: the stack's one outcome store.
 
-The materialised harness path keeps every :class:`EnforcedAccess` and
-summarises at the end; a million-request streaming run cannot.
-:class:`WindowedMetrics` folds each outcome into O(1) cumulative
-aggregates plus a bounded ring of per-window buckets (simulated-time
-windows), so a run's footprint is independent of its length while the
-recent-load shape stays observable.
+Every enforced outcome of a :class:`~repro.harness.MonitoredFederation`
+folds into its :class:`WindowedMetrics`, whether or not the issuance also
+keeps the :class:`EnforcedAccess` itself (a million-request stream cannot).
+Each outcome lands in O(1) cumulative aggregates plus a bounded ring of
+per-window buckets (simulated-time windows), so a run's footprint is
+independent of its length while the recent-load shape stays observable.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 
 @dataclass
@@ -27,8 +28,11 @@ class _Window:
 class WindowedMetrics:
     """Streaming aggregates: cumulative totals + a bounded window ring."""
 
-    window_seconds: float = 1.0
-    max_windows: int = 64
+    #: Width of one window, in simulated seconds.
+    WINDOW_SECONDS: ClassVar[float] = 1.0
+    #: Windows retained; older ones fall off the ring.
+    MAX_WINDOWS: ClassVar[int] = 64
+
     count: int = 0
     grants: int = 0
     latency_sum: float = 0.0
@@ -46,10 +50,10 @@ class WindowedMetrics:
             self.latency_max = latency
         if latency < self.latency_min:
             self.latency_min = latency
-        start = (at // self.window_seconds) * self.window_seconds
+        start = (at // self.WINDOW_SECONDS) * self.WINDOW_SECONDS
         if not self._windows or self._windows[-1].start != start:
             self._windows.append(_Window(start=start))
-            while len(self._windows) > self.max_windows:
+            while len(self._windows) > self.MAX_WINDOWS:
                 self._windows.popleft()
         window = self._windows[-1]
         window.count += 1

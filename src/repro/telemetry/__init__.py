@@ -1,14 +1,13 @@
-"""Telemetry plane: causal tracing, unified metrics, critical paths.
+"""Telemetry plane: causal tracing and critical paths.
 
 See :mod:`repro.telemetry.tracing` for the propagation protocol and the
-determinism contract, :mod:`repro.telemetry.metrics` for the registry
-that aggregates every subsystem ``stats()`` surface, and
-:mod:`repro.telemetry.critical_path` for per-decision time attribution.
-``docs/observability.md`` is the narrative chapter.
+determinism contract, and :mod:`repro.telemetry.critical_path` for
+per-decision time attribution.  A run's counters are read through
+``MonitoredFederation.run_summary()``.  ``docs/observability.md`` is the
+narrative chapter.
 """
 
 from repro.telemetry.critical_path import CriticalPathAnalyser
-from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.stack import StackTelemetry
 from repro.telemetry.tracing import (
     SPAN_FORMAT,
@@ -30,10 +29,6 @@ __all__ = [
     "spans_to_json",
     "chrome_trace",
     "validate_chrome_trace",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "CriticalPathAnalyser",
     "StackTelemetry",
 ]

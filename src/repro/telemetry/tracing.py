@@ -35,6 +35,9 @@ from typing import Any, Iterable, Optional
 
 SPAN_FORMAT = "repro-spans/v1"
 
+#: Spans one recorder stores; later begins are counted as ``dropped``.
+MAX_SPANS = 250_000
+
 #: Sentinel: "parent from the active context" (``None`` means "no parent").
 _INHERIT = object()
 
@@ -95,8 +98,7 @@ class Span:
 class SpanRecorder:
     """Bounded in-process span store (append at begin, mutate at end)."""
 
-    def __init__(self, max_spans: int = 250_000) -> None:
-        self.max_spans = max_spans
+    def __init__(self) -> None:
         self.spans: list[Span] = []
         #: Spans begun past the cap (never stored; closing them still works).
         self.dropped = 0
@@ -105,7 +107,7 @@ class SpanRecorder:
         self.double_closes = 0
 
     def add(self, span: Span) -> None:
-        if len(self.spans) >= self.max_spans:
+        if len(self.spans) >= MAX_SPANS:
             self.dropped += 1
             return
         self.spans.append(span)
@@ -161,9 +163,9 @@ class Tracer:
     so at-least-once delivery never double-closes.
     """
 
-    def __init__(self, sim, max_spans: int = 250_000) -> None:
+    def __init__(self, sim) -> None:
         self.sim = sim
-        self.recorder = SpanRecorder(max_spans=max_spans)
+        self.recorder = SpanRecorder()
         self._seq = 0
         self._stack: list[TraceContext] = []
         self._keyed: dict[tuple, Span] = {}

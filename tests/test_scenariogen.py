@@ -167,31 +167,37 @@ class TestDeterminism:
 
 
 class TestStreamingHarness:
-    def _build(self):
+    def _build(self, with_drams=False):
         reset_id_counter()
-        stack = build_stack_from_spec(SMALL_SPEC, with_drams=False)
+        drams = {"drams_config": fast_drams_config()} if with_drams else {"with_drams": False}
+        stack = build_stack_from_spec(SMALL_SPEC, **drams)
         stack.start()
         return stack
 
-    def test_stream_enforces_same_outcomes_as_batch(self):
-        batch = self._build()
+    @pytest.mark.parametrize("with_drams", [False, True], ids=["unmonitored", "monitored"])
+    def test_stream_enforces_same_outcomes_as_batch(self, with_drams):
+        batch = self._build(with_drams)
         batch.issue_requests(40)
         batch.run(until=60.0)
 
-        streamed = self._build()
+        streamed = self._build(with_drams)
         handle = streamed.issue_stream(40, record_outcomes=True)
         streamed.run(until=60.0)
 
         assert handle.issued == 40
-        assert handle.enforced == len(batch.outcomes)
-        assert handle.granted == sum(1 for o in batch.outcomes if o.granted)
-        assert streamed.fingerprint() == batch.fingerprint()
+        assert handle.metrics is streamed.metrics
+        assert streamed.metrics.count == len(batch.outcomes) == 40
+        assert streamed.metrics.grants == sum(1 for o in batch.outcomes if o.granted)
+        fingerprint = streamed.fingerprint()
+        assert fingerprint == batch.fingerprint()
+        if with_drams:
+            assert fingerprint["checked"] == 40 and fingerprint["chain_head"] is not None
 
     def test_stream_default_keeps_outcomes_empty(self):
         stack = self._build()
         handle = stack.issue_stream(25)
         stack.run(until=60.0)
-        assert handle.enforced == 25
+        assert handle.metrics.count == 25
         assert stack.outcomes == []
         snapshot = handle.metrics.snapshot()
         assert snapshot["count"] == 25

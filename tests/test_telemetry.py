@@ -1,4 +1,4 @@
-"""Telemetry plane: tracing, metrics registry, critical paths, failure paths.
+"""Telemetry plane: tracing, run summary, critical paths, failure paths.
 
 The failure-path tests pin the PR's hygiene contract: spans close exactly
 once across PEP failover/retry, shard crashes (epoch fence) and
@@ -20,7 +20,6 @@ from repro.harness import MonitoredFederation
 from repro.simnet.network import Host
 from repro.telemetry import (
     CriticalPathAnalyser,
-    MetricsRegistry,
     Span,
     Tracer,
     chrome_trace,
@@ -28,57 +27,6 @@ from repro.telemetry import (
 )
 from repro.workload.scenarios import healthcare_scenario
 from tests.conftest import fast_drams_config
-
-
-# -- metrics registry ---------------------------------------------------------------
-
-
-def test_counter_labels_and_monotonicity():
-    registry = MetricsRegistry()
-    counter = registry.counter("decisions", "by decision")
-    counter.inc(decision="Permit")
-    counter.inc(2, decision="Permit")
-    counter.inc(decision="Deny")
-    assert counter.value(decision="Permit") == 3
-    assert counter.snapshot() == {"decision=Deny": 1.0, "decision=Permit": 3.0}
-    with pytest.raises(ValidationError):
-        counter.inc(-1)
-
-
-def test_gauge_and_kind_conflict():
-    registry = MetricsRegistry()
-    gauge = registry.gauge("queue_depth")
-    gauge.set(4, shard="pdp-0")
-    gauge.set(2, shard="pdp-0")
-    assert gauge.value(shard="pdp-0") == 2
-    assert registry.gauge("queue_depth") is gauge
-    with pytest.raises(ValidationError):
-        registry.counter("queue_depth")
-
-
-def test_histogram_summary_and_window():
-    registry = MetricsRegistry()
-    hist = registry.histogram("latency")
-    for i, value in enumerate([0.1, 0.2, 0.3, 0.4]):
-        hist.observe(value, at=float(i))
-    assert hist.count() == 4
-    assert hist.summary().maximum == pytest.approx(0.4)
-    windowed = hist.windowed(since=2.0)
-    assert windowed.count == 2
-    assert windowed.p50 == pytest.approx(0.35)
-    assert hist.windowed(since=100.0) is None
-    snap = hist.snapshot(window=(1.0, 2.0))
-    assert snap["latency"]["n"] == 2
-
-
-def test_registry_snapshot_includes_collectors():
-    registry = MetricsRegistry()
-    registry.counter("c").inc()
-    registry.register_collector("net", lambda: {"sent": 7})
-    tree = registry.snapshot()
-    assert tree["collected"]["net"] == {"sent": 7}
-    assert tree["counters"]["c"] == {"total": 1.0}
-    assert registry.collector_names() == ["net"]
 
 
 # -- tracer core --------------------------------------------------------------------
@@ -280,27 +228,24 @@ def test_stack_telemetry_snapshot_and_run_summary():
     assert tracing["open"] == 0 and tracing["keyed_open"] == 0
     assert tracing["double_closes"] == 0 and tracing["orphan_closes"] == 0
 
-    snapshot = stack.telemetry.snapshot()
-    for surface in ("network", "plane", "peps", "policy_plane", "drams",
-                    "tracing"):
-        assert surface in snapshot["collected"]
-    rows = snapshot["histograms"]["pep.access_latency"]
-    assert sum(row["n"] for row in rows.values()) == 6
-    # sync() is cursor-based: snapshotting twice never double-counts.
-    rows = stack.telemetry.snapshot()["histograms"]["pep.access_latency"]
-    assert sum(row["n"] for row in rows.values()) == 6
-
     summary = stack.run_summary()
     assert summary["enforced"] == 6 and summary["timeouts"] == 0
     assert summary["network"]["by_kind"]["ac_request"] == 6
     assert "dropped_dead" in summary["network"]
-    assert "latency" in summary and "drams" in summary
+    assert summary["plane"]["shards"] == 1
+    assert summary["policy_plane"]["kind"] == "SingleStorePlane"
+    assert summary["policy_plane"]["versions"] == 1
+    assert sum(pep["enforced"] for pep in summary["peps"].values()) == 6
+    assert summary["latency"]["count"] == 6
+    assert {"mean", "max", "p50", "p95"} <= summary["latency"].keys()
+    assert "drams" in summary
     assert summary["tracing"]["spans"] == tracing["spans"]
 
-    # Windowed slice: only outcomes enforced in the first half of the run.
-    first_half = stack.telemetry.registry.snapshot(window=(0.0, 15.0))
-    rows = first_half["histograms"]["pep.access_latency"]
-    assert 0 < sum(row["n"] for row in rows.values()) <= 6
+    # Windowed slice: the outcome store's simulated-time windows.
+    windows = stack.metrics.snapshot()["windows"]
+    assert sum(window["count"] for window in windows) == 6
+    first_half = [window for window in windows if window["start"] < 15.0]
+    assert 1 <= sum(window["count"] for window in first_half) <= 6
 
     chrome = stack.telemetry.chrome_trace()
     assert validate_chrome_trace(chrome) == []
@@ -321,6 +266,41 @@ def test_run_summary_without_telemetry():
     summary = stack.run_summary()
     assert "tracing" not in summary
     assert summary["network"]["sent"] > 0
+
+
+def _unmonitored_stream(record_outcomes):
+    reset_id_counter()
+    stack = MonitoredFederation.build(healthcare_scenario(), seed=13, with_drams=False)
+    handle = stack.issue_stream(25, record_outcomes=record_outcomes)
+    stack.run(until=60.0)
+    return stack, handle
+
+
+def test_run_summary_counts_unrecorded_stream():
+    stack, handle = _unmonitored_stream(record_outcomes=False)
+    recorded, _ = _unmonitored_stream(record_outcomes=True)
+    assert stack.outcomes == [] and handle.metrics.count == 25
+    summary = stack.run_summary()
+    truth = recorded.run_summary()
+    assert summary["enforced"] == truth["enforced"] == len(recorded.outcomes) == 25
+    granted = sum(o.granted for o in recorded.outcomes)
+    assert 0 < granted < 25
+    assert summary["grant_rate"] == truth["grant_rate"] == round(granted / 25, 4)
+    latencies = recorded.access_latencies()
+    assert summary["latency"]["count"] == 25
+    assert summary["latency"]["mean"] == pytest.approx(sum(latencies) / 25)
+    assert summary["latency"]["max"] == max(latencies)
+    # Order statistics need the outcomes themselves.
+    assert "p50" not in summary["latency"] and "p95" not in summary["latency"]
+    assert {"p50", "p95"} <= truth["latency"].keys()
+
+
+def test_fingerprint_refuses_unrecorded_outcomes():
+    stack, _ = _unmonitored_stream(record_outcomes=False)
+    with pytest.raises(ValidationError):
+        stack.fingerprint()
+    recorded, _ = _unmonitored_stream(record_outcomes=True)
+    assert len(recorded.fingerprint()["decisions"]) == 25
 
 
 # -- failure paths (satellite: spans close across failover / crash) ------------------

@@ -7,7 +7,7 @@ from repro.analysis.semantics import evaluate_document
 from repro.common.errors import ValidationError
 from repro.common.rng import SeededRng
 from repro.metrics.detection import DetectionScorer
-from repro.metrics.recorder import LatencyRecorder, percentile
+from repro.metrics.recorder import percentile
 from repro.metrics.tables import format_table
 from repro.threats.adversary import AttackRecord
 from repro.workload.generator import RequestGenerator, WorkloadConfig
@@ -199,16 +199,7 @@ class TestScenarios:
         assert evaluate_document(doc, after_hours) == "Deny"
 
 
-class TestLatencyRecorder:
-    def test_summary_statistics(self):
-        recorder = LatencyRecorder()
-        recorder.extend("x", [0.1, 0.2, 0.3, 0.4, 0.5])
-        summary = recorder.summary("x")
-        assert summary.count == 5
-        assert summary.mean == pytest.approx(0.3)
-        assert summary.p50 == pytest.approx(0.3)
-        assert summary.maximum == 0.5
-
+class TestPercentile:
     def test_percentile_interpolates(self):
         assert percentile([0.0, 1.0], 0.5) == 0.5
         assert percentile([1.0], 0.9) == 1.0
@@ -218,20 +209,6 @@ class TestLatencyRecorder:
             percentile([], 0.5)
         with pytest.raises(ValidationError):
             percentile([1.0], 2.0)
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValidationError):
-            LatencyRecorder().record("x", -1.0)
-
-    def test_missing_series_raises(self):
-        with pytest.raises(ValidationError):
-            LatencyRecorder().summary("ghost")
-
-    def test_as_row_scales_to_ms(self):
-        recorder = LatencyRecorder()
-        recorder.record("x", 0.25)
-        row = recorder.summary("x").as_row()
-        assert row["mean_ms"] == 250.0
 
 
 class TestDetectionScorer:
