@@ -28,10 +28,10 @@ Shape assertions:
   drain raises zero alerts, and the Analyser independently re-derives
   every decision (nothing missed, nothing unattributed).
 
-That the routing upgrades are topology, not semantics (queue- and
-locality-aware routing on, membership untouched ⇒ every decision and the
-alert stream unchanged) is pinned in tier-1:
-``tests/test_neutrality.py::test_topology_neutrality[sharded-4-queue-locality]``.
+That queue-aware routing is topology, not semantics (routing on,
+membership untouched ⇒ every decision and the alert stream unchanged) is
+pinned in tier-1:
+``tests/test_neutrality.py::test_topology_neutrality[sharded-4-queue]``.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the workload for CI smoke runs.
 """

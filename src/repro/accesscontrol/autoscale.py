@@ -33,23 +33,16 @@ hysteresis, the shape every production autoscaler converges on:
   acts (``tests/test_neutrality.py`` pins the run bit-identical to an
   uncontrolled plane in exactly this configuration).
 
-Two supporting pieces live here too:
-
-- **Weighted shards** (``weight_shards=True``): each tick the controller
-  derives every shard's *observed* service rate (``requests_served`` per
-  ``busy_accumulated`` second) and, when a shard drifts more than
-  ``WEIGHT_DEADBAND`` from the pool mean, re-weights the hash ring so
-  vnode counts are proportional to measured capacity — heterogeneous
-  pools stop queueing on their slowest member.
-- **:class:`CrossPepLoadView`**: the in-process route projection assumes
-  every PEP shares one deque — fine in one process, wrong as a model of
-  PEPs at different tenants.  The view deploys one gossip node per
-  member tenant; each PEP's dispatches are charged to its own node, and
-  nodes exchange full snapshots over ``load_gossip`` simnet messages
-  every ``gossip_interval``.  Routing then sees its *own* dispatches
-  fresh and its peers' through the last received snapshot — boundedly
-  stale, monotone per peer (sequence numbers), and self-repairing under
-  message loss because every round re-sends full state.
+:class:`CrossPepLoadView` lives here too: the in-process route
+projection assumes every PEP shares one deque — fine in one process,
+wrong as a model of PEPs at different tenants.  The view deploys one
+gossip node per member tenant; each PEP's dispatches are charged to its
+own node, and nodes exchange full snapshots over ``load_gossip`` simnet
+messages every ``gossip_interval``.  Routing then sees its *own*
+dispatches fresh and its peers' through the last received snapshot —
+boundedly stale, monotone per peer (sequence numbers), and
+self-repairing under message loss because every round re-sends full
+state.
 """
 
 from __future__ import annotations
@@ -199,9 +192,7 @@ class CrossPepLoadView:
             node = _LoadGossipNode(
                 federation.network, tenant.address("loadview"), self, tenant.name
             )
-            tenant.register_host(
-                node.address, section=tenant.sections[0] if tenant.sections else None
-            )
+            tenant.register_host(node.address)
             self._nodes[tenant.name] = node
         for node in self._nodes.values():
             self._stops.append(node.sim.every(
@@ -256,15 +247,6 @@ class CrossPepLoadView:
                 merged[address] = merged.get(address, 0.0) + cost
         return merged
 
-    def describe(self) -> dict:
-        return {
-            "kind": type(self).__name__,
-            "gossip_interval": self.gossip_interval,
-            "horizon": self.horizon,
-            "nodes": sorted(self._nodes),
-            "records": self.records,
-        }
-
 
 class AutoscaleController:
     """Drives elastic shard membership from the plane's own load signals.
@@ -279,12 +261,6 @@ class AutoscaleController:
     tuning guide and failure modes.
     """
 
-    #: Relative drift of a shard's observed service rate from its current
-    #: weight that triggers a re-weight; absorbs measurement noise.
-    WEIGHT_DEADBAND = 0.25
-    #: Busy seconds a shard must have accumulated before its rate counts.
-    MIN_RATE_OBSERVATION = 0.05
-
     def __init__(
         self,
         min_shards: int = 1,
@@ -295,7 +271,6 @@ class AutoscaleController:
         up_cooldown: float = 0.1,
         down_cooldown: float = 1.0,
         down_samples: int = 5,
-        weight_shards: bool = False,
     ) -> None:
         if min_shards < 1:
             raise ValidationError(f"min_shards must be >= 1, got {min_shards}")
@@ -325,13 +300,11 @@ class AutoscaleController:
         self.up_cooldown = up_cooldown
         self.down_cooldown = down_cooldown
         self.down_samples = down_samples
-        self.weight_shards = weight_shards
         self.plane: Optional[ShardedPdpPlane] = None
         self.sim: Optional["Simulator"] = None
         self.decisions = 0
         self.scale_ups = 0
         self.scale_downs = 0
-        self.reweights = 0
         #: One entry per actuation: at / action / address / signal / shards.
         self.actions: list[dict] = []
         self.last_signal: Optional[dict] = None
@@ -391,8 +364,6 @@ class AutoscaleController:
         self.decisions += 1
         sig = self.signal()
         self.last_signal = sig
-        if self.weight_shards:
-            self._reweight()
         mean = sig["mean_backlog"]
         shards = sig["shards"]
         now = self.sim.now
@@ -434,33 +405,6 @@ class AutoscaleController:
             "shards": self.plane.shards,
         })
 
-    def _reweight(self) -> None:
-        """Nudge vnode weights toward each shard's observed service rate.
-
-        Rates come from cumulative counters (``requests_served`` per
-        ``busy_accumulated`` second), so they converge as evidence
-        accumulates; shards without ``MIN_RATE_OBSERVATION`` busy seconds
-        keep their current weight.  The deadband absorbs measurement
-        noise — a homogeneous pool never rebalances.
-        """
-        rates: dict[str, float] = {}
-        for service in self.plane.services:
-            busy = getattr(service, "busy_accumulated", 0.0)
-            served = getattr(service, "requests_served", 0)
-            if busy >= self.MIN_RATE_OBSERVATION and served > 0:
-                rates[service.address] = served / busy
-        if len(rates) < 2:
-            return  # nothing to weight against
-        mean_rate = sum(rates.values()) / len(rates)
-        current = self.plane.shard_weights
-        proposed = {
-            address: rate / mean_rate
-            for address, rate in rates.items()
-            if abs(rate / mean_rate - current.get(address, 1.0)) > self.WEIGHT_DEADBAND
-        }
-        if proposed and self.plane.set_shard_weights(proposed):
-            self.reweights += 1
-
     # -- reporting ---------------------------------------------------------------
 
     def describe(self) -> dict:
@@ -474,10 +418,8 @@ class AutoscaleController:
             "up_cooldown": self.up_cooldown,
             "down_cooldown": self.down_cooldown,
             "down_samples": self.down_samples,
-            "weight_shards": self.weight_shards,
             "decisions": self.decisions,
             "scale_ups": self.scale_ups,
             "scale_downs": self.scale_downs,
-            "reweights": self.reweights,
             "actions": list(self.actions),
         }

@@ -123,9 +123,6 @@ class AccessDecision:
         return decision_payload(self.request_id, self.decision, self.obligations,
                                 self.policy_version, self.policy_fingerprint)
 
-    def payload_hash(self) -> str:
-        return hash_value(self.semantic_payload())
-
     def to_dict(self) -> dict:
         return {
             "request_id": self.request_id,

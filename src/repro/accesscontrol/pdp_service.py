@@ -65,10 +65,14 @@ class _CompiledPolicy:
 class PdpService(Host):
     """Network-facing wrapper around the XACML PDP."""
 
+    #: Compiled policy versions kept (LRU): policy publications are
+    #: unbounded over a federation's lifetime, distinct *concurrent*
+    #: versions (flip-flop churn, skewed replicas) are not.
+    PDP_CACHE_SIZE = 8
+
     def __init__(self, network: Network, address: str, prp: PolicyRetrievalPoint,
                  base_processing_delay: float = 0.0005,
                  per_rule_delay: float = 0.00001,
-                 pdp_cache_size: int = 8,
                  decision_cache: Optional[DecisionCache] = None,
                  use_decision_cache: bool = True,
                  serialize_evaluations: bool = False) -> None:
@@ -85,14 +89,6 @@ class PdpService(Host):
         self.serialize_evaluations = serialize_evaluations
         self._busy_until = 0.0
         self.requests_served = 0
-        #: Cumulative evaluation-occupancy seconds (the service cost of
-        #: every accepted request, queueing excluded).  With
-        #: ``requests_served`` this yields the *observed* service rate —
-        #: requests per busy second — which the autoscale controller's
-        #: weighting pass turns into vnode multipliers for heterogeneous
-        #: pools.  Accumulated at accept time, so under load it may run
-        #: slightly ahead of the served counter by the queued requests.
-        self.busy_accumulated = 0.0
         #: Evaluations accepted but not yet replied to.  The elastic
         #: decision plane drains a shard only once this reaches zero, so
         #: membership changes never abandon in-flight work.
@@ -111,7 +107,6 @@ class PdpService(Host):
         #: Attack injection point: a rogue policy replacing the PRP view
         #: (models the attacker altering the policy the PDP enforces).
         self.policy_override: Optional[PolicyDecisionPoint] = None
-        self.pdp_cache_size = max(1, pdp_cache_size)
         self.pdp_compilations = 0
         self._pdp_cache: "OrderedDict[str, _CompiledPolicy]" = OrderedDict()
         self.decision_cache: Optional[DecisionCache] = None
@@ -136,14 +131,11 @@ class PdpService(Host):
             )
             self._pdp_cache[version.fingerprint] = compiled
             self.pdp_compilations += 1
-            while len(self._pdp_cache) > self.pdp_cache_size:
+            while len(self._pdp_cache) > self.PDP_CACHE_SIZE:
                 self._pdp_cache.popitem(last=False)
         else:
             self._pdp_cache.move_to_end(version.fingerprint)
         return version, compiled
-
-    def _current_pdp(self) -> PolicyDecisionPoint:
-        return self._compiled_current()[1].pdp
 
     def current_footprint(self) -> tuple[PolicyVersion, frozenset]:
         """Active policy version and its attribute footprint (LRU-kept).
@@ -235,7 +227,6 @@ class PdpService(Host):
         delay = self.base_processing_delay
         if not hit_expected:
             delay += self.per_rule_delay * self._rule_count()
-        self.busy_accumulated += delay
         if self.serialize_evaluations:
             start = max(self.sim.now, self._busy_until)
             self._busy_until = start + delay

@@ -38,31 +38,24 @@ membership events (:meth:`DecisionPlane.on_membership`) so probes attach
 to a new shard before it serves its first request and detach from a
 drained shard only after its last reply — coverage never gaps.
 
-Two routing upgrades layer on top of ring order, both opt-in and both
-pure topology (decisions and alerts stay bit-identical —
-``tests/test_neutrality.py`` pins this):
-
-- ``queue_aware=True`` — each shard exposes its *busy cursor*
-  (:meth:`~repro.accesscontrol.pdp_service.PdpService.busy_seconds`);
-  when the ring-preferred shard's backlog exceeds the best alternative,
-  the order is re-sorted around the hot shard instead of waiting out the
-  PEP's per-attempt timeout.
-- ``locality_aware=True`` — shards deploy round-robin across the member
-  clouds' infrastructure sections and the plane prefers the shard
-  co-located with the requesting PEP's cloud (metro latency instead of
-  the federation WAN), falling back to ring order across clouds.
+One routing upgrade layers on top of ring order, opt-in and pure
+topology (decisions and alerts stay bit-identical —
+``tests/test_neutrality.py`` pins this): with ``queue_aware=True`` each
+shard exposes its *busy cursor*
+(:meth:`~repro.accesscontrol.pdp_service.PdpService.busy_seconds`), and
+when the ring-preferred shard's backlog exceeds the best alternative,
+the order is re-sorted around the hot shard instead of waiting out the
+PEP's per-attempt timeout.
 
 Elasticity closes the loop in :mod:`repro.accesscontrol.autoscale`: an
 :class:`~repro.accesscontrol.autoscale.AutoscaleController` drives
 :meth:`add_shard` / :meth:`drain_shard` from the very signals this module
 already exposes (busy cursors plus the in-flight projection,
 :meth:`ShardedPdpPlane.projected_backlogs`), so membership changes need
-not be scripted by the harness at all.  Three plane-side features support
+not be scripted by the harness at all.  Two plane-side features support
 it: shard *warm-up* (a shard added to a partitioned-cache pool pre-seeds
 its :class:`DecisionCache` with the entries whose keys re-home to it, via
-the same ``export_entries`` path drains migrate through), *weighted
-shards* (per-address vnode multipliers, :meth:`ShardedPdpPlane.set_shard_weights`,
-so heterogeneous capacity gets a proportional key range), and an optional
+the same ``export_entries`` path drains migrate through), and an optional
 *gossiped load view* (``load_view=CrossPepLoadView(...)``) replacing the
 in-process route projection with per-tenant views converged over simnet
 messages — PEPs in different processes share one picture of shard queues.
@@ -216,13 +209,9 @@ class ShardedPdpPlane(DecisionPlane):
     ``service_kwargs`` are forwarded to every :class:`PdpService`
     constructor (cache toggles, processing delays, serialization).
 
-    Routing upgrades (both default off, preserving classic ring order):
-
-    - ``queue_aware`` re-sorts the failover order around shards whose
-      busy cursor exceeds the best alternative;
-    - ``locality_aware`` places shards round-robin across the member
-      clouds' infrastructure sections at deploy time and prefers the
-      shard co-located with the requesting PEP's cloud.
+    ``queue_aware`` (default off, preserving classic ring order)
+    re-sorts the failover order around shards whose busy cursor exceeds
+    the best alternative.
 
     ``drain_grace`` is the minimum simulated time a draining shard lingers
     before removal (covering requests already on the wire toward it);
@@ -230,22 +219,20 @@ class ShardedPdpPlane(DecisionPlane):
     every ``DRAIN_POLL_INTERVAL`` seconds.
 
     Elasticity support: a runtime-added shard's partitioned cache is
-    pre-seeded with the entries re-homing to it;
-    :meth:`set_shard_weights` scales each shard's vnode count for
-    heterogeneous capacity; ``load_view`` (requires ``queue_aware``)
-    swaps the in-process route projection for a gossiped cross-PEP view
-    (see :mod:`repro.accesscontrol.autoscale`).
+    pre-seeded with the entries re-homing to it; ``load_view`` (requires
+    ``queue_aware``) swaps the in-process route projection for a gossiped
+    cross-PEP view (see :mod:`repro.accesscontrol.autoscale`).
     """
 
     CACHE_POLICIES = ("shared", "partitioned")
 
     #: Footprint memo bound — same flip-flop-churn rationale as
-    #: ``PdpService.pdp_cache_size``: policy publications are unbounded
+    #: ``PdpService.PDP_CACHE_SIZE``: policy publications are unbounded
     #: over a federation's lifetime, distinct *concurrent* versions are not.
     FOOTPRINT_MEMO_SIZE = 16
 
-    #: Ring points per unit of shard weight; spreads load within a few
-    #: percent for small shard counts.
+    #: Ring points per shard; spreads load within a few percent for small
+    #: shard counts.
     VIRTUAL_NODES = 32
     #: Backlog lead (seconds) the ring-preferred shard may have over the
     #: best alternative before a queue-aware plane re-sorts around it.
@@ -262,7 +249,6 @@ class ShardedPdpPlane(DecisionPlane):
         cache_policy: str = "shared",
         service_kwargs: Optional[dict] = None,
         queue_aware: bool = False,
-        locality_aware: bool = False,
         drain_grace: float = 1.0,
         load_view: "Optional[CrossPepLoadView]" = None,
     ) -> None:
@@ -283,17 +269,12 @@ class ShardedPdpPlane(DecisionPlane):
         self.cache_policy = cache_policy
         self.service_kwargs = dict(service_kwargs or {})
         self.queue_aware = queue_aware
-        self.locality_aware = locality_aware
         self.drain_grace = drain_grace
         self.load_view = load_view
         self.rebalances = 0
         #: Decision-cache entries copied into shards added at runtime
         #: (partitioned pools only; see :meth:`add_shard`).
         self.warmed_entries = 0
-        #: Per-address vnode multipliers (1.0 when absent).  Set through
-        #: :meth:`set_shard_weights`; the default leaves the ring
-        #: bit-identical to the unweighted layout.
-        self._shard_weights: dict[str, float] = {}
         #: Queue-aware dispatches not yet visible in a shard's busy
         #: cursor: ``(routed_at, address)`` pairs younger than
         #: ``ROUTING_HORIZON``.  A shard's cursor only moves once the
@@ -314,8 +295,6 @@ class ShardedPdpPlane(DecisionPlane):
         #: ``_services`` — and on the ring — because a real crash is not
         #: announced to the router; failure detection happens at the PEP.
         self._crashed: dict[str, PdpService] = {}
-        self._shard_cloud: dict[str, str] = {}
-        self._tenant_cloud: dict[str, str] = {}
 
     # -- deployment --------------------------------------------------------------
 
@@ -343,13 +322,6 @@ class ShardedPdpPlane(DecisionPlane):
             # "or" would discard an *empty* supplied cache (len() == 0 is falsy).
             supplied = self.service_kwargs.get("decision_cache")
             self._shared_cache = supplied if supplied is not None else DecisionCache()
-        if self.locality_aware:
-            # Members map to one cloud each; requests carry their origin
-            # tenant, so this is the request → cloud side of co-location.
-            for tenant in federation.member_tenants:
-                cloud = federation.cloud_of_tenant(tenant.name)
-                if cloud is not None:
-                    self._tenant_cloud[tenant.name] = cloud
         services = [self._build_service(index) for index in range(self.shards)]
         # Route on the authority store's head: affinity only needs the key
         # to be consistent across requests, and the publisher's view is the
@@ -366,7 +338,7 @@ class ShardedPdpPlane(DecisionPlane):
         return f"pdp-{index}"
 
     def _build_service(self, index: int) -> PdpService:
-        """Construct, register and (when locality-aware) place shard ``index``."""
+        """Construct and register shard ``index``."""
         name = self._shard_name(index)
         federation = self._federation
         infra = federation.infrastructure_tenant
@@ -382,13 +354,7 @@ class ShardedPdpPlane(DecisionPlane):
             self._policy_plane_handle.retrieval_point_for(name),
             **kwargs,
         )
-        section = None
-        if self.locality_aware and federation.clouds:
-            cloud = federation.clouds[index % len(federation.clouds)]
-            section = next((s for s in infra.sections if s.cloud_name == cloud.name), None)
-        infra.register_host(service.address, section=section)
-        if section is not None:
-            self._shard_cloud[service.address] = section.cloud_name
+        infra.register_host(service.address)
         return service
 
     @staticmethod
@@ -399,8 +365,7 @@ class ShardedPdpPlane(DecisionPlane):
     ) -> "ShardedPdpPlane":
         """Wrap already-deployed evaluators (manual wiring and tests).
 
-        Deploy-only knobs (``cache_policy``, ``service_kwargs``,
-        ``locality_aware`` — placement happens at deployment) are
+        Deploy-only knobs (``cache_policy``, ``service_kwargs``) are
         deliberately not accepted — the adopted services were built by
         the caller, so the plane cannot change their caches or delays and
         reports ``cache_policy="external"``.  ``queue_aware`` is purely a
@@ -430,52 +395,16 @@ class ShardedPdpPlane(DecisionPlane):
         Vnode points key on shard *addresses*, so adding or draining a
         shard moves only the key ranges adjacent to its vnodes — the
         surviving shards keep their positions (and their cache affinity).
-        A shard's vnode count scales with its weight (default 1.0, which
-        reproduces the unweighted ring exactly); a shard observed to be
-        twice as fast can carry twice the key range.
         """
         ring = []
         for index, service in enumerate(self._services):
-            for vnode in range(self._vnode_count(service.address)):
+            for vnode in range(self.VIRTUAL_NODES):
                 point = int(short_hash(f"{service.address}#vnode-{vnode}", 16), 16)
                 ring.append((point, index))
         ring.sort()
         self._ring = ring
         self._ring_points = [point for point, _ in ring]
         self.shards = len(self._services)
-
-    def _vnode_count(self, address: str) -> int:
-        return max(1, round(self.VIRTUAL_NODES * self._shard_weights.get(address, 1.0)))
-
-    @property
-    def shard_weights(self) -> dict[str, float]:
-        """Current vnode multipliers (addresses not listed weigh 1.0)."""
-        return dict(self._shard_weights)
-
-    def set_shard_weights(self, weights: dict[str, float]) -> bool:
-        """Merge per-shard vnode multipliers; returns True if the ring moved.
-
-        ``weights`` maps routable shard addresses to positive multipliers
-        (1.0 = the ``VIRTUAL_NODES`` baseline).  Addresses not
-        mentioned keep their previous weight.  The ring is only rebuilt —
-        and ``rebalances`` only bumped — when some shard's effective
-        vnode count actually changes, so a controller may call this every
-        tick without churning key ranges (small weight nudges below the
-        vnode quantum are absorbed).
-        """
-        routable = {service.address for service in self._services}
-        for address, weight in weights.items():
-            if address not in routable:
-                raise ValidationError(f"no routable shard at {address!r}")
-            if weight <= 0:
-                raise ValidationError(f"shard weight must be positive, got {weight} for {address!r}")
-        before = {address: self._vnode_count(address) for address in routable}
-        self._shard_weights.update(weights)
-        if all(self._vnode_count(address) == before[address] for address in routable):
-            return False
-        self._rebuild_ring()
-        self.rebalances += 1
-        return True
 
     # -- elastic membership ------------------------------------------------------
 
@@ -504,9 +433,9 @@ class ShardedPdpPlane(DecisionPlane):
         self.rebalances += 1
         self.warmed_entries += self._warm_new_shard(service)
         # New hosts, new links: the shard itself plus any host the policy
-        # plane provisioned for its replica get their LAN (and, when
-        # placed, same-cloud metro) latencies wired before any request
-        # routes here — O(hosts) per new host, not a full re-finalize.
+        # plane provisioned for its replica get their LAN latencies wired
+        # before any request routes here — O(hosts) per new host, not a
+        # full re-finalize.
         for address in infra.host_addresses:
             if address not in known:
                 self._federation.wire_host(address)
@@ -746,15 +675,13 @@ class ShardedPdpPlane(DecisionPlane):
         return footprint
 
     def endpoints(self, request: AccessRequest) -> tuple[str, ...]:
-        """Failover order for ``request``: ring → locality → queue.
+        """Failover order for ``request``: ring, then queue.
 
-        Ring order gives cache affinity; a locality-aware plane then
-        stably prefers shards co-located with the requesting PEP's cloud;
-        a queue-aware plane finally re-sorts by busy cursor when the
-        preferred shard's backlog exceeds the best alternative by more
-        than ``QUEUE_THRESHOLD``.  Every transform is a stable reorder of
-        the same address set, so failover still eventually tries every
-        routable shard.
+        Ring order gives cache affinity; a queue-aware plane re-sorts by
+        busy cursor when the preferred shard's backlog exceeds the best
+        alternative by more than ``QUEUE_THRESHOLD``.  The re-sort is a
+        stable reorder of the same address set, so failover still
+        eventually tries every routable shard.
         """
         if not self._services:
             raise ValidationError("decision plane is not deployed")
@@ -773,16 +700,10 @@ class ShardedPdpPlane(DecisionPlane):
             order.append(self._services[shard].address)
             if len(order) == len(self._services):
                 break
-        if self.locality_aware and self._shard_cloud:
-            cloud = self._tenant_cloud.get(request.origin_tenant)
-            if cloud is not None:
-                local = [a for a in order if self._shard_cloud.get(a) == cloud]
-                if local:
-                    order = local + [a for a in order if self._shard_cloud.get(a) != cloud]
         if self.queue_aware and len(order) > 1:
             backlogs = self.projected_backlogs(origin=request.origin_tenant)
             if backlogs[order[0]] - min(backlogs[a] for a in order) > self.QUEUE_THRESHOLD:
-                # Stable sort: equal backlogs keep ring/locality order, so
+                # Stable sort: equal backlogs keep ring order, so
                 # an idle plane routes exactly like a queue-blind one.
                 order.sort(key=backlogs.__getitem__)
         return tuple(order)
@@ -879,14 +800,9 @@ class ShardedPdpPlane(DecisionPlane):
         summary = super().describe()
         summary["cache_policy"] = self.cache_policy
         summary["queue_aware"] = self.queue_aware
-        summary["locality_aware"] = self.locality_aware
         summary["draining"] = sorted(self._draining)
         summary["rebalances"] = self.rebalances
         summary["gossip_load_view"] = self.load_view is not None
-        if self._shard_weights:
-            summary["shard_weights"] = dict(sorted(self._shard_weights.items()))
-        if self._shard_cloud:
-            summary["shard_clouds"] = dict(sorted(self._shard_cloud.items()))
         return summary
 
     def stats(self) -> dict:

@@ -67,11 +67,6 @@ class CentralizedMonitor(Host):
             self._stop_sweep = self.sim.every(self.sweep_interval, self.sweep,
                                               label="central-sweep")
 
-    def stop(self) -> None:
-        if self._stop_sweep is not None:
-            self._stop_sweep()
-            self._stop_sweep = None
-
     # -- compromise (the baseline's weak spot) -----------------------------------
 
     def compromise(self) -> None:

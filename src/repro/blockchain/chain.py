@@ -157,9 +157,6 @@ class Blockchain:
         """Genesis-to-head block list."""
         return [self._blocks[h] for h in self._applied_branch]
 
-    def total_work(self, block_hash: str) -> float:
-        return self._total_work[block_hash]
-
     def block_count(self) -> int:
         return len(self._blocks)
 

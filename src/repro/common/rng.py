@@ -83,9 +83,6 @@ class SeededRng:
     def sample(self, items: Sequence[T], k: int) -> list[T]:
         return self._random.sample(list(items), k)
 
-    def randbytes(self, n: int) -> bytes:
-        return self._random.randbytes(n)
-
     def zipf_index(self, n: int, skew: float = 1.1) -> int:
         """Draw an index in ``[0, n)`` with Zipf-like popularity skew.
 

@@ -17,7 +17,7 @@ components.  We implement:
   and the simulated trusted platform module.
 """
 
-from repro.crypto.hashing import sha256_hex, sha256_bytes, hash_value, hmac_hex
+from repro.crypto.hashing import sha256_hex, hash_value, hmac_hex
 from repro.crypto.symmetric import SymmetricKey, EncryptedBlob
 from repro.crypto.merkle import MerkleTree, MerkleProof
 from repro.crypto.signatures import SigningKey, VerifyingKey, Signature
@@ -26,7 +26,6 @@ from repro.crypto.tpm import SimulatedTpm, AttestationReport
 
 __all__ = [
     "sha256_hex",
-    "sha256_bytes",
     "hash_value",
     "hmac_hex",
     "SymmetricKey",

@@ -20,11 +20,6 @@ from typing import Any
 from repro.common.serialization import canonical_bytes
 
 
-def sha256_bytes(data: bytes) -> bytes:
-    """Raw SHA-256 digest of ``data``."""
-    return hashlib.sha256(data).digest()
-
-
 def sha256_hex(data: bytes) -> str:
     """Hex SHA-256 digest of ``data``."""
     return hashlib.sha256(data).hexdigest()

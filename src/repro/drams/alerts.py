@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 
 class AlertType(Enum):
@@ -69,7 +69,6 @@ class AlertBus:
 
     def __init__(self) -> None:
         self._alerts: dict[tuple[str, str], Alert] = {}
-        self._listeners: list[Callable[[Alert], None]] = []
         self.duplicate_deliveries = 0
 
     def publish(self, alert: Alert) -> bool:
@@ -79,12 +78,7 @@ class AlertBus:
             self.duplicate_deliveries += 1
             return False
         self._alerts[key] = alert
-        for listener in self._listeners:
-            listener(alert)
         return True
-
-    def on_alert(self, listener: Callable[[Alert], None]) -> None:
-        self._listeners.append(listener)
 
     # -- queries -----------------------------------------------------------
 
@@ -94,16 +88,7 @@ class AlertBus:
     def of_type(self, alert_type: AlertType) -> list[Alert]:
         return [a for a in self.all() if a.alert_type is alert_type]
 
-    def for_correlation(self, correlation_id: str) -> list[Alert]:
-        return [a for a in self.all() if a.correlation_id == correlation_id]
-
     def count(self, alert_type: Optional[AlertType] = None) -> int:
         if alert_type is None:
             return len(self._alerts)
         return len(self.of_type(alert_type))
-
-    def has(self, alert_type: AlertType, correlation_id: str) -> bool:
-        return (alert_type.value, correlation_id) in self._alerts
-
-    def types_seen(self) -> set[AlertType]:
-        return {a.alert_type for a in self._alerts.values()}

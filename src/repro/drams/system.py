@@ -50,6 +50,19 @@ from repro.accesscontrol.pep import PolicyEnforcementPoint
 from repro.accesscontrol.plane import DecisionPlane
 from repro.policydist.plane import PolicyDistributionPlane
 
+#: Seed of the federation key and of every component identity
+#: (``KEY_ENTROPY + b"|" + owner``): deterministic, so runs reproduce.
+KEY_ENTROPY = b"drams-federation-key"
+#: Light-client cadence (:meth:`DramsSystem.attach_light_clients`):
+#: header-sync and receipt-sweep periods in simulated seconds.
+LIGHT_SYNC_INTERVAL = 0.5
+LIGHT_SWEEP_INTERVAL = 1.0
+
+
+def li_measurement(address: str) -> dict:
+    """What a clean Logging Interface at ``address`` extends into its TPM."""
+    return {"component": address, "role": "logging-interface", "version": 1}
+
 
 @dataclass
 class DramsConfig:
@@ -69,7 +82,6 @@ class DramsConfig:
     node_hashrate: float = 1024.0
     use_tpm: bool = True
     attestation_interval: float = 0.0  # seconds; 0 disables
-    key_entropy: bytes = b"drams-federation-key"
     store_ciphertexts: bool = True
     # Policy provenance audit (see repro.policydist): honest replica skew
     # up to this many versions behind the policy in force is classified as
@@ -90,10 +102,6 @@ class DramsConfig:
     analyser_mode: str = "full"
     sample_rate: float = 0.1
     sample_seed: "int | str" = 0
-    # Light-client cadence (attach_light_clients): header-sync and
-    # receipt-sweep periods in simulated seconds.
-    light_sync_interval: float = 0.5
-    light_sweep_interval: float = 1.0
 
     def __post_init__(self) -> None:
         if self.timeout_blocks < 1:
@@ -110,8 +118,6 @@ class DramsConfig:
         if not 0.0 < self.sample_rate <= 1.0:
             raise ValidationError(
                 f"sample_rate must be in (0, 1], got {self.sample_rate}")
-        if self.light_sync_interval <= 0 or self.light_sweep_interval <= 0:
-            raise ValidationError("light-client intervals must be positive")
 
 
 class DramsSystem:
@@ -146,7 +152,7 @@ class DramsSystem:
         self.peps = dict(peps)
         self.config = config or DramsConfig()
         self.alerts = AlertBus()
-        self.federation_key = SymmetricKey.generate(entropy=self.config.key_entropy)
+        self.federation_key = SymmetricKey.generate(entropy=KEY_ENTROPY)
         self.nodes: dict[str, BlockchainNode] = {}
         self.interfaces: dict[str, LoggingInterface] = {}
         self.tpms: dict[str, SimulatedTpm] = {}
@@ -168,7 +174,7 @@ class DramsSystem:
     # -- key management ---------------------------------------------------------
 
     def _mint_identity(self, owner: str) -> SigningKey:
-        key = SigningKey.generate(self.config.key_entropy + b"|" + owner.encode())
+        key = SigningKey.generate(KEY_ENTROPY + b"|" + owner.encode())
         self._signing[owner] = key
         self._keys[owner] = key.public
         return key
@@ -211,8 +217,7 @@ class DramsSystem:
             if self.config.use_tpm:
                 tpm = SimulatedTpm(tpm_id=f"tpm:{li_address}",
                                    endorsement_seed=li_address.encode())
-                tpm.extend_pcr({"component": li_address, "role": "logging-interface",
-                                "version": 1})
+                tpm.extend_pcr(li_measurement(li_address))
             li = LoggingInterface(
                 self.federation.network, li_address, tenant_name, node,
                 signing_key=li_key, federation_key=self.federation_key, tpm=tpm)
@@ -343,10 +348,10 @@ class DramsSystem:
         consumer = self.light_clients[tenant_name]
         # No jitter: jitter callbacks would draw from a shared RNG stream.
         self._stoppers.append(sim.every(
-            self.config.light_sync_interval, header_client.sync,
+            LIGHT_SYNC_INTERVAL, header_client.sync,
             label=f"lc-sync:{tenant_name}"))
         self._stoppers.append(sim.every(
-            self.config.light_sweep_interval, consumer.sweep,
+            LIGHT_SWEEP_INTERVAL, consumer.sweep,
             label=f"lc-sweep:{tenant_name}"))
 
     def _track_plane_membership(self, event: str, service: PdpService) -> None:

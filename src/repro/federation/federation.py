@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.common.errors import ValidationError
 from repro.common.rng import SeededRng
-from repro.simnet.latency import LanProfile, LatencyModel, WanProfile
+from repro.simnet.latency import LanProfile, WanProfile
 from repro.simnet.network import Network
 from repro.simnet.simulator import Simulator
 from repro.federation.model import Cloud, Tenant, TenantKind
@@ -29,14 +29,7 @@ class FederationConfig:
     name: str = "faas-federation"
     cloud_count: int = 2
     seed: int = 7
-    wan_median_latency: float = 0.025
-    lan_median_latency: float = 0.0003
-    #: Same-cloud, cross-tenant links (a member tenant's PEP talking to a
-    #: PDP shard placed in the *same* cloud's infrastructure section):
-    #: datacenter-internal, an order of magnitude under the WAN median.
-    metro_median_latency: float = 0.002
     wan_bandwidth_bps: float = 1e8
-    lan_bandwidth_bps: float = 1e9
 
     def __post_init__(self) -> None:
         if self.cloud_count < 1:
@@ -53,8 +46,7 @@ class Federation:
         self.network = Network(
             self.sim,
             self.rng,
-            default_latency=WanProfile(median=self.config.wan_median_latency,
-                                       bandwidth_bps=self.config.wan_bandwidth_bps),
+            default_latency=WanProfile(bandwidth_bps=self.config.wan_bandwidth_bps),
         )
         self.services = ServiceRegistry()
         self.clouds: list[Cloud] = []
@@ -97,54 +89,20 @@ class Federation:
 
     # -- topology wiring ---------------------------------------------------------
 
-    def lan_model(self) -> LatencyModel:
-        return LanProfile(bandwidth_bps=self.config.lan_bandwidth_bps)
-
-    def metro_model(self) -> LatencyModel:
-        """Same-cloud, cross-tenant link profile (locality-aware routing)."""
-        return WanProfile(median=self.config.metro_median_latency,
-                          bandwidth_bps=self.config.lan_bandwidth_bps)
-
-    def cloud_of_tenant(self, name: str) -> str | None:
-        """The cloud backing ``name``'s first section (members map to one
-        cloud; the infrastructure tenant spans all and returns None)."""
-        tenant = self.tenant(name)
-        if tenant.is_infrastructure or not tenant.sections:
-            return None
-        return tenant.sections[0].cloud_name
-
     def finalize_topology(self) -> int:
-        """Install latency overrides between registered hosts.
+        """Install LAN latency overrides between co-tenant hosts.
 
-        Co-tenant host pairs get LAN links; host pairs in *different*
-        tenants whose registered sections share a cloud get metro links
-        (only hosts explicitly placed in a section participate — unplaced
-        hosts keep the classic LAN/WAN split).  Call after components
-        registered their addresses; idempotent, returns the number of
-        host pairs overridden.
+        Host pairs in different tenants keep the default WAN link.  Call
+        after components registered their addresses; idempotent, returns
+        the number of host pairs overridden.
         """
         pairs = 0
-        lan = self.lan_model()
+        lan = LanProfile()
         for tenant in self.tenants.values():
             addresses = tenant.host_addresses
             for i, a in enumerate(addresses):
                 for b in addresses[i + 1:]:
                     self.network.set_latency(a, b, lan)
-                    pairs += 1
-        # Placed hosts, grouped by cloud: cross-tenant pairs inside one
-        # cloud ride the datacenter fabric, not the federation WAN.
-        metro = self.metro_model()
-        by_cloud: dict[str, list[tuple[str, str]]] = {}
-        for tenant in self.tenants.values():
-            for address, section in tenant.host_sections.items():
-                by_cloud.setdefault(section.cloud_name, []).append(
-                    (address, tenant.name))
-        for placed in by_cloud.values():
-            for i, (a, tenant_a) in enumerate(placed):
-                for b, tenant_b in placed[i + 1:]:
-                    if tenant_a == tenant_b:
-                        continue  # co-tenant pairs already have LAN above
-                    self.network.set_latency(a, b, metro)
                     pairs += 1
         return pairs
 
@@ -153,9 +111,8 @@ class Federation:
 
         The O(hosts) sibling of :meth:`finalize_topology` for runtime
         topology growth (an elastic decision plane adding a shard — and
-        its policy replica — mid-run): only the new host's pairs are
-        wired (LAN to its co-tenant hosts; metro to placed hosts of other
-        tenants in the same cloud), producing the identical overrides a
+        its policy replica — mid-run): only the new host's LAN pairs to
+        its co-tenant hosts are wired, producing the identical overrides a
         full re-finalize would, without re-walking every existing pair.
         Returns the number of pairs installed.
         """
@@ -165,21 +122,11 @@ class Federation:
         if owner is None:
             raise ValidationError(f"wire_host: {address!r} is not registered with any tenant")
         pairs = 0
-        lan = self.lan_model()
+        lan = LanProfile()
         for other in owner.host_addresses:
             if other != address:
                 self.network.set_latency(address, other, lan)
                 pairs += 1
-        section = owner.section_of(address)
-        if section is not None:
-            metro = self.metro_model()
-            for tenant in self.tenants.values():
-                if tenant is owner:
-                    continue
-                for other, other_section in tenant.host_sections.items():
-                    if other_section.cloud_name == section.cloud_name:
-                        self.network.set_latency(address, other, metro)
-                        pairs += 1
         return pairs
 
     def describe(self) -> dict:

@@ -64,37 +64,17 @@ class Tenant:
     kind: TenantKind
     sections: list[Section] = field(default_factory=list)
     host_addresses: list[str] = field(default_factory=list)
-    #: Optional placement: address → the cloud section hosting it.  Hosts
-    #: registered without a section keep the classic behaviour (intra-tenant
-    #: LAN, cross-tenant WAN); placed hosts additionally get metro-latency
-    #: links to co-located hosts of *other* tenants in the same cloud.
-    host_sections: dict[str, Section] = field(default_factory=dict)
 
     @property
     def is_infrastructure(self) -> bool:
         return self.kind is TenantKind.INFRASTRUCTURE
 
-    def register_host(self, address: str, section: Section | None = None) -> str:
-        """Record that a component host lives in this tenant.
-
-        ``section`` optionally pins the host to one of the tenant's cloud
-        sections (locality-aware deployments use this; unplaced hosts are
-        fine everywhere else).
-        """
+    def register_host(self, address: str) -> str:
+        """Record that a component host lives in this tenant."""
         if address in self.host_addresses:
             raise ValidationError(f"tenant {self.name}: duplicate host {address!r}")
-        if section is not None:
-            if section not in self.sections:
-                raise ValidationError(
-                    f"tenant {self.name}: section {section.qualified_name!r} "
-                    "does not back this tenant")
-            self.host_sections[address] = section
         self.host_addresses.append(address)
         return address
-
-    def section_of(self, address: str) -> Section | None:
-        """The cloud section hosting ``address``, if it was placed."""
-        return self.host_sections.get(address)
 
     def address(self, component: str) -> str:
         """Conventional address of a component in this tenant."""

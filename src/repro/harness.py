@@ -145,13 +145,7 @@ class MonitoredFederation:
                 federation.network, tenant.address("pep"), tenant.name, plane,
                 **(pep_kwargs or {})
             )
-            # Placing the PEP in its tenant's cloud section is what lets a
-            # locality-aware plane give it metro-latency links to shards
-            # co-located in the same cloud; with unplaced shards (every
-            # non-locality plane) it changes nothing.
-            tenant.register_host(
-                pep.address, section=tenant.sections[0] if tenant.sections else None
-            )
+            tenant.register_host(pep.address)
             peps[tenant.name] = pep
 
         generator = RequestGenerator(scenario.workload, federation.rng.fork("scenario-workload"))

@@ -80,11 +80,6 @@ class HeaderClient(SidebandHost):
     def height(self) -> int:
         return len(self._branch) - 1
 
-    def header_at(self, height: int) -> Optional[BlockHeader]:
-        if 0 <= height < len(self._branch):
-            return self.headers[self._branch[height]]
-        return None
-
     def header_for(self, block_hash: str) -> Optional[BlockHeader]:
         """The header at ``block_hash`` iff it sits on the verified branch."""
         header = self.headers.get(block_hash)

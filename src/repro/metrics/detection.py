@@ -19,19 +19,6 @@ class DetectionSummary:
     p95_latency: Optional[float]
     false_positives: int
 
-    def as_row(self, label: str) -> dict:
-        return {
-            "config": label,
-            "attacks": self.attacks,
-            "detected": self.detected,
-            "rate": round(self.detection_rate, 3),
-            "mean_latency_s": (round(self.mean_latency, 2)
-                               if self.mean_latency is not None else "-"),
-            "p95_latency_s": (round(self.p95_latency, 2)
-                              if self.p95_latency is not None else "-"),
-            "false_pos": self.false_positives,
-        }
-
 
 class DetectionScorer:
     """Accumulates attack records (possibly across runs) into a summary."""

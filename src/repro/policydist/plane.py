@@ -62,7 +62,7 @@ class PolicyDistributionPlane:
 
     def replicas(self) -> dict[str, PolicyRetrievalPoint]:
         """Consumer name → store, for inspection (may alias ``authority``)."""
-        return {}
+        raise NotImplementedError
 
     def converged(self) -> bool:
         """True when every consumer's head matches the authority head."""
@@ -184,11 +184,9 @@ class ReplicatedPrpPlane(PolicyDistributionPlane):
 
     ``propagation_delay`` (+ uniform ``propagation_jitter``) models how
     long a publish takes to reach each replica, sampled independently per
-    replica so deliveries reorder.  ``publish_loss_rate`` drops the direct
-    fan-out message with that probability (the replica then converges via
-    anti-entropy only).  ``anti_entropy_interval`` is the version-vector
-    pull period; ``0`` disables pulls, leaving convergence to the direct
-    fan-out alone.
+    replica so deliveries reorder.  ``anti_entropy_interval`` is the
+    version-vector pull period; ``0`` disables pulls, leaving convergence
+    to the direct fan-out alone.
 
     Replicas bootstrap with a synchronous snapshot of the authority's
     history at provisioning time (a new replica pulls the full store
@@ -201,20 +199,15 @@ class ReplicatedPrpPlane(PolicyDistributionPlane):
         propagation_delay: float = 0.05,
         propagation_jitter: float = 0.02,
         anti_entropy_interval: float = 1.0,
-        publish_loss_rate: float = 0.0,
     ) -> None:
         if propagation_delay < 0 or propagation_jitter < 0:
             raise ValidationError("propagation delay/jitter must be >= 0")
         if anti_entropy_interval < 0:
             raise ValidationError("anti_entropy_interval must be >= 0 (0 disables)")
-        if not 0.0 <= publish_loss_rate <= 1.0:
-            raise ValidationError(f"publish_loss_rate must be in [0, 1], got {publish_loss_rate}")
         self.propagation_delay = propagation_delay
         self.propagation_jitter = propagation_jitter
         self.anti_entropy_interval = anti_entropy_interval
-        self.publish_loss_rate = publish_loss_rate
         self.publishes_sent = 0
-        self.publishes_dropped = 0
         self._federation: Optional["Federation"] = None
         self._authority: Optional[PolicyRetrievalPoint] = None
         self._origin: Optional[_PrpOriginHost] = None
@@ -348,9 +341,6 @@ class ReplicatedPrpPlane(PolicyDistributionPlane):
         sim = self._federation.sim
         for consumer in sorted(self._hosts):
             host = self._hosts[consumer]
-            if self.publish_loss_rate > 0 and self._rng.random() < self.publish_loss_rate:
-                self.publishes_dropped += 1
-                continue
             delay = self.propagation_delay + self._rng.uniform(0, self.propagation_jitter)
             self.publishes_sent += 1
             sim.schedule(
@@ -373,7 +363,6 @@ class ReplicatedPrpPlane(PolicyDistributionPlane):
                 "propagation_delay": self.propagation_delay,
                 "propagation_jitter": self.propagation_jitter,
                 "anti_entropy_interval": self.anti_entropy_interval,
-                "publish_loss_rate": self.publish_loss_rate,
                 "consumers": sorted(self._hosts),
             }
         )
@@ -383,7 +372,6 @@ class ReplicatedPrpPlane(PolicyDistributionPlane):
         return {
             "versions": self.authority.version_count(),
             "publishes_sent": self.publishes_sent,
-            "publishes_dropped": self.publishes_dropped,
             "pulls_served": self._origin.pulls_served if self._origin else 0,
             "sync_records_sent": self._origin.sync_records_sent if self._origin else 0,
             "replicas": {

@@ -484,28 +484,21 @@ def default_attacks(spec: ScenarioSpec, seed: int = 7) -> list:
 def build_stack_from_spec(spec: ScenarioSpec, seed: int = 7, **build_kwargs):
     """Compile ``spec`` and deploy it as a :class:`MonitoredFederation`.
 
-    The federation shape (cloud count, latency overrides) comes from the
-    spec; everything else (``with_drams``, ``drams_config``, planes,
-    telemetry, ...) passes through to ``MonitoredFederation.build``.
+    The federation shape (cloud count) comes from the spec; everything
+    else (``with_drams``, ``drams_config``, planes, telemetry, ...) passes
+    through to ``MonitoredFederation.build``.
     """
     from repro.federation.federation import FederationConfig
     from repro.harness import MonitoredFederation
 
     scenario = generate_scenario(spec, seed=seed)
-    shape = spec.federation
-    fed_kwargs: dict = {
-        "name": f"faas-{scenario.name}",
-        "cloud_count": shape.clouds,
-        "seed": seed,
-    }
-    if shape.wan_median_latency is not None:
-        fed_kwargs["wan_median_latency"] = shape.wan_median_latency
-    if shape.metro_median_latency is not None:
-        fed_kwargs["metro_median_latency"] = shape.metro_median_latency
+    clouds = spec.federation.clouds
     return MonitoredFederation.build(
         scenario,
-        clouds=shape.clouds,
+        clouds=clouds,
         seed=seed,
-        federation_config=FederationConfig(**fed_kwargs),
+        federation_config=FederationConfig(
+            name=f"faas-{scenario.name}", cloud_count=clouds, seed=seed
+        ),
         **build_kwargs,
     )

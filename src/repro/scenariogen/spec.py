@@ -126,8 +126,6 @@ class FederationShape:
     """Topology knobs forwarded to the federation builder."""
 
     clouds: int = 2
-    wan_median_latency: Optional[float] = None
-    metro_median_latency: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.clouds < 1:
@@ -290,8 +288,19 @@ def _class_from(data: dict) -> ServiceClassSpec:
 
 
 def spec_from_json(text: str) -> ScenarioSpec:
-    """Reconstruct a spec from :func:`spec_to_json` output."""
-    data = json.loads(text)
+    """Reconstruct a spec from :func:`spec_to_json` output.
+
+    Raises :class:`ValidationError` and nothing else for text that is not
+    a spec: malformed JSON, a non-object, a missing or unknown key, a
+    value of the wrong type.
+    """
+    try:
+        return _spec_from(json.loads(text))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"not a scenario spec: {exc!r}") from None
+
+
+def _spec_from(data: dict) -> ScenarioSpec:
     tree = data.get("tree")
     churn = data.get("churn")
     population = data.get("population", {})

@@ -22,8 +22,9 @@ class LatencyModel(ABC):
     def sample(self, rng: SeededRng, size_bytes: int = 0) -> float:
         """Return a delay for a message of ``size_bytes`` payload bytes."""
 
+    @abstractmethod
     def describe(self) -> str:
-        return type(self).__name__
+        """A short human-readable form, e.g. ``const(5.00ms)``."""
 
 
 class ConstantLatency(LatencyModel):
@@ -90,11 +91,11 @@ class LognormalLatency(LatencyModel):
         return f"lognormal(median={self.median * 1000:.2f}ms, sigma={self.sigma})"
 
 
-def LanProfile(bandwidth_bps: float = 1e9) -> LatencyModel:
+def LanProfile() -> LatencyModel:
     """Intra-tenant link: ~0.3 ms median, gigabit bandwidth."""
-    return LognormalLatency(median=0.0003, sigma=0.2, bandwidth_bps=bandwidth_bps)
+    return LognormalLatency(median=0.0003, sigma=0.2, bandwidth_bps=1e9)
 
 
-def WanProfile(median: float = 0.025, bandwidth_bps: float = 1e8) -> LatencyModel:
+def WanProfile(bandwidth_bps: float = 1e8) -> LatencyModel:
     """Cross-tenant (cross-cloud) link: ~25 ms median, heavy tail."""
-    return LognormalLatency(median=median, sigma=0.35, bandwidth_bps=bandwidth_bps)
+    return LognormalLatency(median=0.025, sigma=0.35, bandwidth_bps=bandwidth_bps)

@@ -36,12 +36,6 @@ class CriticalPathAnalyser:
                 continue
             self._traces.setdefault(span.trace_id, []).append(span)
 
-    def trace_ids(self) -> list[str]:
-        return sorted(self._traces)
-
-    def spans_of(self, trace_id: str) -> list[Span]:
-        return list(self._traces.get(trace_id, []))
-
     def decision_traces(self) -> list[str]:
         """Trace ids rooted in a ``pep.request`` span, sorted by extent."""
         decisions = [

@@ -76,10 +76,6 @@ class Span:
     def closed(self) -> bool:
         return self.end is not None
 
-    @property
-    def duration(self) -> Optional[float]:
-        return None if self.end is None else self.end - self.start
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -125,9 +121,6 @@ class SpanRecorder:
     def open_spans(self, category: Optional[str] = None) -> list[Span]:
         return [s for s in self.spans if not s.closed
                 and (category is None or s.category == category)]
-
-    def closed_spans(self) -> list[Span]:
-        return [s for s in self.spans if s.closed]
 
     def flush(self, now: float) -> int:
         """Close every still-open span as ``unfinished`` (pre-export)."""

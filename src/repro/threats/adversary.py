@@ -29,13 +29,6 @@ class AttackRecord:
     detection_latency: Optional[float] = None
     matched_alerts: list[Alert] = field(default_factory=list)
 
-    def summary(self) -> str:
-        if self.detected:
-            return (f"{self.attack_name}: DETECTED after "
-                    f"{self.detection_latency:.2f}s "
-                    f"({', '.join(sorted({a.alert_type.value for a in self.matched_alerts}))})")
-        return f"{self.attack_name}: NOT DETECTED"
-
 
 class Adversary:
     """Injects attacks into a running DRAMS deployment."""

@@ -42,7 +42,7 @@ from typing import Optional
 from repro.common.errors import ValidationError
 from repro.drams.alerts import AlertType
 from repro.drams.logs import EntryType, LogEntry
-from repro.drams.system import DramsSystem
+from repro.drams.system import DramsSystem, li_measurement
 from repro.accesscontrol.messages import AccessDecision, AccessRequest
 from repro.accesscontrol.prp import PolicyVersion
 from repro.policydist.replica import PrpReplica
@@ -328,6 +328,11 @@ class LogTamperAttack(Attack):
     def lift(self, drams: DramsSystem) -> None:
         li = drams.interfaces[self.tenant]
         li.tamper_interceptor = None
+        if li.tpm is not None:
+            # Clean code reinstalled and the platform rebooted: the PCR is
+            # back to the measurement the federation key was sealed under.
+            li.tpm.reset()
+            li.tpm.extend_pcr(li_measurement(li.address))
         self.active = False
 
 

@@ -45,7 +45,7 @@ from repro.xacml.index import (
     compile_target_index,
 )
 from repro.xacml.pdp import PolicyDecisionPoint
-from repro.xacml.parser import policy_to_dict, policy_from_dict, request_to_dict, request_from_dict
+from repro.xacml.parser import policy_to_dict, policy_from_dict
 
 __all__ = [
     "Category",
@@ -80,6 +80,4 @@ __all__ = [
     "PolicyDecisionPoint",
     "policy_to_dict",
     "policy_from_dict",
-    "request_to_dict",
-    "request_from_dict",
 ]

@@ -136,9 +136,6 @@ class RequestContext:
             return Bag.empty(data_type or DataType.STRING)
         return bag
 
-    def categories(self) -> dict[str, dict[str, Bag]]:
-        return self._attributes
-
     def to_dict(self) -> dict:
         """Canonical plain-data form (used for hashing and wire transfer)."""
         out: dict[str, dict[str, list]] = {}
@@ -178,12 +175,3 @@ class ResponseContext:
             "status_message": self.status_message,
             "obligations": [ob.to_dict() for ob in self.obligations],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ResponseContext":
-        return cls(
-            decision=Decision(data["decision"]),
-            status_code=data.get("status_code", StatusCode.OK),
-            status_message=data.get("status_message", ""),
-            obligations=[Obligation.from_dict(ob) for ob in data.get("obligations", [])],
-        )

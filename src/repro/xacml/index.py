@@ -177,10 +177,6 @@ class IndexedPolicy:
             policy.obligations_for(Decision.NOT_APPLICABLE),
         )
 
-    @property
-    def guarded_rules(self) -> int:
-        return sum(1 for guard in self._guards if guard is not None)
-
     def evaluate_full(
         self,
         request: RequestContext,

@@ -17,7 +17,7 @@ from typing import Union
 
 from repro.common.errors import PolicyError
 from repro.xacml.attributes import Category, DataType
-from repro.xacml.context import Obligation, RequestContext
+from repro.xacml.context import Obligation
 from repro.xacml.expressions import Apply, AttributeDesignator, Expression, Literal
 from repro.xacml.policy import AllOf, AnyOf, Effect, Match, Policy, PolicySet, Rule, Target
 
@@ -178,12 +178,3 @@ def policy_from_dict(data: dict) -> PolicyElement:
         raise PolicyError(f"malformed policy document: missing {exc}") from exc
     raise PolicyError(f"unknown policy kind: {kind!r}")
 
-
-# -- requests --------------------------------------------------------------------
-
-def request_to_dict(request: RequestContext) -> dict:
-    return request.to_dict()
-
-
-def request_from_dict(data: dict) -> RequestContext:
-    return RequestContext.from_dict(data)

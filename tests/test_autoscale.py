@@ -243,68 +243,6 @@ class TestShardWarmup:
         assert plane.warmed_entries == 0
 
 
-class TestWeightedShards:
-    def test_default_weights_reproduce_unweighted_ring(self):
-        weighted = ShardedPdpPlane(shards=3)
-        baseline = ShardedPdpPlane(shards=3)
-        build_stack(weighted, seed=41)
-        build_stack(baseline, seed=41)
-        assert weighted.set_shard_weights({"pdp-0@infrastructure": 1.0}) is False
-        assert weighted._ring == baseline._ring
-
-    def test_heavier_shard_owns_more_primaries(self):
-        plane = ShardedPdpPlane(shards=2)
-        build_stack(plane)
-        heavy = plane.services[0].address
-
-        def primaries():
-            counts = {s.address: 0 for s in plane.services}
-            for i in range(256):
-                counts[plane.endpoints(request_with(role=f"role-{i}"))[0]] += 1
-            return counts
-
-        before = primaries()
-        assert plane.set_shard_weights({heavy: 3.0}) is True
-        after = primaries()
-        assert after[heavy] > before[heavy]
-        assert plane.shard_weights == {heavy: 3.0}
-
-    def test_weight_validation(self):
-        plane = ShardedPdpPlane(shards=2)
-        build_stack(plane)
-        with pytest.raises(ValidationError, match="no routable shard"):
-            plane.set_shard_weights({"pdp-9@infrastructure": 2.0})
-        with pytest.raises(ValidationError, match="positive"):
-            plane.set_shard_weights({plane.services[0].address: 0.0})
-
-    def test_controller_weights_follow_observed_service_rate(self):
-        plane = ShardedPdpPlane(shards=2)
-        stack = build_stack(plane)
-        controller = AutoscaleController(
-            weight_shards=True, min_shards=1, max_shards=4
-        ).bind(plane, stack.sim)
-        fast, slow = plane.services
-        fast.requests_served, fast.busy_accumulated = 400, 1.0  # 400/s observed
-        slow.requests_served, slow.busy_accumulated = 100, 1.0  # 100/s observed
-        controller._reweight()
-        weights = plane.shard_weights
-        assert weights[fast.address] == pytest.approx(1.6)
-        assert weights[slow.address] == pytest.approx(0.4)
-        assert controller.reweights == 1
-
-    def test_homogeneous_pool_never_rebalances(self):
-        plane = ShardedPdpPlane(shards=2)
-        stack = build_stack(plane)
-        controller = AutoscaleController(weight_shards=True).bind(plane, stack.sim)
-        for service in plane.services:
-            service.requests_served, service.busy_accumulated = 200, 1.0
-        rebalances = plane.rebalances
-        controller._reweight()
-        assert plane.rebalances == rebalances
-        assert controller.reweights == 0
-        assert plane.shard_weights == {}
-
-
 def gossip_stack(view=None, seed=51, **plane_kwargs):
     view = view or CrossPepLoadView(gossip_interval=0.05, horizon=0.2)
     plane = ShardedPdpPlane(

@@ -195,10 +195,10 @@ class TestPdpServiceIntegration:
 
     def test_pdp_lru_is_bounded(self, deployment):
         sim, prp, pap, pdp, pep = deployment
-        for i in range(pdp.pdp_cache_size + 3):
+        for i in range(pdp.PDP_CACHE_SIZE + 3):
             pap.publish(doctors_policy(policy_id=f"p-{i}"))
             pdp._compiled_current()
-        assert len(pdp._pdp_cache) == pdp.pdp_cache_size
+        assert len(pdp._pdp_cache) == pdp.PDP_CACHE_SIZE
 
     def test_policy_override_bypasses_cache(self, deployment):
         sim, prp, pap, pdp, pep = deployment

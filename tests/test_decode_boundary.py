@@ -9,8 +9,11 @@ The service requests (``bc_block_request``, ``bc_head``, ``bc_header_sync``,
 and used as keys, so the same holds for a payload of the wrong shape.
 The replies a light client gets back (``bc_headers``, ``bc_proof``) come
 from a full node it does not trust: a malformed one is dropped and counted
-before any of the client's state is touched.
+before any of the client's state is touched.  A scenario spec read back
+with ``spec_from_json`` is held to the same rule as a wire decoder.
 """
+
+import json
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,6 +23,8 @@ from repro.blockchain.transaction import Transaction
 from repro.common.errors import ValidationError
 from repro.lightclient.consumer import LightProbeConsumer
 from repro.lightclient.headers import HeaderClient
+from repro.scenariogen.presets import PRESET_SPECS
+from repro.scenariogen.spec import ScenarioSpec, spec_from_json, spec_to_json
 from repro.simnet.network import Message
 from tests.strategies import json_values, transactions
 from tests.test_verify_once import alice_tx, build_cluster, gossip_message
@@ -52,6 +57,10 @@ MALFORMED = {
 
 # JSON admits integers no float can hold; the decoders call float() and int().
 wire_values = st.one_of(json_values, st.just(10**400), st.just(-(10**400)))
+
+SPEC_KEYS = ("name", "roles", "classes", "tree", "federation", "population", "arrival", "churn")
+#: Arbitrary JSON, and objects whose spec keys hold arbitrary JSON.
+spec_documents = st.one_of(wire_values, st.dictionaries(st.sampled_from(SPEC_KEYS), wire_values))
 
 
 def genuine_block_dict():
@@ -310,3 +319,46 @@ class TestDecodeFuzz:
     @settings(max_examples=120, deadline=None)
     def test_probe_consumer_never_raises_and_keeps_its_state(self, payload):
         deliver_reply("bc_proof", payload)
+
+
+def spec_decodes(text):
+    """Decode ``text`` as a spec: only ``ValidationError`` may escape."""
+    try:
+        return isinstance(spec_from_json(text), ScenarioSpec)
+    except ValidationError:
+        return False
+
+
+class TestSpecDecode:
+    MINIMAL = {"name": "s", "roles": ["r"], "tree": {"classes": 1}}
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {**MINIMAL, "federation": {"bogus": 1}},
+            {**MINIMAL, "tree": {"classes": 1, "bogus": 1}},
+            {**MINIMAL, "federation": {"clouds": 2, "metro_median_latency": 0.002}},
+            {"roles": ["r"], "tree": {"classes": 1}},
+            [MINIMAL],
+            "spec",
+            None,
+        ],
+        ids=["federation-key", "tree-key", "metro-key", "no-name", "list", "string", "null"],
+    )
+    def test_malformed_specs_are_validation_errors(self, document):
+        with pytest.raises(ValidationError):
+            spec_from_json(json.dumps(document))
+
+    def test_malformed_json_is_a_validation_error(self):
+        with pytest.raises(ValidationError):
+            spec_from_json('{"name": ')
+
+    def test_genuine_specs_still_decode(self):
+        assert spec_decodes(json.dumps(self.MINIMAL))
+        for spec in PRESET_SPECS.values():
+            assert spec_from_json(spec_to_json(spec)) == spec
+
+    @given(spec_documents)
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_json_raises_only_validation_error(self, document):
+        spec_decodes(json.dumps(document))

@@ -1,5 +1,5 @@
 """Elastic decision plane: runtime membership, drain semantics, probe
-lifecycle, queue-aware and locality-aware routing."""
+lifecycle, queue-aware routing."""
 
 import pytest
 
@@ -424,66 +424,19 @@ class FakeMessage:
 
 
 class TestLocalityRouting:
-    def test_shards_place_round_robin_across_clouds(self):
-        plane = ShardedPdpPlane(shards=4, locality_aware=True)
-        build_stack(plane)
-        assert plane.describe()["shard_clouds"] == {
-            "pdp-0@infrastructure": "cloud-1",
-            "pdp-1@infrastructure": "cloud-2",
-            "pdp-2@infrastructure": "cloud-1",
-            "pdp-3@infrastructure": "cloud-2",
-        }
-
-    def test_prefers_colocated_shard(self):
-        plane = ShardedPdpPlane(shards=4, locality_aware=True)
-        build_stack(plane)
-        clouds = plane.describe()["shard_clouds"]
-        for origin, cloud in (("tenant-1", "cloud-1"), ("tenant-2", "cloud-2")):
-            for role in ("doctor", "nurse", "clerk"):
-                order = plane.endpoints(request_with(role=role, origin=origin))
-                assert clouds[order[0]] == cloud
-                # Co-located shards first, the rest keep ring order behind.
-                local = [a for a in order if clouds[a] == cloud]
-                assert list(order[: len(local)]) == local
-
-    def test_colocated_links_use_metro_latency(self):
-        plane = ShardedPdpPlane(shards=2, locality_aware=True)
-        stack = build_stack(plane)
-        network = stack.federation.network
-        pep = stack.peps["tenant-1"]
-        local = network._latency_for(pep.address, "pdp-0@infrastructure")
-        remote = network._latency_for(pep.address, "pdp-1@infrastructure")
-        assert "2.00ms" in local.describe()
-        assert local is not network.default_latency
-        assert remote is network.default_latency  # cross-cloud stays WAN
+    """Link locality: hosts of one tenant ride the LAN, however they join."""
 
     def test_added_shard_gets_wired_links_without_refinalize(self):
         # add_shard wires only the new hosts (O(hosts), not a full
         # re-finalize) yet must produce the same overrides finalize
-        # would: LAN to co-tenant infra hosts, metro to the co-located
-        # PEP when the plane is locality-aware.
-        plane = ShardedPdpPlane(shards=2, locality_aware=True)
+        # would: LAN to co-tenant infra hosts.
+        plane = ShardedPdpPlane(shards=2)
         stack = build_stack(plane)
-        added = plane.add_shard()  # index 2 → cloud-1, same as tenant-1's PEP
+        added = plane.add_shard()
         network = stack.federation.network
         lan = network._latency_for(added.address, "pdp-0@infrastructure")
         assert lan is not network.default_latency
         assert "0.30ms" in lan.describe()
-        metro = network._latency_for(added.address, stack.peps["tenant-1"].address)
-        assert "2.00ms" in metro.describe()
-        far = network._latency_for(added.address, stack.peps["tenant-2"].address)
-        assert far is network.default_latency  # cross-cloud stays WAN
-
-    def test_locality_plane_decisions_match_plain_sharded(self):
-        def run(plane):
-            stack = build_stack(plane, seed=36)
-            stack.issue_requests(20)
-            stack.run(until=60.0)
-            return stack.fingerprint()["decisions"]
-
-        plain = run(ShardedPdpPlane(shards=4))
-        routed = run(ShardedPdpPlane(shards=4, locality_aware=True, queue_aware=True))
-        assert plain == routed
 
 
 class TestElasticScaleScenario:

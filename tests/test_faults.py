@@ -776,6 +776,45 @@ class TestChaosController:
         stack.sim.run(until=1.2)
         assert net.is_attached("li@tenant-1")
 
+    def test_restart_link_clear_and_replica_recovery_through_controller(self):
+        # The three plan paths no other run reaches: a plain ``restart``
+        # event, a ``link_degrade`` that clears at ``until`` and a crash
+        # whose target is a PRP replica.
+        replica = "prp-pdp-0@infrastructure"
+        plan = FaultPlan(events=(
+            crash("pep@tenant-2", at=0.2),
+            link_degrade(["pep@tenant-1"], ["pdp-*@*"], at=0.3, until=0.9, loss=1.0),
+            crash(replica, at=0.4, restart_at=1.0),
+            restart("pep@tenant-2", at=0.6),
+        ))
+        stack = MonitoredFederation.build(
+            partition_storm_scenario(),
+            clouds=2,
+            seed=47,
+            with_drams=False,
+            plane=ShardedPdpPlane(shards=2),
+            policy_plane=ReplicatedPrpPlane(),
+        )
+        controller = stack.inject_faults(plan)
+        net = stack.federation.network
+        shards = [service.address for service in stack.plane.services]
+        stack.sim.run(until=0.5)
+        assert not net.is_attached("pep@tenant-2")
+        assert all(net.link_fault("pep@tenant-1", s).loss == 1.0 for s in shards)
+        assert not net.is_attached(replica)
+        stack.sim.run(until=0.8)
+        assert net.is_attached("pep@tenant-2")
+        stack.sim.run(until=2.0)
+        assert all(net.link_fault("pep@tenant-1", s) is None for s in shards)
+        assert all(net.link_fault(s, "pep@tenant-1") is None for s in shards)
+        slos = controller.recorder.slos()
+        (recovery,) = slos["recoveries"]
+        assert (recovery["component"], recovery["target"]) == ("prp-replica", "pdp-0")
+        assert recovery["restarted_at"] == 1.0 and recovery["ttr"] >= 0.0
+        assert slos["watches_outstanding"] == 0
+        assert [event["kind"] for event in controller.applied] == [
+            "crash", "link_degrade", "crash", "restart"]
+
     @pytest.mark.parametrize(
         "make_plane",
         [SinglePdpPlane, lambda **kwargs: ShardedPdpPlane(shards=1, **kwargs)],

@@ -61,6 +61,11 @@ class TestLatencyModels:
         wan = sum(WanProfile().sample(rng) for _ in range(200)) / 200
         assert lan * 10 < wan
 
+    def test_models_describe_themselves(self):
+        assert ConstantLatency(0.005).describe() == "const(5.00ms)"
+        assert UniformLatency(0.001, 0.002).describe() == "uniform(1.00..2.00ms)"
+        assert LanProfile().describe() == "lognormal(median=0.30ms, sigma=0.2)"
+
 
 class TestDelivery:
     def test_message_delivered_after_latency(self, sim, rng):

@@ -203,15 +203,16 @@ class TestReplicatedPrpPlane:
         assert plane.converged()
 
     def test_anti_entropy_recovers_dropped_publishes(self):
-        federation, plane = deployed_plane(
-            propagation_delay=0.05,
-            publish_loss_rate=1.0,  # every direct fan-out is lost
-            anti_entropy_interval=0.5,
-        )
+        federation, plane = deployed_plane(propagation_delay=0.05, anti_entropy_interval=0.5)
         replica = plane.retrieval_point_for("pdp-0")
+        (host,) = plane.replica_addresses()
+        # Every direct fan-out is lost; the link heals before the first pull.
+        fault = federation.network.set_link_fault(plane.origin_address, host, loss=1.0)
         plane.authority.publish(doc("a"), publisher="pap@test")
         plane.authority.publish(doc("b"), publisher="pap@test")
-        assert plane.publishes_dropped == 2
+        federation.sim.run(until=0.25)
+        assert fault.dropped == 2
+        federation.network.clear_link_fault(plane.origin_address, host)
         federation.sim.run(until=2.0)
         assert replica.version_count() == 2
         assert plane.converged()
@@ -492,16 +493,16 @@ class TestStopHaltsPolicyPlane:
         assert residual < 50, f"{residual} events after stop()"
 
     def test_plane_start_rearms_anti_entropy_after_stop(self):
-        federation, plane = deployed_plane(
-            propagation_delay=0.05,
-            publish_loss_rate=1.0,  # convergence depends on pulls alone
-            anti_entropy_interval=0.5,
-        )
+        federation, plane = deployed_plane(propagation_delay=0.05, anti_entropy_interval=0.5)
         replica = plane.retrieval_point_for("pdp-0")
+        (host,) = plane.replica_addresses()
+        # The direct fan-out is lost, so convergence depends on pulls alone.
+        federation.network.set_link_fault(plane.origin_address, host, loss=1.0)
         plane.stop()
         plane.authority.publish(doc("a"), publisher="pap@test")
         federation.sim.run(until=3.0)
         assert replica.version_count() == 0  # stopped: no pulls, fan-out lost
+        federation.network.clear_link_fault(plane.origin_address, host)
         plane.start()
         federation.sim.run(until=6.0)
         assert replica.version_count() == 1

@@ -13,10 +13,12 @@ import pathlib
 
 import pytest
 
+from repro.accesscontrol.autoscale import AutoscaleController
 from repro.accesscontrol.plane import ShardedPdpPlane
 from repro.common.errors import ValidationError
 from repro.common.ids import reset_id_counter
 from repro.harness import MonitoredFederation
+from repro.policydist import ReplicatedPrpPlane
 from repro.simnet.network import Host
 from repro.telemetry import (
     CriticalPathAnalyser,
@@ -257,6 +259,38 @@ def test_stack_telemetry_snapshot_and_run_summary():
         shares = paths.attribution(trace_id)
         start, end = paths.extent(trace_id)
         assert sum(shares.values()) == pytest.approx(end - start)
+
+
+def test_span_archive_and_mean_attribution():
+    stack = _build(telemetry=True)
+    stack.issue_requests(6)
+    stack.run(until=30.0)
+    archive = stack.telemetry.spans_json()
+    assert archive["format"] == "repro-spans/v1"
+    assert archive["spans"] == [span.to_dict() for span in stack.telemetry.tracer.recorder.spans]
+    # Each decision's hop fractions sum to one, and so does their mean.
+    mean = stack.telemetry.critical_paths().mean_attribution()
+    assert {"pdp.evaluate", "pep.dispatch"} <= mean.keys()
+    assert sum(mean.values()) == pytest.approx(1.0)
+
+
+def test_run_summary_describes_autoscaler_and_replicated_policy_plane():
+    controller = AutoscaleController(min_shards=2, max_shards=2)
+    stack = _build(
+        telemetry=False,
+        plane=ShardedPdpPlane(shards=2),
+        policy_plane=ReplicatedPrpPlane(),
+        autoscaler=controller,
+    )
+    stack.issue_requests(3)
+    stack.run(until=20.0)
+    summary = stack.run_summary()
+    assert summary["autoscaler"]["kind"] == "AutoscaleController"
+    assert summary["autoscaler"]["decisions"] == controller.decisions > 0
+    assert summary["autoscaler"]["actions"] == []
+    assert summary["policy_plane"]["kind"] == "ReplicatedPrpPlane"
+    assert summary["policy_plane"]["consumers"] == ["analyser", "pdp-0", "pdp-1"]
+    assert summary["policy_plane"]["propagation_delay"] == 0.05
 
 
 def test_run_summary_without_telemetry():

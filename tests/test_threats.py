@@ -1,9 +1,12 @@
 """End-to-end attack detection: every threat class against a live deployment."""
 
+from typing import Callable, NamedTuple, Optional
+
 import pytest
 
 from repro.drams.alerts import AlertType
 from repro.harness import MonitoredFederation
+from repro.policydist import ReplicatedPrpPlane
 from repro.threats.adversary import Adversary
 from repro.threats.attacks import (
     ATTACK_CATALOGUE,
@@ -15,6 +18,8 @@ from repro.threats.attacks import (
     ProbeSuppressionAttack,
     ReplayAttack,
     RequestTamperAttack,
+    StalePolicyReplayAttack,
+    TamperedPrpReplicaAttack,
 )
 from repro.workload.scenarios import healthcare_scenario
 from repro.xacml.parser import policy_to_dict
@@ -22,12 +27,59 @@ from repro.xacml.policy import Effect, Policy, Rule
 from tests.conftest import fast_drams_config
 
 
-def build_stack(seed=50, **config_overrides) -> MonitoredFederation:
+def build_stack(seed=50, policy_plane=None, **config_overrides) -> MonitoredFederation:
     stack = MonitoredFederation.build(
         healthcare_scenario(), clouds=2, seed=seed,
-        drams_config=fast_drams_config(**config_overrides))
+        drams_config=fast_drams_config(**config_overrides), policy_plane=policy_plane)
     stack.start()
     return stack
+
+
+ROGUE_POLICY = policy_to_dict(Policy(
+    policy_id="rogue", rule_combining="permit-overrides",
+    rules=[Rule("allow-everything", Effect.PERMIT)]))
+
+
+def replay_later(stack, attack):
+    stack.sim.schedule(10.0, lambda: attack.replay_now(
+        stack.drams, {"subject-id": "mallory", "role": "doctor"}))
+
+
+def republish_twice(stack, attack):
+    """Two versions that change no decision: a frozen replica falls out of bound."""
+    for revision, at in ((1, 0.8), (2, 1.2)):
+        document = {**stack.scenario.policy_document, "description": f"rev-{revision}"}
+        stack.publish_policy(document, at=at)
+
+
+class Lifted(NamedTuple):
+    """A catalogue entry built the way its detection test builds it."""
+
+    build: Callable[[], object]
+    #: DRAMS config overrides that detection test needs.
+    config: dict = {}
+    #: The PRP attacks need one replica per consumer.
+    replicated: bool = False
+    #: What the detection test does when honest traffic alone would not
+    #: show the compromise.
+    provoke: Optional[Callable] = None
+
+
+LIFTED = {
+    "request-tamper": Lifted(lambda: RequestTamperAttack("tenant-1", escalated_value="doctor")),
+    "decision-tamper": Lifted(lambda: DecisionTamperAttack("tenant-1")),
+    "pdp-circumvention": Lifted(lambda: CircumventionAttack("tenant-1")),
+    "evaluation-tamper": Lifted(EvaluationTamperAttack),
+    "policy-swap": Lifted(lambda: PolicySwapAttack(ROGUE_POLICY)),
+    "probe-suppression": Lifted(lambda: ProbeSuppressionAttack("pep:tenant-1")),
+    "log-tamper": Lifted(lambda: LogTamperAttack("tenant-1"),
+                         config={"use_tpm": True, "attestation_interval": 2.0}),
+    "replay": Lifted(lambda: ReplayAttack("tenant-1"), provoke=replay_later),
+    "stale-policy-replay": Lifted(StalePolicyReplayAttack, replicated=True,
+                                  provoke=republish_twice),
+    "tampered-prp-replica": Lifted(lambda: TamperedPrpReplicaAttack(ROGUE_POLICY),
+                                   replicated=True),
+}
 
 
 def run_attack(attack, seed=50, requests=8, horizon=40.0, **config_overrides):
@@ -138,15 +190,23 @@ class TestAdversaryScoring:
         assert record.detected
         assert adversary.false_positives() == []
 
-    def test_lift_stops_the_attack(self):
-        stack = build_stack(seed=63)
+    @pytest.mark.parametrize("name", sorted(ATTACK_CATALOGUE))
+    def test_lift_stops_the_attack(self, name):
+        assert set(LIFTED) == set(ATTACK_CATALOGUE)
+        case = LIFTED[name]
+        policy_plane = ReplicatedPrpPlane(propagation_delay=0.2) if case.replicated else None
+        stack = build_stack(seed=63, policy_plane=policy_plane, **case.config)
         adversary = Adversary(stack.drams)
-        attack = DecisionTamperAttack("tenant-1")
-        adversary.launch(attack)
+        attack = adversary.launch(case.build())
+        assert attack.active
         adversary.lift_all()
+        assert not attack.active
+        if case.provoke is not None:
+            case.provoke(stack, attack)
         stack.issue_requests(6)
         stack.run(until=30.0)
-        assert stack.drams.alerts.count(AlertType.DECISION_MISMATCH) == 0
+        assert len(stack.outcomes) == 6
+        assert stack.drams.alerts.all() == []
 
     def test_detection_rate_aggregates(self):
         stack = build_stack(seed=64)
