@@ -290,13 +290,14 @@ def _class_from(data: dict) -> ServiceClassSpec:
 def spec_from_json(text: str) -> ScenarioSpec:
     """Reconstruct a spec from :func:`spec_to_json` output.
 
-    Raises :class:`ValidationError` and nothing else for text that is not
-    a spec: malformed JSON, a non-object, a missing or unknown key, a
-    value of the wrong type.
+    Raises :class:`ValidationError` and nothing else for malformed or
+    too deeply nested JSON, a non-object, or a missing or unknown key.
+    Value types are not checked: a field decodes to whatever its
+    constructor makes of the JSON value.
     """
     try:
         return _spec_from(json.loads(text))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise ValidationError(f"not a scenario spec: {exc!r}") from None
 
 

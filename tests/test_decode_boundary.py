@@ -353,6 +353,10 @@ class TestSpecDecode:
         with pytest.raises(ValidationError):
             spec_from_json('{"name": ')
 
+    def test_deeply_nested_json_is_a_validation_error(self):
+        with pytest.raises(ValidationError):
+            spec_from_json("[" * 100_000)
+
     def test_genuine_specs_still_decode(self):
         assert spec_decodes(json.dumps(self.MINIMAL))
         for spec in PRESET_SPECS.values():
