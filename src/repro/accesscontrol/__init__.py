@@ -20,7 +20,6 @@ from repro.accesscontrol.pap import PolicyAdministrationPoint
 from repro.accesscontrol.pdp_service import PdpService
 from repro.accesscontrol.pep import PolicyEnforcementPoint
 from repro.accesscontrol.plane import DecisionPlane, ShardedPdpPlane, SinglePdpPlane
-from repro.accesscontrol.autoscale import AutoscaleController, CrossPepLoadView
 
 __all__ = [
     "AccessRequest",
@@ -36,6 +35,4 @@ __all__ = [
     "DecisionPlane",
     "SinglePdpPlane",
     "ShardedPdpPlane",
-    "AutoscaleController",
-    "CrossPepLoadView",
 ]

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.common.errors import ValidationError
 from repro.common.ids import correlation_id, new_id
 from repro.crypto.hashing import hash_value
 
@@ -75,12 +76,25 @@ class AccessRequest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AccessRequest":
-        return cls(
-            content=dict(data["content"]),
-            origin_tenant=data["origin_tenant"],
-            request_id=data["request_id"],
-            issued_at=float(data.get("issued_at", 0.0)),
-        )
+        """Decode a wire request; only :class:`ValidationError` escapes.
+
+        Well formed: ``content`` maps categories to objects, ``origin_tenant``
+        and ``request_id`` are strings, ``issued_at`` (if present) converts
+        to a number.  Attribute values are judged at evaluation.
+        """
+        try:
+            content, origin, request_id = data["content"], data["origin_tenant"], data["request_id"]
+            issued_at = float(data.get("issued_at", 0.0))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"malformed access request: {exc!r}") from exc
+        if not (
+            isinstance(content, dict)
+            and all(isinstance(attributes, dict) for attributes in content.values())
+            and isinstance(origin, str)
+            and isinstance(request_id, str)
+        ):
+            raise ValidationError("malformed access request: a field of the wrong type")
+        return cls(dict(content), origin, request_id, issued_at)
 
 
 def decision_payload(request_id: str, decision: str,

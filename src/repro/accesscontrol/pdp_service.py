@@ -39,6 +39,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from repro.common.errors import ValidationError
 from repro.simnet.network import Host, Message, Network
 from repro.xacml.context import RequestContext
 from repro.xacml.index import attribute_footprint
@@ -99,6 +100,8 @@ class PdpService(Host):
         #: dying with its run queue.
         self.crashed = False
         self.crashes = 0
+        #: ``ac_request`` messages dropped because they did not decode.
+        self.malformed_messages_seen = 0
         self.evaluations_lost = 0
         self._epoch = 0
         self.on_request_received: list[RequestHook] = []
@@ -212,7 +215,11 @@ class PdpService(Host):
     def receive(self, message: Message) -> None:
         if message.kind != "ac_request":
             return
-        request = AccessRequest.from_dict(message.payload)
+        try:
+            request = AccessRequest.from_dict(message.payload)
+        except ValidationError:
+            self.malformed_messages_seen += 1
+            return
         for hook in self.on_request_received:
             hook(request)
         # Compute the cache key once at receipt; the scheduled evaluation

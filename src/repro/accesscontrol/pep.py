@@ -23,8 +23,8 @@ skipped instead of timed out against, and a queue-aware plane can steer
 the retry around a backlog that built up since submit.  ``failovers``
 counts retries around a shard that is still listed but did not answer (a
 fault); ``churn_reroutes`` counts retries whose timed-out shard has left
-the re-queried membership (the autoscale controller drained it
-mid-attempt — topology churn, not a fault).  When no untried endpoint
+the re-queried membership (a scripted drain retired it mid-attempt —
+topology churn, not a fault).  When no untried endpoint
 remains (or the attempt budget is spent) the request is enforced as a
 timeout denial, even with budget left — an elastic pool can shrink
 mid-flight.  ``request_id``
@@ -180,8 +180,8 @@ class PolicyEnforcementPoint(Host):
         self.timeouts = 0
         self.failovers = 0
         #: Re-routes whose timed-out shard had already left the plane's
-        #: membership when the timer fired (an elastic controller drained
-        #: it mid-attempt).  Kept apart from ``failovers`` so autoscale
+        #: membership when the timer fired (a drain retired it
+        #: mid-attempt).  Kept apart from ``failovers`` so membership
         #: churn is never misread as shard faults.
         self.churn_reroutes = 0
         self.on_request_intercepted: list[RequestHook] = []
@@ -337,7 +337,7 @@ class PolicyEnforcementPoint(Host):
         # queries — this is the one place a send actually happens.  The
         # tenant tag lets a gossiped load view charge the dispatch to
         # this PEP's own picture of the shard queues.
-        self.plane.note_dispatch(endpoint, source=self.tenant_name)
+        self.plane.note_dispatch(endpoint)
         if attempt_span is not None:
             with tracer.activate(attempt_span.context):
                 self.send(endpoint, "ac_request", forwarded.to_dict())

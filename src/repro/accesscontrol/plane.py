@@ -47,18 +47,13 @@ when the ring-preferred shard's backlog exceeds the best alternative,
 the order is re-sorted around the hot shard instead of waiting out the
 PEP's per-attempt timeout.
 
-Elasticity closes the loop in :mod:`repro.accesscontrol.autoscale`: an
-:class:`~repro.accesscontrol.autoscale.AutoscaleController` drives
-:meth:`add_shard` / :meth:`drain_shard` from the very signals this module
-already exposes (busy cursors plus the in-flight projection,
-:meth:`ShardedPdpPlane.projected_backlogs`), so membership changes need
-not be scripted by the harness at all.  Two plane-side features support
-it: shard *warm-up* (a shard added to a partitioned-cache pool pre-seeds
-its :class:`DecisionCache` with the entries whose keys re-home to it, via
-the same ``export_entries`` path drains migrate through), and an optional
-*gossiped load view* (``load_view=CrossPepLoadView(...)``) replacing the
-in-process route projection with per-tenant views converged over simnet
-messages — PEPs in different processes share one picture of shard queues.
+Membership changes are scripted (the harness's ``add_pdp_shard`` /
+``drain_pdp_shard``, the fault plane's crash and restart).  A shard that
+joins a partitioned-cache pool — added, or restarted after a crash — is
+*warmed*: its :class:`DecisionCache` is pre-seeded with the entries whose
+keys re-home to it, via the same ``export_entries`` path drains migrate
+through.  ``docs/elasticity.md`` covers all three mechanisms and keeps
+the retired self-driving controller as a spec.
 
 Monitoring coverage follows the plane: DRAMS and the centralized baseline
 attach probes to *every* replica (:func:`repro.drams.probe.attach_plane_probes`),
@@ -82,7 +77,6 @@ from repro.xacml.index import attribute_footprint
 from repro.xacml.parser import policy_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.accesscontrol.autoscale import CrossPepLoadView
     from repro.federation.federation import Federation
 
 
@@ -140,14 +134,12 @@ class DecisionPlane:
         """
         raise NotImplementedError
 
-    def note_dispatch(self, address: str, source: Optional[str] = None) -> None:
+    def note_dispatch(self, address: str) -> None:
         """Tell the plane a request was actually sent to ``address``.
 
         PEPs call this once per dispatch (initial send and each failover
-        retry), passing their tenant as ``source`` so a gossiped load
-        view can charge the dispatch to the right per-tenant picture.
-        Load-aware planes use it to project in-flight work onto the
-        right shard; querying :meth:`endpoints` alone — for routing,
+        retry).  Load-aware planes use it to project in-flight work onto
+        the right shard; querying :meth:`endpoints` alone — for routing,
         re-planning or inspection — must never charge a shard, because
         the caller may dispatch to a different entry (or not at all).
         The base plane ignores it.
@@ -193,6 +185,9 @@ class DecisionPlane:
             "requests_served": {
                 service.address: service.requests_served for service in self._services
             },
+            "malformed_messages_seen": {
+                service.address: service.malformed_messages_seen for service in self._services
+            },
             "caches": [cache.stats() for cache in self.caches()],
         }
 
@@ -218,10 +213,8 @@ class ShardedPdpPlane(DecisionPlane):
     quiescence additionally requires zero pending evaluations, checked
     every ``DRAIN_POLL_INTERVAL`` seconds.
 
-    Elasticity support: a runtime-added shard's partitioned cache is
-    pre-seeded with the entries re-homing to it; ``load_view`` (requires
-    ``queue_aware``) swaps the in-process route projection for a gossiped
-    cross-PEP view (see :mod:`repro.accesscontrol.autoscale`).
+    A shard added or restarted at runtime into a partitioned pool has its
+    cache pre-seeded with the entries re-homing to it (warm-up).
     """
 
     CACHE_POLICIES = ("shared", "partitioned")
@@ -250,7 +243,6 @@ class ShardedPdpPlane(DecisionPlane):
         service_kwargs: Optional[dict] = None,
         queue_aware: bool = False,
         drain_grace: float = 1.0,
-        load_view: "Optional[CrossPepLoadView]" = None,
     ) -> None:
         super().__init__()
         if shards < 1:
@@ -261,16 +253,11 @@ class ShardedPdpPlane(DecisionPlane):
             )
         if drain_grace < 0:
             raise ValidationError(f"drain_grace must be >= 0, got {drain_grace}")
-        if load_view is not None and not queue_aware:
-            # The view only feeds the queue-aware reorder; accepting it on
-            # a queue-blind plane would silently gossip into a void.
-            raise ValidationError("load_view requires queue_aware=True")
         self.shards = shards
         self.cache_policy = cache_policy
         self.service_kwargs = dict(service_kwargs or {})
         self.queue_aware = queue_aware
         self.drain_grace = drain_grace
-        self.load_view = load_view
         self.rebalances = 0
         #: Decision-cache entries copied into shards added at runtime
         #: (partitioned pools only; see :meth:`add_shard`).
@@ -327,10 +314,6 @@ class ShardedPdpPlane(DecisionPlane):
         # to be consistent across requests, and the publisher's view is the
         # one stable head while replicas converge.
         self._adopt(services, policy_plane.authority)
-        if self.load_view is not None:
-            # One gossip node per member tenant, registered before the
-            # topology finalises so their links get wired like any host.
-            self.load_view.deploy(federation)
         return self
 
     def _shard_name(self, index: int) -> str:
@@ -492,8 +475,8 @@ class ShardedPdpPlane(DecisionPlane):
             raise ValidationError("cannot drain the last routable shard")
         if address is None:
             # Never auto-pick a crashed shard: draining needs a live
-            # process to quiesce (and an autoscale controller scaling in
-            # during an outage should retire a healthy replica).
+            # process to quiesce (and scaling in during an outage should
+            # retire a healthy replica).
             service = next(
                 (s for s in reversed(self._services) if s.address not in self._crashed),
                 None,
@@ -701,39 +684,30 @@ class ShardedPdpPlane(DecisionPlane):
             if len(order) == len(self._services):
                 break
         if self.queue_aware and len(order) > 1:
-            backlogs = self.projected_backlogs(origin=request.origin_tenant)
+            backlogs = self.projected_backlogs()
             if backlogs[order[0]] - min(backlogs[a] for a in order) > self.QUEUE_THRESHOLD:
                 # Stable sort: equal backlogs keep ring order, so
                 # an idle plane routes exactly like a queue-blind one.
                 order.sort(key=backlogs.__getitem__)
         return tuple(order)
 
-    def note_dispatch(self, address: str, source: Optional[str] = None) -> None:
+    def note_dispatch(self, address: str) -> None:
         """Project a real dispatch onto ``address`` (see base docstring).
 
         Recording here — not in :meth:`endpoints` — keeps the in-flight
         projection honest: a failover retry charges the shard actually
         retried (the PEP skips already-tried entries, so that is not
         necessarily ``endpoints()[0]``), and inspection-only queries
-        charge nobody.  With a gossiped load view the dispatch is charged
-        to the ``source`` tenant's node (each PEP records only its own
-        sends and learns the others' through gossip); a dispatch without
-        a known source is invisible to the distributed view, exactly as
-        it would be to real per-process PEPs.
+        charge nobody.
         """
         # A single-shard pool has nothing to balance, and its endpoints()
         # short-circuits past the projection's pruning — skip recording
         # so the deque cannot grow while a drained-down plane runs.
         if not (self.queue_aware and len(self._services) > 1):
             return
-        if self.load_view is not None and self.load_view.deployed:
-            service = next((s for s in self._services if s.address == address), None)
-            cost = getattr(service, "base_processing_delay", 0.0) if service is not None else 0.0
-            self.load_view.record(source, address, cost)
-            return
         self._record_route(address)
 
-    def projected_backlogs(self, origin: Optional[str] = None) -> dict[str, float]:
+    def projected_backlogs(self) -> dict[str, float]:
         """Busy cursor per routable shard, plus dispatches still on the wire.
 
         A cursor only advances when a routed request *arrives* at its
@@ -742,25 +716,10 @@ class ShardedPdpPlane(DecisionPlane):
         Routings younger than ``ROUTING_HORIZON`` (sized to the dispatch
         latency) are therefore projected onto their target at the shard's
         advertised per-request cost before the cursors are compared.
-
-        ``origin`` selects whose in-flight picture is merged in when a
-        gossiped load view is deployed: a tenant name yields that PEP's
-        view (own fresh dispatches plus the peers' last gossiped
-        snapshots — boundedly stale, as a distributed view must be);
-        ``None`` yields the exact global projection (every node's own
-        fresh charges), which is what the in-process autoscale controller
-        reads.  Without a load view the shared in-process deque is used
-        and ``origin`` is irrelevant.  This is also the autoscaler's
-        utilisation signal — see :mod:`repro.accesscontrol.autoscale`.
         """
         backlogs = {service.address: self._busy_seconds(service) for service in self._services}
         now = self._sim_now()
         if now is None:
-            return backlogs
-        if self.load_view is not None and self.load_view.deployed:
-            for address, charge in self.load_view.projection_for(origin).items():
-                if address in backlogs:
-                    backlogs[address] += charge
             return backlogs
         self._expire_routes(now)
         by_address = {service.address: service for service in self._services}
@@ -802,7 +761,6 @@ class ShardedPdpPlane(DecisionPlane):
         summary["queue_aware"] = self.queue_aware
         summary["draining"] = sorted(self._draining)
         summary["rebalances"] = self.rebalances
-        summary["gossip_load_view"] = self.load_view is not None
         return summary
 
     def stats(self) -> dict:

@@ -156,10 +156,10 @@ def follow_plane_membership(plane: DecisionPlane, probes: dict[str, ProbeAgent],
     probe: in-flight work must stay observed to its last reply.
 
     The protocol is indifferent to *who* changes membership: harness
-    scripts (``add_pdp_shard(at=...)``) and the self-driving
-    :class:`~repro.accesscontrol.autoscale.AutoscaleController` emit the
-    same events, so controller-initiated elasticity is covered without
-    any extra wiring (E14's monitored arm pins zero alert leakage).
+    scripts (``add_pdp_shard(at=...)``) and the fault plane's crash and
+    restart emit the same events, so every membership change is covered
+    without extra wiring (``tests/test_elastic_plane.py`` pins zero alert
+    leakage across a full add/drain cycle under traffic).
     """
 
     def on_membership(event: str, service) -> None:

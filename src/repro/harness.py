@@ -11,13 +11,10 @@ any :class:`~repro.accesscontrol.plane.DecisionPlane` and defaults to
 evaluator, bit-identical to the pre-plane wiring).  Pass
 ``ShardedPdpPlane(shards=4)`` to deploy a consistent-hashed PDP pool
 instead; PEPs, DRAMS probes and the baselines all follow the plane —
-including runtime membership changes, wherever they originate: scripted
-(:meth:`MonitoredFederation.add_pdp_shard` /
-:meth:`MonitoredFederation.drain_pdp_shard` schedule explicit mid-run
-elasticity) or self-driving (``build(autoscaler=AutoscaleController(...))``
-binds a controller that watches the plane's utilisation signal and
-actuates membership itself — no harness scripting involved; see
-:mod:`repro.accesscontrol.autoscale`).
+including the runtime membership changes that
+:meth:`MonitoredFederation.add_pdp_shard` /
+:meth:`MonitoredFederation.drain_pdp_shard` schedule mid-run (see
+``docs/elasticity.md``).
 
 So is the policy distribution plane: ``build(policy_plane=...)`` accepts
 any :class:`~repro.policydist.plane.PolicyDistributionPlane` and defaults
@@ -34,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-from repro.accesscontrol.autoscale import AutoscaleController
 from repro.accesscontrol.pap import PolicyAdministrationPoint
 from repro.accesscontrol.pdp_service import PdpService
 from repro.accesscontrol.pep import EnforcedAccess, PolicyEnforcementPoint
@@ -74,7 +70,6 @@ class MonitoredFederation:
     peps: dict[str, PolicyEnforcementPoint]
     generator: RequestGenerator
     policy_plane: PolicyDistributionPlane = field(default_factory=SingleStorePlane)
-    autoscaler: Optional[AutoscaleController] = None
     drams: Optional[DramsSystem] = None
     #: Every enforced outcome of every issuance, folded in constant memory.
     metrics: WindowedMetrics = field(default_factory=WindowedMetrics)
@@ -96,7 +91,6 @@ class MonitoredFederation:
         federation_config: Optional[FederationConfig] = None,
         plane: Optional[DecisionPlane] = None,
         policy_plane: Optional[PolicyDistributionPlane] = None,
-        autoscaler: Optional[AutoscaleController] = None,
         pep_kwargs: Optional[dict] = None,
         light_clients: "bool | list[str]" = False,
         telemetry: bool = False,
@@ -105,15 +99,11 @@ class MonitoredFederation:
 
         ``plane`` configures the decision plane topology (default: one
         PDP evaluator); ``policy_plane`` configures how policy reaches it
-        (default: one shared store).  ``autoscaler`` binds and starts an
-        :class:`AutoscaleController` against the deployed plane — the
-        controller's decide loop is armed here, at build time, so it
-        runs whether or not :meth:`start` (which only starts DRAMS) is
-        ever called.  ``with_drams=False`` yields the unmonitored system
-        (the E7 overhead experiment's control arm and the baseline
-        experiments' substrate).  ``pep_kwargs`` is forwarded to every
-        deployed :class:`PolicyEnforcementPoint` — the fault benchmarks
-        use it to shorten ``request_timeout`` and install a
+        (default: one shared store).  ``with_drams=False`` yields the
+        unmonitored system (the E7 overhead experiment's control arm and
+        the baseline experiments' substrate).  ``pep_kwargs`` is forwarded
+        to every deployed :class:`PolicyEnforcementPoint` — the fault
+        benchmarks use it to shorten ``request_timeout`` and install a
         ``RetryBackoff`` without changing the default topology.
         ``telemetry=True`` attaches a :class:`StackTelemetry` (causal
         tracer, critical paths, trace exporters) to the finished stack.
@@ -149,8 +139,6 @@ class MonitoredFederation:
             peps[tenant.name] = pep
 
         generator = RequestGenerator(scenario.workload, federation.rng.fork("scenario-workload"))
-        if autoscaler is not None:
-            autoscaler.bind(plane, federation.sim).start()
         drams = None
         if with_drams:
             drams = DramsSystem(federation, policy_plane, plane, peps,
@@ -171,7 +159,6 @@ class MonitoredFederation:
             peps=peps,
             generator=generator,
             policy_plane=policy_plane,
-            autoscaler=autoscaler,
             drams=drams,
         )
         if telemetry:
@@ -356,9 +343,9 @@ class MonitoredFederation:
         ``decisions`` keys every enforced outcome on arrival time and
         request content, not request id: ids are minted in
         topology-dependent order, while both of those are generator-driven.
-        An observer (telemetry, light clients, an idle fault plane or
-        autoscaler) must leave the whole dict equal; a change of decision
-        plane topology must leave ``decisions`` and ``alerts`` equal.
+        An observer (telemetry, light clients, an idle fault plane) must
+        leave the whole dict equal; a change of decision plane topology
+        must leave ``decisions`` and ``alerts`` equal.
         ``chain_head`` and ``checked`` are ``None`` without DRAMS.  Raises
         :class:`ValidationError` unless every enforced outcome was
         recorded: two runs that kept none would otherwise compare equal.
@@ -397,9 +384,8 @@ class MonitoredFederation:
         NetworkStats` (message and wire-byte totals, drops including
         ``dropped_dead``, per-kind traffic); ``plane`` and
         ``policy_plane`` are each plane's ``describe()`` and ``stats()``;
-        ``peps`` is per enforcement point.  DRAMS' ``stats()`` tree, the
-        autoscaler and, with telemetry attached, the tracer's span
-        counters ride along.
+        ``peps`` is per enforcement point.  DRAMS' ``stats()`` tree and,
+        with telemetry attached, the tracer's span counters ride along.
         """
         peps = self.peps
         metrics = self.metrics
@@ -438,8 +424,6 @@ class MonitoredFederation:
             summary["latency"] = latency
         if self.drams is not None:
             summary["drams"] = self.drams.stats()
-        if self.autoscaler is not None:
-            summary["autoscaler"] = self.autoscaler.describe()
         if self.telemetry is not None:
             summary["tracing"] = self.telemetry.tracer.stats()
         return summary

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.accesscontrol.prp import PolicyRetrievalPoint, PolicyVersion
 from repro.common.errors import ValidationError
-from repro.policydist.replica import PrpReplica
+from repro.policydist.replica import PrpReplica, check_record
 from repro.simnet.network import Host, Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -120,19 +120,27 @@ class SingleStorePlane(PolicyDistributionPlane):
 
 
 class _PrpOriginHost(Host):
-    """The authority's network face: fans publishes out, serves pulls."""
+    """The authority's network face: fans publishes out, serves pulls.
+
+    A pull without a non-negative integer for this origin is dropped and
+    counted in ``malformed_messages_seen``."""
 
     def __init__(self, plane: "ReplicatedPrpPlane", address: str) -> None:
         super().__init__(plane._federation.network, address)
         self.plane = plane
         self.pulls_served = 0
         self.sync_records_sent = 0
+        self.malformed_messages_seen = 0
 
     def receive(self, message: Message) -> None:
         if message.kind != "prp_pull":
             return
-        vector = dict(message.payload.get("vector", {}))
-        have = int(vector.get(self.address, 0))
+        payload = message.payload
+        vector = payload.get("vector", {}) if isinstance(payload, dict) else None
+        have = vector.get(self.address, 0) if isinstance(vector, dict) else None
+        if type(have) is not int or have < 0:
+            self.malformed_messages_seen += 1
+            return
         missing = self.plane.authority.history()[have:]
         if not missing:
             return
@@ -146,7 +154,11 @@ class _PrpOriginHost(Host):
 
 
 class _PrpReplicaHost(Host):
-    """One replica's network face: applies publishes and sync batches."""
+    """One replica's network face: applies publishes and sync batches.
+
+    Every record is decoded before any is applied; a message that does
+    not decode, or a record that fails its fingerprint check (which drops
+    the rest of its batch), is counted in ``malformed_messages_seen``."""
 
     def __init__(self, plane: "ReplicatedPrpPlane", address: str, replica: PrpReplica) -> None:
         super().__init__(plane._federation.network, address)
@@ -155,14 +167,25 @@ class _PrpReplicaHost(Host):
         #: Fault-plane crash state: while crashed the host is off the
         #: network and its anti-entropy timer (which keeps firing) no-ops.
         self.crashed = False
+        self.malformed_messages_seen = 0
 
     def receive(self, message: Message) -> None:
+        payload = message.payload if isinstance(message.payload, dict) else {}
         if message.kind == "prp_publish":
-            self.replica.apply_record(message.payload["record"])
+            records = [payload.get("record")]
         elif message.kind == "prp_sync":
-            for record in message.payload["records"]:
-                self.replica.apply_record(record)
+            records = payload.get("records")
         else:
+            return
+        try:
+            if not isinstance(records, list):
+                raise ValidationError("prp_sync records is not a list")
+            for record in records:
+                check_record(record)
+            for record in records:
+                self.replica.apply_record(record)
+        except ValidationError:
+            self.malformed_messages_seen += 1
             return
         tracer = self.network.telemetry
         if tracer is not None:
@@ -372,8 +395,12 @@ class ReplicatedPrpPlane(PolicyDistributionPlane):
         return {
             "versions": self.authority.version_count(),
             "publishes_sent": self.publishes_sent,
-            "pulls_served": self._origin.pulls_served if self._origin else 0,
-            "sync_records_sent": self._origin.sync_records_sent if self._origin else 0,
+            "pulls_served": self._origin.pulls_served,
+            "sync_records_sent": self._origin.sync_records_sent,
+            "malformed_messages_seen": {
+                host.address: host.malformed_messages_seen
+                for host in [self._origin, *self._hosts.values()]
+            },
             "replicas": {
                 consumer: host.replica.stats()
                 for consumer, host in sorted(self._hosts.items())

@@ -36,6 +36,25 @@ from repro.accesscontrol.prp import PolicyRetrievalPoint, PolicyVersion
 from repro.common.errors import ValidationError
 
 
+def check_record(record) -> int:
+    """The version of a well-formed policy record; raises :class:`ValidationError` otherwise.
+
+    Well formed: an object with an integer ``version``, an object
+    ``document``, a string ``fingerprint`` and, if present, a numeric
+    ``published_at``.  :meth:`PrpReplica.apply_record` verifies the
+    fingerprint itself.
+    """
+    try:
+        float(record.get("published_at", 0.0))
+        version = record["version"]
+        document, fingerprint = record["document"], record["fingerprint"]
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed policy record: {exc!r}") from exc
+    if not (type(version) is int and isinstance(document, dict) and isinstance(fingerprint, str)):
+        raise ValidationError("malformed policy record: a field of the wrong type")
+    return version
+
+
 class PrpReplica(PolicyRetrievalPoint):
     """Read-only PRP view, fed by the policy distribution plane."""
 
@@ -77,16 +96,15 @@ class PrpReplica(PolicyRetrievalPoint):
         Validates the fingerprint, stages out-of-order deliveries and
         drains the stage in version order, so ``on_publish`` listeners
         (decision-cache flushes, the Analyser's history) observe the same
-        ordered sequence a single store would have produced.
+        ordered sequence a single store would have produced.  Raises
+        :class:`ValidationError` for a malformed record
+        (:func:`check_record`) or a failed fingerprint check.
         """
         if self.frozen:
             return False
-        try:
-            number = int(record["version"])
-            document = record["document"]
-            claimed = record["fingerprint"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed policy record: {exc}") from exc
+        number = check_record(record)
+        document = record["document"]
+        claimed = record["fingerprint"]
         if number <= self.version_count():
             self.records_duplicate += 1
             return False

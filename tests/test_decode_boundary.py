@@ -9,8 +9,11 @@ The service requests (``bc_block_request``, ``bc_head``, ``bc_header_sync``,
 and used as keys, so the same holds for a payload of the wrong shape.
 The replies a light client gets back (``bc_headers``, ``bc_proof``) come
 from a full node it does not trust: a malformed one is dropped and counted
-before any of the client's state is touched.  A scenario spec read back
-with ``spec_from_json`` is held to the same rule as a wire decoder.
+before any of the client's state is touched.  The policy-distribution
+hosts (``prp_publish``, ``prp_sync``, ``prp_pull``) and the PDP
+(``ac_request``) drop and count what does not decode the same way.  A
+scenario spec read back with ``spec_from_json`` is held to the same rule
+as a wire decoder.
 """
 
 import json
@@ -18,15 +21,26 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.accesscontrol.messages import AccessRequest
+from repro.accesscontrol.pdp_service import PdpService
+from repro.accesscontrol.plane import SinglePdpPlane
+from repro.accesscontrol.prp import PolicyRetrievalPoint, PolicyVersion
 from repro.blockchain.block import Block, BlockHeader
 from repro.blockchain.transaction import Transaction
 from repro.common.errors import ValidationError
+from repro.federation.federation import Federation, FederationConfig
+from repro.harness import MonitoredFederation
 from repro.lightclient.consumer import LightProbeConsumer
 from repro.lightclient.headers import HeaderClient
+from repro.policydist import ReplicatedPrpPlane
+from repro.policydist.replica import check_record
 from repro.scenariogen.presets import PRESET_SPECS
 from repro.scenariogen.spec import ScenarioSpec, spec_from_json, spec_to_json
 from repro.simnet.network import Message
+from repro.workload.scenarios import healthcare_scenario
+from repro.xacml.parser import policy_to_dict
 from tests.strategies import json_values, transactions
+from tests.test_elastic_plane import doctors_policy, request_with
 from tests.test_verify_once import alice_tx, build_cluster, gossip_message
 
 DECODERS = {"bc_tx": Transaction.from_dict, "bc_block": Block.from_dict}
@@ -222,6 +236,170 @@ def deliver_reply(kind, payload):
     return well_formed
 
 
+# -- the policy-distribution hosts and the PDP ---------------------------------------
+
+ORIGIN = "prp@infrastructure"
+
+
+def policy_records():
+    """Genuine records for versions 1 and 2, and version 2 altered in flight."""
+    store = PolicyRetrievalPoint()
+    store.publish(policy_to_dict(doctors_policy()), publisher="pap@test")
+    store.publish({**policy_to_dict(doctors_policy()), "policy_id": "p2"}, publisher="pap@test")
+    first, second = (version.to_record() for version in store.history())
+    return first, second, {**second, "document": {**second["document"], "policy_id": "forged"}}
+
+
+V1, V2, FORGED = policy_records()
+GENUINE_HOST_MESSAGES = {
+    "prp_publish": {"record": V2},
+    "prp_sync": {"records": [V2]},
+    "prp_pull": {"vector": {ORIGIN: 0}},
+    "ac_request": request_with().to_dict(),
+}
+HOST_KINDS = sorted(GENUINE_HOST_MESSAGES)
+MALFORMED_HOST_MESSAGES = {
+    "prp_publish": [{}, {"record": {"version": 1}}, {"record": FORGED}, {"record": [V2]}],
+    "prp_sync": [{"records": 5}, {"records": [V2, {"version": 3}]}, {"records": [FORGED]}],
+    "prp_pull": [{"vector": 7}, {"vector": {ORIGIN: "x"}}, {"vector": {ORIGIN: -1}}],
+    "ac_request": [{}, {"content": [], "origin_tenant": "t", "request_id": "r"}],
+}
+
+
+def policy_hosts():
+    """A replicated policy plane holding version 1, and a PDP reading its replica."""
+    federation = Federation(FederationConfig(name="decode-boundary", seed=5))
+    plane = ReplicatedPrpPlane(anti_entropy_interval=0).deploy(federation)
+    plane.authority.publish(V1["document"], publisher="pap@test")
+    infra = federation.infrastructure_tenant
+    pdp = PdpService(federation.network, infra.address("pdp"), plane.retrieval_point_for("pdp"))
+    infra.register_host(pdp.address)
+    return federation, plane, pdp
+
+
+def host_for(kind, plane, pdp):
+    if kind == "ac_request":
+        return pdp
+    return plane._origin if kind == "prp_pull" else plane._hosts["pdp"]
+
+
+def host_state(federation, plane, pdp):
+    replica = plane._hosts["pdp"].replica
+    return (
+        replica.version_count(),
+        replica.records_applied,
+        replica.records_duplicate,
+        sorted(replica._staged),
+        plane._origin.pulls_served,
+        pdp.pending_evaluations,
+        federation.sim.pending_events,
+        federation.network.stats.sent,
+    )
+
+
+def host_decodes(kind, payload):
+    """True if the host must take ``payload``: it decodes and every record is authentic."""
+    if kind == "ac_request":
+        try:
+            AccessRequest.from_dict(payload)
+        except ValidationError:
+            return False
+        return True
+    if not isinstance(payload, dict):
+        return False
+    if kind == "prp_pull":
+        vector = payload.get("vector", {})
+        have = vector.get(ORIGIN, 0) if isinstance(vector, dict) else None
+        return type(have) is int and have >= 0
+    records = [payload.get("record")] if kind == "prp_publish" else payload.get("records")
+    try:
+        if not isinstance(records, list):
+            return False
+        for record in records:
+            check_record(record)
+    except ValidationError:
+        return False
+    return all(
+        record["version"] <= 1
+        or PolicyVersion(0, record["document"], 0.0, "").fingerprint == record["fingerprint"]
+        for record in records
+    )
+
+
+def deliver_to_host(kind, payload):
+    """Hand one message to a PRP host or the PDP; returns what must hold afterwards."""
+    federation, plane, pdp = policy_hosts()
+    host = host_for(kind, plane, pdp)
+    before = host_state(federation, plane, pdp)
+    well_formed = host_decodes(kind, payload)
+    src = plane._hosts["pdp"].address
+    host.receive(Message(src=src, dst=host.address, kind=kind, payload=payload, msg_id="fuzz"))
+    if not well_formed:
+        assert host_state(federation, plane, pdp) == before
+    assert host.malformed_messages_seen == (0 if well_formed else 1)
+    return well_formed
+
+
+class TestHostReceive:
+    @pytest.mark.parametrize("kind", HOST_KINDS)
+    def test_host_drops_and_counts_a_malformed_message(self, kind):
+        for payload in [["not", "an", "object"], "x", None, *MALFORMED_HOST_MESSAGES[kind]]:
+            assert not deliver_to_host(kind, payload)
+
+    def test_genuine_messages_still_get_through(self):
+        for kind in HOST_KINDS:
+            assert deliver_to_host(kind, GENUINE_HOST_MESSAGES[kind])
+
+    def test_a_forged_record_stops_its_sync_batch(self):
+        _federation, plane, _pdp = policy_hosts()
+        host = plane._hosts["pdp"]
+        third = {**FORGED, "version": 3}
+        host.receive(gossip_message("prp_sync", {"records": [V2, third]}, dst=host.address))
+        # Version 2 passed its own fingerprint check; the forged one did not.
+        assert host.replica.version_count() == 2 and not host.replica._staged
+        assert host.malformed_messages_seen == 1
+
+    @pytest.mark.parametrize(
+        "target,kind,payload",
+        [
+            ("replica", "prp_publish", {}),
+            ("replica", "prp_publish", {"record": {"version": 1}}),
+            ("replica", "prp_publish", {"record": FORGED}),
+            ("replica", "prp_sync", {"records": 5}),
+            ("origin", "prp_pull", {"vector": 7}),
+            ("origin", "prp_pull", {"vector": {ORIGIN: "x"}}),
+            ("pdp", "ac_request", {}),
+            ("pdp", "ac_request", []),
+        ],
+    )
+    def test_a_malformed_message_does_not_abort_the_run(self, target, kind, payload):
+        stack = MonitoredFederation.build(
+            healthcare_scenario(),
+            seed=5,
+            with_drams=False,
+            plane=SinglePdpPlane(),
+            policy_plane=ReplicatedPrpPlane(),
+        )
+        policy_plane = stack.policy_plane
+        host = {
+            "replica": policy_plane._hosts["pdp"],
+            "origin": policy_plane._origin,
+            "pdp": stack.plane.services[0],
+        }[target]
+        pep = next(iter(stack.peps.values()))
+        stack.issue_requests(5, start_at=0.1)
+        stack.federation.network.send(pep.address, host.address, kind, payload)
+        stack.run(until=10.0)
+        assert host.malformed_messages_seen == 1
+        assert len(stack.outcomes) == 5
+        summary = stack.run_summary()
+        seen = {
+            **summary["plane"]["malformed_messages_seen"],
+            **summary["policy_plane"]["malformed_messages_seen"],
+        }
+        assert seen[host.address] == 1
+
+
 class TestIssueCases:
     def test_bad_signature_encoding_is_a_validation_error(self):
         data = alice_tx().to_dict()
@@ -304,6 +482,17 @@ class TestDecodeFuzz:
     @settings(max_examples=120, deadline=None)
     def test_node_receive_never_raises_and_keeps_its_state(self, kind, payload):
         deliver(kind, payload)
+
+    @given(
+        st.sampled_from(HOST_KINDS),
+        st.one_of(
+            wire_values,
+            mutated(st.sampled_from([GENUINE_HOST_MESSAGES[kind] for kind in HOST_KINDS])),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_policy_and_pdp_hosts_never_raise_and_keep_their_state(self, kind, payload):
+        deliver_to_host(kind, payload)
 
     @given(mutated(alice_tx().to_dict()))
     @settings(max_examples=60, deadline=None)

@@ -1,5 +1,5 @@
-"""Elastic decision plane: runtime membership, drain semantics, probe
-lifecycle, queue-aware routing."""
+"""Elastic decision plane: runtime membership, drain semantics, shard
+warm-up, probe lifecycle, queue-aware routing."""
 
 import pytest
 
@@ -221,6 +221,65 @@ class TestDrainShard:
         assert outcomes[0].decision.status_code != "timeout"
         assert pep.failovers == 1
         assert pep.churn_reroutes == 0
+
+
+class TestShardWarmup:
+    def _warmed_stack(self):
+        plane = ShardedPdpPlane(shards=3, cache_policy="partitioned")
+        stack = build_stack(plane)
+        stack.issue_requests(40)
+        stack.run(until=30.0)
+        return plane, stack
+
+    def test_preseeded_entries_bit_identical_to_donors(self):
+        plane, stack = self._warmed_stack()
+        donors = {
+            (key, fingerprint): response
+            for service in plane.services
+            for key, fingerprint, response in service.decision_cache.export_entries()
+        }
+        assert donors
+        added = plane.add_shard()
+        expected = {
+            keyed: response
+            for keyed, response in donors.items()
+            if plane.services[plane._shard_index_for_point(plane._key_point(keyed[0]))]
+            is added
+        }
+        assert expected  # the new shard claimed some warmed key range
+        seeded = {
+            (key, fingerprint): response
+            for key, fingerprint, response in added.decision_cache.export_entries()
+        }
+        assert seeded == expected
+        assert plane.warmed_entries == len(expected)
+
+    def test_warmed_shard_serves_without_recomputing(self):
+        plane, stack = self._warmed_stack()
+        added = plane.add_shard()
+        hits_before = added.decision_cache.stats()["hits"]
+        assert len(added.decision_cache) > 0
+        stack.issue_requests(40)
+        stack.run(until=stack.sim.now + 30.0)
+        assert added.requests_served > 0
+        assert added.decision_cache.stats()["hits"] > hits_before
+
+    def test_warm_entries_flush_coherently_on_publish(self):
+        plane, stack = self._warmed_stack()
+        added = plane.add_shard()
+        assert len(added.decision_cache) > 0
+        stack.publish_policy(stack.scenario.policy_document)
+        stack.run(until=stack.sim.now + 5.0)
+        assert len(added.decision_cache) == 0  # seeded entries flushed too
+
+    def test_shared_cache_needs_no_warmup(self):
+        plane = ShardedPdpPlane(shards=2, cache_policy="shared")
+        stack = build_stack(plane)
+        stack.issue_requests(20)
+        stack.run(until=20.0)
+        added = plane.add_shard()
+        assert added.decision_cache is plane.services[0].decision_cache
+        assert plane.warmed_entries == 0
 
 
 class TestProbeLifecycle:

@@ -648,36 +648,6 @@ class TestDistributionIdempotency:
         replicas, authority = self.converged_fingerprints(plane)
         assert all(state == authority for state in replicas.values())
 
-    def test_degraded_gossip_links_never_change_decisions(self):
-        # Decision output is a pure function of policy and request: a
-        # loadview-gossip layer that sees duplicated/reordered loadview
-        # messages may route differently, never decide differently.
-        from repro.accesscontrol.autoscale import CrossPepLoadView
-
-        def run(faulty):
-            plane = ShardedPdpPlane(
-                shards=2, queue_aware=True,
-                load_view=CrossPepLoadView(gossip_interval=0.05),
-            )
-            stack = MonitoredFederation.build(
-                healthcare_scenario(), clouds=2, seed=41,
-                with_drams=False, plane=plane,
-            )
-            if faulty:
-                peps = [pep.address for pep in stack.peps.values()]
-                for src in peps:
-                    for dst in peps:
-                        if src != dst:
-                            stack.federation.network.set_link_fault(
-                                src, dst, duplicate=1.0, reorder_jitter=0.2
-                            )
-            stack.issue_requests(40, start_at=0.1)
-            stack.run(until=30.0)
-            assert len(stack.outcomes) == 40
-            return stack.fingerprint()["decisions"]
-
-        assert run(faulty=False) == run(faulty=True)
-
 
 # -- the ChaosController -----------------------------------------------------------
 

@@ -4,10 +4,9 @@
 equality in the tree.  Two parametrised tests hold everything bolted onto
 the monitored federation to it:
 
-- **observer neutrality** — telemetry, light clients, an armed but empty
-  fault plan and an autoscaler that may never actuate each leave the
-  *whole* fingerprint (decisions, alerts, chain head, audit count) equal
-  to the same build without them;
+- **observer neutrality** — telemetry, light clients and an armed but
+  empty fault plan each leave the *whole* fingerprint (decisions,
+  alerts, chain head, audit count) equal to the same build without them;
 - **topology neutrality** — every decision-plane shape (one shard, four,
   partitioned caches, queue-aware routing) leaves
   ``decisions`` and ``alerts`` equal to the default single evaluator;
@@ -20,7 +19,6 @@ that mints one global id per enforcement both move the fingerprint.
 
 import pytest
 
-from repro.accesscontrol.autoscale import AutoscaleController
 from repro.accesscontrol.plane import ShardedPdpPlane
 from repro.common.ids import new_id, reset_id_counter
 from repro.faults import FaultPlan
@@ -81,15 +79,6 @@ def empty_fault_plan(on):
     return stack
 
 
-def pinned_autoscaler(on):
-    controller = AutoscaleController(min_shards=4, max_shards=4) if on else None
-    stack = drive(build(plane=ShardedPdpPlane(shards=4), autoscaler=controller))
-    if on:
-        assert controller.decisions > 0, "the pinned controller never sampled"
-        assert controller.scale_ups == controller.scale_downs == 0
-    return stack
-
-
 PLANES = {
     "sharded-1": lambda: ShardedPdpPlane(shards=1),
     "sharded-4": lambda: ShardedPdpPlane(shards=4),
@@ -106,7 +95,7 @@ POLICY_PLANES = {
 
 @pytest.mark.parametrize(
     "observer",
-    [telemetry, light_clients, empty_fault_plan, pinned_autoscaler],
+    [telemetry, light_clients, empty_fault_plan],
     ids=lambda observer: observer.__name__,
 )
 def test_observer_neutrality(observer):

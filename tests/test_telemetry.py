@@ -13,7 +13,6 @@ import pathlib
 
 import pytest
 
-from repro.accesscontrol.autoscale import AutoscaleController
 from repro.accesscontrol.plane import ShardedPdpPlane
 from repro.common.errors import ValidationError
 from repro.common.ids import reset_id_counter
@@ -274,20 +273,15 @@ def test_span_archive_and_mean_attribution():
     assert sum(mean.values()) == pytest.approx(1.0)
 
 
-def test_run_summary_describes_autoscaler_and_replicated_policy_plane():
-    controller = AutoscaleController(min_shards=2, max_shards=2)
+def test_run_summary_describes_replicated_policy_plane():
     stack = _build(
         telemetry=False,
         plane=ShardedPdpPlane(shards=2),
         policy_plane=ReplicatedPrpPlane(),
-        autoscaler=controller,
     )
     stack.issue_requests(3)
     stack.run(until=20.0)
     summary = stack.run_summary()
-    assert summary["autoscaler"]["kind"] == "AutoscaleController"
-    assert summary["autoscaler"]["decisions"] == controller.decisions > 0
-    assert summary["autoscaler"]["actions"] == []
     assert summary["policy_plane"]["kind"] == "ReplicatedPrpPlane"
     assert summary["policy_plane"]["consumers"] == ["analyser", "pdp-0", "pdp-1"]
     assert summary["policy_plane"]["propagation_delay"] == 0.05

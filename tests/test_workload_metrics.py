@@ -13,6 +13,7 @@ from repro.threats.adversary import AttackRecord
 from repro.workload.generator import RequestGenerator, WorkloadConfig
 from repro.workload.scenarios import (
     SCENARIO_FACTORIES,
+    diurnal_scenario,
     healthcare_scenario,
     ministry_scenario,
 )
@@ -86,6 +87,25 @@ class TestWorkloadGeneratorEdges:
         assert generator.arrival_rate_at(4.0) == pytest.approx(20.0)  # trough
         assert generator.arrival_rate_at(8.0) == pytest.approx(100.0)  # peak again
         assert generator.arrival_rate_at(2.0) == pytest.approx(60.0)  # midpoint
+
+    def test_diurnal_stream_is_denser_at_the_peak_than_the_trough(self):
+        workload = diurnal_scenario().workload
+        generator = RequestGenerator(workload, SeededRng(7))
+        times = [request.at for request in generator.requests(900)]
+        period = workload.arrival_period
+        peak_window = sum(1 for t in times if t < period / 4)
+        trough_window = sum(1 for t in times if 3 * period / 8 <= t < 5 * period / 8)
+        assert peak_window > 2 * trough_window
+
+    def test_diurnal_scenario_registered_ninth(self):
+        names = [factory().name for factory in SCENARIO_FACTORIES]
+        assert names[8] == "diurnal"
+
+    def test_trough_validation(self):
+        with pytest.raises(ValidationError, match="arrival_trough"):
+            WorkloadConfig(arrival_period=5.0, arrival_trough=0.0)
+        with pytest.raises(ValidationError, match="arrival_period"):
+            WorkloadConfig(arrival_period=-1.0)
 
     def test_harmonics_multiply_envelopes(self):
         config = WorkloadConfig(arrival_rate=100.0, arrival_period=8.0,
