@@ -58,21 +58,18 @@ class AccessRequest:
 
         Derived from the request id, origin and issue time, so two
         identical accesses made at different times correlate separately
-        (replayed requests cannot hide under an old correlation).
+        (replayed requests cannot hide under an old correlation).  Memoised
+        on those fields, so the probe legs holding this object encode once.
         """
-        return correlation_id({
-            "request_id": self.request_id,
-            "origin": self.origin_tenant,
-            "issued_at": self.issued_at,
-        })
+        key = (self.request_id, self.origin_tenant, repr(self.issued_at))
+        memo = getattr(self, "_correlation_memo", None)
+        if memo is None or memo[0] != key:
+            fields = {"request_id": key[0], "origin": key[1], "issued_at": self.issued_at}
+            memo = self._correlation_memo = (key, correlation_id(fields))
+        return memo[1]
 
     def to_dict(self) -> dict:
-        return {
-            "content": self.content,
-            "origin_tenant": self.origin_tenant,
-            "request_id": self.request_id,
-            "issued_at": self.issued_at,
-        }
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, data: dict) -> "AccessRequest":
@@ -97,10 +94,13 @@ class AccessRequest:
         return cls(dict(content), origin, request_id, issued_at)
 
 
-def decision_payload(request_id: str, decision: str,
-                     obligations: list[dict] | None = None,
-                     policy_version: int = 0,
-                     policy_fingerprint: str = "") -> dict:
+def decision_payload(
+    request_id: str,
+    decision: str,
+    obligations: list[dict] | None = None,
+    policy_version: int = 0,
+    policy_fingerprint: str = "",
+) -> dict:
     """The semantic decision content hashed at PDP-out and PEP-enforce.
 
     ``policy_version``/``policy_fingerprint`` declare which policy the
@@ -134,28 +134,37 @@ class AccessDecision:
     policy_fingerprint: str = ""
 
     def semantic_payload(self) -> dict:
-        return decision_payload(self.request_id, self.decision, self.obligations,
-                                self.policy_version, self.policy_fingerprint)
+        return decision_payload(
+            self.request_id,
+            self.decision,
+            self.obligations,
+            self.policy_version,
+            self.policy_fingerprint,
+        )
 
     def to_dict(self) -> dict:
-        return {
-            "request_id": self.request_id,
-            "decision": self.decision,
-            "obligations": list(self.obligations),
-            "status_code": self.status_code,
-            "decided_at": self.decided_at,
-            "policy_version": self.policy_version,
-            "policy_fingerprint": self.policy_fingerprint,
-        }
+        fields = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        return {**fields, "obligations": list(self.obligations)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "AccessDecision":
-        return cls(
-            request_id=data["request_id"],
-            decision=data["decision"],
-            obligations=list(data.get("obligations", [])),
-            status_code=data.get("status_code", ""),
-            decided_at=float(data.get("decided_at", 0.0)),
-            policy_version=int(data.get("policy_version", 0)),
-            policy_fingerprint=data.get("policy_fingerprint", ""),
-        )
+        """Decode a wire decision; only :class:`ValidationError` escapes."""
+        try:
+            decision = cls(
+                request_id=data["request_id"],
+                decision=data["decision"],
+                obligations=list(data.get("obligations", [])),
+                status_code=data.get("status_code", ""),
+                decided_at=float(data.get("decided_at", 0.0)),
+                policy_version=int(data.get("policy_version", 0)),
+                policy_fingerprint=data.get("policy_fingerprint", ""),
+            )
+        except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
+            raise ValidationError(f"malformed access decision: {exc!r}") from exc
+        strings = ("request_id", "decision", "status_code", "policy_fingerprint")
+        if not (
+            all(isinstance(getattr(decision, name), str) for name in strings)
+            and all(isinstance(item, dict) for item in decision.obligations)
+        ):
+            raise ValidationError("malformed access decision: a field of the wrong type")
+        return decision

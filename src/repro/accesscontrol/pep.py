@@ -184,6 +184,7 @@ class PolicyEnforcementPoint(Host):
         #: mid-attempt).  Kept apart from ``failovers`` so membership
         #: churn is never misread as shard faults.
         self.churn_reroutes = 0
+        self.malformed_messages_seen = 0
         self.on_request_intercepted: list[RequestHook] = []
         self.on_enforce: list[EnforceHook] = []
         self.forward_interceptor: Optional[ForwardInterceptor] = None
@@ -349,7 +350,11 @@ class PolicyEnforcementPoint(Host):
     def receive(self, message: Message) -> None:
         if message.kind != "ac_response":
             return
-        decision = AccessDecision.from_dict(message.payload)
+        try:
+            decision = AccessDecision.from_dict(message.payload)
+        except ValidationError:
+            self.malformed_messages_seen += 1
+            return
         pending = self._pending.pop(decision.request_id, None)
         if pending is None:
             return  # duplicate or timed-out response

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.common.errors import CryptoError, ValidationError
-from repro.common.serialization import canonical_bytes, canonical_json
+from repro.common.serialization import canonical_bytes, canonical_json, merged_length
 from repro.crypto.hashing import sha256_hex
 from repro.crypto.merkle import MerkleTree
 from repro.crypto.signatures import Signature, SigningKey, VerifyingKey
@@ -156,6 +156,14 @@ class Block:
 
     def body_size_bytes(self) -> int:
         return sum(tx.size_bytes() for tx in self.transactions)
+
+    def wire_size(self) -> int:
+        """``len(canonical_bytes(self.to_dict()))``, summed from the transactions' wire sizes."""
+        signature = self.miner_signature.to_dict() if self.miner_signature else None
+        framing = canonical_bytes({"header": self.header.to_dict(), "miner_signature": signature})
+        txs = self.transactions
+        body = len('{"transactions":[]}') + sum(tx.wire_size() for tx in txs) + max(len(txs) - 1, 0)
+        return merged_length(len(framing), body)
 
     def sign(self, key: SigningKey) -> "Block":
         self.miner_signature = key.sign(self.hash.encode())

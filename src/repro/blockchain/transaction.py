@@ -23,7 +23,7 @@ from typing import Any, Optional
 
 from repro.common.errors import CryptoError, ValidationError
 from repro.common.ids import new_id
-from repro.common.serialization import canonical_bytes
+from repro.common.serialization import canonical_bytes, merged_length
 from repro.crypto.hashing import sha256_hex
 from repro.crypto.signatures import Signature, SigningKey, VerifyingKey
 
@@ -50,12 +50,12 @@ class Transaction:
     submitted_at: float = 0.0
     signature: Optional[Signature] = None
 
-    def _signed_content(self) -> dict:
+    def _signed_fields(self) -> dict:
+        """The signed content but ``args``."""
         return {
             "sender": self.sender,
             "contract": self.contract,
             "method": self.method,
-            "args": self.args,
             "seq": self.seq,
             "tx_id": self.tx_id,
         }
@@ -64,16 +64,34 @@ class Transaction:
         """The bytes covered by the signature (everything but the signature)."""
         payload = getattr(self, "_payload_cache", None)
         if payload is None:
-            payload = canonical_bytes(self._signed_content())
+            payload = canonical_bytes({**self._signed_fields(), "args": self.args})
             self._payload_cache = payload
         return payload
 
     def args_size(self) -> int:
-        """Canonical length of ``args``, which gas is charged on; frozen like the signing payload."""
+        """Canonical length of ``args`` (charged as gas), derived from the signing payload."""
         size = getattr(self, "_args_size_cache", None)
         if size is None:
-            size = self._args_size_cache = len(canonical_bytes(self.args))
+            wrapped = len(self.signing_payload()) + 1 - len(canonical_bytes(self._signed_fields()))
+            size = self._args_size_cache = wrapped - len('{"args":}')
         return size
+
+    def _unsigned_fields(self) -> dict:
+        signature = self.signature.to_dict() if self.signature else None
+        return {"signature": signature, "submitted_at": self.submitted_at}
+
+    def wire_size(self) -> int:
+        """``len(canonical_bytes(self.to_dict()))``: the signing payload merged with the rest.
+
+        Memoised on the unsigned fields, which may be set after signing
+        (``submit_transaction`` stamps ``submitted_at``).
+        """
+        key = (self.signature, repr(self.submitted_at))
+        memo = getattr(self, "_wire_memo", None)
+        if memo is None or memo[0] != key:
+            unsigned = len(canonical_bytes(self._unsigned_fields()))
+            memo = self._wire_memo = (key, merged_length(len(self.signing_payload()), unsigned))
+        return memo[1]
 
     def sign(self, key: SigningKey) -> "Transaction":
         """Sign in place and return self (builder style)."""
@@ -111,16 +129,8 @@ class Transaction:
         carried over unless overridden — deliberately, so the threat
         experiments can model content tampered *after* signing.
         """
-        fields: dict[str, Any] = {
-            "sender": self.sender,
-            "contract": self.contract,
-            "method": self.method,
-            "args": dict(self.args),
-            "seq": self.seq,
-            "tx_id": self.tx_id,
-            "submitted_at": self.submitted_at,
-            "signature": self.signature,
-        }
+        fields = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        fields["args"] = dict(self.args)
         unknown = set(changes) - set(fields)
         if unknown:
             raise ValidationError(f"unknown transaction fields: {sorted(unknown)}")
@@ -128,16 +138,7 @@ class Transaction:
         return Transaction(**fields)
 
     def to_dict(self) -> dict:
-        return {
-            "sender": self.sender,
-            "contract": self.contract,
-            "method": self.method,
-            "args": self.args,
-            "seq": self.seq,
-            "tx_id": self.tx_id,
-            "submitted_at": self.submitted_at,
-            "signature": self.signature.to_dict() if self.signature else None,
-        }
+        return {**self._signed_fields(), "args": self.args, **self._unsigned_fields()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Transaction":

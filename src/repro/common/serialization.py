@@ -26,9 +26,6 @@ from typing import Any
 
 from repro.common.errors import SerializationError
 
-_JSON_PRIMITIVES = (str, int, bool, type(None))
-
-
 def _normalise(value: Any) -> Any:
     """Reduce ``value`` to plain JSON-compatible data, or raise."""
     # Exact-type fast path for the overwhelmingly common cases (the
@@ -90,6 +87,14 @@ def canonical_json(value: Any) -> str:
 def canonical_bytes(value: Any) -> bytes:
     """Return the canonical UTF-8 encoding of ``value`` (for hashing)."""
     return canonical_json(value).encode("utf-8")
+
+
+def merged_length(a: int, b: int) -> int:
+    """Encoded length of the merge of two canonical objects with disjoint keys, from theirs.
+
+    The merge drops one pair of braces and adds one comma, unless one side is ``{}``.
+    """
+    return a + b - (2 if 2 in (a, b) else 1)
 
 
 def from_json(text: str) -> Any:

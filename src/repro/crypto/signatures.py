@@ -16,6 +16,7 @@ parameter-agnostic, so swapping in a larger group is a constants change.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 from dataclasses import dataclass
@@ -56,7 +57,8 @@ def _hash_to_int(*parts: bytes) -> int:
 # powers of such a base, precomputed once, turn each exponentiation into one
 # modular multiplication per window (no squarings): 20 for g, whose table the
 # process shares, 40 for a key, whose table pays for itself over the ~50
-# verifications a key sees in a run.  Results are bit-identical to ``pow``;
+# verifications a key sees in a run and is shared by every key object of that
+# value (the 256 latest, ≈ 28 MiB at most).  Results are bit-identical to ``pow``;
 # exponents of 160 bits or more (forged signatures carry any e) fall back to it.
 
 _EXP_BITS = _Q.bit_length()
@@ -103,6 +105,12 @@ def _g_pow(exp: int) -> int:
     return _fixed_base_pow(_G, _G_TABLE, exp)
 
 
+@functools.lru_cache(maxsize=256)
+def _key_table(y: int) -> list[list[int]]:
+    """The fixed-base table of public key ``y``, shared by value across key objects."""
+    return _fixed_base_table(y, _KEY_WINDOW)
+
+
 @dataclass(frozen=True)
 class Signature:
     """A Schnorr signature ``(challenge e, response s)``."""
@@ -132,13 +140,8 @@ class VerifyingKey:
         return hashlib.sha256(hex(self.y).encode()).hexdigest()[:16]
 
     def _y_pow(self, exp: int) -> int:
-        """``y ** exp mod p`` through this key's cached table."""
-        table = getattr(self, "_fb_table", None)
-        if table is None:
-            table = _fixed_base_table(self.y, _KEY_WINDOW)
-            # Frozen dataclass: the table is a derived cache, not a field.
-            object.__setattr__(self, "_fb_table", table)
-        return _fixed_base_pow(self.y, table, exp)
+        """``y ** exp mod p`` through the table shared by every key object of this value."""
+        return _fixed_base_pow(self.y, _key_table(self.y), exp)
 
     def verify(self, message: bytes, signature: Signature) -> bool:
         """Check ``e == H(g^s * y^e mod p || message)``."""

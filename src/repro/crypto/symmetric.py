@@ -45,9 +45,11 @@ class EncryptedBlob:
     @classmethod
     def from_dict(cls, data: dict) -> "EncryptedBlob":
         try:
-            return cls(nonce=bytes.fromhex(data["nonce"]),
-                       ciphertext=bytes.fromhex(data["ciphertext"]),
-                       tag=str(data["tag"]))
+            return cls(
+                nonce=bytes.fromhex(data["nonce"]),
+                ciphertext=bytes.fromhex(data["ciphertext"]),
+                tag=str(data["tag"]),
+            )
         except (KeyError, ValueError, TypeError) as exc:
             raise CryptoError(f"malformed encrypted blob: {exc}") from exc
 
@@ -76,12 +78,14 @@ class SymmetricKey:
         """Public identifier of the key (safe to log)."""
         return hashlib.sha256(b"fp|" + self._key).hexdigest()[:16]
 
-    def _keystream(self, nonce: bytes, length: int) -> bytes:
-        blocks = []
-        for counter in range((length + _BLOCK - 1) // _BLOCK):
-            blocks.append(hashlib.sha256(
-                self._enc_key + nonce + counter.to_bytes(8, "big")).digest())
-        return b"".join(blocks)[:length]
+    def _xor_keystream(self, nonce: bytes, data: bytes) -> bytes:
+        """``data`` XOR the keystream, as one big-integer operation."""
+        stream = b"".join(
+            hashlib.sha256(self._enc_key + nonce + counter.to_bytes(8, "big")).digest()
+            for counter in range((len(data) + _BLOCK - 1) // _BLOCK)
+        )
+        mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream[: len(data)], "big")
+        return mixed.to_bytes(len(data), "big")
 
     def derive_nonce(self, plaintext: bytes, context: bytes = b"") -> bytes:
         """SIV-style synthetic nonce: a PRF of the plaintext (and context).
@@ -92,8 +96,9 @@ class SymmetricKey:
         information DRAMS already publishes on-chain through the payload
         hash commitments the monitor contract matches on.
         """
-        material = hmac.new(self._mac_key, b"nonce|" + context + b"|" + plaintext,
-                            hashlib.sha256).digest()
+        material = hmac.new(
+            self._mac_key, b"nonce|" + context + b"|" + plaintext, hashlib.sha256
+        ).digest()
         return material[:NONCE_SIZE]
 
     def encrypt(self, plaintext: bytes, nonce: bytes | None = None) -> EncryptedBlob:
@@ -107,16 +112,13 @@ class SymmetricKey:
             nonce = os.urandom(NONCE_SIZE)
         if len(nonce) != NONCE_SIZE:
             raise CryptoError(f"nonce must be {NONCE_SIZE} bytes, got {len(nonce)}")
-        stream = self._keystream(nonce, len(plaintext))
-        ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+        ciphertext = self._xor_keystream(nonce, plaintext)
         tag = hmac.new(self._mac_key, nonce + ciphertext, hashlib.sha256).hexdigest()
         return EncryptedBlob(nonce=nonce, ciphertext=ciphertext, tag=tag)
 
     def decrypt(self, blob: EncryptedBlob) -> bytes:
         """Verify the MAC then decrypt; raises :class:`CryptoError` on tamper."""
-        expected = hmac.new(self._mac_key, blob.nonce + blob.ciphertext,
-                            hashlib.sha256).hexdigest()
+        expected = hmac.new(self._mac_key, blob.nonce + blob.ciphertext, hashlib.sha256).hexdigest()
         if not hmac.compare_digest(expected, blob.tag):
             raise CryptoError("MAC verification failed: ciphertext was tampered with")
-        stream = self._keystream(blob.nonce, len(blob.ciphertext))
-        return bytes(c ^ s for c, s in zip(blob.ciphertext, stream))
+        return self._xor_keystream(blob.nonce, blob.ciphertext)

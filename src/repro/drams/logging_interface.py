@@ -25,7 +25,7 @@ from typing import Callable, Optional
 from repro.blockchain.contracts import ContractEvent
 from repro.blockchain.node import BlockchainNode
 from repro.blockchain.transaction import Transaction
-from repro.common.errors import CryptoError
+from repro.common.errors import CryptoError, ValidationError
 from repro.common.serialization import from_json
 from repro.crypto.keystore import KeyStore
 from repro.crypto.signatures import SigningKey
@@ -42,10 +42,16 @@ FEDERATION_KEY_NAME = "federation-K"
 class LoggingInterface(Host):
     """Per-tenant logging endpoint and alert gateway."""
 
-    def __init__(self, network: Network, address: str, tenant: str,
-                 node: BlockchainNode, signing_key: SigningKey,
-                 federation_key: SymmetricKey,
-                 tpm: Optional[SimulatedTpm] = None) -> None:
+    def __init__(
+        self,
+        network: Network,
+        address: str,
+        tenant: str,
+        node: BlockchainNode,
+        signing_key: SigningKey,
+        federation_key: SymmetricKey,
+        tpm: Optional[SimulatedTpm] = None,
+    ) -> None:
         super().__init__(network, address)
         self.tenant = tenant
         self.node = node
@@ -60,6 +66,7 @@ class LoggingInterface(Host):
         self.logs_submitted = 0
         self.logs_rejected = 0
         self.key_failures = 0
+        self.malformed_messages_seen = 0
         self._seq = 0
         self._seen_alerts: set[tuple[str, str]] = set()
         self._pending_commit: dict[str, float] = {}
@@ -86,7 +93,13 @@ class LoggingInterface(Host):
     def receive(self, message: Message) -> None:
         if message.kind != "drams_log":
             return
-        entry = LogEntry.from_dict(message.payload)
+        entry = message.decoded
+        if type(entry) is not LogEntry:
+            try:
+                entry = LogEntry.from_dict(message.payload)
+            except ValidationError:
+                self.malformed_messages_seen += 1
+                return
         self.store_entry(entry)
 
     def store_entry(self, entry: LogEntry) -> Optional[str]:
@@ -97,8 +110,9 @@ class LoggingInterface(Host):
         # Message deliveries arrive with the sender's context active;
         # direct calls re-join the decision trace via the correlation id.
         parent = tracer.current or tracer.context_for(entry.correlation_id)
-        span = tracer.begin("li.record_log", self.address, parent=parent,
-                            attrs={"entry_type": entry.entry_type})
+        span = tracer.begin(
+            "li.record_log", self.address, parent=parent, attrs={"entry_type": entry.entry_type}
+        )
         with tracer.activate(span.context):
             tx_id = self._store_entry(entry)
         tracer.end(span, "ok" if tx_id is not None else "rejected")
@@ -116,17 +130,11 @@ class LoggingInterface(Host):
         # One canonical encoding serves encryption and the hash commitment;
         # the synthetic nonce keeps runs reproducible under a fixed seed.
         payload_bytes = entry.canonical_payload()
-        ciphertext = key.encrypt(payload_bytes,
-                                 nonce=key.derive_nonce(payload_bytes))
-        self._seq += 1
+        ciphertext = key.encrypt(payload_bytes, nonce=key.derive_nonce(payload_bytes))
         args = {
-            "correlation_id": entry.correlation_id,
-            "entry_type": entry.entry_type,
+            **entry.envelope(),
             "payload_hash": entry.payload_hash(),
-            "tenant": entry.tenant,
-            "component": entry.component,
             "ciphertext": ciphertext.to_dict(),
-            "observed_at": entry.observed_at,
         }
         # Decision entries carry a policy provenance stamp; surface it in
         # the transaction so the contract can classify a conflicting
@@ -136,13 +144,7 @@ class LoggingInterface(Host):
         if fingerprint:
             args["policy_fingerprint"] = fingerprint
             args["policy_version"] = entry.payload.get("policy_version", 0)
-        tx = Transaction(
-            sender=self.address,
-            contract=CONTRACT_NAME,
-            method="record_log",
-            args=args,
-            seq=self._seq,
-        ).sign(self.keystore.signing_key)
+        tx = self._signed_tx("record_log", args)
         if not self.node.submit_transaction(tx):
             self.logs_rejected += 1
             return None
@@ -152,20 +154,25 @@ class LoggingInterface(Host):
         if tracer is not None:
             # Open until this LI observes the transaction final — the
             # "chain wait" hop of the decision's critical path.
-            tracer.open_span(("chain.commit", self.address, tx.tx_id),
-                             "chain.commit", self.address, category="chain")
+            tracer.open_span(
+                ("chain.commit", self.address, tx.tx_id),
+                "chain.commit",
+                self.address,
+                category="chain",
+            )
         return tx.tx_id
+
+    def _signed_tx(self, method: str, args: dict) -> Transaction:
+        """This LI's next call to the monitor contract, signed."""
+        self._seq += 1
+        tx = Transaction(
+            sender=self.address, contract=CONTRACT_NAME, method=method, args=args, seq=self._seq
+        )
+        return tx.sign(self.keystore.signing_key)
 
     def submit_tick(self) -> Optional[str]:
         """Submit a timeout-sweep transaction to the monitor contract."""
-        self._seq += 1
-        tx = Transaction(
-            sender=self.address,
-            contract=CONTRACT_NAME,
-            method="tick",
-            args={},
-            seq=self._seq,
-        ).sign(self.keystore.signing_key)
+        tx = self._signed_tx("tick", {})
         if not self.node.submit_transaction(tx):
             return None
         return tx.tx_id
@@ -174,8 +181,7 @@ class LoggingInterface(Host):
 
     def _check_commits(self) -> None:
         """On each new head, settle pending submissions that became final."""
-        done = [tx_id for tx_id in self._pending_commit
-                if self.node.chain.is_final(tx_id)]
+        done = [tx_id for tx_id in self._pending_commit if self.node.chain.is_final(tx_id)]
         tracer = self.network.telemetry
         for tx_id in done:
             submitted = self._pending_commit.pop(tx_id)
@@ -183,8 +189,7 @@ class LoggingInterface(Host):
             if tracer is not None:
                 # Non-strict: the span only exists for entries stored
                 # while tracing was attached.
-                tracer.close_span(("chain.commit", self.address, tx_id),
-                                  "final", strict=False)
+                tracer.close_span(("chain.commit", self.address, tx_id), "final", strict=False)
 
     # -- alert delivery --------------------------------------------------------------
 
@@ -202,10 +207,12 @@ class LoggingInterface(Host):
         tracer = self.network.telemetry
         if tracer is not None:
             tracer.instant(
-                "alert", self.address,
+                "alert",
+                self.address,
                 context=tracer.context_for(payload["correlation_id"]),
                 category="alert",
-                attrs={"alert_type": payload["alert_type"]})
+                attrs={"alert_type": payload["alert_type"]},
+            )
         alert = Alert(
             alert_type=AlertType(payload["alert_type"]),
             correlation_id=payload["correlation_id"],

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.common.errors import ValidationError
-from repro.common.serialization import canonical_bytes
+from repro.common.serialization import canonical_bytes, merged_length
 from repro.crypto.hashing import sha256_hex
 
 
@@ -54,10 +54,9 @@ class LogEntry:
     def canonical_payload(self) -> bytes:
         """Canonical payload encoding, frozen on first use.
 
-        The Logging Interface needs these bytes twice per entry — once for
-        encryption under the federation key, once for the hash commitment —
-        so the encoding is cached; the payload must not be mutated after
-        the first call.
+        The probe sizes its ``drams_log`` message around these bytes and the
+        Logging Interface encrypts and hash-commits them, so the encoding is
+        cached; the payload must not be mutated after the first call.
         """
         cached = getattr(self, "_payload_bytes_cache", None)
         if cached is None:
@@ -65,30 +64,37 @@ class LogEntry:
             self._payload_bytes_cache = cached
         return cached
 
-    def payload_hash(self) -> str:
-        """Hash commitment the contract uses for cross-probe matching."""
-        return sha256_hex(self.canonical_payload())
-
-    def to_dict(self) -> dict:
+    def envelope(self) -> dict:
+        """The wire form but ``payload``."""
         return {
             "correlation_id": self.correlation_id,
             "entry_type": self.entry_type,
             "tenant": self.tenant,
             "component": self.component,
-            "payload": self.payload,
             "observed_at": self.observed_at,
         }
 
+    def wire_size(self) -> int:
+        """``len(canonical_bytes(self.to_dict()))``, built around the canonical payload."""
+        wrapped = len('{"payload":}') + len(self.canonical_payload())
+        return merged_length(wrapped, len(canonical_bytes(self.envelope())))
+
+    def payload_hash(self) -> str:
+        """Hash commitment the contract uses for cross-probe matching."""
+        return sha256_hex(self.canonical_payload())
+
+    def to_dict(self) -> dict:
+        return {**self.envelope(), "payload": self.payload}
+
     @classmethod
     def from_dict(cls, data: dict) -> "LogEntry":
+        """Decode the wire form; any malformed input is a :class:`ValidationError`."""
         try:
-            return cls(
-                correlation_id=data["correlation_id"],
-                entry_type=data["entry_type"],
-                tenant=data["tenant"],
-                component=data["component"],
-                payload=dict(data["payload"]),
-                observed_at=float(data["observed_at"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed log entry: {exc}") from exc
+            names = [data[name] for name in ("correlation_id", "entry_type", "tenant", "component")]
+            if not (
+                all(isinstance(name, str) for name in names) and isinstance(data["payload"], dict)
+            ):
+                raise TypeError("a field of the wrong type")
+            return cls(*names, dict(data["payload"]), float(data["observed_at"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"malformed log entry: {exc!r}") from exc

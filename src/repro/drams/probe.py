@@ -28,8 +28,9 @@ from repro.simnet.network import Host
 class ProbeAgent:
     """One agent monitoring one component."""
 
-    def __init__(self, component_host: Host, tenant: str, component_id: str,
-                 li_address: str) -> None:
+    def __init__(
+        self, component_host: Host, tenant: str, component_id: str, li_address: str
+    ) -> None:
         self.component_host = component_host
         self.tenant = tenant
         self.component_id = component_id
@@ -38,8 +39,7 @@ class ProbeAgent:
         self.suppressed_types: set[str] = set()
         self.observations = 0
         self.detached = False
-        #: Undo closures the attach_* helpers register; ``detach()`` runs
-        #: them to unhook this agent from the component's probe points.
+        #: Undo closures :meth:`hook` registers and :meth:`detach` runs.
         self._detachers: list = []
 
     def detach(self) -> None:
@@ -60,6 +60,21 @@ class ProbeAgent:
             undo()
         self._detachers.clear()
 
+    def hook(self, requests: list, decisions: list, in_type: str, out_type: str) -> "ProbeAgent":
+        """Observe a component's request and decision hooks until :meth:`detach`."""
+
+        def on_request(request: AccessRequest) -> None:
+            self.observe(request.correlation(), in_type, request.semantic_payload())
+
+        def on_decision(request: AccessRequest, decision: AccessDecision) -> None:
+            self.observe(request.correlation(), out_type, decision.semantic_payload())
+
+        requests.append(on_request)
+        decisions.append(on_decision)
+        self._detachers.append(lambda: requests.remove(on_request))
+        self._detachers.append(lambda: decisions.remove(on_decision))
+        return self
+
     def observe(self, correlation_id: str, entry_type: str, payload: dict) -> None:
         """Record one monitoring point and ship it to the LI."""
         if self.suppressed or entry_type in self.suppressed_types:
@@ -76,52 +91,28 @@ class ProbeAgent:
             payload=payload,
             observed_at=self.component_host.local_now,
         )
-        self.component_host.send(self.li_address, "drams_log", entry.to_dict())
+        # The entry travels beside its wire form; the LI takes it as it is.
+        host = self.component_host
+        host.network.multicast(
+            host.address, [self.li_address], "drams_log", entry.to_dict(), decoded=entry
+        )
 
 
 def attach_pep_probes(pep: PolicyEnforcementPoint, li_address: str) -> ProbeAgent:
     """Wire an agent to a PEP's two monitoring points."""
-    agent = ProbeAgent(component_host=pep, tenant=pep.tenant_name,
-                       component_id=pep.address, li_address=li_address)
-
-    def on_request(request: AccessRequest) -> None:
-        agent.observe(request.correlation(), EntryType.PEP_IN,
-                      request.semantic_payload())
-
-    def on_enforce(request: AccessRequest, decision: AccessDecision) -> None:
-        agent.observe(request.correlation(), EntryType.PEP_OUT,
-                      decision.semantic_payload())
-
-    pep.on_request_intercepted.append(on_request)
-    pep.on_enforce.append(on_enforce)
-    agent._detachers.append(lambda: pep.on_request_intercepted.remove(on_request))
-    agent._detachers.append(lambda: pep.on_enforce.remove(on_enforce))
-    return agent
+    agent = ProbeAgent(pep, pep.tenant_name, pep.address, li_address)
+    hooks = (pep.on_request_intercepted, pep.on_enforce)
+    return agent.hook(*hooks, EntryType.PEP_IN, EntryType.PEP_OUT)
 
 
 def attach_pdp_probes(pdp_service: PdpService, tenant: str, li_address: str) -> ProbeAgent:
     """Wire an agent to the PDP's two monitoring points."""
-    agent = ProbeAgent(component_host=pdp_service, tenant=tenant,
-                       component_id=pdp_service.address, li_address=li_address)
-
-    def on_request(request: AccessRequest) -> None:
-        agent.observe(request.correlation(), EntryType.PDP_IN,
-                      request.semantic_payload())
-
-    def on_decision(request: AccessRequest, decision: AccessDecision) -> None:
-        agent.observe(request.correlation(), EntryType.PDP_OUT,
-                      decision.semantic_payload())
-
-    pdp_service.on_request_received.append(on_request)
-    pdp_service.on_decision.append(on_decision)
-    agent._detachers.append(
-        lambda: pdp_service.on_request_received.remove(on_request))
-    agent._detachers.append(lambda: pdp_service.on_decision.remove(on_decision))
-    return agent
+    agent = ProbeAgent(pdp_service, tenant, pdp_service.address, li_address)
+    hooks = (pdp_service.on_request_received, pdp_service.on_decision)
+    return agent.hook(*hooks, EntryType.PDP_IN, EntryType.PDP_OUT)
 
 
-def attach_plane_probes(plane: DecisionPlane, tenant: str,
-                        li_address: str) -> dict[str, ProbeAgent]:
+def attach_plane_probes(plane: DecisionPlane, tenant: str, li_address: str) -> dict[str, ProbeAgent]:
     """Wire agents to *every* evaluator replica behind a decision plane.
 
     Monitoring coverage must follow the plane: a sharded pool with an
@@ -133,8 +124,7 @@ def attach_plane_probes(plane: DecisionPlane, tenant: str,
     """
     services = plane.services
     if not services:
-        raise ValidationError(
-            "decision plane has no deployed evaluator services to probe")
+        raise ValidationError("decision plane has no deployed evaluator services to probe")
     agents: dict[str, ProbeAgent] = {}
     for index, service in enumerate(services):
         key = "pdp" if index == 0 else f"pdp:{index}"
@@ -142,8 +132,9 @@ def attach_plane_probes(plane: DecisionPlane, tenant: str,
     return agents
 
 
-def follow_plane_membership(plane: DecisionPlane, probes: dict[str, ProbeAgent],
-                            tenant: str, li_address: str) -> None:
+def follow_plane_membership(
+    plane: DecisionPlane, probes: dict[str, ProbeAgent], tenant: str, li_address: str
+) -> None:
     """Keep ``probes`` in lockstep with a plane's membership events.
 
     The one membership-to-coverage protocol both DRAMS and the
@@ -164,11 +155,11 @@ def follow_plane_membership(plane: DecisionPlane, probes: dict[str, ProbeAgent],
 
     def on_membership(event: str, service) -> None:
         if event in ("added", "restarted"):
-            if any(probe.component_host is service and not probe.detached
-                   for probe in probes.values()):
+            if any(
+                probe.component_host is service and not probe.detached for probe in probes.values()
+            ):
                 return
-            probes[f"pdp:{service.address}"] = attach_pdp_probes(
-                service, tenant, li_address)
+            probes[f"pdp:{service.address}"] = attach_pdp_probes(service, tenant, li_address)
         elif event in ("removed", "crashed"):
             for probe in probes.values():
                 if probe.component_host is service:

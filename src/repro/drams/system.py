@@ -455,6 +455,9 @@ class DramsSystem:
             "alerts_by_type": {t.value: self.alerts.count(t)
                                for t in AlertType if self.alerts.count(t)},
             "logs_submitted": sum(li.logs_submitted for li in self.interfaces.values()),
+            "malformed_messages_seen": {
+                li.address: li.malformed_messages_seen for li in self.interfaces.values()
+            },
             "analyser_checked": self.analyser.checked if self.analyser else 0,
             "policy_audit": {
                 "churn_observed": self.analyser.churn_observed if self.analyser else 0,

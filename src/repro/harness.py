@@ -407,6 +407,7 @@ class MonitoredFederation:
                     "timeouts": pep.timeouts,
                     "failovers": pep.failovers,
                     "churn_reroutes": pep.churn_reroutes,
+                    "malformed_messages_seen": pep.malformed_messages_seen,
                 }
                 for name, pep in sorted(peps.items())
             },

@@ -22,7 +22,7 @@ state; so is anything a detached host's surviving timers try to send.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
 from repro.common.errors import NetworkError
@@ -31,6 +31,10 @@ from repro.common.rng import SeededRng
 from repro.common.serialization import canonical_bytes
 from repro.simnet.latency import ConstantLatency, LatencyModel
 from repro.simnet.simulator import Simulator
+
+
+#: Flat envelope overhead charged per message on top of the payload.
+HEADER_BYTES = 64
 
 
 @dataclass
@@ -59,15 +63,16 @@ class Message:
     def size_bytes(self) -> int:
         """Wire size estimate — canonical encoding length plus header.
 
-        A payload is frozen once handed to :meth:`Network.send`, so it is
-        sized once, where it enters the network: the first message carrying
-        it encodes it, and the fabric hands that integer to every later
-        message carrying the same object (the rest of a
-        :meth:`Network.multicast` fan-out, each relay hop).
+        A payload is frozen once handed to :meth:`Network.send` and sized
+        once, where it enters the network: from the ``wire_size()`` of the
+        object it was built from, if it travels with one, else encoded here.
+        The fabric hands that integer to every later message carrying the
+        same object (the rest of a :meth:`Network.multicast` fan-out, each
+        relay hop).
         """
         size = getattr(self, "_size_cache", None)
         if size is None:
-            size = len(canonical_bytes(self.payload)) + 64
+            size = len(canonical_bytes(self.payload)) + HEADER_BYTES
             self._size_cache = size
         return size
 
@@ -293,13 +298,7 @@ class Network:
         fault.validate()
         self._link_faults[(src, dst)] = fault
         if symmetric:
-            reverse = LinkFault(
-                loss=loss,
-                duplicate=duplicate,
-                reorder_jitter=reorder_jitter,
-                extra_latency=extra_latency,
-            )
-            self._link_faults[(dst, src)] = reverse
+            self._link_faults[(dst, src)] = replace(fault)
         return fault
 
     def clear_link_fault(self, src: str, dst: str, symmetric: bool = False) -> None:
@@ -338,11 +337,8 @@ class Network:
             self.stats.dropped_dead += 1
             return None
         if msg_id is None:
-            message = Message(src=src, dst=dst, kind=kind, payload=payload, sent_at=self.sim.now)
-        else:
-            message = Message(
-                src=src, dst=dst, kind=kind, payload=payload, msg_id=msg_id, sent_at=self.sim.now
-            )
+            msg_id = new_id("msg")
+        message = Message(src, dst, kind, payload, msg_id=msg_id, sent_at=self.sim.now)
         if sized is not None and sized.payload is payload:
             size = message._size_cache = sized.size_bytes()
             message.decoded = sized.decoded
@@ -428,12 +424,15 @@ class Network:
 
         ``relayed`` is the message it arrived in, if the sender is passing it
         on; otherwise an envelope that is never sent (and mints no id) sizes it
-        and carries ``decoded``, the object the sender just built it from.
+        and carries ``decoded``, the object the sender just built it from,
+        whose ``wire_size()`` (if it has one) is the payload's encoded length.
         """
         sized = relayed
         if sized is None or sized.payload is not payload:
             sized = Message(src=src, dst="*", kind=kind, payload=payload, msg_id="")
             sized.decoded = decoded
+            if hasattr(decoded, "wire_size"):
+                sized._size_cache = decoded.wire_size() + HEADER_BYTES
         for dst in dsts:
             self.send(src, dst, kind, payload, sized=sized)
 

@@ -1,5 +1,6 @@
 """Cryptographic primitives: hashing, AEAD, signatures, keystore, TPM."""
 
+import hashlib
 import random
 
 import pytest
@@ -104,6 +105,24 @@ class TestSymmetric:
         key = SymmetricKey.generate(entropy=b"test")
         assert key.decrypt(key.encrypt(b"")) == b""
 
+    @given(
+        st.one_of(st.sampled_from([0, 1, 31, 32, 33]), st.integers(0, 300)).flatmap(
+            lambda n: st.binary(min_size=n, max_size=n)
+        ),
+        st.binary(min_size=16, max_size=16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_stream_xor_matches_the_bytewise_reference(self, plaintext, nonce):
+        key = SymmetricKey.generate(entropy=b"xor")
+        blocks = range(-(-len(plaintext) // 32))
+        stream = b"".join(
+            hashlib.sha256(key._enc_key + nonce + i.to_bytes(8, "big")).digest() for i in blocks
+        )
+        blob = key.encrypt(plaintext, nonce=nonce)
+        assert blob.ciphertext == bytes(p ^ s for p, s in zip(plaintext, stream))
+        assert len(blob.ciphertext) == len(plaintext)
+        assert key.decrypt(blob) == plaintext
+
 
 class TestSignatures:
     def test_sign_verify(self):
@@ -176,7 +195,11 @@ class TestFixedBaseTables:
         signatures._g_pow(1)
         self.KEY.public._y_pow(1)
         assert [len(signatures._G_TABLE), len(signatures._G_TABLE[0])] == [20, 256]
-        assert [len(self.KEY.public._fb_table), len(self.KEY.public._fb_table[0])] == [40, 16]
+        table = signatures._key_table(self.KEY.public.y)
+        assert [len(table), len(table[0])] == [40, 16]
+        # Shared by value: a key re-derived from the same seed finds the same table.
+        again = SigningKey.generate(b"fixed-base").public
+        assert again is not self.KEY.public and signatures._key_table(again.y) is table
 
     def test_signatures_match_a_pow_only_reference(self):
         rng = random.Random(200)

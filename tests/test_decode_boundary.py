@@ -10,24 +10,28 @@ and used as keys, so the same holds for a payload of the wrong shape.
 The replies a light client gets back (``bc_headers``, ``bc_proof``) come
 from a full node it does not trust: a malformed one is dropped and counted
 before any of the client's state is touched.  The policy-distribution
-hosts (``prp_publish``, ``prp_sync``, ``prp_pull``) and the PDP
-(``ac_request``) drop and count what does not decode the same way.  A
+hosts (``prp_publish``, ``prp_sync``, ``prp_pull``), the PDP
+(``ac_request``), the PEP (``ac_response``) and the Logging Interface
+(``drams_log``) drop and count what does not decode the same way.  A
 scenario spec read back with ``spec_from_json`` is held to the same rule
 as a wire decoder.
 """
 
+import functools
 import json
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.accesscontrol.messages import AccessRequest
+from repro.accesscontrol.messages import AccessDecision, AccessRequest
 from repro.accesscontrol.pdp_service import PdpService
 from repro.accesscontrol.plane import SinglePdpPlane
 from repro.accesscontrol.prp import PolicyRetrievalPoint, PolicyVersion
 from repro.blockchain.block import Block, BlockHeader
 from repro.blockchain.transaction import Transaction
 from repro.common.errors import ValidationError
+from repro.common.ids import reset_id_counter
+from repro.drams.logs import EntryType, LogEntry
 from repro.federation.federation import Federation, FederationConfig
 from repro.harness import MonitoredFederation
 from repro.lightclient.consumer import LightProbeConsumer
@@ -39,6 +43,7 @@ from repro.scenariogen.spec import ScenarioSpec, spec_from_json, spec_to_json
 from repro.simnet.network import Message
 from repro.workload.scenarios import healthcare_scenario
 from repro.xacml.parser import policy_to_dict
+from tests.conftest import fast_drams_config
 from tests.strategies import json_values, transactions
 from tests.test_elastic_plane import doctors_policy, request_with
 from tests.test_verify_once import alice_tx, build_cluster, gossip_message
@@ -508,6 +513,136 @@ class TestDecodeFuzz:
     @settings(max_examples=120, deadline=None)
     def test_probe_consumer_never_raises_and_keeps_its_state(self, payload):
         deliver_reply("bc_proof", payload)
+
+
+# -- the PEP's decisions and the Logging Interface's log entries ---------------------
+
+DECISION_DICT = AccessDecision(
+    "req-fuzz", "Permit", [{"id": "audit"}], policy_version=1, policy_fingerprint="f"
+).to_dict()
+ENTRY_DICT = LogEntry("c-1", EntryType.PEP_IN, "tenant-1", "pep", {"request_id": "r"}, 1.0).to_dict()
+MONITOR_DECODERS = {"ac_response": AccessDecision.from_dict, "drams_log": LogEntry.from_dict}
+GENUINE_MONITOR_MESSAGES = {"ac_response": DECISION_DICT, "drams_log": ENTRY_DICT}
+MONITOR_KINDS = sorted(MONITOR_DECODERS)
+MALFORMED_MONITOR_MESSAGES = {
+    "ac_response": [
+        {},
+        {**DECISION_DICT, "decided_at": "x"},
+        {**DECISION_DICT, "policy_version": float("inf")},
+        {**DECISION_DICT, "decision": None},
+        {**DECISION_DICT, "obligations": 5},
+        {**DECISION_DICT, "obligations": ["audit"]},
+    ],
+    "drams_log": [
+        {},
+        {**ENTRY_DICT, "observed_at": "x"},
+        {**ENTRY_DICT, "observed_at": 10**400},
+        {**ENTRY_DICT, "entry_type": "pep-sideways"},
+        {**ENTRY_DICT, "entry_type": ["pep-in"]},
+        {**ENTRY_DICT, "payload": [["request_id", "r"]]},
+    ],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def monitor_hosts():
+    """A monitored stack with no request in flight, its first PEP and that tenant's LI.
+
+    Shared by every case: a message that does not decode must leave it as
+    it was, a decision nobody waits for is dropped, and a log entry that
+    decodes is stored (which only the well-formed cases do).
+    """
+    reset_id_counter()
+    stack = MonitoredFederation.build(
+        healthcare_scenario(), clouds=2, seed=5, drams_config=fast_drams_config()
+    )
+    pep = next(iter(stack.peps.values()))
+    return stack, pep, stack.drams.interfaces[pep.tenant_name]
+
+
+def monitor_decodes(kind, payload):
+    try:
+        MONITOR_DECODERS[kind](payload)
+    except ValidationError:
+        return False
+    return True
+
+
+def monitor_state(stack, pep, li):
+    return (
+        len(pep.enforced),
+        sorted(pep._pending),
+        li.logs_submitted,
+        li.logs_rejected,
+        li._seq,
+        [tx.tx_id for tx in li.node.mempool.pending()],
+        stack.sim.pending_events,
+        stack.federation.network.stats.sent,
+    )
+
+
+def deliver_to_monitor(kind, payload):
+    """Hand one message to the PEP or the LI; returns whether it decoded."""
+    stack, pep, li = monitor_hosts()
+    host = pep if kind == "ac_response" else li
+    before, seen = monitor_state(stack, pep, li), host.malformed_messages_seen
+    well_formed = monitor_decodes(kind, payload)
+    message = Message(src=pep.address, dst=host.address, kind=kind, payload=payload, msg_id="fuzz")
+    host.receive(message)
+    if not well_formed or kind == "ac_response":
+        assert monitor_state(stack, pep, li) == before
+    assert host.malformed_messages_seen == seen + (0 if well_formed else 1)
+    return well_formed
+
+
+class TestMonitorReceive:
+    @pytest.mark.parametrize("kind", MONITOR_KINDS)
+    def test_decoders_raise_only_validation_error(self, kind):
+        malformed = [[], ["not", "an", "object"], "x", 7, None, *MALFORMED_MONITOR_MESSAGES[kind]]
+        for payload in malformed:
+            with pytest.raises(ValidationError):
+                MONITOR_DECODERS[kind](payload)
+
+    @pytest.mark.parametrize("kind", MONITOR_KINDS)
+    def test_host_drops_and_counts_a_malformed_message(self, kind):
+        for payload in [[], "x", None, *MALFORMED_MONITOR_MESSAGES[kind]]:
+            assert not deliver_to_monitor(kind, payload)
+
+    def test_genuine_messages_still_get_through(self):
+        for kind in MONITOR_KINDS:
+            assert deliver_to_monitor(kind, GENUINE_MONITOR_MESSAGES[kind])
+        assert AccessDecision.from_dict(DECISION_DICT).to_dict() == DECISION_DICT
+        assert LogEntry.from_dict(ENTRY_DICT).to_dict() == ENTRY_DICT
+
+    def test_malformed_messages_do_not_abort_the_run_and_are_reported(self):
+        reset_id_counter()
+        stack = MonitoredFederation.build(
+            healthcare_scenario(), clouds=2, seed=5, drams_config=fast_drams_config()
+        )
+        pep = next(iter(stack.peps.values()))
+        li = stack.drams.interfaces[pep.tenant_name]
+        stack.start()
+        stack.issue_requests(5, start_at=0.1)
+        network = stack.federation.network
+        stack.sim.schedule_at(0.2, lambda: network.send(pep.address, pep.address, "ac_response", {}))
+        stack.sim.schedule_at(0.2, lambda: network.send(pep.address, li.address, "drams_log", []))
+        stack.run(until=20.0)
+        assert len(stack.outcomes) == 5 and stack.drams.analyser.checked == 5
+        summary = stack.run_summary()
+        assert summary["peps"][pep.tenant_name]["malformed_messages_seen"] == 1
+        assert summary["drams"]["malformed_messages_seen"][li.address] == 1
+        assert summary["drams"]["logs_submitted"] == 4 * 5
+
+    @given(
+        st.sampled_from(MONITOR_KINDS),
+        st.one_of(
+            wire_values,
+            mutated(st.sampled_from([GENUINE_MONITOR_MESSAGES[kind] for kind in MONITOR_KINDS])),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_hosts_never_raise_and_keep_their_state(self, kind, payload):
+        deliver_to_monitor(kind, payload)
 
 
 def spec_decodes(text):

@@ -1,12 +1,13 @@
 """Verify once, size once, decode once.
 
 Every replica of a deployment shares one verified-set, and every gossip
-payload carries its wire size and the object it was built from.  These
-tests pin the two halves of that bargain: sharing is *sound* (a tampered
-copy, forged signature or substituted key misses the set on every node, a
-payload the carrier did not size is sized and decoded afresh, and nothing is
-shared across deployments) and the work really is done *once* (exact call
-counts on a whole monitored run, with every simulated byte still accounted
+payload and probe log entry carries the object it was built from, whose
+wire size is derived from encodings it already holds.  These tests pin the
+two halves of that bargain: sharing is *sound* (a tampered copy, forged
+signature or substituted key misses the set on every node, a payload the
+carrier did not size is sized and decoded afresh, and nothing is shared
+across deployments) and the work really is done *once* (exact call counts
+on a whole monitored run, with every simulated byte still accounted
 exactly).
 """
 
@@ -28,6 +29,7 @@ from repro.common import serialization
 from repro.common.ids import reset_id_counter
 from repro.common.rng import SeededRng
 from repro.crypto.signatures import Signature, SigningKey, VerifyingKey
+from repro.drams.logs import LogEntry
 from repro.harness import MonitoredFederation
 from repro.simnet import network as network_module
 from repro.simnet.latency import ConstantLatency
@@ -104,9 +106,9 @@ def off_the_wire(item):
 
 @pytest.fixture
 def decode_calls(monkeypatch):
-    """``Transaction.from_dict`` / ``Block.from_dict`` calls, counted from outside."""
+    """``from_dict`` calls of the gossiped and probed classes, counted from outside."""
     calls = Counter()
-    for cls in (Transaction, Block):
+    for cls in (Transaction, Block, LogEntry):
         real = cls.from_dict.__func__
 
         def counted(klass, data, real=real):
@@ -340,11 +342,17 @@ class TestWorkIsDoneOnce:
         assert all(verify_calls)
         assert len(verify_calls) == len(tx_ids) + len(block_hashes)
         # Each gossip payload object crosses ~3 links per node it reaches
-        # and is encoded for its wire size exactly once.
+        # and, like every probe's log entry, is never encoded for its wire
+        # size: the object it travels with derives it.  Only the messages
+        # that carry no such object are encoded, once each.
         payloads = {id(m.payload): m.payload for m in gossip}
         assert len(gossip) > 2 * len(payloads)
         encodings = Counter(id(value) for value in sized_payloads)
-        assert all(encodings[ident] == 1 for ident in payloads)
+        derived = [m for m in messages if m.kind in ("bc_tx", "bc_block", "drams_log")]
+        assert len(derived) > len(gossip) and not any(encodings[id(m.payload)] for m in derived)
+        others = [m for m in messages if m.kind not in ("bc_tx", "bc_block", "drams_log")]
+        assert others and all(encodings[id(m.payload)] == 1 for m in others)
+        assert len(sized_payloads) == len({id(m.payload) for m in others})
 
         # A second deployment in the same process shares nothing with the
         # first: it starts cold and pays for exactly the same checks.
@@ -366,8 +374,11 @@ class TestWorkIsDoneOnce:
         # Every gossip message carries the object its payload was built from…
         assert all(type(m.decoded) is (Transaction if m.kind == "bc_tx" else Block) for m in gossip)
         assert all(m.decoded.to_dict() == m.payload for m in gossip)
-        # …so no replica decodes anything (block requests, which do, need a fork).
+        # …so no replica decodes anything (block requests, which do, need a
+        # fork), and no Logging Interface decodes a probe's log entry.
         assert not decode_calls
+        logs = [m for m in messages if m.kind == "drams_log"]
+        assert len(logs) == 4 * 8 and all(type(m.decoded) is LogEntry for m in logs)
         # All four replicas hold the same objects, not equal copies (each
         # derives its own genesis).
         mined, *others = [node.chain.main_chain()[1:] for node in stack.drams.nodes.values()]
@@ -375,13 +386,21 @@ class TestWorkIsDoneOnce:
         assert len(applied) >= 4 * 8
         for chain in others:
             assert len(chain) == len(mined) and all(map(operator.is_, chain, mined))
-        # One encoding of each transaction's signed content and one of its
-        # args (the gas size) in the whole deployment, whoever asks first.
-        signed = Counter(value["tx_id"] for value in content_encodings if "tx_id" in value)
-        gas = Counter(id(value) for value in content_encodings if "tx_id" not in value)
+        # One encoding of each transaction's signed content in the whole
+        # deployment, whoever asks first.  ``args`` is never encoded on its
+        # own: the gas size is that encoding less the other signed fields,
+        # and the wire size is it merged with the unsigned ones, each of
+        # those small objects encoded once per transaction.
+        signed = Counter(value["tx_id"] for value in content_encodings if "args" in value)
+        gas = Counter(
+            value["tx_id"] for value in content_encodings if "tx_id" in value and "args" not in value
+        )
+        unsigned = [value for value in content_encodings if "tx_id" not in value]
         gossiped = {m.decoded.tx_id for m in gossip if m.kind == "bc_tx"}
         assert gossiped <= set(signed) and set(signed.values()) == {1}
-        assert {id(tx.args) for tx in applied} == set(gas) and set(gas.values()) == {1}
+        assert {tx.tx_id for tx in applied} == set(gas) and set(gas.values()) == {1}
+        assert all(set(value) == {"signature", "submitted_at"} for value in unsigned)
+        assert len(unsigned) == len(gossiped)
 
     def test_a_payload_from_outside_is_still_decoded_and_still_checked_by_content(
         self, decode_calls, verify_calls
