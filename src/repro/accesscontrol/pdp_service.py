@@ -37,9 +37,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
-from repro.common.errors import ValidationError
 from repro.simnet.network import Host, Message, Network
 from repro.xacml.context import RequestContext
 from repro.xacml.index import attribute_footprint
@@ -71,12 +71,17 @@ class PdpService(Host):
     #: versions (flip-flop churn, skewed replicas) are not.
     PDP_CACHE_SIZE = 8
 
-    def __init__(self, network: Network, address: str, prp: PolicyRetrievalPoint,
-                 base_processing_delay: float = 0.0005,
-                 per_rule_delay: float = 0.00001,
-                 decision_cache: Optional[DecisionCache] = None,
-                 use_decision_cache: bool = True,
-                 serialize_evaluations: bool = False) -> None:
+    def __init__(
+        self,
+        network: Network,
+        address: str,
+        prp: PolicyRetrievalPoint,
+        base_processing_delay: float = 0.0005,
+        per_rule_delay: float = 0.00001,
+        decision_cache: Optional[DecisionCache] = None,
+        use_decision_cache: bool = True,
+        serialize_evaluations: bool = False,
+    ) -> None:
         super().__init__(network, address)
         self.prp = prp
         self.base_processing_delay = base_processing_delay
@@ -100,8 +105,6 @@ class PdpService(Host):
         #: dying with its run queue.
         self.crashed = False
         self.crashes = 0
-        #: ``ac_request`` messages dropped because they did not decode.
-        self.malformed_messages_seen = 0
         self.evaluations_lost = 0
         self._epoch = 0
         self.on_request_received: list[RequestHook] = []
@@ -115,8 +118,7 @@ class PdpService(Host):
         self.decision_cache: Optional[DecisionCache] = None
         if use_decision_cache:
             # "or" would discard an *empty* shared cache (len() == 0 is falsy).
-            self.decision_cache = (decision_cache if decision_cache is not None
-                                   else DecisionCache())
+            self.decision_cache = decision_cache if decision_cache is not None else DecisionCache()
             self.decision_cache.bind(prp)
 
     # -- policy management -------------------------------------------------------
@@ -212,14 +214,7 @@ class PdpService(Host):
 
     # -- message handling -------------------------------------------------------
 
-    def receive(self, message: Message) -> None:
-        if message.kind != "ac_request":
-            return
-        try:
-            request = AccessRequest.from_dict(message.payload)
-        except ValidationError:
-            self.malformed_messages_seen += 1
-            return
+    def _handle_request(self, message: Message, request: AccessRequest) -> None:
         for hook in self.on_request_received:
             hook(request)
         # Compute the cache key once at receipt; the scheduled evaluation
@@ -246,14 +241,12 @@ class PdpService(Host):
             # closes it, a crash closes every open one for this shard.
             # open_span is idempotent, so a duplicated delivery re-finds
             # the live span instead of forking the trace.
-            tracer.open_span(
-                ("pdp.evaluate", self.address, request.request_id),
-                "pdp.evaluate", self.address,
-                attrs={"cache_hit": hit_expected})
-        self.sim.schedule(
-            delay,
-            lambda: self._evaluate_and_reply(request, message.src, keyed, epoch),
-            label=f"pdp-eval:{request.request_id}")
+            key = ("pdp.evaluate", self.address, request.request_id)
+            tracer.open_span(key, "pdp.evaluate", self.address, attrs={"cache_hit": hit_expected})
+        evaluate = partial(self._evaluate_and_reply, request, message.src, keyed, epoch)
+        self.sim.schedule(delay, evaluate, label=f"pdp-eval:{request.request_id}")
+
+    RECEIVES = {"ac_request": (AccessRequest, _handle_request)}
 
     def _request_key(self, request: AccessRequest) -> Optional[tuple[str, str]]:
         """``(fingerprint, cache key)`` for the active policy, if cacheable."""
@@ -263,12 +256,17 @@ class PdpService(Host):
             return None
         version, compiled = self._compiled_current()
         key = self.decision_cache.request_key(
-            version.fingerprint, request.content, compiled.footprint)
+            version.fingerprint, request.content, compiled.footprint
+        )
         return version.fingerprint, key
 
-    def _evaluate_and_reply(self, request: AccessRequest, reply_to: str,
-                            keyed: Optional[tuple[str, str]] = None,
-                            epoch: Optional[int] = None) -> None:
+    def _evaluate_and_reply(
+        self,
+        request: AccessRequest,
+        reply_to: str,
+        keyed: Optional[tuple[str, str]] = None,
+        epoch: Optional[int] = None,
+    ) -> None:
         if epoch is not None and epoch != self._epoch:
             # The process crashed after accepting this evaluation; the
             # event outlived it.  The loss was already accounted at crash
@@ -288,8 +286,9 @@ class PdpService(Host):
                 return
         self._serve(request, reply_to, keyed)
 
-    def _serve(self, request: AccessRequest, reply_to: str,
-               keyed: Optional[tuple[str, str]]) -> None:
+    def _serve(
+        self, request: AccessRequest, reply_to: str, keyed: Optional[tuple[str, str]]
+    ) -> None:
         self.requests_served += 1
         self.pending_evaluations -= 1
         payload, version = self._decide(request, keyed)
@@ -313,21 +312,16 @@ class PdpService(Host):
             hook(request, decision)
         self.send(reply_to, "ac_response", decision.to_dict())
 
-    def _decide(self, request: AccessRequest,
-                keyed: Optional[tuple[str, str]] = None
-                ) -> tuple[dict, Optional[PolicyVersion]]:
+    def _decide(
+        self, request: AccessRequest, keyed: Optional[tuple[str, str]] = None
+    ) -> tuple[dict, Optional[PolicyVersion]]:
         """Serialized response for ``request`` plus the policy version used:
         cached, indexed, or overridden."""
         if self.policy_override is not None:
             # Compromised evaluation path: never consult or feed the cache.
-            response = self.policy_override.evaluate(
-                RequestContext.from_dict(request.content))
+            response = self.policy_override.evaluate(RequestContext.from_dict(request.content))
             claimed = self.prp.current() if self.prp.version_count() else None
-            return {
-                "decision": response.decision.value,
-                "status_code": response.status_code,
-                "obligations": [ob.to_dict() for ob in response.obligations],
-            }, claimed
+            return _response_payload(response), claimed
         version, compiled = self._compiled_current()
         key = None
         if self.decision_cache is not None:
@@ -335,19 +329,24 @@ class PdpService(Host):
                 key = keyed[1]
             else:
                 key = self.decision_cache.request_key(
-                    version.fingerprint, request.content, compiled.footprint)
+                    version.fingerprint, request.content, compiled.footprint
+                )
             cached = self.decision_cache.get(key)
             if cached is not None:
                 return cached, version
         response = compiled.pdp.evaluate(RequestContext.from_dict(request.content))
-        payload = {
-            "decision": response.decision.value,
-            "status_code": response.status_code,
-            "obligations": [ob.to_dict() for ob in response.obligations],
-        }
+        payload = _response_payload(response)
         if key is not None:
             self.decision_cache.put(key, version.fingerprint, payload)
         return payload, version
+
+
+def _response_payload(response) -> dict:
+    return {
+        "decision": response.decision.value,
+        "status_code": response.status_code,
+        "obligations": [ob.to_dict() for ob in response.obligations],
+    }
 
 
 def _count_rules(document: dict) -> int:

@@ -184,7 +184,6 @@ class PolicyEnforcementPoint(Host):
         #: mid-attempt).  Kept apart from ``failovers`` so membership
         #: churn is never misread as shard faults.
         self.churn_reroutes = 0
-        self.malformed_messages_seen = 0
         self.on_request_intercepted: list[RequestHook] = []
         self.on_enforce: list[EnforceHook] = []
         self.forward_interceptor: Optional[ForwardInterceptor] = None
@@ -335,9 +334,7 @@ class PolicyEnforcementPoint(Host):
         )
         # Load-aware planes project in-flight work from real dispatches
         # (initial sends and failover retries alike), never from routing
-        # queries — this is the one place a send actually happens.  The
-        # tenant tag lets a gossiped load view charge the dispatch to
-        # this PEP's own picture of the shard queues.
+        # queries — this is the one place a send actually happens.
         self.plane.note_dispatch(endpoint)
         if attempt_span is not None:
             with tracer.activate(attempt_span.context):
@@ -347,14 +344,7 @@ class PolicyEnforcementPoint(Host):
 
     # -- message handling ----------------------------------------------------------
 
-    def receive(self, message: Message) -> None:
-        if message.kind != "ac_response":
-            return
-        try:
-            decision = AccessDecision.from_dict(message.payload)
-        except ValidationError:
-            self.malformed_messages_seen += 1
-            return
+    def _handle_response(self, message: Message, decision: AccessDecision) -> None:
         pending = self._pending.pop(decision.request_id, None)
         if pending is None:
             return  # duplicate or timed-out response
@@ -365,6 +355,8 @@ class PolicyEnforcementPoint(Host):
         if self.enforcement_interceptor is not None:
             decision = self.enforcement_interceptor(pending.request, decision)
         self._enforce(pending.request, decision, pending.callback, pending.requested_at)
+
+    RECEIVES = {"ac_response": (AccessDecision, _handle_response)}
 
     def _enforce(
         self,

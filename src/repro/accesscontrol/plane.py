@@ -185,9 +185,6 @@ class DecisionPlane:
             "requests_served": {
                 service.address: service.requests_served for service in self._services
             },
-            "malformed_messages_seen": {
-                service.address: service.malformed_messages_seen for service in self._services
-            },
             "caches": [cache.stats() for cache in self.caches()],
         }
 
@@ -513,17 +510,13 @@ class ShardedPdpPlane(DecisionPlane):
                 service.network.detach(service.address)
                 self._notify_membership("removed", service)
                 return
-            sim.schedule(
-                self.DRAIN_POLL_INTERVAL,
-                check_quiescent,
-                label=f"plane-drain:{service.address}",
-            )
+            poll()
 
-        sim.schedule(
-            self.DRAIN_POLL_INTERVAL,
-            check_quiescent,
-            label=f"plane-drain:{service.address}",
-        )
+        def poll() -> None:
+            label = f"plane-drain:{service.address}"
+            sim.schedule(self.DRAIN_POLL_INTERVAL, check_quiescent, label=label)
+
+        poll()
         return service
 
     def draining(self) -> list[PdpService]:

@@ -43,10 +43,16 @@ from repro.storage.database import DatabaseConfig, DatabaseStore
 class CentralizedMonitor(Host):
     """All-in-one log collector, matcher and analyser."""
 
-    def __init__(self, network: Network, address: str, prp: PolicyRetrievalPoint,
-                 rng: SeededRng, timeout_seconds: float = 10.0,
-                 sweep_interval: float = 2.0,
-                 db_config: Optional[DatabaseConfig] = None) -> None:
+    def __init__(
+        self,
+        network: Network,
+        address: str,
+        prp: PolicyRetrievalPoint,
+        rng: SeededRng,
+        timeout_seconds: float = 10.0,
+        sweep_interval: float = 2.0,
+        db_config: Optional[DatabaseConfig] = None,
+    ) -> None:
         super().__init__(network, address)
         self.prp = prp
         self.timeout_seconds = timeout_seconds
@@ -64,8 +70,7 @@ class CentralizedMonitor(Host):
 
     def start(self) -> None:
         if self._stop_sweep is None:
-            self._stop_sweep = self.sim.every(self.sweep_interval, self.sweep,
-                                              label="central-sweep")
+            self._stop_sweep = self.sim.every(self.sweep_interval, self.sweep, label="central-sweep")
 
     # -- compromise (the baseline's weak spot) -----------------------------------
 
@@ -76,57 +81,49 @@ class CentralizedMonitor(Host):
 
     # -- ingestion -------------------------------------------------------------------
 
-    def receive(self, message: Message) -> None:
-        if message.kind != "drams_log":
-            return
+    def _handle_log(self, message: Message, entry: LogEntry) -> None:
         if self.compromised:
             self.logs_discarded += 1
             return
-        entry = LogEntry.from_dict(message.payload)
         self.logs_received += 1
         self._ingest(entry)
 
+    RECEIVES = {"drams_log": (LogEntry, _handle_log)}
+
     def _ingest(self, entry: LogEntry) -> None:
-        record = self.records.setdefault(entry.correlation_id, {
-            "first_seen": self.sim.now,
-            "entries": {},
-            "alerted": set(),
-            "complete": False,
-        })
-        existing = record["entries"].get(entry.entry_type)
+        cid, entry_type = entry.correlation_id, entry.entry_type
+        fresh = {"first_seen": self.sim.now, "entries": {}, "alerted": set(), "complete": False}
+        record = self.records.setdefault(cid, fresh)
+        entries = record["entries"]
+        existing = entries.get(entry_type)
         payload_hash = entry.payload_hash()
         if existing is not None:
             if existing["payload_hash"] != payload_hash:
-                self._raise(record, AlertType.EQUIVOCATION, entry.correlation_id, {
-                    "entry_type": entry.entry_type})
+                self._raise(record, AlertType.EQUIVOCATION, cid, {"entry_type": entry_type})
             return
-        record["entries"][entry.entry_type] = {
+        entries[entry_type] = {
             "payload_hash": payload_hash,
             "payload": entry.payload,
             "component": entry.component,
         }
-        self.database.write(f"{entry.correlation_id}:{entry.entry_type}",
-                            entry.to_dict())
-        self._match_leg(record, entry.correlation_id, EntryType.REQUEST_LEG,
-                        AlertType.REQUEST_MISMATCH)
-        self._match_leg(record, entry.correlation_id, EntryType.DECISION_LEG,
-                        AlertType.DECISION_MISMATCH)
-        if entry.entry_type in (EntryType.PDP_OUT, EntryType.PDP_IN, EntryType.PEP_IN):
-            self._check_decision(record, entry.correlation_id)
-        entries = record["entries"]
+        self.database.write(f"{cid}:{entry_type}", entry.to_dict())
+        self._match_leg(record, cid, EntryType.REQUEST_LEG, AlertType.REQUEST_MISMATCH)
+        self._match_leg(record, cid, EntryType.DECISION_LEG, AlertType.DECISION_MISMATCH)
+        if entry_type in (EntryType.PDP_OUT, EntryType.PDP_IN, EntryType.PEP_IN):
+            self._check_decision(record, cid)
         if not record["complete"] and all(t in entries for t in EntryType.ALL):
             record["complete"] = True
 
     # -- matching ---------------------------------------------------------------------
 
-    def _match_leg(self, record: dict, correlation_id: str,
-                   leg: tuple[str, str], alert_type: AlertType) -> None:
+    def _match_leg(
+        self, record: dict, correlation_id: str, leg: tuple[str, str], alert_type: AlertType
+    ) -> None:
         first, second = leg
         entries = record["entries"]
         if first in entries and second in entries:
             if entries[first]["payload_hash"] != entries[second]["payload_hash"]:
-                self._raise(record, alert_type, correlation_id,
-                            {"leg": [first, second]})
+                self._raise(record, alert_type, correlation_id, {"leg": [first, second]})
 
     def _check_decision(self, record: dict, correlation_id: str) -> None:
         entries = record["entries"]
@@ -144,8 +141,8 @@ class CentralizedMonitor(Host):
         expected = oracle.expected_decision(request_entry["payload"]["content"])
         observed = decision_entry["payload"]["decision"]
         if expected != observed:
-            self._raise(record, AlertType.INCORRECT_DECISION, correlation_id, {
-                "expected": expected, "observed": observed})
+            details = {"expected": expected, "observed": observed}
+            self._raise(record, AlertType.INCORRECT_DECISION, correlation_id, details)
 
     def _current_oracle(self) -> Optional[DecisionOracle]:
         if self.prp.version_count() == 0:
@@ -168,8 +165,7 @@ class CentralizedMonitor(Host):
             if self.sim.now - record["first_seen"] >= self.timeout_seconds:
                 missing = [t for t in EntryType.ALL if t not in record["entries"]]
                 if missing:
-                    self._raise(record, AlertType.MISSING_LOG, correlation_id,
-                                {"missing": missing})
+                    self._raise(record, AlertType.MISSING_LOG, correlation_id, {"missing": missing})
                     flagged += 1
                 else:
                     record["alerted"].add(AlertType.MISSING_LOG.value)
@@ -177,26 +173,23 @@ class CentralizedMonitor(Host):
 
     # -- alerts -----------------------------------------------------------------------------
 
-    def _raise(self, record: dict, alert_type: AlertType, correlation_id: str,
-               details: dict) -> None:
+    def _raise(
+        self, record: dict, alert_type: AlertType, correlation_id: str, details: dict
+    ) -> None:
         if alert_type.value in record["alerted"]:
             return
         record["alerted"].add(alert_type.value)
-        self.alerts.publish(Alert(
-            alert_type=alert_type,
-            correlation_id=correlation_id,
-            details=details,
-            block_height=0,
-            raised_at=self.sim.now,
-        ))
+        alert = Alert(alert_type, correlation_id, details, block_height=0, raised_at=self.sim.now)
+        self.alerts.publish(alert)
 
 
-def attach_centralized_monitoring(federation: Federation,
-                                  plane: DecisionPlane,
-                                  peps: dict[str, PolicyEnforcementPoint],
-                                  prp: PolicyRetrievalPoint,
-                                  timeout_seconds: float = 10.0) -> tuple[
-                                      CentralizedMonitor, dict[str, ProbeAgent]]:
+def attach_centralized_monitoring(
+    federation: Federation,
+    plane: DecisionPlane,
+    peps: dict[str, PolicyEnforcementPoint],
+    prp: PolicyRetrievalPoint,
+    timeout_seconds: float = 10.0,
+) -> tuple[CentralizedMonitor, dict[str, ProbeAgent]]:
     """Deploy the baseline: one collector in the infrastructure tenant.
 
     Reuses the same probe implementation as DRAMS — only the destination
@@ -207,9 +200,10 @@ def attach_centralized_monitoring(federation: Federation,
     if not isinstance(plane, DecisionPlane):
         raise ValidationError(f"expected a DecisionPlane, got {type(plane).__name__}")
     infra = federation.infrastructure_tenant
+    address = infra.address("central-monitor")
     monitor = CentralizedMonitor(
-        federation.network, infra.address("central-monitor"), prp,
-        federation.rng, timeout_seconds=timeout_seconds)
+        federation.network, address, prp, federation.rng, timeout_seconds=timeout_seconds
+    )
     infra.register_host(monitor.address)
     probes: dict[str, ProbeAgent] = {}
     for tenant_name, pep in peps.items():

@@ -15,7 +15,7 @@ chain semantics are identical but the hash check is skipped.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.common.errors import ValidationError
 from repro.common.rng import SeededRng
@@ -33,19 +33,40 @@ from repro.blockchain.transaction import Transaction
 HeadListener = Callable[[Block], None]
 
 
+def _fields(payload: Any, **types: type) -> dict:
+    """``payload`` if it is an object whose fields named in ``types`` have those types.
+
+    Every field is optional (handlers default the absent ones); one present
+    with another type would raise where it is converted or used as a key.
+    """
+    if isinstance(payload, dict) and all(
+        isinstance(payload[name], kind) for name, kind in types.items() if name in payload
+    ):
+        return payload
+    raise ValidationError("malformed request: not an object, or a field of the wrong type")
+
+
 class BlockchainNode(Host):
     """A mining/validating peer."""
 
-    def __init__(self, network: Network, address: str, config: BlockchainConfig,
-                 registry: ContractRegistry, rng: SeededRng,
-                 key_lookup: Optional[KeyLookup] = None,
-                 signing_key: Optional[SigningKey] = None,
-                 hashrate: float = 1e6, mine: bool = True,
-                 verified: Optional[VerifiedSet] = None) -> None:
+    def __init__(
+        self,
+        network: Network,
+        address: str,
+        config: BlockchainConfig,
+        registry: ContractRegistry,
+        rng: SeededRng,
+        key_lookup: Optional[KeyLookup] = None,
+        signing_key: Optional[SigningKey] = None,
+        hashrate: float = 1e6,
+        mine: bool = True,
+        verified: Optional[VerifiedSet] = None,
+    ) -> None:
         super().__init__(network, address)
-        self.chain = Blockchain(config, registry, key_lookup=key_lookup,
-                                require_signatures=key_lookup is not None,
-                                verified=verified)
+        signed = key_lookup is not None
+        self.chain = Blockchain(
+            config, registry, key_lookup, require_signatures=signed, verified=verified
+        )
         self.mempool = Mempool()
         self.rng = rng.fork(f"node/{address}")
         self.signing_key = signing_key
@@ -54,8 +75,6 @@ class BlockchainNode(Host):
         self.peers: list[str] = []
         self.blocks_mined = 0
         self.invalid_blocks_seen = 0
-        #: Messages of any ``bc_*`` kind dropped at the decode boundary.
-        self.malformed_messages_seen = 0
         self._seen_txs: set[str] = set()
         self._seen_blocks: set[str] = {self.chain.genesis.hash}
         self._requested_parents: set[str] = set()
@@ -160,9 +179,13 @@ class BlockchainNode(Host):
         if accepted and tracer is not None and tracer.current is not None:
             # Only transactions submitted under an active trace get a
             # mempool span — sweeps and ticks stay untraced.
-            tracer.open_span(("chain.mempool", self.address, tx.tx_id),
-                             "chain.mempool", self.address, category="chain",
-                             attrs={"method": tx.method})
+            tracer.open_span(
+                ("chain.mempool", self.address, tx.tx_id),
+                "chain.mempool",
+                self.address,
+                category="chain",
+                attrs={"method": tx.method},
+            )
         if accepted and not self.crashed:
             self._gossip("bc_tx", tx)
         # While crashed the mempool acts as the LI's write-ahead journal:
@@ -171,8 +194,9 @@ class BlockchainNode(Host):
 
     # -- gossip ----------------------------------------------------------------
 
-    def _gossip(self, kind: str, item: Transaction | Block,
-                relayed: Optional[Message] = None) -> None:
+    def _gossip(
+        self, kind: str, item: Transaction | Block, relayed: Optional[Message] = None
+    ) -> None:
         """Flood ``item`` to every peer but the one it was ``relayed`` from.
 
         A relay passes on the wire payload it holds, sideband and all.
@@ -184,38 +208,11 @@ class BlockchainNode(Host):
         """
         source = relayed.src if relayed is not None else None
         payload = relayed.payload if relayed is not None else item.to_dict()
-        self.network.multicast(self.address, [p for p in self.peers if p != source],
-                               kind, payload, relayed=relayed, decoded=item)
+        peers = [p for p in self.peers if p != source]
+        self.network.multicast(self.address, peers, kind, payload, relayed=relayed, decoded=item)
 
-    def _decoded(self, message: Message, kind: type):
-        """The sideband if it is exactly a ``kind``, else the payload decoded; None if malformed."""
-        if type(message.decoded) is kind:
-            return message.decoded
-        try:
-            return kind.from_dict(message.payload)
-        except ValidationError:
-            self.malformed_messages_seen += 1
-            return None
-
-    def receive(self, message: Message) -> None:
-        if message.kind == "bc_tx":
-            self._handle_tx(message)
-        elif message.kind == "bc_block":
-            self._handle_block(message)
-        elif message.kind == "bc_block_request":
-            self._handle_block_request(message)
-        elif message.kind == "bc_head_request":
-            self._handle_head_request(message)
-        elif message.kind == "bc_head":
-            self._handle_head(message)
-        elif message.kind == "bc_header_sync":
-            self._handle_header_sync(message)
-        elif message.kind == "bc_proof_request":
-            self._handle_proof_request(message)
-
-    def _handle_tx(self, message: Message) -> None:
-        tx = self._decoded(message, Transaction)
-        if tx is None or tx.tx_id in self._seen_txs:
+    def _handle_tx(self, message: Message, tx: Transaction) -> None:
+        if tx.tx_id in self._seen_txs:
             return
         self._seen_txs.add(tx.tx_id)
         if not self.chain.validate_transaction(tx):
@@ -223,9 +220,8 @@ class BlockchainNode(Host):
         if self.mempool.add(tx):
             self._gossip("bc_tx", tx, relayed=message)
 
-    def _handle_block(self, message: Message) -> None:
-        block = self._decoded(message, Block)
-        if block is None or block.hash in self._seen_blocks:
+    def _handle_block(self, message: Message, block: Block) -> None:
+        if block.hash in self._seen_blocks:
             return
         self._seen_blocks.add(block.hash)
         if not self.chain.has_block(block.header.prev_hash):
@@ -235,39 +231,26 @@ class BlockchainNode(Host):
             self._seen_blocks.discard(block.hash)
             if block.header.prev_hash not in self._requested_parents:
                 self._requested_parents.add(block.header.prev_hash)
-                self.send(message.src, "bc_block_request",
-                          {"hash": block.header.prev_hash})
+                self.send(message.src, "bc_block_request", {"hash": block.header.prev_hash})
             return
         self._accept_block(block, relayed=message)
 
-    def _reject_malformed(self, message: Message, **fields: type) -> bool:
-        """True, and counted, unless the payload is a dict whose ``fields`` have these types.
+    def _decode_hash(self, payload: Any) -> str:
+        """``bc_block_request`` / ``bc_head``: the named block ("" if none)."""
+        return _fields(payload, hash=str).get("hash", "")
 
-        Every field is optional on the wire (handlers default the absent
-        ones); one that is present with another type would raise where it
-        is converted or used as a key, so the message is dropped instead.
-        """
-        payload = message.payload
-        if isinstance(payload, dict) and all(
-            isinstance(payload[name], kind) for name, kind in fields.items() if name in payload
-        ):
-            return False
-        self.malformed_messages_seen += 1
-        return True
-
-    def _handle_block_request(self, message: Message) -> None:
-        if self._reject_malformed(message, hash=str):
-            return
-        block = self.chain.get_block(message.payload.get("hash", ""))
+    def _handle_block_request(self, message: Message, block_hash: str) -> None:
+        block = self.chain.get_block(block_hash)
         if block is None:
             return
         self.send(message.src, "bc_block", block.to_dict())
 
-    def _handle_head_request(self, message: Message) -> None:
-        self.send(message.src, "bc_head",
-                  {"hash": self.chain.head.hash, "height": self.chain.height})
+    def _handle_head_request(self, message: Message, _payload: None) -> None:
+        self.send(
+            message.src, "bc_head", {"hash": self.chain.head.hash, "height": self.chain.height}
+        )
 
-    def _handle_head(self, message: Message) -> None:
+    def _handle_head(self, message: Message, head_hash: str) -> None:
         """A peer's head, answering our rejoin handshake.
 
         If we already hold it, we were never behind (or backfill has
@@ -275,10 +258,7 @@ class BlockchainNode(Host):
         ordinary parent-request path: the peer returns the head block,
         whose missing ancestry the orphan machinery walks hop by hop.
         """
-        if self._reject_malformed(message, hash=str) or not self._syncing:
-            return
-        head_hash = message.payload.get("hash", "")
-        if not head_hash:
+        if not self._syncing or not head_hash:
             return
         if self.chain.has_block(head_hash):
             self._finish_sync()
@@ -290,28 +270,33 @@ class BlockchainNode(Host):
 
     # -- light-client service --------------------------------------------------
 
-    def _handle_header_sync(self, message: Message) -> None:
+    def _decode_header_sync(self, payload: Any) -> tuple[list[str], int]:
+        request = _fields(payload, locator=list, limit=int)
+        return [str(h) for h in request.get("locator", [])], request.get("limit", 64)
+
+    def _handle_header_sync(self, message: Message, request: tuple[list[str], int]) -> None:
         """Serve a light client's locator with main-chain headers.
 
         The reply carries the headers above the highest locator hash still
         on our main chain plus our tip coordinates, so the client knows
         whether another round is needed (``limit`` bounds each reply).
         """
-        if self._reject_malformed(message, locator=list, limit=int):
-            return
-        locator = [str(h) for h in message.payload.get("locator", [])]
-        limit = message.payload.get("limit", 64)
+        locator, limit = request
         headers = self.chain.headers_after(locator, max(1, min(limit, 512)))
         self.header_syncs_served += 1
         # The reply id is derived from the request id: light-client service
         # traffic must not advance the global id counter (see Host.send).
-        self.send(message.src, "bc_headers", {
+        reply = {
             "headers": [header.to_dict() for header in headers],
             "tip_hash": self.chain.head.hash,
             "tip_height": self.chain.height,
-        }, msg_id=f"{message.msg_id}#headers")
+        }
+        self.send(message.src, "bc_headers", reply, msg_id=f"{message.msg_id}#headers")
 
-    def _handle_proof_request(self, message: Message) -> None:
+    def _decode_proof_request(self, payload: Any) -> dict:
+        return _fields(payload, request_id=str, tx_id=str, correlation_id=str, entry_type=str)
+
+    def _handle_proof_request(self, message: Message, payload: dict) -> None:
         """Serve an inclusion proof (plus the proven transaction).
 
         The client re-derives everything it trusts — the reply is pure
@@ -320,11 +305,6 @@ class BlockchainNode(Host):
         node cannot resolve gets ``found: False`` with the request echo so
         the client can stop waiting.
         """
-        if self._reject_malformed(
-            message, request_id=str, tx_id=str, correlation_id=str, entry_type=str
-        ):
-            return
-        payload = message.payload
         reply: dict = {"request_id": payload.get("request_id"), "found": False}
         tx_id = payload.get("tx_id")
         if not tx_id and self.tx_resolver is not None:
@@ -335,16 +315,26 @@ class BlockchainNode(Host):
             block = self.chain.get_block(location.block_hash)
             for tx in block.transactions:
                 if tx.tx_id == tx_id:
-                    reply.update({
-                        "found": True,
-                        "tx": tx.to_dict(),
-                        "proof": proof.to_dict(),
-                        "tree_size": len(block.transactions),
-                        "header": block.header.to_dict(),
-                    })
+                    reply.update(
+                        found=True,
+                        tx=tx.to_dict(),
+                        proof=proof.to_dict(),
+                        tree_size=len(block.transactions),
+                        header=block.header.to_dict(),
+                    )
                     self.proofs_served += 1
                     break
         self.send(message.src, "bc_proof", reply, msg_id=f"{message.msg_id}#proof")
+
+    RECEIVES = {
+        "bc_tx": (Transaction, _handle_tx),
+        "bc_block": (Block, _handle_block),
+        "bc_block_request": (_decode_hash, _handle_block_request),
+        "bc_head_request": (lambda _node, _payload: None, _handle_head_request),
+        "bc_head": (_decode_hash, _handle_head),
+        "bc_header_sync": (_decode_header_sync, _handle_header_sync),
+        "bc_proof_request": (_decode_proof_request, _handle_proof_request),
+    }
 
     def _finish_sync(self) -> None:
         self._syncing = False
@@ -365,19 +355,18 @@ class BlockchainNode(Host):
         if tracer is not None:
             # Non-strict: every block closes spans for its own txs only —
             # most were submitted at other nodes or outside any trace.
+            attrs = {"height": block.header.height}
             for tx in block.transactions:
-                tracer.close_span(("chain.mempool", self.address, tx.tx_id),
-                                  "included",
-                                  attrs={"height": block.header.height},
-                                  strict=False)
+                key = ("chain.mempool", self.address, tx.tx_id)
+                tracer.close_span(key, "included", attrs=attrs, strict=False)
         self._gossip("bc_block", block, relayed=relayed)
         # Reconnect any orphan waiting on this block.
         child = self._orphans.pop(block.hash, None)
         if child is not None and child.hash not in self._seen_blocks:
             self._seen_blocks.add(child.hash)
             self._accept_block(child)
-        if self._syncing and self._sync_target is not None and \
-                self.chain.has_block(self._sync_target):
+        target = self._sync_target
+        if self._syncing and target is not None and self.chain.has_block(target):
             # Rejoin backfill reached the peer head we were chasing.
             self._finish_sync()
         if self.chain.head.hash != old_head:
@@ -409,8 +398,7 @@ class BlockchainNode(Host):
         if rate <= 0:
             return
         delay = self.rng.expovariate(rate)
-        self._mine_event = self.sim.schedule(delay, self._mine_block,
-                                             label=f"mine:{self.address}")
+        self._mine_event = self.sim.schedule(delay, self._mine_block, label=f"mine:{self.address}")
 
     def _mine_block(self) -> None:
         self._mine_event = None

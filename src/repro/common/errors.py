@@ -33,7 +33,3 @@ class NetworkError(ReproError):
 
 class PolicyError(ReproError):
     """An access control policy is malformed or cannot be evaluated."""
-
-
-class MonitoringError(ReproError):
-    """A DRAMS monitoring component detected an internal inconsistency."""

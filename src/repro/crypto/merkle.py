@@ -84,10 +84,15 @@ class MerkleProof:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MerkleProof":
-        path = tuple((sibling, bool(is_right)) for sibling, is_right in data["path"])
-        if not all(isinstance(digest, str) for digest in (data["leaf"], *(s for s, _ in path))):
-            raise TypeError("leaf and siblings must be strings")  # verify() hashes them
-        return cls(leaf_index=int(data["leaf_index"]), leaf=data["leaf"], path=path)
+        """Raises :class:`ValidationError`, and nothing else, for a malformed proof."""
+        try:
+            path = tuple((sibling, bool(is_right)) for sibling, is_right in data["path"])
+            leaf, leaf_index = data["leaf"], int(data["leaf_index"])
+            if not all(isinstance(digest, str) for digest in (leaf, *(s for s, _ in path))):
+                raise TypeError("leaf and siblings must be strings")  # verify() hashes them
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"malformed Merkle proof: {exc!r}") from exc
+        return cls(leaf_index=leaf_index, leaf=leaf, path=path)
 
 
 class MerkleTree:

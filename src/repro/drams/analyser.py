@@ -76,7 +76,7 @@ from repro.drams.contract import (
 )
 from repro.drams.logs import EntryType
 from repro.accesscontrol.prp import PolicyRetrievalPoint, PolicyVersion
-from repro.simnet.network import Host, Message, Network
+from repro.simnet.network import Host, Network
 
 
 class Analyser(Host):
@@ -160,9 +160,6 @@ class Analyser(Host):
         return in_force
 
     # -- event-driven checking ---------------------------------------------------
-
-    def receive(self, message: Message) -> None:  # pragma: no cover - no direct msgs
-        return
 
     def _on_contract_event(self, event: ContractEvent, block_hash: str) -> None:
         if event.contract != CONTRACT_NAME:

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 from repro.blockchain.contracts import ContractEvent
 from repro.blockchain.node import BlockchainNode
 from repro.blockchain.transaction import Transaction
-from repro.common.errors import CryptoError, ValidationError
+from repro.common.errors import CryptoError
 from repro.common.serialization import from_json
 from repro.crypto.keystore import KeyStore
 from repro.crypto.signatures import SigningKey
@@ -66,7 +66,6 @@ class LoggingInterface(Host):
         self.logs_submitted = 0
         self.logs_rejected = 0
         self.key_failures = 0
-        self.malformed_messages_seen = 0
         self._seq = 0
         self._seen_alerts: set[tuple[str, str]] = set()
         self._pending_commit: dict[str, float] = {}
@@ -90,17 +89,10 @@ class LoggingInterface(Host):
 
     # -- log ingestion ------------------------------------------------------------
 
-    def receive(self, message: Message) -> None:
-        if message.kind != "drams_log":
-            return
-        entry = message.decoded
-        if type(entry) is not LogEntry:
-            try:
-                entry = LogEntry.from_dict(message.payload)
-            except ValidationError:
-                self.malformed_messages_seen += 1
-                return
+    def _handle_log(self, message: Message, entry: LogEntry) -> None:
         self.store_entry(entry)
+
+    RECEIVES = {"drams_log": (LogEntry, _handle_log)}
 
     def store_entry(self, entry: LogEntry) -> Optional[str]:
         """Encrypt, commit and submit a log entry; returns the tx id."""

@@ -36,6 +36,7 @@ Kinds:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
@@ -52,6 +53,7 @@ FAULT_KINDS = (
 
 _GROUP_KINDS = ("partition", "link_degrade", "latency_spike")
 _TARGET_KINDS = ("crash", "restart", "clock_skew")
+_NUMBER_FIELDS = ("at", "until", "loss", "duplicate", "reorder", "extra_latency", "skew")
 
 
 @dataclass(frozen=True)
@@ -134,6 +136,13 @@ class FaultEvent:
                 f"unknown fault event field(s): {sorted(unknown)} (known: {sorted(known)})")
         if "kind" not in data or "at" not in data:
             raise ValidationError("fault event needs 'kind' and 'at'")
+        for key in _NUMBER_FIELDS:
+            value = data.get(key, 0.0)
+            finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
+            if not (finite or key == "until" and value is None):
+                raise ValidationError(f"{key} must be a finite number, got {value!r:.40}")
+        if not isinstance(data.get("symmetric", True), bool):
+            raise ValidationError("symmetric must be true or false")
         coerced = dict(data)
         for key in ("targets", "group_a", "group_b"):
             if key in coerced:

@@ -382,7 +382,8 @@ class MonitoredFederation:
         not; ``p50`` / ``p95`` join them when every outcome was recorded.
         The ``network`` block is :class:`~repro.simnet.network.
         NetworkStats` (message and wire-byte totals, drops including
-        ``dropped_dead``, per-kind traffic); ``plane`` and
+        ``dropped_dead``, per-kind traffic, and the messages each host
+        dropped as malformed, by address and kind); ``plane`` and
         ``policy_plane`` are each plane's ``describe()`` and ``stats()``;
         ``peps`` is per enforcement point.  DRAMS' ``stats()`` tree and,
         with telemetry attached, the tracer's span counters ride along.
@@ -407,7 +408,6 @@ class MonitoredFederation:
                     "timeouts": pep.timeouts,
                     "failovers": pep.failovers,
                     "churn_reroutes": pep.churn_reroutes,
-                    "malformed_messages_seen": pep.malformed_messages_seen,
                 }
                 for name, pep in sorted(peps.items())
             },

@@ -17,13 +17,10 @@ recovers, which is exactly what the E16 chaos arm pins.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 from repro.accesscontrol.pep import PolicyEnforcementPoint
-from repro.blockchain.block import BlockHeader
-from repro.blockchain.transaction import Transaction
 from repro.common.errors import ValidationError
-from repro.crypto.merkle import MerkleProof
 from repro.crypto.symmetric import SymmetricKey
 from repro.drams.logs import EntryType
 from repro.lightclient.headers import HeaderClient
@@ -59,9 +56,6 @@ class LightProbeConsumer(SidebandHost):
         self.receipts_requested = 0
         self.receipts_accepted = 0
         self.receipts_rejected = 0
-        #: ``bc_proof`` replies dropped at the decode boundary: not an
-        #: object, or naming their request with anything but a string.
-        self.malformed_messages_seen = 0
         #: ``(correlation_id, reason)`` for every rejection (bench audit).
         self.rejections: list[tuple[str, str]] = []
         #: Hash evaluations spent verifying receipts (excludes the header
@@ -125,32 +119,29 @@ class LightProbeConsumer(SidebandHost):
             "entry_type": self.entry_type,
         })
 
-    def receive(self, message: Message) -> None:
-        if message.kind != "bc_proof":
-            return
-        payload = message.payload
-        correlation_id = payload.get("request_id", "") if isinstance(payload, dict) else None
-        if not isinstance(correlation_id, str):
-            self.malformed_messages_seen += 1
-            return
+    def _decode_proof(self, payload: Any) -> dict:
+        """The envelope only; evidence that does not decode rejects its receipt instead."""
+        if isinstance(payload, dict) and isinstance(payload.get("request_id", ""), str):
+            return payload
+        raise ValidationError("bc_proof reply is not an object naming its request")
+
+    def _handle_proof(self, message: Message, payload: dict) -> None:
+        correlation_id = payload.get("request_id", "")
         if not correlation_id or correlation_id not in self._awaiting:
             return
         if not payload.get("found"):
             return  # not mined yet; the sweep retries
         try:
-            receipt = DecisionReceipt(
-                correlation_id=correlation_id,
-                entry_type=self.entry_type,
-                tx=Transaction.from_dict(payload["tx"]),
-                proof=MerkleProof.from_dict(payload["proof"]),
-                header=BlockHeader.from_dict(payload["header"]),
-                tree_size=int(payload["tree_size"]),
+            receipt = DecisionReceipt.from_dict(
+                {**payload, "correlation_id": correlation_id, "entry_type": self.entry_type}
             )
-        except (KeyError, TypeError, ValueError, OverflowError, ValidationError):
+        except ValidationError:
             self._reject(correlation_id, "malformed-proof-reply")
             return
         self._awaiting.pop(correlation_id, None)
         self._verify(correlation_id, receipt)
+
+    RECEIVES = {"bc_proof": (_decode_proof, _handle_proof)}
 
     def _verify(self, correlation_id: str, receipt: DecisionReceipt) -> None:
         trusted = self.header_client.header_for(receipt.block_hash)
@@ -197,7 +188,6 @@ class LightProbeConsumer(SidebandHost):
             "accepted": self.receipts_accepted,
             "rejected": self.receipts_rejected,
             "outstanding": self.outstanding,
-            "malformed_messages_seen": self.malformed_messages_seen,
             "hashes_verified": self.hashes_verified,
             "headers_validated": self.header_client.headers_validated,
             "header_height": self.header_client.height,

@@ -25,7 +25,7 @@ availability.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 from repro.blockchain.block import BlockHeader, make_genesis
 from repro.blockchain.config import BlockchainConfig
@@ -60,8 +60,6 @@ class HeaderClient(SidebandHost):
         self._work: dict[str, float] = {genesis.hash: 0.0}
         self.headers_validated = 0
         self.headers_rejected = 0
-        #: ``bc_headers`` replies dropped at the decode boundary.
-        self.malformed_messages_seen = 0
         #: Cryptographic hash evaluations spent on validation — the cost
         #: metric the E16 bench compares against full-node replay.
         self.hashes_verified = 0
@@ -129,26 +127,26 @@ class HeaderClient(SidebandHost):
         self.send(self.server, "bc_header_sync",
                   {"locator": self.locator(), "limit": self.BATCH})
 
-    def receive(self, message: Message) -> None:
-        if message.kind != "bc_headers":
-            return
-        payload = message.payload
+    def _decode_headers(self, payload: Any) -> tuple[list[BlockHeader], int]:
+        """The whole reply: one that is malformed must not even release the in-flight guard."""
         try:
-            # Decode everything before touching any state: a malformed
-            # reply must not even release the in-flight guard.
             if not isinstance(payload, dict):
                 raise TypeError("header reply must be an object")
             batch = [BlockHeader.from_dict(data) for data in payload.get("headers", [])]
-            tip_height = int(payload.get("tip_height", 0))
-        except (TypeError, ValueError, OverflowError, ValidationError):
-            self.malformed_messages_seen += 1
-            return
+            return batch, int(payload.get("tip_height", 0))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"malformed header reply: {exc}") from exc
+
+    def _handle_headers(self, message: Message, reply: tuple[list[BlockHeader], int]) -> None:
+        batch, tip_height = reply
         self._inflight = False
         self._inflight_stalls = 0
         accepted = self._ingest(batch)
         if accepted and tip_height > self.height:
             # Page until we reach the tip the server advertised.
             self.sync()
+
+    RECEIVES = {"bc_headers": (_decode_headers, _handle_headers)}
 
     # -- validation ------------------------------------------------------------
 

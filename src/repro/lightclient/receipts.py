@@ -154,16 +154,20 @@ class DecisionReceipt:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionReceipt":
+        """Raises :class:`ValidationError`, and nothing else, for a malformed receipt."""
         try:
+            correlation_id, entry_type = data["correlation_id"], data["entry_type"]
+            if not (isinstance(correlation_id, str) and isinstance(entry_type, str)):
+                raise TypeError("correlation_id and entry_type must be strings")
             return cls(
-                correlation_id=data["correlation_id"],
-                entry_type=data["entry_type"],
+                correlation_id=correlation_id,
+                entry_type=entry_type,
                 tx=Transaction.from_dict(data["tx"]),
                 proof=MerkleProof.from_dict(data["proof"]),
                 header=BlockHeader.from_dict(data["header"]),
                 tree_size=int(data["tree_size"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed decision receipt: {exc}") from exc
 
 

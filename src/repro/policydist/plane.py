@@ -33,7 +33,7 @@ the source of truth.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.accesscontrol.prp import PolicyRetrievalPoint, PolicyVersion
 from repro.common.errors import ValidationError
@@ -120,27 +120,23 @@ class SingleStorePlane(PolicyDistributionPlane):
 
 
 class _PrpOriginHost(Host):
-    """The authority's network face: fans publishes out, serves pulls.
-
-    A pull without a non-negative integer for this origin is dropped and
-    counted in ``malformed_messages_seen``."""
+    """The authority's network face: fans publishes out, serves pulls."""
 
     def __init__(self, plane: "ReplicatedPrpPlane", address: str) -> None:
         super().__init__(plane._federation.network, address)
         self.plane = plane
         self.pulls_served = 0
         self.sync_records_sent = 0
-        self.malformed_messages_seen = 0
 
-    def receive(self, message: Message) -> None:
-        if message.kind != "prp_pull":
-            return
-        payload = message.payload
+    def _decode_pull(self, payload: Any) -> int:
+        """The versions the puller holds of this origin's history."""
         vector = payload.get("vector", {}) if isinstance(payload, dict) else None
         have = vector.get(self.address, 0) if isinstance(vector, dict) else None
         if type(have) is not int or have < 0:
-            self.malformed_messages_seen += 1
-            return
+            raise ValidationError("prp_pull needs a non-negative integer for this origin")
+        return have
+
+    def _handle_pull(self, message: Message, have: int) -> None:
         missing = self.plane.authority.history()[have:]
         if not missing:
             return
@@ -152,13 +148,15 @@ class _PrpOriginHost(Host):
             {"records": [version.to_record() for version in missing]},
         )
 
+    RECEIVES = {"prp_pull": (_decode_pull, _handle_pull)}
+
 
 class _PrpReplicaHost(Host):
     """One replica's network face: applies publishes and sync batches.
 
-    Every record is decoded before any is applied; a message that does
-    not decode, or a record that fails its fingerprint check (which drops
-    the rest of its batch), is counted in ``malformed_messages_seen``."""
+    Every record is decoded before any is applied; a record that fails its
+    fingerprint check drops the rest of its batch, and the message is
+    counted malformed like one that does not decode."""
 
     def __init__(self, plane: "ReplicatedPrpPlane", address: str, replica: PrpReplica) -> None:
         super().__init__(plane._federation.network, address)
@@ -167,25 +165,26 @@ class _PrpReplicaHost(Host):
         #: Fault-plane crash state: while crashed the host is off the
         #: network and its anti-entropy timer (which keeps firing) no-ops.
         self.crashed = False
-        self.malformed_messages_seen = 0
 
-    def receive(self, message: Message) -> None:
-        payload = message.payload if isinstance(message.payload, dict) else {}
-        if message.kind == "prp_publish":
-            records = [payload.get("record")]
-        elif message.kind == "prp_sync":
-            records = payload.get("records")
-        else:
-            return
+    def _decode_sync(self, payload: Any) -> list:
+        """Every record, each well formed (:func:`check_record`); none is applied yet."""
+        records = payload.get("records") if isinstance(payload, dict) else None
+        if not isinstance(records, list):
+            raise ValidationError("policy records are not a list")
+        for record in records:
+            check_record(record)
+        return records
+
+    def _decode_publish(self, payload: Any) -> list:
+        records = [payload.get("record")] if isinstance(payload, dict) else None
+        return self._decode_sync({"records": records})
+
+    def _handle_records(self, message: Message, records: list) -> None:
         try:
-            if not isinstance(records, list):
-                raise ValidationError("prp_sync records is not a list")
-            for record in records:
-                check_record(record)
             for record in records:
                 self.replica.apply_record(record)
         except ValidationError:
-            self.malformed_messages_seen += 1
+            self.network.stats.malformed[self.address, message.kind] += 1
             return
         tracer = self.network.telemetry
         if tracer is not None:
@@ -194,6 +193,11 @@ class _PrpReplicaHost(Host):
             tracer.instant("prp.apply", self.address, category="policy",
                            attrs={"kind": message.kind,
                                   "versions": self.replica.version_count()})
+
+    RECEIVES = {
+        "prp_publish": (_decode_publish, _handle_records),
+        "prp_sync": (_decode_sync, _handle_records),
+    }
 
     def pull(self) -> None:
         """Anti-entropy: ask the origin for everything past our vector."""
@@ -397,10 +401,6 @@ class ReplicatedPrpPlane(PolicyDistributionPlane):
             "publishes_sent": self.publishes_sent,
             "pulls_served": self._origin.pulls_served,
             "sync_records_sent": self._origin.sync_records_sent,
-            "malformed_messages_seen": {
-                host.address: host.malformed_messages_seen
-                for host in [self._origin, *self._hosts.values()]
-            },
             "replicas": {
                 consumer: host.replica.stats()
                 for consumer, host in sorted(self._hosts.items())

@@ -8,8 +8,10 @@ latency) and probabilistic drops, which the threat experiments and the
 fault-injection plane (:mod:`repro.faults`) use to model degraded
 federations.
 
-Messages are delivered by invoking ``host.receive(message)``; components
-subclass :class:`Host` (or compose one) and dispatch on ``message.kind``.
+Messages are delivered by invoking ``host.receive(message)``, the one decode
+path: a :class:`Host` subclass declares the kinds it takes (:attr:`Host.RECEIVES`),
+and :meth:`Host.receive` decodes each message for its kind's handler, or drops
+it and counts it in ``NetworkStats.malformed`` by destination and kind.
 
 Crash safety: every ``attach`` bumps an *incarnation* counter for the
 address, and a delivery only lands if the destination still runs the
@@ -22,10 +24,11 @@ state; so is anything a detached host's surviving timers try to send.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Optional
+from typing import Any, Callable, ClassVar, Optional
 
-from repro.common.errors import NetworkError
+from repro.common.errors import NetworkError, ValidationError
 from repro.common.ids import new_id
 from repro.common.rng import SeededRng
 from repro.common.serialization import canonical_bytes
@@ -94,8 +97,14 @@ class NetworkStats:
     #: Sends by message kind — the per-protocol traffic breakdown the
     #: harness run summaries surface.
     by_kind: dict = field(default_factory=dict)
+    #: Delivered messages their host dropped because they did not decode,
+    #: by ``(destination address, kind)``.
+    malformed: Counter = field(default_factory=Counter)
 
     def snapshot(self) -> dict:
+        malformed: dict = {}
+        for (address, kind), count in sorted(self.malformed.items()):
+            malformed.setdefault(address, {})[kind] = count
         return {
             "sent": self.sent,
             "delivered": self.delivered,
@@ -104,6 +113,7 @@ class NetworkStats:
             "duplicated": self.duplicated,
             "bytes_sent": self.bytes_sent,
             "by_kind": dict(sorted(self.by_kind.items())),
+            "malformed": malformed,
         }
 
 
@@ -136,7 +146,21 @@ class LinkFault:
 
 
 class Host:
-    """A network endpoint.  Subclasses override :meth:`receive`."""
+    """A network endpoint that takes the message kinds its class declares."""
+
+    #: ``kind -> (decoder, handler)``; kinds not listed are ignored.  A decoder
+    #: is a payload type (its ``from_dict`` looked up per call; a ``decoded``
+    #: sideband of exactly that type is taken as is) or a function ``(host,
+    #: payload)``, and raises only :class:`ValidationError`.  What it returns
+    #: is handed on as ``handler(host, message, value)``.
+    RECEIVES: ClassVar[dict[str, tuple[Any, Callable[..., None]]]] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if "RECEIVES" in vars(cls) and "receive" not in vars(cls):
+            # The class's own attribute, so a profiler can wrap one class's
+            # deliveries by name (``bench/tracing.py`` does).
+            cls.receive = Host.receive
 
     def __init__(self, network: "Network", address: str) -> None:
         self.network = network
@@ -170,8 +194,23 @@ class Host:
         """
         return self.network.send(self.address, dst, kind, payload, msg_id=msg_id)
 
-    def receive(self, message: Message) -> None:  # pragma: no cover - interface
-        raise NotImplementedError(f"{type(self).__name__} must implement receive()")
+    def receive(self, message: Message) -> None:
+        """Decode ``message`` for its kind's handler; drop and count it if it does not decode."""
+        entry = self.RECEIVES.get(message.kind)
+        if entry is None:
+            return
+        decode, handle = entry
+        value = message.decoded
+        if type(value) is not decode:
+            try:
+                if isinstance(decode, type):
+                    value = decode.from_dict(message.payload)
+                else:
+                    value = decode(self, message.payload)
+            except ValidationError:
+                self.network.stats.malformed[self.address, message.kind] += 1
+                return
+        handle(self, message, value)
 
 
 class Network:
@@ -351,10 +390,7 @@ class Network:
             message.trace = self.telemetry.current
         for tap in self._taps:
             tap(message)
-        if dst not in self._hosts:
-            self.stats.dropped += 1
-            return None
-        if self.is_partitioned(src, dst):
+        if dst not in self._hosts or self.is_partitioned(src, dst):
             self.stats.dropped += 1
             return None
         if self._drop_rate > 0 and self.rng.random() < self._drop_rate:

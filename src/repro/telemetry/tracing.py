@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Iterable, Optional
 
 SPAN_FORMAT = "repro-spans/v1"
 

@@ -133,3 +133,19 @@ class TestContrastWithDrams:
         # The PDP-side logs still reach the chain from the infrastructure
         # tenant, so the timeout sweep exposes the silenced PEP.
         assert stack.drams.alerts.count(AlertType.MISSING_LOG) > 0
+
+
+class TestMalformedInput:
+    def test_a_malformed_log_mid_run_is_dropped_and_counted(self):
+        stack, monitor, probes = build_baseline_stack(seed=74)
+        pep = stack.peps["tenant-1"]
+        network = stack.federation.network
+        stack.issue_requests(10)
+        malformed = {"correlation_id": "c-1", "entry_type": "pep-sideways"}
+        stack.sim.schedule_at(
+            3.0, lambda: network.send(pep.address, monitor.address, "drams_log", malformed))
+        stack.run(until=30.0)
+        assert len(stack.outcomes) == 10
+        assert monitor.logs_received == 40 and monitor.checked_decisions == 10
+        assert monitor.alerts.count() == 0
+        assert stack.run_summary()["network"]["malformed"] == {monitor.address: {"drams_log": 1}}

@@ -12,9 +12,11 @@ from a full node it does not trust: a malformed one is dropped and counted
 before any of the client's state is touched.  The policy-distribution
 hosts (``prp_publish``, ``prp_sync``, ``prp_pull``), the PDP
 (``ac_request``), the PEP (``ac_response``) and the Logging Interface
-(``drams_log``) drop and count what does not decode the same way.  A
-scenario spec read back with ``spec_from_json`` is held to the same rule
-as a wire decoder.
+(``drams_log``) drop and count what does not decode the same way.  Every
+host does so on one path, ``Host.receive``, and every drop is counted in
+one view, ``NetworkStats.malformed``, by destination and kind.  A
+scenario spec read back with ``spec_from_json`` and a fault plan read
+with ``FaultPlan.from_dict`` are held to the same rule as a wire decoder.
 """
 
 import functools
@@ -31,11 +33,14 @@ from repro.blockchain.block import Block, BlockHeader
 from repro.blockchain.transaction import Transaction
 from repro.common.errors import ValidationError
 from repro.common.ids import reset_id_counter
+from repro.crypto.merkle import MerkleProof
 from repro.drams.logs import EntryType, LogEntry
+from repro.faults import FaultPlan, clock_skew, crash, link_degrade, partition
 from repro.federation.federation import Federation, FederationConfig
 from repro.harness import MonitoredFederation
 from repro.lightclient.consumer import LightProbeConsumer
 from repro.lightclient.headers import HeaderClient
+from repro.lightclient.receipts import DecisionReceipt
 from repro.policydist import ReplicatedPrpPlane
 from repro.policydist.replica import check_record
 from repro.scenariogen.presets import PRESET_SPECS
@@ -178,7 +183,7 @@ def deliver(kind, payload):
     if not well_formed:
         assert node_state(node, net) == before
         assert node.chain._verified == set()
-    assert node.malformed_messages_seen == (0 if well_formed else 1)
+    assert net.stats.malformed == ({} if well_formed else {("n0", kind): 1})
     return well_formed
 
 
@@ -236,8 +241,8 @@ def deliver_reply(kind, payload):
     client.receive(reply(kind, payload))
     if not well_formed:
         assert client_state(headers, consumer, net) == before
-    assert client.malformed_messages_seen == (0 if well_formed else 1)
-    assert consumer.stats()["malformed_messages_seen"] == consumer.malformed_messages_seen
+    expected = {} if well_formed else {client.address: {kind: 1}}
+    assert net.stats.snapshot()["malformed"] == expected
     return well_formed
 
 
@@ -341,7 +346,7 @@ def deliver_to_host(kind, payload):
     host.receive(Message(src=src, dst=host.address, kind=kind, payload=payload, msg_id="fuzz"))
     if not well_formed:
         assert host_state(federation, plane, pdp) == before
-    assert host.malformed_messages_seen == (0 if well_formed else 1)
+    assert federation.network.stats.malformed == ({} if well_formed else {(host.address, kind): 1})
     return well_formed
 
 
@@ -362,7 +367,7 @@ class TestHostReceive:
         host.receive(gossip_message("prp_sync", {"records": [V2, third]}, dst=host.address))
         # Version 2 passed its own fingerprint check; the forged one did not.
         assert host.replica.version_count() == 2 and not host.replica._staged
-        assert host.malformed_messages_seen == 1
+        assert host.network.stats.malformed == {(host.address, "prp_sync"): 1}
 
     @pytest.mark.parametrize(
         "target,kind,payload",
@@ -395,14 +400,8 @@ class TestHostReceive:
         stack.issue_requests(5, start_at=0.1)
         stack.federation.network.send(pep.address, host.address, kind, payload)
         stack.run(until=10.0)
-        assert host.malformed_messages_seen == 1
         assert len(stack.outcomes) == 5
-        summary = stack.run_summary()
-        seen = {
-            **summary["plane"]["malformed_messages_seen"],
-            **summary["policy_plane"]["malformed_messages_seen"],
-        }
-        assert seen[host.address] == 1
+        assert stack.run_summary()["network"]["malformed"] == {host.address: {kind: 1}}
 
 
 class TestIssueCases:
@@ -438,21 +437,40 @@ class TestIssueCases:
             assert not deliver_reply(kind, payload)
 
     def test_genuine_replies_still_get_through(self):
-        headers, consumer, _net = light_clients("c-1")
+        headers, consumer, net = light_clients("c-1")
         headers.receive(reply("bc_headers", GENUINE_REPLIES["bc_headers"]))
         assert headers.height == 1 and not headers._inflight
         consumer.receive(reply("bc_proof", GENUINE_REPLIES["bc_proof"]))
         # Fetched and checked against the synced header: the kvstore
         # transaction is on chain, but it is no monitor log entry.
         assert consumer.rejections == [("c-1", "not-a-monitor-log-tx")]
-        assert headers.malformed_messages_seen == consumer.malformed_messages_seen == 0
+        assert net.stats.malformed == {}
 
     def test_evidence_that_would_not_hash_is_a_malformed_proof_reply(self):
-        _headers, consumer, _net = light_clients("c-1")
+        _headers, consumer, net = light_clients("c-1")
         proof = {"leaf_index": 0, "leaf": "ab" * 32, "path": [[5, True]]}
         consumer.receive(reply("bc_proof", {**GENUINE_REPLIES["bc_proof"], "proof": proof}))
         assert consumer.rejections == [("c-1", "malformed-proof-reply")]
-        assert consumer.malformed_messages_seen == 0 and consumer.outstanding == 0
+        assert net.stats.malformed == {} and consumer.outstanding == 0
+
+    @pytest.mark.parametrize(
+        "evidence",
+        [
+            {"proof": {"leaf_index": float("inf"), "leaf": "ab" * 32, "path": []}},
+            {"proof": {}},
+            {"proof": None},
+            {"tree_size": float("inf")},
+            {"tree_size": "x"},
+            {"tx": {}},
+            {"header": []},
+        ],
+        ids=["inf-leaf", "no-proof", "null-proof", "inf-size", "text-size", "bad-tx", "list-header"],
+    )
+    def test_evidence_that_does_not_decode_is_a_malformed_proof_reply(self, evidence):
+        _headers, consumer, net = light_clients("c-1")
+        consumer.receive(reply("bc_proof", {**GENUINE_REPLIES["bc_proof"], **evidence}))
+        assert consumer.rejections == [("c-1", "malformed-proof-reply")]
+        assert net.stats.malformed == {} and consumer.outstanding == 0
 
 
 class TestDecodeFuzz:
@@ -585,13 +603,16 @@ def deliver_to_monitor(kind, payload):
     """Hand one message to the PEP or the LI; returns whether it decoded."""
     stack, pep, li = monitor_hosts()
     host = pep if kind == "ac_response" else li
-    before, seen = monitor_state(stack, pep, li), host.malformed_messages_seen
+    malformed = stack.federation.network.stats.malformed
+    before, expected = monitor_state(stack, pep, li), dict(malformed)
     well_formed = monitor_decodes(kind, payload)
     message = Message(src=pep.address, dst=host.address, kind=kind, payload=payload, msg_id="fuzz")
     host.receive(message)
     if not well_formed or kind == "ac_response":
         assert monitor_state(stack, pep, li) == before
-    assert host.malformed_messages_seen == seen + (0 if well_formed else 1)
+    if not well_formed:
+        expected[host.address, kind] = expected.get((host.address, kind), 0) + 1
+    assert malformed == expected
     return well_formed
 
 
@@ -629,9 +650,40 @@ class TestMonitorReceive:
         stack.run(until=20.0)
         assert len(stack.outcomes) == 5 and stack.drams.analyser.checked == 5
         summary = stack.run_summary()
-        assert summary["peps"][pep.tenant_name]["malformed_messages_seen"] == 1
-        assert summary["drams"]["malformed_messages_seen"][li.address] == 1
+        assert summary["network"]["malformed"] == {
+            pep.address: {"ac_response": 1},
+            li.address: {"drams_log": 1},
+        }
         assert summary["drams"]["logs_submitted"] == 4 * 5
+
+    def test_drops_at_chain_nodes_and_header_clients_are_reported(self):
+        reset_id_counter()
+        stack = MonitoredFederation.build(
+            healthcare_scenario(),
+            clouds=2,
+            seed=5,
+            drams_config=fast_drams_config(),
+            light_clients=True,
+        )
+        pep = next(iter(stack.peps.values()))
+        node = stack.drams.nodes[pep.tenant_name]
+        headers = stack.drams.header_clients[pep.tenant_name]
+        stack.start()
+        stack.issue_requests(5, start_at=0.1)
+        network = stack.federation.network
+        forged = {**alice_tx().to_dict(), "signature": {"e": "zz"}}
+        stack.sim.schedule_at(0.2, lambda: network.send(pep.address, node.address, "bc_tx", forged))
+        stack.sim.schedule_at(
+            0.2, lambda: network.send(node.address, headers.address, "bc_headers", {"headers": 5})
+        )
+        stack.run(until=20.0)
+        assert len(stack.outcomes) == 5 and stack.drams.analyser.checked == 5
+        consumer = stack.light_clients[pep.tenant_name]
+        assert consumer.receipts_accepted == len(pep.enforced) and consumer.outstanding == 0
+        assert stack.run_summary()["network"]["malformed"] == {
+            node.address: {"bc_tx": 1},
+            headers.address: {"bc_headers": 1},
+        }
 
     @given(
         st.sampled_from(MONITOR_KINDS),
@@ -690,3 +742,101 @@ class TestSpecDecode:
     @settings(max_examples=200, deadline=None)
     def test_arbitrary_json_raises_only_validation_error(self, document):
         spec_decodes(json.dumps(document))
+
+
+# -- documents that travel outside a message: receipts, proofs, fault plans ----------
+
+PROOF_DICT = GENUINE_REPLIES["bc_proof"]["proof"]
+RECEIPT_DICT = {
+    "correlation_id": "c-1",
+    "entry_type": EntryType.PDP_OUT,
+    **{key: GENUINE_REPLIES["bc_proof"][key] for key in ("tx", "proof", "header", "tree_size")},
+}
+PLAN_DICT = FaultPlan(
+    name="boundary",
+    events=(
+        partition(["a@t1"], ["b@t2"], at=0.5, heal_at=1.5, symmetric=False),
+        link_degrade(["a@t1"], ["b@t2"], at=1.0, until=2.0, loss=0.1, reorder=0.01),
+        crash("pdp-*@*", at=2.0, restart_at=3.0),
+        clock_skew("pep@t1", 0.25, at=0.0, until=4.0),
+    ),
+).to_dict()
+DOCUMENT_DECODERS = {
+    "merkle-proof": MerkleProof.from_dict,
+    "decision-receipt": DecisionReceipt.from_dict,
+    "fault-plan": FaultPlan.from_dict,
+}
+GENUINE_DOCUMENTS = {
+    "merkle-proof": PROOF_DICT,
+    "decision-receipt": RECEIPT_DICT,
+    "fault-plan": PLAN_DICT,
+}
+
+
+def with_event(**fields):
+    """``PLAN_DICT`` with ``fields`` written into its link-degrade event."""
+    events = [dict(event) for event in PLAN_DICT["events"]]
+    events[1].update(fields)
+    return {**PLAN_DICT, "events": events}
+
+
+MALFORMED_DOCUMENTS = {
+    "merkle-proof": [
+        {},
+        {**PROOF_DICT, "leaf_index": float("inf")},
+        {**PROOF_DICT, "leaf_index": "x"},
+        {**PROOF_DICT, "path": [["ab", True, 1]]},
+        {**PROOF_DICT, "leaf": 5},
+    ],
+    "decision-receipt": [
+        {},
+        {**RECEIPT_DICT, "tree_size": float("inf")},
+        {**RECEIPT_DICT, "proof": {**PROOF_DICT, "leaf_index": float("inf")}},
+        {**RECEIPT_DICT, "correlation_id": 5},
+        {**RECEIPT_DICT, "entry_type": ["pdp-out"]},
+        {**RECEIPT_DICT, "proof": None},
+    ],
+    "fault-plan": [
+        {"events": 5},
+        with_event(at="x"),
+        with_event(until="x"),
+        with_event(loss="x"),
+        with_event(skew="x"),
+        with_event(at=float("nan")),
+        with_event(until=float("inf")),
+        with_event(at=True),
+        with_event(at=10**400),
+        with_event(symmetric=1),
+    ],
+}
+DOCUMENT_KINDS = sorted(DOCUMENT_DECODERS)
+
+
+def document_decodes(kind, document):
+    """True if ``document`` decodes; the only permitted failure is ValidationError."""
+    try:
+        DOCUMENT_DECODERS[kind](document)
+    except ValidationError:
+        return False
+    return True
+
+
+class TestDocumentDecode:
+    @pytest.mark.parametrize("kind", DOCUMENT_KINDS)
+    def test_malformed_documents_are_validation_errors(self, kind):
+        for document in [[], None, "x", 7, *MALFORMED_DOCUMENTS[kind]]:
+            with pytest.raises(ValidationError):
+                DOCUMENT_DECODERS[kind](document)
+
+    def test_genuine_documents_round_trip(self):
+        assert MerkleProof.from_dict(PROOF_DICT).to_dict() == PROOF_DICT
+        assert DecisionReceipt.from_dict(RECEIPT_DICT).to_dict() == RECEIPT_DICT
+        assert FaultPlan.from_dict(PLAN_DICT).to_dict() == PLAN_DICT
+
+    @given(
+        st.sampled_from(DOCUMENT_KINDS),
+        st.one_of(wire_values, mutated(st.sampled_from(list(GENUINE_DOCUMENTS.values())))),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_json_raises_only_validation_error(self, kind, document):
+        document_decodes(kind, document)

@@ -94,6 +94,10 @@ def test_every_message_of_an_attacked_partition_storm_is_sized_exactly():
     def tap(message):
         assert message.size_bytes() == encoded_length(message.payload) + HEADER_BYTES, message.kind
         kinds[message.kind] += 1
+        # No kind is sent to a host that would silently ignore it.
+        host = network.host(message.dst)
+        if host is not None:
+            assert message.kind in type(host).RECEIVES, (type(host).__name__, message.kind)
         if message.kind == "drams_log":
             assert type(message.decoded) is LogEntry
             assert message.decoded.to_dict() == message.payload
@@ -114,7 +118,8 @@ def test_every_message_of_an_attacked_partition_storm_is_sized_exactly():
         light_clients=True,
         pep_kwargs={"request_timeout": 1.0, "backoff": RetryBackoff(base=0.2, cap=0.5)},
     )
-    stack.federation.network.add_tap(tap)
+    network = stack.federation.network
+    network.add_tap(tap)
     stack.start()
     shard_a, shard_b = (service.address for service in plane.services)
     storm = (

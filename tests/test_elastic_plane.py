@@ -10,6 +10,7 @@ from repro.accesscontrol.plane import ShardedPdpPlane, SinglePdpPlane
 from repro.accesscontrol.prp import PolicyRetrievalPoint
 from repro.common.errors import ValidationError
 from repro.harness import MonitoredFederation
+from repro.simnet.network import Message
 from repro.workload.scenarios import elastic_scale_scenario, healthcare_scenario
 from repro.xacml.parser import policy_to_dict
 from repro.xacml.policy import Effect, Policy, Rule, Target
@@ -465,21 +466,13 @@ class TestQueueAwareRouting:
         assert service.busy_seconds() == 0.0
         for _ in range(3):
             service.receive(
-                FakeMessage("pep@t1", service.address, "ac_request", request_with().to_dict())
+                Message("pep@t1", service.address, "ac_request", request_with().to_dict())
             )
         assert service.busy_seconds() > 0.0
         assert service.pending_evaluations == 3
         service.sim.run(until=10.0)
         assert service.pending_evaluations == 0
         assert service.busy_seconds() == 0.0
-
-
-class FakeMessage:
-    def __init__(self, src, dst, kind, payload):
-        self.src = src
-        self.dst = dst
-        self.kind = kind
-        self.payload = payload
 
 
 class TestLocalityRouting:

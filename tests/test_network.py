@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import NetworkError
+from repro.common.errors import NetworkError, ValidationError
 from repro.simnet.latency import (
     ConstantLatency,
     LanProfile,
@@ -189,3 +189,84 @@ class TestDropsAndTaps:
         a.send("ghost", "two", {})  # dropped, but tapped
         sim.run()
         assert seen == ["one", "two"]
+
+
+class TestDecodePath:
+    """``Host.receive`` is the one decode path: table lookup, decode, drop and count."""
+
+    class Point:
+        def __init__(self, x):
+            self.x = x
+
+        @classmethod
+        def from_dict(cls, data):
+            if not isinstance(data, dict) or not isinstance(data.get("x"), int):
+                raise ValidationError("not a point")
+            return cls(data["x"])
+
+    def make_host(self, net):
+        point = self.Point
+
+        def decode_name(host, payload):
+            if not isinstance(payload, str):
+                raise ValidationError("not a name")
+            return f"{host.address}:{payload}"
+
+        class Table(Host):
+            def _take(self, message, value):
+                self.taken.append((message.kind, value))
+
+            RECEIVES = {"point": (point, _take), "name": (decode_name, _take)}
+
+        host = Table(net, "h")
+        host.taken = []
+        return host
+
+    def test_decodes_drops_counts_and_ignores(self, sim, rng):
+        net = Network(sim, rng)
+        host = self.make_host(net)
+        host.receive(Message("x", "h", "point", {"x": 3}))
+        host.receive(Message("x", "h", "name", "n"))
+        host.receive(Message("x", "h", "point", {"x": "3"}))
+        host.receive(Message("x", "h", "name", 7))
+        host.receive(Message("x", "h", "name", 7))
+        host.receive(Message("x", "h", "unlisted", None))
+        assert [(kind, getattr(value, "x", value)) for kind, value in host.taken] == [
+            ("point", 3),
+            ("name", "h:n"),
+        ]
+        assert net.stats.malformed == {("h", "point"): 1, ("h", "name"): 2}
+        assert net.stats.snapshot()["malformed"] == {"h": {"name": 2, "point": 1}}
+
+    def test_a_sideband_of_exactly_the_payload_type_is_taken_as_is(self, sim, rng):
+        net = Network(sim, rng)
+        host = self.make_host(net)
+        carried = self.Point(5)
+        message = Message("x", "h", "point", {"x": "not decoded"})
+        message.decoded = carried
+        host.receive(message)
+        assert host.taken == [("point", carried)] and net.stats.malformed == {}
+
+    def test_every_class_with_a_table_owns_its_receive(self):
+        # Profilers wrap one class's deliveries by name (bench/tracing.py).
+        from repro.accesscontrol.pdp_service import PdpService
+        from repro.accesscontrol.pep import PolicyEnforcementPoint
+        from repro.baselines.central import CentralizedMonitor
+        from repro.blockchain.node import BlockchainNode
+        from repro.drams.logging_interface import LoggingInterface
+        from repro.lightclient.consumer import LightProbeConsumer
+        from repro.lightclient.headers import HeaderClient
+        from repro.policydist.plane import _PrpOriginHost, _PrpReplicaHost
+
+        for cls in (
+            BlockchainNode,
+            PolicyEnforcementPoint,
+            PdpService,
+            LightProbeConsumer,
+            HeaderClient,
+            LoggingInterface,
+            CentralizedMonitor,
+            _PrpOriginHost,
+            _PrpReplicaHost,
+        ):
+            assert vars(cls)["receive"] is Host.receive, cls.__name__
