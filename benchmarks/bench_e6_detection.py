@@ -8,13 +8,16 @@ Three arms, same attacks, same probes:
 
 1. **DRAMS** — detection expected for every attack class;
 2. **Centralized baseline, honest collector** — also detects component
-   attacks (the matching logic is identical); the architectures differ in
+   attacks: it runs DRAMS's own rules (``repro.drams.rules``, held equal by
+   ``tests/test_monitor_parity.py``), so the architectures differ in
    resilience, not in happy-path capability;
 3. **Centralized baseline, compromised collector** — the attacker owns the
    one collector host: detection collapses to zero and the evidence is
    gone.  DRAMS under the analogous compromise (one tenant's LI silenced)
    keeps detecting via the remaining tenants' replicas.
 """
+
+from types import SimpleNamespace
 
 from benchmarks.common import bench_drams_config, build_stack
 from repro.baselines.central import attach_centralized_monitoring
@@ -87,10 +90,11 @@ def run_baseline_arm(seed_base: int, compromised: bool) -> list[dict]:
         monitor.start()
         if compromised:
             monitor.compromise()
-        # Baseline lacks the DramsSystem hooks, so drive attacks through
-        # the same component interceptors directly.
-        attack = make_attack()
-        _install_on_bare_stack(attack, stack, probes)
+        # The same attack objects as the DRAMS arm, injected into what they
+        # reach through a DramsSystem: the baseline's own components.
+        make_attack().inject(SimpleNamespace(
+            federation=stack.federation, peps=stack.peps,
+            pdp_service=stack.pdp_service, probes=probes))
         stack.issue_requests(REQUESTS)
         stack.run(until=HORIZON)
         detected = monitor.alerts.count() > 0
@@ -102,54 +106,6 @@ def run_baseline_arm(seed_base: int, compromised: bool) -> list[dict]:
             "latency_s": round(first - 0.5, 2) if first is not None else "-",
         })
     return rows
-
-
-def _install_on_bare_stack(attack, stack, probes) -> None:
-    """Adapt DramsSystem-oriented attacks to the baseline deployment."""
-    import copy
-
-    from repro.accesscontrol.messages import AccessDecision
-
-    if isinstance(attack, RequestTamperAttack):
-        pep = stack.peps[attack.tenant]
-
-        def tamper_request(request):
-            forged = copy.deepcopy(request)
-            forged.content.setdefault("subject", {})[attack.attribute] = [
-                attack.escalated_value]
-            return forged
-
-        pep.forward_interceptor = tamper_request
-    elif isinstance(attack, DecisionTamperAttack):
-        pep = stack.peps[attack.tenant]
-
-        def tamper_decision(request, decision):
-            forged = copy.deepcopy(decision)
-            forged.decision = attack.forced_decision
-            return forged
-
-        pep.enforcement_interceptor = tamper_decision
-    elif isinstance(attack, CircumventionAttack):
-        pep = stack.peps[attack.tenant]
-        pep.bypass = lambda request: AccessDecision(
-            request_id=request.request_id, decision=attack.granted_decision)
-    elif isinstance(attack, EvaluationTamperAttack):
-        def flip(request, decision):
-            if decision.decision != attack.flip_from:
-                return decision
-            forged = copy.deepcopy(decision)
-            forged.decision = attack.flip_to
-            return forged
-
-        stack.pdp_service.evaluation_interceptor = flip
-    elif isinstance(attack, PolicySwapAttack):
-        from repro.xacml.parser import policy_from_dict
-        from repro.xacml.pdp import PolicyDecisionPoint
-
-        stack.pdp_service.policy_override = PolicyDecisionPoint(
-            policy_from_dict(attack.rogue_document))
-    elif isinstance(attack, ProbeSuppressionAttack):
-        probes[attack.probe_key].suppressed = True
 
 
 def test_e6_detection_comparison(report, benchmark):
@@ -195,7 +151,6 @@ def test_e6_drams_survives_tenant_monitor_compromise(report, benchmark):
     still exposes it through the other tenants' replicas."""
     stack = build_stack(seed=950, drams_config=bench_drams_config())
     pep = stack.peps["tenant-1"]
-    from repro.accesscontrol.messages import AccessDecision
     import copy
 
     def force_permit(request, decision):

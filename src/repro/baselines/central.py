@@ -1,27 +1,24 @@
 """Centralized log-monitoring baseline.
 
 One collector host receives every probe's log entries, stores them in a
-local database and runs the DRAMS matching algorithms in-process:
+local database and runs DRAMS's own rules (:mod:`repro.drams.rules`) on
+the plaintext: the log rules, timing out in seconds, and the decision and
+provenance check with DRAMS's default staleness bound and grace.
+``tests/test_monitor_parity.py`` holds it to DRAMS's alerts on one log stream.
 
-- request-leg / decision-leg hash matching,
-- equivocation detection,
-- timeout sweeps (in seconds — no blocks here),
-- decision-correctness checks against the PRP's policies (it holds the
-  plaintext, so no decryption round-trip is needed).
-
-Being a single component, it is also a single point of failure:
-:meth:`CentralizedMonitor.compromise` models an attacker who owns the
-collector — incoming evidence is discarded and stored evidence scrubbed,
-after which nothing is ever detected again.  There is no tamper-evidence:
-the scrubbing itself is invisible (contrast with the chain, where even a
-failed rewrite attempt leaves forked blocks behind).
+It is also a single point of failure: :meth:`CentralizedMonitor.compromise`
+models an attacker who owns the collector — incoming evidence is discarded
+and stored evidence scrubbed, invisibly (contrast with the chain, where even
+a failed rewrite attempt leaves forked blocks behind).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis.semantics import DecisionOracle
+from repro.accesscontrol.pep import PolicyEnforcementPoint
+from repro.accesscontrol.plane import DecisionPlane
+from repro.accesscontrol.prp import PolicyRetrievalPoint
 from repro.common.errors import ValidationError
 from repro.common.rng import SeededRng
 from repro.drams.alerts import Alert, AlertBus, AlertType
@@ -32,12 +29,20 @@ from repro.drams.probe import (
     attach_plane_probes,
     follow_plane_membership,
 )
+from repro.drams.rules import ALERT, CLAIM, LogRules, PolicyHistory, declared_stamp, first_alert
+from repro.drams.system import DramsConfig
 from repro.federation.federation import Federation
-from repro.accesscontrol.pep import PolicyEnforcementPoint
-from repro.accesscontrol.plane import DecisionPlane
-from repro.accesscontrol.prp import PolicyRetrievalPoint
 from repro.simnet.network import Host, Message, Network
-from repro.storage.database import DatabaseConfig, DatabaseStore
+from repro.storage.database import DatabaseStore
+
+#: Seconds between sweeps (timeouts, retries of what could not be judged yet).
+SWEEP_INTERVAL = 2.0
+
+
+def _read(entry: Optional[dict], field: str) -> Optional[dict]:
+    if entry is None or field not in entry["payload"]:
+        return None
+    return entry["payload"]
 
 
 class CentralizedMonitor(Host):
@@ -50,137 +55,130 @@ class CentralizedMonitor(Host):
         prp: PolicyRetrievalPoint,
         rng: SeededRng,
         timeout_seconds: float = 10.0,
-        sweep_interval: float = 2.0,
-        db_config: Optional[DatabaseConfig] = None,
     ) -> None:
         super().__init__(network, address)
         self.prp = prp
         self.timeout_seconds = timeout_seconds
-        self.sweep_interval = sweep_interval
-        self.database = DatabaseStore(self.sim, rng, db_config, name="central-logs")
+        self.database = DatabaseStore(self.sim, rng, name="central-logs")
         self.alerts = AlertBus()
+        self.rules = LogRules(timeout_seconds, "age_seconds", "payload")
+        self.policies = PolicyHistory(prp.history(), DramsConfig.policy_staleness_bound)
+        prp.on_publish(lambda version: self.policies.add(version, self.sim.now))
         self.records: dict[str, dict] = {}
         self.logs_received = 0
         self.logs_discarded = 0
         self.checked_decisions = 0
         self.compromised = False
-        self._oracle: Optional[DecisionOracle] = None
-        self._oracle_fingerprint = ""
+        # Correlations the timeout watches, whose decision or churn claims
+        # wait to be judged; when an unknown fingerprint was first met.
+        self._pending: dict[str, None] = {}
+        self._unchecked: dict[str, None] = {}
+        self._claims: dict[str, None] = {}
+        self._unknown_since: dict[str, float] = {}
         self._stop_sweep = None
 
     def start(self) -> None:
         if self._stop_sweep is None:
-            self._stop_sweep = self.sim.every(self.sweep_interval, self.sweep, label="central-sweep")
-
-    # -- compromise (the baseline's weak spot) -----------------------------------
+            self._stop_sweep = self.sim.every(SWEEP_INTERVAL, self.sweep, label="central-sweep")
 
     def compromise(self) -> None:
         """The attacker owns the collector: scrub evidence, go blind."""
         self.compromised = True
-        self.records.clear()
-
-    # -- ingestion -------------------------------------------------------------------
+        for index in (self.records, self._pending, self._unchecked, self._claims):
+            index.clear()
 
     def _handle_log(self, message: Message, entry: LogEntry) -> None:
         if self.compromised:
             self.logs_discarded += 1
             return
         self.logs_received += 1
-        self._ingest(entry)
+        cid, entry_type = entry.correlation_id, entry.entry_type
+        record = self.records.get(cid)
+        if record is None:
+            record = {"first_seen": self.sim.now, "entries": {}, "alerted": {}, "complete": False}
+            self.records[cid] = record
+            self._pending[cid] = None
+        logged = {
+            "payload_hash": entry.payload_hash(),
+            "component": entry.component,
+            "observed_at": entry.observed_at,
+            "payload": entry.payload,
+            **declared_stamp(entry.payload),
+        }
+        if entry_type in record["entries"]:
+            report = {"entry_type": entry_type, **logged}
+            self._fire(cid, self.rules.repeat(record, entry_type, report)[1])
+            return
+        self.database.write(f"{cid}:{entry_type}", entry.to_dict())
+        self._fire(cid, self.rules.add(record, entry_type, logged))
+        if entry_type != EntryType.PEP_OUT and not record.get("checked"):  # may complete a check
+            self._unchecked[cid] = None
+            self._check_decision(cid)
 
     RECEIVES = {"drams_log": (LogEntry, _handle_log)}
 
-    def _ingest(self, entry: LogEntry) -> None:
-        cid, entry_type = entry.correlation_id, entry.entry_type
-        fresh = {"first_seen": self.sim.now, "entries": {}, "alerted": set(), "complete": False}
-        record = self.records.setdefault(cid, fresh)
-        entries = record["entries"]
-        existing = entries.get(entry_type)
-        payload_hash = entry.payload_hash()
-        if existing is not None:
-            if existing["payload_hash"] != payload_hash:
-                self._raise(record, AlertType.EQUIVOCATION, cid, {"entry_type": entry_type})
-            return
-        entries[entry_type] = {
-            "payload_hash": payload_hash,
-            "payload": entry.payload,
-            "component": entry.component,
-        }
-        self.database.write(f"{cid}:{entry_type}", entry.to_dict())
-        self._match_leg(record, cid, EntryType.REQUEST_LEG, AlertType.REQUEST_MISMATCH)
-        self._match_leg(record, cid, EntryType.DECISION_LEG, AlertType.DECISION_MISMATCH)
-        if entry_type in (EntryType.PDP_OUT, EntryType.PDP_IN, EntryType.PEP_IN):
-            self._check_decision(record, cid)
-        if not record["complete"] and all(t in entries for t in EntryType.ALL):
-            record["complete"] = True
+    def _grace_left(self, key: str) -> bool:
+        first_failed = self._unknown_since.setdefault(key, self.sim.now)
+        return self.sim.now - first_failed < DramsConfig.unknown_policy_grace
 
-    # -- matching ---------------------------------------------------------------------
-
-    def _match_leg(
-        self, record: dict, correlation_id: str, leg: tuple[str, str], alert_type: AlertType
-    ) -> None:
-        first, second = leg
-        entries = record["entries"]
-        if first in entries and second in entries:
-            if entries[first]["payload_hash"] != entries[second]["payload_hash"]:
-                self._raise(record, alert_type, correlation_id, {"leg": [first, second]})
-
-    def _check_decision(self, record: dict, correlation_id: str) -> None:
-        entries = record["entries"]
-        decision_entry = entries.get(EntryType.PDP_OUT)
-        request_entry = entries.get(EntryType.PDP_IN) or entries.get(EntryType.PEP_IN)
-        if decision_entry is None or request_entry is None:
-            return
-        if record.get("decision_checked"):
-            return
-        record["decision_checked"] = True
+    def _check_decision(self, cid: str) -> None:
+        record = self.records[cid]
+        verdict = self.policies.judge_decision(
+            record, _read, self.sim.now, lambda: self._grace_left(cid)
+        )
+        if verdict is None:
+            return  # the sweep retries
+        record["checked"] = True
+        del self._unchecked[cid]
+        self._unknown_since.pop(cid, None)
         self.checked_decisions += 1
-        oracle = self._current_oracle()
-        if oracle is None:
-            return
-        expected = oracle.expected_decision(request_entry["payload"]["content"])
-        observed = decision_entry["payload"]["decision"]
-        if expected != observed:
-            details = {"expected": expected, "observed": observed}
-            self._raise(record, AlertType.INCORRECT_DECISION, correlation_id, details)
+        if verdict.alert:
+            self._raise(cid, verdict.alert, verdict.details)
 
-    def _current_oracle(self) -> Optional[DecisionOracle]:
-        if self.prp.version_count() == 0:
-            return None
-        version = self.prp.current()
-        if self._oracle is None or self._oracle_fingerprint != version.fingerprint:
-            self._oracle = DecisionOracle(version.document)
-            self._oracle_fingerprint = version.fingerprint
-        return self._oracle
+    def _audit(self, cid: str) -> None:
+        grace_key = f"{cid}#churn"
+        verdict = self.policies.judge_claims(
+            self.records[cid], _read, lambda: self._grace_left(grace_key)
+        )
+        if verdict is None:
+            return  # the sweep retries
+        del self._claims[cid]
+        self._unknown_since.pop(grace_key, None)
+        if verdict.alert:
+            self._raise(cid, verdict.alert, verdict.details)
 
-    # -- timeout sweep ------------------------------------------------------------------
+    def _fire(self, cid: str, effects: list) -> None:
+        for kind, name, details in effects:
+            if kind == ALERT:
+                self._raise(cid, name, details)
+            elif kind == CLAIM:
+                self._claims[cid] = None
+                self._audit(cid)
+            else:  # complete
+                self._pending.pop(cid, None)
+
+    def _raise(self, cid: str, alert_type: str, details: dict) -> None:
+        if first_alert(self.records[cid], alert_type):
+            alert = Alert(AlertType(alert_type), cid, details, 0, raised_at=self.sim.now)
+            self.alerts.publish(alert)
 
     def sweep(self) -> int:
+        """Retry what could not be judged yet, then flag overdue records; returns the flagged."""
         if self.compromised:
             return 0
+        for cid in list(self._claims):
+            self._audit(cid)
+        for cid in list(self._unchecked):
+            self._check_decision(cid)
         flagged = 0
-        for correlation_id, record in self.records.items():
-            if record["complete"] or AlertType.MISSING_LOG.value in record["alerted"]:
-                continue
-            if self.sim.now - record["first_seen"] >= self.timeout_seconds:
-                missing = [t for t in EntryType.ALL if t not in record["entries"]]
-                if missing:
-                    self._raise(record, AlertType.MISSING_LOG, correlation_id, {"missing": missing})
-                    flagged += 1
-                else:
-                    record["alerted"].add(AlertType.MISSING_LOG.value)
+        for cid in list(self._pending):
+            record = self.records[cid]
+            effects = self.rules.expire(record, self.sim.now - record["first_seen"])
+            if effects is not None:
+                del self._pending[cid]
+                flagged += len(effects)
+                self._fire(cid, effects)
         return flagged
-
-    # -- alerts -----------------------------------------------------------------------------
-
-    def _raise(
-        self, record: dict, alert_type: AlertType, correlation_id: str, details: dict
-    ) -> None:
-        if alert_type.value in record["alerted"]:
-            return
-        record["alerted"].add(alert_type.value)
-        alert = Alert(alert_type, correlation_id, details, block_height=0, raised_at=self.sim.now)
-        self.alerts.publish(alert)
 
 
 def attach_centralized_monitoring(
@@ -192,10 +190,10 @@ def attach_centralized_monitoring(
 ) -> tuple[CentralizedMonitor, dict[str, ProbeAgent]]:
     """Deploy the baseline: one collector in the infrastructure tenant.
 
-    Reuses the same probe implementation as DRAMS — only the destination
-    differs — so any detection difference is attributable to the
-    monitoring architecture, not the instrumentation.  Probes attach to
-    every PDP replica of the federation's decision plane.
+    Reuses DRAMS's probes and rules — only the destination differs — so any
+    detection difference is attributable to the monitoring architecture, not
+    the instrumentation or the checks.  Probes attach to every PDP replica
+    of the federation's decision plane.
     """
     if not isinstance(plane, DecisionPlane):
         raise ValidationError(f"expected a DecisionPlane, got {type(plane).__name__}")
@@ -209,9 +207,7 @@ def attach_centralized_monitoring(
     for tenant_name, pep in peps.items():
         probes[f"pep:{tenant_name}"] = attach_pep_probes(pep, monitor.address)
     probes.update(attach_plane_probes(plane, infra.name, monitor.address))
-    # Coverage follows elastic membership through the same protocol DRAMS
-    # uses: probe new shards before their first request, release drained
-    # ones once quiescent.
+    # Coverage follows elastic membership by DRAMS's own protocol.
     follow_plane_membership(plane, probes, infra.name, monitor.address)
     federation.finalize_topology()
     return monitor, probes

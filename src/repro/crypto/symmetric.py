@@ -45,10 +45,12 @@ class EncryptedBlob:
     @classmethod
     def from_dict(cls, data: dict) -> "EncryptedBlob":
         try:
+            tag = data["tag"]
+            bytes.fromhex(tag)  # a MAC is written as hex; anything else never verifies
             return cls(
                 nonce=bytes.fromhex(data["nonce"]),
                 ciphertext=bytes.fromhex(data["ciphertext"]),
-                tag=str(data["tag"]),
+                tag=tag,
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise CryptoError(f"malformed encrypted blob: {exc}") from exc

@@ -1,63 +1,37 @@
 """The DRAMS monitor smart contract.
 
 Runs replicated on every federation blockchain node.  It stores, per
-correlation id, the hash commitments (and ciphertexts, for later audit by
-the Analyser) of the four monitoring points, and applies the paper's
-"expressly devised algorithms" incrementally as entries arrive:
+correlation id, the hash commitments (and ciphertexts, for the Analyser's
+audit) of the four monitoring points and applies the paper's "expressly
+devised algorithms" as entries arrive: the shared log rules of
+:mod:`repro.drams.rules` — leg matching, equivocation, the churn downgrade
+(announced per claim for the Analyser to audit, and disabled with
+``store_ciphertexts=False``, which would leave claims unauditable) and, on
+``tick``, the timeout after ``timeout_blocks``.  The Analyser's verdicts
+arrive through ``report_violation``, so semantic violations end up on chain
+too.  Alerts are contract *events*: they replicate with the chain, reach
+every Logging Interface and cannot be suppressed by any single tenant.
 
-1. **Request-leg matching** — once both PEP-in and PDP-in commitments are
-   present, they must be equal; otherwise the request was modified between
-   interception and evaluation → ``REQUEST_MISMATCH``.
-2. **Decision-leg matching** — once both PDP-out and PEP-out commitments
-   are present, they must be equal; otherwise the decision was modified
-   between issuance and enforcement → ``DECISION_MISMATCH``.
-3. **Equivocation** — a second, different payload for an already-recorded
-   monitoring point → ``EQUIVOCATION`` (replays, double reporting).
-   Exception: when the two payloads *declare different policy versions*
-   (decision entries are stamped with the policy they were evaluated
-   under), two honest evaluators may have answered under skewed PRP
-   replicas → ``POLICY_CHURN`` instead.  The stamps live in
-   attacker-reachable payloads, so churn is a *claim*, never a verdict:
-   the contract rejects honestly-impossible or unauditable stamp pairs
-   (same declared version, or a side without its ciphertext, stays
-   ``EQUIVOCATION``; equal fingerprints under different versions — an
-   identical re-publish — remain churn),
-   keeps the conflicting report (``churn_reports``, ciphertext included)
-   in the record, and the Analyser — which holds the policy history —
-   audits every churn-classified payload: its fingerprint must belong to
-   a published version *and* its decision must be what that version
-   entails, else the churn claim becomes an on-chain
-   ``policy-violation``.  Downgrading a tamper to churn therefore
-   requires behaving exactly like an honest replica under a real
-   version — which is churn.  With ``store_ciphertexts=False`` the audit
-   would be impossible, so the downgrade is disabled with it: conflicts
-   stay ``EQUIVOCATION`` in that configuration.
-4. **Timeout sweep** — ``tick`` flags records whose expected entries did
-   not all arrive within ``timeout_blocks`` of the first one →
-   ``MISSING_LOG`` (circumvented components, suppressed probes).
+Arguments are decoded once, at :meth:`MonitorContract.invoke`: a call whose
+arguments are not of the declared shape raises :class:`ContractError`
+before touching state, so one signed malformed call costs a failed receipt,
+never the chain.
 
-The Analyser contributes decision-correctness verdicts via
-``report_violation`` so that even *semantic* violations end up on-chain and
-non-repudiable.
-
-Sweep cost: ``tick`` walks two indices instead of the full records map —
-``pending`` (correlations not yet complete nor flagged) for the timeout
-sweep and ``retained`` (completed correlations in completion order, so
-heights are non-decreasing and the expired prefix pops off the front) for
-retention pruning.  Steady-state ticks over a mostly-verified chain are
-O(pending + pruned), not O(all correlations ever recorded) — the same
-indexing move the Analyser's sweep made in PR 3.
-
-Alerts are contract *events*: they replicate with the chain, reach every
-Logging Interface, and cannot be suppressed by any single tenant.
+``tick`` walks two indices instead of every record: ``pending``
+(correlations neither complete nor flagged) for the timeout, and
+``retained`` (completed ones, in completion order, so the expired prefix
+pops off the front) for retention pruning.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+import math
+from typing import Any
 
 from repro.blockchain.contracts import Contract, ContractContext, ContractError
+from repro.drams.alerts import AlertType
 from repro.drams.logs import EntryType
+from repro.drams.rules import ALERT, CLAIM, LogRules, first_alert
 
 CONTRACT_NAME = "drams-monitor"
 
@@ -71,23 +45,63 @@ EVENT_LOG_RECORDED = "LogRecorded"
 EVENT_CHURN_REPORT = "PolicyChurnReported"
 
 
+def _finite(value: Any) -> bool:
+    """A number a float holds finitely, as probe timestamps are."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+#: method -> argument -> (required, shape): an exact type (a bool is no int),
+#: the allowed string values, or a check.  Unlisted arguments are ignored.
+_SIGNATURES: dict[str, dict[str, tuple[bool, Any]]] = {
+    "record_log": {
+        "correlation_id": (True, str),
+        "entry_type": (True, EntryType.ALL),
+        "payload_hash": (True, str),
+        "tenant": (True, str),
+        "component": (True, str),
+        "policy_fingerprint": (False, str),
+        "policy_version": (False, int),
+        "observed_at": (False, _finite),
+        "ciphertext": (False, dict),
+    },
+    "tick": {},
+    "report_violation": {
+        "correlation_id": (True, str),
+        "kind": (True, tuple(alert_type.value for alert_type in AlertType)),
+        "details": (False, dict),
+    },
+}
+
+
+def _fits(value: Any, shape: Any) -> bool:
+    if isinstance(shape, type):
+        return type(value) is shape
+    if isinstance(shape, tuple):
+        return type(value) is str and value in shape
+    return shape(value)
+
+
 class MonitorContract(Contract):
-    """Replicated log store plus matching algorithms."""
+    """Replicated log store running the shared log rules."""
 
     name = CONTRACT_NAME
-    # Every method validates its arguments and raises before touching
-    # state, so the engine may run invocations in place (fast path).
+    # Every call is decoded at ``invoke`` and raises before touching state,
+    # so the engine may run invocations in place (fast path).
     checked_invoke = True
 
-    #: Conflicting decision reports kept per record for the Analyser's
-    #: churn audit; a cap so a flooding reporter cannot bloat the
-    #: replicated state (the first conflict already raised the alert).
-    MAX_CHURN_REPORTS = 8
+    MAX_CHURN_REPORTS = LogRules.MAX_CHURN_REPORTS
 
-    def __init__(self, timeout_blocks: int = 6, retention_blocks: int = 50,
-                 store_ciphertexts: bool = True,
-                 expected_entries: tuple[str, ...] = EntryType.ALL,
-                 enable_leg_matching: bool = True) -> None:
+    def __init__(
+        self,
+        timeout_blocks: int = 6,
+        retention_blocks: int = 50,
+        store_ciphertexts: bool = True,
+        expected_entries: tuple[str, ...] = EntryType.ALL,
+        enable_leg_matching: bool = True,
+    ) -> None:
         """``expected_entries`` and ``enable_leg_matching`` exist for the
         ablation experiments (probe-placement and matching-location
         studies); production deployments keep the defaults."""
@@ -99,71 +113,77 @@ class MonitorContract(Contract):
         self.timeout_blocks = timeout_blocks
         self.retention_blocks = retention_blocks
         self.store_ciphertexts = store_ciphertexts
-        self.expected_entries = tuple(expected_entries)
-        self.enable_leg_matching = enable_leg_matching
+        evidence = "ciphertext" if store_ciphertexts else None
+        self.rules = LogRules(
+            timeout_blocks, "age_blocks", evidence, expected_entries, enable_leg_matching
+        )
 
     def initial_state(self) -> dict[str, Any]:
         return {
             "records": {},
-            # Sweep indices (see module docstring): correlation id → True
-            # for records the timeout sweep must still watch, correlation
-            # id → completed height for records awaiting retention pruning.
+            # Sweep indices (see module docstring): correlation id → True,
+            # and correlation id → completed height.
             "pending": {},
             "retained": {},
             "stats": {"logs": 0, "alerts": 0, "verified": 0, "pruned": 0},
         }
 
-    # -- dispatch -------------------------------------------------------------
-
-    def invoke(self, state: dict[str, Any], method: str, args: dict[str, Any],
-               ctx: ContractContext, emit: Callable[[str, dict], None]) -> Any:
-        if method == "record_log":
-            return self._record_log(state, args, ctx, emit)
+    def invoke(self, state: dict, method: str, args: dict, ctx: ContractContext, emit) -> Any:
+        signature = _SIGNATURES.get(method)
+        if signature is None:
+            raise ContractError(f"unknown method: {method!r}")
+        if not isinstance(args, dict):
+            raise ContractError(f"{method} arguments must be a mapping")
+        for name, (required, shape) in signature.items():
+            if name not in args:
+                if required:
+                    raise ContractError(f"{method} missing argument: {name!r}")
+            elif type(args[name]) is not shape and not _fits(args[name], shape):
+                raise ContractError(f"{method} argument {name!r} is malformed")
         if method == "tick":
             return self._tick(state, ctx, emit)
-        if method == "report_violation":
-            return self._report_violation(state, args, ctx, emit)
-        raise ContractError(f"unknown method: {method!r}")
-
-    # -- record bookkeeping ---------------------------------------------------------
+        handler = self._record_log if method == "record_log" else self._report_violation
+        return handler(state, args, ctx, emit)
 
     @staticmethod
     def _ensure_record(state: dict, corr_id: str, ctx: ContractContext) -> dict:
         """Fetch-or-create the correlation record, indexing new ones."""
         record = state["records"].get(corr_id)
         if record is None:
-            record = {
+            record = state["records"][corr_id] = {
                 "first_height": ctx.block_height,
                 "entries": {},
                 "alerted": {},
                 "complete": False,
             }
-            state["records"][corr_id] = record
             state["pending"][corr_id] = True
         return record
 
-    # -- log recording and incremental matching ----------------------------------
+    def _fire(self, state: dict, record: dict, emit, ctx, corr_id: str, effects: list) -> None:
+        """Emit what the log rules fired, in their order; an alert once per record and type."""
+        height = ctx.block_height
+        for kind, name, details in effects:
+            if kind == CLAIM:
+                emit(EVENT_CHURN_REPORT, {"correlation_id": corr_id, "entry_type": name})
+            elif kind == ALERT:
+                if first_alert(record, name):
+                    state["stats"]["alerts"] += 1
+                    alert = {"alert_type": name, "correlation_id": corr_id, "details": details}
+                    emit(EVENT_ALERT, {**alert, "height": height})
+            else:  # complete: completion order follows height, so ``retained`` stays sorted
+                record["completed_height"] = height
+                state["pending"].pop(corr_id, None)
+                state["retained"][corr_id] = height
+                state["stats"]["verified"] += 1
+                emit(EVENT_VERIFIED, {"correlation_id": corr_id, "height": height})
 
-    def _record_log(self, state: dict, args: dict, ctx: ContractContext,
-                    emit: Callable[[str, dict], None]) -> dict:
-        try:
-            corr_id = args["correlation_id"]
-            entry_type = args["entry_type"]
-            payload_hash = args["payload_hash"]
-            tenant = args["tenant"]
-            component = args["component"]
-        except KeyError as exc:
-            raise ContractError(f"record_log missing argument: {exc}") from exc
-        if entry_type not in EntryType.ALL:
-            raise ContractError(f"unknown entry type: {entry_type!r}")
-
+    def _record_log(self, state: dict, args: dict, ctx: ContractContext, emit) -> dict:
+        corr_id, entry_type = args["correlation_id"], args["entry_type"]
+        payload_hash, tenant, component = args["payload_hash"], args["tenant"], args["component"]
         record = self._ensure_record(state, corr_id, ctx)
-        entries = record["entries"]
-        existing = entries.get(entry_type)
+        existing = record["entries"].get(entry_type)
         incoming_fp = args.get("policy_fingerprint", "")
         if existing is not None:
-            if existing["payload_hash"] == payload_hash:
-                return {"ok": True, "duplicate": True}
             report = {
                 "entry_type": entry_type,
                 "payload_hash": payload_hash,
@@ -174,53 +194,16 @@ class MonitorContract(Contract):
             }
             if "ciphertext" in args:
                 report["ciphertext"] = args["ciphertext"]
-            if self._churn_pair(existing, report):
-                # Two declared policy versions, both auditable: possibly
-                # honest replicas racing a publish.  The conflicting
-                # report is kept (with its ciphertext) and announced per
-                # claim, so every claim gets audited.
-                reports = record.setdefault("churn_reports", [])
-                if len(reports) >= self.MAX_CHURN_REPORTS:
-                    # A flood of conflicting reports is no longer churn.
-                    self._alert(state, record, emit, ctx, "equivocation",
-                                corr_id, {
-                                    "entry_type": entry_type,
-                                    "reason": "churn-report-overflow",
-                                    "reports": len(reports),
-                                })
-                    return {"ok": True, "equivocation": True}
-                reports.append(report)
-                emit(EVENT_CHURN_REPORT, {
-                    "correlation_id": corr_id,
-                    "entry_type": entry_type,
-                })
-                self._alert(state, record, emit, ctx, "policy-churn", corr_id, {
-                    "entry_type": entry_type,
-                    "first_fingerprint": existing.get("policy_fingerprint", ""),
-                    "second_fingerprint": incoming_fp,
-                    "first_version": existing.get("policy_version", 0),
-                    "second_version": args.get("policy_version", 0),
-                    "first_reporter": existing["component"],
-                    "second_reporter": component,
-                })
-                return {"ok": True, "policy_churn": True}
-            self._alert(state, record, emit, ctx, "equivocation", corr_id, {
-                "entry_type": entry_type,
-                "first_hash": existing["payload_hash"],
-                "second_hash": payload_hash,
-                "first_reporter": existing["component"],
-                "second_reporter": component,
-            })
-            return {"ok": True, "equivocation": True}
-
+            outcome, effects = self.rules.repeat(record, entry_type, report)
+            self._fire(state, record, emit, ctx, corr_id, effects)
+            return {"ok": True, outcome: True}
         entry = {
             "payload_hash": payload_hash,
             "tenant": tenant,
             "component": component,
             "height": ctx.block_height,
-            # The carrying transaction, so proof services can answer
-            # "prove my (correlation, entry-type) is on-chain" without a
-            # linear chain scan.
+            # The carrying transaction, so proof services can answer "prove
+            # my (correlation, entry-type) is on-chain" without a chain scan.
             "tx_id": ctx.tx_id,
         }
         if "observed_at" in args:
@@ -230,137 +213,25 @@ class MonitorContract(Contract):
             entry["policy_version"] = args.get("policy_version", 0)
         if self.store_ciphertexts and "ciphertext" in args:
             entry["ciphertext"] = args["ciphertext"]
-        entries[entry_type] = entry
+        effects = self.rules.add(record, entry_type, entry)
         state["stats"]["logs"] += 1
-        emit(EVENT_LOG_RECORDED, {
-            "correlation_id": corr_id,
-            "entry_type": entry_type,
-            "tenant": tenant,
-        })
-
-        if self.enable_leg_matching:
-            self._match_leg(state, record, emit, ctx, corr_id,
-                            EntryType.REQUEST_LEG, "request-mismatch")
-            self._match_leg(state, record, emit, ctx, corr_id,
-                            EntryType.DECISION_LEG, "decision-mismatch")
-        self._maybe_complete(state, record, emit, ctx, corr_id)
+        logged = {"correlation_id": corr_id, "entry_type": entry_type, "tenant": tenant}
+        emit(EVENT_LOG_RECORDED, logged)
+        self._fire(state, record, emit, ctx, corr_id, effects)
         return {"ok": True}
 
-    def _match_leg(self, state: dict, record: dict, emit, ctx: ContractContext,
-                   corr_id: str, leg: tuple[str, str], alert_type: str) -> None:
-        first, second = leg
-        entries = record["entries"]
-        if first not in entries or second not in entries:
-            return
-        if entries[first]["payload_hash"] == entries[second]["payload_hash"]:
-            return
-        if self._churn_pair(entries[first], entries[second]):
-            # The two sides of the leg declare different policy versions:
-            # possibly the PEP enforced one replica's answer while the
-            # recorded PDP-out came from another — failover racing a
-            # publish.  Both entries are on-chain with their ciphertexts
-            # (churn is never taken on faith without them), so the
-            # Analyser audits the claim (see module docstring).
-            self._alert(state, record, emit, ctx, "policy-churn", corr_id, {
-                "leg": [first, second],
-                f"{first}-fingerprint": entries[first]["policy_fingerprint"],
-                f"{second}-fingerprint": entries[second]["policy_fingerprint"],
-                f"{first}-component": entries[first]["component"],
-                f"{second}-component": entries[second]["component"],
-            })
-            # Announce the claim pair for audit exactly once — NOT gated
-            # on the alert (a previous conflict may have consumed the
-            # record's one policy-churn alert); leg entries are immutable
-            # once both are recorded, so one audit suffices.
-            announced = record.setdefault("churn_announced", {})
-            leg_key = f"{first}:{second}"
-            if leg_key not in announced:
-                announced[leg_key] = True
-                emit(EVENT_CHURN_REPORT, {
-                    "correlation_id": corr_id,
-                    "entry_type": second,
-                })
-            return
-        self._alert(state, record, emit, ctx, alert_type, corr_id, {
-            "leg": [first, second],
-            f"{first}-hash": entries[first]["payload_hash"],
-            f"{second}-hash": entries[second]["payload_hash"],
-            f"{first}-component": entries[first]["component"],
-            f"{second}-component": entries[second]["component"],
-        })
-
-    def _churn_pair(self, first: dict, second: dict) -> bool:
-        """Do two conflicting decision reports qualify for the churn downgrade?
-
-        Both sides must declare a policy stamp, the declared *versions*
-        must differ (same-version conflicts are impossible honestly — the
-        fingerprints may legitimately match, e.g. a rollback republishing
-        an earlier document), and both must be auditable: ciphertext
-        storage enabled and a ciphertext present on each side, or the
-        Analyser could never verify the claims and the downgrade from
-        equivocation/mismatch would be free for an attacker.
-        """
-        if not self.store_ciphertexts:
-            return False
-        if "ciphertext" not in first or "ciphertext" not in second:
-            return False
-        if not first.get("policy_fingerprint") or not second.get("policy_fingerprint"):
-            return False
-        return first.get("policy_version", 0) != second.get("policy_version", 0)
-
-    def _leg_consistent(self, entries: dict, leg: tuple[str, str]) -> bool:
-        first, second = leg
-        if first not in entries or second not in entries:
-            return True  # leg not covered by this deployment's probes
-        return entries[first]["payload_hash"] == entries[second]["payload_hash"]
-
-    def _maybe_complete(self, state: dict, record: dict, emit, ctx: ContractContext,
-                        corr_id: str) -> None:
-        if record["complete"]:
-            return
-        entries = record["entries"]
-        if any(entry_type not in entries for entry_type in self.expected_entries):
-            return
-        request_ok = self._leg_consistent(entries, EntryType.REQUEST_LEG)
-        decision_ok = self._leg_consistent(entries, EntryType.DECISION_LEG)
-        if request_ok and decision_ok:
-            record["complete"] = True
-            record["completed_height"] = ctx.block_height
-            state["pending"].pop(corr_id, None)
-            # Completion order follows block height, so the retained index
-            # stays sorted by completed height and pruning pops its front.
-            state["retained"][corr_id] = ctx.block_height
-            state["stats"]["verified"] += 1
-            emit(EVENT_VERIFIED, {"correlation_id": corr_id,
-                                  "height": ctx.block_height})
-
-    # -- timeout sweep and pruning ------------------------------------------------
-
-    def _tick(self, state: dict, ctx: ContractContext,
-              emit: Callable[[str, dict], None]) -> dict:
-        flagged = 0
-        pruned = 0
+    def _tick(self, state: dict, ctx: ContractContext, emit) -> dict:
+        flagged = pruned = 0
         height = ctx.block_height
         pending = state["pending"]
         scanned = len(pending)
         for corr_id in list(pending):
             record = state["records"][corr_id]
-            if height - record["first_height"] < self.timeout_blocks:
-                continue
-            missing = [entry_type for entry_type in self.expected_entries
-                       if entry_type not in record["entries"]]
-            if missing:
-                self._alert(state, record, emit, ctx, "missing-log", corr_id, {
-                    "missing": missing,
-                    "present": sorted(record["entries"]),
-                    "age_blocks": height - record["first_height"],
-                })
-                flagged += 1
-            else:
-                # All entries present but a leg mismatched earlier; the
-                # mismatch alert already fired — nothing more to flag.
-                record["alerted"]["missing-log"] = True
-            pending.pop(corr_id, None)
+            effects = self.rules.expire(record, height - record["first_height"])
+            if effects is not None:
+                self._fire(state, record, emit, ctx, corr_id, effects)
+                flagged += len(effects)
+                pending.pop(corr_id, None)
         if self.retention_blocks > 0:
             retained = state["retained"]
             for corr_id, completed in list(retained.items()):
@@ -370,37 +241,12 @@ class MonitorContract(Contract):
                 del retained[corr_id]
                 pruned += 1
         state["stats"]["pruned"] += pruned
-        return {"ok": True, "flagged": flagged, "pruned": pruned,
-                "scanned": scanned}
+        return {"ok": True, "flagged": flagged, "pruned": pruned, "scanned": scanned}
 
-    # -- analyser-reported violations ---------------------------------------------
-
-    def _report_violation(self, state: dict, args: dict, ctx: ContractContext,
-                          emit: Callable[[str, dict], None]) -> dict:
-        try:
-            corr_id = args["correlation_id"]
-            kind = args["kind"]
-            details = dict(args.get("details", {}))
-        except KeyError as exc:
-            raise ContractError(f"report_violation missing argument: {exc}") from exc
+    def _report_violation(self, state: dict, args: dict, ctx: ContractContext, emit) -> dict:
+        corr_id = args["correlation_id"]
+        details = dict(args.get("details", {}))
         record = self._ensure_record(state, corr_id, ctx)
         details.setdefault("reported_by", ctx.sender)
-        self._alert(state, record, emit, ctx, kind, corr_id, details)
+        self._fire(state, record, emit, ctx, corr_id, [(ALERT, args["kind"], details)])
         return {"ok": True}
-
-    # -- alert bookkeeping ----------------------------------------------------------
-
-    def _alert(self, state: dict, record: dict, emit, ctx: ContractContext,
-               alert_type: str, corr_id: str, details: dict) -> bool:
-        """Emit an alert once per (record, type); returns whether it fired."""
-        if alert_type in record["alerted"]:
-            return False
-        record["alerted"][alert_type] = True
-        state["stats"]["alerts"] += 1
-        emit(EVENT_ALERT, {
-            "alert_type": alert_type,
-            "correlation_id": corr_id,
-            "details": details,
-            "height": ctx.block_height,
-        })
-        return True

@@ -34,6 +34,7 @@ from repro.crypto.tpm import SimulatedTpm
 from repro.drams.alerts import Alert, AlertType
 from repro.drams.contract import CONTRACT_NAME, EVENT_ALERT
 from repro.drams.logs import LogEntry
+from repro.drams.rules import declared_stamp
 from repro.simnet.network import Host, Message, Network
 
 FEDERATION_KEY_NAME = "federation-K"
@@ -127,15 +128,12 @@ class LoggingInterface(Host):
             **entry.envelope(),
             "payload_hash": entry.payload_hash(),
             "ciphertext": ciphertext.to_dict(),
+            # Decision entries carry a policy provenance stamp; surface it in
+            # the transaction so the contract can classify a conflicting
+            # report as policy churn (skewed PRP replicas) vs equivocation
+            # without decrypting anything.
+            **declared_stamp(entry.payload),
         }
-        # Decision entries carry a policy provenance stamp; surface it in
-        # the transaction so the contract can classify a conflicting
-        # report as policy churn (skewed PRP replicas) vs equivocation
-        # without decrypting anything.
-        fingerprint = entry.payload.get("policy_fingerprint", "")
-        if fingerprint:
-            args["policy_fingerprint"] = fingerprint
-            args["policy_version"] = entry.payload.get("policy_version", 0)
         tx = self._signed_tx("record_log", args)
         if not self.node.submit_transaction(tx):
             self.logs_rejected += 1

@@ -2,6 +2,7 @@
 
 from repro.baselines.central import attach_centralized_monitoring
 from repro.drams.alerts import AlertType
+from repro.drams.logs import EntryType, LogEntry
 from repro.harness import MonitoredFederation
 from repro.workload.scenarios import healthcare_scenario
 
@@ -149,3 +150,20 @@ class TestMalformedInput:
         assert monitor.logs_received == 40 and monitor.checked_decisions == 10
         assert monitor.alerts.count() == 0
         assert stack.run_summary()["network"]["malformed"] == {monitor.address: {"drams_log": 1}}
+
+    def test_a_log_pair_without_content_or_decision_is_never_judged(self):
+        stack, monitor, probes = build_baseline_stack(seed=74)
+        pep = stack.peps["tenant-1"]
+        network = stack.federation.network
+        stack.issue_requests(10)
+
+        def send_a_pair_of_empty_payloads():
+            for entry_type in (EntryType.PDP_IN, EntryType.PDP_OUT):
+                entry = LogEntry("c-empty", entry_type, "infrastructure", "pdp", {}, 3.0)
+                network.send(pep.address, monitor.address, "drams_log", entry.to_dict())
+
+        stack.sim.schedule_at(3.0, send_a_pair_of_empty_payloads)
+        stack.run(until=30.0)
+        assert len(stack.outcomes) == 10 and monitor.checked_decisions == 10
+        alerts = {(a.alert_type, a.correlation_id) for a in monitor.alerts.all()}
+        assert alerts == {(AlertType.MISSING_LOG, "c-empty")}

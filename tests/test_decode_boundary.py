@@ -17,6 +17,9 @@ host does so on one path, ``Host.receive``, and every drop is counted in
 one view, ``NetworkStats.malformed``, by destination and kind.  A
 scenario spec read back with ``spec_from_json`` and a fault plan read
 with ``FaultPlan.from_dict`` are held to the same rule as a wire decoder.
+So are signed calls to the monitor contract (a malformed one is a failed
+receipt that changes no state) and the log evidence a monitor reads back
+(what it cannot read is not yet readable, never an exception).
 """
 
 import functools
@@ -30,10 +33,14 @@ from repro.accesscontrol.pdp_service import PdpService
 from repro.accesscontrol.plane import SinglePdpPlane
 from repro.accesscontrol.prp import PolicyRetrievalPoint, PolicyVersion
 from repro.blockchain.block import Block, BlockHeader
+from repro.blockchain.contracts import ContractContext, ContractEngine, ContractRegistry
 from repro.blockchain.transaction import Transaction
 from repro.common.errors import ValidationError
 from repro.common.ids import reset_id_counter
+from repro.common.serialization import canonical_bytes
 from repro.crypto.merkle import MerkleProof
+from repro.drams.alerts import AlertType
+from repro.drams.contract import CONTRACT_NAME, MonitorContract
 from repro.drams.logs import EntryType, LogEntry
 from repro.faults import FaultPlan, clock_skew, crash, link_degrade, partition
 from repro.federation.federation import Federation, FederationConfig
@@ -840,3 +847,171 @@ class TestDocumentDecode:
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_json_raises_only_validation_error(self, kind, document):
         document_decodes(kind, document)
+
+
+# -- the monitor contract's call boundary and the monitors' evidence ------------------
+#
+# A Logging Interface or the Analyser signs its contract calls, so a call with
+# arguments of the wrong shape is a failed receipt, never an exception out of the
+# engine or a state change; and what a monitor reads back from a log entry
+# (ciphertext, plaintext, payload fields) is either readable or not yet readable.
+
+GENUINE_CALLS = {
+    "record_log": {
+        **LogEntry("c-1", EntryType.PDP_OUT, "tenant-1", "pdp", {}, 1.0).envelope(),
+        "payload_hash": "h",
+        "policy_fingerprint": "fp",
+        "policy_version": 2,
+        "ciphertext": {"nonce": "00", "ciphertext": "00", "tag": "00"},
+    },
+    "tick": {},
+    "report_violation": {"correlation_id": "c-1", "kind": "incorrect-decision", "details": {}},
+}
+not_str = wire_values.filter(lambda value: not isinstance(value, str))
+#: method -> argument -> values that argument must refuse.
+REFUSED = {
+    "record_log": {
+        "correlation_id": not_str,
+        "entry_type": st.one_of(not_str, st.text().filter(lambda v: v not in EntryType.ALL)),
+        "payload_hash": not_str,
+        "tenant": not_str,
+        "component": not_str,
+        "policy_fingerprint": not_str,
+        "policy_version": wire_values.filter(lambda v: type(v) is not int),
+        "observed_at": st.one_of(
+            st.sampled_from([10**400, True]),
+            wire_values.filter(lambda v: type(v) not in (int, float)),
+        ),
+        "ciphertext": wire_values.filter(lambda value: not isinstance(value, dict)),
+    },
+    "report_violation": {
+        "correlation_id": not_str,
+        "kind": st.one_of(not_str, st.just("x")),
+        "details": wire_values.filter(lambda value: not isinstance(value, dict)),
+    },
+}
+REQUIRED = {
+    "record_log": ("correlation_id", "entry_type", "payload_hash", "tenant", "component"),
+    "report_violation": ("correlation_id", "kind"),
+}
+
+
+@st.composite
+def malformed_calls(draw):
+    """A contract call whose arguments break its declared shape in one place."""
+    method = draw(st.sampled_from(sorted(GENUINE_CALLS)))
+    args = dict(GENUINE_CALLS[method])
+    how = draw(st.sampled_from(["not-a-mapping", "missing", "refused"]))
+    if how == "not-a-mapping" or method == "tick":
+        return method, draw(wire_values.filter(lambda value: not isinstance(value, dict)))
+    if how == "missing":
+        del args[draw(st.sampled_from(REQUIRED[method]))]
+        return method, args
+    name = draw(st.sampled_from(sorted(REFUSED[method])))
+    return method, {**args, name: draw(REFUSED[method][name])}
+
+
+def monitor_engine():
+    """A monitor contract holding one complete and one half-recorded correlation."""
+    registry = ContractRegistry()
+    registry.deploy(MonitorContract(timeout_blocks=3))
+    engine = ContractEngine(registry)
+    calls = [("c-1", entry_type) for entry_type in EntryType.ALL] + [("c-2", EntryType.PEP_IN)]
+    for index, (corr, entry_type) in enumerate(calls):
+        args = {**GENUINE_CALLS["record_log"], "correlation_id": corr, "entry_type": entry_type}
+        assert engine.execute(CONTRACT_NAME, "record_log", args, contract_ctx(index)).ok
+    return engine
+
+
+def contract_ctx(index):
+    return ContractContext(block_height=1, block_timestamp=1.0, sender="li", tx_id=f"tx-{index}")
+
+
+class TestContractCallBoundary:
+    def test_genuine_calls_still_succeed(self):
+        engine = monitor_engine()
+        for index, (method, args) in enumerate(GENUINE_CALLS.items()):
+            assert engine.execute(CONTRACT_NAME, method, args, contract_ctx(10 + index)).ok
+
+    @pytest.mark.parametrize(
+        "method, args",
+        [
+            ("record_log", {**GENUINE_CALLS["record_log"], "correlation_id": [1]}),
+            ("record_log", {**GENUINE_CALLS["record_log"], "observed_at": 10**400}),
+            ("report_violation", {**GENUINE_CALLS["report_violation"], "details": 5}),
+            ("report_violation", {**GENUINE_CALLS["report_violation"], "details": "ab"}),
+            ("report_violation", {**GENUINE_CALLS["report_violation"], "kind": [1]}),
+            ("report_violation", {**GENUINE_CALLS["report_violation"], "kind": "x"}),
+            ("record_log", [1]),
+            ("tick", "x"),
+        ],
+    )
+    def test_known_malformed_calls_are_failed_receipts(self, method, args):
+        engine = monitor_engine()
+        before = canonical_bytes(engine.dump_state())
+        assert not engine.execute(CONTRACT_NAME, method, args, contract_ctx(10)).ok
+        assert canonical_bytes(engine.dump_state()) == before
+
+    @given(malformed_calls())
+    @settings(max_examples=300, deadline=None)
+    def test_malformed_calls_are_failed_receipts_and_change_nothing(self, call):
+        method, args = call
+        engine = monitor_engine()
+        before = canonical_bytes(engine.dump_state())
+        receipt = engine.execute(CONTRACT_NAME, method, args, contract_ctx(10))
+        assert not receipt.ok and receipt.events == []
+        assert canonical_bytes(engine.dump_state()) == before
+
+    @pytest.mark.parametrize("forged", [{"details": 5}, {"kind": "x"}])
+    def test_a_signed_malformed_report_does_not_stop_the_run(self, forged):
+        stack = MonitoredFederation.build(
+            healthcare_scenario(), clouds=2, seed=42, drams_config=fast_drams_config()
+        )
+        stack.start()
+        li = next(iter(stack.drams.interfaces.values()))
+        args = {**GENUINE_CALLS["report_violation"], **forged}
+        stack.sim.schedule_at(
+            2.0, lambda: li.node.submit_transaction(li._signed_tx("report_violation", args))
+        )
+        stack.issue_requests(6)
+        stack.run(until=30.0)
+        assert len(stack.outcomes) == 6 and stack.drams.analyser.checked == 6
+        assert stack.drams.alerts.all() == []
+
+
+#: What an LI holding K can commit, given K, that no monitor can read as a payload.
+FORGED_CIPHERTEXTS = {
+    "not-a-blob": lambda key: {"bogus": 1},
+    "non-ascii-tag": lambda key: {"nonce": "00" * 12, "ciphertext": "", "tag": "é"},
+    "not-json": lambda key: key.encrypt(b"not json").to_dict(),
+    "no-content-or-decision": lambda key: key.encrypt(canonical_bytes({})).to_dict(),
+}
+
+
+class TestEvidenceBoundary:
+    @pytest.mark.parametrize("case", FORGED_CIPHERTEXTS)
+    def test_unreadable_evidence_is_not_yet_readable_for_the_analyser(self, case):
+        stack = MonitoredFederation.build(
+            healthcare_scenario(), clouds=2, seed=42, drams_config=fast_drams_config()
+        )
+        stack.start()
+        li = next(iter(stack.drams.interfaces.values()))
+        ciphertext = FORGED_CIPHERTEXTS[case](stack.drams.federation_key)
+
+        def forge():
+            for entry_type in (EntryType.PDP_IN, EntryType.PDP_OUT):
+                args = {
+                    **LogEntry("forged", entry_type, li.tenant, "pdp", {}, 2.0).envelope(),
+                    "payload_hash": "h",
+                    "ciphertext": ciphertext,
+                }
+                li.node.submit_transaction(li._signed_tx("record_log", args))
+
+        stack.sim.schedule_at(2.0, forge)
+        stack.issue_requests(6)
+        stack.run(until=30.0)
+        analyser = stack.drams.analyser
+        assert len(stack.outcomes) == 6 and analyser.checked == 6
+        assert analyser.decryption_failures > 0
+        alerts = {(a.alert_type, a.correlation_id) for a in stack.drams.alerts.all()}
+        assert alerts == {(AlertType.MISSING_LOG, "forged")}
