@@ -1,11 +1,10 @@
-"""E16 — light-client monitoring: receipts, sublinear verification, sampling.
+"""E16 — light-client monitoring: receipts and sublinear verification.
 
 The full DRAMS Analyser audits decisions by replaying the chain — an O(n)
 cost any federation party must pay to check even one decision.  The
 light-client plane (:mod:`repro.lightclient`) replaces that with header
-chains and per-decision receipts verified in O(log blocksize) hashes, and
-with a sampling Analyser whose audit coverage carries a closed-form
-detection bound.  Four arms pin the claims:
+chains and per-decision receipts verified in O(log blocksize) hashes.
+Three arms pin the claims:
 
 1. **Receipts** — with light auditors attached to the full DRAMS stack,
    the light verifier must accept 100% of honestly served receipts and
@@ -13,11 +12,7 @@ detection bound.  Four arms pin the claims:
 2. **Scaling** — hashes verified per audited decision: a light receipt
    check stays at ``3 + log2(blocksize)`` while the full-audit cost (the
    chain a full node replays) grows linearly with the workload.
-3. **Sampling** — a :class:`SamplingAnalyser` at 10% against an injected
-   evaluation-tamper campaign: detection must match the seeded-hash
-   predicate exactly (the sample is deterministic), and a Monte Carlo
-   sweep over seeds must land on the closed-form detection probability.
-4. **Chaos** — the E15 partition-storm plan (PEP partition, blockchain
+3. **Chaos** — the E15 partition-storm plan (PEP partition, blockchain
    node crash — the light clients' own proof server — and a PDP-shard
    crash): after the storm heals, every enforced decision still ends in
    an accepted receipt; none are lost or rejected.
@@ -25,6 +20,8 @@ detection bound.  Four arms pin the claims:
 That attaching the auditors leaves the monitored system bit-identical
 (decisions, alerts, chain head) is pinned in tier-1:
 ``tests/test_neutrality.py::test_observer_neutrality[light_clients]``.
+The retired sampling-Analyser arm keeps its last measured rows and its
+closed-form detection bound in ``docs/lightclient.md`` §4.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the workload for CI smoke runs.
 """
@@ -41,27 +38,21 @@ from repro.common.ids import reset_id_counter
 from repro.crypto.merkle import MerkleProof
 from repro.faults import FaultPlan, crash, partition
 from repro.harness import MonitoredFederation
-from repro.lightclient import detection_probability, sample_admit
 from repro.metrics.tables import format_table
-from repro.threats.adversary import Adversary
-from repro.threats.attacks import EvaluationTamperAttack
 from repro.workload.scenarios import healthcare_scenario, partition_storm_scenario
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 RECEIPT_REQUESTS = 24 if SMOKE else 48
 SCALE_STEPS = (12, 36) if SMOKE else (12, 48, 120)
-SAMPLING_REQUESTS = 30 if SMOKE else 60
-SAMPLE_RATE = 0.1
-MONTE_CARLO_SEEDS = 150 if SMOKE else 400
 WAVE_STARTS = (0.1, 0.9, 1.4, 2.4, 3.2)
 WAVE_SIZE = 6 if SMOKE else 10
 
 
-def build_monitored(scenario, seed, *, light, drams_config=None, **kwargs):
+def build_monitored(scenario, seed, *, light, **kwargs):
     reset_id_counter()
     stack = MonitoredFederation.build(
         scenario, clouds=2, seed=seed, with_drams=True,
-        drams_config=drams_config or bench_drams_config(),
+        drams_config=bench_drams_config(),
         light_clients=light, **kwargs)
     stack.start()
     return stack
@@ -164,56 +155,7 @@ def run_scale_arm(requests: int) -> dict:
     }
 
 
-# -- arm 3: sampling ---------------------------------------------------------------
-
-
-def run_sampling_arm(sample_seed) -> dict:
-    config = bench_drams_config(analyser_mode="sampling",
-                                sample_rate=SAMPLE_RATE,
-                                sample_seed=sample_seed)
-    stack = build_monitored(healthcare_scenario(), 37, light=False,
-                            drams_config=config)
-    adversary = Adversary(stack.drams)
-    attack = EvaluationTamperAttack()
-    adversary.launch(attack, at=0.3)
-    stack.issue_requests(SAMPLING_REQUESTS)
-    stack.run(until=60.0)
-    assert len(stack.outcomes) == SAMPLING_REQUESTS
-    violating = list(attack.affected_correlations)
-    sampled_hits = sum(
-        sample_admit(sample_seed, SAMPLE_RATE, corr) for corr in violating)
-    record = adversary.records()[0]
-    stats = stack.drams.analyser.sampling_stats()
-    # The sample is a deterministic predicate: detection is not a matter
-    # of luck per run, it happens exactly when the campaign intersects
-    # the audit set.
-    assert record.detected == (sampled_hits > 0), (
-        f"detection ({record.detected}) disagrees with the sample "
-        f"({sampled_hits}/{len(violating)} violations audited)")
-    assert len(adversary.false_positives()) == 0
-    return {
-        "sample_seed": str(sample_seed),
-        "violations": len(violating),
-        "violations_sampled": sampled_hits,
-        "detected": record.detected,
-        "detection_bound": round(
-            detection_probability(SAMPLE_RATE, len(violating)), 4),
-        "audited": stats["sampled_in"],
-        "skipped": stats["sampled_out"],
-        "observed_fraction": round(stats["observed_fraction"], 3),
-    }
-
-
-def monte_carlo_detection(rate: float, campaign: int, seeds: int) -> float:
-    hits = 0
-    for seed in range(seeds):
-        if any(sample_admit(seed, rate, f"mc-{seed}-{i}")
-               for i in range(campaign)):
-            hits += 1
-    return hits / seeds
-
-
-# -- arm 4: chaos ------------------------------------------------------------------
+# -- arm 3: chaos ------------------------------------------------------------------
 
 
 def run_chaos_arm():
@@ -269,22 +211,6 @@ def test_e16_lightclient(report):
     assert large["full_audit_cost_per_decision"] > (
         10 * large["light_hashes_per_receipt"])
 
-    # -- sampling ----------------------------------------------------------
-    sampling = run_sampling_arm(sample_seed=0)
-    assert sampling["detected"], (
-        "campaign evaded the seeded sample; pick a seed whose audit set "
-        "intersects the storm (the predicate is deterministic)")
-    mc_rows = []
-    for campaign in (1, 5, 10, 20):
-        empirical = monte_carlo_detection(SAMPLE_RATE, campaign,
-                                          MONTE_CARLO_SEEDS)
-        bound = detection_probability(SAMPLE_RATE, campaign)
-        assert abs(empirical - bound) < 0.08, (
-            f"k={campaign}: empirical {empirical} vs closed form {bound}")
-        mc_rows.append({"campaign_size": campaign,
-                        "closed_form": round(bound, 3),
-                        "empirical": round(empirical, 3)})
-
     # -- chaos -------------------------------------------------------------
     chaos_rows, chaos_slos = run_chaos_arm()
 
@@ -297,22 +223,16 @@ def test_e16_lightclient(report):
         format_table(tamper_rows, title="E16a — tampered-receipt rejection matrix"),
         format_table(scale_rows,
                      title="E16b — light O(log n) verification vs full O(n) audit"),
-        format_table([sampling],
-                     title="E16c — sampling Analyser vs evaluation-tamper campaign"),
-        format_table(mc_rows,
-                     title="E16c — detection bound, closed form vs Monte Carlo"),
         format_table(
             [{"tenant": tenant, **stats}
              for tenant, stats in chaos_rows.items()],
-            title="E16d — receipts under partition-storm chaos",
+            title="E16c — receipts under partition-storm chaos",
         ),
     ]))
     write_json_report("e16", {
         "acceptance": acceptance,
         "tamper_matrix": tamper_rows,
         "scaling": scale_rows,
-        "sampling": sampling,
-        "monte_carlo": mc_rows,
         "chaos": {"consumers": chaos_rows, "slos": chaos_slos},
         "smoke": SMOKE,
     })

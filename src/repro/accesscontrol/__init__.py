@@ -19,7 +19,7 @@ from repro.accesscontrol.prp import PolicyRetrievalPoint
 from repro.accesscontrol.pap import PolicyAdministrationPoint
 from repro.accesscontrol.pdp_service import PdpService
 from repro.accesscontrol.pep import PolicyEnforcementPoint
-from repro.accesscontrol.plane import DecisionPlane, ShardedPdpPlane, SinglePdpPlane
+from repro.accesscontrol.plane import ShardedPdpPlane, SinglePdpPlane
 
 __all__ = [
     "AccessRequest",
@@ -32,7 +32,6 @@ __all__ = [
     "PolicyAdministrationPoint",
     "PdpService",
     "PolicyEnforcementPoint",
-    "DecisionPlane",
     "SinglePdpPlane",
     "ShardedPdpPlane",
 ]

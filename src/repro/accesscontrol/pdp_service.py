@@ -155,23 +155,6 @@ class PdpService(Host):
     def _rule_count(self) -> int:
         return self._compiled_current()[1].rule_count
 
-    # -- load inspection ---------------------------------------------------------
-
-    def busy_seconds(self) -> float:
-        """The shard's *busy cursor*: queued work ahead of a new arrival.
-
-        Under ``serialize_evaluations`` every accepted request extends
-        ``_busy_until``, so this is exactly how long a request arriving
-        now would wait before its evaluation starts.  The queue-aware
-        decision plane routes around shards whose cursor is long instead
-        of waiting out the PEP's per-attempt timeout.  An
-        infinitely-parallel evaluator (the default model) never queues
-        and always reports 0.
-        """
-        if not self.serialize_evaluations:
-            return 0.0
-        return max(0.0, self._busy_until - self.sim.now)
-
     # -- crash / restart ---------------------------------------------------------
 
     def crash(self) -> None:

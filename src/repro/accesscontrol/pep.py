@@ -1,7 +1,7 @@
 """The Policy Enforcement Point at a tenant's edge.
 
 Receives access attempts from subjects in its tenant, routes them through
-the federation's :class:`~repro.accesscontrol.plane.DecisionPlane` and
+the federation's :class:`~repro.accesscontrol.plane.ShardedPdpPlane` and
 enforces the decision that comes back.  Deny-biased: anything other than
 an explicit Permit is enforced as a denial (the safe default for federated
 data sharing).
@@ -19,8 +19,7 @@ with attempts left the PEP
 *re-queries the plane* and retries the same request envelope against the
 first not-yet-tried endpoint — re-planning rather than replaying the
 submit-time order, so a shard drained from an elastic plane mid-flight is
-skipped instead of timed out against, and a queue-aware plane can steer
-the retry around a backlog that built up since submit.  ``failovers``
+skipped instead of timed out against.  ``failovers``
 counts retries around a shard that is still listed but did not answer (a
 fault); ``churn_reroutes`` counts retries whose timed-out shard has left
 the re-queried membership (a scripted drain retired it mid-attempt —
@@ -60,7 +59,7 @@ from repro.simnet.network import Host, Message, Network
 from repro.simnet.simulator import Event
 from repro.accesscontrol.context_handler import ContextHandler
 from repro.accesscontrol.messages import AccessDecision, AccessRequest
-from repro.accesscontrol.plane import DecisionPlane
+from repro.accesscontrol.plane import ShardedPdpPlane
 
 RequestHook = Callable[[AccessRequest], None]
 EnforceHook = Callable[[AccessRequest, AccessDecision], None]
@@ -155,15 +154,15 @@ class PolicyEnforcementPoint(Host):
         network: Network,
         address: str,
         tenant_name: str,
-        plane: DecisionPlane,
+        plane: ShardedPdpPlane,
         request_timeout: float = 30.0,
         backoff: Optional[RetryBackoff] = None,
     ) -> None:
-        if not isinstance(plane, DecisionPlane):
+        if not isinstance(plane, ShardedPdpPlane):
             # Fail fast here rather than at the first submit — and before
             # Host.__init__ attaches us: a half-constructed PEP must not
             # occupy the address in the network registry.
-            raise ValidationError(f"expected a DecisionPlane, got {type(plane).__name__}")
+            raise ValidationError(f"expected a ShardedPdpPlane, got {type(plane).__name__}")
         super().__init__(network, address)
         self.tenant_name = tenant_name
         self.plane = plane
@@ -332,10 +331,6 @@ class PolicyEnforcementPoint(Host):
             timeout_event=timeout_event,
             trace_key=trace_key,
         )
-        # Load-aware planes project in-flight work from real dispatches
-        # (initial sends and failover retries alike), never from routing
-        # queries — this is the one place a send actually happens.
-        self.plane.note_dispatch(endpoint)
         if attempt_span is not None:
             with tracer.activate(attempt_span.context):
                 self.send(endpoint, "ac_request", forwarded.to_dict())

@@ -4,8 +4,8 @@ The paper deploys the PDP as a single logical evaluator in the
 infrastructure tenant.  That is an architectural choice, not a law of the
 system — and after the PDP and monitoring fast paths, it is the remaining
 throughput ceiling.  This module turns the choice into an explicit API:
-PEPs are constructed with a :class:`DecisionPlane` handle instead of a raw
-PDP address, and the plane decides how many :class:`PdpService` replicas
+PEPs are constructed with a :class:`ShardedPdpPlane` handle instead of a
+raw PDP address, and the plane decides how many :class:`PdpService` replicas
 exist *at any moment*, where each request is routed, and in what order
 the PEP fails over when a shard does not answer.
 
@@ -34,18 +34,13 @@ replica gracefully — the drained shard leaves the hash ring immediately
 (its key range re-homes to the ring successors, and a partitioned cache's
 entries migrate with it), finishes its in-flight evaluations, and is only
 then removed from the network.  Monitoring systems subscribe to
-membership events (:meth:`DecisionPlane.on_membership`) so probes attach
+membership events (:meth:`ShardedPdpPlane.on_membership`) so probes attach
 to a new shard before it serves its first request and detach from a
 drained shard only after its last reply — coverage never gaps.
 
-One routing upgrade layers on top of ring order, opt-in and pure
-topology (decisions and alerts stay bit-identical —
-``tests/test_neutrality.py`` pins this): with ``queue_aware=True`` each
-shard exposes its *busy cursor*
-(:meth:`~repro.accesscontrol.pdp_service.PdpService.busy_seconds`), and
-when the ring-preferred shard's backlog exceeds the best alternative,
-the order is re-sorted around the hot shard instead of waiting out the
-PEP's per-attempt timeout.
+Routing is ring order and nothing else.  The retired queue-aware
+re-sort (route around a shard with a long busy cursor) survives as a
+spec with its last measured answers in ``docs/elasticity.md`` §3.
 
 Membership changes are scripted (the harness's ``add_pdp_shard`` /
 ``drain_pdp_shard``, the fault plane's crash and restart).  A shard that
@@ -64,7 +59,7 @@ unobserved decision path.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.accesscontrol.decision_cache import DecisionCache
@@ -90,107 +85,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 MembershipListener = Callable[[str, PdpService], None]
 
 
-class DecisionPlane:
-    """Abstract handle PEPs use to reach policy evaluators.
-
-    A plane owns its :class:`PdpService` replicas (created by
-    :meth:`deploy`) and answers one routing question per request:
-    :meth:`endpoints` — which shard addresses to try, in failover order.
-    Membership changes are announced through :meth:`on_membership`.
-    """
-
-    #: Deployed evaluator services, primary first.  Monitoring systems
-    #: attach probes to every entry; ``services[0]`` is the conventional
-    #: compromise target for the threat experiments.
-    _services: list[PdpService]
-
-    def __init__(self) -> None:
-        self._services = []
-        self._membership_listeners: list[MembershipListener] = []
-        #: Optional :class:`repro.telemetry.tracing.Tracer`; when set,
-        #: membership changes leave instant markers on a ``lifecycle``
-        #: trace so elasticity shows up on the same timeline as requests.
-        self.telemetry = None
-
-    @property
-    def services(self) -> list[PdpService]:
-        return list(self._services)
-
-    def deploy(self, federation: "Federation", policy_plane) -> "DecisionPlane":
-        """Create the plane's evaluators in the infrastructure tenant.
-
-        Each evaluator reads from the replica that ``policy_plane`` (a
-        :class:`~repro.policydist.plane.PolicyDistributionPlane`) assigns
-        it (``pdp``, ``pdp-0``, … as consumer names).
-        """
-        raise NotImplementedError
-
-    def endpoints(self, request: AccessRequest) -> tuple[str, ...]:
-        """Shard addresses for ``request``, primary first, failover order.
-
-        PEPs re-query this on every failover, so the answer may change
-        between attempts — a drained shard drops out of the order, a hot
-        shard is routed around — without the PEP holding stale state.
-        """
-        raise NotImplementedError
-
-    def note_dispatch(self, address: str) -> None:
-        """Tell the plane a request was actually sent to ``address``.
-
-        PEPs call this once per dispatch (initial send and each failover
-        retry).  Load-aware planes use it to project in-flight work onto
-        the right shard; querying :meth:`endpoints` alone — for routing,
-        re-planning or inspection — must never charge a shard, because
-        the caller may dispatch to a different entry (or not at all).
-        The base plane ignores it.
-        """
-
-    def on_membership(self, listener: MembershipListener) -> None:
-        """Subscribe to shard membership changes (see ``MembershipListener``).
-
-        Monitoring orchestrators use this to attach a probe to a shard
-        added at runtime before it serves its first request, and to
-        detach a drained shard's probe only once it is quiescent.
-        """
-        self._membership_listeners.append(listener)
-
-    def _notify_membership(self, event: str, service: PdpService) -> None:
-        if self.telemetry is not None:
-            self.telemetry.instant(
-                f"plane.{event}", service.address, context=None,
-                trace_id="lifecycle", category="membership")
-        for listener in list(self._membership_listeners):
-            listener(event, service)
-
-    def caches(self) -> list[DecisionCache]:
-        """The distinct decision caches behind the plane (for inspection)."""
-        seen: list[DecisionCache] = []
-        for service in self._services:
-            cache = service.decision_cache
-            if cache is not None and all(cache is not other for other in seen):
-                seen.append(cache)
-        return seen
-
-    def describe(self) -> dict:
-        """Topology summary (benchmarks and the Figure 1 walkthrough)."""
-        return {
-            "kind": type(self).__name__,
-            "shards": len(self._services),
-            "addresses": [service.address for service in self._services],
-        }
-
-    def stats(self) -> dict:
-        """Per-shard service counters plus aggregate cache stats."""
-        return {
-            "requests_served": {
-                service.address: service.requests_served for service in self._services
-            },
-            "caches": [cache.stats() for cache in self.caches()],
-        }
-
-
-class ShardedPdpPlane(DecisionPlane):
+class ShardedPdpPlane:
     """Evaluator replicas behind consistent hashing, elastic at runtime.
+
+    The handle PEPs use to reach policy evaluators.  A plane owns its
+    :class:`PdpService` replicas (created by :meth:`deploy`) and answers
+    one routing question per request: :meth:`endpoints` — which shard
+    addresses to try, in failover order.  Membership changes are
+    announced through :meth:`on_membership`.
 
     ``shards`` is the *initial* membership; :meth:`add_shard` and
     :meth:`drain_shard` change it live (``self.shards`` tracks the
@@ -200,10 +102,6 @@ class ShardedPdpPlane(DecisionPlane):
     a drained shard's entries migrate to their ring successors).
     ``service_kwargs`` are forwarded to every :class:`PdpService`
     constructor (cache toggles, processing delays, serialization).
-
-    ``queue_aware`` (default off, preserving classic ring order)
-    re-sorts the failover order around shards whose busy cursor exceeds
-    the best alternative.
 
     ``drain_grace`` is the minimum simulated time a draining shard lingers
     before removal (covering requests already on the wire toward it);
@@ -224,12 +122,6 @@ class ShardedPdpPlane(DecisionPlane):
     #: Ring points per shard; spreads load within a few percent for small
     #: shard counts.
     VIRTUAL_NODES = 32
-    #: Backlog lead (seconds) the ring-preferred shard may have over the
-    #: best alternative before a queue-aware plane re-sorts around it.
-    QUEUE_THRESHOLD = 0.0
-    #: How long a dispatch stays projected onto its target shard — sized
-    #: to the dispatch latency, after which the busy cursor shows it.
-    ROUTING_HORIZON = 0.05
     #: Seconds between quiescence checks of a draining shard.
     DRAIN_POLL_INTERVAL = 0.25
 
@@ -238,10 +130,8 @@ class ShardedPdpPlane(DecisionPlane):
         shards: int = 2,
         cache_policy: str = "shared",
         service_kwargs: Optional[dict] = None,
-        queue_aware: bool = False,
         drain_grace: float = 1.0,
     ) -> None:
-        super().__init__()
         if shards < 1:
             raise ValidationError(f"shards must be >= 1, got {shards}")
         if cache_policy not in self.CACHE_POLICIES:
@@ -253,19 +143,20 @@ class ShardedPdpPlane(DecisionPlane):
         self.shards = shards
         self.cache_policy = cache_policy
         self.service_kwargs = dict(service_kwargs or {})
-        self.queue_aware = queue_aware
         self.drain_grace = drain_grace
         self.rebalances = 0
         #: Decision-cache entries copied into shards added at runtime
         #: (partitioned pools only; see :meth:`add_shard`).
         self.warmed_entries = 0
-        #: Queue-aware dispatches not yet visible in a shard's busy
-        #: cursor: ``(routed_at, address)`` pairs younger than
-        #: ``ROUTING_HORIZON``.  A shard's cursor only moves once the
-        #: dispatched message *arrives*, so without this projection every
-        #: request in a burst sees the same stale cursors and herds onto
-        #: whichever shard currently looks idle.
-        self._recent_routes: "deque[tuple[float, str]]" = deque()
+        #: Deployed evaluator services, primary first.  Monitoring systems
+        #: attach probes to every entry; ``services[0]`` is the conventional
+        #: compromise target for the threat experiments.
+        self._services: list[PdpService] = []
+        self._membership_listeners: list[MembershipListener] = []
+        #: Optional :class:`repro.telemetry.tracing.Tracer`; when set,
+        #: membership changes leave instant markers on a ``lifecycle``
+        #: trace so elasticity shows up on the same timeline as requests.
+        self.telemetry = None
         self._prp: Optional[PolicyRetrievalPoint] = None
         self._footprints: "OrderedDict[str, frozenset]" = OrderedDict()
         self._ring: list[tuple[int, int]] = []
@@ -280,9 +171,19 @@ class ShardedPdpPlane(DecisionPlane):
         #: announced to the router; failure detection happens at the PEP.
         self._crashed: dict[str, PdpService] = {}
 
+    @property
+    def services(self) -> list[PdpService]:
+        return list(self._services)
+
     # -- deployment --------------------------------------------------------------
 
     def deploy(self, federation: "Federation", policy_plane) -> "ShardedPdpPlane":
+        """Create the plane's evaluators in the infrastructure tenant.
+
+        Each evaluator reads from the replica that ``policy_plane`` (a
+        :class:`~repro.policydist.plane.PolicyDistributionPlane`) assigns
+        it (``pdp``, ``pdp-0``, … as consumer names).
+        """
         # Imported here: repro.policydist imports this package's prp module.
         from repro.policydist.plane import PolicyDistributionPlane
 
@@ -341,15 +242,13 @@ class ShardedPdpPlane(DecisionPlane):
     def over(
         services: Sequence[PdpService],
         prp: Optional[PolicyRetrievalPoint] = None,
-        queue_aware: bool = False,
     ) -> "ShardedPdpPlane":
         """Wrap already-deployed evaluators (manual wiring and tests).
 
         Deploy-only knobs (``cache_policy``, ``service_kwargs``) are
         deliberately not accepted — the adopted services were built by
         the caller, so the plane cannot change their caches or delays and
-        reports ``cache_policy="external"``.  ``queue_aware`` is purely a
-        routing policy, so it is accepted; :meth:`add_shard` is not
+        reports ``cache_policy="external"``.  :meth:`add_shard` is not
         available (the plane cannot build services), but
         :meth:`drain_shard` works on adopted simulator-bound services.
         Pass ``prp`` whenever routing affinity matters: without it the
@@ -359,7 +258,7 @@ class ShardedPdpPlane(DecisionPlane):
         """
         if not services:
             raise ValidationError("a sharded plane needs at least one service")
-        plane = ShardedPdpPlane(shards=len(services), queue_aware=queue_aware)
+        plane = ShardedPdpPlane(shards=len(services))
         plane.cache_policy = "external"  # whatever the adopted services carry
         plane._adopt(list(services), prp)
         return plane
@@ -387,6 +286,23 @@ class ShardedPdpPlane(DecisionPlane):
         self.shards = len(self._services)
 
     # -- elastic membership ------------------------------------------------------
+
+    def on_membership(self, listener: MembershipListener) -> None:
+        """Subscribe to shard membership changes (see ``MembershipListener``).
+
+        Monitoring orchestrators use this to attach a probe to a shard
+        added at runtime before it serves its first request, and to
+        detach a drained shard's probe only once it is quiescent.
+        """
+        self._membership_listeners.append(listener)
+
+    def _notify_membership(self, event: str, service: PdpService) -> None:
+        if self.telemetry is not None:
+            self.telemetry.instant(
+                f"plane.{event}", service.address, context=None,
+                trace_id="lifecycle", category="membership")
+        for listener in list(self._membership_listeners):
+            listener(event, service)
 
     def add_shard(self) -> PdpService:
         """Grow the pool by one replica, live.
@@ -651,13 +567,12 @@ class ShardedPdpPlane(DecisionPlane):
         return footprint
 
     def endpoints(self, request: AccessRequest) -> tuple[str, ...]:
-        """Failover order for ``request``: ring, then queue.
+        """Shard addresses for ``request``, primary first, failover order.
 
-        Ring order gives cache affinity; a queue-aware plane re-sorts by
-        busy cursor when the preferred shard's backlog exceeds the best
-        alternative by more than ``QUEUE_THRESHOLD``.  The re-sort is a
-        stable reorder of the same address set, so failover still
-        eventually tries every routable shard.
+        Ring order gives cache affinity, and failover eventually tries
+        every routable shard.  PEPs re-query this on every failover, so a
+        drained shard drops out of the order without the PEP holding
+        stale state.
         """
         if not self._services:
             raise ValidationError("decision plane is not deployed")
@@ -676,95 +591,42 @@ class ShardedPdpPlane(DecisionPlane):
             order.append(self._services[shard].address)
             if len(order) == len(self._services):
                 break
-        if self.queue_aware and len(order) > 1:
-            backlogs = self.projected_backlogs()
-            if backlogs[order[0]] - min(backlogs[a] for a in order) > self.QUEUE_THRESHOLD:
-                # Stable sort: equal backlogs keep ring order, so
-                # an idle plane routes exactly like a queue-blind one.
-                order.sort(key=backlogs.__getitem__)
         return tuple(order)
 
-    def note_dispatch(self, address: str) -> None:
-        """Project a real dispatch onto ``address`` (see base docstring).
-
-        Recording here — not in :meth:`endpoints` — keeps the in-flight
-        projection honest: a failover retry charges the shard actually
-        retried (the PEP skips already-tried entries, so that is not
-        necessarily ``endpoints()[0]``), and inspection-only queries
-        charge nobody.
-        """
-        # A single-shard pool has nothing to balance, and its endpoints()
-        # short-circuits past the projection's pruning — skip recording
-        # so the deque cannot grow while a drained-down plane runs.
-        if not (self.queue_aware and len(self._services) > 1):
-            return
-        self._record_route(address)
-
-    def projected_backlogs(self) -> dict[str, float]:
-        """Busy cursor per routable shard, plus dispatches still on the wire.
-
-        A cursor only advances when a routed request *arrives* at its
-        shard, so during a burst every caller would see the same stale
-        cursors and herd onto whichever shard currently looks idle.
-        Routings younger than ``ROUTING_HORIZON`` (sized to the dispatch
-        latency) are therefore projected onto their target at the shard's
-        advertised per-request cost before the cursors are compared.
-        """
-        backlogs = {service.address: self._busy_seconds(service) for service in self._services}
-        now = self._sim_now()
-        if now is None:
-            return backlogs
-        self._expire_routes(now)
-        by_address = {service.address: service for service in self._services}
-        for _, address in self._recent_routes:
-            service = by_address.get(address)
-            if service is not None:
-                backlogs[address] += getattr(service, "base_processing_delay", 0.0)
-        return backlogs
-
-    def _record_route(self, address: str) -> None:
-        now = self._sim_now()
-        if now is None:
-            return
-        # Prune on write as well as on read, so the deque stays bounded
-        # by rate × horizon even when nothing queries the projection.
-        self._expire_routes(now)
-        self._recent_routes.append((now, address))
-
-    def _expire_routes(self, now: float) -> None:
-        while self._recent_routes and now - self._recent_routes[0][0] >= self.ROUTING_HORIZON:
-            self._recent_routes.popleft()
-
-    def _sim_now(self) -> Optional[float]:
+    def caches(self) -> list[DecisionCache]:
+        """The distinct decision caches behind the plane (for inspection)."""
+        seen: list[DecisionCache] = []
         for service in self._services:
-            sim = getattr(service, "sim", None)
-            if sim is not None:
-                return sim.now
-        return None
-
-    @staticmethod
-    def _busy_seconds(service) -> float:
-        """A shard's busy cursor; externally adopted stubs report idle."""
-        probe = getattr(service, "busy_seconds", None)
-        return probe() if callable(probe) else 0.0
+            cache = service.decision_cache
+            if cache is not None and all(cache is not other for other in seen):
+                seen.append(cache)
+        return seen
 
     def describe(self) -> dict:
-        summary = super().describe()
-        summary["cache_policy"] = self.cache_policy
-        summary["queue_aware"] = self.queue_aware
-        summary["draining"] = sorted(self._draining)
-        summary["rebalances"] = self.rebalances
-        return summary
+        """Topology summary (benchmarks and the Figure 1 walkthrough)."""
+        return {
+            "kind": type(self).__name__,
+            "shards": len(self._services),
+            "addresses": [service.address for service in self._services],
+            "cache_policy": self.cache_policy,
+            "draining": sorted(self._draining),
+            "rebalances": self.rebalances,
+        }
 
     def stats(self) -> dict:
-        stats = super().stats()
-        stats["draining"] = {
-            address: service.requests_served
-            for address, service in sorted(self._draining.items())
+        """Per-shard service counters plus aggregate cache stats."""
+        return {
+            "requests_served": {
+                service.address: service.requests_served for service in self._services
+            },
+            "caches": [cache.stats() for cache in self.caches()],
+            "draining": {
+                address: service.requests_served
+                for address, service in sorted(self._draining.items())
+            },
+            "rebalances": self.rebalances,
+            "warmed_entries": self.warmed_entries,
         }
-        stats["rebalances"] = self.rebalances
-        stats["warmed_entries"] = self.warmed_entries
-        return stats
 
 
 class SinglePdpPlane(ShardedPdpPlane):

@@ -428,10 +428,12 @@ class DecisionOracle:
         self.checks = 0
         self._index = compile_target_index(policy_from_dict(document))
 
-    def expected_decision(self, request: dict) -> str:
-        """The decision the policies entail for ``request``."""
+    def expected_decision(self, request: "dict | RequestContext") -> str:
+        """The decision the policies entail for ``request`` (plain or decoded)."""
         self.checks += 1
-        decision, _obligations = self._index.evaluate_full(RequestContext.from_dict(request))
+        if not isinstance(request, RequestContext):
+            request = RequestContext.from_dict(request)
+        decision, _obligations = self._index.evaluate_full(request)
         return decision.collapse().value
 
     def verify(self, request: dict, observed_decision: str) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.accesscontrol.pep import PolicyEnforcementPoint
-from repro.accesscontrol.plane import DecisionPlane
+from repro.accesscontrol.plane import ShardedPdpPlane
 from repro.accesscontrol.prp import PolicyRetrievalPoint
 from repro.common.errors import ValidationError
 from repro.common.rng import SeededRng
@@ -82,10 +82,20 @@ class CentralizedMonitor(Host):
             self._stop_sweep = self.sim.every(SWEEP_INTERVAL, self.sweep, label="central-sweep")
 
     def compromise(self) -> None:
-        """The attacker owns the collector: scrub evidence, go blind."""
+        """The attacker owns the collector: scrub evidence, go blind.
+
+        Stored rows go through the store's adversary API; a write still in
+        flight is scrubbed as it commits (:meth:`_scrub_if_compromised`).
+        """
         self.compromised = True
         for index in (self.records, self._pending, self._unchecked, self._claims):
             index.clear()
+        for key in self.database.keys_in_order():
+            self.database.delete(key)
+
+    def _scrub_if_compromised(self, key: str) -> None:
+        if self.compromised:
+            self.database.delete(key)
 
     def _handle_log(self, message: Message, entry: LogEntry) -> None:
         if self.compromised:
@@ -109,7 +119,9 @@ class CentralizedMonitor(Host):
             report = {"entry_type": entry_type, **logged}
             self._fire(cid, self.rules.repeat(record, entry_type, report)[1])
             return
-        self.database.write(f"{cid}:{entry_type}", entry.to_dict())
+        self.database.write(
+            f"{cid}:{entry_type}", entry.to_dict(), on_ack=self._scrub_if_compromised
+        )
         self._fire(cid, self.rules.add(record, entry_type, logged))
         if entry_type != EntryType.PEP_OUT and not record.get("checked"):  # may complete a check
             self._unchecked[cid] = None
@@ -183,7 +195,7 @@ class CentralizedMonitor(Host):
 
 def attach_centralized_monitoring(
     federation: Federation,
-    plane: DecisionPlane,
+    plane: ShardedPdpPlane,
     peps: dict[str, PolicyEnforcementPoint],
     prp: PolicyRetrievalPoint,
     timeout_seconds: float = 10.0,
@@ -195,8 +207,8 @@ def attach_centralized_monitoring(
     the instrumentation or the checks.  Probes attach to every PDP replica
     of the federation's decision plane.
     """
-    if not isinstance(plane, DecisionPlane):
-        raise ValidationError(f"expected a DecisionPlane, got {type(plane).__name__}")
+    if not isinstance(plane, ShardedPdpPlane):
+        raise ValidationError(f"expected a ShardedPdpPlane, got {type(plane).__name__}")
     infra = federation.infrastructure_tenant
     address = infra.address("central-monitor")
     monitor = CentralizedMonitor(

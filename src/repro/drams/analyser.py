@@ -114,13 +114,13 @@ class Analyser(Host):
         if entry_type not in (EntryType.PDP_OUT, EntryType.PDP_IN, EntryType.PEP_IN):
             return
         correlation_id = event.payload["correlation_id"]
-        if correlation_id in self._verified or not self._admit(correlation_id):
+        if correlation_id in self._verified:
             return
         tracer = self.network.telemetry
         if tracer is not None:
-            # Open from first admission to verification — the "audit lag"
-            # tail of the decision's critical path.  Idempotent across the
-            # several contract events one correlation produces.
+            # Open from the first checkable event to verification — the
+            # "audit lag" tail of the decision's critical path.  Idempotent
+            # across the several contract events one correlation produces.
             tracer.open_span(
                 ("analyser.audit", correlation_id),
                 "analyser.audit",
@@ -130,17 +130,6 @@ class Analyser(Host):
             )
         self._pending[correlation_id] = None
         self._check_decision(correlation_id)
-
-    def _admit(self, correlation_id: str) -> bool:
-        """Audit-admission hook, called once per checkable contract event.
-
-        The exhaustive Analyser audits every correlation.  Sampling
-        subclasses (:class:`repro.lightclient.sampling.SamplingAnalyser`)
-        override this with a deterministic seeded predicate, trading
-        per-decision audit cost for a closed-form detection bound.  Churn
-        claims are never sampled — they are alert-driven and rare.
-        """
-        return True
 
     def _read(self, entry: Optional[dict], field: str) -> Optional[dict]:
         """The decrypted payload of ``entry`` if it holds ``field``; else None."""

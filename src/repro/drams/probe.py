@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.accesscontrol.messages import AccessDecision, AccessRequest
 from repro.accesscontrol.pdp_service import PdpService
 from repro.accesscontrol.pep import PolicyEnforcementPoint
-from repro.accesscontrol.plane import DecisionPlane
+from repro.accesscontrol.plane import ShardedPdpPlane
 from repro.common.errors import ValidationError
 from repro.drams.logs import EntryType, LogEntry
 from repro.simnet.network import Host
@@ -112,7 +112,9 @@ def attach_pdp_probes(pdp_service: PdpService, tenant: str, li_address: str) -> 
     return agent.hook(*hooks, EntryType.PDP_IN, EntryType.PDP_OUT)
 
 
-def attach_plane_probes(plane: DecisionPlane, tenant: str, li_address: str) -> dict[str, ProbeAgent]:
+def attach_plane_probes(
+    plane: ShardedPdpPlane, tenant: str, li_address: str
+) -> dict[str, ProbeAgent]:
     """Wire agents to *every* evaluator replica behind a decision plane.
 
     Monitoring coverage must follow the plane: a sharded pool with an
@@ -133,7 +135,7 @@ def attach_plane_probes(plane: DecisionPlane, tenant: str, li_address: str) -> d
 
 
 def follow_plane_membership(
-    plane: DecisionPlane, probes: dict[str, ProbeAgent], tenant: str, li_address: str
+    plane: ShardedPdpPlane, probes: dict[str, ProbeAgent], tenant: str, li_address: str
 ) -> None:
     """Keep ``probes`` in lockstep with a plane's membership events.
 

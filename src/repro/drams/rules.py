@@ -42,7 +42,9 @@ from typing import Callable, NamedTuple, Optional
 
 from repro.accesscontrol.prp import PolicyVersion
 from repro.analysis.semantics import DecisionOracle
+from repro.common.errors import ValidationError
 from repro.drams.logs import EntryType
+from repro.xacml.context import RequestContext
 
 #: Effect kinds (see the module docstring).
 ALERT, CLAIM, COMPLETE = "alert", "claim", "complete"
@@ -214,6 +216,20 @@ def _read_request(record: dict, read: Reader) -> Optional[dict]:
     return request or read(entries.get(EntryType.PEP_IN), "content")
 
 
+def _decode_request(payload: Optional[dict]) -> Optional[RequestContext]:
+    """The request ``payload`` carries; None if there is none or it does not decode.
+
+    Content that does not decode reads as not yet readable, like a payload
+    without ``content``.
+    """
+    if payload is None:
+        return None
+    try:
+        return RequestContext.from_dict(payload["content"])
+    except ValidationError:
+        return None
+
+
 class PolicyHistory:
     """The policy versions a monitor has seen published, and their oracles.
 
@@ -235,13 +251,13 @@ class PolicyHistory:
         self._fingerprints[version.fingerprint] = version
         self._seen_at[version.version] = seen_at
 
-    def _expected(self, version: PolicyVersion, request: dict) -> str:
+    def _expected(self, version: PolicyVersion, request: RequestContext) -> str:
         # One oracle per version: it compiles the document through the
         # target index once, so each check is an indexed evaluation.
         oracle = self._oracles.get(version.version)
         if oracle is None:
             oracle = self._oracles[version.version] = DecisionOracle(version.document)
-        return oracle.expected_decision(request["content"])
+        return oracle.expected_decision(request)
 
     def judge_decision(
         self, record: dict, read: Reader, now: float, grace_left: Callable[[], bool]
@@ -249,12 +265,15 @@ class PolicyHistory:
         """Judge ``record``'s decision; None while it cannot be judged yet.
 
         That is while PDP-out or the request (PDP-in, else PEP-in) is
-        unreadable, or while its stamp is unknown and ``grace_left()``.
+        unreadable or does not decode, or while its stamp is unknown and
+        ``grace_left()``.
         """
         entry = record["entries"].get(EntryType.PDP_OUT)
         decision = read(entry, "decision")
-        request = _read_request(record, read)
-        if decision is None or request is None:
+        payload = _read_request(record, read)
+        # Decoded only once the decision reads too: one decode per judgement.
+        request = _decode_request(payload) if decision is not None else None
+        if request is None:
             return None
         stamped = decision.get("policy_fingerprint", "")
         if stamped and stamped not in self._fingerprints:
@@ -305,7 +324,7 @@ class PolicyHistory:
         and carry exactly that version's decision.  None while the request
         is unreadable or an unknown stamp is within the grace.
         """
-        request = _read_request(record, read)
+        request = _decode_request(_read_request(record, read))
         if request is None:
             return None
         entries = record["entries"]

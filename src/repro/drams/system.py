@@ -47,7 +47,7 @@ from repro.drams.probe import (
 from repro.federation.federation import Federation
 from repro.accesscontrol.pdp_service import PdpService
 from repro.accesscontrol.pep import PolicyEnforcementPoint
-from repro.accesscontrol.plane import DecisionPlane
+from repro.accesscontrol.plane import ShardedPdpPlane
 from repro.policydist.plane import PolicyDistributionPlane
 
 #: Seed of the federation key and of every component identity
@@ -95,13 +95,6 @@ class DramsConfig:
     # Ablation knobs (benchmarks/bench_ablations.py); keep defaults in production.
     expected_entries: tuple = EntryType.ALL
     enable_leg_matching: bool = True
-    # Analyser mode: "full" audits every correlation (the paper's
-    # exhaustive checker); "sampling" deploys a
-    # :class:`repro.lightclient.sampling.SamplingAnalyser` that audits a
-    # seeded hash-fraction with a closed-form detection bound.
-    analyser_mode: str = "full"
-    sample_rate: float = 0.1
-    sample_seed: "int | str" = 0
 
     def __post_init__(self) -> None:
         if self.timeout_blocks < 1:
@@ -112,12 +105,6 @@ class DramsConfig:
             raise ValidationError("policy_staleness_bound must be >= 0")
         if self.unknown_policy_grace < 0:
             raise ValidationError("unknown_policy_grace must be >= 0")
-        if self.analyser_mode not in ("full", "sampling"):
-            raise ValidationError(
-                f"analyser_mode must be 'full' or 'sampling', got {self.analyser_mode!r}")
-        if not 0.0 < self.sample_rate <= 1.0:
-            raise ValidationError(
-                f"sample_rate must be in (0, 1], got {self.sample_rate}")
 
 
 class DramsSystem:
@@ -125,10 +112,10 @@ class DramsSystem:
 
     def __init__(self, federation: Federation,
                  policy_plane: PolicyDistributionPlane,
-                 plane: DecisionPlane,
+                 plane: ShardedPdpPlane,
                  peps: dict[str, PolicyEnforcementPoint],
                  config: Optional[DramsConfig] = None) -> None:
-        for handle, kind in ((policy_plane, PolicyDistributionPlane), (plane, DecisionPlane)):
+        for handle, kind in ((policy_plane, PolicyDistributionPlane), (plane, ShardedPdpPlane)):
             if not isinstance(handle, kind):
                 raise ValidationError(
                     f"expected a {kind.__name__}, got {type(handle).__name__}")
@@ -241,22 +228,12 @@ class DramsSystem:
             signing_key=analyser_node_key, hashrate=self.config.node_hashrate,
             verified=verified)
         infra.register_host(analyser_node_address)
-        analyser_kwargs = dict(
+        self.analyser = Analyser(
+            self.federation.network, analyser_address, analyser_node,
             signing_key=analyser_key, federation_key=self.federation_key,
             prp=self.policy_plane.retrieval_point_for("analyser"),
             policy_staleness_bound=self.config.policy_staleness_bound,
             unknown_policy_grace=self.config.unknown_policy_grace)
-        if self.config.analyser_mode == "sampling":
-            from repro.lightclient.sampling import SamplingAnalyser
-
-            self.analyser = SamplingAnalyser(
-                self.federation.network, analyser_address, analyser_node,
-                sample_rate=self.config.sample_rate,
-                sample_seed=self.config.sample_seed, **analyser_kwargs)
-        else:
-            self.analyser = Analyser(
-                self.federation.network, analyser_address, analyser_node,
-                **analyser_kwargs)
         infra.register_host(analyser_address)
         self.nodes["__analyser__"] = analyser_node
 
@@ -467,7 +444,4 @@ class DramsSystem:
             out["light_clients"] = {
                 name: consumer.stats()
                 for name, consumer in self.light_clients.items()}
-        sampling_stats = getattr(self.analyser, "sampling_stats", None)
-        if callable(sampling_stats):
-            out["sampling"] = sampling_stats()
         return out

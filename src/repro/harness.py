@@ -6,7 +6,7 @@ DRAMS on top.  :class:`MonitoredFederation` packages that wiring so
 experiment code reads as *what* is measured, not *how* the pieces connect.
 
 The decision plane is topology configuration: ``build(plane=...)`` accepts
-any :class:`~repro.accesscontrol.plane.DecisionPlane` and defaults to
+any :class:`~repro.accesscontrol.plane.ShardedPdpPlane` and defaults to
 :class:`~repro.accesscontrol.plane.SinglePdpPlane` (the paper's single
 evaluator, bit-identical to the pre-plane wiring).  Pass
 ``ShardedPdpPlane(shards=4)`` to deploy a consistent-hashed PDP pool
@@ -34,7 +34,7 @@ from typing import Callable, Iterator, Optional
 from repro.accesscontrol.pap import PolicyAdministrationPoint
 from repro.accesscontrol.pdp_service import PdpService
 from repro.accesscontrol.pep import EnforcedAccess, PolicyEnforcementPoint
-from repro.accesscontrol.plane import DecisionPlane, SinglePdpPlane
+from repro.accesscontrol.plane import ShardedPdpPlane, SinglePdpPlane
 from repro.accesscontrol.prp import PolicyRetrievalPoint
 from repro.common.errors import ValidationError
 from repro.common.ids import short_hash
@@ -66,7 +66,7 @@ class MonitoredFederation:
     federation: Federation
     prp: PolicyRetrievalPoint
     pap: PolicyAdministrationPoint
-    plane: DecisionPlane
+    plane: ShardedPdpPlane
     peps: dict[str, PolicyEnforcementPoint]
     generator: RequestGenerator
     policy_plane: PolicyDistributionPlane = field(default_factory=SingleStorePlane)
@@ -89,7 +89,7 @@ class MonitoredFederation:
         drams_config: Optional[DramsConfig] = None,
         with_drams: bool = True,
         federation_config: Optional[FederationConfig] = None,
-        plane: Optional[DecisionPlane] = None,
+        plane: Optional[ShardedPdpPlane] = None,
         policy_plane: Optional[PolicyDistributionPlane] = None,
         pep_kwargs: Optional[dict] = None,
         light_clients: "bool | list[str]" = False,

@@ -13,9 +13,6 @@ the sublinear alternative the "millions of users" north star needs:
   self-contained evidence object (transaction, Merkle inclusion proof,
   block header, policy ``(version, fingerprint)`` stamp) that verifies
   *offline* against a single trusted header in O(log block-size) hashes;
-- :mod:`repro.lightclient.sampling` — :class:`SamplingAnalyser`, an
-  Analyser mode that audits a seeded hash-sample of correlations with a
-  closed-form detection-probability bound (``1 - (1 - p)^k``);
 - :mod:`repro.lightclient.consumer` — :class:`LightProbeConsumer`,
   per-tenant auditors holding headers + receipts only, fed by their own
   PEP's enforcement hook and the ``bc_proof_request`` service.
@@ -33,11 +30,6 @@ from repro.lightclient.receipts import (
     ReceiptVerification,
     monitor_tx_resolver,
 )
-from repro.lightclient.sampling import (
-    SamplingAnalyser,
-    detection_probability,
-    sample_admit,
-)
 from repro.lightclient.sideband import SidebandHost, sideband_link
 
 __all__ = [
@@ -45,10 +37,7 @@ __all__ = [
     "HeaderClient",
     "LightProbeConsumer",
     "ReceiptVerification",
-    "SamplingAnalyser",
     "SidebandHost",
-    "detection_probability",
     "monitor_tx_resolver",
-    "sample_admit",
     "sideband_link",
 ]

@@ -31,7 +31,7 @@ from typing import Any, Callable, Optional
 from repro.blockchain.block import BlockHeader
 from repro.blockchain.chain import Blockchain
 from repro.blockchain.transaction import Transaction
-from repro.common.errors import CryptoError, ValidationError
+from repro.common.errors import CryptoError, SerializationError, ValidationError
 from repro.common.serialization import from_json
 from repro.crypto.hashing import sha256_hex
 from repro.crypto.merkle import MerkleProof
@@ -129,12 +129,22 @@ class DecisionReceipt:
             hashes += 1  # plaintext vs the on-chain hash commitment
             if sha256_hex(plaintext) != args.get("payload_hash"):
                 return ReceiptVerification(False, "payload-commitment-mismatch", hashes)
-            payload = from_json(plaintext.decode("utf-8"))
-            declared = payload.get("policy_fingerprint", "")
-            if declared or self.policy_fingerprint:
+            try:
+                payload = from_json(plaintext.decode("utf-8"))
+                declared = payload.get("policy_fingerprint", "")
                 stamp = (int(payload.get("policy_version", 0)), declared)
-                if stamp != self.policy_stamp:
-                    return ReceiptVerification(False, "policy-stamp-mismatch", hashes)
+            except (
+                SerializationError,
+                UnicodeDecodeError,
+                AttributeError,
+                TypeError,
+                ValueError,
+                OverflowError,
+            ):
+                # Committed correctly, but not a log payload.
+                return ReceiptVerification(False, "payload-malformed", hashes)
+            if (declared or self.policy_fingerprint) and stamp != self.policy_stamp:
+                return ReceiptVerification(False, "policy-stamp-mismatch", hashes)
             self.payload = payload
         if expected_stamp is not None and self.policy_stamp != tuple(expected_stamp):
             return ReceiptVerification(False, "unexpected-policy-stamp", hashes)

@@ -517,7 +517,7 @@ _PRESETS = (
     # Civil-protection flash crowd (E13): the catalogue is front-loaded onto the
     # alert feed and strongly Zipf-skewed, so a few decision-cache keys run their
     # shards hot while ring neighbours idle, and 3 000 arrivals/s out-run any
-    # fixed pool — the add/drain and queue-aware-routing substrate.
+    # fixed pool — the add/drain substrate.
     ScenarioSpec(
         name="elastic-scale",
         roles=("responder", "coordinator", "analyst", "ingest-bot"),

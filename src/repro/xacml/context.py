@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
-from repro.common.errors import PolicyError
+from repro.common.errors import PolicyError, ValidationError
 from repro.xacml.attributes import Bag, Category, DataType
 
 
@@ -149,10 +149,21 @@ class RequestContext:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RequestContext":
+        """Decode :meth:`to_dict`'s form; only :class:`ValidationError` escapes.
+
+        ``data`` maps categories to mappings of attribute ids to value
+        lists.  Anything else — not a mapping of attribute mappings, an
+        unknown category, a value no data type takes — is malformed.
+        """
+        if not (isinstance(data, dict) and all(isinstance(a, dict) for a in data.values())):
+            raise ValidationError("request content must map categories to attribute mappings")
         request = cls()
-        for category, attributes in data.items():
-            for attribute_id, values in attributes.items():
-                request.add(category, attribute_id, list(values))
+        try:
+            for category, attributes in data.items():
+                for attribute_id, values in attributes.items():
+                    request.add(category, attribute_id, list(values))
+        except (TypeError, PolicyError) as exc:
+            raise ValidationError(f"malformed request content: {exc!r}") from exc
         return request
 
     def __repr__(self) -> str:

@@ -106,6 +106,29 @@ class TestSinglePointOfFailure:
         monitor.compromise()
         assert monitor.records == {}  # no tamper evidence remains
 
+    def test_compromise_scrubs_the_stored_logs(self):
+        stack, monitor, probes = build_baseline_stack(seed=76)
+        stack.issue_requests(5)
+        stack.run(until=20.0)
+        assert len(monitor.database) == 20
+        monitor.compromise()
+        assert len(monitor.database) == 0
+
+    def test_compromise_scrubs_a_write_still_in_flight(self):
+        stack, monitor, probes = build_baseline_stack(seed=76)
+        write = monitor.database.write
+
+        def write_then_compromise(*args, **kwargs):
+            write(*args, **kwargs)  # commits only after the write latency
+            monitor.database.write = write
+            stack.sim.schedule(0.0, monitor.compromise)
+
+        monitor.database.write = write_then_compromise
+        stack.issue_requests(5)
+        stack.run(until=20.0)
+        assert monitor.database.writes == 1
+        assert len(monitor.database) == 0
+
 
 class TestContrastWithDrams:
     def test_drams_survives_single_tenant_monitor_compromise(self):
@@ -167,3 +190,24 @@ class TestMalformedInput:
         assert len(stack.outcomes) == 10 and monitor.checked_decisions == 10
         alerts = {(a.alert_type, a.correlation_id) for a in monitor.alerts.all()}
         assert alerts == {(AlertType.MISSING_LOG, "c-empty")}
+
+    def test_a_log_pair_whose_request_does_not_decode_is_never_judged(self):
+        stack, monitor, probes = build_baseline_stack(seed=74)
+        pep = stack.peps["tenant-1"]
+        network = stack.federation.network
+        stack.issue_requests(10)
+        payloads = {
+            EntryType.PDP_IN: {"request_id": "r", "content": "x"},
+            EntryType.PDP_OUT: {"request_id": "r", "decision": "Permit"},
+        }
+
+        def send_the_pair():
+            for entry_type, payload in payloads.items():
+                entry = LogEntry("c-x", entry_type, "infrastructure", "pdp", payload, 3.0)
+                network.send(pep.address, monitor.address, "drams_log", entry.to_dict())
+
+        stack.sim.schedule_at(3.0, send_the_pair)
+        stack.run(until=30.0)
+        assert len(stack.outcomes) == 10 and monitor.checked_decisions == 10
+        alerts = {(a.alert_type, a.correlation_id) for a in monitor.alerts.all()}
+        assert alerts == {(AlertType.MISSING_LOG, "c-x")}

@@ -7,12 +7,11 @@ from repro.accesscontrol.messages import AccessDecision, AccessRequest
 from repro.accesscontrol.pap import PolicyAdministrationPoint
 from repro.accesscontrol.pdp_service import PdpService
 from repro.accesscontrol.pep import PolicyEnforcementPoint
-from repro.accesscontrol.plane import DecisionPlane, ShardedPdpPlane, SinglePdpPlane
+from repro.accesscontrol.plane import ShardedPdpPlane, SinglePdpPlane
 from repro.accesscontrol.prp import PolicyRetrievalPoint
 from repro.common.errors import ValidationError
 from repro.common.rng import SeededRng
 from repro.harness import MonitoredFederation
-from repro.policydist import SingleStorePlane
 from repro.simnet.latency import ConstantLatency
 from repro.simnet.network import Host, Network
 from repro.simnet.simulator import Simulator
@@ -111,7 +110,7 @@ class TestSinglePlane:
             SinglePdpPlane().endpoints(request_with())
 
     def test_pep_rejects_raw_address(self, network):
-        with pytest.raises(ValidationError, match="expected a DecisionPlane"):
+        with pytest.raises(ValidationError, match="expected a ShardedPdpPlane"):
             PolicyEnforcementPoint(network, "pep@t1", "tenant-1", "pdp@infra")
         # The failed construction must not have leaked the address.
         PolicyEnforcementPoint(network, "pep@t1", "tenant-1",
@@ -121,7 +120,7 @@ class TestSinglePlane:
         prp = PolicyRetrievalPoint()
         PolicyAdministrationPoint(prp, "admin").publish(doctors_policy())
         pdp = PdpService(network, "pdp@infra", prp)
-        with pytest.raises(ValidationError, match="expected a DecisionPlane"):
+        with pytest.raises(ValidationError, match="expected a ShardedPdpPlane"):
             PolicyEnforcementPoint(network, "pep@t1", "tenant-1", pdp)
         pep = PolicyEnforcementPoint(network, "pep@t1", "tenant-1", ShardedPdpPlane.over([pdp]))
         outcomes = []
@@ -474,10 +473,3 @@ class TestDecisionPlaneSurface:
                                           seed=27, with_drams=False)
         with pytest.raises(ValidationError):
             stack.plane.deploy(stack.federation, stack.policy_plane)
-
-    def test_base_plane_is_abstract(self):
-        plane = DecisionPlane()
-        with pytest.raises(NotImplementedError):
-            plane.endpoints(request_with())
-        with pytest.raises(NotImplementedError):
-            plane.deploy(object(), SingleStorePlane())

@@ -42,6 +42,7 @@ from repro.crypto.merkle import MerkleProof
 from repro.drams.alerts import AlertType
 from repro.drams.contract import CONTRACT_NAME, MonitorContract
 from repro.drams.logs import EntryType, LogEntry
+from repro.drams.rules import PolicyHistory
 from repro.faults import FaultPlan, clock_skew, crash, link_degrade, partition
 from repro.federation.federation import Federation, FederationConfig
 from repro.harness import MonitoredFederation
@@ -54,10 +55,12 @@ from repro.scenariogen.presets import PRESET_SPECS
 from repro.scenariogen.spec import ScenarioSpec, spec_from_json, spec_to_json
 from repro.simnet.network import Message
 from repro.workload.scenarios import healthcare_scenario
+from repro.xacml.context import RequestContext
 from repro.xacml.parser import policy_to_dict
 from tests.conftest import fast_drams_config
 from tests.strategies import json_values, transactions
 from tests.test_elastic_plane import doctors_policy, request_with
+from tests.test_lightclient import KEY, build_receipt
 from tests.test_verify_once import alice_tx, build_cluster, gossip_message
 
 DECODERS = {"bc_tx": Transaction.from_dict, "bc_block": Block.from_dict}
@@ -768,15 +771,18 @@ PLAN_DICT = FaultPlan(
         clock_skew("pep@t1", 0.25, at=0.0, until=4.0),
     ),
 ).to_dict()
+REQUEST_DICT = request_with().content
 DOCUMENT_DECODERS = {
     "merkle-proof": MerkleProof.from_dict,
     "decision-receipt": DecisionReceipt.from_dict,
     "fault-plan": FaultPlan.from_dict,
+    "request-context": RequestContext.from_dict,
 }
 GENUINE_DOCUMENTS = {
     "merkle-proof": PROOF_DICT,
     "decision-receipt": RECEIPT_DICT,
     "fault-plan": PLAN_DICT,
+    "request-context": REQUEST_DICT,
 }
 
 
@@ -815,6 +821,12 @@ MALFORMED_DOCUMENTS = {
         with_event(at=10**400),
         with_event(symmetric=1),
     ],
+    "request-context": [
+        {"subject": "x"},
+        {"bogus": {"role": ["doctor"]}},
+        {"subject": {"role": 5}},
+        {"subject": {"role": ["doctor", 1]}},
+    ],
 }
 DOCUMENT_KINDS = sorted(DOCUMENT_DECODERS)
 
@@ -839,6 +851,7 @@ class TestDocumentDecode:
         assert MerkleProof.from_dict(PROOF_DICT).to_dict() == PROOF_DICT
         assert DecisionReceipt.from_dict(RECEIPT_DICT).to_dict() == RECEIPT_DICT
         assert FaultPlan.from_dict(PLAN_DICT).to_dict() == PLAN_DICT
+        assert RequestContext.from_dict(REQUEST_DICT).to_dict() == REQUEST_DICT
 
     @given(
         st.sampled_from(DOCUMENT_KINDS),
@@ -847,6 +860,29 @@ class TestDocumentDecode:
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_json_raises_only_validation_error(self, kind, document):
         document_decodes(kind, document)
+
+    @pytest.mark.parametrize(
+        "plaintext",
+        [
+            b"not json",
+            b"[1, 2]",
+            b"\xff",
+            b'{"policy_version": "x", "policy_fingerprint": "fp"}',
+            b'{"policy_version": [3], "policy_fingerprint": "fp"}',
+        ],
+        ids=["not-json", "json-array", "not-utf8", "version-not-a-number", "version-a-list"],
+    )
+    def test_a_receipt_committing_a_non_payload_is_rejected(self, plaintext):
+        receipt = build_receipt(plaintext=plaintext)
+        result = receipt.verify(receipt.header, federation_key=KEY)
+        assert (result.ok, result.reason) == (False, "payload-malformed")
+
+    @given(st.one_of(st.binary(max_size=64), wire_values.map(lambda v: json.dumps(v).encode())))
+    @settings(max_examples=300, deadline=None)
+    def test_receipt_verify_never_raises_on_a_committed_plaintext(self, plaintext):
+        receipt = build_receipt(plaintext=plaintext)
+        result = receipt.verify(receipt.header, federation_key=KEY)
+        assert result.ok == (result.reason == "ok")
 
 
 # -- the monitor contract's call boundary and the monitors' evidence ------------------
@@ -988,6 +1024,15 @@ FORGED_CIPHERTEXTS = {
 }
 
 
+#: Request contents a signed log can commit that name no request.
+UNDECODABLE_CONTENT = [
+    "x",
+    {"subject": "x"},
+    {"bogus": {"role": ["doctor"]}},
+    {"subject": {"role": ["doctor", 1]}},
+]
+
+
 class TestEvidenceBoundary:
     @pytest.mark.parametrize("case", FORGED_CIPHERTEXTS)
     def test_unreadable_evidence_is_not_yet_readable_for_the_analyser(self, case):
@@ -1015,3 +1060,66 @@ class TestEvidenceBoundary:
         assert analyser.decryption_failures > 0
         alerts = {(a.alert_type, a.correlation_id) for a in stack.drams.alerts.all()}
         assert alerts == {(AlertType.MISSING_LOG, "forged")}
+
+    @pytest.mark.parametrize(
+        "content",
+        UNDECODABLE_CONTENT,
+        ids=["not-a-mapping", "category-not-a-mapping", "unknown-category", "mixed-types"],
+    )
+    def test_request_content_that_does_not_decode_is_not_yet_readable(self, content):
+        stack = MonitoredFederation.build(
+            healthcare_scenario(), clouds=2, seed=42, drams_config=fast_drams_config()
+        )
+        stack.start()
+        li = next(iter(stack.drams.interfaces.values()))
+        key = stack.drams.federation_key
+        payloads = {
+            EntryType.PDP_IN: {"request_id": "r", "content": content},
+            EntryType.PDP_OUT: {"request_id": "r", "decision": "Permit"},
+        }
+
+        def forge():
+            for entry_type, payload in payloads.items():
+                args = {
+                    **LogEntry("forged", entry_type, li.tenant, "pdp", payload, 2.0).envelope(),
+                    "payload_hash": "h",
+                    "ciphertext": key.encrypt(canonical_bytes(payload)).to_dict(),
+                }
+                li.node.submit_transaction(li._signed_tx("record_log", args))
+
+        stack.sim.schedule_at(2.0, forge)
+        stack.issue_requests(6)
+        stack.run(until=30.0)
+        assert len(stack.outcomes) == 6 and stack.drams.analyser.checked == 6
+        alerts = {(a.alert_type, a.correlation_id) for a in stack.drams.alerts.all()}
+        assert alerts == {(AlertType.MISSING_LOG, "forged")}
+
+    @pytest.mark.parametrize(
+        "content",
+        UNDECODABLE_CONTENT,
+        ids=["not-a-mapping", "category-not-a-mapping", "unknown-category", "mixed-types"],
+    )
+    def test_the_shared_rules_wait_on_request_content_that_does_not_decode(self, content):
+        version = PolicyVersion(1, policy_to_dict(doctors_policy()), 0.0, "admin")
+        history = PolicyHistory([version], staleness_bound=0)
+        fingerprint = version.fingerprint
+        decision = {"decision": "Permit", "policy_version": 1, "policy_fingerprint": fingerprint}
+
+        def record_with(request_content):
+            return {
+                "entries": {
+                    EntryType.PDP_IN: {"payload": {"content": request_content}},
+                    EntryType.PDP_OUT: {"payload": decision, "policy_fingerprint": fingerprint},
+                }
+            }
+
+        def read(entry, field):
+            return entry["payload"] if entry is not None and field in entry["payload"] else None
+
+        # The genuine request is judged by both rules; the undecodable one by neither.
+        genuine = record_with(REQUEST_DICT)
+        assert history.judge_decision(genuine, read, 1.0, lambda: False).alert == ""
+        assert history.judge_claims(genuine, read, lambda: False).alert == ""
+        forged = record_with(content)
+        assert history.judge_decision(forged, read, 1.0, lambda: False) is None
+        assert history.judge_claims(forged, read, lambda: False) is None

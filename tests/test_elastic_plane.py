@@ -1,5 +1,5 @@
 """Elastic decision plane: runtime membership, drain semantics, shard
-warm-up, probe lifecycle, queue-aware routing."""
+warm-up, probe lifecycle, serialized evaluator capacity."""
 
 import pytest
 
@@ -382,97 +382,52 @@ class TestProbeLifecycle:
         assert stack.drams.analyser.pending_correlations == 0
 
 
-class TestQueueAwareRouting:
-    def make_pool(self, network, count=2, serialize=True):
+class TestSerializedCapacity:
+    """The single-threaded evaluator model E11 and E13 measure against."""
+
+    def serve_burst(self, network, serialize=True, count=3):
         prp = PolicyRetrievalPoint()
         PolicyAdministrationPoint(prp, "admin").publish(doctors_policy())
-        services = [
-            PdpService(
-                network,
-                f"pdp-{i}@infra",
-                prp,
-                serialize_evaluations=serialize,
-            )
-            for i in range(count)
-        ]
-        return prp, services
-
-    def test_prefers_idle_shard_over_busy_one(self, network):
-        prp, services = self.make_pool(network)
-        plane = ShardedPdpPlane.over(services, prp=prp, queue_aware=True)
-        request = request_with()
-        ring_order = ShardedPdpPlane.over(services, prp=prp).endpoints(request)
-        busy = next(s for s in services if s.address == ring_order[0])
-        idle = next(s for s in services if s.address == ring_order[1])
-        busy._busy_until = busy.sim.now + 5.0  # deep backlog on the primary
-        assert plane.endpoints(request) == (idle.address, busy.address)
-
-    def test_idle_pool_keeps_ring_order(self, network):
-        # With no dispatch inside the routing horizon and every cursor at
-        # zero the pool is genuinely idle, and a queue-aware plane must
-        # route exactly like a queue-blind one.
-        prp, services = self.make_pool(network, count=4)
-        queue_blind = ShardedPdpPlane.over(services, prp=prp)
-        queue_aware = ShardedPdpPlane.over(services, prp=prp, queue_aware=True)
-        for role in ("doctor", "nurse", "clerk", "auditor"):
-            request = request_with(role=role)
-            assert queue_aware.endpoints(request) == queue_blind.endpoints(request)
-
-    def test_burst_spreads_via_inflight_projection(self, network):
-        # Same-instant dispatches must NOT herd onto one shard: each real
-        # dispatch is projected onto its target until it becomes visible
-        # in the shard's busy cursor, so a burst round-robins the pool.
-        prp, services = self.make_pool(network, count=4)
-        plane = ShardedPdpPlane.over(services, prp=prp, queue_aware=True)
-        request = request_with()
-        primaries = []
-        for _ in range(8):
-            primary = plane.endpoints(request)[0]
-            plane.note_dispatch(primary)  # what the PEP does per send
-            primaries.append(primary)
-        assert len(set(primaries)) == 4  # every shard drafted into the burst
-
-    def test_inspection_queries_never_charge_a_shard(self, network):
-        # endpoints() is also called for failover re-planning and pure
-        # inspection; only note_dispatch (a real send) may feed the
-        # in-flight projection, or phantom routes would inflate shards
-        # the PEP never actually retried.
-        prp, services = self.make_pool(network, count=4)
-        plane = ShardedPdpPlane.over(services, prp=prp, queue_aware=True)
-        request = request_with()
-        first = plane.endpoints(request)
-        for _ in range(8):
-            assert plane.endpoints(request) == first
-        assert not plane._recent_routes
-
-    def test_threshold_hysteresis_preserves_affinity(self, network):
-        prp, services = self.make_pool(network)
-        plane = ShardedPdpPlane.over(services, prp=prp, queue_aware=True)
-        plane.QUEUE_THRESHOLD = 1.0  # the shipped constant is 0: any lead re-sorts
-        request = request_with()
-        ring_order = plane.endpoints(request)
-        primary = next(s for s in services if s.address == ring_order[0])
-        primary._busy_until = primary.sim.now + 0.5  # below the threshold
-        assert plane.endpoints(request) == ring_order
-
-    def test_unserialized_shards_report_idle(self, network):
-        prp, services = self.make_pool(network, serialize=False)
-        services[0]._busy_until = services[0].sim.now + 9.0
-        assert services[0].busy_seconds() == 0.0
-
-    def test_busy_cursor_tracks_backlog(self, network):
-        prp, services = self.make_pool(network, count=1)
-        service = services[0]
-        assert service.busy_seconds() == 0.0
-        for _ in range(3):
+        service = PdpService(
+            network,
+            "pdp-0@infra",
+            prp,
+            per_rule_delay=0.0,
+            serialize_evaluations=serialize,
+        )
+        answered = []
+        service.on_decision.append(lambda request, decision: answered.append(decision.decided_at))
+        for _ in range(count):
             service.receive(
                 Message("pep@t1", service.address, "ac_request", request_with().to_dict())
             )
-        assert service.busy_seconds() > 0.0
+        return service, answered
+
+    def test_burst_answered_one_delay_apart(self, network):
+        service, answered = self.serve_burst(network)
         assert service.pending_evaluations == 3
         service.sim.run(until=10.0)
         assert service.pending_evaluations == 0
-        assert service.busy_seconds() == 0.0
+        step = service.base_processing_delay
+        assert answered == pytest.approx([step, 2 * step, 3 * step])
+
+    def test_unserialized_shard_answers_burst_at_once(self, network):
+        service, answered = self.serve_burst(network, serialize=False)
+        service.sim.run(until=10.0)
+        assert service.pending_evaluations == 0
+        assert answered == pytest.approx([service.base_processing_delay] * 3)
+
+    def test_crash_and_restart_reset_the_queue(self, network):
+        service, answered = self.serve_burst(network)
+        service.crash()
+        assert service.pending_evaluations == 0
+        assert service.evaluations_lost == 3
+        service.restart()
+        service.receive(Message("pep@t1", service.address, "ac_request", request_with().to_dict()))
+        service.sim.run(until=10.0)
+        # Only the post-restart request is answered, one delay after it
+        # arrived rather than behind the three lost evaluations.
+        assert answered == pytest.approx([service.base_processing_delay])
 
 
 class TestLocalityRouting:

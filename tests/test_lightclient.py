@@ -1,4 +1,4 @@
-"""Light-client monitoring: header sync, decision receipts, sampling."""
+"""Light-client monitoring: header sync, decision receipts, light auditors."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,14 +17,10 @@ from repro.crypto.signatures import SigningKey
 from repro.crypto.symmetric import SymmetricKey
 from repro.drams.contract import CONTRACT_NAME
 from repro.drams.logs import EntryType
-from repro.drams.system import DramsConfig
 from repro.harness import MonitoredFederation
 from repro.lightclient import (
     DecisionReceipt,
     HeaderClient,
-    SamplingAnalyser,
-    detection_probability,
-    sample_admit,
     sideband_link,
 )
 from repro.simnet.network import Network
@@ -36,11 +32,15 @@ KEY = SymmetricKey.generate(entropy=b"lightclient-test-key")
 
 def build_receipt(corr="corr-1", entry_type=EntryType.PDP_OUT, version=3,
                   fingerprint="fp-abc", tx_stamp=None, bad_payload_hash=False,
-                  contract=CONTRACT_NAME, method="record_log"):
-    """A synthetic but structurally faithful receipt (no chain needed)."""
-    payload = {"decision": "Permit", "policy_version": version,
-               "policy_fingerprint": fingerprint}
-    plaintext = canonical_bytes(payload)
+                  contract=CONTRACT_NAME, method="record_log", plaintext=None):
+    """A synthetic but structurally faithful receipt (no chain needed).
+
+    ``plaintext`` replaces the committed payload bytes (default: a
+    decision payload carrying the stamp).
+    """
+    if plaintext is None:
+        plaintext = canonical_bytes({"decision": "Permit", "policy_version": version,
+                                     "policy_fingerprint": fingerprint})
     args = {
         "correlation_id": corr,
         "entry_type": entry_type,
@@ -168,38 +168,6 @@ class TestReceiptVerification:
         assert revived.to_dict() == receipt.to_dict()
         result = revived.verify(receipt.header, federation_key=KEY)
         assert result.ok, result.reason
-
-
-class TestSampling:
-    def test_rate_edges(self):
-        assert sample_admit(0, 1.0, "anything")
-        assert not sample_admit(0, 0.0, "anything")
-
-    def test_deterministic_per_seed(self):
-        picks = [sample_admit("s1", 0.5, f"c{i}") for i in range(64)]
-        assert picks == [sample_admit("s1", 0.5, f"c{i}") for i in range(64)]
-        assert picks != [sample_admit("s2", 0.5, f"c{i}") for i in range(64)]
-
-    def test_observed_fraction_near_rate(self):
-        n = 4000
-        admitted = sum(sample_admit(7, 0.1, f"corr-{i}") for i in range(n))
-        assert 0.07 < admitted / n < 0.13
-
-    def test_detection_probability_closed_form(self):
-        assert detection_probability(0.1, 0) == 0.0
-        assert detection_probability(0.1, 1) == pytest.approx(0.1)
-        assert detection_probability(0.1, 10) == pytest.approx(1 - 0.9 ** 10)
-        assert detection_probability(1.0, 1) == 1.0
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValidationError):
-            DramsConfig(analyser_mode="nope")
-
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(ValidationError):
-            DramsConfig(analyser_mode="sampling", sample_rate=0.0)
-        with pytest.raises(ValidationError):
-            SamplingAnalyser(None, "a", None, sample_rate=1.5)
 
 
 NODE = "bcnode@t"
@@ -347,20 +315,6 @@ class TestLightClientsEndToEnd:
                 assert receipt.payload is not None
         stats = stack.drams.stats()
         assert set(stats["light_clients"]) == set(stack.light_clients)
-
-    def test_sampling_analyser_audits_a_fraction(self):
-        config = DramsConfig(analyser_mode="sampling", sample_rate=0.3,
-                             sample_seed=5)
-        stack = self._build(drams_config=config)
-        stack.start()
-        stack.issue_requests(30)
-        stack.run(until=60.0)
-        analyser = stack.drams.analyser
-        assert isinstance(analyser, SamplingAnalyser)
-        stats = analyser.sampling_stats()
-        assert stats["correlations_seen"] >= 30
-        assert 0 < stats["sampled_in"] < stats["correlations_seen"]
-        assert stack.drams.stats()["sampling"] == stats
 
     def test_light_clients_require_drams(self):
         with pytest.raises(ValidationError):

@@ -8,7 +8,7 @@ the monitored federation to it:
   empty fault plan each leave the *whole* fingerprint (decisions,
   alerts, chain head, audit count) equal to the same build without them;
 - **topology neutrality** — every decision-plane shape (one shard, four,
-  partitioned caches, queue-aware routing) leaves
+  partitioned caches) leaves
   ``decisions`` and ``alerts`` equal to the default single evaluator;
 - **policy-plane neutrality** — replicated PRPs that propagate with zero
   delay leave the *whole* fingerprint equal to the default single store.
@@ -83,7 +83,6 @@ PLANES = {
     "sharded-1": lambda: ShardedPdpPlane(shards=1),
     "sharded-4": lambda: ShardedPdpPlane(shards=4),
     "sharded-4-partitioned": lambda: ShardedPdpPlane(shards=4, cache_policy="partitioned"),
-    "sharded-4-queue": lambda: ShardedPdpPlane(shards=4, queue_aware=True),
 }
 
 POLICY_PLANES = {
