@@ -16,6 +16,11 @@ fast-path benchmark.  :meth:`DecisionCache.bind` subscribes to a PRP so
 every policy publication flushes the cache — fingerprint keying already
 prevents stale hits, but flushing bounds memory across policy churn and
 keeps the invalidation behaviour observable.
+
+A decision plane (:mod:`repro.accesscontrol.plane`) builds one cache and
+shares it between every shard it deploys or adds, so entries outlive a
+shard crash and a publish flushes them once.  A :class:`PdpService` built
+by hand, without a plane, builds its own.
 """
 
 from __future__ import annotations
@@ -92,19 +97,6 @@ class DecisionCache:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.evictions += 1
-
-    def export_entries(self) -> list[tuple[str, str, dict]]:
-        """Snapshot ``(key, fingerprint, response)`` triples, oldest first.
-
-        The elastic decision plane uses this to migrate a drained shard's
-        partitioned cache to the surviving shards; LRU order is preserved
-        so re-inserting in iteration order keeps the hottest entries
-        resident at the destination.
-        """
-        return [
-            (key, fingerprint, self._copy_response(response))
-            for key, (fingerprint, response) in self._entries.items()
-        ]
 
     @staticmethod
     def _copy_response(response: dict) -> dict:

@@ -2,7 +2,11 @@
 
 Lives in the infrastructure tenant.  For each ``ac_request`` message it
 fetches the active policy version from the PRP, evaluates the request and
-replies with an ``ac_response``.
+replies with an ``ac_response``.  A request whose content the wire decoder
+lets through (it judges attribute values at evaluation) but no request
+context takes is dropped at evaluation and counted in
+``NetworkStats.malformed`` like a message that does not decode: no reply,
+so its PEP times out to a deny.
 
 Each policy version is compiled once through the target index
 (:mod:`repro.xacml.index`) and kept in a small per-fingerprint LRU (policy
@@ -18,7 +22,9 @@ policy ``(version, fingerprint)`` it was evaluated under, so when PRP
 replicas skew (see :mod:`repro.policydist`) the monitoring plane can tell
 honest propagation churn from tampering.  The decision cache keys on the
 fingerprint, so a stale replica serving version *k* never pollutes a
-fresh replica's cache even when the cache is shared across shards.
+fresh replica's cache when the cache is shared across shards (a decision
+plane shares one between all of its shards; a service built by hand builds
+its own).
 
 Probe hooks (DRAMS attaches here):
 
@@ -40,6 +46,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
+from repro.common.errors import ValidationError
 from repro.simnet.network import Host, Message, Network
 from repro.xacml.context import RequestContext
 from repro.xacml.index import attribute_footprint
@@ -79,7 +86,6 @@ class PdpService(Host):
         base_processing_delay: float = 0.0005,
         per_rule_delay: float = 0.00001,
         decision_cache: Optional[DecisionCache] = None,
-        use_decision_cache: bool = True,
         serialize_evaluations: bool = False,
     ) -> None:
         super().__init__(network, address)
@@ -115,11 +121,9 @@ class PdpService(Host):
         self.policy_override: Optional[PolicyDecisionPoint] = None
         self.pdp_compilations = 0
         self._pdp_cache: "OrderedDict[str, _CompiledPolicy]" = OrderedDict()
-        self.decision_cache: Optional[DecisionCache] = None
-        if use_decision_cache:
-            # "or" would discard an *empty* shared cache (len() == 0 is falsy).
-            self.decision_cache = decision_cache if decision_cache is not None else DecisionCache()
-            self.decision_cache.bind(prp)
+        # "or" would discard an *empty* shared cache (len() == 0 is falsy).
+        self.decision_cache = decision_cache if decision_cache is not None else DecisionCache()
+        self.decision_cache.bind(prp)
 
     # -- policy management -------------------------------------------------------
 
@@ -163,10 +167,8 @@ class PdpService(Host):
         Accepted-but-unanswered evaluations are gone (their scheduled
         events are epoch-fenced, their PEPs will time out and fail over);
         the busy cursor resets with the process.  The decision cache is
-        *not* touched here — whether it dies with the process is the
-        plane's call (:meth:`ShardedPdpPlane.crash_shard` clears a
-        partitioned cache, leaves a shared one to the survivors).
-        Idempotent.
+        not touched: it belongs to the plane, which shares it with the
+        surviving shards.  Idempotent.
         """
         if self.crashed:
             return
@@ -233,9 +235,7 @@ class PdpService(Host):
 
     def _request_key(self, request: AccessRequest) -> Optional[tuple[str, str]]:
         """``(fingerprint, cache key)`` for the active policy, if cacheable."""
-        if self.decision_cache is None or self.policy_override is not None:
-            return None
-        if self.prp.version_count() == 0:
+        if self.policy_override is not None or self.prp.version_count() == 0:
             return None
         version, compiled = self._compiled_current()
         key = self.decision_cache.request_key(
@@ -264,17 +264,22 @@ class PdpService(Host):
                 # evaluation span; non-strict close because a duplicated
                 # request schedules a second evaluation of the same key.
                 with tracer.activate(span.context):
-                    self._serve(request, reply_to, keyed)
-                tracer.close_span(span_key, "ok", strict=False)
+                    status = self._serve(request, reply_to, keyed)
+                tracer.close_span(span_key, status, strict=False)
                 return
         self._serve(request, reply_to, keyed)
 
     def _serve(
         self, request: AccessRequest, reply_to: str, keyed: Optional[tuple[str, str]]
-    ) -> None:
-        self.requests_served += 1
+    ) -> str:
+        """Decide and reply: ``"ok"``, or ``"malformed"`` when the content does not decode."""
         self.pending_evaluations -= 1
-        payload, version = self._decide(request, keyed)
+        decided = self._decide(request, keyed)
+        if decided is None:
+            self.network.stats.malformed[self.address, "ac_request"] += 1
+            return "malformed"
+        self.requests_served += 1
+        payload, version = decided
         decision = AccessDecision(
             request_id=request.request_id,
             decision=payload["decision"],
@@ -294,34 +299,44 @@ class PdpService(Host):
         for hook in self.on_decision:
             hook(request, decision)
         self.send(reply_to, "ac_response", decision.to_dict())
+        return "ok"
 
     def _decide(
         self, request: AccessRequest, keyed: Optional[tuple[str, str]] = None
-    ) -> tuple[dict, Optional[PolicyVersion]]:
+    ) -> Optional[tuple[dict, Optional[PolicyVersion]]]:
         """Serialized response for ``request`` plus the policy version used:
-        cached, indexed, or overridden."""
+        cached, indexed, or overridden.  None if an evaluation finds that
+        the content does not decode; a cache hit never decodes it."""
         if self.policy_override is not None:
             # Compromised evaluation path: never consult or feed the cache.
-            response = self.policy_override.evaluate(RequestContext.from_dict(request.content))
+            context = _decode(request)
+            if context is None:
+                return None
             claimed = self.prp.current() if self.prp.version_count() else None
-            return _response_payload(response), claimed
+            return _response_payload(self.policy_override.evaluate(context)), claimed
         version, compiled = self._compiled_current()
-        key = None
-        if self.decision_cache is not None:
-            if keyed is not None and keyed[0] == version.fingerprint:
-                key = keyed[1]
-            else:
-                key = self.decision_cache.request_key(
-                    version.fingerprint, request.content, compiled.footprint
-                )
-            cached = self.decision_cache.get(key)
-            if cached is not None:
-                return cached, version
-        response = compiled.pdp.evaluate(RequestContext.from_dict(request.content))
-        payload = _response_payload(response)
-        if key is not None:
-            self.decision_cache.put(key, version.fingerprint, payload)
+        if keyed is not None and keyed[0] == version.fingerprint:
+            key = keyed[1]
+        else:
+            key = self.decision_cache.request_key(
+                version.fingerprint, request.content, compiled.footprint
+            )
+        cached = self.decision_cache.get(key)
+        if cached is not None:
+            return cached, version
+        context = _decode(request)
+        if context is None:
+            return None
+        payload = _response_payload(compiled.pdp.evaluate(context))
+        self.decision_cache.put(key, version.fingerprint, payload)
         return payload, version
+
+
+def _decode(request: AccessRequest) -> Optional[RequestContext]:
+    try:
+        return RequestContext.from_dict(request.content)
+    except ValidationError:
+        return None
 
 
 def _response_payload(response) -> dict:

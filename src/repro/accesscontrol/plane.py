@@ -16,11 +16,12 @@ There is one implementation, under two names:
   fingerprint + footprint-projected request attributes, see
   :mod:`repro.accesscontrol.decision_cache`).  Keying the ring on the
   cache key gives cache affinity for free: every request that could share
-  a cached decision lands on the same shard, so a ``partitioned`` cache
-  policy loses no hits to routing.  A ``shared`` policy hands one
-  :class:`DecisionCache` to every replica instead.  Either way the caches
-  flush coherently on every PRP publish (``DecisionCache.bind`` is
-  idempotent per PRP).
+  a cached decision lands on the same shard.  The plane builds one
+  :class:`DecisionCache` and hands it to every replica it deploys or adds,
+  so the cache lives outside any one process: a shard crash never touches
+  it, and it flushes once on every PRP publish (``DecisionCache.bind`` is
+  idempotent per PRP).  The retired per-shard (``partitioned``) caches and
+  their warm-up survive as a spec in ``docs/elasticity.md`` §2.
 - :class:`SinglePdpPlane` — the one-shard pool whose first replica keeps
   the paper's conventional ``pdp@infrastructure`` address.  Deploying the
   default stack through it is bit-identical to the previous hard-wired
@@ -31,9 +32,9 @@ There is one implementation, under two names:
 Shard membership is **elastic**: :meth:`ShardedPdpPlane.add_shard` grows
 the pool at runtime and :meth:`ShardedPdpPlane.drain_shard` retires a
 replica gracefully — the drained shard leaves the hash ring immediately
-(its key range re-homes to the ring successors, and a partitioned cache's
-entries migrate with it), finishes its in-flight evaluations, and is only
-then removed from the network.  Monitoring systems subscribe to
+(its key range re-homes to the ring successors, which read the same
+cache), finishes its in-flight evaluations, and is only then removed from
+the network.  Monitoring systems subscribe to
 membership events (:meth:`ShardedPdpPlane.on_membership`) so probes attach
 to a new shard before it serves its first request and detach from a
 drained shard only after its last reply — coverage never gaps.
@@ -43,12 +44,9 @@ re-sort (route around a shard with a long busy cursor) survives as a
 spec with its last measured answers in ``docs/elasticity.md`` §3.
 
 Membership changes are scripted (the harness's ``add_pdp_shard`` /
-``drain_pdp_shard``, the fault plane's crash and restart).  A shard that
-joins a partitioned-cache pool — added, or restarted after a crash — is
-*warmed*: its :class:`DecisionCache` is pre-seeded with the entries whose
-keys re-home to it, via the same ``export_entries`` path drains migrate
-through.  ``docs/elasticity.md`` covers all three mechanisms and keeps
-the retired self-driving controller as a spec.
+``drain_pdp_shard``, the fault plane's crash and restart).
+``docs/elasticity.md`` covers them and keeps the retired self-driving
+controller as a spec.
 
 Monitoring coverage follows the plane: DRAMS and the centralized baseline
 attach probes to *every* replica (:func:`repro.drams.probe.attach_plane_probes`),
@@ -96,23 +94,17 @@ class ShardedPdpPlane:
 
     ``shards`` is the *initial* membership; :meth:`add_shard` and
     :meth:`drain_shard` change it live (``self.shards`` tracks the
-    current routable count).  ``cache_policy`` is ``"shared"`` (one
-    :class:`DecisionCache` handed to every replica) or ``"partitioned"``
-    (one per replica; routing affinity keeps each shard's cache hot, and
-    a drained shard's entries migrate to their ring successors).
-    ``service_kwargs`` are forwarded to every :class:`PdpService`
-    constructor (cache toggles, processing delays, serialization).
+    current routable count).  Every replica shares the plane's one
+    :class:`DecisionCache` (``service_kwargs["decision_cache"]`` supplies
+    it, else the plane builds it).  ``service_kwargs`` are forwarded to
+    every :class:`PdpService` constructor (processing delays,
+    serialization).
 
     ``drain_grace`` is the minimum simulated time a draining shard lingers
     before removal (covering requests already on the wire toward it);
     quiescence additionally requires zero pending evaluations, checked
     every ``DRAIN_POLL_INTERVAL`` seconds.
-
-    A shard added or restarted at runtime into a partitioned pool has its
-    cache pre-seeded with the entries re-homing to it (warm-up).
     """
-
-    CACHE_POLICIES = ("shared", "partitioned")
 
     #: Footprint memo bound — same flip-flop-churn rationale as
     #: ``PdpService.PDP_CACHE_SIZE``: policy publications are unbounded
@@ -128,26 +120,17 @@ class ShardedPdpPlane:
     def __init__(
         self,
         shards: int = 2,
-        cache_policy: str = "shared",
         service_kwargs: Optional[dict] = None,
         drain_grace: float = 1.0,
     ) -> None:
         if shards < 1:
             raise ValidationError(f"shards must be >= 1, got {shards}")
-        if cache_policy not in self.CACHE_POLICIES:
-            raise ValidationError(
-                f"cache_policy must be one of {self.CACHE_POLICIES}, got {cache_policy!r}"
-            )
         if drain_grace < 0:
             raise ValidationError(f"drain_grace must be >= 0, got {drain_grace}")
         self.shards = shards
-        self.cache_policy = cache_policy
         self.service_kwargs = dict(service_kwargs or {})
         self.drain_grace = drain_grace
         self.rebalances = 0
-        #: Decision-cache entries copied into shards added at runtime
-        #: (partitioned pools only; see :meth:`add_shard`).
-        self.warmed_entries = 0
         #: Deployed evaluator services, primary first.  Monitoring systems
         #: attach probes to every entry; ``services[0]`` is the conventional
         #: compromise target for the threat experiments.
@@ -163,7 +146,6 @@ class ShardedPdpPlane:
         self._ring_points: list[int] = []
         self._federation: Optional["Federation"] = None
         self._policy_plane_handle = None
-        self._shared_cache: Optional[DecisionCache] = None
         self._next_index = shards
         self._draining: dict[str, PdpService] = {}
         #: Shards currently crashed (fault plane).  They stay in
@@ -193,20 +175,12 @@ class ShardedPdpPlane:
             raise ValidationError(
                 f"expected a PolicyDistributionPlane, got {type(policy_plane).__name__}"
             )
-        if self.cache_policy == "partitioned" and "decision_cache" in self.service_kwargs:
-            # Forwarding one cache object to every replica would silently
-            # deploy a shared topology under a "partitioned" label.
-            raise ValidationError(
-                "cache_policy='partitioned' builds one cache per shard; "
-                "pass cache_policy='shared' to supply a decision_cache"
-            )
         policy_plane.deploy(federation)
         self._federation = federation
         self._policy_plane_handle = policy_plane
-        if self.cache_policy == "shared" and self.service_kwargs.get("use_decision_cache", True):
-            # "or" would discard an *empty* supplied cache (len() == 0 is falsy).
-            supplied = self.service_kwargs.get("decision_cache")
-            self._shared_cache = supplied if supplied is not None else DecisionCache()
+        # One cache for every shard; an *empty* supplied one is kept.
+        if self.service_kwargs.get("decision_cache") is None:
+            self.service_kwargs["decision_cache"] = DecisionCache()
         services = [self._build_service(index) for index in range(self.shards)]
         # Route on the authority store's head: affinity only needs the key
         # to be consistent across requests, and the publisher's view is the
@@ -223,9 +197,6 @@ class ShardedPdpPlane:
         name = self._shard_name(index)
         federation = self._federation
         infra = federation.infrastructure_tenant
-        kwargs = dict(self.service_kwargs)
-        if self._shared_cache is not None:
-            kwargs["decision_cache"] = self._shared_cache
         # Each shard reads policy from its own assigned replica; under
         # a SingleStorePlane these all alias one store (the pre-plane
         # wiring), under a ReplicatedPrpPlane they skew independently.
@@ -233,7 +204,7 @@ class ShardedPdpPlane:
             federation.network,
             infra.address(name),
             self._policy_plane_handle.retrieval_point_for(name),
-            **kwargs,
+            **self.service_kwargs,
         )
         infra.register_host(service.address)
         return service
@@ -245,21 +216,18 @@ class ShardedPdpPlane:
     ) -> "ShardedPdpPlane":
         """Wrap already-deployed evaluators (manual wiring and tests).
 
-        Deploy-only knobs (``cache_policy``, ``service_kwargs``) are
-        deliberately not accepted — the adopted services were built by
-        the caller, so the plane cannot change their caches or delays and
-        reports ``cache_policy="external"``.  :meth:`add_shard` is not
-        available (the plane cannot build services), but
-        :meth:`drain_shard` works on adopted simulator-bound services.
-        Pass ``prp`` whenever routing affinity matters: without it the
-        ring keys on the *raw* request content, and per-request
-        attributes (``time-of-day`` in particular) fragment the key
-        space, so partitioned caches see few repeat hits.
+        ``service_kwargs`` is deliberately not accepted — the adopted
+        services were built by the caller, caches included, so the plane
+        cannot change them.  :meth:`add_shard` is not available (the
+        plane cannot build services), but :meth:`drain_shard` works on
+        adopted simulator-bound services.  Pass ``prp`` whenever routing
+        affinity matters: without it the ring keys on the *raw* request
+        content, and per-request attributes (``time-of-day`` in
+        particular) fragment the key space.
         """
         if not services:
             raise ValidationError("a sharded plane needs at least one service")
         plane = ShardedPdpPlane(shards=len(services))
-        plane.cache_policy = "external"  # whatever the adopted services carry
         plane._adopt(list(services), prp)
         return plane
 
@@ -299,8 +267,12 @@ class ShardedPdpPlane:
     def _notify_membership(self, event: str, service: PdpService) -> None:
         if self.telemetry is not None:
             self.telemetry.instant(
-                f"plane.{event}", service.address, context=None,
-                trace_id="lifecycle", category="membership")
+                f"plane.{event}",
+                service.address,
+                context=None,
+                trace_id="lifecycle",
+                category="membership",
+            )
         for listener in list(self._membership_listeners):
             listener(event, service)
 
@@ -309,8 +281,8 @@ class ShardedPdpPlane:
 
         The new shard joins the hash ring immediately (only the key
         ranges adjacent to its vnodes re-home to it), reads policy from
-        its own assigned replica, shares or owns a decision cache per
-        ``cache_policy``, and is announced to membership listeners
+        its own assigned replica, shares the plane's decision cache, and
+        is announced to membership listeners
         *before* this method returns — so monitoring probes attach before
         the shard can serve a single request.
         """
@@ -327,7 +299,6 @@ class ShardedPdpPlane:
         self._services.append(service)
         self._rebuild_ring()
         self.rebalances += 1
-        self.warmed_entries += self._warm_new_shard(service)
         # New hosts, new links: the shard itself plus any host the policy
         # plane provisioned for its replica get their LAN latencies wired
         # before any request routes here — O(hosts) per new host, not a
@@ -338,44 +309,11 @@ class ShardedPdpPlane:
         self._notify_membership("added", service)
         return service
 
-    def _warm_new_shard(self, service: PdpService) -> int:
-        """Pre-seed a new shard's partitioned cache from the pool, return count.
-
-        The new shard's vnodes claim key ranges previously owned by its
-        ring neighbours; without warm-up every re-homed key that was hot
-        in a neighbour's cache restarts cold here (the cold-start latency
-        cliff).  Walking the surviving shards' ``export_entries`` — the
-        same path drains migrate through — and copying entries whose key
-        now homes on the new shard closes that gap before the membership
-        event even fires.  Shared caches (one object behind every shard)
-        need nothing; the copy preserves each entry's fingerprint, so the
-        seeded cache still flushes coherently on the next PRP publish.
-        """
-        cache = getattr(service, "decision_cache", None)
-        if cache is None:
-            return 0
-        if any(getattr(s, "decision_cache", None) is cache for s in self._services if s is not service):
-            return 0  # shared cache: the new shard already reads every entry
-        seeded = 0
-        for donor in self._services:
-            if donor is service:
-                continue
-            donor_cache = getattr(donor, "decision_cache", None)
-            if donor_cache is None or donor_cache is cache:
-                continue
-            for key, fingerprint, response in donor_cache.export_entries():
-                home = self._services[self._shard_index_for_point(self._key_point(key))]
-                if home is service:
-                    cache.put(key, fingerprint, response)
-                    seeded += 1
-        return seeded
-
     def drain_shard(self, address: Optional[str] = None) -> PdpService:
         """Retire one replica gracefully, live.
 
         The shard leaves the hash ring at once — new requests re-home to
-        its ring successors, and a partitioned cache's entries migrate
-        with them — but keeps its network face until it is *quiescent*:
+        its ring successors — but keeps its network face until it is *quiescent*:
         zero pending evaluations and at least ``drain_grace`` simulated
         seconds elapsed (covering requests already on the wire).  Only
         then does it detach from the network and fire the ``"removed"``
@@ -410,7 +348,6 @@ class ShardedPdpPlane:
         self._draining[service.address] = service
         self._rebuild_ring()
         self.rebalances += 1
-        self._rehome_cache_entries(service)
         self._notify_membership("draining", service)
         started = sim.now
 
@@ -450,9 +387,8 @@ class ShardedPdpPlane:
         whose per-attempt timer expires against the silent shard and
         fails the request over (counted as ``failovers``, a fault, not
         ``churn_reroutes``).  The process loses its in-flight
-        evaluations, its busy cursor, and — when the cache topology is
-        partitioned — its decision cache; a shared cache lives outside
-        the process and survives.  Fires the ``"crashed"`` membership
+        evaluations and its busy cursor; the plane's decision cache lives
+        outside the process and survives.  Fires the ``"crashed"`` membership
         event so monitoring probes detach (the probe dies with the
         component it runs in).
         """
@@ -464,14 +400,6 @@ class ShardedPdpPlane:
                 raise ValidationError(f"no routable shard at {address!r}")
         if service.address in self._crashed:
             return service
-        cache = getattr(service, "decision_cache", None)
-        if cache is not None and not any(
-            getattr(s, "decision_cache", None) is cache
-            for s in self._services
-            if s is not service
-        ):
-            # Partitioned topology: the cache was process memory.
-            cache.invalidate()
         service.crash()
         self._crashed[service.address] = service
         self._notify_membership("crashed", service)
@@ -481,19 +409,15 @@ class ShardedPdpPlane:
         """Bring a crashed replica back, live.
 
         The shard re-attaches under a fresh network incarnation (messages
-        sent to the dead one never arrive), and — in a partitioned cache
-        topology — re-warms its cache through the same donor path a shard
-        added at runtime uses: survivors served the crashed shard's key
-        range during the outage, so their caches hold exactly the entries
-        that re-home here.  Fires ``"restarted"`` before returning, so a
-        monitoring probe is attached before the first post-restart
+        sent to the dead one never arrive) and reads the plane's cache as
+        it did before the crash.  Fires ``"restarted"`` before returning,
+        so a monitoring probe is attached before the first post-restart
         request can be served.
         """
         service = self._crashed.pop(address, None)
         if service is None:
             raise ValidationError(f"no crashed shard at {address!r}")
         service.restart()
-        self.warmed_entries += self._warm_new_shard(service)
         self._notify_membership("restarted", service)
         return service
 
@@ -501,32 +425,9 @@ class ShardedPdpPlane:
         """Shards currently crashed (still on the ring, off the network)."""
         return list(self._crashed.values())
 
-    def _rehome_cache_entries(self, drained: PdpService) -> None:
-        """Migrate a partitioned cache's entries to their new ring homes.
-
-        Shared caches need nothing (every survivor already reads the same
-        object); entries whose new home aliases the drained cache are
-        skipped for the same reason.
-        """
-        cache = getattr(drained, "decision_cache", None)
-        if cache is None:
-            return
-        if all(getattr(s, "decision_cache", None) is cache for s in self._services):
-            return  # shared cache: every survivor already reads these entries
-        for key, fingerprint, response in cache.export_entries():
-            target = self._services[self._shard_index_for_point(self._key_point(key))]
-            target_cache = getattr(target, "decision_cache", None)
-            if target_cache is None or target_cache is cache:
-                continue
-            target_cache.put(key, fingerprint, response)
-
     @staticmethod
     def _key_point(key: str) -> int:
         return int(short_hash(key, 16), 16)
-
-    def _shard_index_for_point(self, point: int) -> int:
-        start = bisect_right(self._ring_points, point)
-        return self._ring[start % len(self._ring)][1]
 
     # -- routing -----------------------------------------------------------------
 
@@ -608,7 +509,6 @@ class ShardedPdpPlane:
             "kind": type(self).__name__,
             "shards": len(self._services),
             "addresses": [service.address for service in self._services],
-            "cache_policy": self.cache_policy,
             "draining": sorted(self._draining),
             "rebalances": self.rebalances,
         }
@@ -625,7 +525,6 @@ class ShardedPdpPlane:
                 for address, service in sorted(self._draining.items())
             },
             "rebalances": self.rebalances,
-            "warmed_entries": self.warmed_entries,
         }
 
 

@@ -75,8 +75,8 @@ class Blockchain:
 
     ``key_lookup`` resolves a sender/miner id to its verifying key; when it
     returns None for a sender, signature validation fails closed (unknown
-    senders are rejected) unless ``require_signatures`` is False (some unit
-    tests exercise consensus without the key registry).
+    senders are rejected).  A chain built without ``key_lookup`` checks no
+    signature (some unit tests exercise consensus without the key registry).
     """
 
     SNAPSHOT_INTERVAL = 25
@@ -93,13 +93,11 @@ class Blockchain:
         config: BlockchainConfig,
         registry: ContractRegistry,
         key_lookup: Optional[KeyLookup] = None,
-        require_signatures: bool = True,
         verified: Optional[VerifiedSet] = None,
     ) -> None:
         self.config = config
         self.registry = registry
         self.key_lookup = key_lookup
-        self.require_signatures = require_signatures and key_lookup is not None
         self.engine = ContractEngine(registry)
         self.genesis = make_genesis(
             config.chain_id, hash_value(config.to_dict()), config.difficulty_bits
@@ -282,11 +280,11 @@ class Blockchain:
                 raise ChainValidationError(f"duplicate tx in block: {tx.tx_id}")
             seen_tx_ids.add(tx.tx_id)
             self._validate_tx_signature(tx)
-        if self.require_signatures and not self._miner_signature_passes(block):
+        if self.key_lookup is not None and not self._miner_signature_passes(block):
             raise ChainValidationError(f"bad miner signature from {header.miner}")
 
     def _miner_signature_passes(self, block: Block) -> bool:
-        key = self.key_lookup(block.header.miner) if self.key_lookup else None
+        key = self.key_lookup(block.header.miner)
         signature = block.miner_signature
         if key is None or signature is None:
             return False
@@ -317,9 +315,9 @@ class Blockchain:
         self._verified.add(key)
 
     def _validate_tx_signature(self, tx: Transaction) -> None:
-        if not self.require_signatures:
+        if self.key_lookup is None:
             return
-        key = self.key_lookup(tx.sender) if self.key_lookup else None
+        key = self.key_lookup(tx.sender)
         if key is None:
             raise ChainValidationError(f"unknown transaction sender {tx.sender!r}")
         signature = tx.signature

@@ -63,10 +63,7 @@ class BlockchainNode(Host):
         verified: Optional[VerifiedSet] = None,
     ) -> None:
         super().__init__(network, address)
-        signed = key_lookup is not None
-        self.chain = Blockchain(
-            config, registry, key_lookup, require_signatures=signed, verified=verified
-        )
+        self.chain = Blockchain(config, registry, key_lookup, verified=verified)
         self.mempool = Mempool()
         self.rng = rng.fork(f"node/{address}")
         self.signing_key = signing_key
@@ -344,13 +341,21 @@ class BlockchainNode(Host):
 
     def _accept_block(self, block: Block, relayed: Optional[Message] = None) -> None:
         old_head = self.chain.head.hash
+        reorgs = self.chain.reorgs
         self._requested_parents.discard(block.hash)
         try:
             self.chain.add_block(block)
         except ChainValidationError:
             self.invalid_blocks_seen += 1
             return
-        self.mempool.remove_all(tx.tx_id for tx in block.transactions)
+        # Only what the main chain now holds leaves the mempool: a side
+        # block's transactions stay pending here, or they would be on no
+        # chain and in no mempool at this node until some other miner
+        # (maybe past the monitor's timeout) included them.  A reorg also
+        # adopts earlier side blocks, so it checks the whole pool.
+        candidates = self.mempool.pending() if self.chain.reorgs != reorgs else block.transactions
+        located = self.chain.tx_location
+        self.mempool.remove_all(tx.tx_id for tx in candidates if located(tx.tx_id) is not None)
         tracer = self.network.telemetry
         if tracer is not None:
             # Non-strict: every block closes spans for its own txs only —

@@ -5,8 +5,8 @@ correlation id, the hash commitments (and ciphertexts, for the Analyser's
 audit) of the four monitoring points and applies the paper's "expressly
 devised algorithms" as entries arrive: the shared log rules of
 :mod:`repro.drams.rules` — leg matching, equivocation, the churn downgrade
-(announced per claim for the Analyser to audit, and disabled with
-``store_ciphertexts=False``, which would leave claims unauditable) and, on
+(announced per claim for the Analyser to audit; an entry logged without its
+ciphertext is never downgraded, as its claim would be unauditable) and, on
 ``tick``, the timeout after ``timeout_blocks``.  The Analyser's verdicts
 arrive through ``report_violation``, so semantic violations end up on chain
 too.  Alerts are contract *events*: they replicate with the chain, reach
@@ -94,29 +94,12 @@ class MonitorContract(Contract):
 
     MAX_CHURN_REPORTS = LogRules.MAX_CHURN_REPORTS
 
-    def __init__(
-        self,
-        timeout_blocks: int = 6,
-        retention_blocks: int = 50,
-        store_ciphertexts: bool = True,
-        expected_entries: tuple[str, ...] = EntryType.ALL,
-        enable_leg_matching: bool = True,
-    ) -> None:
-        """``expected_entries`` and ``enable_leg_matching`` exist for the
-        ablation experiments (probe-placement and matching-location
-        studies); production deployments keep the defaults."""
+    def __init__(self, timeout_blocks: int = 6, retention_blocks: int = 50) -> None:
         if timeout_blocks < 1:
             raise ContractError("timeout_blocks must be >= 1")
-        for entry_type in expected_entries:
-            if entry_type not in EntryType.ALL:
-                raise ContractError(f"unknown expected entry: {entry_type!r}")
         self.timeout_blocks = timeout_blocks
         self.retention_blocks = retention_blocks
-        self.store_ciphertexts = store_ciphertexts
-        evidence = "ciphertext" if store_ciphertexts else None
-        self.rules = LogRules(
-            timeout_blocks, "age_blocks", evidence, expected_entries, enable_leg_matching
-        )
+        self.rules = LogRules(timeout_blocks, "age_blocks", "ciphertext")
 
     def initial_state(self) -> dict[str, Any]:
         return {
@@ -211,7 +194,7 @@ class MonitorContract(Contract):
         if incoming_fp:
             entry["policy_fingerprint"] = incoming_fp
             entry["policy_version"] = args.get("policy_version", 0)
-        if self.store_ciphertexts and "ciphertext" in args:
+        if "ciphertext" in args:
             entry["ciphertext"] = args["ciphertext"]
         effects = self.rules.add(record, entry_type, entry)
         state["stats"]["logs"] += 1

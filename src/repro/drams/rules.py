@@ -23,8 +23,12 @@ claim to announce for audit — and ``(COMPLETE, None, None)``.
    a publish: ``policy-churn`` instead.  The stamps are attacker-reachable,
    so churn is a claim, which :meth:`PolicyHistory.judge_claims` audits.
    At ``MAX_CHURN_REPORTS`` kept reports a flood is equivocation again.
-4. **Completion** over the ``expected`` entry types, and the **timeout**:
-   an overdue record missing an entry raises ``missing-log``.
+4. **Completion** over all four entry types, and the **timeout**: an
+   overdue record missing an entry raises ``missing-log``.
+
+Every rule always runs.  The retired switches (two-point probes,
+Analyser-only matching, a contract that kept no evidence) survive as a
+spec with their last answers in ``docs/architecture.md`` §4.
 
 :class:`PolicyHistory` holds the published policy versions, when each was
 seen and one oracle per version.  A decision stamped with a known version
@@ -75,17 +79,16 @@ class LogRules:
     """Matching, equivocation, churn, completion and timeout over one record.
 
     ``timeout`` is in the caller's unit of age, named by ``age_key`` in
-    missing-log details; ``evidence`` is None where no evidence is kept, and
-    the churn downgrade, which would be unauditable, is never offered.
+    missing-log details; ``evidence`` is the key an entry's audit evidence
+    sits under.  An entry without it is never downgraded to churn: the claim
+    would be unauditable.
     """
 
     MAX_CHURN_REPORTS = 8
 
     timeout: float
     age_key: str
-    evidence: Optional[str]
-    expected: tuple[str, ...] = EntryType.ALL
-    leg_matching: bool = True
+    evidence: str
 
     def repeat(self, record: dict, entry_type: str, report: dict) -> tuple[str, list]:
         """A payload for a recorded point: ``"duplicate"``, ``"policy_churn"`` or ``"equivocation"``.
@@ -126,15 +129,13 @@ class LogRules:
         entries = record["entries"]
         entries[entry_type] = entry
         effects: list = []
-        if self.leg_matching:
-            self._match_leg(record, EntryType.REQUEST_LEG, "request-mismatch", effects)
-            self._match_leg(record, EntryType.DECISION_LEG, "decision-mismatch", effects)
-        if record["complete"] or any(kind not in entries for kind in self.expected):
+        self._match_leg(record, EntryType.REQUEST_LEG, "request-mismatch", effects)
+        self._match_leg(record, EntryType.DECISION_LEG, "decision-mismatch", effects)
+        if record["complete"] or any(kind not in entries for kind in EntryType.ALL):
             return effects
         for first, second in (EntryType.REQUEST_LEG, EntryType.DECISION_LEG):
-            if first in entries and second in entries:  # a leg the probes cover
-                if entries[first]["payload_hash"] != entries[second]["payload_hash"]:
-                    return effects
+            if entries[first]["payload_hash"] != entries[second]["payload_hash"]:
+                return effects
         record["complete"] = True
         return effects + [(COMPLETE, None, None)]
 
@@ -147,7 +148,7 @@ class LogRules:
         if age < self.timeout:
             return None
         entries = record["entries"]
-        missing = [entry_type for entry_type in self.expected if entry_type not in entries]
+        missing = [entry_type for entry_type in EntryType.ALL if entry_type not in entries]
         if not missing:
             record["alerted"]["missing-log"] = True
             return []
@@ -189,8 +190,7 @@ class LogRules:
         Same-version conflicts are impossible honestly (equal fingerprints
         under different versions are not: a rollback republishes a document).
         """
-        evidence = self.evidence
-        if evidence is None or evidence not in first or evidence not in second:
+        if self.evidence not in first or self.evidence not in second:
             return False
         if not first.get("policy_fingerprint") or not second.get("policy_fingerprint"):
             return False

@@ -36,7 +36,6 @@ from repro.crypto.tpm import SimulatedTpm
 from repro.drams.alerts import Alert, AlertBus, AlertType
 from repro.drams.analyser import Analyser
 from repro.drams.contract import CONTRACT_NAME, MonitorContract
-from repro.drams.logs import EntryType
 from repro.drams.logging_interface import LoggingInterface
 from repro.drams.probe import (
     ProbeAgent,
@@ -82,7 +81,6 @@ class DramsConfig:
     node_hashrate: float = 1024.0
     use_tpm: bool = True
     attestation_interval: float = 0.0  # seconds; 0 disables
-    store_ciphertexts: bool = True
     # Policy provenance audit (see repro.policydist): honest replica skew
     # up to this many versions behind the policy in force is classified as
     # churn; anything further is a policy-violation alert.
@@ -92,9 +90,6 @@ class DramsConfig:
     # reported as a tampered policy.  Must cover the distribution plane's
     # propagation delay plus one anti-entropy round.
     unknown_policy_grace: float = 5.0
-    # Ablation knobs (benchmarks/bench_ablations.py); keep defaults in production.
-    expected_entries: tuple = EntryType.ALL
-    enable_leg_matching: bool = True
 
     def __post_init__(self) -> None:
         if self.timeout_blocks < 1:
@@ -176,9 +171,6 @@ class DramsSystem:
         registry.deploy(MonitorContract(
             timeout_blocks=self.config.timeout_blocks,
             retention_blocks=self.config.retention_blocks,
-            store_ciphertexts=self.config.store_ciphertexts,
-            expected_entries=tuple(self.config.expected_entries),
-            enable_leg_matching=self.config.enable_leg_matching,
         ))
         # One verified-set for the whole deployment: a signature or Merkle
         # root checked by one replica is not re-checked by the others (the

@@ -10,9 +10,9 @@ semantics:
 - a decision-plane shard address (any shard, the default stack's
   ``pdp@infrastructure`` included) goes through
   :meth:`~repro.accesscontrol.plane.ShardedPdpPlane.crash_shard` /
-  ``restart_shard`` (in-flight loss, partitioned-cache loss, donor
-  re-warm, ``"crashed"``/``"restarted"`` membership events that drive the
-  DRAMS probes);
+  ``restart_shard`` (in-flight loss, the plane's shared decision cache
+  untouched, ``"crashed"``/``"restarted"`` membership events that drive
+  the DRAMS probes);
 - a PRP replica host goes through the policy plane's ``crash_replica`` /
   ``restart_replica`` (staging loss, eager anti-entropy re-bootstrap);
 - a blockchain node address calls ``node.crash()`` / ``node.restart()``

@@ -22,9 +22,9 @@ Kinds:
     Sugar for a pure added-latency degradation.
 ``crash``
     Kill the target hosts.  The controller maps each address to its
-    component semantics: a PDP shard loses in-flight evaluations and its
-    partitioned cache, a PRP replica its staging buffer, a chain node its
-    liveness (mempool journalled).  ``until`` schedules the restart.
+    component semantics: a PDP shard loses in-flight evaluations (never
+    the plane's shared cache), a PRP replica its staging buffer, a chain
+    node its liveness (mempool journalled).  ``until`` schedules the restart.
 ``restart``
     Bring previously crashed targets back (for plans that split crash and
     restart into separate entries).

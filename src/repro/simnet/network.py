@@ -3,10 +3,9 @@
 Hosts register with the network under a unique address; sending a message
 schedules a delivery event after the link's sampled latency.  The network
 supports per-pair latency overrides, symmetric and asymmetric partitions,
-per-link fault profiles (loss, duplication, reordering jitter, added
-latency) and probabilistic drops, which the threat experiments and the
-fault-injection plane (:mod:`repro.faults`) use to model degraded
-federations.
+and per-link fault profiles (loss, duplication, reordering jitter, added
+latency), which the threat experiments and the fault-injection plane
+(:mod:`repro.faults`) use to model degraded federations.
 
 Messages are delivered by invoking ``host.receive(message)``, the one decode
 path: a :class:`Host` subclass declares the kinds it takes (:attr:`Host.RECEIVES`),
@@ -234,7 +233,6 @@ class Network:
         #: Directed blocks: (src, dst) pairs where only src->dst is severed.
         self._directed_blocks: set[tuple[str, str]] = set()
         self._link_faults: dict[tuple[str, str], LinkFault] = {}
-        self._drop_rate = 0.0
         self._taps: list[Callable[[Message], None]] = []
         #: Optional :class:`repro.telemetry.tracing.Tracer`.  When set,
         #: sends stamp the active trace context onto the message and
@@ -272,11 +270,6 @@ class Network:
         self._latency_overrides[(src, dst)] = model
         if symmetric:
             self._latency_overrides[(dst, src)] = model
-
-    def set_drop_rate(self, rate: float) -> None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"drop rate must be in [0,1], got {rate}")
-        self._drop_rate = rate
 
     def partition(self, group_a: list[str], group_b: list[str], symmetric: bool = True) -> None:
         """Block traffic between the two host groups.
@@ -391,9 +384,6 @@ class Network:
         for tap in self._taps:
             tap(message)
         if dst not in self._hosts or self.is_partitioned(src, dst):
-            self.stats.dropped += 1
-            return None
-        if self._drop_rate > 0 and self.rng.random() < self._drop_rate:
             self.stats.dropped += 1
             return None
         fault = self._link_faults.get((src, dst))

@@ -142,6 +142,15 @@ class TestValidation:
         with pytest.raises(ChainValidationError):
             chain.add_block(block)
 
+    def test_chain_without_key_lookup_checks_no_signature(self):
+        chain = Blockchain(make_chain().config, kv_registry())
+        rogue = Transaction(sender="rogue", contract="kvstore", method="put",
+                            args={"key": "a", "value": 1}, seq=1)
+        assert chain.validate_transaction(rogue)
+        chain.add_block(chain.create_block(MINER, [rogue], 1.0, signing_key=None))
+        assert chain.tx_location(rogue.tx_id).height == 1
+        assert chain.state_of("kvstore")["data"] == {"a": 1}
+
     def test_duplicate_tx_in_block_rejected(self):
         chain = make_chain()
         tx = put_tx(1)

@@ -263,18 +263,3 @@ class TestPdpServiceIntegration:
         sim.schedule(0.00115, lambda: pap.publish(deny_all_policy()))
         sim.run(until=sim.now + 2.0)
         assert not outcomes[1].granted
-
-    def test_cache_can_be_disabled(self):
-        sim = Simulator()
-        network = Network(sim, SeededRng(12, "cache-off"), ConstantLatency(0.001))
-        prp = PolicyRetrievalPoint()
-        PolicyAdministrationPoint(prp, "admin").publish(doctors_policy())
-        pdp = PdpService(network, "pdp@infra", prp, use_decision_cache=False)
-        pep = PolicyEnforcementPoint(network, "pep@t1", "tenant-1",
-                                     ShardedPdpPlane.over([pdp]), request_timeout=5.0)
-        outcomes = []
-        for _ in range(2):
-            ask(sim, pep, outcomes)
-        assert pdp.decision_cache is None
-        assert [o.granted for o in outcomes] == [True, True]
-        assert pdp._compiled_current()[1].pdp.evaluations == 2

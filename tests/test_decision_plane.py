@@ -140,8 +140,6 @@ class TestShardedRouting:
         with pytest.raises(ValidationError):
             ShardedPdpPlane(shards=0)
         with pytest.raises(ValidationError):
-            ShardedPdpPlane(cache_policy="ad-hoc")
-        with pytest.raises(ValidationError):
             ShardedPdpPlane.over([])
 
     def test_endpoints_cover_all_shards_once(self):
@@ -201,10 +199,7 @@ class TestShardedRouting:
     def test_over_rejects_deploy_only_knobs(self):
         services = [_StubService("pdp-0@infra")]
         with pytest.raises(TypeError):
-            ShardedPdpPlane.over(services, cache_policy="shared")
-        with pytest.raises(TypeError):
             ShardedPdpPlane.over(services, service_kwargs={})
-        assert ShardedPdpPlane.over(services).describe()["cache_policy"] == "external"
 
 
 class TestHarnessIntegration:
@@ -216,7 +211,7 @@ class TestHarnessIntegration:
         assert stack.pdp_service.address == "pdp@infrastructure"
 
     def test_sharded_build_deploys_replicas(self):
-        plane = ShardedPdpPlane(shards=3, cache_policy="partitioned")
+        plane = ShardedPdpPlane(shards=3)
         stack = MonitoredFederation.build(healthcare_scenario(), clouds=2,
                                           seed=22, with_drams=False, plane=plane)
         assert [s.address for s in stack.pdp_services] == [
@@ -248,7 +243,7 @@ class TestHarnessIntegration:
 
 class TestDramsCoverage:
     def test_probes_attach_to_every_replica(self):
-        plane = ShardedPdpPlane(shards=2, cache_policy="shared")
+        plane = ShardedPdpPlane(shards=2)
         stack = MonitoredFederation.build(healthcare_scenario(), clouds=2,
                                           seed=24, drams_config=fast_drams_config(),
                                           plane=plane)
@@ -278,8 +273,8 @@ class TestDramsCoverage:
 
 
 class TestShardedCacheCoherence:
-    def build(self, cache_policy):
-        plane = ShardedPdpPlane(shards=2, cache_policy=cache_policy)
+    def build(self):
+        plane = ShardedPdpPlane(shards=2)
         stack = MonitoredFederation.build(healthcare_scenario(), clouds=2,
                                           seed=25, with_drams=False, plane=plane)
         return stack, plane
@@ -289,21 +284,16 @@ class TestShardedCacheCoherence:
         stack.run(until=30.0)
 
     def test_shared_cache_is_one_cache(self):
-        stack, plane = self.build("shared")
+        stack, plane = self.build()
         caches = plane.caches()
         assert len(caches) == 1
         assert all(s.decision_cache is caches[0] for s in plane.services)
-
-    def test_partitioned_caches_are_distinct(self):
-        stack, plane = self.build("partitioned")
-        assert len(plane.caches()) == 2
 
     def test_supplied_empty_shared_cache_is_kept(self):
         # An empty DecisionCache is falsy (len() == 0); the plane must not
         # "or" it away and deploy its own cache instead.
         mine = DecisionCache(max_entries=64)
-        plane = ShardedPdpPlane(shards=2, cache_policy="shared",
-                                service_kwargs={"decision_cache": mine})
+        plane = ShardedPdpPlane(shards=2, service_kwargs={"decision_cache": mine})
         stack = MonitoredFederation.build(healthcare_scenario(), clouds=2,
                                           seed=28, with_drams=False, plane=plane)
         assert plane.caches() == [mine]
@@ -311,17 +301,8 @@ class TestShardedCacheCoherence:
         stack.run(until=20.0)
         assert mine.hits + mine.misses > 0  # traffic flowed through *my* cache
 
-    def test_partitioned_rejects_supplied_cache(self):
-        plane = ShardedPdpPlane(shards=2, cache_policy="partitioned",
-                                service_kwargs={"decision_cache": DecisionCache()})
-        stack = MonitoredFederation.build(healthcare_scenario(), clouds=2,
-                                          seed=29, with_drams=False)
-        with pytest.raises(ValidationError, match="partitioned"):
-            plane.deploy(stack.federation, stack.policy_plane)
-
-    @pytest.mark.parametrize("cache_policy", ["shared", "partitioned"])
-    def test_publish_flushes_every_shard_cache(self, cache_policy):
-        stack, plane = self.build(cache_policy)
+    def test_publish_flushes_every_shard_cache(self):
+        stack, plane = self.build()
         self.warm(stack)
         warmed = [cache for cache in plane.caches() if len(cache)]
         assert warmed  # the workload actually populated the plane's caches
@@ -455,18 +436,17 @@ class TestPepTimeoutAndFailover:
 
 class TestDecisionPlaneSurface:
     def test_describe_and_stats(self):
-        plane = ShardedPdpPlane(shards=2, cache_policy="partitioned")
+        plane = ShardedPdpPlane(shards=2)
         stack = MonitoredFederation.build(healthcare_scenario(), clouds=2,
                                           seed=26, with_drams=False, plane=plane)
         summary = plane.describe()
         assert summary["kind"] == "ShardedPdpPlane"
         assert summary["shards"] == 2
-        assert summary["cache_policy"] == "partitioned"
         stack.issue_requests(6)
         stack.run(until=20.0)
         stats = plane.stats()
         assert sum(stats["requests_served"].values()) == 6
-        assert len(stats["caches"]) == 2
+        assert len(stats["caches"]) == 1
 
     def test_double_deploy_rejected(self):
         stack = MonitoredFederation.build(healthcare_scenario(), clouds=2,

@@ -414,6 +414,56 @@ class TestHostReceive:
         assert stack.run_summary()["network"]["malformed"] == {host.address: {kind: 1}}
 
 
+#: Request content the wire decoder takes (it judges attribute values at
+#: evaluation) but no request context does: an unknown category, mixed types.
+UNEVALUABLE_CONTENT = [{"bogus": {"role": ["doctor"]}}, {"subject": {"role": ["a", 1]}}]
+#: Arbitrary JSON, and mappings of categories to arbitrary attribute mappings.
+request_contents = st.one_of(
+    wire_values,
+    st.dictionaries(
+        st.sampled_from(["subject", "resource", "action", "environment", "bogus"]),
+        st.dictionaries(st.sampled_from(["role", "resource-id", "action-id", "x"]), wire_values),
+    ),
+)
+
+
+class TestUnevaluableRequests:
+    @pytest.mark.parametrize("telemetry", [False, True], ids=["untraced", "traced"])
+    def test_an_evaluation_that_does_not_decode_is_dropped_and_counted(self, telemetry):
+        stack = MonitoredFederation.build(
+            healthcare_scenario(), seed=5, with_drams=False, telemetry=telemetry
+        )
+        pdp = stack.plane.services[0]
+        for index, content in enumerate(UNEVALUABLE_CONTENT):
+            request = AccessRequest(content, "tenant-1", request_id=f"unevaluable-{index}")
+            stack.federation.network.send(
+                "pep@tenant-1", pdp.address, "ac_request", request.to_dict()
+            )
+        stack.issue_requests(5, start_at=0.1)
+        stack.run(until=10.0)
+        assert len(stack.outcomes) == 5
+        assert pdp.requests_served == 5 and pdp.pending_evaluations == 0
+        assert stack.run_summary()["network"]["malformed"] == {pdp.address: {"ac_request": 2}}
+        if telemetry:
+            open_keys = stack.telemetry.tracer.open_keys()
+            assert not [key for key in open_keys if key[0] == "pdp.evaluate"]
+
+    @given(request_contents)
+    @example({"subject": {"role": ["a", 1]}})
+    @settings(max_examples=200, deadline=None)
+    def test_a_live_pdp_never_raises_on_arbitrary_content(self, content):
+        federation, _plane, pdp = policy_hosts()
+        request = AccessRequest(content, "tenant-1", request_id="fuzz")
+        message = Message(
+            src="pep@tenant-1", dst=pdp.address, kind="ac_request", payload=request.to_dict()
+        )
+        pdp.receive(message)
+        federation.sim.run(until=5.0)
+        assert pdp.pending_evaluations == 0
+        dropped = sum(federation.network.stats.malformed.values())
+        assert pdp.requests_served + dropped == 1
+
+
 class TestIssueCases:
     def test_bad_signature_encoding_is_a_validation_error(self):
         data = alice_tx().to_dict()

@@ -155,6 +155,16 @@ class TestTimeouts:
         missing = alerts[0].payload["details"]["missing"]
         assert EntryType.PDP_IN in missing and EntryType.PEP_OUT in missing
 
+    @pytest.mark.parametrize("present", EntryType.ALL)
+    def test_missing_log_names_the_other_three_probe_points(self, present):
+        eng = engine(timeout_blocks=1)
+        record(eng, "c1", present, "h", height=1)
+        receipt = eng.execute(CONTRACT_NAME, "tick", {}, ctx(height=3))
+        (alert,) = events_named(receipt, EVENT_ALERT)
+        details = alert.payload["details"]
+        assert details["missing"] == [kind for kind in EntryType.ALL if kind != present]
+        assert details["present"] == [present]
+
     def test_no_flag_before_timeout(self):
         eng = engine(timeout_blocks=5)
         record(eng, "c1", EntryType.PEP_IN, "h", height=1)
@@ -230,18 +240,6 @@ class TestConfig:
     def test_bad_timeout_rejected(self):
         with pytest.raises(Exception):
             MonitorContract(timeout_blocks=0)
-
-    def test_ciphertext_storage_optional(self):
-        registry = ContractRegistry()
-        registry.deploy(MonitorContract(store_ciphertexts=False))
-        eng = ContractEngine(registry)
-        eng.execute(CONTRACT_NAME, "record_log", {
-            "correlation_id": "c", "entry_type": EntryType.PEP_IN,
-            "payload_hash": "h", "tenant": "t", "component": "x",
-            "ciphertext": {"nonce": "00", "ciphertext": "00", "tag": "00"},
-        }, ctx())
-        entry = eng.state_of(CONTRACT_NAME)["records"]["c"]["entries"][EntryType.PEP_IN]
-        assert "ciphertext" not in entry
 
 
 class TestPolicyChurnClassification:
@@ -406,11 +404,9 @@ class TestSweepIndex:
         assert alerts[0].payload["details"]["reason"] == "churn-report-overflow"
 
     def test_without_ciphertexts_conflicts_stay_equivocation(self):
-        # No stored ciphertexts -> the Analyser could never audit a churn
-        # claim, so the downgrade must not be offered at all.
-        registry = ContractRegistry()
-        registry.deploy(MonitorContract(store_ciphertexts=False))
-        eng = ContractEngine(registry)
+        # Entries logged without ciphertexts -> the Analyser could never
+        # audit a churn claim, so the downgrade must not be offered at all.
+        eng = engine()
 
         def stamped(tx_id, payload_hash, fp, version, entry_type):
             return eng.execute(CONTRACT_NAME, "record_log", {

@@ -12,7 +12,6 @@ from repro.common.errors import ValidationError
 from repro.harness import MonitoredFederation
 from repro.simnet.network import Message
 from repro.workload.scenarios import elastic_scale_scenario, healthcare_scenario
-from repro.xacml.parser import policy_to_dict
 from repro.xacml.policy import Effect, Policy, Rule, Target
 from tests.conftest import fast_drams_config
 
@@ -80,18 +79,10 @@ class TestAddShard:
         assert sum(s.requests_served for s in plane.services) == 30
 
     def test_add_shard_shares_the_shared_cache(self):
-        plane = ShardedPdpPlane(shards=2, cache_policy="shared")
+        plane = ShardedPdpPlane(shards=2)
         build_stack(plane)
         added = plane.add_shard()
         assert added.decision_cache is plane.services[0].decision_cache
-
-    def test_add_shard_partitioned_gets_own_cache(self):
-        plane = ShardedPdpPlane(shards=2, cache_policy="partitioned")
-        build_stack(plane)
-        added = plane.add_shard()
-        caches = plane.caches()
-        assert len(caches) == 3
-        assert added.decision_cache in caches
 
     def test_add_shard_requires_deployment(self):
         with pytest.raises(ValidationError, match="deployed"):
@@ -163,23 +154,6 @@ class TestDrainShard:
         with pytest.raises(ValidationError, match="no routable shard"):
             plane.drain_shard("pdp-9@infrastructure")
 
-    def test_partitioned_cache_entries_rehome_to_survivors(self):
-        plane = ShardedPdpPlane(shards=3, cache_policy="partitioned")
-        stack = build_stack(plane)
-        stack.issue_requests(24)
-        stack.run(until=30.0)
-        victim = plane.services[-1]
-        victim_entries = victim.decision_cache.export_entries()
-        assert victim_entries  # the workload warmed the victim's cache
-        survivor_caches = [s.decision_cache for s in plane.services[:-1]]
-        plane.drain_shard(victim.address)
-        migrated_keys = set()
-        for cache in survivor_caches:
-            migrated_keys.update(key for key, _, _ in cache.export_entries())
-        for key, _, _ in victim_entries:
-            assert key in migrated_keys
-        stack.run(until=stack.sim.now + 10.0)
-
     def test_pep_replans_failover_around_drained_shard(self):
         # A request dispatched to a shard that drains (and goes quiescent)
         # before answering must fail over to a *surviving* shard on the
@@ -222,65 +196,6 @@ class TestDrainShard:
         assert outcomes[0].decision.status_code != "timeout"
         assert pep.failovers == 1
         assert pep.churn_reroutes == 0
-
-
-class TestShardWarmup:
-    def _warmed_stack(self):
-        plane = ShardedPdpPlane(shards=3, cache_policy="partitioned")
-        stack = build_stack(plane)
-        stack.issue_requests(40)
-        stack.run(until=30.0)
-        return plane, stack
-
-    def test_preseeded_entries_bit_identical_to_donors(self):
-        plane, stack = self._warmed_stack()
-        donors = {
-            (key, fingerprint): response
-            for service in plane.services
-            for key, fingerprint, response in service.decision_cache.export_entries()
-        }
-        assert donors
-        added = plane.add_shard()
-        expected = {
-            keyed: response
-            for keyed, response in donors.items()
-            if plane.services[plane._shard_index_for_point(plane._key_point(keyed[0]))]
-            is added
-        }
-        assert expected  # the new shard claimed some warmed key range
-        seeded = {
-            (key, fingerprint): response
-            for key, fingerprint, response in added.decision_cache.export_entries()
-        }
-        assert seeded == expected
-        assert plane.warmed_entries == len(expected)
-
-    def test_warmed_shard_serves_without_recomputing(self):
-        plane, stack = self._warmed_stack()
-        added = plane.add_shard()
-        hits_before = added.decision_cache.stats()["hits"]
-        assert len(added.decision_cache) > 0
-        stack.issue_requests(40)
-        stack.run(until=stack.sim.now + 30.0)
-        assert added.requests_served > 0
-        assert added.decision_cache.stats()["hits"] > hits_before
-
-    def test_warm_entries_flush_coherently_on_publish(self):
-        plane, stack = self._warmed_stack()
-        added = plane.add_shard()
-        assert len(added.decision_cache) > 0
-        stack.publish_policy(stack.scenario.policy_document)
-        stack.run(until=stack.sim.now + 5.0)
-        assert len(added.decision_cache) == 0  # seeded entries flushed too
-
-    def test_shared_cache_needs_no_warmup(self):
-        plane = ShardedPdpPlane(shards=2, cache_policy="shared")
-        stack = build_stack(plane)
-        stack.issue_requests(20)
-        stack.run(until=20.0)
-        added = plane.add_shard()
-        assert added.decision_cache is plane.services[0].decision_cache
-        assert plane.warmed_entries == 0
 
 
 class TestProbeLifecycle:

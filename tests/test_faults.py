@@ -4,7 +4,7 @@ duplication/reordering idempotency properties."""
 
 import pytest
 
-from repro.accesscontrol.pep import PolicyEnforcementPoint, RetryBackoff
+from repro.accesscontrol.pep import RetryBackoff
 from repro.accesscontrol.plane import ShardedPdpPlane, SinglePdpPlane
 from repro.blockchain.config import BlockchainConfig
 from repro.blockchain.contracts import ContractRegistry, KeyValueContract
@@ -370,7 +370,7 @@ class TestFaultPlanDsl:
 
 class TestPdpShardCrashRestart:
     def build(self, **pep_kwargs):
-        plane = ShardedPdpPlane(shards=3, cache_policy="partitioned")
+        plane = ShardedPdpPlane(shards=3)
         stack = MonitoredFederation.build(
             healthcare_scenario(),
             clouds=2,
@@ -401,29 +401,38 @@ class TestPdpShardCrashRestart:
         assert sum(pep.timeouts for pep in stack.peps.values()) == 0
         assert sum(pep.failovers for pep in stack.peps.values()) > 0
 
-    def test_crash_invalidates_partitioned_cache(self):
+    def test_crash_leaves_the_plane_cache_and_restart_serves_from_it(self):
         stack, plane = self.build()
-        victim = plane.services[0]
-        stack.issue_requests(40, start_at=0.1)
-        stack.run(until=20.0)
-        plane.crash_shard(victim.address)
-        assert len(victim.decision_cache) == 0
+        (cache,) = plane.caches()
+        pep = next(iter(stack.peps.values()))
+        outcomes = []
 
-    def test_restart_rewarms_from_survivor_caches(self):
-        stack, plane = self.build()
-        victim = plane.services[0]
-        stack.issue_requests(40, start_at=0.1)
-        stack.run(until=20.0)
+        def ask():
+            return pep.request_access(
+                subject={"subject-id": "s-1", "role": "doctor"},
+                resource={"resource-id": "r-1", "type": "medical-record"},
+                action={"action-id": "read"},
+                callback=outcomes.append,
+            )
+
+        first = ask()
+        stack.run(until=5.0)
+        victim = next(s for s in plane.services if s.address == plane.endpoints(first)[0])
+        assert victim.requests_served == 1
+        entries = len(cache)
+        assert entries > 0
         plane.crash_shard(victim.address)
-        # Survivors absorb the crashed arc while it is down.
-        stack.issue_requests(40, start_at=stack.sim.now + 0.1)
-        stack.run(until=stack.sim.now + 20.0)
-        warmed_before = plane.warmed_entries
-        restarted = plane.restart_shard(victim.address)
-        assert restarted is victim
-        assert not victim.crashed
-        assert plane.warmed_entries > warmed_before
-        assert len(victim.decision_cache) > 0
+        assert len(cache) == entries and cache.invalidations == 0
+        plane.restart_shard(victim.address)
+        assert victim.decision_cache is cache
+        hits, misses = cache.hits, cache.misses
+        evaluations = victim._compiled_current()[1].pdp.evaluations
+        ask()
+        stack.run(until=10.0)
+        assert len(outcomes) == 2 and outcomes[1].granted == outcomes[0].granted
+        assert victim.requests_served == 2
+        assert (cache.hits, cache.misses) == (hits + 1, misses)
+        assert victim._compiled_current()[1].pdp.evaluations == evaluations
 
     def test_crashed_shard_cannot_be_drained(self):
         stack, plane = self.build()

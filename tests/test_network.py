@@ -164,21 +164,6 @@ class TestPartitions:
 
 
 class TestDropsAndTaps:
-    def test_drop_rate_one_drops_everything(self, sim, rng):
-        net = Network(sim, rng, ConstantLatency(0.01))
-        a = Recorder(net, "a")
-        b = Recorder(net, "b")
-        net.set_drop_rate(1.0)
-        for _ in range(10):
-            a.send("b", "ping", {})
-        sim.run()
-        assert b.received == []
-
-    def test_drop_rate_validation(self, sim, rng):
-        net = Network(sim, rng)
-        with pytest.raises(ValueError):
-            net.set_drop_rate(1.5)
-
     def test_tap_sees_all_messages(self, sim, rng):
         net = Network(sim, rng, ConstantLatency(0.01))
         a = Recorder(net, "a")

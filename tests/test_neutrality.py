@@ -7,9 +7,8 @@ the monitored federation to it:
 - **observer neutrality** — telemetry, light clients and an armed but
   empty fault plan each leave the *whole* fingerprint (decisions,
   alerts, chain head, audit count) equal to the same build without them;
-- **topology neutrality** — every decision-plane shape (one shard, four,
-  partitioned caches) leaves
-  ``decisions`` and ``alerts`` equal to the default single evaluator;
+- **topology neutrality** — every decision-plane shape (one shard, four)
+  leaves ``decisions`` and ``alerts`` equal to the default single evaluator;
 - **policy-plane neutrality** — replicated PRPs that propagate with zero
   delay leave the *whole* fingerprint equal to the default single store.
 
@@ -82,7 +81,6 @@ def empty_fault_plan(on):
 PLANES = {
     "sharded-1": lambda: ShardedPdpPlane(shards=1),
     "sharded-4": lambda: ShardedPdpPlane(shards=4),
-    "sharded-4-partitioned": lambda: ShardedPdpPlane(shards=4, cache_policy="partitioned"),
 }
 
 POLICY_PLANES = {

@@ -7,7 +7,7 @@ from repro.blockchain.transaction import Transaction
 from repro.common.rng import SeededRng
 from repro.crypto.signatures import SigningKey
 from repro.simnet.latency import ConstantLatency
-from repro.simnet.network import Network
+from repro.simnet.network import Message, Network
 from repro.simnet.simulator import Simulator
 
 
@@ -152,3 +152,122 @@ class TestMining:
             node.start()
         sim.run(until=5.0)
         assert heights and heights == sorted(heights)
+
+
+def fork_at_height_one(nodes, tx):
+    """``n0`` adopts an empty block A; ``n1``'s block B, carrying ``tx``, ties it.
+
+    Both nodes hold ``tx`` in their mempools first.  Equal work goes to the
+    lower tip hash, so A's timestamp is stepped until A wins at ``n0``;
+    ``n1`` keeps B as its head.  Returns ``(A, B)``; nothing is delivered.
+    """
+    n0, n1 = nodes[0], nodes[1]
+    for node in (n0, n1):
+        node.mempool.add(tx)
+    side = n1.chain.create_block("n1", [tx], timestamp=1.0, signing_key=n1.signing_key)
+    n1._accept_block(side)
+    for step in range(64):
+        won = n0.chain.create_block(
+            "n0", [], timestamp=1.0 + step / 64, signing_key=n0.signing_key
+        )
+        if won.hash < side.hash:
+            break
+    n0._accept_block(won)
+    n0._accept_block(side)
+    assert n0.chain.head.hash == won.hash and n0.chain.has_block(side.hash)
+    return won, side
+
+
+class TestSideBlocks:
+    """A stored block leaves the mempool only as far as the main chain holds it."""
+
+    def test_side_block_transactions_stay_pending(self):
+        sim, net, nodes, client_key = build_cluster(n=2)
+        tx = client_tx(1, "k", 1, client_key)
+        fork_at_height_one(nodes, tx)
+        n0 = nodes[0]
+        assert n0.chain.tx_location(tx.tx_id) is None
+        assert tx.tx_id in n0.mempool
+        assert tx in n0.chain.collect_block_txs(n0.mempool)
+
+    def test_next_block_carries_a_side_block_transaction(self):
+        sim, net, nodes, client_key = build_cluster(n=2)
+        tx = client_tx(1, "k", 1, client_key)
+        won, _side = fork_at_height_one(nodes, tx)
+        n0 = nodes[0]
+        n0._mine_block()
+        location = n0.chain.tx_location(tx.tx_id)
+        assert location is not None and location.height == 2
+        assert n0.chain.main_chain()[1].hash == won.hash
+        assert tx.tx_id not in n0.mempool
+
+    def test_adopted_block_clears_its_transactions(self):
+        sim, net, nodes, client_key = build_cluster(n=2)
+        tx = client_tx(1, "k", 1, client_key)
+        fork_at_height_one(nodes, tx)
+        assert tx.tx_id not in nodes[1].mempool
+        assert nodes[1].chain.tx_location(tx.tx_id).height == 1
+
+    def test_reorg_onto_side_branch_purges_what_it_adopts(self):
+        sim, net, nodes, client_key = build_cluster(n=2)
+        tx = client_tx(1, "k", 1, client_key)
+        _won, side = fork_at_height_one(nodes, tx)
+        n0, n1 = nodes
+        child = n1.chain.create_block("n1", [], timestamp=2.0, signing_key=n1.signing_key)
+        n0._accept_block(child)
+        assert n0.chain.head.hash == child.hash and n0.chain.reorgs == 1
+        assert n0.chain.tx_location(tx.tx_id).block_hash == side.hash
+        assert tx.tx_id not in n0.mempool
+
+    def test_orphan_reconnect_reorg_purges_what_it_adopts(self):
+        sim, net, nodes, client_key = build_cluster(n=2)
+        n0, n1 = nodes
+        tx = client_tx(1, "k", 1, client_key)
+        n0.mempool.add(tx)
+        n0._accept_block(n0.chain.create_block("n0", [], 1.0, signing_key=n0.signing_key))
+        side = n1.chain.create_block("n1", [tx], timestamp=1.0, signing_key=n1.signing_key)
+        n1._accept_block(side)
+        child = n1.chain.create_block("n1", [], timestamp=2.0, signing_key=n1.signing_key)
+        # The child arrives first and is parked; its parent reconnects it.
+        for block in (child, side):
+            n0.receive(Message(src="n1", dst="n0", kind="bc_block", payload=block.to_dict()))
+        assert n0.chain.head.hash == child.hash
+        assert n0.chain.tx_location(tx.tx_id).block_hash == side.hash
+        assert tx.tx_id not in n0.mempool
+
+    def test_reorg_reinjects_the_losing_branch_transactions(self):
+        sim, net, nodes, client_key = build_cluster(n=2)
+        n0, n1 = nodes
+        tx = client_tx(1, "k", 1, client_key)
+        n0.mempool.add(tx)
+        n0._mine_block()
+        assert n0.chain.tx_location(tx.tx_id) is not None and tx.tx_id not in n0.mempool
+        for timestamp in (1.0, 2.0):
+            block = n1.chain.create_block("n1", [], timestamp, signing_key=n1.signing_key)
+            n1._accept_block(block)
+            n0._accept_block(block)
+        assert n0.chain.head.hash == n1.chain.head.hash and n0.chain.reorgs == 1
+        assert n0.chain.tx_location(tx.tx_id) is None
+        assert tx.tx_id in n0.mempool
+        n0._mine_block()
+        assert n0.chain.tx_location(tx.tx_id).height == 3
+
+    def test_forks_lose_no_transaction_and_leave_no_stale_entry(self):
+        # Gossip latency near the block interval makes forks common.
+        sim, net, nodes, client_key = build_cluster(n=3, latency=0.3)
+        for node in nodes:
+            node.start()
+        txs = [client_tx(seq, f"k{seq}", seq, client_key) for seq in range(1, 31)]
+        for index, tx in enumerate(txs):
+            sim.schedule_at(0.5 * index, lambda tx=tx, index=index: (
+                nodes[index % 3].submit_transaction(tx)))
+        sim.run(until=25.0)
+        for node in nodes:
+            node.mining_enabled = False
+            node.stop()
+        sim.run(until=30.0)
+        assert sum(node.chain.reorgs for node in nodes) > 0
+        assert len({node.chain.head.hash for node in nodes}) == 1
+        for node in nodes:
+            assert all(node.chain.tx_location(tx.tx_id) is not None for tx in txs)
+            assert len(node.mempool) == 0

@@ -18,6 +18,8 @@ Four claims, stacked from document level up to full deployments:
 """
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -60,6 +62,11 @@ GOLDEN_FINGERPRINTS = {
     "diurnal": "ef8de557ee0aa04c",
     "partition-storm": "1f980507752a1e4d",
 }
+
+#: Shrunk failing examples, one JSON file each: the spec, the builder seed,
+#: how many requests to issue and how long to run, under
+#: ``fast_drams_config()``.  Every entry replays in tier-1.
+CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.json"))
 
 #: A fixed tree-synthesised spec small enough for stack-level runs.
 SMALL_SPEC = ScenarioSpec(
@@ -220,6 +227,23 @@ class TestMonitorSoundness:
         stack.run(until=25.0)
         assert len(stack.outcomes) == 6
         assert stack.drams.alerts.count() == 0, stack.drams.alerts.all()
+
+    @pytest.mark.parametrize("path", CORPUS, ids=lambda path: path.stem)
+    def test_corpus_replays_without_alerts(self, path):
+        """Each shrunk failure the random search found stays fixed."""
+        entry = json.loads(path.read_text())
+        reset_id_counter()
+        stack = build_stack_from_spec(
+            spec_from_json(json.dumps(entry["spec"])),
+            seed=entry["seed"],
+            drams_config=fast_drams_config(),
+        )
+        stack.start()
+        stack.issue_requests(entry["requests"])
+        stack.run(until=entry["until"])
+        assert len(stack.outcomes) == entry["requests"]
+        assert stack.drams.alerts.count() == 0, stack.drams.alerts.all()
+        assert stack.fingerprint()["checked"] == entry["requests"]
 
 
 # -- attack-mix completeness ---------------------------------------------------
