@@ -229,7 +229,7 @@ class PdpService(Host):
             key = ("pdp.evaluate", self.address, request.request_id)
             tracer.open_span(key, "pdp.evaluate", self.address, attrs={"cache_hit": hit_expected})
         evaluate = partial(self._evaluate_and_reply, request, message.src, keyed, epoch)
-        self.sim.schedule(delay, evaluate, label=f"pdp-eval:{request.request_id}")
+        self.sim.post(delay, evaluate)
 
     RECEIVES = {"ac_request": (AccessRequest, _handle_request)}
 

@@ -300,11 +300,7 @@ class PolicyEnforcementPoint(Host):
         requested_at: float,
     ) -> None:
         """Arm the attempt timer and send one shard attempt."""
-        timeout_event = self.sim.schedule(
-            per_attempt,
-            lambda: self._timeout(request.request_id),
-            label=f"pep-timeout:{request.request_id}",
-        )
+        timeout_event = self.sim.schedule(per_attempt, lambda: self._timeout(request.request_id))
         tracer = self.network.telemetry
         trace_key = None
         attempt_span = None

@@ -366,8 +366,7 @@ class ShardedPdpPlane:
             poll()
 
         def poll() -> None:
-            label = f"plane-drain:{service.address}"
-            sim.schedule(self.DRAIN_POLL_INTERVAL, check_quiescent, label=label)
+            sim.post(self.DRAIN_POLL_INTERVAL, check_quiescent)
 
         poll()
         return service

@@ -79,7 +79,7 @@ class CentralizedMonitor(Host):
 
     def start(self) -> None:
         if self._stop_sweep is None:
-            self._stop_sweep = self.sim.every(SWEEP_INTERVAL, self.sweep, label="central-sweep")
+            self._stop_sweep = self.sim.every(SWEEP_INTERVAL, self.sweep)
 
     def compromise(self) -> None:
         """The attacker owns the collector: scrub evidence, go blind.

@@ -403,7 +403,7 @@ class BlockchainNode(Host):
         if rate <= 0:
             return
         delay = self.rng.expovariate(rate)
-        self._mine_event = self.sim.schedule(delay, self._mine_block, label=f"mine:{self.address}")
+        self._mine_event = self.sim.schedule(delay, self._mine_block)
 
     def _mine_block(self) -> None:
         self._mine_event = None

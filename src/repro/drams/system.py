@@ -316,12 +316,8 @@ class DramsSystem:
         header_client = self.header_clients[tenant_name]
         consumer = self.light_clients[tenant_name]
         # No jitter: jitter callbacks would draw from a shared RNG stream.
-        self._stoppers.append(sim.every(
-            LIGHT_SYNC_INTERVAL, header_client.sync,
-            label=f"lc-sync:{tenant_name}"))
-        self._stoppers.append(sim.every(
-            LIGHT_SWEEP_INTERVAL, consumer.sweep,
-            label=f"lc-sweep:{tenant_name}"))
+        self._stoppers.append(sim.every(LIGHT_SYNC_INTERVAL, header_client.sync))
+        self._stoppers.append(sim.every(LIGHT_SWEEP_INTERVAL, consumer.sweep))
 
     def _track_plane_membership(self, event: str, service: PdpService) -> None:
         if event in ("added", "restarted") and service not in self.pdp_services:
@@ -351,15 +347,13 @@ class DramsSystem:
         jitter_rng = self.federation.rng.fork("drams-ticks")
         self._stoppers.append(sim.every(
             self.config.tick_interval, lambda: infra_li.submit_tick(),
-            label="drams-tick", jitter=lambda: jitter_rng.uniform(0, 0.05)))
+            jitter=lambda: jitter_rng.uniform(0, 0.05)))
         if self.analyser is not None and self.config.analyser_sweep_interval > 0:
             self._stoppers.append(sim.every(
-                self.config.analyser_sweep_interval,
-                lambda: self.analyser.sweep(), label="analyser-sweep"))
+                self.config.analyser_sweep_interval, lambda: self.analyser.sweep()))
         if self.config.use_tpm and self.config.attestation_interval > 0:
             self._stoppers.append(sim.every(
-                self.config.attestation_interval, self.run_attestation_round,
-                label="tpm-attestation"))
+                self.config.attestation_interval, self.run_attestation_round))
         for tenant_name in self.light_clients:
             self._arm_light_client(tenant_name)
 

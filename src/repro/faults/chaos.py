@@ -92,11 +92,7 @@ class ChaosController:
             return self
         self._armed = True
         for event in self.plan.events:
-            self.sim.schedule_at(
-                event.at,
-                lambda event=event: self._apply(event),
-                label=f"chaos:{event.kind}",
-            )
+            self.sim.schedule_at(event.at, lambda event=event: self._apply(event))
         return self
 
     # -- application ---------------------------------------------------------------
@@ -114,11 +110,7 @@ class ChaosController:
         self.recorder.note_fault("partition", f"{group_a}<->{group_b}",
                                  self.sim.now, event.until)
         if event.until is not None:
-            self.sim.schedule_at(
-                event.until,
-                lambda: self.network.heal_partition(group_a, group_b),
-                label="chaos:heal",
-            )
+            self.sim.schedule_at(event.until, lambda: self.network.heal_partition(group_a, group_b))
         return group_a + group_b
 
     def _apply_link_degrade(self, event: FaultEvent) -> list[str]:
@@ -138,7 +130,7 @@ class ChaosController:
                 for a, b in pairs:
                     self.network.clear_link_fault(a, b, symmetric=event.symmetric)
 
-            self.sim.schedule_at(event.until, clear, label="chaos:clear-links")
+            self.sim.schedule_at(event.until, clear)
         return group_a + group_b
 
     # latency_spike is link_degrade with only extra_latency set; the DSL
@@ -151,9 +143,7 @@ class ChaosController:
             self._crash_target(address, event.until)
         if event.until is not None:
             self.sim.schedule_at(
-                event.until,
-                lambda: [self._restart_target(address) for address in targets],
-                label="chaos:restart",
+                event.until, lambda: [self._restart_target(address) for address in targets]
             )
         return targets
 
@@ -178,7 +168,7 @@ class ChaosController:
                     if host is not None:
                         host.clock_offset = 0.0
 
-            self.sim.schedule_at(event.until, reset, label="chaos:unskew")
+            self.sim.schedule_at(event.until, reset)
         return targets
 
     # -- component dispatch ----------------------------------------------------------

@@ -119,10 +119,9 @@ class RecoveryRecorder:
             if state["polls"] >= self.max_polls:
                 self.watching -= 1
                 return
-            self.sim.schedule(self.poll_interval, poll,
-                              label=f"recovery-poll:{target}")
+            self.sim.post(self.poll_interval, poll)
 
-        self.sim.schedule(self.poll_interval, poll, label=f"recovery-poll:{target}")
+        self.sim.post(self.poll_interval, poll)
 
     # -- decisions lost vs re-routed ----------------------------------------------
 

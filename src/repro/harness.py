@@ -203,9 +203,7 @@ class MonitoredFederation:
         if at is None:
             return self.pap.publish(document, published_at=self.sim.now)
         return self.sim.schedule_at(
-            at,
-            lambda: self.pap.publish(document, published_at=self.sim.now),
-            label="policy-publish",
+            at, lambda: self.pap.publish(document, published_at=self.sim.now)
         )
 
     def run(self, until: Optional[float] = None) -> int:
@@ -221,15 +219,13 @@ class MonitoredFederation:
         """
         if at is None:
             return self.plane.add_shard()
-        return self.sim.schedule_at(at, lambda: self.plane.add_shard(), label="plane-add-shard")
+        return self.sim.schedule_at(at, lambda: self.plane.add_shard())
 
     def drain_pdp_shard(self, address: Optional[str] = None, at: Optional[float] = None):
         """Drain one shard (default: the newest), now or at simulated ``at``."""
         if at is None:
             return self.plane.drain_shard(address)
-        return self.sim.schedule_at(
-            at, lambda: self.plane.drain_shard(address), label="plane-drain-shard"
-        )
+        return self.sim.schedule_at(at, lambda: self.plane.drain_shard(address))
 
     # -- fault injection ---------------------------------------------------------------
 
@@ -324,7 +320,7 @@ class MonitoredFederation:
                 callback=record,
             )
 
-        self.sim.schedule_at(request.at, dispatch, label=f"workload:{request.index}")
+        self.sim.schedule_at(request.at, dispatch)
         handle.issued += 1
         handle.last_at = request.at
         self.issued += 1

@@ -32,11 +32,16 @@ from repro.simnet.network import Message, Network
 class LightProbeConsumer(SidebandHost):
     """An auditor that verifies its tenant's decisions from headers alone."""
 
-    def __init__(self, network: Network, address: str,
-                 header_client: HeaderClient, proof_server: str,
-                 federation_key: Optional[SymmetricKey] = None,
-                 entry_type: str = EntryType.PDP_OUT,
-                 min_confirmations: int = 1) -> None:
+    def __init__(
+        self,
+        network: Network,
+        address: str,
+        header_client: HeaderClient,
+        proof_server: str,
+        federation_key: Optional[SymmetricKey] = None,
+        entry_type: str = EntryType.PDP_OUT,
+        min_confirmations: int = 1,
+    ) -> None:
         super().__init__(network, address)
         self.header_client = header_client
         self.proof_server = proof_server
@@ -66,8 +71,7 @@ class LightProbeConsumer(SidebandHost):
 
     def attach_pep(self, pep: PolicyEnforcementPoint) -> None:
         """Audit every decision this PEP enforces, as it enforces it."""
-        pep.on_enforce.append(
-            lambda request, decision: self.watch(request.correlation()))
+        pep.on_enforce.append(lambda request, decision: self.watch(request.correlation()))
 
     # -- audit flow ------------------------------------------------------------
 
@@ -79,10 +83,13 @@ class LightProbeConsumer(SidebandHost):
             tracer = self.network.telemetry
             if tracer is not None:
                 # Sideband leg of the decision trace: watch → accept/reject.
-                tracer.open_span(("lc.audit", self.address, correlation_id),
-                                 "lc.audit", self.address,
-                                 parent=tracer.context_for(correlation_id),
-                                 category="sideband")
+                tracer.open_span(
+                    ("lc.audit", self.address, correlation_id),
+                    "lc.audit",
+                    self.address,
+                    parent=tracer.context_for(correlation_id),
+                    category="sideband",
+                )
             self._awaiting[correlation_id] = None
             self._fetch(correlation_id)
 
@@ -113,11 +120,15 @@ class LightProbeConsumer(SidebandHost):
 
     def _fetch(self, correlation_id: str) -> None:
         self.receipts_requested += 1
-        self.send(self.proof_server, "bc_proof_request", {
-            "request_id": correlation_id,
-            "correlation_id": correlation_id,
-            "entry_type": self.entry_type,
-        })
+        self.send(
+            self.proof_server,
+            "bc_proof_request",
+            {
+                "request_id": correlation_id,
+                "correlation_id": correlation_id,
+                "entry_type": self.entry_type,
+            },
+        )
 
     def _decode_proof(self, payload: Any) -> dict:
         """The envelope only; evidence that does not decode rejects its receipt instead."""
@@ -145,8 +156,10 @@ class LightProbeConsumer(SidebandHost):
 
     def _verify(self, correlation_id: str, receipt: DecisionReceipt) -> None:
         trusted = self.header_client.header_for(receipt.block_hash)
-        if (trusted is None or self.header_client.confirmations_of(
-                receipt.block_hash) < self.min_confirmations):
+        if (
+            trusted is None
+            or self.header_client.confirmations_of(receipt.block_hash) < self.min_confirmations
+        ):
             # Headers lag the served chain (or the block was reorged
             # away); park and re-verify after the next sync.  A reorged
             # block's receipt re-fetches via the awaiting path once the
@@ -164,8 +177,9 @@ class LightProbeConsumer(SidebandHost):
             self.receipts_accepted += 1
             tracer = self.network.telemetry
             if tracer is not None:
-                tracer.close_span(("lc.audit", self.address, correlation_id),
-                                  "accepted", strict=False)
+                tracer.close_span(
+                    ("lc.audit", self.address, correlation_id), "accepted", strict=False
+                )
         else:
             self._reject(correlation_id, result.reason)
 
@@ -177,8 +191,9 @@ class LightProbeConsumer(SidebandHost):
         self.rejections.append((correlation_id, reason))
         tracer = self.network.telemetry
         if tracer is not None:
-            tracer.close_span(("lc.audit", self.address, correlation_id),
-                              f"rejected:{reason}", strict=False)
+            tracer.close_span(
+                ("lc.audit", self.address, correlation_id), f"rejected:{reason}", strict=False
+            )
 
     # -- reporting -------------------------------------------------------------
 

@@ -304,7 +304,6 @@ class ReplicatedPrpPlane(PolicyDistributionPlane):
             self._federation.sim.every(
                 self.anti_entropy_interval,
                 host.pull,
-                label=f"prp-anti-entropy:{consumer}",
                 jitter=lambda: rng.uniform(0, self.anti_entropy_interval * 0.1),
             )
         )
@@ -370,12 +369,11 @@ class ReplicatedPrpPlane(PolicyDistributionPlane):
             host = self._hosts[consumer]
             delay = self.propagation_delay + self._rng.uniform(0, self.propagation_jitter)
             self.publishes_sent += 1
-            sim.schedule(
+            sim.post(
                 delay,
                 lambda host=host, record=record: self._origin.send(
                     host.address, "prp_publish", {"record": record}
                 ),
-                label=f"prp-publish:{consumer}:v{record['version']}",
             )
 
     # -- inspection ------------------------------------------------------------------

@@ -81,11 +81,12 @@ class LognormalLatency(LatencyModel):
             raise ValueError(f"sigma must be non-negative, got {sigma}")
         self.median = median
         self.sigma = sigma
+        self._mu = math.log(median)
         self.bandwidth_bps = bandwidth_bps
 
     def sample(self, rng: SeededRng, size_bytes: int = 0) -> float:
         transfer = (size_bytes * 8 / self.bandwidth_bps) if self.bandwidth_bps > 0 else 0.0
-        return math.exp(rng.gauss(math.log(self.median), self.sigma)) + transfer
+        return math.exp(rng.gauss(self._mu, self.sigma)) + transfer
 
     def describe(self) -> str:
         return f"lognormal(median={self.median * 1000:.2f}ms, sigma={self.sigma})"

@@ -1,11 +1,11 @@
 """Simulated message network.
 
 Hosts register with the network under a unique address; sending a message
-schedules a delivery event after the link's sampled latency.  The network
-supports per-pair latency overrides, symmetric and asymmetric partitions,
-and per-link fault profiles (loss, duplication, reordering jitter, added
-latency), which the threat experiments and the fault-injection plane
-(:mod:`repro.faults`) use to model degraded federations.
+posts its delivery after the link's sampled latency.  The network supports
+per-pair latency overrides, symmetric and asymmetric partitions, and per-link
+fault profiles (loss, duplication, reordering jitter, added latency), which the
+threat experiments and the fault-injection plane (:mod:`repro.faults`) use to
+model degraded federations.
 
 Messages are delivered by invoking ``host.receive(message)``, the one decode
 path: a :class:`Host` subclass declares the kinds it takes (:attr:`Host.RECEIVES`),
@@ -19,12 +19,18 @@ host that crashes — or crashes and restarts — before the delivery event
 fires is dropped (counted in ``NetworkStats.dropped_dead``) instead of
 being handed to a dead host or to a restarted incarnation with stale
 state; so is anything a detached host's surviving timers try to send.
+
+What a message costs: one :class:`Message`, sized once, one latency draw and
+one uncancellable heap entry (:meth:`Simulator.post` of the bound
+``_deliver(message, born)``).  While no partition or link fault is installed,
+neither is looked up.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Callable, ClassVar, Optional
 
 from repro.common.errors import NetworkError, ValidationError
@@ -229,9 +235,8 @@ class Network:
         self.stats = NetworkStats()
         self._hosts: dict[str, Host] = {}
         self._latency_overrides: dict[tuple[str, str], LatencyModel] = {}
-        self._partitions: set[frozenset[str]] = set()
-        #: Directed blocks: (src, dst) pairs where only src->dst is severed.
-        self._directed_blocks: set[tuple[str, str]] = set()
+        #: Severed directed links; a symmetric partition holds both directions.
+        self._blocked: set[tuple[str, str]] = set()
         self._link_faults: dict[tuple[str, str], LinkFault] = {}
         self._taps: list[Callable[[Message], None]] = []
         #: Optional :class:`repro.telemetry.tracing.Tracer`.  When set,
@@ -281,27 +286,24 @@ class Network:
         """
         for a in group_a:
             for b in group_b:
+                self._blocked.add((a, b))
                 if symmetric:
-                    self._partitions.add(frozenset((a, b)))
-                else:
-                    self._directed_blocks.add((a, b))
+                    self._blocked.add((b, a))
 
     def heal(self) -> None:
         """Remove all partitions (symmetric and directed)."""
-        self._partitions.clear()
-        self._directed_blocks.clear()
+        self._blocked.clear()
 
     def heal_partition(self, group_a: list[str], group_b: list[str]) -> None:
         """Remove the partitions between exactly these two groups."""
         for a in group_a:
             for b in group_b:
-                self._partitions.discard(frozenset((a, b)))
-                self._directed_blocks.discard((a, b))
-                self._directed_blocks.discard((b, a))
+                self._blocked.discard((a, b))
+                self._blocked.discard((b, a))
 
     def is_partitioned(self, a: str, b: str) -> bool:
         """True if a message from ``a`` to ``b`` would be severed."""
-        return frozenset((a, b)) in self._partitions or (a, b) in self._directed_blocks
+        return (a, b) in self._blocked
 
     # -- per-link fault profiles ------------------------------------------------
 
@@ -360,7 +362,7 @@ class Network:
         *,
         sized: Optional[Message] = None,
     ) -> Optional[Message]:
-        """Send one message; ``sized`` lends its size and sideband if it carries this very object."""
+        """Send one message; ``sized`` lends size and sideband if it carries this very object."""
         if src not in self._hosts:
             if src not in self._incarnations:
                 raise NetworkError(f"unknown source host: {src}")
@@ -383,10 +385,10 @@ class Network:
             message.trace = self.telemetry.current
         for tap in self._taps:
             tap(message)
-        if dst not in self._hosts or self.is_partitioned(src, dst):
+        if dst not in self._hosts or (self._blocked and (src, dst) in self._blocked):
             self.stats.dropped += 1
             return None
-        fault = self._link_faults.get((src, dst))
+        fault = self._link_faults.get((src, dst)) if self._link_faults else None
         if fault is not None and fault.loss > 0 and self.rng.random() < fault.loss:
             fault.dropped += 1
             self.stats.dropped += 1
@@ -395,39 +397,38 @@ class Network:
         # Bind the delivery to the destination's current incarnation: a
         # crash (detach) or crash+restart (re-attach) between now and the
         # delivery time invalidates every message already in flight.
-        born = self._incarnations.get(dst, 0)
-
-        def deliver() -> None:
-            host = self._hosts.get(dst)
-            if host is None or self._incarnations.get(dst, 0) != born:
-                self.stats.dropped += 1
-                self.stats.dropped_dead += 1
-                if self.telemetry is not None and message.trace is not None:
-                    # The trace sees the loss even though no host does.
-                    self.telemetry.instant(
-                        "net.dropped_dead", dst, context=message.trace, attrs={"kind": message.kind}
-                    )
-                return
-            if self.is_partitioned(src, dst):
-                self.stats.dropped += 1
-                return
-            self.stats.delivered += 1
-            if self.telemetry is not None and message.trace is not None:
-                with self.telemetry.activate(message.trace):
-                    host.receive(message)
-            else:
-                host.receive(message)
-
-        self.sim.schedule(delay, deliver, label=f"deliver:{kind}:{src}->{dst}")
+        deliver = partial(self._deliver, message, self._incarnations[dst])
+        self.sim.post(delay, deliver)
         if fault is not None and fault.duplicate > 0 and self.rng.random() < fault.duplicate:
             # At-least-once delivery: a second, independently-delayed copy
             # of the same message (same msg_id — receivers must be
             # idempotent, which the adversarial-delivery tests pin).
             fault.duplicated += 1
             self.stats.duplicated += 1
-            dup_delay = self._transit_delay(src, dst, size, fault)
-            self.sim.schedule(dup_delay, deliver, label=f"deliver-dup:{kind}:{src}->{dst}")
+            self.sim.post(self._transit_delay(src, dst, size, fault), deliver)
         return message
+
+    def _deliver(self, message: Message, born: int) -> None:
+        dst = message.dst
+        host = self._hosts.get(dst)
+        if host is None or self._incarnations[dst] != born:
+            self.stats.dropped += 1
+            self.stats.dropped_dead += 1
+            if self.telemetry is not None and message.trace is not None:
+                # The trace sees the loss even though no host does.
+                self.telemetry.instant(
+                    "net.dropped_dead", dst, context=message.trace, attrs={"kind": message.kind}
+                )
+            return
+        if self._blocked and (message.src, dst) in self._blocked:
+            self.stats.dropped += 1
+            return
+        self.stats.delivered += 1
+        if self.telemetry is not None and message.trace is not None:
+            with self.telemetry.activate(message.trace):
+                host.receive(message)
+        else:
+            host.receive(message)
 
     def _transit_delay(self, src: str, dst: str, size: int, fault: Optional[LinkFault]) -> float:
         delay = self._latency_for(src, dst).sample(self.rng, size)

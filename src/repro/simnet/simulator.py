@@ -1,27 +1,33 @@
 """Event-queue kernel.
 
 A minimal but complete discrete-event simulator: the heap holds ``(time,
-seq, event)`` tuples; the unique ``seq`` breaks ties FIFO so runs are fully
-deterministic.  Components never sleep or poll — they schedule follow-up
-events — which makes thousand-node experiments cheap and reproducible.
+seq, callback)`` tuples; the unique ``seq`` breaks ties FIFO so runs are
+fully deterministic.  Components never sleep or poll — they schedule
+follow-up events — which makes thousand-node experiments cheap and
+reproducible.
+
+A heap entry's callback is one of two kinds.  :meth:`Simulator.post` queues
+a bare callable that nothing can cancel; it is what a message delivery costs
+(one tuple, no handle).  :meth:`Simulator.schedule` wraps the callable in an
+:class:`Event`, a handle the caller keeps to cancel it (request timeouts,
+mining, :meth:`Simulator.every`); a cancelled event is skipped when popped
+and counts as neither pending nor executed.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 
 @dataclass(eq=False, slots=True)
 class Event:
-    """A scheduled callback; the kernel orders events by (time, seq)."""
+    """A scheduled callback the caller may cancel before it runs."""
 
-    time: float
-    seq: int
     callback: Callable[[], None]
-    label: str = ""
     cancelled: bool = False
 
     def cancel(self) -> None:
@@ -38,7 +44,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[tuple[float, int, Event]] = []
+        self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._executed = 0
@@ -56,31 +62,29 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of queued events not cancelled."""
-        return sum(1 for _, _, event in self._queue if not event.cancelled)
+        return sum(
+            1 for _, _, entry in self._queue if type(entry) is not Event or not entry.cancelled
+        )
 
-    def schedule(self, delay: float, callback: Callable[[], None], label: str = "") -> Event:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
+    def post(self, delay: float, callback: Callable[[], None]) -> None:
+        """Queue ``callback`` to run ``delay`` seconds from now; it cannot be cancelled."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        event = Event(time=self._now + delay, seq=next(self._seq), callback=callback, label=label)
-        heapq.heappush(self._queue, (event.time, event.seq, event))
+        heapq.heappush(self._queue, (self._now + delay, next(self._seq), callback))
+
+    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
+        """Schedule ``callback`` to run ``delay`` seconds from now; returns its handle."""
+        event = Event(callback)
+        self.post(delay, event)
         return event
 
-    def schedule_at(self, time: float, callback: Callable[[], None], label: str = "") -> Event:
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at absolute simulated ``time``."""
-        return self.schedule(max(0.0, time - self._now), callback, label)
+        return self.schedule(max(0.0, time - self._now), callback)
 
     def step(self) -> bool:
         """Execute the next non-cancelled event.  Returns False when idle."""
-        while self._queue:
-            event = heapq.heappop(self._queue)[2]
-            if event.cancelled:
-                continue
-            self._now = event.time
-            self._executed += 1
-            event.callback()
-            return True
-        return False
+        return self.run(max_events=1) == 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Drain the event queue.
@@ -89,21 +93,26 @@ class Simulator:
         ``max_events`` bounds work, guarding against runaway feedback loops.
         Returns the number of events executed by this call.
         """
+        queue = self._queue
+        pop = heapq.heappop
+        horizon = math.inf if until is None else until
+        budget = math.inf if max_events is None else max_events
         executed = 0
-        while self._queue:
-            if max_events is not None and executed >= max_events:
-                break
-            head = self._queue[0][2]
-            if head.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            if until is not None and head.time > until:
+        while queue and executed < budget:
+            time, _, callback = queue[0]
+            if time > horizon:
                 self._now = until
                 break
-            if not self.step():
-                break
+            pop(queue)
+            if type(callback) is Event:
+                if callback.cancelled:
+                    continue
+                callback = callback.callback
+            self._now = time
+            self._executed += 1
             executed += 1
-        if until is not None and not self._queue and self._now < until:
+            callback()
+        if until is not None and not queue and self._now < until:
             self._now = until
         return executed
 
@@ -122,7 +131,6 @@ class Simulator:
         self,
         interval: float,
         callback: Callable[[], None],
-        label: str = "",
         jitter: Callable[[], float] | None = None,
     ) -> Callable[[], None]:
         """Install a periodic callback; returns a function that stops it."""
@@ -135,9 +143,9 @@ class Simulator:
                 return
             callback()
             delay = interval + (jitter() if jitter else 0.0)
-            state["event"] = self.schedule(max(1e-9, delay), fire, label)
+            state["event"] = self.schedule(max(1e-9, delay), fire)
 
-        state["event"] = self.schedule(interval + (jitter() if jitter else 0.0), fire, label)
+        state["event"] = self.schedule(interval + (jitter() if jitter else 0.0), fire)
 
         def stop() -> None:
             state["stopped"] = True

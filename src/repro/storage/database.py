@@ -79,7 +79,7 @@ class DatabaseStore:
             if on_ack is not None:
                 on_ack(key)
 
-        self.sim.schedule(delay, commit, label=f"db-write:{self.name}")
+        self.sim.post(delay, commit)
 
     def read(self, key: str, on_result: Callable[[Optional[Any]], None]) -> None:
         """Fetch a value; ``on_result`` fires after the read latency."""
@@ -90,7 +90,7 @@ class DatabaseStore:
             row = self._rows.get(key)
             on_result(row.value if row else None)
 
-        self.sim.schedule(delay, fetch, label=f"db-read:{self.name}")
+        self.sim.post(delay, fetch)
 
     # -- synchronous inspection (no simulated latency; for auditors/tests) --------
 

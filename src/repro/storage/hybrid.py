@@ -75,8 +75,7 @@ class HybridStore:
     def start(self) -> None:
         """Begin periodic anchoring."""
         if self._stop is None:
-            self._stop = self.node.sim.every(self.anchor_interval, self.anchor_now,
-                                             label="hybrid-anchor")
+            self._stop = self.node.sim.every(self.anchor_interval, self.anchor_now)
 
     def stop(self) -> None:
         if self._stop is not None:

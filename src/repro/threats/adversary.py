@@ -43,9 +43,7 @@ class Adversary:
         if at is None:
             attack.inject(self.drams)
         else:
-            self.drams.federation.sim.schedule_at(
-                at, lambda: attack.inject(self.drams),
-                label=f"attack:{attack.name}")
+            self.drams.federation.sim.schedule_at(at, lambda: attack.inject(self.drams))
         return attack
 
     def lift_all(self) -> None:

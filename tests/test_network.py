@@ -114,6 +114,27 @@ class TestDelivery:
         sim.run()
         assert b.received == []
 
+    def test_message_to_a_restarted_host_is_dropped_dead(self, sim, rng):
+        # Detach and re-attach under the same address while a message is in
+        # flight: the delivery belongs to the old incarnation and is dropped.
+        net = Network(sim, rng, ConstantLatency(0.1))
+        a = Recorder(net, "a")
+        old = Recorder(net, "b")
+        a.send("b", "ping", {})
+        restarted = []
+
+        def restart():
+            net.detach("b")
+            restarted.append(Recorder(net, "b"))
+
+        sim.schedule(0.05, restart)
+        sim.run()
+        assert old.received == [] and restarted[0].received == []
+        assert (net.stats.dropped, net.stats.dropped_dead, net.stats.delivered) == (1, 1, 0)
+        a.send("b", "ping", {})
+        sim.run()
+        assert len(restarted[0].received) == 1
+
     def test_broadcast_reaches_all_but_sender(self, sim, rng):
         net = Network(sim, rng, ConstantLatency(0.01))
         hosts = [Recorder(net, f"h{i}") for i in range(4)]

@@ -69,6 +69,65 @@ class TestCancellation:
         assert sim.run() == 0
 
 
+class TestHeapEntryKinds:
+    """Posted callbacks (deliveries) and scheduled events share one FIFO clock."""
+
+    def test_posted_and_scheduled_entries_due_together_run_fifo(self, sim):
+        order = []
+        sim.post(1.0, lambda: order.append("delivery-1"))
+        sim.schedule(1.0, lambda: order.append("timer"))
+        sim.post(1.0, lambda: order.append("delivery-2"))
+        sim.run()
+        assert order == ["delivery-1", "timer", "delivery-2"]
+
+    def test_post_rejects_negative_delay(self, sim):
+        with pytest.raises(ValueError):
+            sim.post(-0.1, lambda: None)
+
+    def test_pending_events_counts_both_kinds_and_skips_cancelled(self, sim):
+        sim.post(1.0, lambda: None)
+        kept = sim.schedule(2.0, lambda: None)
+        dropped = sim.schedule(3.0, lambda: None)
+        sim.post(4.0, lambda: None)
+        dropped.cancel()
+        assert sim.pending_events == 3
+        kept.cancel()
+        assert sim.pending_events == 2
+
+    def test_run_counts_both_kinds_and_skips_cancelled(self, sim):
+        fired = []
+        sim.post(1.0, lambda: fired.append("post@1"))
+        sim.schedule(1.5, lambda: fired.append("cancelled")).cancel()
+        sim.schedule(2.0, lambda: fired.append("timer@2"))
+        sim.post(3.0, lambda: fired.append("post@3"))
+        assert sim.run(max_events=2) == 2
+        assert fired == ["post@1", "timer@2"]
+        assert sim.now == 2.0
+        assert sim.run(until=2.5) == 0
+        assert sim.now == 2.5
+        assert sim.run() == 1
+        assert fired == ["post@1", "timer@2", "post@3"]
+        assert sim.executed_events == 3
+
+    def test_cancelled_entry_beyond_horizon_still_advances_clock(self, sim):
+        sim.schedule(9.0, lambda: None).cancel()
+        assert sim.run(until=5.0) == 0
+        assert sim.now == 5.0
+        assert sim.pending_events == 0
+
+    def test_step_skips_cancelled_and_runs_either_kind(self, sim):
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("cancelled")).cancel()
+        sim.post(2.0, lambda: fired.append("post"))
+        sim.schedule(3.0, lambda: fired.append("timer"))
+        assert sim.step()
+        assert (fired, sim.now) == (["post"], 2.0)
+        assert sim.step()
+        assert (fired, sim.now) == (["post", "timer"], 3.0)
+        assert not sim.step()
+        assert sim.executed_events == 2
+
+
 class TestRun:
     def test_run_until_horizon_leaves_future_events(self, sim):
         fired = []

@@ -379,7 +379,7 @@ def test_shard_crash_epoch_fence_closes_evaluation_spans():
         assert busy, "no evaluation in flight at crash time"
         stack.plane.crash_shard(busy[0][1])
 
-    stack.sim.schedule_at(1.2, crash_busy_shard, label="chaos:crash")
+    stack.sim.schedule_at(1.2, crash_busy_shard)
     stack.run(until=40.0)
     assert len(stack.outcomes) == 8
 
