@@ -27,7 +27,6 @@ import os
 
 from benchmarks.common import write_json_report
 from repro.accesscontrol.plane import ShardedPdpPlane, SinglePdpPlane
-from repro.common.ids import reset_id_counter
 from repro.harness import MonitoredFederation
 from repro.metrics.tables import format_table
 from repro.workload.scenarios import federation_scale_scenario
@@ -60,7 +59,6 @@ def make_plane(shards, service_kwargs=None):
 
 
 def run_throughput_arm(shards):
-    reset_id_counter()
     stack = MonitoredFederation.build(
         federation_scale_scenario(),
         clouds=2,

@@ -30,7 +30,6 @@ calling convention it was the last user of.
 import os
 
 from benchmarks.common import bench_drams_config, write_json_report
-from repro.common.ids import reset_id_counter
 from repro.drams.alerts import AlertType
 from repro.harness import MonitoredFederation
 from repro.metrics.tables import format_table
@@ -67,7 +66,6 @@ def churn_config(**overrides):
 
 
 def run_churn_arm(delay):
-    reset_id_counter()
     scenario = policy_churn_scenario()
     stack = MonitoredFederation.build(
         scenario,
@@ -141,7 +139,6 @@ def rogue_policy_document():
 
 
 def run_detection_arm(attack, publish_variants, seed):
-    reset_id_counter()
     scenario = policy_churn_scenario()
     stack = MonitoredFederation.build(
         scenario,

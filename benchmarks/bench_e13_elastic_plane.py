@@ -33,7 +33,6 @@ import os
 
 from benchmarks.common import bench_drams_config, write_json_report
 from repro.accesscontrol.plane import ShardedPdpPlane
-from repro.common.ids import reset_id_counter
 from repro.harness import MonitoredFederation
 from repro.metrics.tables import format_table
 from repro.workload.scenarios import elastic_scale_scenario
@@ -63,7 +62,6 @@ SERVICE_KWARGS = {
 
 def run_arm(plane, *, add_shards=0, drain_address=None):
     """Run the waved flash crowd over ``plane``; return shape metrics."""
-    reset_id_counter()
     stack = MonitoredFederation.build(
         elastic_scale_scenario(),
         clouds=2,
@@ -109,7 +107,6 @@ def run_arm(plane, *, add_shards=0, drain_address=None):
 
 def run_monitored_churn_arm():
     """Full DRAMS run with a mid-run add + drain; nothing may gap."""
-    reset_id_counter()
     plane = ShardedPdpPlane(shards=2, drain_grace=0.5)
     stack = MonitoredFederation.build(
         elastic_scale_scenario(),

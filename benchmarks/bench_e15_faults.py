@@ -41,7 +41,6 @@ import os
 from benchmarks.common import bench_drams_config, write_json_report
 from repro.accesscontrol.pep import RetryBackoff
 from repro.accesscontrol.plane import ShardedPdpPlane
-from repro.common.ids import reset_id_counter
 from repro.faults import FaultPlan, crash, link_degrade, partition
 from repro.harness import MonitoredFederation
 from repro.metrics.tables import format_table
@@ -147,7 +146,6 @@ def variant_document(generation: int) -> dict:
 
 
 def run_loss_arm(loss: float):
-    reset_id_counter()
     plane = ShardedPdpPlane(shards=2)
     stack = MonitoredFederation.build(
         partition_storm_scenario(),
@@ -191,7 +189,6 @@ def run_loss_arm(loss: float):
 
 
 def run_attack_arm(make_attack, *, chaotic: bool, publish_variants: bool, seed: int):
-    reset_id_counter()
     plane = ShardedPdpPlane(shards=2)
     stack = MonitoredFederation.build(
         partition_storm_scenario(),

@@ -34,7 +34,6 @@ from benchmarks.common import bench_drams_config, write_json_report
 from repro.accesscontrol.pep import RetryBackoff
 from repro.accesscontrol.plane import ShardedPdpPlane
 from repro.blockchain.block import BlockHeader
-from repro.common.ids import reset_id_counter
 from repro.crypto.merkle import MerkleProof
 from repro.faults import FaultPlan, crash, partition
 from repro.harness import MonitoredFederation
@@ -49,7 +48,6 @@ WAVE_SIZE = 6 if SMOKE else 10
 
 
 def build_monitored(scenario, seed, *, light, **kwargs):
-    reset_id_counter()
     stack = MonitoredFederation.build(
         scenario, clouds=2, seed=seed, with_drams=True,
         drams_config=bench_drams_config(),

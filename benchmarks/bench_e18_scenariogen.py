@@ -24,7 +24,6 @@ import resource
 import time
 
 from benchmarks.common import bench_drams_config, write_json_report
-from repro.common.ids import reset_id_counter
 from repro.crypto.hashing import hash_value
 from repro.metrics.tables import format_table
 from repro.metrics.windowed import WindowedMetrics
@@ -76,7 +75,6 @@ def rss_mb() -> float:
 
 
 def run_monitored(spec: ScenarioSpec, seed: int, requests: int = 12) -> dict:
-    reset_id_counter()
     stack = build_stack_from_spec(
         spec, seed=seed, drams_config=bench_drams_config())
     stack.start()
@@ -129,7 +127,6 @@ def test_e18_scenariogen(report, scenario_seed):
     }], title="E18 determinism: rebuild + rerun fingerprint"))
 
     # -- arm 3: streaming memory ------------------------------------------------
-    reset_id_counter()
     built_at = time.perf_counter()
     stack = build_stack_from_spec(STREAM_SPEC, seed=scenario_seed,
                                   with_drams=False)

@@ -15,7 +15,7 @@ import time
 
 from benchmarks.common import bench_chain_config, bench_drams_config, build_stack, mean
 from repro.blockchain.block import BlockHeader
-from repro.blockchain.pow import expected_hashes, grind_nonce, meets_target, retarget
+from repro.blockchain.pow import expected_hashes, grind_nonce_parts, meets_target, retarget
 from repro.metrics.tables import format_table
 
 DIFFICULTIES = [8.0, 10.0, 12.0, 14.0]
@@ -79,7 +79,7 @@ def test_e3_real_grind_matches_statistical_model(report, benchmark):
                                  merkle_root="m" * 64, timestamp=float(trial),
                                  difficulty_bits=bits, miner=f"bench-{trial}")
             started = time.perf_counter()
-            found = grind_nonce(header.bytes_for_nonce, bits)
+            found = grind_nonce_parts(*header.nonce_parts(), bits)
             elapsed += time.perf_counter() - started
             assert found is not None
             nonce, digest, attempts = found
@@ -105,7 +105,7 @@ def test_e3_real_grind_matches_statistical_model(report, benchmark):
     def grind_once():
         header = BlockHeader(height=1, prev_hash="ab" * 32, merkle_root="m" * 64,
                              timestamp=0.0, difficulty_bits=10.0, miner="bench")
-        return grind_nonce(header.bytes_for_nonce, 10.0)
+        return grind_nonce_parts(*header.nonce_parts(), 10.0)
 
     benchmark(grind_once)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.common.errors import ValidationError
-from repro.common.ids import correlation_id, new_id
+from repro.common.ids import correlation_id
 from repro.crypto.hashing import hash_value
 
 
@@ -43,7 +43,7 @@ class AccessRequest:
 
     content: dict[str, Any]
     origin_tenant: str
-    request_id: str = field(default_factory=lambda: new_id("req"))
+    request_id: str
     issued_at: float = 0.0
 
     def semantic_payload(self) -> dict:

@@ -211,7 +211,10 @@ class PolicyEnforcementPoint(Host):
             environment=environment,
         )
         request = AccessRequest(
-            content=content, origin_tenant=self.tenant_name, issued_at=self.sim.now
+            content=content,
+            origin_tenant=self.tenant_name,
+            request_id=self.sim.new_id("req"),
+            issued_at=self.sim.now,
         )
         return self.submit(request, callback)
 

@@ -23,7 +23,6 @@ from repro.blockchain.block import Block, BlockHeader
 from repro.blockchain.pow import (
     target_for_bits,
     meets_target,
-    grind_nonce,
     expected_hashes,
 )
 from repro.blockchain.contracts import (
@@ -45,7 +44,6 @@ __all__ = [
     "BlockHeader",
     "target_for_bits",
     "meets_target",
-    "grind_nonce",
     "expected_hashes",
     "Contract",
     "ContractContext",

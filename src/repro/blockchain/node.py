@@ -282,7 +282,7 @@ class BlockchainNode(Host):
         headers = self.chain.headers_after(locator, max(1, min(limit, 512)))
         self.header_syncs_served += 1
         # The reply id is derived from the request id: light-client service
-        # traffic must not advance the global id counter (see Host.send).
+        # traffic must not advance the run's id counter (see Host.send).
         reply = {
             "headers": [header.to_dict() for header in headers],
             "tip_hash": self.chain.head.hash,

@@ -6,11 +6,11 @@ retargeting and simply shift the threshold.
 
 Two production modes share these primitives:
 
-- **real**: :func:`grind_nonce` iterates nonces until the header hash meets
-  the target — actual SHA-256 work, used to validate that the statistical
-  model matches reality (experiment E3); the fast path
-  (:func:`grind_nonce_parts`) hashes a precomputed header prefix + nonce +
-  suffix instead of re-rendering the header per attempt;
+- **real**: :func:`grind_nonce_parts` iterates nonces until the header
+  hash meets the target — actual SHA-256 work, used to validate that the
+  statistical model matches reality (experiment E3) — hashing a
+  precomputed header prefix + nonce + suffix instead of re-rendering the
+  header per attempt;
 - **simulated**: block discovery times are drawn from the exponential
   distribution with rate ``hashrate / expected_hashes(bits)`` — the standard
   memoryless model of PoW — letting experiments sweep difficulties far
@@ -51,30 +51,6 @@ def expected_hashes(difficulty_bits: float) -> float:
     return float(MAX_TARGET) / float(target_for_bits(difficulty_bits))
 
 
-def grind_nonce(
-    header_bytes_for_nonce: Callable[[int], bytes],
-    difficulty_bits: float,
-    max_attempts: Optional[int] = None,
-    start_nonce: int = 0,
-) -> Optional[tuple[int, str, int]]:
-    """Search nonces until the header hash meets the target.
-
-    ``header_bytes_for_nonce`` renders the header with a candidate nonce.
-    Returns ``(nonce, hash_hex, attempts)`` or ``None`` if ``max_attempts``
-    was exhausted.
-    """
-    target = target_for_bits(difficulty_bits)
-    nonce = start_nonce
-    attempts = 0
-    while max_attempts is None or attempts < max_attempts:
-        digest = sha256_hex(header_bytes_for_nonce(nonce))
-        attempts += 1
-        if int(digest, 16) < target:
-            return nonce, digest, attempts
-        nonce += 1
-    return None
-
-
 def grind_nonce_parts(
     prefix: bytes,
     suffix: bytes,
@@ -82,14 +58,14 @@ def grind_nonce_parts(
     max_attempts: Optional[int] = None,
     start_nonce: int = 0,
 ) -> Optional[tuple[int, str, int]]:
-    """Fast-path grinding over a pre-rendered header.
+    """Search nonces until the header hash meets the target.
 
     ``prefix``/``suffix`` come from
     :meth:`repro.blockchain.block.BlockHeader.nonce_parts`: the canonical
     header bytes before and after the nonce are constant across attempts,
     so each attempt hashes ``prefix + str(nonce) + suffix`` instead of
-    re-encoding the header.  Hashes (and therefore the nonce found) are
-    identical to :func:`grind_nonce` over the same header.
+    re-encoding the header.  Returns ``(nonce, hash_hex, attempts)`` or
+    ``None`` if ``max_attempts`` was exhausted.
     """
     target = target_for_bits(difficulty_bits)
     nonce = start_nonce

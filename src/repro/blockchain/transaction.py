@@ -18,11 +18,10 @@ fresh caches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.common.errors import CryptoError, ValidationError
-from repro.common.ids import new_id
 from repro.common.serialization import canonical_bytes, merged_length
 from repro.crypto.hashing import sha256_hex
 from repro.crypto.signatures import Signature, SigningKey, VerifyingKey
@@ -46,7 +45,7 @@ class Transaction:
     method: str
     args: dict[str, Any]
     seq: int
-    tx_id: str = field(default_factory=lambda: new_id("tx"))
+    tx_id: str
     submitted_at: float = 0.0
     signature: Optional[Signature] = None
 

@@ -14,7 +14,7 @@ from repro.common.errors import (
     ConfigError,
 )
 from repro.common.serialization import canonical_json, canonical_bytes, from_json
-from repro.common.ids import new_id, short_hash, correlation_id
+from repro.common.ids import short_hash, correlation_id
 from repro.common.rng import SeededRng
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "canonical_json",
     "canonical_bytes",
     "from_json",
-    "new_id",
     "short_hash",
     "correlation_id",
     "SeededRng",

@@ -1,46 +1,26 @@
-"""Identifier helpers.
+"""Content-derived identifiers.
 
-Identifiers must be *deterministic when derived from content* (correlation
-ids, hash-based ids) and *unique when minted* (entity ids).  Minted ids use a
-process-local counter plus an optional namespace rather than ``uuid4`` so
-that simulation runs are reproducible under a fixed seed.
+Ids derived from content (correlation ids, hash-based ids) are
+deterministic by construction.  Minted ids are not made here: a run's
+:class:`~repro.simnet.simulator.Simulator` mints them
+(:meth:`~repro.simnet.simulator.Simulator.new_id`), so two runs in one
+process share no id state.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
-import threading
 from typing import Any
 
 from repro.common.serialization import canonical_bytes
 
-_COUNTER = itertools.count(1)
-_COUNTER_LOCK = threading.Lock()
 
+def reset_id_counter() -> None:
+    """Do nothing; kept only because ``bench/`` still imports and calls it.
 
-def new_id(prefix: str = "id") -> str:
-    """Mint a fresh process-unique identifier like ``"pep-17"``.
-
-    Sequential ids keep traces and test failures readable, and make runs
-    reproducible (unlike UUIDs) when the rest of the system is seeded.
+    There is no process-wide counter left to rewind: every simulator's
+    counter starts at 1.
     """
-    with _COUNTER_LOCK:
-        value = next(_COUNTER)
-    return f"{prefix}-{value}"
-
-
-def reset_id_counter(start: int = 1) -> None:
-    """Rewind the minting counter (benchmark/test support only).
-
-    Minted ids (transaction ids in particular) are hashed into the chain,
-    so two runs can only produce bit-identical chains if they mint from
-    the same counter position.  Tests and benchmarks that compare runs
-    reset before each; production code must never call this.
-    """
-    global _COUNTER
-    with _COUNTER_LOCK:
-        _COUNTER = itertools.count(start)
 
 
 def short_hash(value: Any, length: int = 12) -> str:

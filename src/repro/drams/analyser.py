@@ -215,6 +215,7 @@ class Analyser(Host):
             method="report_violation",
             args={"correlation_id": correlation_id, "kind": kind, "details": details},
             seq=self._seq,
+            tx_id=self.sim.new_id("tx"),
         ).sign(self.signing_key)
         self.node.submit_transaction(tx)
 

@@ -156,7 +156,12 @@ class LoggingInterface(Host):
         """This LI's next call to the monitor contract, signed."""
         self._seq += 1
         tx = Transaction(
-            sender=self.address, contract=CONTRACT_NAME, method=method, args=args, seq=self._seq
+            sender=self.address,
+            contract=CONTRACT_NAME,
+            method=method,
+            args=args,
+            seq=self._seq,
+            tx_id=self.sim.new_id("tx"),
         )
         return tx.sign(self.keystore.signing_key)
 

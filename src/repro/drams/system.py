@@ -29,7 +29,6 @@ from repro.blockchain.config import BlockchainConfig
 from repro.blockchain.contracts import ContractRegistry
 from repro.blockchain.node import BlockchainNode
 from repro.common.errors import ValidationError
-from repro.common.ids import new_id
 from repro.crypto.signatures import SigningKey, VerifyingKey
 from repro.crypto.symmetric import SymmetricKey
 from repro.crypto.tpm import SimulatedTpm
@@ -378,7 +377,7 @@ class DramsSystem:
         self.attestation_rounds += 1
         failed = []
         for address, tpm in self.tpms.items():
-            nonce = new_id("attest")
+            nonce = self.federation.sim.new_id("attest")
             report = tpm.attest(nonce)
             expected = self.expected_pcrs[address]
             if not report.verify(tpm.endorsement_key, expected, nonce):

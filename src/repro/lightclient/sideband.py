@@ -2,13 +2,14 @@
 
 The differential acceptance bar for light clients is strict: the full
 DRAMS stack must stay *bit-identical* — same decisions, same alerts, same
-chain head hash — with auditors attached.  Two shared global streams
-could betray that:
+chain head hash — with auditors attached.  Two streams of the run could
+betray that:
 
 - **the latency RNG**: LAN/WAN profiles draw from the network's seeded
   stream per message, so one extra message shifts every later draw;
-- **the id counter**: minted ids (``new_id``) come from one process-wide
-  counter that also feeds transaction ids, which are hashed into blocks.
+- **the run's id source**: message ids are minted by the run's
+  ``Simulator.new_id``, the counter that also mints transaction ids,
+  which are hashed into blocks.
 
 :class:`SidebandHost` therefore namespaces its message ids from a local
 counter, and :func:`sideband_link` pins its links to constant-latency
@@ -29,7 +30,7 @@ SIDEBAND_DELAY = 0.002
 
 
 class SidebandHost(Host):
-    """A host whose traffic stays off the shared id and entropy streams."""
+    """A host whose traffic stays off the run's id and entropy streams."""
 
     def __init__(self, network: Network, address: str) -> None:
         super().__init__(network, address)

@@ -34,7 +34,6 @@ from functools import partial
 from typing import Any, Callable, ClassVar, Optional
 
 from repro.common.errors import NetworkError, ValidationError
-from repro.common.ids import new_id
 from repro.common.rng import SeededRng
 from repro.common.serialization import canonical_bytes
 from repro.simnet.latency import ConstantLatency, LatencyModel
@@ -53,7 +52,8 @@ class Message:
     dst: str
     kind: str
     payload: Any
-    msg_id: str = field(default_factory=lambda: new_id("msg"))
+    #: Set by :meth:`Network.send`; a message built by hand carries none.
+    msg_id: str = ""
     sent_at: float = 0.0
     #: Sideband trace context (:class:`repro.telemetry.tracing.TraceContext`).
     #: Never part of the payload: excluded from equality and from
@@ -192,7 +192,7 @@ class Host:
 
         ``msg_id`` overrides the minted message id.  Sideband components
         (light clients and the services answering them) supply their own
-        namespaced ids so their traffic does not advance the global id
+        namespaced ids so their traffic does not advance the run's id
         counter — minted ids feed transaction identity, so differential
         experiments require the primary stack's id sequence to be
         byte-identical with and without observers attached.
@@ -371,7 +371,7 @@ class Network:
             self.stats.dropped_dead += 1
             return None
         if msg_id is None:
-            msg_id = new_id("msg")
+            msg_id = self.sim.new_id("msg")
         message = Message(src, dst, kind, payload, msg_id=msg_id, sent_at=self.sim.now)
         if sized is not None and sized.payload is payload:
             size = message._size_cache = sized.size_bytes()
@@ -456,7 +456,7 @@ class Network:
         """
         sized = relayed
         if sized is None or sized.payload is not payload:
-            sized = Message(src=src, dst="*", kind=kind, payload=payload, msg_id="")
+            sized = Message(src=src, dst="*", kind=kind, payload=payload)
             sized.decoded = decoded
             if hasattr(decoded, "wire_size"):
                 sized._size_cache = decoded.wire_size() + HEADER_BYTES

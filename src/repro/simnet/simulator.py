@@ -48,6 +48,7 @@ class Simulator:
         self._seq = itertools.count()
         self._now = 0.0
         self._executed = 0
+        self._ids = itertools.count(1)
 
     @property
     def now(self) -> float:
@@ -58,6 +59,16 @@ class Simulator:
     def executed_events(self) -> int:
         """Number of events executed so far (diagnostics/metrics)."""
         return self._executed
+
+    def new_id(self, prefix: str) -> str:
+        """Mint this run's next id, like ``"tx-17"``.
+
+        Minted ids (transaction ids in particular) are hashed into the
+        chain, so they belong to the run: one counter per simulator, from
+        1, makes the same spec and seed mint the same ids however many
+        other runs share the process.
+        """
+        return f"{prefix}-{next(self._ids)}"
 
     @property
     def pending_events(self) -> int:

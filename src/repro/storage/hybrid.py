@@ -120,6 +120,7 @@ class HybridStore:
             args={"key": f"anchor-{len(self.anchors)}",
                   "value": {"root": root, "keys": keys}},
             seq=self._seq,
+            tx_id=self.node.sim.new_id("tx"),
         ).sign(self.signing_key)
         anchor = Anchor(
             batch_index=len(self.anchors),

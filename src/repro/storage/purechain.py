@@ -42,6 +42,7 @@ class PureChainStore:
             method="put",
             args={"key": key, "value": value},
             seq=self._seq,
+            tx_id=self.node.sim.new_id("tx"),
         ).sign(self.signing_key)
         if not self.node.submit_transaction(tx):
             self.rejected += 1

@@ -14,8 +14,8 @@ The determinism contract (pinned by ``tests/test_neutrality.py``) is that
 tracing is **pure observation**:
 
 - no RNG draws — span ids come from a tracer-local integer sequence,
-  never :func:`repro.common.ids.new_id` (minted ids feed transaction
-  identity and therefore chain hashes);
+  never the run's :meth:`~repro.simnet.simulator.Simulator.new_id`
+  (minted ids feed transaction identity and therefore chain hashes);
 - no simnet traffic — spans are recorded in-process off the sim clock;
 - no payload changes — ``Message.trace`` is excluded from equality and
   from :meth:`Message.size_bytes`, so wire stats and sampled latencies

@@ -10,8 +10,6 @@ from __future__ import annotations
 import pytest
 
 from repro.blockchain.config import BlockchainConfig
-from repro.blockchain.contracts import ContractRegistry, KeyValueContract
-from repro.common.ids import reset_id_counter
 from repro.common.rng import SeededRng
 from repro.drams.system import DramsConfig
 from repro.harness import MonitoredFederation
@@ -19,18 +17,6 @@ from repro.simnet.latency import ConstantLatency
 from repro.simnet.network import Network
 from repro.simnet.simulator import Simulator
 from repro.workload.scenarios import healthcare_scenario, ministry_scenario
-
-
-@pytest.fixture(autouse=True)
-def _fresh_id_counter():
-    """Start every test's minted ids from the same origin.
-
-    The id counter is process-global and id-derived artefacts feed
-    timing (tx ids → canonical sizes → sampled latencies), so without
-    this, adding a test in one module could shift the deterministic
-    behaviour of every module collected after it.
-    """
-    reset_id_counter()
 
 
 @pytest.fixture
@@ -46,25 +32,6 @@ def sim() -> Simulator:
 @pytest.fixture
 def network(sim, rng) -> Network:
     return Network(sim, rng, default_latency=ConstantLatency(0.001))
-
-
-@pytest.fixture
-def kv_registry() -> ContractRegistry:
-    registry = ContractRegistry()
-    registry.deploy(KeyValueContract())
-    return registry
-
-
-@pytest.fixture
-def fast_chain_config() -> BlockchainConfig:
-    return BlockchainConfig(
-        chain_id="test-chain",
-        difficulty_bits=8.0,
-        target_block_interval=0.5,
-        retarget_window=0,
-        pow_mode="simulated",
-        confirmations=1,
-    )
 
 
 def fast_drams_config(**overrides) -> DramsConfig:

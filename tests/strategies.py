@@ -3,8 +3,8 @@
 Promoted from the ad-hoc definitions that grew inside
 ``test_differential.py`` (random XACML policy trees and requests) and
 ``test_monitoring_fastpath.py`` (random transactions, headers and
-JSON-safe argument dicts), plus the workload- and scenario-spec
-strategies the scenariogen property suite samples federations from.
+JSON-safe argument dicts), plus the scenario-spec strategies the
+scenariogen property suite samples federations from.
 Import from here; don't re-declare per test file.
 """
 
@@ -22,7 +22,6 @@ from repro.scenariogen.spec import (
     ScenarioSpec,
     TreeSpec,
 )
-from repro.workload.generator import WorkloadConfig
 from repro.xacml.attributes import DataType
 
 # -- XACML policy-tree strategies (ex test_differential) -----------------------
@@ -181,6 +180,7 @@ def transactions(draw, signed=st.booleans()):
         method=draw(st.sampled_from(["record_log", "tick"])),
         args=draw(args_dicts),
         seq=draw(st.integers(1, 10_000)),
+        tx_id=f"tx-{draw(st.integers(1, 10_000))}",
     )
     if draw(signed):
         tx.sign(FASTPATH_KEY)
@@ -205,29 +205,9 @@ def delivery_orders(n: int):
     return st.permutations(range(n))
 
 
-# -- workload and scenario-spec strategies -------------------------------------
+# -- scenario-spec strategies --------------------------------------------------
 
 SPEC_ROLE_POOL = ("analyst", "operator", "auditor", "clerk", "bot")
-
-
-@st.composite
-def workload_configs(draw):
-    role_count = draw(st.integers(1, 3))
-    roles = SPEC_ROLE_POOL[:role_count]
-    return WorkloadConfig(
-        subjects=draw(st.integers(1, 50)),
-        resources=draw(st.integers(1, 100)),
-        roles=roles,
-        role_weights=tuple(draw(st.floats(0.1, 1.0)) for _ in roles),
-        resource_types=tuple(f"type-{i}" for i in range(draw(st.integers(1, 4)))),
-        actions=("read", "write"),
-        action_weights=(0.7, 0.3),
-        zipf_skew=draw(st.floats(0.5, 2.0)),
-        arrival_rate=draw(st.floats(1.0, 100.0)),
-        arrival_period=draw(st.sampled_from([0.0, 5.0])),
-        arrival_trough=draw(st.floats(0.05, 1.0)),
-        arrival_harmonics=draw(st.sampled_from([(), ((7.0, 0.4),)])),
-    )
 
 
 @st.composite

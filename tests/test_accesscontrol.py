@@ -87,7 +87,7 @@ class TestMessages:
         assert AccessDecision.from_dict(decision.to_dict()) == decision
 
     def test_request_roundtrip(self):
-        request = AccessRequest(content={"a": {"b": [1]}}, origin_tenant="t")
+        request = AccessRequest(content={"a": {"b": [1]}}, origin_tenant="t", request_id="req-1")
         restored = AccessRequest.from_dict(request.to_dict())
         assert restored.payload_hash() == request.payload_hash()
         assert restored.correlation() == request.correlation()

@@ -21,7 +21,7 @@ from repro.crypto.signatures import SigningKey
 
 def make_tx(seq=1, sender="alice", key=None, **args) -> Transaction:
     tx = Transaction(sender=sender, contract="kvstore", method="put",
-                     args=args or {"key": "k", "value": 1}, seq=seq)
+                     args=args or {"key": "k", "value": 1}, seq=seq, tx_id=f"{sender}-{seq}")
     if key is not None:
         tx.sign(key)
     return tx

@@ -44,8 +44,8 @@ def make_chain(registry=None, **config_overrides) -> Blockchain:
 
 
 def put_tx(seq, key="k", value=1) -> Transaction:
-    return Transaction(sender=CLIENT, contract="kvstore", method="put",
-                       args={"key": key, "value": value}, seq=seq).sign(CLIENT_KEY)
+    return Transaction(sender=CLIENT, contract="kvstore", method="put", seq=seq,
+                       args={"key": key, "value": value}, tx_id=f"tx-{seq}-{key}").sign(CLIENT_KEY)
 
 
 def extend(chain, txs=(), timestamp=None) -> object:
@@ -122,7 +122,7 @@ class TestValidation:
         chain = make_chain()
         rogue_key = SigningKey.generate(b"rogue")
         tx = Transaction(sender="rogue", contract="kvstore", method="put",
-                         args={"key": "a", "value": 1}, seq=1).sign(rogue_key)
+                         args={"key": "a", "value": 1}, seq=1, tx_id="rogue-1").sign(rogue_key)
         block = chain.create_block(MINER, [tx], 1.0, signing_key=MINER_KEY)
         with pytest.raises(ChainValidationError):
             chain.add_block(block)
@@ -145,7 +145,7 @@ class TestValidation:
     def test_chain_without_key_lookup_checks_no_signature(self):
         chain = Blockchain(make_chain().config, kv_registry())
         rogue = Transaction(sender="rogue", contract="kvstore", method="put",
-                            args={"key": "a", "value": 1}, seq=1)
+                            args={"key": "a", "value": 1}, seq=1, tx_id="rogue-1")
         assert chain.validate_transaction(rogue)
         chain.add_block(chain.create_block(MINER, [rogue], 1.0, signing_key=None))
         assert chain.tx_location(rogue.tx_id).height == 1

@@ -76,13 +76,13 @@ class FakePdp(Host):
             self.sim.schedule(self.delay, reply)
 
 
-def request_with(role="doctor", time_of_day=1.0, origin="tenant-1"):
+def request_with(role="doctor", time_of_day=1.0, origin="tenant-1", request_id="req-1"):
     return AccessRequest(
         content={"subject": {"role": [role]},
                  "action": {"action-id": ["read"]},
                  "environment": {"time-of-day": [time_of_day],
                                  "origin-tenant": [origin]}},
-        origin_tenant=origin)
+        origin_tenant=origin, request_id=request_id)
 
 
 class TestSinglePlane:

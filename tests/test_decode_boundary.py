@@ -36,7 +36,6 @@ from repro.blockchain.block import Block, BlockHeader
 from repro.blockchain.contracts import ContractContext, ContractEngine, ContractRegistry
 from repro.blockchain.transaction import Transaction
 from repro.common.errors import ValidationError
-from repro.common.ids import reset_id_counter
 from repro.common.serialization import canonical_bytes
 from repro.crypto.merkle import MerkleProof
 from repro.drams.alerts import AlertType
@@ -630,7 +629,6 @@ def monitor_hosts():
     it was, a decision nobody waits for is dropped, and a log entry that
     decodes is stored (which only the well-formed cases do).
     """
-    reset_id_counter()
     stack = MonitoredFederation.build(
         healthcare_scenario(), clouds=2, seed=5, drams_config=fast_drams_config()
     )
@@ -696,7 +694,6 @@ class TestMonitorReceive:
         assert LogEntry.from_dict(ENTRY_DICT).to_dict() == ENTRY_DICT
 
     def test_malformed_messages_do_not_abort_the_run_and_are_reported(self):
-        reset_id_counter()
         stack = MonitoredFederation.build(
             healthcare_scenario(), clouds=2, seed=5, drams_config=fast_drams_config()
         )
@@ -717,7 +714,6 @@ class TestMonitorReceive:
         assert summary["drams"]["logs_submitted"] == 4 * 5
 
     def test_drops_at_chain_nodes_and_header_clients_are_reported(self):
-        reset_id_counter()
         stack = MonitoredFederation.build(
             healthcare_scenario(),
             clouds=2,

@@ -19,7 +19,7 @@ from repro.accesscontrol.messages import AccessRequest
 from repro.accesscontrol.pep import RetryBackoff
 from repro.accesscontrol.plane import ShardedPdpPlane
 from repro.blockchain.block import Block
-from repro.common.ids import correlation_id, reset_id_counter
+from repro.common.ids import correlation_id
 from repro.common.serialization import canonical_bytes, merged_length
 from repro.drams.logs import EntryType, LogEntry
 from repro.faults import FaultPlan, crash, partition
@@ -108,7 +108,6 @@ def test_every_message_of_an_attacked_partition_storm_is_sized_exactly():
         attacks=tuple(ATTACK_CATALOGUE),
     )
     plane = ShardedPdpPlane(shards=2)
-    reset_id_counter()
     stack = build_stack_from_spec(
         spec,
         seed=3,

@@ -31,7 +31,7 @@ def doctors_policy() -> Policy:
     )
 
 
-def request_with(role="doctor", origin="tenant-1", extra=None):
+def request_with(role="doctor", origin="tenant-1", extra=None, request_id="req-1"):
     content = {
         "subject": {"role": [role]},
         "action": {"action-id": ["read"]},
@@ -39,7 +39,7 @@ def request_with(role="doctor", origin="tenant-1", extra=None):
     }
     if extra:
         content.update(extra)
-    return AccessRequest(content=content, origin_tenant=origin)
+    return AccessRequest(content=content, origin_tenant=origin, request_id=request_id)
 
 
 def build_stack(plane, scenario=None, with_drams=False, seed=31, **kwargs):
@@ -312,10 +312,9 @@ class TestSerializedCapacity:
         )
         answered = []
         service.on_decision.append(lambda request, decision: answered.append(decision.decided_at))
-        for _ in range(count):
-            service.receive(
-                Message("pep@t1", service.address, "ac_request", request_with().to_dict())
-            )
+        for index in range(count):
+            payload = request_with(request_id=f"burst-{index}").to_dict()
+            service.receive(Message("pep@t1", service.address, "ac_request", payload))
         return service, answered
 
     def test_burst_answered_one_delay_apart(self, network):

@@ -586,8 +586,14 @@ class TestChainNodeCrashRejoin:
             node.start()
         sim.run(until=3.0)
         nodes[0].crash()
-        tx = Transaction(sender="client", contract="kvstore", method="put",
-                         args={"key": "k", "value": "v"}, seq=1).sign(client_key)
+        tx = Transaction(
+            sender="client",
+            contract="kvstore",
+            method="put",
+            args={"key": "k", "value": "v"},
+            seq=1,
+            tx_id="tx-1",
+        ).sign(client_key)
         # Accepted into the crashed node's mempool (the write-ahead
         # journal) but not gossiped while dark.
         assert nodes[0].submit_transaction(tx)

@@ -14,7 +14,6 @@ import hashlib
 import pytest
 
 from repro.blockchain.config import BlockchainConfig
-from repro.common.ids import reset_id_counter
 from repro.common.serialization import canonical_bytes
 from repro.drams.system import DramsConfig
 from repro.harness import MonitoredFederation
@@ -67,7 +66,6 @@ GOLDEN = (
 def test_monitored_run_matches_slow_path_digest(
     scenario_factory, requests, horizon, chain_caps, digest
 ):
-    reset_id_counter()
     stack = MonitoredFederation.build(
         scenario_factory(),
         clouds=2,

@@ -1,6 +1,5 @@
 """The MonitoredFederation harness used by examples and benchmarks."""
 
-from repro.common.ids import reset_id_counter
 from repro.harness import MonitoredFederation
 from repro.workload.scenarios import healthcare_scenario
 from tests.conftest import fast_drams_config
@@ -65,7 +64,6 @@ class TestWorkload:
 
     def test_reproducibility_across_builds(self):
         def run(seed):
-            reset_id_counter()
             stack = MonitoredFederation.build(
                 healthcare_scenario(), clouds=2, seed=seed,
                 drams_config=fast_drams_config())

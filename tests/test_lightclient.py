@@ -1,5 +1,7 @@
 """Light-client monitoring: header sync, decision receipts, light auditors."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,36 +32,54 @@ from repro.workload.scenarios import healthcare_scenario
 KEY = SymmetricKey.generate(entropy=b"lightclient-test-key")
 
 
-def build_receipt(corr="corr-1", entry_type=EntryType.PDP_OUT, version=3,
-                  fingerprint="fp-abc", tx_stamp=None, bad_payload_hash=False,
-                  contract=CONTRACT_NAME, method="record_log", plaintext=None):
+def build_receipt(
+    corr="corr-1",
+    version=3,
+    fingerprint="fp-abc",
+    tx_stamp=None,
+    bad_payload_hash=False,
+    contract=CONTRACT_NAME,
+    plaintext=None,
+):
     """A synthetic but structurally faithful receipt (no chain needed).
 
     ``plaintext`` replaces the committed payload bytes (default: a
     decision payload carrying the stamp).
     """
     if plaintext is None:
-        plaintext = canonical_bytes({"decision": "Permit", "policy_version": version,
-                                     "policy_fingerprint": fingerprint})
+        plaintext = canonical_bytes(
+            {"decision": "Permit", "policy_version": version, "policy_fingerprint": fingerprint}
+        )
     args = {
         "correlation_id": corr,
-        "entry_type": entry_type,
-        "payload_hash": sha256_hex(plaintext if not bad_payload_hash
-                                   else plaintext + b"!"),
+        "entry_type": EntryType.PDP_OUT,
+        "payload_hash": sha256_hex(plaintext if not bad_payload_hash else plaintext + b"!"),
         "ciphertext": KEY.encrypt(plaintext).to_dict(),
     }
-    stamp_version, stamp_fingerprint = (
-        tx_stamp if tx_stamp is not None else (version, fingerprint))
+    stamp_version, stamp_fingerprint = (version, fingerprint) if tx_stamp is None else tx_stamp
     if stamp_fingerprint:
         args["policy_fingerprint"] = stamp_fingerprint
         args["policy_version"] = stamp_version
-    tx = Transaction(sender="li@tenant", contract=contract, method=method,
-                     args=args, seq=1)
+    tx = Transaction(
+        sender="li@tenant", contract=contract, method="record_log", args=args, seq=1, tx_id="tx-1"
+    )
     tree = MerkleTree([tx.content_hash(), "sibling-leaf"])
-    header = BlockHeader(height=1, prev_hash="aa" * 32, merkle_root=tree.root,
-                         timestamp=1.0, difficulty_bits=8.0, miner="m")
-    return DecisionReceipt(correlation_id=corr, entry_type=entry_type, tx=tx,
-                           proof=tree.proof(0), header=header, tree_size=2)
+    header = BlockHeader(
+        height=1,
+        prev_hash="aa" * 32,
+        merkle_root=tree.root,
+        timestamp=1.0,
+        difficulty_bits=8.0,
+        miner="m",
+    )
+    return DecisionReceipt(
+        correlation_id=corr,
+        entry_type=EntryType.PDP_OUT,
+        tx=tx,
+        proof=tree.proof(0),
+        header=header,
+        tree_size=2,
+    )
 
 
 class TestReceiptVerification:
@@ -88,27 +108,20 @@ class TestReceiptVerification:
 
     def test_mutated_tx_args_rejected(self):
         receipt = build_receipt()
-        receipt.tx = receipt.tx.replace(
-            args={**receipt.tx.args, "payload_hash": "00" * 32})
+        receipt.tx = receipt.tx.replace(args={**receipt.tx.args, "payload_hash": "00" * 32})
         assert receipt.verify(receipt.header).reason == "leaf-commitment-mismatch"
 
     def test_mutated_proof_rejected(self):
         receipt = build_receipt()
         sibling, is_right = receipt.proof.path[0]
-        receipt.proof = type(receipt.proof)(
-            leaf_index=receipt.proof.leaf_index, leaf=receipt.proof.leaf,
-            path=(("ff" * 32, is_right),) + receipt.proof.path[1:])
+        path = (("ff" * 32, is_right),) + receipt.proof.path[1:]
+        receipt.proof = dataclasses.replace(receipt.proof, path=path)
         assert receipt.verify(receipt.header).reason == "inclusion-proof-invalid"
 
     def test_mutated_header_rejected(self):
         receipt = build_receipt()
         trusted = receipt.header
-        forged = BlockHeader(height=trusted.height, prev_hash=trusted.prev_hash,
-                             merkle_root=trusted.merkle_root,
-                             timestamp=trusted.timestamp + 1.0,
-                             difficulty_bits=trusted.difficulty_bits,
-                             miner=trusted.miner)
-        receipt.header = forged
+        receipt.header = dataclasses.replace(trusted, timestamp=trusted.timestamp + 1.0)
         assert receipt.verify(trusted).reason == "header-not-on-verified-chain"
 
     def test_untrusted_header_rejected(self):
@@ -140,11 +153,9 @@ class TestReceiptVerification:
 
     def test_expected_stamp_pin(self):
         receipt = build_receipt(version=3, fingerprint="fp-abc")
-        assert receipt.verify(receipt.header, federation_key=KEY,
-                              expected_stamp=(3, "fp-abc")).ok
-        assert receipt.verify(receipt.header, federation_key=KEY,
-                              expected_stamp=(9, "fp-abc")
-                              ).reason == "unexpected-policy-stamp"
+        assert receipt.verify(receipt.header, federation_key=KEY, expected_stamp=(3, "fp-abc")).ok
+        repinned = receipt.verify(receipt.header, federation_key=KEY, expected_stamp=(9, "fp-abc"))
+        assert repinned.reason == "unexpected-policy-stamp"
 
     def test_json_round_trip_preserves_verification(self):
         receipt = build_receipt()
@@ -156,14 +167,14 @@ class TestReceiptVerification:
         with pytest.raises(ValidationError):
             DecisionReceipt.from_dict({"correlation_id": "x"})
 
-    @given(corr=st.text(min_size=1, max_size=16),
-           version=st.integers(min_value=0, max_value=99),
-           fingerprint=st.text(
-               alphabet="0123456789abcdef", min_size=1, max_size=16))
+    @given(
+        corr=st.text(min_size=1, max_size=16),
+        version=st.integers(min_value=0, max_value=99),
+        fingerprint=st.text(alphabet="0123456789abcdef", min_size=1, max_size=16),
+    )
     @settings(max_examples=25, deadline=None)
     def test_receipt_json_round_trip_property(self, corr, version, fingerprint):
-        receipt = build_receipt(corr=corr, version=version,
-                                fingerprint=fingerprint)
+        receipt = build_receipt(corr=corr, version=version, fingerprint=fingerprint)
         revived = DecisionReceipt.from_dict(receipt.to_dict())
         assert revived.to_dict() == receipt.to_dict()
         result = revived.verify(receipt.header, federation_key=KEY)
@@ -180,12 +191,17 @@ def make_chain_env(retarget_window=0):
     network = Network(sim, rng)
     registry = ContractRegistry()
     registry.deploy(KeyValueContract())
-    config = BlockchainConfig(chain_id="lc-t", difficulty_bits=8.0,
-                              target_block_interval=1.0, retarget_window=retarget_window,
-                              pow_mode="simulated", confirmations=2)
-    node = BlockchainNode(network, NODE, config, registry, rng,
-                          key_lookup=lambda n: NODE_KEY.public if n == NODE else None,
-                          signing_key=NODE_KEY, hashrate=1024.0)
+    config = BlockchainConfig(
+        chain_id="lc-t",
+        difficulty_bits=8.0,
+        target_block_interval=1.0,
+        retarget_window=retarget_window,
+        confirmations=2,
+    )
+    keys = {NODE: NODE_KEY.public}.get
+    node = BlockchainNode(
+        network, NODE, config, registry, rng, key_lookup=keys, signing_key=NODE_KEY, hashrate=1024.0
+    )
     client = HeaderClient(network, "hc@t", config, NODE)
     sideband_link(network, client.address, NODE)
     return sim, node, client
@@ -193,17 +209,21 @@ def make_chain_env(retarget_window=0):
 
 def grow(chain, count, spacing=1.0):
     for _ in range(count):
-        block = chain.create_block(NODE, [],
-                                   timestamp=chain.head.header.timestamp + spacing,
-                                   signing_key=NODE_KEY)
+        block = chain.create_block(
+            NODE, [], timestamp=chain.head.header.timestamp + spacing, signing_key=NODE_KEY
+        )
         chain.add_block(block)
 
 
 def fork_block(chain, parent, timestamp):
-    header = BlockHeader(height=parent.height + 1, prev_hash=parent.hash,
-                         merkle_root="", timestamp=timestamp,
-                         difficulty_bits=chain.expected_difficulty(parent.hash),
-                         miner=NODE)
+    header = BlockHeader(
+        height=parent.height + 1,
+        prev_hash=parent.hash,
+        merkle_root="",
+        timestamp=timestamp,
+        difficulty_bits=chain.expected_difficulty(parent.hash),
+        miner=NODE,
+    )
     block = Block(header=header, transactions=[])
     header.merkle_root = block.compute_merkle_root()
     block.sign(NODE_KEY)
@@ -269,9 +289,14 @@ class TestHeaderClient:
         tip = client.head
 
         def successor(bits):
-            return BlockHeader(height=tip.height + 1, prev_hash=tip.block_hash(),
-                               merkle_root="", timestamp=tip.timestamp + 0.5,
-                               difficulty_bits=bits, miner=NODE)
+            return BlockHeader(
+                height=tip.height + 1,
+                prev_hash=tip.block_hash(),
+                merkle_root="",
+                timestamp=tip.timestamp + 0.5,
+                difficulty_bits=bits,
+                miner=NODE,
+            )
 
         expected = chain.expected_difficulty(chain.head.hash)
         assert not client._ingest([successor(expected + 0.5)])
@@ -285,9 +310,9 @@ class TestHeaderClient:
         sim.run()
         assert client.height == 3
         tip = client.head
-        bogus = BlockHeader(height=tip.height + 1, prev_hash="ff" * 32,
-                            merkle_root="", timestamp=tip.timestamp + 1.0,
-                            difficulty_bits=tip.difficulty_bits, miner=NODE)
+        bogus = dataclasses.replace(
+            tip, height=tip.height + 1, prev_hash="ff" * 32, timestamp=tip.timestamp + 1.0
+        )
         assert not client._ingest([bogus])
         assert client.headers_rejected == 1
         assert client.height == 3

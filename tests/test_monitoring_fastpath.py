@@ -5,9 +5,10 @@ contract execution, fixed-base exponentiation and the compiled oracle must
 all be *decision-preserving*: hashes, signatures, sizes, receipts and
 decisions are bit-identical to the definitional expression each one
 shortcuts — ``canonical_bytes(...)``, ``pow(b, e, p)``, ``MerkleTree(...).root``,
-``grind_nonce``, ``evaluate_document``, a cold chain replica, a contract
-without ``checked_invoke``.  Hypothesis drives random content through both
-sides, including mutation-after-cache (copy-on-write) and reorg replay.
+a nonce search over ``bytes_for_nonce``, ``evaluate_document``, a cold chain
+replica, a contract without ``checked_invoke``.  Hypothesis drives random
+content through both sides, including mutation-after-cache (copy-on-write)
+and reorg replay.
 """
 
 import pytest
@@ -23,7 +24,7 @@ from repro.blockchain.contracts import (
     KeyValueContract,
 )
 from repro.blockchain.mempool import Mempool
-from repro.blockchain.pow import grind_nonce, grind_nonce_parts
+from repro.blockchain.pow import grind_nonce_parts, meets_target
 from repro.blockchain.transaction import SIGNATURE_OVERHEAD_BYTES, Transaction
 from repro.common.serialization import canonical_bytes
 from repro.crypto import signatures as schnorr
@@ -90,7 +91,7 @@ class TestTransactionEncodingCache:
             assert not mutated.verify(KEY.public)
 
     def test_replace_rejects_unknown_fields(self):
-        tx = Transaction(sender="a", contract="c", method="m", args={}, seq=1)
+        tx = Transaction(sender="a", contract="c", method="m", args={}, seq=1, tx_id="tx-1")
         with pytest.raises(Exception):
             tx.replace(nonsense=1)
 
@@ -134,7 +135,10 @@ class TestPowGrinding:
     @given(headers())
     @settings(max_examples=30, deadline=None)
     def test_parts_grinding_matches_generic_grinding(self, header):
-        generic = grind_nonce(header.bytes_for_nonce, difficulty_bits=6.0, max_attempts=5_000)
+        nonce = 0
+        while not meets_target(sha256_hex(header.bytes_for_nonce(nonce)), 6.0):
+            nonce += 1
+        generic = (nonce, sha256_hex(header.bytes_for_nonce(nonce)), nonce + 1)
         prefix, suffix = header.nonce_parts()
         parts = grind_nonce_parts(prefix, suffix, difficulty_bits=6.0, max_attempts=5_000)
         assert generic == parts

@@ -12,14 +12,15 @@ the monitored federation to it:
 - **policy-plane neutrality** — replicated PRPs that propagate with zero
   delay leave the *whole* fingerprint equal to the default single store.
 
-A last test shows the pin can fail: a different seed and an observer
-that mints one global id per enforcement both move the fingerprint.
+A run owns its state: two stacks stepped alternately in one process each
+reach the fingerprint they reach alone.  A last test shows the pin can
+fail: a different seed and an observer that mints one of the run's ids per
+enforcement both move the fingerprint.
 """
 
 import pytest
 
 from repro.accesscontrol.plane import ShardedPdpPlane
-from repro.common.ids import new_id, reset_id_counter
 from repro.faults import FaultPlan
 from repro.harness import MonitoredFederation
 from repro.policydist import ReplicatedPrpPlane
@@ -31,8 +32,7 @@ SEED = 78
 
 
 def build(seed=SEED, **kwargs) -> MonitoredFederation:
-    """A small monitored ``federation-scale`` stack, minted from the same id origin."""
-    reset_id_counter()
+    """A small monitored ``federation-scale`` stack."""
     stack = MonitoredFederation.build(
         federation_scale_scenario(), seed=seed, drams_config=fast_drams_config(), **kwargs
     )
@@ -113,16 +113,32 @@ def test_policy_plane_neutrality(policy_plane):
     assert drive(build(policy_plane=POLICY_PLANES[policy_plane]())).fingerprint() == default
 
 
+def test_interleaved_runs_each_match_their_solo_run():
+    solo = [drive(build(seed)).fingerprint() for seed in (SEED, SEED + 1)]
+    stacks = [build(seed) for seed in (SEED, SEED + 1)]
+    for stack in stacks:
+        stack.issue_requests(REQUESTS)
+    for _ in range(500):  # one event each, turn about
+        for stack in stacks:
+            stack.sim.step()
+    horizon = max(stack.sim.now for stack in stacks)
+    while horizon < 30.0:  # then short slices of simulated time
+        horizon = min(horizon + 0.1, 30.0)
+        for stack in stacks:
+            stack.run(until=horizon)
+    assert [stack.fingerprint() for stack in stacks] == solo
+
+
 def test_fingerprint_is_sensitive():
     base = drive(build()).fingerprint()
     assert drive(build(seed=SEED + 1)).fingerprint() != base
 
-    # An observer that mints one global id per enforcement.  Drawing from
+    # An observer that mints one of the run's ids per enforcement.  Drawing from
     # ``federation.rng`` would not do as the impurity: forks are
     # name-derived, so a root draw perturbs no consumer's stream.
     stack = build()
     for pep in stack.peps.values():
-        pep.on_enforce.append(lambda request, decision: new_id("impure"))
+        pep.on_enforce.append(lambda request, decision: stack.sim.new_id("impure"))
     impure = drive(stack).fingerprint()
     assert impure != base
     assert impure["decisions"] == base["decisions"]  # the ids moved the chain, not the PDP

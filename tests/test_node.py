@@ -39,8 +39,8 @@ def build_cluster(n=3, latency=0.005, hashrate=256.0, seed=5, **config_overrides
 
 
 def client_tx(seq, key, value, client_key):
-    return Transaction(sender="client", contract="kvstore", method="put",
-                       args={"key": key, "value": value}, seq=seq).sign(client_key)
+    return Transaction(sender="client", contract="kvstore", method="put", seq=seq,
+                       args={"key": key, "value": value}, tx_id=f"tx-{seq}-{key}").sign(client_key)
 
 
 class TestConvergence:
@@ -93,7 +93,7 @@ class TestGossip:
         sim, net, nodes, client_key = build_cluster(n=2)
         rogue = SigningKey.generate(b"rogue")
         tx = Transaction(sender="rogue", contract="kvstore", method="put",
-                         args={"key": "a", "value": 1}, seq=1).sign(rogue)
+                         args={"key": "a", "value": 1}, seq=1, tx_id="rogue-1").sign(rogue)
         assert not nodes[0].submit_transaction(tx)
 
     def test_partitioned_node_catches_up_after_heal(self):

@@ -3,10 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.blockchain.block import BlockHeader
 from repro.blockchain.pow import (
     MAX_TARGET,
     expected_hashes,
-    grind_nonce,
+    grind_nonce_parts,
     meets_target,
     retarget,
     target_for_bits,
@@ -43,34 +44,36 @@ class TestTargets:
 
 
 class TestGrinding:
-    def render(self, nonce: int) -> bytes:
-        return f"header|{nonce}".encode()
+    HEADER = BlockHeader(height=1, prev_hash="ab" * 32, merkle_root="m" * 64,
+                         timestamp=0.0, difficulty_bits=8.0, miner="miner")
+
+    def grind(self, difficulty_bits, **kwargs):
+        return grind_nonce_parts(*self.HEADER.nonce_parts(), difficulty_bits, **kwargs)
 
     def test_grind_finds_valid_nonce(self):
-        result = grind_nonce(self.render, difficulty_bits=8)
+        result = self.grind(8)
         assert result is not None
         nonce, digest, attempts = result
-        assert digest == sha256_hex(self.render(nonce))
+        assert digest == sha256_hex(self.HEADER.bytes_for_nonce(nonce))
         assert meets_target(digest, 8)
         assert attempts >= 1
 
     def test_grind_respects_attempt_budget(self):
-        result = grind_nonce(self.render, difficulty_bits=64, max_attempts=10)
+        result = self.grind(64, max_attempts=10)
         assert result is None
 
     def test_grind_start_nonce(self):
-        full = grind_nonce(self.render, difficulty_bits=8)
+        full = self.grind(8)
         assert full is not None
-        resumed = grind_nonce(self.render, difficulty_bits=8,
-                              start_nonce=full[0])
+        resumed = self.grind(8, start_nonce=full[0])
         assert resumed is not None
         assert resumed[0] == full[0]
 
     def test_attempts_scale_with_difficulty(self):
         # Statistical, but with a generous margin: 12 bits needs far more
         # work than 4 bits on average.
-        easy = grind_nonce(self.render, difficulty_bits=2)
-        hard = grind_nonce(self.render, difficulty_bits=12)
+        easy = self.grind(2)
+        hard = self.grind(12)
         assert easy is not None and hard is not None
         assert hard[2] > easy[2]
 

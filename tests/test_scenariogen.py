@@ -25,7 +25,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.common.ids import reset_id_counter
 from repro.crypto.hashing import hash_value
 from repro.scenariogen import (
     ArrivalSpec,
@@ -81,9 +80,6 @@ SMALL_SPEC = ScenarioSpec(
 
 
 def _build_and_run(spec, *, seed, requests=10, horizon=30.0, **build_kwargs):
-    # Two builds inside one test must start from the same id origin for
-    # bit-identity; the autouse fixture only resets between tests.
-    reset_id_counter()
     stack = build_stack_from_spec(
         spec, seed=seed, drams_config=fast_drams_config(), **build_kwargs)
     stack.start()
@@ -175,7 +171,6 @@ class TestDeterminism:
 
 class TestStreamingHarness:
     def _build(self, with_drams=False):
-        reset_id_counter()
         drams = {"drams_config": fast_drams_config()} if with_drams else {"with_drams": False}
         stack = build_stack_from_spec(SMALL_SPEC, **drams)
         stack.start()
@@ -219,7 +214,6 @@ class TestMonitorSoundness:
     @settings(max_examples=8, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_honest_random_federations_raise_no_alerts(self, spec):
-        reset_id_counter()
         stack = build_stack_from_spec(
             spec, drams_config=fast_drams_config())
         stack.start()
@@ -232,7 +226,6 @@ class TestMonitorSoundness:
     def test_corpus_replays_without_alerts(self, path):
         """Each shrunk failure the random search found stays fixed."""
         entry = json.loads(path.read_text())
-        reset_id_counter()
         stack = build_stack_from_spec(
             spec_from_json(json.dumps(entry["spec"])),
             seed=entry["seed"],
@@ -279,7 +272,6 @@ class TestAttackMixCompleteness:
         spec = dataclasses.replace(
             preset_spec("healthcare"), attacks=(attack_name,))
         (attack,) = default_attacks(spec, seed=5)
-        reset_id_counter()
         stack = build_stack_from_spec(
             spec, seed=seed, drams_config=fast_drams_config())
         stack.start()

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.simnet.simulator import Simulator
+
 
 class TestScheduling:
     def test_events_run_in_time_order(self, sim):
@@ -201,3 +203,16 @@ class TestPeriodic:
         sim.every(1.0, lambda: fired.append(sim.now), jitter=lambda: 0.25)
         sim.run(until=4.0)
         assert fired == [1.25, 2.5, 3.75]
+
+
+class TestIds:
+    def test_new_ids_are_unique(self, sim):
+        assert len({sim.new_id("x") for _ in range(1000)}) == 1000
+
+    def test_new_id_uses_prefix(self, sim):
+        assert sim.new_id("pep") == "pep-1"
+
+    def test_two_simulators_count_independently(self):
+        first, second = Simulator(), Simulator()
+        assert [first.new_id("tx"), first.new_id("msg")] == ["tx-1", "msg-2"]
+        assert [second.new_id("tx"), first.new_id("tx")] == ["tx-1", "tx-3"]

@@ -15,7 +15,6 @@ import pytest
 
 from repro.accesscontrol.plane import ShardedPdpPlane
 from repro.common.errors import ValidationError
-from repro.common.ids import reset_id_counter
 from repro.harness import MonitoredFederation
 from repro.policydist import ReplicatedPrpPlane
 from repro.simnet.network import Host
@@ -211,7 +210,6 @@ def test_dropped_dead_leaves_instant_on_the_trace(sim, network):
 
 
 def _build(telemetry, **kwargs):
-    reset_id_counter()
     stack = MonitoredFederation.build(
         healthcare_scenario(), seed=13,
         drams_config=fast_drams_config(), telemetry=telemetry, **kwargs)
@@ -297,7 +295,6 @@ def test_run_summary_without_telemetry():
 
 
 def _unmonitored_stream(record_outcomes):
-    reset_id_counter()
     stack = MonitoredFederation.build(healthcare_scenario(), seed=13, with_drams=False)
     handle = stack.issue_stream(25, record_outcomes=record_outcomes)
     stack.run(until=60.0)
@@ -335,7 +332,6 @@ def test_fingerprint_refuses_unrecorded_outcomes():
 
 
 def test_failover_closes_attempt_spans_exactly_once():
-    reset_id_counter()
     stack = MonitoredFederation.build(
         healthcare_scenario(), seed=31, with_drams=False,
         plane=ShardedPdpPlane(shards=2),
@@ -361,7 +357,6 @@ def test_failover_closes_attempt_spans_exactly_once():
 
 
 def test_shard_crash_epoch_fence_closes_evaluation_spans():
-    reset_id_counter()
     stack = MonitoredFederation.build(
         healthcare_scenario(), seed=32, with_drams=False,
         plane=ShardedPdpPlane(

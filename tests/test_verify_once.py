@@ -26,7 +26,6 @@ from repro.blockchain.contracts import ContractRegistry, KeyValueContract
 from repro.blockchain.node import BlockchainNode
 from repro.blockchain.transaction import Transaction
 from repro.common import serialization
-from repro.common.ids import reset_id_counter
 from repro.common.rng import SeededRng
 from repro.crypto.signatures import Signature, SigningKey, VerifyingKey
 from repro.drams.logs import LogEntry
@@ -232,7 +231,9 @@ class TestSharingIsSound:
             pass
 
         tx = alice_tx()
-        lookalike = Lookalike(sender="mallory", contract="kvstore", method="put", args={}, seq=2)
+        lookalike = Lookalike(
+            sender="mallory", contract="kvstore", method="put", args={}, seq=2, tx_id="tx-2"
+        )
         decoys = [tx.to_dict(), Block(header=None), lookalike, "tx"]
         for decoy in decoys:
             _sim, _net, (node, _b, _c), _keys = build_cluster(verified=set())
@@ -310,7 +311,6 @@ def sized_payloads(monkeypatch):
 
 def monitored_run(tap):
     """One small monitored deployment (4 chain nodes), every message tapped."""
-    reset_id_counter()
     stack = MonitoredFederation.build(
         healthcare_scenario(), clouds=2, seed=11, drams_config=fast_drams_config()
     )
