@@ -67,7 +67,7 @@ def main() -> None:
             "tenant": tenant,
             "logs_submitted": li.logs_submitted,
             "alerts_seen": len(li._seen_alerts),
-            "key": li.keystore.owner,
+            "address": li.address,
         })
     print(format_table(rows))
 

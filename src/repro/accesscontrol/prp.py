@@ -104,11 +104,6 @@ class PolicyRetrievalPoint:
             raise ValidationError("no policy has been published")
         return self._versions[-1]
 
-    def get_version(self, version: int) -> PolicyVersion:
-        if not 1 <= version <= len(self._versions):
-            raise ValidationError(f"no such policy version: {version}")
-        return self._versions[version - 1]
-
     def history(self) -> list[PolicyVersion]:
         return list(self._versions)
 

@@ -435,7 +435,3 @@ class DecisionOracle:
             request = RequestContext.from_dict(request)
         decision, _obligations = self._index.evaluate_full(request)
         return decision.collapse().value
-
-    def verify(self, request: dict, observed_decision: str) -> bool:
-        """Does the observed decision match the policy semantics?"""
-        return self.expected_decision(request) == observed_decision

@@ -49,15 +49,6 @@ class ContractEvent:
     block_height: int
     tx_id: str
 
-    def to_dict(self) -> dict:
-        return {
-            "contract": self.contract,
-            "name": self.name,
-            "payload": self.payload,
-            "block_height": self.block_height,
-            "tx_id": self.tx_id,
-        }
-
 
 class ContractError(ValidationError):
     """Raised by contract code to revert an invocation."""

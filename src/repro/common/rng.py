@@ -77,9 +77,6 @@ class SeededRng:
             raise ValueError("cannot choose from an empty sequence")
         return self._random.choice(items)
 
-    def shuffle(self, items: list) -> None:
-        self._random.shuffle(items)
-
     def sample(self, items: Sequence[T], k: int) -> list[T]:
         return self._random.sample(list(items), k)
 

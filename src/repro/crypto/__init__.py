@@ -13,21 +13,19 @@ components.  We implement:
   bodies, hybrid-storage anchors),
 - :mod:`repro.crypto.signatures` — Schnorr signatures over a
   Schnorr-group (node identity, transaction authentication),
-- :mod:`repro.crypto.keystore` / :mod:`repro.crypto.tpm` — key management
-  and the simulated trusted platform module.
+- :mod:`repro.crypto.tpm` — the simulated trusted platform module that
+  seals K to a Logging Interface's measured state.
 """
 
-from repro.crypto.hashing import sha256_hex, hash_value, hmac_hex
+from repro.crypto.hashing import sha256_hex, hash_value
 from repro.crypto.symmetric import SymmetricKey, EncryptedBlob
 from repro.crypto.merkle import MerkleTree, MerkleProof
 from repro.crypto.signatures import SigningKey, VerifyingKey, Signature
-from repro.crypto.keystore import KeyStore
 from repro.crypto.tpm import SimulatedTpm, AttestationReport
 
 __all__ = [
     "sha256_hex",
     "hash_value",
-    "hmac_hex",
     "SymmetricKey",
     "EncryptedBlob",
     "MerkleTree",
@@ -35,7 +33,6 @@ __all__ = [
     "SigningKey",
     "VerifyingKey",
     "Signature",
-    "KeyStore",
     "SimulatedTpm",
     "AttestationReport",
 ]

@@ -14,7 +14,6 @@ the definitional form the caches are differentially tested against.
 from __future__ import annotations
 
 import hashlib
-import hmac as _hmac
 from typing import Any
 
 from repro.common.serialization import canonical_bytes
@@ -38,13 +37,3 @@ def hash_pair(left: str, right: str) -> str:
     sits in the Merkle fold's inner loop).
     """
     return sha256_hex(left.encode() + b"|" + right.encode())
-
-
-def hmac_hex(key: bytes, data: bytes) -> str:
-    """Hex HMAC-SHA-256 of ``data`` under ``key``."""
-    return _hmac.new(key, data, hashlib.sha256).hexdigest()
-
-
-def constant_time_equals(a: str, b: str) -> bool:
-    """Timing-safe string comparison (MAC verification)."""
-    return _hmac.compare_digest(a, b)

@@ -135,10 +135,6 @@ class VerifyingKey:
 
     y: int
 
-    def key_id(self) -> str:
-        """Short stable identifier for logs and registries."""
-        return hashlib.sha256(hex(self.y).encode()).hexdigest()[:16]
-
     def _y_pow(self, exp: int) -> int:
         """``y ** exp mod p`` through the table shared by every key object of this value."""
         return _fixed_base_pow(self.y, _key_table(self.y), exp)
@@ -150,16 +146,6 @@ class VerifyingKey:
         r = (_g_pow(signature.s) * self._y_pow(signature.e)) % _P
         expected = _hash_to_int(hex(r).encode(), message) % _Q
         return expected == signature.e
-
-    def to_dict(self) -> dict:
-        return {"y": hex(self.y)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VerifyingKey":
-        try:
-            return cls(y=int(data["y"], 16))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise CryptoError(f"malformed verifying key: {exc}") from exc
 
 
 class SigningKey:

@@ -76,10 +76,6 @@ class SymmetricKey:
             return cls(hashlib.sha256(b"keygen|" + entropy).digest())
         return cls(os.urandom(KEY_SIZE))
 
-    def fingerprint(self) -> str:
-        """Public identifier of the key (safe to log)."""
-        return hashlib.sha256(b"fp|" + self._key).hexdigest()[:16]
-
     def _xor_keystream(self, nonce: bytes, data: bytes) -> bytes:
         """``data`` XOR the keystream, as one big-integer operation."""
         stream = b"".join(

@@ -15,7 +15,7 @@ blockchain:
 Key handling: when a :class:`~repro.crypto.tpm.SimulatedTpm` is supplied,
 K is *sealed* to the LI's measured state and unsealed per use — a tampered
 LI loses the key, which is the mitigation sketched in the paper's System
-Integrity discussion.  Without a TPM the key sits in the software keystore.
+Integrity discussion.  Without a TPM the LI holds K itself.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.blockchain.node import BlockchainNode
 from repro.blockchain.transaction import Transaction
 from repro.common.errors import CryptoError
 from repro.common.serialization import from_json
-from repro.crypto.keystore import KeyStore
 from repro.crypto.signatures import SigningKey
 from repro.crypto.symmetric import EncryptedBlob, SymmetricKey
 from repro.crypto.tpm import SimulatedTpm
@@ -56,13 +55,12 @@ class LoggingInterface(Host):
         super().__init__(network, address)
         self.tenant = tenant
         self.node = node
-        self.keystore = KeyStore(owner=address)
-        self.keystore.install_signing_key(signing_key)
+        self.signing_key = signing_key
         self.tpm = tpm
+        #: K in the clear only when no TPM seals it.
+        self._plain_key = federation_key if tpm is None else None
         if tpm is not None:
             tpm.seal(FEDERATION_KEY_NAME, federation_key)
-        else:
-            self.keystore.store_symmetric(FEDERATION_KEY_NAME, federation_key)
         self.alert_handlers: list[Callable[[Alert], None]] = []
         self.logs_submitted = 0
         self.logs_rejected = 0
@@ -86,7 +84,7 @@ class LoggingInterface(Host):
             if not isinstance(key, SymmetricKey):  # pragma: no cover - defensive
                 raise CryptoError("sealed object is not the federation key")
             return key
-        return self.keystore.symmetric(FEDERATION_KEY_NAME)
+        return self._plain_key
 
     # -- log ingestion ------------------------------------------------------------
 
@@ -163,7 +161,7 @@ class LoggingInterface(Host):
             seq=self._seq,
             tx_id=self.sim.new_id("tx"),
         )
-        return tx.sign(self.keystore.signing_key)
+        return tx.sign(self.signing_key)
 
     def submit_tick(self) -> Optional[str]:
         """Submit a timeout-sweep transaction to the monitor contract."""

@@ -37,7 +37,7 @@ Kinds:
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from repro.common.errors import ValidationError
@@ -168,27 +168,6 @@ class FaultPlan:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def duration(self) -> float:
-        """Last scripted instant (onset or reversal) in the plan."""
-        times = [e.at for e in self.events] + [
-            e.until for e in self.events if e.until is not None
-        ]
-        return max(times) if times else 0.0
-
-    def shifted(self, offset: float) -> "FaultPlan":
-        """The same plan translated ``offset`` seconds later."""
-        return FaultPlan(
-            events=tuple(
-                replace(
-                    event,
-                    at=event.at + offset,
-                    until=None if event.until is None else event.until + offset,
-                )
-                for event in self.events
-            ),
-            name=self.name,
-        )
 
     def to_dict(self) -> dict:
         out: dict = {"events": [event.to_dict() for event in self.events]}

@@ -13,7 +13,6 @@ control and DRAMS components deploy onto.
 
 from repro.federation.model import Cloud, Section, Tenant, TenantKind
 from repro.federation.federation import Federation, FederationConfig
-from repro.federation.services import FederatedService, ServiceRegistry
 
 __all__ = [
     "Cloud",
@@ -22,6 +21,4 @@ __all__ = [
     "TenantKind",
     "Federation",
     "FederationConfig",
-    "FederatedService",
-    "ServiceRegistry",
 ]

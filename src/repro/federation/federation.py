@@ -19,7 +19,6 @@ from repro.simnet.latency import LanProfile, WanProfile
 from repro.simnet.network import Network
 from repro.simnet.simulator import Simulator
 from repro.federation.model import Cloud, Tenant, TenantKind
-from repro.federation.services import ServiceRegistry
 
 
 @dataclass
@@ -48,7 +47,6 @@ class Federation:
             self.rng,
             default_latency=WanProfile(bandwidth_bps=self.config.wan_bandwidth_bps),
         )
-        self.services = ServiceRegistry()
         self.clouds: list[Cloud] = []
         self.tenants: dict[str, Tenant] = {}
         self._build_topology()

@@ -65,10 +65,6 @@ class Tenant:
     sections: list[Section] = field(default_factory=list)
     host_addresses: list[str] = field(default_factory=list)
 
-    @property
-    def is_infrastructure(self) -> bool:
-        return self.kind is TenantKind.INFRASTRUCTURE
-
     def register_host(self, address: str) -> str:
         """Record that a component host lives in this tenant."""
         if address in self.host_addresses:

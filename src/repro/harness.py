@@ -330,9 +330,6 @@ class MonitoredFederation:
     def access_latencies(self) -> list[float]:
         return [outcome.latency for outcome in self.outcomes]
 
-    def grant_rate(self) -> float:
-        return self.metrics.grant_rate()
-
     def fingerprint(self) -> dict:
         """What two runs must agree on to be the same run.
 

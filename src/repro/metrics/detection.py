@@ -27,9 +27,6 @@ class DetectionScorer:
         self._records: list[AttackRecord] = []
         self._false_positives = 0
 
-    def add(self, record: AttackRecord) -> None:
-        self._records.append(record)
-
     def add_all(self, records: list[AttackRecord], false_positives: int = 0) -> None:
         self._records.extend(records)
         self._false_positives += false_positives

@@ -110,9 +110,6 @@ class SingleStorePlane(PolicyDistributionPlane):
     def replicas(self) -> dict[str, PolicyRetrievalPoint]:
         return {consumer: self._store for consumer in self._consumers}
 
-    def converged(self) -> bool:
-        return True  # one store: nothing to lag
-
     def describe(self) -> dict:
         summary = super().describe()
         summary["consumers"] = list(self._consumers)

@@ -14,7 +14,6 @@ from repro.simnet.simulator import Simulator, Event
 from repro.simnet.latency import (
     LatencyModel,
     ConstantLatency,
-    UniformLatency,
     LognormalLatency,
     WanProfile,
     LanProfile,
@@ -26,7 +25,6 @@ __all__ = [
     "Event",
     "LatencyModel",
     "ConstantLatency",
-    "UniformLatency",
     "LognormalLatency",
     "WanProfile",
     "LanProfile",

@@ -22,10 +22,6 @@ class LatencyModel(ABC):
     def sample(self, rng: SeededRng, size_bytes: int = 0) -> float:
         """Return a delay for a message of ``size_bytes`` payload bytes."""
 
-    @abstractmethod
-    def describe(self) -> str:
-        """A short human-readable form, e.g. ``const(5.00ms)``."""
-
 
 class ConstantLatency(LatencyModel):
     """Fixed propagation delay plus linear serialization cost.
@@ -44,27 +40,6 @@ class ConstantLatency(LatencyModel):
     def sample(self, rng: SeededRng, size_bytes: int = 0) -> float:
         transfer = (size_bytes * 8 / self.bandwidth_bps) if self.bandwidth_bps > 0 else 0.0
         return self.delay + transfer
-
-    def describe(self) -> str:
-        return f"const({self.delay * 1000:.2f}ms)"
-
-
-class UniformLatency(LatencyModel):
-    """Uniform delay in ``[low, high]`` plus optional bandwidth term."""
-
-    def __init__(self, low: float, high: float, bandwidth_bps: float = 0.0) -> None:
-        if not 0 <= low <= high:
-            raise ValueError(f"need 0 <= low <= high, got {low}, {high}")
-        self.low = low
-        self.high = high
-        self.bandwidth_bps = bandwidth_bps
-
-    def sample(self, rng: SeededRng, size_bytes: int = 0) -> float:
-        transfer = (size_bytes * 8 / self.bandwidth_bps) if self.bandwidth_bps > 0 else 0.0
-        return rng.uniform(self.low, self.high) + transfer
-
-    def describe(self) -> str:
-        return f"uniform({self.low * 1000:.2f}..{self.high * 1000:.2f}ms)"
 
 
 class LognormalLatency(LatencyModel):
@@ -87,9 +62,6 @@ class LognormalLatency(LatencyModel):
     def sample(self, rng: SeededRng, size_bytes: int = 0) -> float:
         transfer = (size_bytes * 8 / self.bandwidth_bps) if self.bandwidth_bps > 0 else 0.0
         return math.exp(rng.gauss(self._mu, self.sigma)) + transfer
-
-    def describe(self) -> str:
-        return f"lognormal(median={self.median * 1000:.2f}ms, sigma={self.sigma})"
 
 
 def LanProfile() -> LatencyModel:

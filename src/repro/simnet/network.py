@@ -290,10 +290,6 @@ class Network:
                 if symmetric:
                     self._blocked.add((b, a))
 
-    def heal(self) -> None:
-        """Remove all partitions (symmetric and directed)."""
-        self._blocked.clear()
-
     def heal_partition(self, group_a: list[str], group_b: list[str]) -> None:
         """Remove the partitions between exactly these two groups."""
         for a in group_a:
@@ -344,7 +340,7 @@ class Network:
         return self._link_faults.get((src, dst))
 
     def add_tap(self, tap: Callable[[Message], None]) -> None:
-        """Install a wiretap invoked for every sent message (probes use this)."""
+        """Install a wiretap invoked for every sent message (tests observe traffic with it)."""
         self._taps.append(tap)
 
     # -- message transfer --------------------------------------------------------
@@ -462,10 +458,3 @@ class Network:
                 sized._size_cache = decoded.wire_size() + HEADER_BYTES
         for dst in dsts:
             self.send(src, dst, kind, payload, sized=sized)
-
-    def broadcast(self, src: str, kind: str, payload: Any, exclude: set[str] | None = None) -> int:
-        """Send to every attached host except ``src`` and ``exclude``; returns count."""
-        skip = {src} | (exclude or set())
-        dsts = [address for address in sorted(self._hosts) if address not in skip]
-        self.multicast(src, dsts, kind, payload)
-        return len(dsts)

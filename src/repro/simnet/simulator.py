@@ -112,7 +112,8 @@ class Simulator:
         while queue and executed < budget:
             time, _, callback = queue[0]
             if time > horizon:
-                self._now = until
+                if until > self._now:
+                    self._now = until
                 break
             pop(queue)
             if type(callback) is Event:
@@ -126,17 +127,6 @@ class Simulator:
         if until is not None and not queue and self._now < until:
             self._now = until
         return executed
-
-    def run_until(self, predicate: Callable[[], bool], *, max_events: int = 1_000_000) -> bool:
-        """Run until ``predicate()`` is true.  Returns whether it became true."""
-        if predicate():
-            return True
-        for _ in range(max_events):
-            if not self.step():
-                return predicate()
-            if predicate():
-                return True
-        return False
 
     def every(
         self,

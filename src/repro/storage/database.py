@@ -1,6 +1,6 @@
 """Simulated classical database.
 
-An ordered key-value store with configurable write/read service times.  It
+An ordered key-value store with a configurable write service time.  It
 acknowledges writes after a (latency-model) delay, which is what makes the
 hybrid design attractive: database acknowledgement is orders of magnitude
 faster than chain finality.
@@ -25,12 +25,11 @@ class DatabaseConfig:
     """Service-time parameters for the simulated DB."""
 
     write_latency: float = 0.002
-    read_latency: float = 0.001
     jitter: float = 0.2  # +/- fraction of the base latency
 
     def __post_init__(self) -> None:
-        if self.write_latency < 0 or self.read_latency < 0:
-            raise ValidationError("latencies must be non-negative")
+        if self.write_latency < 0:
+            raise ValidationError("write latency must be non-negative")
         if not 0 <= self.jitter < 1:
             raise ValidationError("jitter must be in [0, 1)")
 
@@ -55,7 +54,6 @@ class DatabaseStore:
         self._rows: dict[str, _Row] = {}
         self._sequence = 0
         self.writes = 0
-        self.reads = 0
         self.tampered_keys: set[str] = set()
 
     def _service_time(self, base: float) -> float:
@@ -80,17 +78,6 @@ class DatabaseStore:
                 on_ack(key)
 
         self.sim.post(delay, commit)
-
-    def read(self, key: str, on_result: Callable[[Optional[Any]], None]) -> None:
-        """Fetch a value; ``on_result`` fires after the read latency."""
-        delay = self._service_time(self.config.read_latency)
-
-        def fetch() -> None:
-            self.reads += 1
-            row = self._rows.get(key)
-            on_result(row.value if row else None)
-
-        self.sim.post(delay, fetch)
 
     # -- synchronous inspection (no simulated latency; for auditors/tests) --------
 

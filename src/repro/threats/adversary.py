@@ -83,12 +83,6 @@ class Adversary:
     def records(self) -> list[AttackRecord]:
         return [self.record_for(attack) for attack in self.attacks]
 
-    def detection_rate(self) -> float:
-        records = self.records()
-        if not records:
-            return 0.0
-        return sum(1 for record in records if record.detected) / len(records)
-
     def false_positives(self) -> list[Alert]:
         """Alerts not attributable to any injected attack."""
         claimed: set[tuple[str, str]] = set()

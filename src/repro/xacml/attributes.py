@@ -58,9 +58,6 @@ class AttributeId:
     def __post_init__(self) -> None:
         object.__setattr__(self, "category", Category.expand(self.category))
 
-    def short(self) -> str:
-        return f"{Category.shorten(self.category)}:{self.attribute_id}"
-
 
 class DataType:
     """Supported attribute data types (a practical XACML subset)."""
@@ -115,18 +112,6 @@ class Bag:
     def __init__(self, data_type: str, values: Iterable[Any] = ()) -> None:
         self.data_type = data_type
         self.values = [DataType.check(data_type, v) for v in values]
-
-    @classmethod
-    def of(cls, *values: Any) -> "Bag":
-        """Build a bag inferring the data type from the first value."""
-        if not values:
-            raise PolicyError("Bag.of needs at least one value; use empty() instead")
-        data_type = DataType.infer(values[0])
-        return cls(data_type, values)
-
-    @classmethod
-    def empty(cls, data_type: str = DataType.STRING) -> "Bag":
-        return cls(data_type)
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self.values)

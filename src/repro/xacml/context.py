@@ -133,7 +133,7 @@ class RequestContext:
         category = Category.expand(category)
         bag = self._attributes[category].get(attribute_id)
         if bag is None:
-            return Bag.empty(data_type or DataType.STRING)
+            return Bag(data_type or DataType.STRING)
         return bag
 
     def to_dict(self) -> dict:

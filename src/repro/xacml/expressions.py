@@ -256,13 +256,15 @@ def _as_bag(value: Any, context: str) -> Bag:
 _register("one-and-only", 1, lambda bag: _as_bag(bag, "one-and-only").one_and_only())
 _register("bag-size", 1, lambda bag: len(_as_bag(bag, "bag-size")))
 _register("is-in", 2, lambda value, bag: value in _as_bag(bag, "is-in"))
-_register("bag", -1, lambda *values: Bag.of(*values) if values else Bag.empty())
+_register(
+    "bag", -1, lambda *values: Bag(DataType.infer(values[0]) if values else DataType.STRING, values)
+)
 
 
 def _bag_intersection(a: Any, b: Any) -> Bag:
     bag_a, bag_b = _as_bag(a, "intersection"), _as_bag(b, "intersection")
     common = [v for v in bag_a if v in bag_b]
-    return Bag(bag_a.data_type, common) if common else Bag.empty(bag_a.data_type)
+    return Bag(bag_a.data_type, common)
 
 
 def _bag_union(a: Any, b: Any) -> Bag:

@@ -34,12 +34,6 @@ class PolicyDecisionPoint:
         self.index = compile_target_index(root) if indexed else None
         self.evaluations = 0
 
-    @property
-    def root_id(self) -> str:
-        if isinstance(self.root, Policy):
-            return self.root.policy_id
-        return self.root.policy_set_id
-
     def evaluate(self, request: RequestContext) -> ResponseContext:
         """Produce the response context for one request."""
         self.evaluations += 1

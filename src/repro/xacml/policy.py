@@ -244,9 +244,6 @@ class PolicySet:
         if not self.children:
             raise PolicyError(f"policy set {self.policy_set_id!r} has no children")
 
-    def evaluate(self, request: RequestContext) -> Decision:
-        return self.evaluate_full(request)[0]
-
     def evaluate_full(self, request: RequestContext) -> tuple[Decision, list[Obligation]]:
         """Decision plus obligations from every child that agreed with it.
 

@@ -106,7 +106,7 @@ class TestPrp:
         prp.publish(policy_to_dict(doctors_policy()), publisher="me")
         assert prp.version_count() == 2
         assert prp.current().version == 2
-        assert prp.get_version(1).version == 1
+        assert [v.version for v in prp.history()] == [1, 2]
 
     def test_fingerprint_is_content_hash(self):
         prp = PolicyRetrievalPoint()

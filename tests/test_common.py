@@ -81,10 +81,13 @@ class TestSeededRng:
         with pytest.raises(ValueError):
             rng.zipf_index(0)
 
-    def test_sample_and_shuffle(self, rng):
+    def test_sample_follows_the_seed(self):
+        population = list(range(20))
+        first = SeededRng(7).fork("s").sample(population, 5)
+        assert SeededRng(7).fork("s").sample(population, 5) == first
+        assert len(set(first)) == 5
+
+    def test_sample(self, rng):
         population = list(range(20))
         sample = rng.sample(population, 5)
         assert len(sample) == 5 and set(sample) <= set(population)
-        copy = list(population)
-        rng.shuffle(copy)
-        assert sorted(copy) == population

@@ -1,4 +1,4 @@
-"""Cryptographic primitives: hashing, AEAD, signatures, keystore, TPM."""
+"""Cryptographic primitives: hashing, AEAD, signatures, TPM."""
 
 import hashlib
 import random
@@ -7,16 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import CryptoError
-from repro.crypto.hashing import (
-    constant_time_equals,
-    hash_pair,
-    hash_value,
-    hmac_hex,
-    sha256_hex,
-)
+from repro.crypto.hashing import hash_pair, hash_value, sha256_hex
 from repro.crypto import signatures
-from repro.crypto.keystore import KeyStore
-from repro.crypto.signatures import Signature, SigningKey, VerifyingKey
+from repro.crypto.signatures import Signature, SigningKey
 from repro.crypto.symmetric import EncryptedBlob, SymmetricKey
 from repro.crypto.tpm import SimulatedTpm
 
@@ -25,16 +18,11 @@ class TestHashing:
     def test_hash_value_canonical(self):
         assert hash_value({"a": 1, "b": 2}) == hash_value({"b": 2, "a": 1})
 
+    def test_sha256_hex_matches_hashlib(self):
+        assert sha256_hex(b"x") == hashlib.sha256(b"x").hexdigest()
+
     def test_hash_pair_order_matters(self):
         assert hash_pair("aa", "bb") != hash_pair("bb", "aa")
-
-    def test_hmac_depends_on_key(self):
-        assert hmac_hex(b"k1", b"data") != hmac_hex(b"k2", b"data")
-
-    def test_constant_time_equals(self):
-        digest = sha256_hex(b"x")
-        assert constant_time_equals(digest, digest)
-        assert not constant_time_equals(digest, sha256_hex(b"y"))
 
 
 class TestSymmetric:
@@ -74,7 +62,7 @@ class TestSymmetric:
     def test_deterministic_generation_from_entropy(self):
         a = SymmetricKey.generate(entropy=b"same")
         b = SymmetricKey.generate(entropy=b"same")
-        assert a.fingerprint() == b.fingerprint()
+        assert b.decrypt(a.encrypt(b"payload")) == b"payload"
 
     def test_blob_dict_roundtrip(self):
         key = SymmetricKey.generate(entropy=b"test")
@@ -149,14 +137,9 @@ class TestSignatures:
         signature = key.sign(b"m")
         assert Signature.from_dict(signature.to_dict()) == signature
 
-    def test_verifying_key_dict_roundtrip(self):
-        key = SigningKey.generate(b"alice")
-        restored = VerifyingKey.from_dict(key.public.to_dict())
-        assert restored.verify(b"m", key.sign(b"m"))
-
-    def test_key_id_stable(self):
-        key = SigningKey.generate(b"alice")
-        assert key.public.key_id() == SigningKey.generate(b"alice").public.key_id()
+    def test_public_key_is_a_function_of_the_seed(self):
+        assert SigningKey.generate(b"alice").public == SigningKey.generate(b"alice").public
+        assert SigningKey.generate(b"alice").public != SigningKey.generate(b"bob").public
 
     def test_out_of_range_signature_rejected(self):
         key = SigningKey.generate(b"alice")
@@ -212,56 +195,6 @@ class TestFixedBaseTables:
             expected = Signature(e=e, s=(k - x * e) % signatures._Q)
             assert self.KEY.sign(message) == expected
             assert self.KEY.public.verify(message, expected)
-
-
-class TestKeyStore:
-    def test_symmetric_storage(self):
-        store = KeyStore("li@t1")
-        key = SymmetricKey.generate(entropy=b"k")
-        store.store_symmetric("K", key)
-        assert store.symmetric("K") is key
-        assert store.has_symmetric("K")
-
-    def test_missing_symmetric_raises(self):
-        with pytest.raises(CryptoError):
-            KeyStore("x").symmetric("missing")
-
-    def test_drop_symmetric(self):
-        store = KeyStore("x")
-        store.store_symmetric("K", SymmetricKey.generate(entropy=b"k"))
-        store.drop_symmetric("K")
-        assert not store.has_symmetric("K")
-
-    def test_signing_key_lifecycle(self):
-        store = KeyStore("x")
-        with pytest.raises(CryptoError):
-            _ = store.signing_key
-        key = SigningKey.generate(b"x")
-        store.install_signing_key(key)
-        assert store.signing_key is key
-
-    def test_peer_registry(self):
-        store = KeyStore("x")
-        key = SigningKey.generate(b"peer").public
-        store.register_peer("peer-1", key)
-        assert store.peer_key("peer-1") == key
-        assert store.known_peers() == ["peer-1"]
-
-    def test_conflicting_registration_rejected(self):
-        store = KeyStore("x")
-        store.register_peer("p", SigningKey.generate(b"a").public)
-        with pytest.raises(CryptoError):
-            store.register_peer("p", SigningKey.generate(b"b").public)
-
-    def test_same_registration_is_idempotent(self):
-        store = KeyStore("x")
-        key = SigningKey.generate(b"a").public
-        store.register_peer("p", key)
-        store.register_peer("p", key)
-
-    def test_unknown_peer_raises(self):
-        with pytest.raises(CryptoError):
-            KeyStore("x").peer_key("ghost")
 
 
 class TestTpm:

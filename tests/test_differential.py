@@ -31,19 +31,9 @@ class TestDifferential:
 
     @given(documents, request_dicts())
     @settings(max_examples=100, deadline=None)
-    def test_oracle_verify_accepts_pdp_output(self, document, request):
+    def test_oracle_expected_decision_matches_pdp(self, document, request):
         from repro.analysis.semantics import DecisionOracle
 
         pdp = PolicyDecisionPoint(policy_from_dict(document))
         observed = pdp.evaluate(RequestContext.from_dict(request)).decision.value
-        assert DecisionOracle(document).verify(request, observed)
-
-    @given(documents, request_dicts())
-    @settings(max_examples=100, deadline=None)
-    def test_oracle_rejects_flipped_decisions(self, document, request):
-        from repro.analysis.semantics import DecisionOracle
-
-        oracle = DecisionOracle(document)
-        expected = oracle.expected_decision(request)
-        flipped = "Deny" if expected == "Permit" else "Permit"
-        assert not oracle.verify(request, flipped)
+        assert DecisionOracle(document).expected_decision(request) == observed

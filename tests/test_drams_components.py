@@ -140,6 +140,35 @@ class TestLoggingInterface:
         assert li.key_failures > 0
 
 
+    def test_lis_hold_the_federation_key_without_a_tpm(self, healthcare_stack):
+        interfaces = healthcare_stack.drams.interfaces.values()
+        assert all(li.tpm is None for li in interfaces)
+        federation_key = healthcare_stack.drams.federation_key
+        assert {id(li._federation_key()) for li in interfaces} == {id(federation_key)}
+
+    def test_tpm_deployment_keeps_no_key_in_the_clear(self):
+        stack = MonitoredFederation.build(
+            healthcare_scenario(), clouds=2, seed=80,
+            drams_config=fast_drams_config(use_tpm=True))
+        blob = stack.drams.federation_key.encrypt(b"entry")
+        for li in stack.drams.interfaces.values():
+            assert li._plain_key is None
+            assert li._federation_key().decrypt(blob) == b"entry"
+
+    def test_transactions_verify_under_the_lis_own_key(self, healthcare_stack):
+        first, second = (healthcare_stack.drams.interfaces[tenant]
+                         for tenant in sorted(healthcare_stack.peps)[:2])
+        tx = first._signed_tx("tick", {})
+        assert tx.sender == first.address
+        assert tx.verify(first.signing_key.public)
+        assert not tx.verify(second.signing_key.public)
+
+    def test_each_li_has_its_own_signing_key(self, healthcare_stack):
+        interfaces = list(healthcare_stack.drams.interfaces.values())
+        keys = {li.signing_key.public for li in interfaces}
+        assert len(interfaces) > 1 and len(keys) == len(interfaces)
+
+
 class TestAnalyser:
     def test_checks_every_decision(self, healthcare_stack):
         stack = healthcare_stack

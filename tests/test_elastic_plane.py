@@ -357,7 +357,7 @@ class TestLocalityRouting:
         network = stack.federation.network
         lan = network._latency_for(added.address, "pdp-0@infrastructure")
         assert lan is not network.default_latency
-        assert "0.30ms" in lan.describe()
+        assert lan.median == 0.0003
 
 
 class TestElasticScaleScenario:

@@ -316,15 +316,10 @@ class TestFaultPlanDsl:
         plan = self.plan()
         assert FaultPlan.from_dict(plan.to_dict()) == plan
 
-    def test_duration_spans_last_reversal(self):
-        assert self.plan().duration() == 4.0
-        assert FaultPlan().duration() == 0.0
-
-    def test_shifted_translates_every_instant(self):
-        shifted = self.plan().shifted(10.0)
-        assert shifted.events[0].at == 10.5
-        assert shifted.events[0].until == 11.5
-        assert shifted.events[2].until is None
+    def test_empty_plan_has_a_minimal_wire_form(self):
+        assert len(FaultPlan()) == 0
+        assert FaultPlan().to_dict() == {"events": []}
+        assert FaultPlan.from_dict({}) == FaultPlan()
 
     def test_kind_validation(self):
         with pytest.raises(ValidationError, match="unknown fault kind"):

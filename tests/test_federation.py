@@ -1,11 +1,10 @@
-"""FaaS topology: clouds, sections, tenants, latency wiring, services."""
+"""FaaS topology: clouds, sections, tenants, latency wiring."""
 
 import pytest
 
 from repro.common.errors import ValidationError
 from repro.federation.federation import Federation, FederationConfig
 from repro.federation.model import Cloud, Tenant, TenantKind
-from repro.federation.services import FederatedService, ServiceRegistry
 from repro.simnet.network import Host
 
 
@@ -45,7 +44,13 @@ class TestFederationTopology:
         federation = Federation(FederationConfig(cloud_count=2))
         assert len(federation.clouds) == 2
         assert len(federation.member_tenants) == 2
-        assert federation.infrastructure_tenant.is_infrastructure
+        assert federation.infrastructure_tenant.kind is TenantKind.INFRASTRUCTURE
+
+    def test_member_tenants_are_members(self):
+        federation = Federation(FederationConfig(cloud_count=3))
+        kinds = {tenant.kind for tenant in federation.member_tenants}
+        assert kinds == {TenantKind.MEMBER}
+        assert federation.infrastructure_tenant not in federation.member_tenants
 
     def test_infrastructure_tenant_spans_all_clouds(self):
         federation = Federation(FederationConfig(cloud_count=3))
@@ -104,42 +109,3 @@ class TestLatencyWiring:
         first = federation.finalize_topology()
         second = federation.finalize_topology()
         assert first == second
-
-
-class TestServiceRegistry:
-    def test_register_and_lookup(self):
-        registry = ServiceRegistry()
-        service = FederatedService("records", "tenant-1", "medical-record")
-        service.add_resource("rec-1")
-        registry.register(service)
-        assert registry.get("records").resources == ["rec-1"]
-
-    def test_duplicate_service_rejected(self):
-        registry = ServiceRegistry()
-        registry.register(FederatedService("s", "t", "x"))
-        with pytest.raises(ValidationError):
-            registry.register(FederatedService("s", "t", "x"))
-
-    def test_duplicate_resource_rejected(self):
-        service = FederatedService("s", "t", "x")
-        service.add_resource("r1")
-        with pytest.raises(ValidationError):
-            service.add_resource("r1")
-
-    def test_unknown_service_raises(self):
-        with pytest.raises(ValidationError):
-            ServiceRegistry().get("ghost")
-
-    def test_services_of_tenant(self):
-        registry = ServiceRegistry()
-        registry.register(FederatedService("a", "t1", "x"))
-        registry.register(FederatedService("b", "t2", "x"))
-        assert [s.name for s in registry.services_of_tenant("t1")] == ["a"]
-
-    def test_all_resources_pairs(self):
-        registry = ServiceRegistry()
-        service = FederatedService("a", "t1", "x")
-        service.add_resource("r1")
-        service.add_resource("r2")
-        registry.register(service)
-        assert registry.all_resources() == [("a", "r1"), ("a", "r2")]

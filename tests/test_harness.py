@@ -60,7 +60,7 @@ class TestWorkload:
         stack = healthcare_stack
         stack.issue_requests(20)
         stack.run(until=60.0)
-        assert 0.0 <= stack.grant_rate() <= 1.0
+        assert 0.0 <= stack.metrics.grant_rate() <= 1.0
 
     def test_reproducibility_across_builds(self):
         def run(seed):

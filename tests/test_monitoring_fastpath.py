@@ -257,7 +257,7 @@ class TestEngineInPlace:
                     block_height=1, block_timestamp=1.0, sender="s", tx_id=f"tx-{index}"
                 )
                 receipt = engine.execute("kvstore", method, {"key": key, "value": value}, ctx)
-                events = [e.to_dict() for e in receipt.events]
+                events = list(receipt.events)
                 receipts.append((receipt.ok, receipt.error, receipt.result, events))
             return receipts, engine.state_of("kvstore")
 

@@ -7,7 +7,6 @@ from repro.simnet.latency import (
     ConstantLatency,
     LanProfile,
     LognormalLatency,
-    UniformLatency,
     WanProfile,
 )
 from repro.simnet.network import Host, Message, Network
@@ -35,15 +34,6 @@ class TestLatencyModels:
         model = ConstantLatency(0.0, bandwidth_bps=8000)  # 1000 bytes/sec
         assert model.sample(rng, size_bytes=1000) == pytest.approx(1.0)
 
-    def test_uniform_latency_within_bounds(self, rng):
-        model = UniformLatency(0.01, 0.02)
-        for _ in range(100):
-            assert 0.01 <= model.sample(rng) <= 0.02
-
-    def test_uniform_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError):
-            UniformLatency(0.02, 0.01)
-
     def test_lognormal_positive_and_spread(self, rng):
         model = LognormalLatency(median=0.025, sigma=0.3)
         samples = [model.sample(rng) for _ in range(500)]
@@ -56,15 +46,14 @@ class TestLatencyModels:
         with pytest.raises(ValueError):
             LognormalLatency(median=0.1, sigma=-1)
 
+    def test_profiles_carry_their_medians(self):
+        assert LanProfile().median == 0.0003
+        assert WanProfile().median == 0.025
+
     def test_profiles_order(self, rng):
         lan = sum(LanProfile().sample(rng) for _ in range(200)) / 200
         wan = sum(WanProfile().sample(rng) for _ in range(200)) / 200
         assert lan * 10 < wan
-
-    def test_models_describe_themselves(self):
-        assert ConstantLatency(0.005).describe() == "const(5.00ms)"
-        assert UniformLatency(0.001, 0.002).describe() == "uniform(1.00..2.00ms)"
-        assert LanProfile().describe() == "lognormal(median=0.30ms, sigma=0.2)"
 
 
 class TestDelivery:
@@ -135,14 +124,30 @@ class TestDelivery:
         sim.run()
         assert len(restarted[0].received) == 1
 
-    def test_broadcast_reaches_all_but_sender(self, sim, rng):
+    def test_multicast_reaches_only_the_listed_hosts(self, sim, rng):
         net = Network(sim, rng, ConstantLatency(0.01))
         hosts = [Recorder(net, f"h{i}") for i in range(4)]
-        count = net.broadcast("h0", "hello", {"n": 1})
+        net.multicast("h0", ["h1", "h2"], "hello", {"n": 1})
         sim.run()
-        assert count == 3
-        assert all(len(h.received) == 1 for h in hosts[1:])
-        assert hosts[0].received == []
+        assert [len(h.received) for h in hosts] == [0, 1, 1, 0]
+        assert {m.payload["n"] for h in hosts for m in h.received} == {1}
+
+    def test_multicast_sizes_every_copy_alike(self, sim, rng):
+        net = Network(sim, rng, ConstantLatency(0.01))
+        hosts = [Recorder(net, f"h{i}") for i in range(3)]
+        net.multicast("h0", ["h1", "h2"], "hello", {"blob": "x" * 64})
+        sim.run()
+        sizes = {m.size_bytes() for h in hosts[1:] for m in h.received}
+        assert len(sizes) == 1
+        assert net.stats.bytes_sent == 2 * sizes.pop()
+
+    def test_host_lookup_follows_attach_and_detach(self, sim, rng):
+        net = Network(sim, rng)
+        a = Recorder(net, "a")
+        assert net.host("a") is a and net.is_attached("a")
+        net.detach("a")
+        assert net.host("a") is None and not net.is_attached("a")
+        assert net.host("ghost") is None
 
     def test_stats_track_bytes(self, sim, rng):
         net = Network(sim, rng)
@@ -169,10 +174,45 @@ class TestPartitions:
         a = Recorder(net, "a")
         b = Recorder(net, "b")
         net.partition(["a"], ["b"])
-        net.heal()
+        net.heal_partition(["a"], ["b"])
         a.send("b", "ping", {})
         sim.run()
         assert len(b.received) == 1
+
+    def test_heal_partition_leaves_other_partitions_in_place(self, sim, rng):
+        net = Network(sim, rng, ConstantLatency(0.01))
+        a = Recorder(net, "a")
+        b = Recorder(net, "b")
+        c = Recorder(net, "c")
+        net.partition(["a"], ["b", "c"])
+        net.heal_partition(["a"], ["b"])
+        assert not net.is_partitioned("a", "b") and not net.is_partitioned("b", "a")
+        assert net.is_partitioned("a", "c") and net.is_partitioned("c", "a")
+        a.send("b", "ping", {})
+        a.send("c", "ping", {})
+        sim.run()
+        assert (len(b.received), len(c.received)) == (1, 0)
+
+    def test_directed_partition_blocks_one_way(self, sim, rng):
+        net = Network(sim, rng, ConstantLatency(0.01))
+        a = Recorder(net, "a")
+        b = Recorder(net, "b")
+        net.partition(["a"], ["b"], symmetric=False)
+        assert net.is_partitioned("a", "b") and not net.is_partitioned("b", "a")
+        a.send("b", "ping", {})
+        b.send("a", "pong", {})
+        sim.run()
+        assert b.received == [] and len(a.received) == 1
+
+    def test_heal_partition_clears_a_directed_partition(self, sim, rng):
+        net = Network(sim, rng, ConstantLatency(0.01))
+        a = Recorder(net, "a")
+        b = Recorder(net, "b")
+        net.partition(["b"], ["a"], symmetric=False)
+        net.heal_partition(["a"], ["b"])
+        b.send("a", "pong", {})
+        sim.run()
+        assert len(a.received) == 1
 
     def test_partition_mid_flight_drops_message(self, sim, rng):
         net = Network(sim, rng, ConstantLatency(1.0))

@@ -107,7 +107,7 @@ class TestGossip:
         nodes[0].submit_transaction(client_tx(1, "during-partition", 1, client_key))
         sim.run(until=10.0)
         assert nodes[2].chain.height == 0
-        net.heal()
+        net.heal_partition([nodes[2].address], [nodes[0].address, nodes[1].address])
         # A fresh block after healing triggers parent-fetch resync.
         sim.run(until=25.0)
         assert nodes[2].chain.height > 0

@@ -164,20 +164,47 @@ class TestRun:
         sim.run()
         assert fired == [1, 2, 3]
 
-    def test_run_until_predicate(self, sim):
-        counter = {"n": 0}
+    def test_horizon_behind_the_clock_does_not_rewind_it(self, sim):
+        sim.post(1.0, lambda: None)
+        sim.post(5.0, lambda: None)
+        sim.run(until=2.0)
+        sim.run(until=0.5)
+        assert sim.now == 2.0
 
-        def bump():
-            counter["n"] += 1
-            sim.schedule(1.0, bump)
+    def test_horizon_behind_the_clock_on_an_empty_queue_keeps_it(self, sim):
+        sim.post(3.0, lambda: None)
+        sim.run()
+        assert sim.run(until=1.0) == 0
+        assert sim.now == 3.0
 
-        sim.schedule(1.0, bump)
-        assert sim.run_until(lambda: counter["n"] >= 5)
-        assert counter["n"] == 5
+    def test_stale_horizon_leaves_queued_events_at_their_times(self, sim):
+        fired = []
+        sim.post(1.0, lambda: None)
+        sim.post(5.0, lambda: fired.append(sim.now))
+        sim.run(until=2.0)
+        assert sim.run(until=0.5) == 0
+        sim.run()
+        assert fired == [5.0]
 
-    def test_run_until_false_when_queue_drains(self, sim):
-        sim.schedule(1.0, lambda: None)
-        assert not sim.run_until(lambda: False, max_events=100)
+    def test_event_exactly_at_the_horizon_runs(self, sim):
+        fired = []
+        sim.post(2.0, lambda: fired.append(sim.now))
+        assert sim.run(until=2.0) == 1
+        assert fired == [2.0]
+
+    def test_exhausted_budget_keeps_the_clock_at_the_last_event(self, sim):
+        sim.post(1.0, lambda: None)
+        sim.post(2.0, lambda: None)
+        assert sim.run(until=10.0, max_events=1) == 1
+        assert sim.now == 1.0
+        assert sim.pending_events == 1
+
+    def test_run_returns_the_events_of_this_call_only(self, sim):
+        for delay in (1.0, 2.0, 3.0):
+            sim.post(delay, lambda: None)
+        assert sim.run(until=1.5) == 1
+        assert sim.run() == 2
+        assert sim.executed_events == 3
 
 
 class TestPeriodic:

@@ -43,11 +43,8 @@ class TestDatabase:
         db = DatabaseStore(sim, rng)
         acks = []
         db.write("k", {"v": 1}, on_ack=acks.append)
-        results = []
         sim.run()
-        db.read("k", results.append)
-        sim.run()
-        assert acks == ["k"] and results == [{"v": 1}]
+        assert acks == ["k"] and db.get("k") == {"v": 1}
 
     def test_write_has_latency(self, sim, rng):
         db = DatabaseStore(sim, rng, DatabaseConfig(write_latency=0.01, jitter=0.0))
@@ -57,10 +54,10 @@ class TestDatabase:
 
     def test_read_missing_returns_none(self, sim, rng):
         db = DatabaseStore(sim, rng)
-        results = []
-        db.read("ghost", results.append)
+        db.write("k", "v")
+        assert db.get("k") is None  # not yet acknowledged
         sim.run()
-        assert results == [None]
+        assert db.get("ghost") is None
 
     def test_tamper_rewrites_silently(self, sim, rng):
         db = DatabaseStore(sim, rng)
@@ -113,6 +110,15 @@ class TestPureChainStore:
             store.store(f"log-{i}", i)
         sim.run(until=20.0)
         assert len(store.durable_latencies) == 5
+        assert store.pending_count() == 0
+
+    def test_store_is_pending_until_final(self, chain_env):
+        sim, rng, node, client_key = chain_env
+        store = PureChainStore(node, "client", client_key)
+        store.store("log-1", {"entry": "x"})
+        assert store.pending_count() == 1
+        assert store.get("log-1") is None
+        sim.run(until=10.0)
         assert store.pending_count() == 0
 
     def test_unsigned_sender_rejected(self, chain_env):

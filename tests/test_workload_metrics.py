@@ -239,8 +239,7 @@ class TestDetectionScorer:
 
     def test_rates(self):
         scorer = DetectionScorer()
-        scorer.add(self.record(True, 2.0))
-        scorer.add(self.record(False))
+        scorer.add_all([self.record(True, 2.0), self.record(False)])
         summary = scorer.summary()
         assert summary.detection_rate == 0.5
         assert summary.mean_latency == 2.0
@@ -249,6 +248,14 @@ class TestDetectionScorer:
         summary = DetectionScorer().summary()
         assert summary.attacks == 0 and summary.detection_rate == 0.0
         assert summary.mean_latency is None
+
+    def test_add_all_accumulates_across_calls(self):
+        scorer = DetectionScorer()
+        scorer.add_all([self.record(True, 1.0)], false_positives=1)
+        scorer.add_all([self.record(True, 3.0), self.record(False)], false_positives=2)
+        summary = scorer.summary()
+        assert summary.attacks == 3 and summary.false_positives == 3
+        assert summary.mean_latency == 2.0
 
     def test_false_positive_accumulation(self):
         scorer = DetectionScorer()

@@ -30,9 +30,6 @@ class TestAttributeId:
         attr = AttributeId("subject", "role")
         assert attr.category == Category.SUBJECT
 
-    def test_short_form(self):
-        assert AttributeId("subject", "role").short() == "subject:role"
-
 
 class TestDataType:
     def test_check_accepts_matching(self):
@@ -67,42 +64,43 @@ class TestDataType:
             DataType.infer([1])
 
 
+def strings(*values):
+    return Bag(DataType.STRING, values)
+
+
 class TestBag:
-    def test_of_infers_type(self):
-        bag = Bag.of("a", "b")
-        assert bag.data_type == DataType.STRING
-        assert len(bag) == 2
-
-    def test_of_requires_values(self):
-        with pytest.raises(PolicyError):
-            Bag.of()
-
     def test_empty_bag(self):
-        assert len(Bag.empty()) == 0
+        assert len(Bag(DataType.STRING)) == 0
+        assert list(Bag(DataType.STRING)) == []
+
+    def test_double_bag_widens_integers(self):
+        bag = Bag(DataType.DOUBLE, [1, 2.5])
+        assert bag.values == [1.0, 2.5]
+        assert all(isinstance(value, float) for value in bag)
 
     def test_contains(self):
-        assert "a" in Bag.of("a", "b")
-        assert "z" not in Bag.of("a", "b")
+        assert "a" in strings("a", "b")
+        assert "z" not in strings("a", "b")
 
     def test_equality_ignores_order(self):
-        assert Bag.of("a", "b") == Bag.of("b", "a")
+        assert strings("a", "b") == strings("b", "a")
 
     def test_equality_respects_multiplicity(self):
-        assert Bag.of("a", "a") != Bag.of("a")
+        assert strings("a", "a") != strings("a")
 
     def test_equality_respects_type(self):
         assert Bag(DataType.INTEGER, [1]) != Bag(DataType.DOUBLE, [1.0])
 
     def test_one_and_only_singleton(self):
-        assert Bag.of("only").one_and_only() == "only"
+        assert strings("only").one_and_only() == "only"
 
     def test_one_and_only_rejects_multiple(self):
         with pytest.raises(PolicyError):
-            Bag.of("a", "b").one_and_only()
+            strings("a", "b").one_and_only()
 
     def test_one_and_only_rejects_empty(self):
         with pytest.raises(PolicyError):
-            Bag.empty().one_and_only()
+            strings().one_and_only()
 
     def test_mixed_types_rejected(self):
         with pytest.raises(PolicyError):

@@ -175,13 +175,13 @@ class TestPolicySet:
                          obligations=[Obligation("root-log", "Permit")])
 
     def test_nested_evaluation(self):
-        assert self.build_set().evaluate(doctor_request()) is Decision.PERMIT
+        assert self.build_set().evaluate_full(doctor_request())[0] is Decision.PERMIT
 
     def test_deny_unless_permit_closes_gaps(self):
         request = RequestContext.of(subject={"role": "doctor"},
                                     resource={"type": "unknown-type"},
                                     action={"action-id": "read"})
-        assert self.build_set().evaluate(request) is Decision.DENY
+        assert self.build_set().evaluate_full(request)[0] is Decision.DENY
 
     def test_obligations_propagate_from_agreeing_children(self):
         decision, obligations = self.build_set().evaluate_full(doctor_request())
@@ -232,7 +232,7 @@ class TestPdp:
 
     def test_root_id(self):
         policy = Policy("p", "first-applicable", rules=[Rule("r", Effect.PERMIT)])
-        assert PolicyDecisionPoint(policy).root_id == "p"
+        assert PolicyDecisionPoint(policy).root.policy_id == "p"
 
     def test_rejects_non_policy_root(self):
         with pytest.raises(PolicyError):
@@ -246,7 +246,7 @@ class TestParserRoundtrip:
         restored = policy_from_dict(document)
         for request in (doctor_request(), doctor_request(role="nurse"),
                         doctor_request(action="write")):
-            assert restored.evaluate(request) is original.evaluate(request)
+            assert restored.evaluate_full(request)[0] is original.evaluate_full(request)[0]
 
     def test_roundtrip_is_stable(self):
         document = policy_to_dict(TestPolicySet().build_set())

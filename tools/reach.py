@@ -8,7 +8,8 @@ received a call event, grouped by module:
 1. ``bench`` (the ``--smoke`` suite and the four seed-3 traced
    ``--workload`` runs) and every ``examples/*.py``;
 2. tier 1 plus every E-series experiment (``benchmarks/bench_*.py``) in
-   its smoke configuration;
+   its smoke configuration and the CI's ``tools/`` checks
+   (``trace2chrome.py --selfcheck``, ``check_fault_plan.py``);
 3. tier 2 plus the tier-1 suite (``tests/``).
 
 Tracing is ``sys.settrace`` with call events only: the trace function
@@ -16,7 +17,10 @@ records the code object and returns ``None``, so no line events are
 generated.  It is installed by a generated ``sitecustomize`` module on
 ``PYTHONPATH``, so child processes (the ``bench`` children) are traced
 too.  Each unreached function is tagged ``[stub]`` (its body only raises
-``NotImplementedError`` or does nothing) or ``[dunder]``.  Stdlib only:
+``NotImplementedError`` or does nothing), ``[dunder]``, or ``[kept: …]``
+with its line from :data:`KEPT`, the reasons a function no program but a
+test runs stays in ``src/``; each header counts the untagged entries as
+unexplained.  Stdlib only:
 
     python tools/reach.py
 
@@ -65,6 +69,110 @@ sys.settrace(_trace)
 #: One entry point: its argv and the environment variables it adds.
 Command = tuple[list[str], dict[str, str]]
 
+ITEM_8C = "decoder or exporter item 8(c)'s `repro run` will call"
+ITEM_9 = "fault kind chaos dispatches on; item 9's stateful suite draws it"
+LIFT = "attack lift; item 9's lift step"
+MONITOR_23B = "monitor check no run exercises; item 23(b) gives it a run"
+XACML_23C = "XACML combining or bag semantics; item 23(c) decides it"
+ORACLE = "test oracle for behaviour that stays"
+OUTSIDE = "rejects input from outside the program"
+SEAM = "test seam"
+STOP = "lifecycle stop"
+
+#: Why each function tier 2 leaves unreached stays in ``src/``, keyed
+#: ``module:Qualified.name`` as the report prints them.
+KEPT = {
+    "accesscontrol/messages.py:AccessRequest.payload_hash": ORACLE,
+    "accesscontrol/plane.py:ShardedPdpPlane.over": SEAM,
+    "analysis/properties.py:sample_requests": "property checks sample domains over max_exhaustive",
+    "analysis/semantics.py:_adjust_for_target": XACML_23C,
+    "analysis/semantics.py:_indeterminate_for": XACML_23C,
+    "analysis/semantics.py:_str": XACML_23C,
+    "baselines/central.py:CentralizedMonitor._audit": MONITOR_23B,
+    "baselines/central.py:CentralizedMonitor._grace_left": MONITOR_23B,
+    "blockchain/chain.py:Blockchain.block_count": ORACLE,
+    "crypto/tpm.py:SimulatedTpm.reset": "LogTamperAttack.lift reboots the platform with it",
+    "drams/analyser.py:Analyser._audit_churn": MONITOR_23B,
+    "drams/logging_interface.py:LoggingInterface.read_log_plaintext": ORACLE,
+    "drams/logs.py:LogEntry.from_dict": OUTSIDE,
+    "drams/rules.py:PolicyHistory.judge_claims": MONITOR_23B,
+    "drams/system.py:DramsSystem.stop": STOP,
+    "faults/chaos.py:ChaosController._apply_clock_skew": ITEM_9,
+    "faults/chaos.py:ChaosController._apply_restart": ITEM_9,
+    "faults/plan.py:clock_skew": ITEM_9,
+    "faults/plan.py:latency_spike": ITEM_9,
+    "faults/plan.py:restart": ITEM_9,
+    "faults/recovery.py:RecoveryRecorder.watch_replica_recovery": ITEM_9,
+    "faults/recovery.py:RecoveryRecorder.watch_replica_recovery.<locals>.converged": ITEM_9,
+    "lightclient/consumer.py:LightProbeConsumer._reject": OUTSIDE,
+    "lightclient/headers.py:HeaderClient._ingest.<locals>.lookup": "retarget path no run reaches",
+    "lightclient/headers.py:HeaderClient.head": ORACLE,
+    "lightclient/receipts.py:DecisionReceipt.to_dict": ITEM_8C,
+    "policydist/plane.py:ReplicatedPrpPlane.crash_replica": ITEM_9,
+    "policydist/plane.py:ReplicatedPrpPlane.describe": ITEM_8C,
+    "policydist/plane.py:ReplicatedPrpPlane.restart_replica": ITEM_9,
+    "policydist/plane.py:ReplicatedPrpPlane.stats": ITEM_8C,
+    "policydist/plane.py:ReplicatedPrpPlane.stop": STOP,
+    "policydist/replica.py:PrpReplica.lose_staged": "ReplicatedPrpPlane.crash_replica calls it",
+    "policydist/replica.py:PrpReplica.publish": OUTSIDE,
+    "policydist/replica.py:PrpReplica.stats": ITEM_8C,
+    "scenariogen/spec.py:_class_from": ITEM_8C,
+    "scenariogen/spec.py:_rule_from": ITEM_8C,
+    "scenariogen/spec.py:_spec_from": ITEM_8C,
+    "scenariogen/spec.py:_tuples": ITEM_8C,
+    "scenariogen/spec.py:spec_from_json": ITEM_8C,
+    "scenariogen/spec.py:spec_to_json": ITEM_8C,
+    "simnet/network.py:Network.add_tap": ORACLE,
+    "simnet/network.py:Network.clear_link_fault": ITEM_9,
+    "simnet/network.py:Network.host": ITEM_9,
+    "simnet/network.py:Network.is_attached": ORACLE,
+    "simnet/network.py:Network.is_partitioned": ORACLE,
+    "simnet/network.py:Network.link_fault": ORACLE,
+    "simnet/simulator.py:Simulator.every.<locals>.stop": STOP,
+    "simnet/simulator.py:Simulator.executed_events": ORACLE,
+    "simnet/simulator.py:Simulator.pending_events": ORACLE,
+    "simnet/simulator.py:Simulator.step": SEAM,
+    "storage/hybrid.py:HybridStore.stop": STOP,
+    "storage/purechain.py:PureChainStore.get": ORACLE,
+    "storage/purechain.py:PureChainStore.pending_count": ORACLE,
+    "telemetry/critical_path.py:CriticalPathAnalyser.attribution_table": ITEM_8C,
+    "telemetry/critical_path.py:CriticalPathAnalyser.mean_attribution": ITEM_8C,
+    "telemetry/critical_path.py:CriticalPathAnalyser.percentile_trace": ITEM_8C,
+    "telemetry/stack.py:StackTelemetry.chrome_trace": ITEM_8C,
+    "telemetry/stack.py:StackTelemetry.spans_json": ITEM_8C,
+    "telemetry/tracing.py:Span.to_dict": ITEM_8C,
+    "telemetry/tracing.py:SpanRecorder.stats": ITEM_8C,
+    "telemetry/tracing.py:SpanRecorder.to_chrome": ITEM_8C,
+    "telemetry/tracing.py:SpanRecorder.to_json": ITEM_8C,
+    "telemetry/tracing.py:Tracer.open_keys": ORACLE,
+    "telemetry/tracing.py:Tracer.stats": ITEM_8C,
+    "telemetry/tracing.py:spans_to_json": ITEM_8C,
+    "threats/adversary.py:Adversary.lift_all": LIFT,
+    "threats/attacks.py:CircumventionAttack.lift": LIFT,
+    "threats/attacks.py:DecisionTamperAttack.lift": LIFT,
+    "threats/attacks.py:EvaluationTamperAttack.lift": LIFT,
+    "threats/attacks.py:LogTamperAttack.lift": LIFT,
+    "threats/attacks.py:PolicySwapAttack.lift": LIFT,
+    "threats/attacks.py:ProbeSuppressionAttack.lift": LIFT,
+    "threats/attacks.py:ReplayAttack.lift": LIFT,
+    "threats/attacks.py:RequestTamperAttack.lift": LIFT,
+    "threats/attacks.py:StalePolicyReplayAttack.lift": LIFT,
+    "threats/attacks.py:TamperedPrpReplicaAttack.lift": LIFT,
+    "threats/attacks.py:_PrpReplicaAttack._untrack": LIFT,
+    "workload/generator.py:RequestGenerator.resources": ORACLE,
+    "workload/generator.py:RequestGenerator.subjects": ORACLE,
+    "xacml/combining.py:adjust_for_target": XACML_23C,
+    "xacml/combining.py:deny_overrides": XACML_23C,
+    "xacml/combining.py:only_one_applicable": XACML_23C,
+    "xacml/combining.py:permit_unless_deny": XACML_23C,
+    "xacml/expressions.py:_all_of": XACML_23C,
+    "xacml/expressions.py:_at_least_one_member_of": XACML_23C,
+    "xacml/expressions.py:_bag_intersection": XACML_23C,
+    "xacml/expressions.py:_bag_union": XACML_23C,
+    "xacml/expressions.py:_subset": XACML_23C,
+    "xacml/policy.py:Effect.to_indeterminate": XACML_23C,
+}
+
 
 def tiers(scratch: str) -> list[tuple[str, list[Command]]]:
     python = sys.executable
@@ -77,9 +185,17 @@ def tiers(scratch: str) -> list[tuple[str, list[Command]]]:
         bench.append(([python, str(example)], {}))
     pytest = [python, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
     experiments = sorted(str(path) for path in (REPO_ROOT / "benchmarks").glob("bench_*.py"))
+    tools = REPO_ROOT / "tools"
     return [
         ("bench + examples", bench),
-        ("+ E-series", [([*pytest, *experiments], {"REPRO_BENCH_SMOKE": "1"})]),
+        (
+            "+ E-series + tools",
+            [
+                ([*pytest, *experiments], {"REPRO_BENCH_SMOKE": "1"}),
+                ([python, str(tools / "trace2chrome.py"), "--selfcheck"], {}),
+                ([python, str(tools / "check_fault_plan.py")], {}),
+            ],
+        ),
         ("+ tier-1", [(pytest, {})]),
     ]
 
@@ -97,8 +213,8 @@ def functions() -> dict[tuple[str, int], tuple[str, str, int, str]]:
                 first = min([child.lineno] + [d.lineno for d in child.decorator_list])
                 lines = child.end_lineno - child.body[0].lineno + 1
                 name = f"{prefix}{child.name}"
-                module = str(path.relative_to(SRC))
-                found[(str(path), first)] = (module, name, lines, tag(child))
+                module = str(path.relative_to(SRC / "repro"))
+                found[(str(path), first)] = (module, name, lines, tag(child, f"{module}:{name}"))
                 visit(child, path, f"{name}.<locals>.")
 
     for path in sorted((SRC / "repro").rglob("*.py")):
@@ -106,9 +222,11 @@ def functions() -> dict[tuple[str, int], tuple[str, str, int, str]]:
     return found
 
 
-def tag(node: ast.FunctionDef) -> str:
+def tag(node: ast.FunctionDef, key: str) -> str:
     if node.name.startswith("__") and node.name.endswith("__"):
         return " [dunder]"
+    if key in KEPT:
+        return f" [kept: {KEPT[key]}]"
     # Inert statements: docstrings, ``...``, ``pass`` and a bare ``return``.
     body = [
         statement
@@ -157,7 +275,11 @@ def main() -> None:
             seen = reached(dumps)
             missing = sorted(info for key, info in table.items() if key not in seen)
             lines = sum(info[2] for info in missing)
-            print(f"== {label}: {len(missing)} functions, {lines} body lines unreached")
+            unexplained = sum(1 for info in missing if not info[3])
+            print(
+                f"== {label}: {len(missing)} functions, {lines} body lines unreached, "
+                f"{unexplained} unexplained"
+            )
             for failure in failed:
                 print(f"  entry point failed, {failure}")
             module = None
