@@ -6,18 +6,18 @@ anti-entropy, decisions are stamped with the policy ``(version,
 fingerprint)`` they were evaluated under, and the monitor classifies
 provenance mismatches as ``policy-churn`` (honest skew within the
 staleness bound) versus ``policy-violation`` (unknown fingerprint or skew
-beyond the bound).  This experiment measures what that costs and catches:
+beyond the bound).  This experiment measures what that costs: the
+``policy-churn`` scenario (policy republished mid-traffic) over increasing
+propagation delays.  Monitored decisions/sec must not degrade with the
+delay (policy distribution is off the request hot path), honest skew must
+raise *zero* policy-violation and incorrect-decision alerts, and the
+Analyser's churn counter shows the skew the plane actually produced.
 
-- **churn sweep** — the ``policy-churn`` scenario (policy republished
-  mid-traffic) over increasing propagation delays.  Monitored
-  decisions/sec must not degrade with the delay (policy distribution is
-  off the request hot path), honest skew must raise *zero*
-  policy-violation and incorrect-decision alerts, and the Analyser's
-  churn counter shows the skew the plane actually produced.
-- **detection arm** — a ``TamperedPrpReplicaAttack`` and a
-  ``StalePolicyReplayAttack`` against a replicated plane must both be
-  detected with zero unattributed alerts (the fidelity bar the E6
-  detection benchmark sets for the original catalogue).
+The retired detection arm (a ``TamperedPrpReplicaAttack`` and a
+``StalePolicyReplayAttack`` against a replicated plane) keeps its last
+rows in ``docs/faults.md`` §7.  Both attacks are detected with zero
+unattributed alerts in tier-1 (``tests/test_policydist.py``) and under
+the partition storm of ``python -m bench``'s ``storm-attacked`` workload.
 
 The default wiring (``SingleStorePlane``) is pinned by digest in tier-1
 (``tests/test_golden_monitored_run.py``); the arm that re-assembled the
@@ -34,14 +34,10 @@ from repro.drams.alerts import AlertType
 from repro.harness import MonitoredFederation
 from repro.metrics.tables import format_table
 from repro.policydist import ReplicatedPrpPlane
-from repro.threats import Adversary, StalePolicyReplayAttack, TamperedPrpReplicaAttack
 from repro.workload.scenarios import policy_churn_scenario
-from repro.xacml.parser import policy_to_dict
-from repro.xacml.policy import Effect, Policy, Rule
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 REQUESTS = 80 if SMOKE else 160
-DETECT_REQUESTS = 40 if SMOKE else 60
 
 #: Propagation delays swept by the churn arms (seconds of simulated time).
 PROPAGATION_DELAYS = (0.05, 0.4, 1.2)
@@ -125,46 +121,6 @@ def run_churn_arm(delay):
     }
 
 
-# -- detection arm ----------------------------------------------------------------
-
-
-def rogue_policy_document():
-    return policy_to_dict(
-        Policy(
-            policy_id="rogue-permit-all",
-            rule_combining="permit-overrides",
-            rules=[Rule("allow-everything", Effect.PERMIT)],
-        )
-    )
-
-
-def run_detection_arm(attack, publish_variants, seed):
-    scenario = policy_churn_scenario()
-    stack = MonitoredFederation.build(
-        scenario,
-        clouds=2,
-        seed=seed,
-        drams_config=bench_drams_config(),
-        policy_plane=ReplicatedPrpPlane(propagation_delay=0.2, propagation_jitter=0.05),
-    )
-    stack.start()
-    adversary = Adversary(stack.drams)
-    adversary.launch(attack, at=0.6)
-    stack.issue_requests(DETECT_REQUESTS)
-    if publish_variants:
-        for index, document in enumerate(scenario.policy_variants):
-            stack.publish_policy(document, at=0.8 + 0.4 * index)
-    stack.run(until=90.0)
-    record = adversary.records()[0]
-    return {
-        "attack": attack.name,
-        "detected": record.detected,
-        "latency": record.detection_latency,
-        "alerts": sorted({a.alert_type.value for a in record.matched_alerts}),
-        "false_positives": len(adversary.false_positives()),
-    }
-
-
 def test_e12_policy_distribution(report):
     rows = []
     json_rows = []
@@ -210,21 +166,6 @@ def test_e12_policy_distribution(report):
         f"{slowest:.1f} decisions/s"
     )
 
-    # Detection: the policy-plane attacks meet the E6 fidelity bar.
-    detections = [
-        run_detection_arm(
-            TamperedPrpReplicaAttack(rogue_policy_document()),
-            publish_variants=False,
-            seed=93,
-        ),
-        run_detection_arm(StalePolicyReplayAttack(), publish_variants=True, seed=94),
-    ]
-    for detection in detections:
-        assert detection["detected"], f"{detection['attack']} went undetected"
-        assert detection["false_positives"] == 0, (
-            f"{detection['attack']} produced unattributed alerts"
-        )
-
     mode = ", smoke" if SMOKE else ""
     table = format_table(
         rows,
@@ -241,6 +182,5 @@ def test_e12_policy_distribution(report):
             "publish_times": list(PUBLISH_TIMES),
             "staleness_bound": SWEEP_STALENESS_BOUND,
             "churn_observed_total": churn_total,
-            "detections": detections,
         },
     )

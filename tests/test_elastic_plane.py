@@ -295,10 +295,12 @@ class TestProbeLifecycle:
         assert stack.drams.alerts.count() == 0
         assert stack.drams.analyser.checked == 24
         assert stack.drams.analyser.pending_correlations == 0
+        assert not plane.draining()  # the drained shard quiesced and left
 
 
 class TestSerializedCapacity:
-    """The single-threaded evaluator model E11 and E13 measure against."""
+    """The single-threaded evaluator model E13's static and elastic arms
+    measure against."""
 
     def serve_burst(self, network, serialize=True, count=3):
         prp = PolicyRetrievalPoint()

@@ -869,3 +869,65 @@ class TestChaosController:
             ChaosController(
                 {"events": []}, sim=stack.sim, network=stack.federation.network
             )
+
+
+class TestHonestStorm:
+    """The partition storm of the ``storm-attacked`` benchmark workload,
+    with no attack: every component it crashes comes back promptly, the
+    chaos alone raises nothing, and every decision still ends in an
+    accepted light-client receipt."""
+
+    WAVE_STARTS = (0.1, 0.9, 1.4, 2.4, 3.2)
+    WAVE_SIZE = 8
+
+    def test_storm_recovers_without_alerts_or_timeouts(self):
+        plane = ShardedPdpPlane(shards=2)
+        stack = MonitoredFederation.build(
+            partition_storm_scenario(),
+            clouds=2,
+            seed=101,
+            drams_config=fast_drams_config(),
+            plane=plane,
+            policy_plane=ReplicatedPrpPlane(propagation_delay=0.2, propagation_jitter=0.05),
+            pep_kwargs={"request_timeout": 1.0, "backoff": RetryBackoff(base=0.2, cap=0.5)},
+            light_clients=True,
+        )
+        stack.start()
+        shard_a, shard_b = (service.address for service in plane.services)
+        # Windows are disjoint per victim, so every PEP keeps one
+        # reachable shard at all times.
+        controller = stack.inject_faults(
+            FaultPlan(
+                name="partition-storm",
+                events=(
+                    partition(["pep@tenant-2"], [shard_a], at=0.6, heal_at=1.8),
+                    crash("bcnode@tenant-2", at=1.0, restart_at=2.0),
+                    crash(shard_b, at=2.2, restart_at=3.0),
+                ),
+            )
+        )
+        for start in self.WAVE_STARTS:
+            stack.issue_requests(self.WAVE_SIZE, start_at=start)
+        stack.run(until=30.0)
+        assert len(stack.outcomes) == len(self.WAVE_STARTS) * self.WAVE_SIZE
+        assert sum(pep.timeouts for pep in stack.peps.values()) == 0
+        assert sum(pep.failovers for pep in stack.peps.values()) > 0
+        assert stack.drams.alerts.all() == []
+        slos = controller.recorder.slos()
+        assert [r["component"] for r in slos["recoveries"]] == ["chain-node", "pdp-shard"]
+        assert slos["watches_outstanding"] == 0
+        assert slos["max_ttr"] <= 5.0
+        node = stack.drams.nodes["tenant-2"]
+        assert not node.crashed and not node._syncing
+        assert node.resyncs == 1
+        # No fork: the rejoined node's head and the reference head lie on
+        # one chain (either may lead by a block still propagating).
+        head, reference = node.chain.head.hash, stack.drams.reference_chain()
+        assert reference.has_block(head) or node.chain.has_block(reference.head.hash)
+        assert not plane.crashed()
+        # tenant-2's chain node is also its light clients' proof server.
+        for tenant, consumer in stack.light_clients.items():
+            watched = sum(o.request.origin_tenant == tenant for o in stack.outcomes)
+            assert (consumer.receipts_accepted, consumer.receipts_rejected) == (watched, 0)
+            assert consumer.outstanding == 0
+            assert all(receipt.payload is not None for receipt in consumer.receipts.values())

@@ -87,6 +87,39 @@ def test_every_entry_point_script_exists():
 
 def test_reached_collects_every_dump(tmp_path):
     reach = load_reach()
-    (tmp_path / "1.txt").write_text("/src/a.py\t10\n/src/b.py\t3\n")
-    (tmp_path / "2.txt").write_text("/src/a.py\t10\n")
-    assert reach.reached(tmp_path) == {("/src/a.py", 10), ("/src/b.py", 3)}
+    (tmp_path / "1.txt").write_text("a.py:f\nb/c.py:C.g\n")
+    (tmp_path / "2.txt").write_text("a.py:f\n")
+    assert reach.reached(tmp_path) == {"a.py:f", "b/c.py:C.g"}
+
+
+def test_keys_are_qualified_names_no_line_shift_moves(tmp_path):
+    """The table's keys spell each function as its ``__qualname__`` (what
+    the traced ``code.co_qualname`` prints), so an edit that moves lines
+    while the entry points run leaves every key in place."""
+    reach = load_reach()
+    source = """
+class Outer:
+    class Inner:
+        def method(self):
+            pass
+
+    @staticmethod
+    def helper():
+        def local():
+            pass
+
+        return local
+
+
+def top():
+    pass
+"""
+    (tmp_path / "mod.py").write_text(source)
+    keys = set(reach.functions(tmp_path))
+    namespace = {}
+    exec(compile(source, "mod.py", "exec"), namespace)
+    outer = namespace["Outer"]
+    defined = (outer.Inner.method, outer.helper, outer.helper(), namespace["top"])
+    assert keys == {f"mod.py:{function.__qualname__}" for function in defined}
+    (tmp_path / "mod.py").write_text("import os\n\n\n" + source)
+    assert set(reach.functions(tmp_path)) == keys

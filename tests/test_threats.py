@@ -88,6 +88,9 @@ def run_attack(attack, seed=50, requests=8, horizon=40.0, **config_overrides):
     adversary.launch(attack, at=0.2)
     stack.issue_requests(requests)
     stack.run(until=horizon)
+    assert len(stack.outcomes) == requests
+    # Every alert of a single-attack run is the attack's own.
+    assert adversary.false_positives() == []
     return stack, adversary, adversary.records()[0]
 
 
@@ -173,6 +176,8 @@ class TestMonitoringAttacks:
         assert record.detected
         assert {a.alert_type for a in record.matched_alerts} == {
             AlertType.EQUIVOCATION}
+        assert len(stack.outcomes) == 6
+        assert adversary.false_positives() == []
 
 
 class TestAdversaryScoring:

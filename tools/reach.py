@@ -16,7 +16,11 @@ Tracing is ``sys.settrace`` with call events only: the trace function
 records the code object and returns ``None``, so no line events are
 generated.  It is installed by a generated ``sitecustomize`` module on
 ``PYTHONPATH``, so child processes (the ``bench`` children) are traced
-too.  Each unreached function is tagged ``[stub]`` (its body only raises
+too.  Both the source table and each process's dump name a function
+``module:Qualified.name`` (the dump from ``code.co_qualname``, so Python
+3.11 or later), never by line: an edit to ``src/`` while the entry points
+run cannot make a reached function read as unreached.  Each unreached
+function is tagged ``[stub]`` (its body only raises
 ``NotImplementedError`` or does nothing), ``[dunder]``, or ``[kept: …]``
 with its line from :data:`KEPT`, the reasons a function no program but a
 test runs stays in ``src/``; each header counts the untagged entries as
@@ -24,9 +28,9 @@ unexplained.  Stdlib only:
 
     python tools/reach.py
 
-A report, not a gate: it always exits 0.  An entry point that fails is
-named in its tier's report and its reach still counts; the tests and
-runs themselves are gated elsewhere.
+A report, not a gate: on Python 3.11 or later it always exits 0.  An
+entry point that fails is named in its tier's report and its reach still
+counts; the tests and runs themselves are gated elsewhere.
 """
 
 from __future__ import annotations
@@ -54,11 +58,11 @@ def _trace(frame, event, arg):
 
 def _dump():
     sys.settrace(None)
-    src = os.environ["REACH_SRC"]
+    root = os.path.join(os.environ["REACH_SRC"], "")
     with open(os.path.join(os.environ["REACH_OUT"], f"{os.getpid()}.txt"), "a") as out:
         for code in _codes:
-            if code.co_filename.startswith(src):
-                out.write(f"{code.co_filename}\\t{code.co_firstlineno}\\n")
+            if code.co_filename.startswith(root):
+                out.write(f"{code.co_filename[len(root):]}:{code.co_qualname}\\n")
 
 
 atexit.register(_dump)
@@ -83,6 +87,7 @@ STOP = "lifecycle stop"
 #: ``module:Qualified.name`` as the report prints them.
 KEPT = {
     "accesscontrol/messages.py:AccessRequest.payload_hash": ORACLE,
+    "accesscontrol/plane.py:ShardedPdpPlane.draining": ORACLE,
     "accesscontrol/plane.py:ShardedPdpPlane.over": SEAM,
     "analysis/properties.py:sample_requests": "property checks sample domains over max_exhaustive",
     "analysis/semantics.py:_adjust_for_target": XACML_23C,
@@ -93,6 +98,7 @@ KEPT = {
     "blockchain/chain.py:Blockchain.block_count": ORACLE,
     "crypto/tpm.py:SimulatedTpm.reset": "LogTamperAttack.lift reboots the platform with it",
     "drams/analyser.py:Analyser._audit_churn": MONITOR_23B,
+    "drams/analyser.py:Analyser.pending_correlations": ORACLE,
     "drams/logging_interface.py:LoggingInterface.read_log_plaintext": ORACLE,
     "drams/logs.py:LogEntry.from_dict": OUTSIDE,
     "drams/rules.py:PolicyHistory.judge_claims": MONITOR_23B,
@@ -104,6 +110,7 @@ KEPT = {
     "faults/plan.py:restart": ITEM_9,
     "faults/recovery.py:RecoveryRecorder.watch_replica_recovery": ITEM_9,
     "faults/recovery.py:RecoveryRecorder.watch_replica_recovery.<locals>.converged": ITEM_9,
+    "harness.py:MonitoredFederation.fingerprint": ORACLE,
     "lightclient/consumer.py:LightProbeConsumer._reject": OUTSIDE,
     "lightclient/headers.py:HeaderClient._ingest.<locals>.lookup": "retarget path no run reaches",
     "lightclient/headers.py:HeaderClient.head": ORACLE,
@@ -200,8 +207,8 @@ def tiers(scratch: str) -> list[tuple[str, list[Command]]]:
     ]
 
 
-def functions() -> dict[tuple[str, int], tuple[str, str, int, str]]:
-    """``(file, first line) → (module, qualified name, body lines, tag)``."""
+def functions(root: Path = SRC / "repro") -> dict[str, tuple[str, str, int, str]]:
+    """``module:Qualified.name → (module, qualified name, body lines, tag)``."""
     found = {}
 
     def visit(node: ast.AST, path: Path, prefix: str) -> None:
@@ -209,15 +216,12 @@ def functions() -> dict[tuple[str, int], tuple[str, str, int, str]]:
             if isinstance(child, ast.ClassDef):
                 visit(child, path, f"{prefix}{child.name}.")
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                # A decorated function's code starts at its first decorator.
-                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
                 lines = child.end_lineno - child.body[0].lineno + 1
-                name = f"{prefix}{child.name}"
-                module = str(path.relative_to(SRC / "repro"))
-                found[(str(path), first)] = (module, name, lines, tag(child, f"{module}:{name}"))
+                module, name = str(path.relative_to(root)), f"{prefix}{child.name}"
+                found[f"{module}:{name}"] = (module, name, lines, tag(child, f"{module}:{name}"))
                 visit(child, path, f"{name}.<locals>.")
 
-    for path in sorted((SRC / "repro").rglob("*.py")):
+    for path in sorted(root.rglob("*.py")):
         visit(ast.parse(path.read_text()), path, "")
     return found
 
@@ -245,16 +249,13 @@ def tag(node: ast.FunctionDef, key: str) -> str:
     return ""
 
 
-def reached(dumps: Path) -> set[tuple[str, int]]:
-    seen = set()
-    for dump in dumps.glob("*.txt"):
-        for line in dump.read_text().splitlines():
-            filename, first = line.rsplit("\t", 1)
-            seen.add((filename, int(first)))
-    return seen
+def reached(dumps: Path) -> set[str]:
+    return {key for dump in dumps.glob("*.txt") for key in dump.read_text().splitlines()}
 
 
 def main() -> None:
+    if sys.version_info < (3, 11):
+        sys.exit("reach.py needs Python 3.11 or later (code.co_qualname)")
     table = functions()
     with tempfile.TemporaryDirectory(prefix="reach-") as scratch:
         hook, dumps = Path(scratch, "hook"), Path(scratch, "dumps")
@@ -262,7 +263,7 @@ def main() -> None:
         dumps.mkdir()
         (hook / "sitecustomize.py").write_text(SITECUSTOMIZE)
         paths = [str(hook), str(SRC), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, REACH_SRC=str(SRC), REACH_OUT=str(dumps))
+        env = dict(os.environ, REACH_SRC=str(SRC / "repro"), REACH_OUT=str(dumps))
         env["PYTHONPATH"] = os.pathsep.join(path for path in paths if path)
         for label, commands in tiers(scratch):
             failed = []
